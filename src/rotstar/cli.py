@@ -458,7 +458,6 @@ def main(argv=None) -> int:
         return fail(EXIT_CONFIG, "config", str(exc))
 
     run = _Runner(cfg, args.out_dir, args.seed, args.jobs)
-    np.random.seed(args.seed)
     try:
         code = COMMANDS[args.command](run)
     except ConfigError as exc:

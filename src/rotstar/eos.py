@@ -125,10 +125,6 @@ class EquationOfState:
         out = self.pressure_derivative(rho_arr) / rho_arr
         return _unwrap(np.asarray(out), scalar)
 
-    def sound_speed_sq(self, rho):
-        """c_s^2 = P'(rho)."""
-        return self.pressure_derivative(rho)
-
 
 class _BlendData:
     """Precomputed cubic-Hermite blend of log P vs log rho plus enthalpy tables."""

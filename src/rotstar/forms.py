@@ -87,11 +87,6 @@ class QuadraticForm:
     def smallest(self) -> float:
         return float(self.eigenvalues[0])
 
-    def kernel_vectors(self, zero_tol: float | None = None) -> np.ndarray:
-        tol = self._band(zero_tol)
-        mask = np.abs(self.eigenvalues) <= tol
-        return self.vectors[:, mask]
-
     def eigenvector(self, i: int) -> np.ndarray:
         return self.vectors[:, i]
 

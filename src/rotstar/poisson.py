@@ -15,6 +15,15 @@ exact, no truncated domain is involved.
 The kernel diverges logarithmically on the diagonal; the self-cell entry is
 replaced by the analytic average of the log singularity over the quadrature
 cell, which keeps the node-based product quadrature second-order accurate.
+
+The mirrored source spans 2nz - 1 planes, so targets see lags z - z' in
+[-(nz-1), 2nz-2] (units of hz).  The kernel is wrapped evenly with period
+N >= 4nz - 4, c[n] = g[min(n, N - n)], which reads g[|L|] for every such lag:
+no aliasing.  An even real sequence has a real spectrum, stored as
+ghat[f, i, j]; a solve is an rfft, one real matrix product per frequency
+(real and imaginary parts side by side) and an irfft.  The table is built in
+blocks of target radii and mirrored by its r <-> r' symmetry, so no
+temporary spans the whole (nr, nr, N) table.
 """
 
 from __future__ import annotations
@@ -26,6 +35,9 @@ import numpy as np
 from scipy.fft import next_fast_len, rfft, irfft
 
 __all__ = ["agm_ellipk", "Grid", "RingKernel", "rect_log_mean"]
+
+#: target radii per block of the kernel build; bounds its temporaries
+_R_BLOCK = 8
 
 
 def agm_ellipk(m):
@@ -125,40 +137,36 @@ class Grid:
 
 
 class RingKernel:
-    """Precomputed ring potential table for one grid geometry."""
+    """Precomputed ring potential spectrum for one grid geometry."""
 
     def __init__(self, grid: Grid):
         self.grid = grid
         rs, hz = grid.rs, grid.hz
         nr, nz = grid.nr, grid.nz
-        nd = 2 * nz - 1  # |z - z'| = 0 .. 2(nz-1) in units of hz
-        dz = hz * np.arange(nd)
-
-        ri = rs[:, None, None]
-        rj = rs[None, :, None]
-        dz3 = dz[None, None, :]
-        denom_sq = (ri + rj) ** 2 + dz3**2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            m = 4.0 * ri * rj / denom_sq
-            m = np.where(denom_sq > 0, m, 0.0)
-        m = np.clip(m, 0.0, 1.0 - 1e-15)
-        gtab = 4.0 * agm_ellipk(m) / np.sqrt(np.where(denom_sq > 0, denom_sq, 1.0))
-        gtab[0, 0, 0] = 0.0  # axis self-entry carries zero quadrature weight anyway
-
-        # analytic log average over the self cell for diagonal targets
-        local_dr = np.empty(nr)
-        local_dr[1:-1] = 0.5 * (rs[2:] - rs[:-2])
-        local_dr[0] = rs[1] - rs[0]
-        local_dr[-1] = rs[-1] - rs[-2]
-        for i in range(1, nr):
-            mean_ln = rect_log_mean(0.5 * local_dr[i], 0.5 * hz)
-            gtab[i, i, 0] = (2.0 / rs[i]) * (math.log(8.0 * rs[i]) - mean_ln)
-
-        # fold |d| lookup into the padded kernel used by the z convolution
-        q = np.arange(3 * nz - 2)
-        self._gfull = gtab[:, :, np.abs(q - (nz - 1))]
-        self._nfft = next_fast_len(self._gfull.shape[2] + (2 * nz - 1) - 1)
-        self._ghat = rfft(self._gfull, self._nfft, axis=2)
+        self._nfft = nfft = next_fast_len(4 * nz - 4)
+        lag = np.minimum(np.arange(nfft), nfft - np.arange(nfft))  # even wrap
+        local_dr = np.gradient(rs)  # self-cell widths
+        # each block of rows fills its columns j >= i0 and, by the r <-> r'
+        # symmetry, the same entries of the rows below it
+        self._ghat = ghat = np.empty((nfft // 2 + 1, nr, nr))
+        dz3 = hz * np.arange(nfft // 2 + 1)[None, None, :]
+        for i0 in range(0, nr, _R_BLOCK):
+            i1 = min(i0 + _R_BLOCK, nr)
+            ri = rs[i0:i1, None, None]
+            rj = rs[None, i0:, None]
+            denom_sq = (ri + rj) ** 2 + dz3**2
+            with np.errstate(divide="ignore", invalid="ignore"):
+                m = np.where(denom_sq > 0, 4.0 * ri * rj / denom_sq, 0.0)
+            np.clip(m, 0.0, 1.0 - 1e-15, out=m)
+            gtab = 4.0 * agm_ellipk(m) / np.sqrt(np.where(denom_sq > 0, denom_sq, 1.0))
+            # analytic log average over the self cell for diagonal targets;
+            # the axis entry carries zero quadrature weight and is left as is
+            for i in range(max(i0, 1), i1):
+                mean_ln = rect_log_mean(0.5 * local_dr[i], 0.5 * hz)
+                gtab[i - i0, i - i0, 0] = (2.0 / rs[i]) * (math.log(8.0 * rs[i]) - mean_ln)
+            blk = rfft(gtab[:, :, lag], axis=2).real.transpose(2, 0, 1)
+            ghat[:, i0:i1, i0:] = blk
+            ghat[:, i1:, i0:i1] = blk[:, :, i1 - i0 :].transpose(0, 2, 1)
         self._src_scale = grid.wr * rs
 
     def potential(self, source: np.ndarray, parity: str = "even") -> np.ndarray:
@@ -170,17 +178,15 @@ class RingKernel:
         nz = grid.nz
         if source.shape != grid.shape:
             raise ValueError("source shape does not match the grid")
-        sgn = 1.0 if parity == "even" else -1.0
         if parity not in ("even", "odd"):
             raise ValueError("parity must be 'even' or 'odd'")
-        weighted = source * (self._src_scale[:, None] * grid.hz)
-        ext = np.empty((grid.nr, 2 * nz - 1))
-        ext[:, nz - 1 :] = weighted
-        ext[:, : nz - 1] = sgn * weighted[:, :0:-1]
-        shat = rfft(ext, self._nfft, axis=1)
-        vhat = np.einsum("ijf,jf->if", self._ghat, shat)
-        v = irfft(vhat, self._nfft, axis=1)
-        return -v[:, 2 * nz - 2 : 3 * nz - 2]
+        sgn = 1.0 if parity == "even" else -1.0
+        weighted = (source * (self._src_scale[:, None] * grid.hz)).T
+        ext = np.concatenate([sgn * weighted[:0:-1], weighted])  # planes z' = -z .. z
+        shat = rfft(ext, self._nfft, axis=0)  # (F, nr) complex
+        vhat = np.matmul(self._ghat, shat.view(float).reshape(*shat.shape, 2))
+        v = irfft(vhat.view(complex)[..., 0], self._nfft, axis=0)
+        return np.ascontiguousarray(-v[nz - 1 : 2 * nz - 1].T)
 
     def potential_at(self, source: np.ndarray, r_pts, z_pts, parity: str = "even") -> np.ndarray:
         """Potential of `source` at arbitrary probe points (direct summation)."""

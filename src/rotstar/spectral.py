@@ -380,9 +380,10 @@ def evolve_second_order(
 ) -> WaveTrajectory:
     """Leapfrog integration of  u_tt = -(form) u  in whitened coordinates.
 
-    ``u0``/``v0`` are coefficients in the whitened eigenbasis of the pencil
-    (see ``QuadraticForm.vectors``): pass ``form.eigen_coefficients(field)``
-    helpers or eigen unit vectors directly.  The default step is
+    ``u0``/``v0`` are coordinates in the pencil eigenbasis, whose columns
+    ``form.vectors`` are Gram-orthonormal: a field with basis coefficients x
+    has coordinates ``form.vectors.T @ form.gram @ x``, and a unit vector
+    starts a pure eigenmode.  The default step is
     dt_factor / sqrt(max eigenvalue), within the leapfrog stability bound.
     """
     lam = form.eigenvalues

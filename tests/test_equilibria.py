@@ -7,6 +7,7 @@ from rotstar.eos import polytrope
 from rotstar.equilibria import (
     GridTooSmallError,
     InsufficientResolutionError,
+    NoEquilibriumError,
     boundary_asymptotics_check,
     load_axistar,
     make_grid,
@@ -123,6 +124,17 @@ def test_grid_too_small(eos53):
     small = make_grid(1.0, 1.0, 48, 48)  # support radius is about 1.63
     with pytest.raises(GridTooSmallError):
         solve_fixed_omega(eos53, RigidLaw(1.0), 0.01, 1.0, grid=small)
+
+
+def test_fixed_j_grid_too_small(eos53):
+    small = make_grid(1.0, 1.0, 48, 48)  # support radius is about 1.63
+    with pytest.raises(GridTooSmallError, match="non-rotating support"):
+        solve_fixed_j(eos53, FixedTotalMomentum(), 0.1, 1.0, grid=small)
+
+
+def test_sweep_budget_exhausted(eos53):
+    with pytest.raises(NoEquilibriumError, match="no convergence in 2 sweeps"):
+        solve_fixed_omega(eos53, RigidLaw(1.0), 0.05, 1.0, nr=32, nz=32, max_iter=2)
 
 
 def test_boundary_asymptotics_targets(eos53):

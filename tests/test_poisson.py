@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import ellipk
 
 from rotstar.eos import polytrope
+from rotstar.equilibria import make_grid
 from rotstar.poisson import Grid, RingKernel, agm_ellipk, rect_log_mean
 from rotstar.radial import solve_radial
 
@@ -93,3 +95,58 @@ def test_odd_parity_potential_antisymmetric(axi53):
 def test_mass_quadrature_consistency(axi53):
     total = axi53.grid.integrate(axi53.rho)
     assert total == pytest.approx(2.0 * math.pi * axi53.m_of_r[-1], rel=1e-12)
+
+
+def _direct_sum_potential(grid, source, parity):
+    """Node quadrature of the ring-kernel integral summed term by term (no FFT)."""
+    rs, zs, hz = grid.rs, grid.zs, grid.hz
+    nr, nz = grid.shape
+    sgn = 1.0 if parity == "even" else -1.0
+    wr = np.zeros(nr)  # trapezoid weights in r
+    wr[1:] += 0.5 * np.diff(rs)
+    wr[:-1] += 0.5 * np.diff(rs)
+    cell = np.gradient(rs)  # self-cell widths: centred inside, one step at the ends
+    # mirrored source planes z' = -z_{nz-1} .. z_{nz-1}
+    zsrc = np.concatenate([-zs[:0:-1], zs])
+    ssrc = np.concatenate([sgn * source[:, :0:-1], source], axis=1) * (wr * rs * hz)[:, None]
+    ri = rs[:, None, None, None]
+    zi = zs[None, :, None, None]
+    rj = rs[None, None, :, None]
+    zj = zsrc[None, None, None, :]
+    denom_sq = (ri + rj) ** 2 + (zi - zj) ** 2
+    coincident = (ri == rj) & (zi == zj)
+    m = np.where(coincident, 0.0, 4.0 * ri * rj / np.where(coincident, 1.0, denom_sq))
+    G = 4.0 * agm_ellipk(m) / np.sqrt(np.where(coincident, 1.0, denom_sq))
+    for i in range(nr):
+        for k in range(nz):
+            if i == 0:
+                G[i, k, i, nz - 1 + k] = 0.0
+            else:
+                mean_ln = rect_log_mean(0.5 * cell[i], 0.5 * hz)
+                G[i, k, i, nz - 1 + k] = (2.0 / rs[i]) * (math.log(8.0 * rs[i]) - mean_ln)
+    return -np.einsum("ikjl,jl->ik", G, ssrc)
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_potential_matches_direct_sum_on_graded_grid(parity):
+    grid = make_grid(1.3, 1.1, 21, 19, refine_at=0.8)
+    src = np.random.default_rng(7).standard_normal(grid.shape)
+    ref = _direct_sum_potential(grid, src, parity)
+    V = RingKernel(grid).potential(src, parity)
+    assert np.max(np.abs(V - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_potential_rejects_unknown_parity(axi53):
+    with pytest.raises(ValueError):
+        axi53.kernel.potential(axi53.rho, parity="none")
+
+
+def test_kernel_build_memory_is_bounded():
+    grid = make_grid(1.0, 1.0, 128, 128)
+    tracemalloc.start()
+    try:
+        RingKernel(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 100 * 2**20
