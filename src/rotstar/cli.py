@@ -376,9 +376,11 @@ def cmd_tpp_scan(run: _Runner) -> int:
         raise ConfigError("tpp-scan requires a 'rotation' section")
     eos = build_eos(run.cfg)
     mu_grid = build_mu_grid(run.cfg)
-    g, b = run.cfg["grid"], run.cfg["basis"]
+    g, s, b = run.cfg["grid"], run.cfg["solver"], run.cfg["basis"]
     kwargs = dict(
-        nr=g["nr"], nz=g["nz"], deg_r=b["deg_r"], deg_z=b["deg_z"], jobs=run.jobs
+        nr=g["nr"], nz=g["nz"], pad=g["pad"],
+        tol=s["tol"], max_iter=s["max_iter"], damping=s["damping"],
+        deg_r=b["deg_r"], deg_z=b["deg_z"], jobs=run.jobs,
     )
     if rot["form"] in ("rigid", "power_tail", "table"):
         law = law_from_config(rot)

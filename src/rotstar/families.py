@@ -196,23 +196,22 @@ class _ScanJob:
     parameter: float
     nr: int
     nz: int
+    pad: float
     tol: float
+    max_iter: int
+    damping: float
     deg_r: int
     deg_z: int
     zero_tol: float
 
     def run(self, mu: float) -> FamilyPoint:
+        solve = solve_fixed_omega if self.kind == "fixed_omega" else solve_fixed_j
         try:
-            if self.kind == "fixed_omega":
-                star = solve_fixed_omega(
-                    self.eos, self.rotation, self.parameter, mu,
-                    nr=self.nr, nz=self.nz, tol=self.tol,
-                )
-            else:
-                star = solve_fixed_j(
-                    self.eos, self.rotation, self.parameter, mu,
-                    nr=self.nr, nz=self.nz, tol=self.tol,
-                )
+            star = solve(
+                self.eos, self.rotation, self.parameter, mu,
+                nr=self.nr, nz=self.nz, pad=self.pad, tol=self.tol,
+                max_iter=self.max_iter, damping=self.damping,
+            )
             basis = perturbation_basis(
                 star, deg_r=self.deg_r, deg_z=self.deg_z, parity="even"
             )
@@ -228,14 +227,19 @@ class _ScanJob:
             return FamilyPoint(mu=mu, failed=True, error=f"mu={mu:g}: {exc}")
 
 
-def _run_scan(job: _ScanJob, mu_grid, jobs: int) -> list:
+def _run_scan(job: _ScanJob, mu_grid, jobs: int, margin_at_extremum: bool) -> FamilyScanResult:
     mus = [float(m) for m in np.asarray(mu_grid, dtype=float)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             points = list(pool.map(job.run, mus))
     else:
         points = [job.run(m) for m in mus]
-    return points
+    result = FamilyScanResult(kind=job.kind, parameter=job.parameter, points=points)
+    if margin_at_extremum and result.mu_star is not None:
+        pt = job.run(result.mu_star)
+        if not pt.failed:
+            result.margin_at_mu_star = pt.lam_min
+    return result
 
 
 def scan_fixed_omega(
@@ -251,17 +255,17 @@ def scan_fixed_omega(
     zero_tol: float = VERDICT_ZERO_TOL,
     jobs: int = 1,
     margin_at_extremum: bool = True,
+    pad: float = 1.35,
+    max_iter: int = 400,
+    damping: float = 0.5,
 ) -> FamilyScanResult:
-    """Scan the fixed-angular-velocity family over mu_grid."""
-    job = _ScanJob(eos, "fixed_omega", law, kappa, nr, nz, tol, deg_r, deg_z, zero_tol)
-    result = FamilyScanResult(
-        kind="fixed_omega", parameter=kappa, points=_run_scan(job, mu_grid, jobs)
+    """Scan the fixed-angular-velocity family over mu_grid; ``pad``,
+    ``tol``, ``max_iter`` and ``damping`` go to every point's solve."""
+    job = _ScanJob(
+        eos, "fixed_omega", law, kappa, nr, nz, pad, tol, max_iter, damping,
+        deg_r, deg_z, zero_tol,
     )
-    if margin_at_extremum and result.mu_star is not None:
-        pt = job.run(result.mu_star)
-        if not pt.failed:
-            result.margin_at_mu_star = pt.lam_min
-    return result
+    return _run_scan(job, mu_grid, jobs, margin_at_extremum)
 
 
 def scan_fixed_j(
@@ -277,17 +281,17 @@ def scan_fixed_j(
     zero_tol: float = VERDICT_ZERO_TOL,
     jobs: int = 1,
     margin_at_extremum: bool = False,
+    pad: float = 1.35,
+    max_iter: int = 400,
+    damping: float = 0.5,
 ) -> FamilyScanResult:
-    """Scan the fixed-momentum-distribution family over mu_grid."""
-    job = _ScanJob(eos, "fixed_j", momentum, eps, nr, nz, tol, deg_r, deg_z, zero_tol)
-    result = FamilyScanResult(
-        kind="fixed_j", parameter=eps, points=_run_scan(job, mu_grid, jobs)
+    """Scan the fixed-momentum-distribution family over mu_grid; ``pad``,
+    ``tol``, ``max_iter`` and ``damping`` go to every point's solve."""
+    job = _ScanJob(
+        eos, "fixed_j", momentum, eps, nr, nz, pad, tol, max_iter, damping,
+        deg_r, deg_z, zero_tol,
     )
-    if margin_at_extremum and result.mu_star is not None:
-        pt = job.run(result.mu_star)
-        if not pt.failed:
-            result.margin_at_mu_star = pt.lam_min
-    return result
+    return _run_scan(job, mu_grid, jobs, margin_at_extremum)
 
 
 def calibrate_rotation_amplitude(

@@ -18,40 +18,62 @@ cell, which keeps the node-based product quadrature second-order accurate.
 
 The mirrored source spans 2nz - 1 planes, so targets see lags z - z' in
 [-(nz-1), 2nz-2] (units of hz).  The kernel is wrapped evenly with period
-N >= 4nz - 4, c[n] = g[min(n, N - n)], which reads g[|L|] for every such lag:
-no aliasing.  An even real sequence has a real spectrum, stored as
-ghat[f, i, j]; a solve is an rfft, one real matrix product per frequency
-(real and imaginary parts side by side) and an irfft.  The table is built in
-blocks of target radii and mirrored by its r <-> r' symmetry, so no
-temporary spans the whole (nr, nr, N) table.
+N = 2 next_fast_len(2nz - 2) >= 4nz - 4, c[n] = g[min(n, N - n)], which reads
+g[|L|] for every such lag: no aliasing.  The spectrum of that even sequence
+is real and equals the DCT-I of g[0..N/2]; it is stored as ghat[f, i, j].  A
+solve is an rfft, one real matrix product per frequency (real and imaginary
+parts side by side) and an irfft.  The table is built in blocks of target
+radii and mirrored by its r <-> r' symmetry, so no temporary spans the whole
+(nr, nr, N) table.
+
+K is evaluated from the complementary parameter
+m1 = 1 - m = ((r - r')^2 + (z - z')^2) / ((r + r')^2 + (z - z')^2), formed
+directly: forming it as 1 - m cancels near the diagonal and moves kernel
+entries by up to 3e-11 relative under a 1e-16 change of the coordinates.
+
+Scale covariance: the kernel and the self-cell term are homogeneous of
+degree -1, so a grid scaled by s sees the table of the unit grid (rs/s, hz/s)
+divided by s, and the potential of a fixed density scales as s^2.  The table
+is therefore built in unit coordinates and the factor 1/s goes into the
+source weights.  One table is kept per process (a one-entry cache): every
+grid with the same nr, nz and normalised coordinates reuses it, which is what
+a family scan's pad * R grids do.  A grid that misses drops the old table
+before the new one is built, so a process holds at most one table beyond
+those its live kernels still use.  Each ``--jobs`` worker builds its own.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-from scipy.fft import next_fast_len, rfft, irfft
+from scipy.fft import dct, next_fast_len, rfft, irfft
 
 __all__ = ["agm_ellipk", "Grid", "RingKernel", "rect_log_mean"]
 
 #: target radii per block of the kernel build; bounds its temporaries
 _R_BLOCK = 8
 
+#: a grid reuses the cached unit table when its normalised radii and hz
+#: agree with the table's to this absolute tolerance
+_MATCH_TOL = 1e-13
 
-def agm_ellipk(m):
-    """Complete elliptic integral K(m), m = k^2 in [0, 1), via the AGM.
+#: smallest complementary parameter passed to the AGM (only the overwritten
+#: self-cell entries reach it)
+_M1_FLOOR = 1e-15
 
-    Ten fixed iterations reach machine precision for the whole admitted
-    range: the slowest case allowed here (m = 1 - 1e-15) starts from
-    b = 3.2e-8 and the mean gap closes quadratically.
+
+def _agm_k(b):
+    """K = pi / (2 AGM(1, b)) for the complementary modulus b = sqrt(1 - m).
+
+    Ten fixed iterations reach machine precision for b >= 3.2e-8 (1 - m >=
+    1e-15, the smallest value admitted here): the mean gap closes
+    quadratically.
     """
-    m = np.asarray(m, dtype=float)
-    if np.any((m < 0) | (m >= 1)):
-        raise ValueError("parameter m must lie in [0, 1)")
-    a = np.ones_like(m)
-    b = np.sqrt(1.0 - m)
+    b = np.array(b, dtype=float)  # updated in place
+    a = np.ones_like(b)
     tmp = np.empty_like(a)
     for _ in range(10):
         np.multiply(a, b, out=tmp)
@@ -59,6 +81,36 @@ def agm_ellipk(m):
         a *= 0.5
         np.sqrt(tmp, out=b)
     return np.pi / (2.0 * a)
+
+
+def agm_ellipk(m):
+    """Complete elliptic integral K(m), m = k^2 in [0, 1), via the AGM."""
+    m = np.asarray(m, dtype=float)
+    if np.any((m < 0) | (m >= 1)):
+        raise ValueError("parameter m must lie in [0, 1)")
+    return _agm_k(np.sqrt(1.0 - m))
+
+
+def _ring_green(r, rp, dz):
+    """Ring kernel 4 K(m) / sqrt((r + r')^2 + dz^2), broadcast over its inputs.
+
+    K is taken from m1 = 1 - m formed directly (module docstring).  The
+    coincident axis point r = r' = dz = 0 gets the finite value 2 pi; it
+    carries zero quadrature weight.
+    """
+    far_sq = (r + rp) ** 2 + dz**2
+    near_sq = (r - rp) ** 2 + dz**2
+    on_axis = far_sq == 0
+    far_sq = np.where(on_axis, 1.0, far_sq)
+    m1 = np.where(on_axis, 1.0, near_sq / far_sq)
+    np.maximum(m1, _M1_FLOOR, out=m1)
+    return 4.0 * _agm_k(np.sqrt(m1)) / np.sqrt(far_sq)
+
+
+def _parity_sign(parity: str) -> float:
+    if parity not in ("even", "odd"):
+        raise ValueError("parity must be 'even' or 'odd'")
+    return 1.0 if parity == "even" else -1.0
 
 
 def rect_log_mean(a: float, b: float) -> float:
@@ -136,38 +188,69 @@ class Grid:
         return out
 
 
+class _UnitTable(NamedTuple):
+    rs: np.ndarray
+    hz: float
+    nz: int
+    ghat: np.ndarray
+
+
+#: the last unit-coordinate table built in this process
+_unit_table: _UnitTable | None = None
+
+
+def _build_unit_table(rs: np.ndarray, hz: float, nz: int) -> np.ndarray:
+    """Real kernel spectrum ghat[f, i, j] of the grid (rs, hz, nz), read-only."""
+    nr = rs.size
+    half = next_fast_len(2 * nz - 2)  # N / 2
+    local_dr = np.gradient(rs)  # self-cell widths
+    dz = hz * np.arange(half + 1)
+    # each block of rows fills its columns j >= i0 and, by the r <-> r'
+    # symmetry, the same entries of the rows below it
+    ghat = np.empty((half + 1, nr, nr))
+    for i0 in range(0, nr, _R_BLOCK):
+        i1 = min(i0 + _R_BLOCK, nr)
+        gtab = _ring_green(rs[i0:i1, None, None], rs[None, i0:, None], dz)
+        # analytic log average over the self cell for diagonal targets;
+        # the axis entry carries zero quadrature weight and is left as is
+        for i in range(max(i0, 1), i1):
+            mean_ln = rect_log_mean(0.5 * local_dr[i], 0.5 * hz)
+            gtab[i - i0, i - i0, 0] = (2.0 / rs[i]) * (math.log(8.0 * rs[i]) - mean_ln)
+        blk = dct(gtab, type=1, axis=2).transpose(2, 0, 1)
+        ghat[:, i0:i1, i0:] = blk
+        ghat[:, i1:, i0:i1] = blk[:, :, i1 - i0 :].transpose(0, 2, 1)
+    ghat.flags.writeable = False
+    return ghat
+
+
+def _shared_unit_table(rs: np.ndarray, hz: float, nz: int) -> np.ndarray:
+    """Table of the unit grid (rs, hz, nz), taken from the one-entry cache."""
+    global _unit_table
+    t = _unit_table
+    if (
+        t is not None
+        and t.nz == nz
+        and t.rs.shape == rs.shape
+        and abs(t.hz - hz) <= _MATCH_TOL
+        and np.max(np.abs(t.rs - rs)) <= _MATCH_TOL
+    ):
+        return t.ghat
+    t = _unit_table = None  # release the old table before the new one is built
+    ghat = _build_unit_table(rs, hz, nz)
+    _unit_table = _UnitTable(rs, hz, nz, ghat)
+    return ghat
+
+
 class RingKernel:
-    """Precomputed ring potential spectrum for one grid geometry."""
+    """Ring potential spectrum for one grid geometry (shared by scaled grids)."""
 
     def __init__(self, grid: Grid):
         self.grid = grid
-        rs, hz = grid.rs, grid.hz
-        nr, nz = grid.nr, grid.nz
-        self._nfft = nfft = next_fast_len(4 * nz - 4)
-        lag = np.minimum(np.arange(nfft), nfft - np.arange(nfft))  # even wrap
-        local_dr = np.gradient(rs)  # self-cell widths
-        # each block of rows fills its columns j >= i0 and, by the r <-> r'
-        # symmetry, the same entries of the rows below it
-        self._ghat = ghat = np.empty((nfft // 2 + 1, nr, nr))
-        dz3 = hz * np.arange(nfft // 2 + 1)[None, None, :]
-        for i0 in range(0, nr, _R_BLOCK):
-            i1 = min(i0 + _R_BLOCK, nr)
-            ri = rs[i0:i1, None, None]
-            rj = rs[None, i0:, None]
-            denom_sq = (ri + rj) ** 2 + dz3**2
-            with np.errstate(divide="ignore", invalid="ignore"):
-                m = np.where(denom_sq > 0, 4.0 * ri * rj / denom_sq, 0.0)
-            np.clip(m, 0.0, 1.0 - 1e-15, out=m)
-            gtab = 4.0 * agm_ellipk(m) / np.sqrt(np.where(denom_sq > 0, denom_sq, 1.0))
-            # analytic log average over the self cell for diagonal targets;
-            # the axis entry carries zero quadrature weight and is left as is
-            for i in range(max(i0, 1), i1):
-                mean_ln = rect_log_mean(0.5 * local_dr[i], 0.5 * hz)
-                gtab[i - i0, i - i0, 0] = (2.0 / rs[i]) * (math.log(8.0 * rs[i]) - mean_ln)
-            blk = rfft(gtab[:, :, lag], axis=2).real.transpose(2, 0, 1)
-            ghat[:, i0:i1, i0:] = blk
-            ghat[:, i1:, i0:i1] = blk[:, :, i1 - i0 :].transpose(0, 2, 1)
-        self._src_scale = grid.wr * rs
+        s = grid.rs[-1]
+        self._ghat = _shared_unit_table(grid.rs / s, grid.hz / s, grid.nz)
+        self._nfft = 2 * (self._ghat.shape[0] - 1)
+        # the grid's kernel is the unit table divided by s
+        self._src_scale = grid.wr * grid.rs / s
 
     def potential(self, source: np.ndarray, parity: str = "even") -> np.ndarray:
         """Potential of `source` on the grid nodes (attractive: negative).
@@ -178,9 +261,7 @@ class RingKernel:
         nz = grid.nz
         if source.shape != grid.shape:
             raise ValueError("source shape does not match the grid")
-        if parity not in ("even", "odd"):
-            raise ValueError("parity must be 'even' or 'odd'")
-        sgn = 1.0 if parity == "even" else -1.0
+        sgn = _parity_sign(parity)
         weighted = (source * (self._src_scale[:, None] * grid.hz)).T
         ext = np.concatenate([sgn * weighted[:0:-1], weighted])  # planes z' = -z .. z
         shat = rfft(ext, self._nfft, axis=0)  # (F, nr) complex
@@ -193,20 +274,16 @@ class RingKernel:
         grid = self.grid
         rp = np.atleast_1d(np.asarray(r_pts, dtype=float))
         zp = np.atleast_1d(np.asarray(z_pts, dtype=float))
-        sgn = 1.0 if parity == "even" else -1.0
-        weighted = source * (self._src_scale[:, None] * grid.hz)
+        sgn = _parity_sign(parity)
+        # direct sums see the grid's own kernel, so the weights stay unscaled
+        weighted = source * ((grid.wr * grid.rs)[:, None] * grid.hz)
         out = np.zeros(rp.shape)
         rj = grid.rs[None, :]
         # mirror half: z' < 0 carries the reflected columns (k >= 1)
         planes = [(z, weighted[:, k]) for k, z in enumerate(grid.zs)]
         planes += [(-z, sgn * weighted[:, k]) for k, z in enumerate(grid.zs) if k > 0]
         for z, col in planes:
-            denom_sq = (rp[:, None] + rj) ** 2 + (zp[:, None] - z) ** 2
-            with np.errstate(divide="ignore", invalid="ignore"):
-                m = np.where(denom_sq > 0, 4.0 * rp[:, None] * rj / denom_sq, 0.0)
-            m = np.clip(m, 0.0, 1.0 - 1e-15)
-            gk = 4.0 * agm_ellipk(m) / np.sqrt(np.where(denom_sq > 0, denom_sq, 1.0))
-            out -= gk @ col
+            out -= _ring_green(rp[:, None], rj, zp[:, None] - z) @ col
         return out
 
     def interaction(self, f: np.ndarray, g: np.ndarray, parity: str = "even") -> float:

@@ -4,7 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from rotstar.cli import EXIT_AMBIGUOUS, EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, main
+from rotstar import cli
+from rotstar.cli import EXIT_AMBIGUOUS, EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, ConfigError, main
 
 
 def write(tmp_path, name, payload):
@@ -113,24 +114,57 @@ def test_spectrum_and_evolve_commands(tmp_path):
     assert info["growth_rate"] > 0
 
 
+TPP_CFG = {
+    "eos": {"kind": "polytropic", "c_minus": 1.0, "gamma0": 1.6666666666666667},
+    "rotation": {"form": "power_j", "coeff": 1.0, "exponent": 2.0, "eps": 0.2},
+    "mu_grid": {"start": 0.9, "stop": 1.2, "num": 5, "spacing": "linear"},
+    "grid": {"nr": 56, "nz": 56},
+    "basis": {"deg_r": 8, "deg_z": 4},
+}
+
+
 def test_tpp_scan_command(tmp_path):
-    cfg = write(
-        tmp_path,
-        "cfg.json",
-        {
-            "eos": {"kind": "polytropic", "c_minus": 1.0, "gamma0": 1.6666666666666667},
-            "rotation": {"form": "power_j", "coeff": 1.0, "exponent": 2.0, "eps": 0.2},
-            "mu_grid": {"start": 0.9, "stop": 1.2, "num": 5, "spacing": "linear"},
-            "grid": {"nr": 56, "nz": 56},
-            "basis": {"deg_r": 8, "deg_z": 4},
-        },
-    )
+    cfg = write(tmp_path, "cfg.json", TPP_CFG)
     out = tmp_path / "tpp"
     assert main(["tpp-scan", cfg, "--out-dir", str(out)]) == EXIT_OK
     summary = json.loads((out / "summary.json").read_text())
     assert summary["kind"] == "fixed_j"
+    assert summary["tpp_verdict"] == "no-extremum"
     rows = (out / "scan.csv").read_text().strip().splitlines()
     assert rows[0] == "mu,M,dMdmu,n_u,verdict"
+    assert len(rows) == 6
+
+
+def test_tpp_scan_honours_solver_max_iter(tmp_path):
+    cfg = write(tmp_path, "cfg.json", {**TPP_CFG, "solver": {"max_iter": 1}})
+    out = tmp_path / "tpp"
+    assert main(["tpp-scan", cfg, "--out-dir", str(out)]) == EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["partial"] and summary["tpp_verdict"] == "partial"
+    rows = (out / "scan.csv").read_text().strip().splitlines()
+    assert rows == ["mu,M,dMdmu,n_u,verdict"]  # no point converged in one sweep
+
+
+@pytest.mark.parametrize("form, scan_name", [("power_j", "scan_fixed_j"), ("rigid", "scan_fixed_omega")])
+def test_tpp_scan_passes_grid_and_solver_keys(tmp_path, monkeypatch, form, scan_name):
+    seen = {}
+
+    def fake_scan(*args, **kwargs):
+        seen.update(kwargs)
+        raise ConfigError("stop before compute")
+
+    monkeypatch.setattr(cli, scan_name, fake_scan)
+    rotation = {"form": form, "omega_c": 1.0} if form == "rigid" else TPP_CFG["rotation"]
+    payload = {
+        **TPP_CFG,
+        "rotation": rotation,
+        "grid": {"nr": 40, "nz": 44, "pad": 1.6},
+        "solver": {"tol": 1e-7, "max_iter": 17, "damping": 0.3},
+    }
+    cfg = write(tmp_path, "cfg.json", payload)
+    assert main(["tpp-scan", cfg, "--out-dir", str(tmp_path / "o")]) == EXIT_CONFIG
+    expected = dict(nr=40, nz=44, pad=1.6, tol=1e-7, max_iter=17, damping=0.3)
+    assert {k: seen[k] for k in expected} == expected
 
 
 def test_determinism_byte_identical(tmp_path):

@@ -3,8 +3,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import ellipk
+from hypothesis import given, settings, strategies as st
+from scipy.special import ellipk, ellipkm1
 
+from rotstar import poisson
 from rotstar.eos import polytrope
 from rotstar.equilibria import make_grid
 from rotstar.poisson import Grid, RingKernel, agm_ellipk, rect_log_mean
@@ -115,8 +117,11 @@ def _direct_sum_potential(grid, source, parity):
     zj = zsrc[None, None, None, :]
     denom_sq = (ri + rj) ** 2 + (zi - zj) ** 2
     coincident = (ri == rj) & (zi == zj)
-    m = np.where(coincident, 0.0, 4.0 * ri * rj / np.where(coincident, 1.0, denom_sq))
-    G = 4.0 * agm_ellipk(m) / np.sqrt(np.where(coincident, 1.0, denom_sq))
+    # complementary parameter 1 - m formed without cancellation, and K from
+    # scipy rather than the AGM under test
+    denom_sq = np.where(coincident, 1.0, denom_sq)
+    m1 = np.where(coincident, 1.0, ((ri - rj) ** 2 + (zi - zj) ** 2) / denom_sq)
+    G = 4.0 * ellipkm1(m1) / np.sqrt(denom_sq)
     for i in range(nr):
         for k in range(nz):
             if i == 0:
@@ -133,7 +138,7 @@ def test_potential_matches_direct_sum_on_graded_grid(parity):
     src = np.random.default_rng(7).standard_normal(grid.shape)
     ref = _direct_sum_potential(grid, src, parity)
     V = RingKernel(grid).potential(src, parity)
-    assert np.max(np.abs(V - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.max(np.abs(V - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_potential_rejects_unknown_parity(axi53):
@@ -141,12 +146,87 @@ def test_potential_rejects_unknown_parity(axi53):
         axi53.kernel.potential(axi53.rho, parity="none")
 
 
+def _fresh_kernel(grid):
+    """Kernel built from scratch, bypassing the one-entry unit-table cache."""
+    poisson._unit_table = None
+    return RingKernel(grid)
+
+
+def _scaled_grid(lam, graded, nr=40, nz=36):
+    return make_grid(1.3 * lam, 1.1 * lam, nr, nz, refine_at=0.8 * lam if graded else None)
+
+
+@pytest.mark.parametrize("graded", [False, True])
+@pytest.mark.parametrize("lam", [3.7, 0.31])
+def test_cache_hit_matches_fresh_build(graded, lam):
+    unit = _fresh_kernel(_scaled_grid(1.0, graded))
+    grid = _scaled_grid(lam, graded)
+    hit = RingKernel(grid)
+    assert hit._ghat is unit._ghat
+    assert not hit._ghat.flags.writeable
+    fresh = _fresh_kernel(grid)
+    assert fresh._ghat is not unit._ghat
+    src = np.random.default_rng(3).standard_normal(grid.shape)
+    for parity in ("even", "odd"):
+        ref = fresh.potential(src, parity)
+        err = np.max(np.abs(hit.potential(src, parity) - ref))
+        assert err <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_cache_misses_on_other_nz_or_grading():
+    base = _fresh_kernel(_scaled_grid(1.0, False))
+    taller = RingKernel(_scaled_grid(1.0, False, nz=37))
+    assert taller._ghat is not base._ghat
+    base = RingKernel(_scaled_grid(2.0, False))
+    graded = RingKernel(_scaled_grid(2.0, True, nr=base.grid.nr))
+    assert graded.grid.shape == base.grid.shape
+    assert graded._ghat is not base._ghat
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    lam=st.floats(0.02, 50.0),
+    parity=st.sampled_from(["even", "odd"]),
+    seed=st.integers(0, 2**16),
+)
+def test_potential_scales_as_lambda_squared(lam, parity, seed):
+    """Same density on a grid scaled by lam: V_lam = lam^2 V_1 at matching nodes."""
+    src = np.random.default_rng(seed).standard_normal((24, 20))
+    v1 = _fresh_kernel(_scaled_grid(1.0, True, 24, 20)).potential(src, parity)
+    v_lam = _fresh_kernel(_scaled_grid(lam, True, 24, 20)).potential(src, parity)
+    assert np.max(np.abs(v_lam - lam**2 * v1)) <= 1e-13 * lam**2 * np.max(np.abs(v1))
+
+
+def test_potential_at_rejects_unknown_parity(axi53):
+    with pytest.raises(ValueError):
+        axi53.kernel.potential_at(axi53.rho, [2.0], [0.0], parity="none")
+
+
 def test_kernel_build_memory_is_bounded():
     grid = make_grid(1.0, 1.0, 128, 128)
+    poisson._unit_table = None  # measure a real build, not a cache hit
     tracemalloc.start()
     try:
         RingKernel(grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert poisson._unit_table is not None
     assert peak <= 100 * 2**20
+
+
+def test_cache_miss_releases_old_table_first():
+    poisson._unit_table = None
+    tracemalloc.start()
+    try:
+        RingKernel(make_grid(1.0, 1.0, 128, 128))  # cached, no kernel keeps it
+        one_build = tracemalloc.get_traced_memory()[1]
+        table_bytes = poisson._unit_table.ghat.nbytes
+        RingKernel(make_grid(1.0, 1.0, 128, 127))  # miss
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert poisson._unit_table.nz == 127
+    assert peak <= 100 * 2**20
+    # holding both tables would add one whole table to the single-build peak
+    assert peak < one_build + 0.5 * table_bytes
