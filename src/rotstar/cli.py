@@ -175,6 +175,11 @@ DEFAULTS = {
 }
 
 
+#: built once; ``jsonschema.validate`` would check CONFIG_SCHEMA itself against
+#: the metaschema on every call, which costs far more than validating a config
+_CONFIG_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+
+
 class ConfigError(ValueError):
     pass
 
@@ -185,10 +190,9 @@ def load_config(path: str) -> dict:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    try:
-        jsonschema.validate(cfg, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config validation failed: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(cfg))
+    if error is not None:
+        raise ConfigError(f"config validation failed: {error.message}")
     merged = json.loads(json.dumps(DEFAULTS))
     for key, value in cfg.items():
         if isinstance(value, dict) and key in merged:

@@ -185,6 +185,9 @@ class FamilyScanResult:
             "partial": self.partial,
             "transitions": self.transitions,
             "mass_extrema": self.mass_extrema,
+            "failed_points": [
+                {"mu": p.mu, "error": p.error} for p in self.points if p.failed
+            ],
         }
 
 

@@ -6,8 +6,8 @@ The potential of an axisymmetric source rho(r, z) is
     G = 4 K(m) / sqrt((r + r')^2 + (z - z')^2),
     m = 4 r r' / ((r + r')^2 + (z - z')^2),
 
-with K the complete elliptic integral of the first kind, evaluated by the
-arithmetic-geometric mean.  Fields live on a half-plane grid (z >= 0, even or
+with K the complete elliptic integral of the first kind, taken from
+scipy.special.ellipkm1.  Fields live on a half-plane grid (z >= 0, even or
 odd reflection); the kernel depends on z - z' only, so the vertical sum is a
 discrete convolution done with FFTs.  The boundary condition at infinity is
 exact, no truncated domain is involved.
@@ -22,14 +22,24 @@ N = 2 next_fast_len(2nz - 2) >= 4nz - 4, c[n] = g[min(n, N - n)], which reads
 g[|L|] for every such lag: no aliasing.  The spectrum of that even sequence
 is real and equals the DCT-I of g[0..N/2]; it is stored as ghat[f, i, j].  A
 solve is an rfft, one real matrix product per frequency (real and imaginary
-parts side by side) and an irfft.  The table is built in blocks of target
-radii and mirrored by its r <-> r' symmetry, so no temporary spans the whole
-(nr, nr, N) table.
+parts side by side) and an irfft.  The table is built in blocks of
+_R_BLOCK target radii and mirrored by its r <-> r' symmetry; each block
+needs two arrays of its own size, formed and transformed in place.  A build
+peaks a few MiB above the table it returns (at 256^2 the table is 256.5 MiB
+and the build's high-water mark 263 MiB above the process before it).
+
+A solve trims the source at its support: radii past the last one with a
+nonzero value only multiply zeros, so the rfft and the matrix product see
+the first J columns only (ghat[:, :, :J], J = last nonzero radius + 1).
+Star densities and Galerkin fields vanish outside the star (J = 197 of 256
+radii for a 256^2 star grid at the default padding); the potential is the
+same as with all columns, and an all-zero source gives exactly 0.
 
 K is evaluated from the complementary parameter
 m1 = 1 - m = ((r - r')^2 + (z - z')^2) / ((r + r')^2 + (z - z')^2), formed
-directly: forming it as 1 - m cancels near the diagonal and moves kernel
-entries by up to 3e-11 relative under a 1e-16 change of the coordinates.
+directly and passed to ellipkm1 (K(1 - m1), accurate as m1 -> 0): forming
+it as 1 - m cancels near the diagonal and moves kernel entries by up to
+3e-11 relative under a 1e-16 change of the coordinates.
 
 Scale covariance: the kernel and the self-cell term are homogeneous of
 degree -1, so a grid scaled by s sees the table of the unit grid (rs/s, hz/s)
@@ -50,45 +60,20 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.fft import dct, next_fast_len, rfft, irfft
+from scipy.special import ellipkm1
 
-__all__ = ["agm_ellipk", "Grid", "RingKernel", "rect_log_mean"]
+__all__ = ["Grid", "RingKernel", "rect_log_mean"]
 
 #: target radii per block of the kernel build; bounds its temporaries
-_R_BLOCK = 8
+_R_BLOCK = 2
 
 #: a grid reuses the cached unit table when its normalised radii and hz
 #: agree with the table's to this absolute tolerance
 _MATCH_TOL = 1e-13
 
-#: smallest complementary parameter passed to the AGM (only the overwritten
+#: smallest complementary parameter passed to K (only the overwritten
 #: self-cell entries reach it)
 _M1_FLOOR = 1e-15
-
-
-def _agm_k(b):
-    """K = pi / (2 AGM(1, b)) for the complementary modulus b = sqrt(1 - m).
-
-    Ten fixed iterations reach machine precision for b >= 3.2e-8 (1 - m >=
-    1e-15, the smallest value admitted here): the mean gap closes
-    quadratically.
-    """
-    b = np.array(b, dtype=float)  # updated in place
-    a = np.ones_like(b)
-    tmp = np.empty_like(a)
-    for _ in range(10):
-        np.multiply(a, b, out=tmp)
-        np.add(a, b, out=a)
-        a *= 0.5
-        np.sqrt(tmp, out=b)
-    return np.pi / (2.0 * a)
-
-
-def agm_ellipk(m):
-    """Complete elliptic integral K(m), m = k^2 in [0, 1), via the AGM."""
-    m = np.asarray(m, dtype=float)
-    if np.any((m < 0) | (m >= 1)):
-        raise ValueError("parameter m must lie in [0, 1)")
-    return _agm_k(np.sqrt(1.0 - m))
 
 
 def _ring_green(r, rp, dz):
@@ -96,15 +81,24 @@ def _ring_green(r, rp, dz):
 
     K is taken from m1 = 1 - m formed directly (module docstring).  The
     coincident axis point r = r' = dz = 0 gets the finite value 2 pi; it
-    carries zero quadrature weight.
+    carries zero quadrature weight.  The two full-size arrays are reused in
+    place: the result is written over m1.
     """
-    far_sq = (r + rp) ** 2 + dz**2
-    near_sq = (r - rp) ** 2 + dz**2
-    on_axis = far_sq == 0
-    far_sq = np.where(on_axis, 1.0, far_sq)
-    m1 = np.where(on_axis, 1.0, near_sq / far_sq)
+    sum_sq = np.square(np.add(r, rp))
+    dz_sq = np.square(dz)
+    shape = np.broadcast_shapes(sum_sq.shape, dz_sq.shape)
+    far_sq = np.add(sum_sq, dz_sq, out=np.empty(shape))
+    m1 = np.add(np.square(np.subtract(r, rp)), dz_sq, out=np.empty(shape))
+    if np.any(sum_sq == 0) and np.any(dz_sq == 0):
+        on_axis = far_sq == 0  # implies m1 == 0 too
+        far_sq[on_axis] = 1.0
+        m1[on_axis] = 1.0
+    m1 /= far_sq
     np.maximum(m1, _M1_FLOOR, out=m1)
-    return 4.0 * _agm_k(np.sqrt(m1)) / np.sqrt(far_sq)
+    g = ellipkm1(m1, out=m1)
+    g /= np.sqrt(far_sq, out=far_sq)
+    g *= 4.0
+    return g
 
 
 def _parity_sign(parity: str) -> float:
@@ -216,7 +210,7 @@ def _build_unit_table(rs: np.ndarray, hz: float, nz: int) -> np.ndarray:
         for i in range(max(i0, 1), i1):
             mean_ln = rect_log_mean(0.5 * local_dr[i], 0.5 * hz)
             gtab[i - i0, i - i0, 0] = (2.0 / rs[i]) * (math.log(8.0 * rs[i]) - mean_ln)
-        blk = dct(gtab, type=1, axis=2).transpose(2, 0, 1)
+        blk = dct(gtab, type=1, axis=2, overwrite_x=True).transpose(2, 0, 1)
         ghat[:, i0:i1, i0:] = blk
         ghat[:, i1:, i0:i1] = blk[:, :, i1 - i0 :].transpose(0, 2, 1)
     ghat.flags.writeable = False
@@ -262,10 +256,15 @@ class RingKernel:
         if source.shape != grid.shape:
             raise ValueError("source shape does not match the grid")
         sgn = _parity_sign(parity)
-        weighted = (source * (self._src_scale[:, None] * grid.hz)).T
+        # source radii past the last nonzero one would only multiply zeros
+        support = np.flatnonzero(np.any(source, axis=1))
+        if support.size == 0:
+            return np.zeros(grid.shape)
+        J = support[-1] + 1
+        weighted = (source[:J] * (self._src_scale[:J, None] * grid.hz)).T
         ext = np.concatenate([sgn * weighted[:0:-1], weighted])  # planes z' = -z .. z
-        shat = rfft(ext, self._nfft, axis=0)  # (F, nr) complex
-        vhat = np.matmul(self._ghat, shat.view(float).reshape(*shat.shape, 2))
+        shat = rfft(ext, self._nfft, axis=0)  # (F, J) complex
+        vhat = np.matmul(self._ghat[:, :, :J], shat.view(float).reshape(*shat.shape, 2))
         v = irfft(vhat.view(complex)[..., 0], self._nfft, axis=0)
         return np.ascontiguousarray(-v[nz - 1 : 2 * nz - 1].T)
 

@@ -9,6 +9,18 @@ when the density derivative blows up there (gamma0 < 2):
 with rho(y) the enthalpy inverse clipped at vacuum.  The support radius is
 the first zero of y, found by event detection, and the total mass follows
 from the exterior matching M = -R^2 y'(R).
+
+The balance is integrated in the scaled variables theta = y / h(mu) and
+xi = r / sqrt(h(mu) / (4 pi mu)):
+
+    theta'' + (2/xi) theta' = -rho(h(mu) theta) / mu,  theta(0) = 1.
+
+For a polytrope the right-hand side is -theta^n, the same for every mu
+(Lane-Emden homology), so one integration serves the whole family: it is
+done once at the canonical mu = 1, kept in a one-entry cache keyed on
+(c_minus, gamma0, tol), and rescaled, which gives R ~ mu^((gamma-2)/2) and
+M ~ mu^((3 gamma-4)/2).  Blended equations of state integrate their own
+scaled balance at each mu and bypass the cache.
 """
 
 from __future__ import annotations
@@ -98,6 +110,54 @@ def _cumulative_mass(r, rho):
     return out
 
 
+#: the last polytropic solution of the scaled balance: ((c_minus, gamma0,
+#: tol), solve_ivp result at the canonical mu = 1)
+_lane_emden = None
+
+
+def _scaled_balance(eos: EquationOfState, mu: float, tol: float):
+    """Integrate theta'' + (2/xi) theta' = -rho(h(mu) theta) / mu outward.
+
+    theta = y / h(mu) and xi = r / sqrt(h(mu) / (4 pi mu)); the integration
+    stops at the first zero of theta or at xi = MAX_RADIUS_FACTOR.
+    """
+    y0 = eos.enthalpy(mu)
+
+    def rhs(xi, state):
+        theta, dtheta = state
+        rho = eos.enthalpy_inverse(y0 * max(theta, 0.0))
+        return (dtheta, -rho / mu - 2.0 * dtheta / xi)
+
+    def surface(xi, state):
+        return state[0]
+
+    surface.terminal = True
+    surface.direction = -1
+
+    xi_start = 1e-8
+    return solve_ivp(
+        rhs,
+        (xi_start, MAX_RADIUS_FACTOR),
+        (1.0 - xi_start**2 / 6.0, -xi_start / 3.0),
+        method="DOP853",
+        rtol=tol,
+        atol=tol,
+        events=surface,
+        dense_output=True,
+    )
+
+
+def _scaled_solution(eos: EquationOfState, mu: float, tol: float):
+    """Scaled balance at mu; one shared Lane-Emden solution for polytropes."""
+    global _lane_emden
+    if eos.kind != "polytropic":
+        return _scaled_balance(eos, mu, tol)
+    key = (eos.c_minus, eos.gamma0, tol)
+    if _lane_emden is None or _lane_emden[0] != key:
+        _lane_emden = (key, _scaled_balance(eos, 1.0, tol))
+    return _lane_emden[1]
+
+
 def solve_radial(
     eos: EquationOfState,
     mu: float,
@@ -113,44 +173,21 @@ def solve_radial(
         raise ValueError("center density must be positive")
     y0 = eos.enthalpy(mu)
     r_scale = math.sqrt(y0 / (4.0 * math.pi * mu))
-    r_start = 1e-8 * r_scale
-    r_max = MAX_RADIUS_FACTOR * r_scale
-
-    def rhs(r, state):
-        y, yp = state
-        rho = eos.enthalpy_inverse(max(y, 0.0))
-        return (yp, -4.0 * math.pi * rho - 2.0 * yp / r)
-
-    def surface(r, state):
-        return state[0]
-
-    surface.terminal = True
-    surface.direction = -1
-
-    ic = (y0 - (2.0 * math.pi / 3.0) * mu * r_start**2,
-          -(4.0 * math.pi / 3.0) * mu * r_start)
-    sol = solve_ivp(
-        rhs,
-        (r_start, r_max),
-        ic,
-        method="DOP853",
-        rtol=tol,
-        atol=(tol * y0, tol * y0 / r_scale),
-        events=surface,
-        dense_output=True,
-    )
+    sol = _scaled_solution(eos, mu, tol)
     if not sol.t_events[0].size:
         raise UnboundedStarError(
             f"no surface within {MAX_RADIUS_FACTOR} central length scales (mu={mu:g})"
         )
-    radius = float(sol.t_events[0][0])
-    y_slope = float(sol.y_events[0][0][1])
+    xi_surface = float(sol.t_events[0][0])
+    radius = r_scale * xi_surface
+    y_slope = (y0 / r_scale) * float(sol.y_events[0][0][1])
     mass = -(radius**2) * y_slope
 
-    r = _profile_grid(radius, n_profile)
+    xi = _profile_grid(xi_surface, n_profile)
+    r = r_scale * xi
     y = np.empty_like(r)
     y[0], y[-1] = y0, 0.0
-    y[1:-1] = np.clip(sol.sol(r[1:-1])[0], 0.0, None)
+    y[1:-1] = np.clip(y0 * sol.sol(xi[1:-1])[0], 0.0, None)
     rho = eos.enthalpy_inverse(y)
     potential = -mass / radius - y
     return RadialStar(

@@ -1,6 +1,7 @@
 import json
 import os
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -39,6 +40,27 @@ def test_unknown_key_rejected_before_compute(tmp_path):
     err = json.loads((out / "error.json").read_text())
     assert err["exit_code"] == EXIT_CONFIG
     assert not (out / "radial_scan.csv").exists()
+
+
+def test_config_schema_is_a_valid_schema():
+    jsonschema.validators.validator_for(cli.CONFIG_SCHEMA).check_schema(cli.CONFIG_SCHEMA)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {**RADIAL_CFG, "mystery": 1},
+        {**RADIAL_CFG, "eos": {**RADIAL_CFG["eos"], "kind": "liquid"}},
+        {**RADIAL_CFG, "eos": {**RADIAL_CFG["eos"], "gamma0": "soft"}},
+        {**RADIAL_CFG, "mu_grid": {**RADIAL_CFG["mu_grid"], "num": -3, "spacing": "odd"}},
+    ],
+)
+def test_config_error_message_matches_jsonschema_validate(tmp_path, payload):
+    with pytest.raises(jsonschema.ValidationError) as expected:
+        jsonschema.validate(payload, cli.CONFIG_SCHEMA)
+    with pytest.raises(ConfigError) as got:
+        cli.load_config(write(tmp_path, "cfg.json", payload))
+    assert str(got.value) == f"config validation failed: {expected.value.message}"
 
 
 def test_missing_eos_is_config_error(tmp_path):
@@ -143,6 +165,11 @@ def test_tpp_scan_honours_solver_max_iter(tmp_path):
     assert summary["partial"] and summary["tpp_verdict"] == "partial"
     rows = (out / "scan.csv").read_text().strip().splitlines()
     assert rows == ["mu,M,dMdmu,n_u,verdict"]  # no point converged in one sweep
+    failed = summary["failed_points"]
+    assert len(failed) == TPP_CFG["mu_grid"]["num"]
+    for point in failed:
+        assert f"mu={point['mu']:g}:" in point["error"]
+        assert "no convergence" in point["error"]
 
 
 @pytest.mark.parametrize("form, scan_name", [("power_j", "scan_fixed_j"), ("rigid", "scan_fixed_omega")])

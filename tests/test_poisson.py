@@ -9,20 +9,28 @@ from scipy.special import ellipk, ellipkm1
 from rotstar import poisson
 from rotstar.eos import polytrope
 from rotstar.equilibria import make_grid
-from rotstar.poisson import Grid, RingKernel, agm_ellipk, rect_log_mean
+from rotstar.poisson import Grid, RingKernel, rect_log_mean
 from rotstar.radial import solve_radial
+
+
+def _agm_ellipkm1(m1):
+    """K(1 - m1) = pi / (2 AGM(1, sqrt(m1))), independent of scipy's ellipkm1.
+
+    Ten steps reach machine precision for m1 >= 1e-15: the mean gap closes
+    quadratically.
+    """
+    a = np.ones_like(m1)
+    b = np.sqrt(m1)
+    for _ in range(10):
+        a, b = 0.5 * (a + b), np.sqrt(a * b)
+    return np.pi / (2.0 * a)
 
 
 def test_agm_matches_reference():
     m = np.linspace(0.0, 1.0 - 1e-13, 20000)
-    assert np.max(np.abs(agm_ellipk(m) - ellipk(m))) < 1e-13
-
-
-def test_agm_domain():
-    with pytest.raises(ValueError):
-        agm_ellipk(np.array([1.0]))
-    with pytest.raises(ValueError):
-        agm_ellipk(-0.1)
+    assert np.max(np.abs(_agm_ellipkm1(1.0 - m) - ellipk(m))) < 1e-13
+    m1 = np.geomspace(1e-15, 1.0, 2000)
+    assert np.max(np.abs(_agm_ellipkm1(m1) / ellipkm1(m1) - 1.0)) < 1e-14
 
 
 def test_rect_log_mean_against_midpoint_quadrature():
@@ -118,10 +126,10 @@ def _direct_sum_potential(grid, source, parity):
     denom_sq = (ri + rj) ** 2 + (zi - zj) ** 2
     coincident = (ri == rj) & (zi == zj)
     # complementary parameter 1 - m formed without cancellation, and K from
-    # scipy rather than the AGM under test
+    # the AGM rather than the kernel's scipy routine
     denom_sq = np.where(coincident, 1.0, denom_sq)
     m1 = np.where(coincident, 1.0, ((ri - rj) ** 2 + (zi - zj) ** 2) / denom_sq)
-    G = 4.0 * ellipkm1(m1) / np.sqrt(denom_sq)
+    G = 4.0 * _agm_ellipkm1(m1) / np.sqrt(denom_sq)
     for i in range(nr):
         for k in range(nz):
             if i == 0:
@@ -139,6 +147,27 @@ def test_potential_matches_direct_sum_on_graded_grid(parity):
     ref = _direct_sum_potential(grid, src, parity)
     V = RingKernel(grid).potential(src, parity)
     assert np.max(np.abs(V - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_trimmed_potential_matches_direct_sum(parity, where):
+    """Sources that vanish beyond radius index J solve on columns 0..J only."""
+    grid = make_grid(1.3, 1.1, 21, 19, refine_at=0.8)
+    J = {"first": 1, "middle": grid.nr // 2, "last": grid.nr - 1}[where]
+    src = np.random.default_rng(11).standard_normal(grid.shape)
+    src[J + 1 :] = 0.0
+    ref = _direct_sum_potential(grid, src, parity)
+    V = RingKernel(grid).potential(src, parity)
+    assert np.max(np.abs(V - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_zero_source_gives_exactly_zero(parity):
+    grid = make_grid(1.3, 1.1, 21, 19, refine_at=0.8)
+    V = RingKernel(grid).potential(np.zeros(grid.shape), parity)
+    assert V.shape == grid.shape
+    assert np.all(V == 0.0)
 
 
 def test_potential_rejects_unknown_parity(axi53):
@@ -213,6 +242,8 @@ def test_kernel_build_memory_is_bounded():
         tracemalloc.stop()
     assert poisson._unit_table is not None
     assert peak <= 100 * 2**20
+    # the build's temporaries stay small beside the table it returns
+    assert peak <= poisson._unit_table.ghat.nbytes + 8 * 2**20
 
 
 def test_cache_miss_releases_old_table_first():

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import simpson
+from scipy.integrate import simpson, solve_ivp
 
+from rotstar import radial
 from rotstar.eos import polytrope
 from rotstar.radial import (
     OracleMesh,
@@ -143,3 +144,71 @@ def test_oracle_mesh_validation(star53):
         assemble_oracle_form(star53, OracleMesh(outer_factor=0.9), "even")
     with pytest.raises(ValueError):
         assemble_oracle_form(star53, OracleMesh(), "sideways")
+
+
+# -- homology cache ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("gamma", [5.0 / 3.0, 1.3, 2.0])
+def test_polytrope_homology_scaling(gamma):
+    eos = polytrope(1.3, gamma)
+    base = solve_radial(eos, 1.0)
+    for mu in (0.02, 0.7, 3.0, 2500.0):
+        star = solve_radial(eos, mu)
+        assert star.radius / base.radius == pytest.approx(mu ** ((gamma - 2.0) / 2.0), rel=1e-12)
+        assert star.mass / base.mass == pytest.approx(mu ** ((3.0 * gamma - 4.0) / 2.0), rel=1e-12)
+
+
+def test_polytrope_does_not_depend_on_first_mu_seen():
+    eos = polytrope(1.0, 1.4)
+    radial._lane_emden = None
+    first = solve_radial(eos, 2.0)
+    radial._lane_emden = None
+    solve_radial(eos, 0.5)
+    second = solve_radial(eos, 2.0)
+    assert (first.mass, first.radius) == (second.mass, second.radius)
+    assert np.array_equal(first.rho, second.rho)
+
+
+@pytest.mark.parametrize("mu", [0.01, 1.0, 300.0])
+def test_unbounded_star_error_at_every_mu(mu):
+    with pytest.raises(UnboundedStarError, match=f"mu={mu:g}"):
+        solve_radial(polytrope(1.0, 1.2000001), mu)
+
+
+def _unscaled_surface(eos, mu, tol=1e-11):
+    """(R, M) from y'' + (2/r) y' = -4 pi rho(y) integrated in r itself."""
+    y0 = eos.enthalpy(mu)
+    r_scale = math.sqrt(y0 / (4.0 * math.pi * mu))
+    r0 = 1e-8 * r_scale
+
+    def rhs(r, state):
+        rho = eos.enthalpy_inverse(max(state[0], 0.0))
+        return (state[1], -4.0 * math.pi * rho - 2.0 * state[1] / r)
+
+    def surface(r, state):
+        return state[0]
+
+    surface.terminal = True
+    sol = solve_ivp(
+        rhs, (r0, 100.0 * r_scale),
+        (y0 - (2.0 * math.pi / 3.0) * mu * r0**2, -(4.0 * math.pi / 3.0) * mu * r0),
+        method="DOP853", rtol=tol, atol=(tol * y0, tol * y0 / r_scale), events=surface,
+    )
+    radius = sol.t_events[0][0]
+    return radius, -(radius**2) * sol.y_events[0][0][1]
+
+
+@pytest.mark.parametrize("mu", [3.0, 10.0])
+def test_blend_star_ignores_polytrope_cache(eos_blend, mu):
+    radial._lane_emden = None
+    before = solve_radial(eos_blend, mu)
+    radial._lane_emden = None
+    solve_radial(polytrope(eos_blend.c_minus, eos_blend.gamma0), mu)
+    assert radial._lane_emden is not None
+    after = solve_radial(eos_blend, mu)
+    assert (after.mass, after.radius) == (before.mass, before.radius)
+    assert np.array_equal(after.rho, before.rho)
+    radius, mass = _unscaled_surface(eos_blend, mu)
+    assert after.radius == pytest.approx(radius, rel=1e-8)
+    assert after.mass == pytest.approx(mass, rel=1e-8)
