@@ -393,6 +393,9 @@ def cmd_tpp_scan(run: _Runner) -> int:
         momentum = momentum_from_config(rot)
         scan = scan_fixed_j(eos, momentum, rot.get("eps", 0.0), mu_grid, **kwargs)
     _finish_scan(run, scan)
+    if all(p.failed for p in scan.points):
+        # the artifacts stay, but a scan with no converged point is a failure
+        raise NoEquilibriumError(f"no scan point converged (first cause: {scan.points[0].error})")
     return EXIT_OK
 
 

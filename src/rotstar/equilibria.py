@@ -24,6 +24,7 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.integrate import cumulative_trapezoid
 
 from rotstar.eos import EquationOfState
 from rotstar.poisson import Grid, RingKernel
@@ -340,9 +341,7 @@ def _momentum_potential(
     integrand = np.zeros_like(rs)
     off = rs > 0
     integrand[off] = momentum.J(m[off], M) / rs[off] ** 3
-    out = np.zeros_like(rs)
-    out[1:] = np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * np.diff(rs)) * eps**2
-    return out
+    return cumulative_trapezoid(integrand, rs, initial=0) * eps**2
 
 
 def solve_fixed_omega(

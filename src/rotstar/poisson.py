@@ -9,8 +9,8 @@ The potential of an axisymmetric source rho(r, z) is
 with K the complete elliptic integral of the first kind, taken from
 scipy.special.ellipkm1.  Fields live on a half-plane grid (z >= 0, even or
 odd reflection); the kernel depends on z - z' only, so the vertical sum is a
-discrete convolution done with FFTs.  The boundary condition at infinity is
-exact, no truncated domain is involved.
+discrete convolution done with real even/odd transforms.  The boundary
+condition at infinity is exact, no truncated domain is involved.
 
 The kernel diverges logarithmically on the diagonal; the self-cell entry is
 replaced by the analytic average of the log singularity over the quadrature
@@ -18,22 +18,38 @@ cell, which keeps the node-based product quadrature second-order accurate.
 
 The mirrored source spans 2nz - 1 planes, so targets see lags z - z' in
 [-(nz-1), 2nz-2] (units of hz).  The kernel is wrapped evenly with period
-N = 2 next_fast_len(2nz - 2) >= 4nz - 4, c[n] = g[min(n, N - n)], which reads
-g[|L|] for every such lag: no aliasing.  The spectrum of that even sequence
-is real and equals the DCT-I of g[0..N/2]; it is stored as ghat[f, i, j].  A
-solve is an rfft, one real matrix product per frequency (real and imaginary
-parts side by side) and an irfft.  The table is built in blocks of
-_R_BLOCK target radii and mirrored by its r <-> r' symmetry; each block
-needs two arrays of its own size, formed and transformed in place.  A build
-peaks a few MiB above the table it returns (at 256^2 the table is 256.5 MiB
-and the build's high-water mark 263 MiB above the process before it).
+N = 2M, M = next_fast_len(2nz - 2) >= 2nz - 2, c[n] = g[min(n, N - n)], which
+reads g[|L|] for every such lag: no aliasing.  The spectrum of that even
+sequence is real and equals the DCT-I of g[0..M]; it is stored as
+ghat[f, i, j], f = 0..M, and is symmetric in (i, j) since G is in (r, r').
+
+A source continued evenly or oddly and convolved with an even kernel is
+diagonalised by the DCT-I or DST-I of its half-plane planes (the
+symmetric-convolution theorem, Martucci 1994).  So a solve transforms the
+weighted source along the contiguous z axis (DCT-I of planes 0..nz-1 padded
+to M + 1 points, or DST-I of planes 1..nz-1 padded to M - 1), multiplies
+each frequency's source row into the table and inverts the transform.  By
+the r <-> r' symmetry the product is row @ ghat[f, :J, :], which reads one
+contiguous slab of J table rows per frequency, the table once per solve.
+An odd-parity source whose z = 0 plane is nonzero keeps the meaning of the
+mirrored sum: that plane is counted once, as an even delta.  Its spectrum
+is the plane itself at every frequency, carried as a second row of the same
+product and inverted with a DCT-I; the row is left out when the plane is
+zero, as it is for every odd Galerkin field.
+
+The table is built in blocks of _R_BLOCK target radii, each filling only
+its columns j >= i; the strict lower triangle is then mirrored from the
+upper one frequency at a time.  Each block needs two arrays of its own
+size, formed and transformed in place, so a build peaks a few MiB above the
+table it returns (at 256^2 the table is 256.5 MiB and the build's
+high-water mark 263 MiB above the process before it).
 
 A solve trims the source at its support: radii past the last one with a
-nonzero value only multiply zeros, so the rfft and the matrix product see
-the first J columns only (ghat[:, :, :J], J = last nonzero radius + 1).
+nonzero value only multiply zeros, so the transform and the matrix product
+see the first J radii only (ghat[:, :J, :], J = last nonzero radius + 1).
 Star densities and Galerkin fields vanish outside the star (J = 197 of 256
 radii for a 256^2 star grid at the default padding); the potential is the
-same as with all columns, and an all-zero source gives exactly 0.
+same as with all radii, and an all-zero source gives exactly 0.
 
 K is evaluated from the complementary parameter
 m1 = 1 - m = ((r - r')^2 + (z - z')^2) / ((r + r')^2 + (z - z')^2), formed
@@ -59,7 +75,8 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.fft import dct, next_fast_len, rfft, irfft
+from scipy.fft import dct, dst, idct, idst, next_fast_len
+from scipy.integrate import cumulative_trapezoid
 from scipy.special import ellipkm1
 
 __all__ = ["Grid", "RingKernel", "rect_log_mean"]
@@ -176,10 +193,7 @@ class Grid:
 
     def cylinder_mass(self, rho: np.ndarray) -> np.ndarray:
         """m(r) = int_0^r s [int rho dz] ds (no 2 pi factor; m(R) = M / (2 pi))."""
-        integrand = self.rs * self.z_integral(rho)
-        out = np.zeros_like(self.rs)
-        out[1:] = np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * np.diff(self.rs))
-        return out
+        return cumulative_trapezoid(self.rs * self.z_integral(rho), self.rs, initial=0)
 
 
 class _UnitTable(NamedTuple):
@@ -199,8 +213,8 @@ def _build_unit_table(rs: np.ndarray, hz: float, nz: int) -> np.ndarray:
     half = next_fast_len(2 * nz - 2)  # N / 2
     local_dr = np.gradient(rs)  # self-cell widths
     dz = hz * np.arange(half + 1)
-    # each block of rows fills its columns j >= i0 and, by the r <-> r'
-    # symmetry, the same entries of the rows below it
+    # each block of rows fills its columns j >= i0; the strict lower triangle
+    # is mirrored from them by the r <-> r' symmetry, one frequency at a time
     ghat = np.empty((half + 1, nr, nr))
     for i0 in range(0, nr, _R_BLOCK):
         i1 = min(i0 + _R_BLOCK, nr)
@@ -210,9 +224,10 @@ def _build_unit_table(rs: np.ndarray, hz: float, nz: int) -> np.ndarray:
         for i in range(max(i0, 1), i1):
             mean_ln = rect_log_mean(0.5 * local_dr[i], 0.5 * hz)
             gtab[i - i0, i - i0, 0] = (2.0 / rs[i]) * (math.log(8.0 * rs[i]) - mean_ln)
-        blk = dct(gtab, type=1, axis=2, overwrite_x=True).transpose(2, 0, 1)
-        ghat[:, i0:i1, i0:] = blk
-        ghat[:, i1:, i0:i1] = blk[:, :, i1 - i0 :].transpose(0, 2, 1)
+        ghat[:, i0:i1, i0:] = dct(gtab, type=1, axis=2, overwrite_x=True).transpose(2, 0, 1)
+    lower = np.tri(nr, k=-1, dtype=bool)
+    for gf in ghat:
+        np.copyto(gf, gf.T, where=lower)
     ghat.flags.writeable = False
     return ghat
 
@@ -242,9 +257,9 @@ class RingKernel:
         self.grid = grid
         s = grid.rs[-1]
         self._ghat = _shared_unit_table(grid.rs / s, grid.hz / s, grid.nz)
-        self._nfft = 2 * (self._ghat.shape[0] - 1)
-        # the grid's kernel is the unit table divided by s
-        self._src_scale = grid.wr * grid.rs / s
+        # the grid's kernel is the unit table divided by s; the weights also
+        # carry hz and the sign of the (attractive) potential
+        self._src_weight = -(grid.hz / s) * grid.wr * grid.rs
 
     def potential(self, source: np.ndarray, parity: str = "even") -> np.ndarray:
         """Potential of `source` on the grid nodes (attractive: negative).
@@ -255,18 +270,36 @@ class RingKernel:
         nz = grid.nz
         if source.shape != grid.shape:
             raise ValueError("source shape does not match the grid")
-        sgn = _parity_sign(parity)
+        even = _parity_sign(parity) > 0
         # source radii past the last nonzero one would only multiply zeros
         support = np.flatnonzero(np.any(source, axis=1))
         if support.size == 0:
             return np.zeros(grid.shape)
         J = support[-1] + 1
-        weighted = (source[:J] * (self._src_scale[:J, None] * grid.hz)).T
-        ext = np.concatenate([sgn * weighted[:0:-1], weighted])  # planes z' = -z .. z
-        shat = rfft(ext, self._nfft, axis=0)  # (F, J) complex
-        vhat = np.matmul(self._ghat[:, :, :J], shat.view(float).reshape(*shat.shape, 2))
-        v = irfft(vhat.view(complex)[..., 0], self._nfft, axis=0)
-        return np.ascontiguousarray(-v[nz - 1 : 2 * nz - 1].T)
+        ghat = self._ghat
+        M = ghat.shape[0] - 1
+        w = source[:J] * self._src_weight[:J, None]
+        if even:
+            rows = dct(w, type=1, n=M + 1, axis=1).T[:, None, :]
+        else:
+            # planes 1..nz-1 continue oddly (DST-I, zero at f = 0 and M); a
+            # nonzero z = 0 plane is counted once, as an even delta row
+            mid = np.any(w[:, 0])
+            rows = np.zeros((M + 1, 2 if mid else 1, J))
+            rows[1:M, 0] = dst(w[:, 1:], type=1, n=M - 1, axis=1).T
+            if mid:
+                rows[:, 1] = w[:, 0]
+        # rows @ ghat[f, :J, :] equals ghat[f, :, :J] @ rows.T by the symmetry
+        vhat = np.matmul(rows, ghat[:, :J, :]).transpose(2, 1, 0)  # (nr, rows, f)
+        # copied out of the transforms' M + 1 planes, which a view would keep alive
+        v = np.zeros(grid.shape)
+        if even:
+            v[:] = idct(vhat[:, 0], type=1, axis=1)[:, :nz]
+        else:
+            v[:, 1:] = idst(vhat[:, 0, 1:M], type=1, axis=1)[:, : nz - 1]
+            if mid:
+                v += idct(vhat[:, 1], type=1, axis=1)[:, :nz]
+        return v
 
     def potential_at(self, source: np.ndarray, r_pts, z_pts, parity: str = "even") -> np.ndarray:
         """Potential of `source` at arbitrary probe points (direct summation)."""

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import cumulative_trapezoid, solve_ivp
 from scipy.interpolate import BSpline, PchipInterpolator
 
 from rotstar.eos import EquationOfState
@@ -99,15 +99,8 @@ class RadialStar:
         object.__setattr__(
             self, "_y_interp", PchipInterpolator(self.r, self.enthalpy, extrapolate=False)
         )
-        menc = _cumulative_mass(self.r, self.rho)
+        menc = cumulative_trapezoid(4.0 * math.pi * self.rho * self.r**2, self.r, initial=0)
         object.__setattr__(self, "_menc_interp", PchipInterpolator(self.r, menc))
-
-
-def _cumulative_mass(r, rho):
-    integrand = 4.0 * math.pi * rho * r**2
-    out = np.zeros_like(r)
-    out[1:] = np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * np.diff(r))
-    return out
 
 
 #: the last polytropic solution of the scaled balance: ((c_minus, gamma0,

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import eig
 
 from rotstar.bases import PerturbationBasis, perturbation_basis, tensor_shapes
@@ -129,14 +130,8 @@ def cumulative_cylinder_integrals(star: AxiStar, basis: PerturbationBasis) -> np
     Odd fields integrate to zero over z and get F identically zero.
     """
     g = star.grid
-    n = basis.count
-    F = np.zeros((n, g.nr))
-    dr = np.diff(g.rs)
-    for k in range(n):
-        if basis.parity[k] < 0:
-            continue
-        integrand = g.rs * g.z_integral(basis.fields[k])
-        F[k, 1:] = np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * dr)
+    F = cumulative_trapezoid(g.rs * g.z_integral(basis.fields), g.rs, initial=0)
+    F[basis.parity < 0] = 0.0
     return F
 
 

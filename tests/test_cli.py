@@ -1,12 +1,18 @@
 import json
 import os
+import subprocess
+import sys
 
 import jsonschema
 import numpy as np
 import pytest
 
-from rotstar import cli
+from rotstar import cli, poisson, radial
 from rotstar.cli import EXIT_AMBIGUOUS, EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, ConfigError, main
+from rotstar.families import FamilyPoint, FamilyScanResult
+
+
+SRC = os.path.dirname(os.path.dirname(cli.__file__))
 
 
 def write(tmp_path, name, payload):
@@ -160,16 +166,37 @@ def test_tpp_scan_command(tmp_path):
 def test_tpp_scan_honours_solver_max_iter(tmp_path):
     cfg = write(tmp_path, "cfg.json", {**TPP_CFG, "solver": {"max_iter": 1}})
     out = tmp_path / "tpp"
-    assert main(["tpp-scan", cfg, "--out-dir", str(out)]) == EXIT_OK
+    # no point converges in one sweep: the scan's artifacts are written,
+    # then the run fails with the first point's cause
+    assert main(["tpp-scan", cfg, "--out-dir", str(out)]) == EXIT_SOLVER
     summary = json.loads((out / "summary.json").read_text())
     assert summary["partial"] and summary["tpp_verdict"] == "partial"
     rows = (out / "scan.csv").read_text().strip().splitlines()
-    assert rows == ["mu,M,dMdmu,n_u,verdict"]  # no point converged in one sweep
+    assert rows == ["mu,M,dMdmu,n_u,verdict"]
     failed = summary["failed_points"]
     assert len(failed) == TPP_CFG["mu_grid"]["num"]
     for point in failed:
         assert f"mu={point['mu']:g}:" in point["error"]
         assert "no convergence" in point["error"]
+    error = json.loads((out / "error.json").read_text())
+    assert error["exit_code"] == EXIT_SOLVER
+    assert failed[0]["error"] in error["message"]
+
+
+def test_partial_tpp_scan_exits_ok(tmp_path, monkeypatch):
+    points = [
+        FamilyPoint(mu=1.0, mass=1.0, n_u=0),
+        FamilyPoint(mu=1.1, failed=True, error="mu=1.1: no convergence"),
+    ]
+    scan = FamilyScanResult("fixed_j", 0.2, points)
+    monkeypatch.setattr(cli, "scan_fixed_j", lambda *args, **kwargs: scan)
+    cfg = write(tmp_path, "cfg.json", TPP_CFG)
+    out = tmp_path / "tpp"
+    assert main(["tpp-scan", cfg, "--out-dir", str(out)]) == EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["tpp_verdict"] == "partial"
+    assert summary["failed_points"] == [{"mu": 1.1, "error": "mu=1.1: no convergence"}]
+    assert not (out / "error.json").exists()
 
 
 @pytest.mark.parametrize("form, scan_name", [("power_j", "scan_fixed_j"), ("rigid", "scan_fixed_omega")])
@@ -203,6 +230,44 @@ def test_determinism_byte_identical(tmp_path):
         outs.append(out)
     for fname in ("radial_scan.csv", "radial_scan_summary.json"):
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+
+STABILITY_CFG = {
+    "eos": {"kind": "polytropic", "c_minus": 1.0, "gamma0": 1.6666666666666667},
+    "rotation": {"form": "rigid", "omega_c": 1.0, "kappa": 0.05},
+    "mu": 1.0,
+    "grid": {"nr": 48, "nz": 48},
+    "basis": {"deg_r": 6, "deg_z": 4},
+    "with_generator": True,
+}
+
+
+def test_stability_byte_identical_across_processes(tmp_path):
+    cfg = write(tmp_path, "cfg.json", STABILITY_CFG)
+    path = [SRC, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    outs = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        cmd = [sys.executable, "-m", "rotstar.cli", "stability", cfg, "--out-dir", str(out)]
+        assert subprocess.run(cmd, env=env).returncode == EXIT_OK
+        outs.append((out / "stability.json").read_bytes())
+    assert outs[0] == outs[1]
+
+
+def test_tpp_scan_jobs_do_not_change_scan_csv(tmp_path, monkeypatch):
+    mu_grid = {"start": 0.9, "stop": 1.1, "num": 3, "spacing": "linear"}
+    cfg = write(tmp_path, "cfg.json", {**TPP_CFG, "mu_grid": mu_grid})
+    outs = []
+    for jobs in ("1", "2"):
+        # start cold, so every worker builds the kernel table of its own first point
+        monkeypatch.setattr(poisson, "_unit_table", None)
+        monkeypatch.setattr(radial, "_lane_emden", None)
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["tpp-scan", cfg, "--out-dir", str(out), "--jobs", jobs]) == EXIT_OK
+        outs.append((out / "scan.csv").read_bytes())
+    assert len(outs[0].splitlines()) == 4
+    assert outs[0] == outs[1]
 
 
 def test_print_defaults():

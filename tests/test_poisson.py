@@ -141,12 +141,38 @@ def _direct_sum_potential(grid, source, parity):
 
 
 @pytest.mark.parametrize("parity", ["even", "odd"])
-def test_potential_matches_direct_sum_on_graded_grid(parity):
-    grid = make_grid(1.3, 1.1, 21, 19, refine_at=0.8)
+@pytest.mark.parametrize("nz", [19, 20, 27])  # next_fast_len(2nz - 2) pads 20 and 27
+def test_potential_matches_direct_sum_on_graded_grid(parity, nz):
+    grid = make_grid(1.3, 1.1, 21, nz, refine_at=0.8)
     src = np.random.default_rng(7).standard_normal(grid.shape)
     ref = _direct_sum_potential(grid, src, parity)
     V = RingKernel(grid).potential(src, parity)
     assert np.max(np.abs(V - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_odd_source_counts_its_midplane_once():
+    """An odd-parity source with a nonzero z = 0 plane keeps that plane once."""
+    grid = make_grid(1.3, 1.1, 21, 20, refine_at=0.8)
+    mid = np.zeros(grid.shape)
+    mid[:, 0] = np.random.default_rng(5).standard_normal(grid.nr)
+    kernel = RingKernel(grid)
+    V = kernel.potential(mid, "odd")
+    # a source on z = 0 alone has no mirrored planes, so parity does not matter
+    ref = _direct_sum_potential(grid, mid, "even")
+    assert np.max(np.abs(V - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.max(np.abs(V - kernel.potential(mid, "even"))) <= 1e-13 * np.max(np.abs(ref))
+    odd = np.random.default_rng(6).standard_normal(grid.shape)
+    odd[:, 0] = 0.0
+    src = odd + mid
+    ref = _direct_sum_potential(grid, src, "odd")
+    assert np.max(np.abs(kernel.potential(src, "odd") - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("shape, refine_at", [((21, 19), 0.8), ((40, 36), None), ((33, 27), 0.5)])
+def test_built_table_is_exactly_symmetric(shape, refine_at):
+    ghat = _fresh_kernel(make_grid(1.3, 1.1, *shape, refine_at=refine_at))._ghat
+    assert ghat.shape == (ghat.shape[0], shape[0], shape[0])
+    assert np.array_equal(ghat, ghat.transpose(0, 2, 1))
 
 
 @pytest.mark.parametrize("parity", ["even", "odd"])

@@ -122,6 +122,18 @@ def test_interlacing(axi13):
     assert drop in (0, 1)
 
 
+def test_cumulative_cylinder_integrals_match_per_field_trapezoid(axi53, basis53):
+    g = axi53.grid
+    F = cumulative_cylinder_integrals(axi53, basis53)
+    for k in range(basis53.count):
+        ref = np.zeros(g.nr)
+        if basis53.parity[k] > 0:
+            integrand = g.rs * g.z_integral(basis53.fields[k])
+            ref[1:] = np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * np.diff(g.rs))
+        assert np.array_equal(F[k], ref)  # odd fields exactly zero
+    assert np.array_equal(g.cylinder_mass(basis53.fields[0]), F[0])
+
+
 def test_constraint_vacuous_flag(axi53):
     basis = perturbation_basis(axi53, parity="odd", append_mu_direction=False)
     K = assemble_reduced_energy(axi53, basis)
