@@ -4,7 +4,8 @@ Subcommands read one JSON config file, validate it against a strict schema
 (unknown keys are rejected), run the requested experiment, and write CSV/JSON
 artifacts plus a manifest into the output directory.  Identical configs and
 seeds produce byte-identical data artifacts; the manifest additionally
-records wall-clock runtimes and therefore is not byte-reproducible.
+records wall-clock runtimes and the Poisson thread part count, which depend
+on the host, and therefore is not byte-reproducible.
 
 Exit codes: 0 success, 2 config error, 3 solver failure, 4 ambiguous
 spectral classification.  Failures leave a machine-readable error.json.
@@ -237,11 +238,20 @@ def solve_configured_star(cfg: dict):
         nr=g["nr"], nz=g["nz"], pad=g["pad"],
         tol=s["tol"], max_iter=s["max_iter"], damping=s["damping"],
     )
-    if rot["form"] in ("rigid", "power_tail", "table"):
-        law = law_from_config(rot)
-        return solve_fixed_omega(eos, law, rot.get("kappa", 0.0), mu, **common)
-    momentum = momentum_from_config(rot)
-    return solve_fixed_j(eos, momentum, rot.get("eps", 0.0), mu, **common)
+    fixed_omega, rotation, amplitude = _rotation_family(rot)
+    solve = solve_fixed_omega if fixed_omega else solve_fixed_j
+    return solve(eos, rotation, amplitude, mu, **common)
+
+
+def _rotation_family(rot: dict):
+    """(fixed_omega, law or momentum distribution, kappa or eps) of a
+    rotation section; a missing amplitude is an error, not a static star."""
+    fixed_omega = rot["form"] in ("rigid", "power_tail", "table")
+    key = "kappa" if fixed_omega else "eps"
+    if key not in rot:
+        raise ConfigError(f"rotation form {rot['form']!r} requires {key!r}")
+    rotation = law_from_config(rot) if fixed_omega else momentum_from_config(rot)
+    return fixed_omega, rotation, rot[key]
 
 
 def _config_hash(cfg: dict) -> str:
@@ -261,12 +271,19 @@ class _Runner:
         self.seed = seed
         self.jobs = jobs
         self.artifacts = []
+        #: thread parts of the run's Poisson kernel (None: no single star)
+        self.poisson_parts = None
         self.t0 = time.time()
         os.makedirs(out_dir, exist_ok=True)
 
     def path(self, name: str) -> str:
         self.artifacts.append(name)
         return os.path.join(self.out, name)
+
+    def solve_star(self):
+        star = solve_configured_star(self.cfg)
+        self.poisson_parts = star.kernel.parts
+        return star
 
     def manifest(self) -> None:
         _write_json(
@@ -280,6 +297,7 @@ class _Runner:
                     "scipy": scipy.__version__,
                 },
                 "artifacts": sorted(self.artifacts),
+                "poisson_parts": self.poisson_parts,
                 "runtime_seconds": time.time() - self.t0,
             },
         )
@@ -300,7 +318,7 @@ def cmd_radial_scan(run: _Runner) -> int:
 
 
 def cmd_equilibrium(run: _Runner) -> int:
-    star = solve_configured_star(run.cfg)
+    star = run.solve_star()
     save_axistar(star, run.path("star"))
     _write_json(
         run.path("equilibrium.json"),
@@ -317,7 +335,7 @@ def cmd_equilibrium(run: _Runner) -> int:
 
 
 def cmd_stability(run: _Runner) -> int:
-    star = solve_configured_star(run.cfg)
+    star = run.solve_star()
     b = run.cfg["basis"]
     basis = perturbation_basis(star, deg_r=b["deg_r"], deg_z=b["deg_z"])
     report = stability_report(
@@ -328,7 +346,7 @@ def cmd_stability(run: _Runner) -> int:
 
 
 def cmd_spectrum(run: _Runner) -> int:
-    star = solve_configured_star(run.cfg)
+    star = run.solve_star()
     sp = run.cfg["spectrum"]
     report = spectrum_report(
         star,
@@ -341,7 +359,7 @@ def cmd_spectrum(run: _Runner) -> int:
 
 
 def cmd_evolve(run: _Runner) -> int:
-    star = solve_configured_star(run.cfg)
+    star = run.solve_star()
     vb = velocity_basis(star, ring_knots=run.cfg["spectrum"]["ring_knots"] * 2)
     form = assemble_meridional_form(star, vb)
     ev = run.cfg["evolve"]
@@ -386,12 +404,9 @@ def cmd_tpp_scan(run: _Runner) -> int:
         tol=s["tol"], max_iter=s["max_iter"], damping=s["damping"],
         deg_r=b["deg_r"], deg_z=b["deg_z"], jobs=run.jobs,
     )
-    if rot["form"] in ("rigid", "power_tail", "table"):
-        law = law_from_config(rot)
-        scan = scan_fixed_omega(eos, law, rot.get("kappa", 0.0), mu_grid, **kwargs)
-    else:
-        momentum = momentum_from_config(rot)
-        scan = scan_fixed_j(eos, momentum, rot.get("eps", 0.0), mu_grid, **kwargs)
+    fixed_omega, rotation, amplitude = _rotation_family(rot)
+    scan_family = scan_fixed_omega if fixed_omega else scan_fixed_j
+    scan = scan_family(eos, rotation, amplitude, mu_grid, **kwargs)
     _finish_scan(run, scan)
     if all(p.failed for p in scan.points):
         # the artifacts stay, but a scan with no converged point is a failure
@@ -466,6 +481,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         return fail(EXIT_CONFIG, "config", str(exc))
 
+    if args.jobs < 1:
+        return fail(EXIT_CONFIG, "config", f"--jobs must be at least 1, got {args.jobs}")
     run = _Runner(cfg, args.out_dir, args.seed, args.jobs)
     try:
         code = COMMANDS[args.command](run)

@@ -240,7 +240,10 @@ def _scf_iterate(
         rot = rot_potential(rho)
         c = -V[0, 0] - h_center
         h = rot[:, None] - V - c
-        rho_raw = eos.enthalpy_inverse(np.clip(h, 0.0, None))
+        # the inverse maps h = 0 to 0, so only the support needs it
+        pos = h > 0
+        rho_raw = np.zeros_like(h)
+        rho_raw[pos] = eos.enthalpy_inverse(h[pos])
         rho_new = (1.0 - theta) * rho + theta * rho_raw
         err = float(np.max(np.abs(rho_new - rho))) / mu
         rho = rho_new

@@ -31,6 +31,7 @@ from rotstar.equilibria import (
     solve_fixed_j,
     solve_fixed_omega,
 )
+from rotstar.poisson import share_cpus
 from rotstar.radial import UnboundedStarError
 from rotstar.rotlaw import AngularVelocityLaw, FixedTotalMomentum, MomentumDistribution
 from rotstar.stability import (
@@ -231,9 +232,13 @@ class _ScanJob:
 
 
 def _run_scan(job: _ScanJob, mu_grid, jobs: int, margin_at_extremum: bool) -> FamilyScanResult:
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     mus = [float(m) for m in np.asarray(mu_grid, dtype=float)]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # each worker's Poisson threads get its share of the CPUs
+        pool = ProcessPoolExecutor(max_workers=jobs, initializer=share_cpus, initargs=(jobs,))
+        with pool:
             points = list(pool.map(job.run, mus))
     else:
         points = [job.run(m) for m in mus]

@@ -66,11 +66,31 @@ grid with the same nr, nz and normalised coordinates reuses it, which is what
 a family scan's pad * R grids do.  A grid that misses drops the old table
 before the new one is built, so a process holds at most one table beyond
 those its live kernels still use.  Each ``--jobs`` worker builds its own.
+
+Large tables are built and applied on several threads of one process.  One
+rule sets the part count of a build and of a solve: one part per
+_PART_BYTES (64 MiB) of the table, or of the slab a solve reads, and at most
+one per CPU this process may run on (``os.sched_getaffinity``); a worker of a
+``--jobs N`` scan gets max(1, cpus // N) of them (``share_cpus``).  Below one
+part the work runs inline on the calling thread, as every table up to 128^2
+(32 MiB) does; a 256^2 table gets two parts on two CPUs.  A build deals its
+row blocks out to the parts in turn and mirrors contiguous frequency ranges;
+a solve cuts the frequency axis of its matrix product into contiguous
+ranges.  Each part writes its own entries with the same arithmetic as the
+one-part path, so tables and potentials are bit-identical whatever the part
+count.  The threads run only numpy, scipy.special and pocketfft kernels,
+which release the GIL; they end before the call returns, so no thread
+outlives a build or solve into a forked scan worker.  The build's parts
+share its _R_BLOCK rows in flight and their arrays are allocated on the
+calling thread (memory a worker thread allocates stays in that thread's
+malloc arena), so a two-part build peaks no higher than a one-part build.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -84,6 +104,13 @@ __all__ = ["Grid", "RingKernel", "rect_log_mean"]
 #: target radii per block of the kernel build; bounds its temporaries
 _R_BLOCK = 2
 
+#: table bytes (build) or table-slab bytes (solve) per thread part; smaller
+#: work runs inline on the calling thread
+_PART_BYTES = 64 * 2**20
+
+#: scan workers sharing this process's CPUs (``share_cpus``)
+_cpu_share = 1
+
 #: a grid reuses the cached unit table when its normalised radii and hz
 #: agree with the table's to this absolute tolerance
 _MATCH_TOL = 1e-13
@@ -93,19 +120,22 @@ _MATCH_TOL = 1e-13
 _M1_FLOOR = 1e-15
 
 
-def _ring_green(r, rp, dz):
+def _ring_green(r, rp, dz, work=None):
     """Ring kernel 4 K(m) / sqrt((r + r')^2 + dz^2), broadcast over its inputs.
 
     K is taken from m1 = 1 - m formed directly (module docstring).  The
     coincident axis point r = r' = dz = 0 gets the finite value 2 pi; it
     carries zero quadrature weight.  The two full-size arrays are reused in
-    place: the result is written over m1.
+    place: the result is written over m1.  ``work``, if given, is the pair
+    of arrays to use, of the broadcast shape; the result is then ``work[1]``.
     """
     sum_sq = np.square(np.add(r, rp))
     dz_sq = np.square(dz)
     shape = np.broadcast_shapes(sum_sq.shape, dz_sq.shape)
-    far_sq = np.add(sum_sq, dz_sq, out=np.empty(shape))
-    m1 = np.add(np.square(np.subtract(r, rp)), dz_sq, out=np.empty(shape))
+    if work is None:
+        work = (np.empty(shape), np.empty(shape))
+    far_sq = np.add(sum_sq, dz_sq, out=work[0])
+    m1 = np.add(np.square(np.subtract(r, rp)), dz_sq, out=work[1])
     if np.any(sum_sq == 0) and np.any(dz_sq == 0):
         on_axis = far_sq == 0  # implies m1 == 0 too
         far_sq[on_axis] = 1.0
@@ -122,6 +152,43 @@ def _parity_sign(parity: str) -> float:
     if parity not in ("even", "odd"):
         raise ValueError("parity must be 'even' or 'odd'")
     return 1.0 if parity == "even" else -1.0
+
+
+def share_cpus(jobs: int) -> None:
+    """Let this process's builds and solves use max(1, cpus // jobs) threads.
+
+    Run in each worker process of a ``--jobs`` scan pool, so that the workers
+    together use no more threads than the process has CPUs.
+    """
+    global _cpu_share
+    _cpu_share = jobs
+
+
+def _part_count(nbytes: int) -> int:
+    """Parts for a table build or solve that sweeps nbytes of table.
+
+    One part per _PART_BYTES, at most one per thread of the CPU budget
+    (the CPUs this process may run on, divided by ``share_cpus``).
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    threads = max(1, (cpus or 1) // _cpu_share)
+    return max(1, min(threads, nbytes // _PART_BYTES))
+
+
+def _run_parts(work, parts: int) -> None:
+    """Call work(p) for p = 0..parts-1, part 0 on the calling thread.
+
+    The other parts run on threads that end before this returns, so none is
+    left to a forked scan worker.  Each part must write disjoint output.
+    """
+    if parts == 1:
+        work(0)
+        return
+    with ThreadPoolExecutor(max_workers=parts - 1) as pool:
+        futures = [pool.submit(work, p) for p in range(1, parts)]
+        work(0)
+        for fut in futures:
+            fut.result()
 
 
 def rect_log_mean(a: float, b: float) -> float:
@@ -213,21 +280,46 @@ def _build_unit_table(rs: np.ndarray, hz: float, nz: int) -> np.ndarray:
     half = next_fast_len(2 * nz - 2)  # N / 2
     local_dr = np.gradient(rs)  # self-cell widths
     dz = hz * np.arange(half + 1)
-    # each block of rows fills its columns j >= i0; the strict lower triangle
-    # is mirrored from them by the r <-> r' symmetry, one frequency at a time
     ghat = np.empty((half + 1, nr, nr))
-    for i0 in range(0, nr, _R_BLOCK):
-        i1 = min(i0 + _R_BLOCK, nr)
-        gtab = _ring_green(rs[i0:i1, None, None], rs[None, i0:, None], dz)
-        # analytic log average over the self cell for diagonal targets;
-        # the axis entry carries zero quadrature weight and is left as is
-        for i in range(max(i0, 1), i1):
-            mean_ln = rect_log_mean(0.5 * local_dr[i], 0.5 * hz)
-            gtab[i - i0, i - i0, 0] = (2.0 / rs[i]) * (math.log(8.0 * rs[i]) - mean_ln)
-        ghat[:, i0:i1, i0:] = dct(gtab, type=1, axis=2, overwrite_x=True).transpose(2, 0, 1)
+    parts = _part_count(ghat.nbytes)
+    # the parts share the _R_BLOCK rows in flight (one row each beyond
+    # _R_BLOCK parts), so the temporaries of a build on up to _R_BLOCK parts
+    # do not grow with the part count; they are allocated on this thread,
+    # since memory a worker thread allocates stays in its malloc arena
+    block = max(1, _R_BLOCK // parts)
+    work = [[np.empty((block, nr, half + 1)) for _ in range(2)] for _ in range(parts)]
+
+    def fill_rows(p):
+        # each block of rows fills its columns j >= i0; blocks are dealt out
+        # in turn, which evens the parts' triangle work
+        for i0 in range(p * block, nr, parts * block):
+            i1 = min(i0 + block, nr)
+            gtab = _ring_green(
+                rs[i0:i1, None, None], rs[None, i0:, None], dz,
+                [w[: i1 - i0, : nr - i0] for w in work[p]],
+            )
+            # analytic log average over the self cell for diagonal targets;
+            # the axis entry carries zero quadrature weight and is left as is
+            for i in range(max(i0, 1), i1):
+                mean_ln = rect_log_mean(0.5 * local_dr[i], 0.5 * hz)
+                gtab[i - i0, i - i0, 0] = (2.0 / rs[i]) * (math.log(8.0 * rs[i]) - mean_ln)
+            ghat[:, i0:i1, i0:] = dct(gtab, type=1, axis=2, overwrite_x=True).transpose(2, 0, 1)
+
+    _run_parts(fill_rows, parts)
+    # the strict lower triangle is mirrored from the upper by the r <-> r'
+    # symmetry, one frequency at a time, through one buffer per part (a copy
+    # from the overlapping view gf.T would allocate it on the part's thread)
+    del work
     lower = np.tri(nr, k=-1, dtype=bool)
-    for gf in ghat:
-        np.copyto(gf, gf.T, where=lower)
+    mirror_buf = [np.empty((nr, nr)) for _ in range(parts)]
+    freqs = np.linspace(0, half + 1, parts + 1).astype(int)
+
+    def mirror(p):
+        for gf in ghat[freqs[p] : freqs[p + 1]]:
+            np.copyto(mirror_buf[p], gf.T)
+            np.copyto(gf, mirror_buf[p], where=lower)
+
+    _run_parts(mirror, parts)
     ghat.flags.writeable = False
     return ghat
 
@@ -257,6 +349,8 @@ class RingKernel:
         self.grid = grid
         s = grid.rs[-1]
         self._ghat = _shared_unit_table(grid.rs / s, grid.hz / s, grid.nz)
+        #: most thread parts the table's build and this kernel's solves use
+        self.parts = _part_count(self._ghat.nbytes)
         # the grid's kernel is the unit table divided by s; the weights also
         # carry hz and the sign of the (attractive) potential
         self._src_weight = -(grid.hz / s) * grid.wr * grid.rs
@@ -289,16 +383,29 @@ class RingKernel:
             rows[1:M, 0] = dst(w[:, 1:], type=1, n=M - 1, axis=1).T
             if mid:
                 rows[:, 1] = w[:, 0]
-        # rows @ ghat[f, :J, :] equals ghat[f, :, :J] @ rows.T by the symmetry
-        vhat = np.matmul(rows, ghat[:, :J, :]).transpose(2, 1, 0)  # (nr, rows, f)
-        # copied out of the transforms' M + 1 planes, which a view would keep alive
+        # rows @ ghat[f, :J, :] equals ghat[f, :, :J] @ rows.T by the symmetry;
+        # the parts take contiguous frequency ranges of one product
+        slab = ghat[:, :J, :]
+        parts = _part_count(slab.nbytes)
+        freqs = np.linspace(0, M + 1, parts + 1).astype(int)
+        vhat = np.empty((M + 1, rows.shape[1], grid.nr))
+
+        def multiply(p):
+            f0, f1 = freqs[p], freqs[p + 1]
+            np.matmul(rows[f0:f1], slab[f0:f1], out=vhat[f0:f1])
+
+        _run_parts(multiply, parts)
+        vhat = vhat.transpose(2, 1, 0)  # (nr, rows, f)
+        # the inverse transforms run in place in vhat (no second array of its
+        # size); the potential is copied out of their M + 1 planes, which a
+        # view would keep alive
         v = np.zeros(grid.shape)
         if even:
-            v[:] = idct(vhat[:, 0], type=1, axis=1)[:, :nz]
+            v[:] = idct(vhat[:, 0], type=1, axis=1, overwrite_x=True)[:, :nz]
         else:
-            v[:, 1:] = idst(vhat[:, 0, 1:M], type=1, axis=1)[:, : nz - 1]
+            v[:, 1:] = idst(vhat[:, 0, 1:M], type=1, axis=1, overwrite_x=True)[:, : nz - 1]
             if mid:
-                v += idct(vhat[:, 1], type=1, axis=1)[:, :nz]
+                v += idct(vhat[:, 1], type=1, axis=1, overwrite_x=True)[:, :nz]
         return v
 
     def potential_at(self, source: np.ndarray, r_pts, z_pts, parity: str = "even") -> np.ndarray:

@@ -37,6 +37,7 @@ def test_radial_scan_monotone_mass(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert "config_hash" in manifest and "versions" in manifest
     assert "radial_scan.csv" in manifest["artifacts"]
+    assert manifest["poisson_parts"] is None  # no Poisson solve
 
 
 def test_unknown_key_rejected_before_compute(tmp_path):
@@ -106,6 +107,8 @@ def test_equilibrium_and_stability_commands(tmp_path):
     meta = json.loads((out1 / "equilibrium.json").read_text())
     assert meta["residual"] < 1e-8
     assert (out1 / "star" / "density.csv").exists()
+    # a 56^2 table is far below one part: the solves ran on this thread
+    assert json.loads((out1 / "manifest.json").read_text())["poisson_parts"] == 1
 
     out2 = tmp_path / "st"
     assert main(["stability", cfg, "--out-dir", str(out2)]) == EXIT_OK
@@ -208,7 +211,8 @@ def test_tpp_scan_passes_grid_and_solver_keys(tmp_path, monkeypatch, form, scan_
         raise ConfigError("stop before compute")
 
     monkeypatch.setattr(cli, scan_name, fake_scan)
-    rotation = {"form": form, "omega_c": 1.0} if form == "rigid" else TPP_CFG["rotation"]
+    rigid = {"form": form, "omega_c": 1.0, "kappa": 0.05}
+    rotation = rigid if form == "rigid" else TPP_CFG["rotation"]
     payload = {
         **TPP_CFG,
         "rotation": rotation,
@@ -284,3 +288,36 @@ def test_bb1974_command_reports_turning_point(tmp_path):
     curve = (out / "mass_curve.csv").read_text().strip().splitlines()
     masses = [float(r.split(",")[1]) for r in curve[1:]]
     assert min(masses) < masses[0] and min(masses) < masses[-1]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_nonpositive_jobs_rejected(tmp_path, jobs):
+    cfg = write(tmp_path, "cfg.json", RADIAL_CFG)
+    out = tmp_path / "out"
+    assert main(["radial-scan", cfg, "--out-dir", str(out), "--jobs", jobs]) == EXIT_CONFIG
+    err = json.loads((out / "error.json").read_text())
+    assert err["exit_code"] == EXIT_CONFIG
+    assert f"--jobs must be at least 1, got {jobs}" in err["message"]
+    assert not (out / "radial_scan.csv").exists()
+
+
+_POWER_J = {"form": "power_j", "coeff": 1.0, "exponent": 2.0}
+
+
+@pytest.mark.parametrize(
+    "command, payload, key",
+    [
+        ("stability", {**STABILITY_CFG, "rotation": {"form": "rigid", "omega_c": 1.0}}, "kappa"),
+        ("equilibrium", {**STABILITY_CFG, "rotation": _POWER_J}, "eps"),
+        ("tpp-scan", {**TPP_CFG, "rotation": {"form": "rigid", "omega_c": 1.0}}, "kappa"),
+        ("tpp-scan", {**TPP_CFG, "rotation": _POWER_J}, "eps"),
+    ],
+)
+def test_missing_rotation_amplitude_rejected(tmp_path, command, payload, key):
+    """A rotation section without kappa or eps is an error, not a static star."""
+    cfg = write(tmp_path, "cfg.json", payload)
+    out = tmp_path / "out"
+    assert main([command, cfg, "--out-dir", str(out)]) == EXIT_CONFIG
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "config"
+    assert f"requires {key!r}" in err["message"]

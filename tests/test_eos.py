@@ -57,6 +57,21 @@ def test_enthalpy_round_trip(eos):
     assert np.max(np.abs(back - rho) / rho) < 1e-10
 
 
+@pytest.mark.parametrize(
+    "eos",
+    [
+        polytrope(1.0, 5.0 / 3.0),
+        polytrope(0.7, 2.0),
+        asymptotic_polytrope(1.0, 5.0 / 3.0, 1.25, (1.0, 3.0)),
+    ],
+)
+def test_enthalpy_inverse_of_zero_is_zero(eos):
+    """The SCF sweep leaves cells with h <= 0 at exactly 0 without calling
+    the inverse; that equals the inverse only because h = 0 maps to 0."""
+    assert eos.enthalpy_inverse(0.0) == 0.0
+    assert np.array_equal(eos.enthalpy_inverse(np.zeros(3)), np.zeros(3))
+
+
 def test_blend_enthalpy_against_adaptive_quadrature():
     b = asymptotic_polytrope(1.0, 5.0 / 3.0, 1.3, (1.0, 2.0))
     oracle, _ = quad(

@@ -137,6 +137,13 @@ def test_sweep_budget_exhausted(eos53):
         solve_fixed_omega(eos53, RigidLaw(1.0), 0.05, 1.0, nr=32, nz=32, max_iter=2)
 
 
+def test_scf_divergence_detected(eos53):
+    """Rotation past mass shedding: the defect keeps growing until the
+    damping has been halved below 1e-3."""
+    with pytest.raises(NoEquilibriumError, match="iteration diverged at mu=1"):
+        solve_fixed_omega(eos53, RigidLaw(1.0), 0.7, 1.0, nr=24, nz=24, pad=3.0)
+
+
 def test_boundary_asymptotics_targets(eos53):
     rad = solve_radial(eos53, 1.0)
     g = make_grid(1.3 * rad.radius, 1.3 * rad.radius, 140, 120, refine_at=rad.radius)

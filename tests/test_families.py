@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from rotstar.families import FamilyPoint, FamilyScanResult, scan_fixed_j, scan_fixed_omega
+from rotstar import poisson
+from rotstar.families import (
+    FamilyPoint,
+    FamilyScanResult,
+    _run_scan,
+    scan_fixed_j,
+    scan_fixed_omega,
+)
 from rotstar.rotlaw import PowerLawMomentum, RigidLaw
 
 
@@ -141,3 +148,27 @@ def test_transitions_stable_under_grid_refinement(eos_blend):
     assert abs(coarse.mu_hat - fine.mu_hat) < step
     assert abs(coarse.mu_star - fine.mu_star) < step
     assert coarse.tpp_verdict == fine.tpp_verdict == "TPP-holds"
+
+
+class _CpuShareJob:
+    """Scan job whose points report the Poisson CPU share of their process."""
+
+    kind = "fixed_j"
+    parameter = 0.1
+
+    def run(self, mu):
+        return FamilyPoint(mu=mu, mass=float(poisson._cpu_share), n_u=0)
+
+
+def test_scan_workers_share_the_cpus():
+    res = _run_scan(_CpuShareJob(), [1.0, 2.0, 3.0], jobs=2, margin_at_extremum=False)
+    assert [p.mass for p in res.points] == [2.0, 2.0, 2.0]
+    assert poisson._cpu_share == 1  # the parent keeps the whole budget
+    serial = _run_scan(_CpuShareJob(), [1.0, 2.0, 3.0], jobs=1, margin_at_extremum=False)
+    assert [p.mass for p in serial.points] == [1.0, 1.0, 1.0]
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_scan_rejects_nonpositive_jobs(jobs):
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        _run_scan(_CpuShareJob(), [1.0, 2.0], jobs=jobs, margin_at_extremum=False)

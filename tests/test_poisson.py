@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -287,3 +288,86 @@ def test_cache_miss_releases_old_table_first():
     assert peak <= 100 * 2**20
     # holding both tables would add one whole table to the single-build peak
     assert peak < one_build + 0.5 * table_bytes
+
+
+@pytest.fixture
+def fast_switching():
+    """Switch threads as often as the interpreter allows, to shake out races."""
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(old)
+
+
+def _force_parts(monkeypatch, parts):
+    """Split every build and solve into `parts` thread parts, however small."""
+    monkeypatch.setattr(poisson, "_PART_BYTES", 1)
+    _set_cpus(monkeypatch, parts)
+
+
+def _set_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(
+        poisson.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False
+    )
+
+
+@pytest.mark.parametrize("parts, r_block", [(2, 2), (3, 2), (2, 5), (6, 2)])
+@pytest.mark.parametrize("shape, refine_at", [((21, 19), 0.8), ((40, 36), None)])
+def test_split_table_equals_one_part_table(
+    monkeypatch, fast_switching, parts, r_block, shape, refine_at
+):
+    grid = make_grid(1.3, 1.1, *shape, refine_at=refine_at)
+    monkeypatch.setattr(poisson, "_R_BLOCK", r_block)
+    one = _fresh_kernel(grid)
+    assert one.parts == 1
+    _force_parts(monkeypatch, parts)
+    split = _fresh_kernel(grid)
+    assert split.parts == parts
+    assert np.array_equal(split._ghat, one._ghat)
+
+
+@pytest.mark.parametrize("parts", [2, 3, 6])
+def test_split_potential_equals_one_part_potential(monkeypatch, fast_switching, parts):
+    grid = make_grid(1.3, 1.1, 21, 19, refine_at=0.8)
+    kernel = _fresh_kernel(grid)
+    rng = np.random.default_rng(13)
+    odd = rng.standard_normal(grid.shape)
+    odd[:, 0] = 0.0
+    trimmed = rng.standard_normal(grid.shape)
+    trimmed[grid.nr // 2 :] = 0.0
+    cases = [
+        (rng.standard_normal(grid.shape), "even"),
+        (odd, "odd"),
+        (rng.standard_normal(grid.shape), "odd"),  # nonzero midplane row
+        (trimmed, "even"),
+        (trimmed, "odd"),
+    ]
+    ref = [kernel.potential(src, parity) for src, parity in cases]
+    _force_parts(monkeypatch, parts)
+    for (src, parity), want in zip(cases, ref):
+        assert np.array_equal(kernel.potential(src, parity), want)
+
+
+def test_part_count_rule(monkeypatch):
+    """One part per 64 MiB of table, at most one per CPU of the budget."""
+    monkeypatch.setattr(poisson, "_cpu_share", 1)
+
+    def parts(cpus, nbytes):
+        _set_cpus(monkeypatch, cpus)
+        return poisson._part_count(nbytes)
+
+    table_256 = 513 * 256 * 256 * 8  # 256.5 MiB
+    table_120 = 241 * 120 * 120 * 8  # the bb1974 scan's table
+    assert parts(2, table_256) == 2
+    assert parts(8, table_256) == 4
+    assert parts(1, table_256) == 1
+    assert parts(8, table_120) == 1
+    assert parts(8, 63 * 2**20) == 1
+    poisson.share_cpus(2)  # a worker of a --jobs 2 scan
+    assert parts(2, table_256) == 1
+    assert parts(8, table_256) == 4
+    poisson.share_cpus(3)
+    assert parts(8, table_256) == 2
+    assert parts(2, table_256) == 1

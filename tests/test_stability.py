@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rotstar import stability
 from rotstar.bases import PerturbationBasis, perturbation_basis
 from rotstar.equilibria import axistar_from_radial
 from rotstar.forms import QuadraticForm
@@ -175,6 +176,18 @@ def test_lift_identity_for_random_constrained(rot53):
         rhs = float(c @ L.matrix @ c) + lift.energy
         assert abs(lhs - rhs) <= 1e-8 * max(abs(lhs), abs(rhs), 1e-300)
         assert lift.accessibility_residual < 1e-12
+
+
+def test_lift_integrates_the_basis_once(rot53, monkeypatch):
+    basis = perturbation_basis(rot53)
+    c = _random_constrained_coeffs(rot53, basis, np.random.default_rng(1))
+    calls = []
+    real = stability.cumulative_cylinder_integrals
+    monkeypatch.setattr(
+        stability, "cumulative_cylinder_integrals", lambda *a: calls.append(a) or real(*a)
+    )
+    lift_azimuthal_velocity(rot53, basis, c)
+    assert len(calls) == 1
 
 
 def test_lift_odd_perturbation_vanishes(rot53):
