@@ -15,7 +15,7 @@ forms).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
@@ -98,21 +98,15 @@ class PerturbationBasis:
     fields: np.ndarray  # (n, nr, nz)
     parity: np.ndarray  # (n,), +1 / -1
     labels: list
-    phi2: np.ndarray = field(init=False)  # h''(rho0) on the mask, 0 outside
 
-    def __post_init__(self):
-        star = self.star
-        mask = star.support_mask
-        phi2 = np.zeros_like(star.rho)
-        phi2[mask] = star.eos.enthalpy_second(star.rho[mask])
-        self.phi2 = phi2
+    @property
+    def phi2(self) -> np.ndarray:
+        """h''(rho0) on the support, 0 outside."""
+        return self.star.context.phi2
 
     @property
     def count(self) -> int:
         return self.fields.shape[0]
-
-    def select(self, parity: int) -> np.ndarray:
-        return np.nonzero(self.parity == parity)[0]
 
     def combine(self, coeffs: np.ndarray) -> np.ndarray:
         return np.tensordot(np.asarray(coeffs), self.fields, axes=(0, 0))
@@ -135,11 +129,7 @@ def perturbation_basis(
     the discrete vertical-translation mode, to the odd sector.
     """
     grid = star.grid
-    mask = star.support_mask
-    phi2 = np.zeros_like(star.rho)
-    phi2[mask] = star.eos.enthalpy_second(star.rho[mask])
-    inv_phi2 = np.zeros_like(star.rho)
-    inv_phi2[mask] = 1.0 / phi2[mask]
+    mask, inv_phi2 = star.context.mask, star.context.inv_phi2
 
     shapes = tensor_shapes(
         grid.rs,

@@ -7,6 +7,9 @@ seeds produce byte-identical data artifacts; the manifest additionally
 records wall-clock runtimes and the Poisson thread part count, which depend
 on the host, and therefore is not byte-reproducible.
 
+``bb1974`` fixes its own star, grid and basis: its config must be ``{}``,
+and any key in it is a config error rather than silently ignored.
+
 Exit codes: 0 success, 2 config error, 3 solver failure, 4 ambiguous
 spectral classification.  Failures leave a machine-readable error.json.
 """
@@ -186,6 +189,7 @@ class ConfigError(ValueError):
 
 
 def load_config(path: str) -> dict:
+    """Read and validate a config file; the keys it sets, without defaults."""
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -194,6 +198,11 @@ def load_config(path: str) -> dict:
     error = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(cfg))
     if error is not None:
         raise ConfigError(f"config validation failed: {error.message}")
+    return cfg
+
+
+def _with_defaults(cfg: dict) -> dict:
+    """A validated config with DEFAULTS filled in under the keys it omits."""
     merged = json.loads(json.dumps(DEFAULTS))
     for key, value in cfg.items():
         if isinstance(value, dict) and key in merged:
@@ -226,26 +235,31 @@ def build_mu_grid(cfg: dict) -> np.ndarray:
 
 
 def solve_configured_star(cfg: dict):
-    rot = cfg.get("rotation")
-    if rot is None:
-        raise ConfigError("config requires a 'rotation' section")
+    fixed_omega, rotation, amplitude = _rotation_family(cfg)
     eos = build_eos(cfg)
     mu = cfg.get("mu")
     if mu is None:
         raise ConfigError("config requires 'mu'")
+    solve = solve_fixed_omega if fixed_omega else solve_fixed_j
+    return solve(eos, rotation, amplitude, mu, **_solve_kwargs(cfg))
+
+
+def _solve_kwargs(cfg: dict) -> dict:
+    """The grid and solver keys of a defaulted config, as solve keywords."""
     g, s = cfg["grid"], cfg["solver"]
-    common = dict(
+    return dict(
         nr=g["nr"], nz=g["nz"], pad=g["pad"],
         tol=s["tol"], max_iter=s["max_iter"], damping=s["damping"],
     )
-    fixed_omega, rotation, amplitude = _rotation_family(rot)
-    solve = solve_fixed_omega if fixed_omega else solve_fixed_j
-    return solve(eos, rotation, amplitude, mu, **common)
 
 
-def _rotation_family(rot: dict):
-    """(fixed_omega, law or momentum distribution, kappa or eps) of a
-    rotation section; a missing amplitude is an error, not a static star."""
+def _rotation_family(cfg: dict):
+    """(fixed_omega, law or momentum distribution, kappa or eps) of the
+    config's rotation section; a missing section or amplitude is an error,
+    not a static star."""
+    rot = cfg.get("rotation")
+    if rot is None:
+        raise ConfigError("config requires a 'rotation' section")
     fixed_omega = rot["form"] in ("rigid", "power_tail", "table")
     key = "kappa" if fixed_omega else "eps"
     if key not in rot:
@@ -265,8 +279,10 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 class _Runner:
-    def __init__(self, cfg: dict, out_dir: str, seed: int, jobs: int):
-        self.cfg = cfg
+    def __init__(self, given: dict, out_dir: str, seed: int, jobs: int):
+        #: the keys the config file set, and the config with defaults
+        self.given = given
+        self.cfg = _with_defaults(given)
         self.out = out_dir
         self.seed = seed
         self.jobs = jobs
@@ -393,20 +409,15 @@ def cmd_evolve(run: _Runner) -> int:
 
 
 def cmd_tpp_scan(run: _Runner) -> int:
-    rot = run.cfg.get("rotation")
-    if rot is None:
-        raise ConfigError("tpp-scan requires a 'rotation' section")
+    fixed_omega, rotation, amplitude = _rotation_family(run.cfg)
     eos = build_eos(run.cfg)
     mu_grid = build_mu_grid(run.cfg)
-    g, s, b = run.cfg["grid"], run.cfg["solver"], run.cfg["basis"]
-    kwargs = dict(
-        nr=g["nr"], nz=g["nz"], pad=g["pad"],
-        tol=s["tol"], max_iter=s["max_iter"], damping=s["damping"],
+    b = run.cfg["basis"]
+    scan_family = scan_fixed_omega if fixed_omega else scan_fixed_j
+    scan = scan_family(
+        eos, rotation, amplitude, mu_grid, **_solve_kwargs(run.cfg),
         deg_r=b["deg_r"], deg_z=b["deg_z"], jobs=run.jobs,
     )
-    fixed_omega, rotation, amplitude = _rotation_family(rot)
-    scan_family = scan_fixed_omega if fixed_omega else scan_fixed_j
-    scan = scan_family(eos, rotation, amplitude, mu_grid, **kwargs)
     _finish_scan(run, scan)
     if all(p.failed for p in scan.points):
         # the artifacts stay, but a scan with no converged point is a failure
@@ -415,6 +426,9 @@ def cmd_tpp_scan(run: _Runner) -> int:
 
 
 def cmd_bb1974(run: _Runner) -> int:
+    # the example fixes its own star, grid and basis; a key would be ignored
+    if run.given:
+        raise ConfigError(f"bb1974 takes no config keys, got {sorted(run.given)}")
     scan, plot = bb1974_example(jobs=run.jobs)
     _finish_scan(run, scan)
     with open(run.path("mass_curve.csv"), "w") as fh:

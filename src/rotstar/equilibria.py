@@ -1,7 +1,8 @@
 """Axisymmetric rotating equilibria by self-consistent-field iteration.
 
-Both slow-rotation families are solved on a half-plane (r, z >= 0) grid with
-even reflection:
+Both slow-rotation families are one Euler-Poisson problem on a half-plane
+(r, z >= 0) grid with even reflection, solved by one SCF driver keyed on a
+``RotationSpec``; the families differ only in the rotational potential:
 
 * fixed angular velocity: the centrifugal potential kappa^2 int_0^r w^2 s ds
   is a fixed function of radius;
@@ -13,7 +14,12 @@ Each sweep solves the Poisson problem for the current density, forms the
 effective enthalpy h = rot - V - c with the constant c pinned so that
 h(0, 0) equals the target center enthalpy, and maps back through the
 enthalpy inverse.  Updates are damped and the damping halves whenever the
-defect grows.
+defect grows; a defect that turns non-finite or exceeds the first sweep's
+by ``DIVERGENCE_FACTOR`` stops the iteration as diverged.
+
+A solved star carries one lazily built ``StarContext``: the volume weights,
+the support mask, h''(rho0) and its inverse, the column density, the radial
+support and the rotation profiles that the bases and stability forms share.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ __all__ = [
     "GridTooSmallError",
     "InsufficientResolutionError",
     "RotationSpec",
+    "StarContext",
     "AxiStar",
     "make_grid",
     "solve_fixed_omega",
@@ -52,6 +59,8 @@ __all__ = [
 ]
 
 DENSITY_FLOOR_REL = 1e-12
+#: a sweep whose defect exceeds the first sweep's by this factor has diverged
+DIVERGENCE_FACTOR = 1e3
 
 
 class NoEquilibriumError(RuntimeError):
@@ -82,6 +91,22 @@ class RotationSpec:
     eps: float = 0.0
 
 
+@dataclass(frozen=True)
+class StarContext:
+    """Arrays the analyses of one equilibrium share, built once; callers
+    read them and never write into them."""
+
+    weights: np.ndarray  # volume weights 2 pi (wr r) (x) wz
+    mask: np.ndarray  # support, rho0 > floor
+    phi2: np.ndarray  # h''(rho0) on the support, 0 outside
+    inv_phi2: np.ndarray  # 1 / h''(rho0) on the support, 0 outside
+    h1: np.ndarray  # int rho0 dz per radius
+    radial_support: np.ndarray  # (h1 > 0) & (r <= R0)
+    omega: np.ndarray  # this and the next two: azimuthal_velocity_profiles()
+    d_om_r2: np.ndarray
+    ups: np.ndarray
+
+
 @dataclass
 class AxiStar:
     """Axisymmetric equilibrium on a half-plane grid (even in z)."""
@@ -100,16 +125,32 @@ class AxiStar:
     rotation: RotationSpec
     floor: float
     _kernel: RingKernel | None = field(default=None, repr=False, compare=False)
+    _context: StarContext | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def support_mask(self) -> np.ndarray:
         return self.rho > self.floor
 
     @property
+    def context(self) -> StarContext:
+        """The star's shared derived arrays, built on first use from its
+        fields as they stand (a solved star's fields are not modified)."""
+        if self._context is None:
+            self._context = _star_context(self)
+        return self._context
+
+    @property
     def kernel(self) -> RingKernel:
         if self._kernel is None:
             self._kernel = RingKernel(self.grid)
         return self._kernel
+
+    def potentials(self, fields: np.ndarray, parities) -> np.ndarray:
+        """Gravitational potential of each field, one Poisson solve per field."""
+        pots = np.empty_like(fields)
+        for k, par in enumerate(parities):
+            pots[k] = self.kernel.potential(fields[k], parity=par)
+        return pots
 
     def h_column(self) -> np.ndarray:
         """int rho dz per radius (full line, even reflection)."""
@@ -123,7 +164,7 @@ class AxiStar:
         grad h = (rot'(r) - dV/dr, -dV/dz).  Used to form grad rho =
         grad h / h'(rho) without ever differencing the density itself.
         """
-        dVdr = _gradient_nonuniform(self.potential, self.grid.rs, axis=0)
+        dVdr = np.gradient(self.potential, self.grid.rs, axis=0, edge_order=2)
         dVdz = np.empty_like(self.potential)
         hz = self.grid.hz
         dVdz[:, 1:-1] = (self.potential[:, 2:] - self.potential[:, :-2]) / (2 * hz)
@@ -184,8 +225,17 @@ class AxiStar:
         return omega, d_om_r2, ups
 
 
-def _gradient_nonuniform(f: np.ndarray, x: np.ndarray, axis: int) -> np.ndarray:
-    return np.gradient(f, x, axis=axis, edge_order=2)
+def _star_context(star: AxiStar) -> StarContext:
+    g, mask = star.grid, star.support_mask
+    phi2 = np.zeros_like(star.rho)
+    phi2[mask] = star.eos.enthalpy_second(star.rho[mask])
+    inv_phi2 = np.zeros_like(star.rho)
+    inv_phi2[mask] = 1.0 / phi2[mask]
+    h1 = star.h_column()
+    weights = 2.0 * math.pi * np.outer(g.wr * g.rs, g.wz_line())
+    support = (h1 > 0) & (g.rs <= star.support_radius)
+    return StarContext(weights, mask, phi2, inv_phi2, h1, support,
+                       *star.azimuthal_velocity_profiles())
 
 
 def make_grid(
@@ -219,27 +269,32 @@ def make_grid(
 
 def _scf_iterate(
     eos: EquationOfState,
-    grid: Grid,
     kernel: RingKernel,
     mu: float,
     rho0: np.ndarray,
-    rot_potential,  # callable(rho, m_of_r) -> per-radius rotational potential
+    rot_potential,  # callable(rho) -> per-radius rotational potential
     tol: float,
     max_iter: int,
     damping: float,
 ):
     h_center = eos.enthalpy(mu)
     floor = DENSITY_FLOOR_REL * mu
+
+    def fields(rho):
+        """Potential, constant c and effective enthalpy h = rot - V - c."""
+        V = kernel.potential(rho)
+        rot = rot_potential(rho)
+        c = -V[0, 0] - h_center
+        return V, c, rot[:, None] - V - c
+
     rho = rho0.copy()
     theta = damping
     prev_err = math.inf
     grow_count = 0
     err = math.inf
+    blowup = math.inf  # set from the first sweep's defect
     for _ in range(max_iter):
-        V = kernel.potential(rho)
-        rot = rot_potential(rho)
-        c = -V[0, 0] - h_center
-        h = rot[:, None] - V - c
+        _, _, h = fields(rho)
         # the inverse maps h = 0 to 0, so only the support needs it
         pos = h > 0
         rho_raw = np.zeros_like(h)
@@ -254,12 +309,12 @@ def _scf_iterate(
             if grow_count >= 3:
                 theta *= 0.5
                 grow_count = 0
-                if theta < 1e-3:
-                    raise NoEquilibriumError(
-                        f"iteration diverged at mu={mu:g} (defect {err:.3e})"
-                    )
         else:
             grow_count = 0
+        if theta < 1e-3 or not math.isfinite(err) or err > blowup:
+            raise NoEquilibriumError(f"iteration diverged at mu={mu:g} (defect {err:.3e})")
+        if blowup == math.inf:
+            blowup = DIVERGENCE_FACTOR * err
         prev_err = err
     else:
         raise NoEquilibriumError(
@@ -270,13 +325,10 @@ def _scf_iterate(
         raise GridTooSmallError("density support touches the grid boundary")
 
     # final consistent fields and residual
-    V = kernel.potential(rho)
-    rot = rot_potential(rho)
-    c = -V[0, 0] - h_center
-    h = rot[:, None] - V - c
+    V, c, h = fields(rho)
     mask = rho > floor
     residual = float(np.max(np.abs(eos.enthalpy(rho[mask]) - h[mask])))
-    return rho, V, float(c), residual, floor
+    return rho, V, float(c), h, residual, floor
 
 
 def _support_extent(grid: Grid, h_equator: np.ndarray, h_axis: np.ndarray):
@@ -295,40 +347,13 @@ def _support_extent(grid: Grid, h_equator: np.ndarray, h_axis: np.ndarray):
     return crossing(grid.rs, h_equator), crossing(grid.zs, h_axis)
 
 
-def _finish(eos, grid, kernel, mu, rho, V, c, residual, floor, rotation) -> AxiStar:
-    m_of_r = grid.cylinder_mass(rho)
-    mass = 2.0 * math.pi * float(m_of_r[-1])
-    star = AxiStar(
-        eos=eos,
-        grid=grid,
-        rho=rho,
-        potential=V,
-        mu=mu,
-        c_const=c,
-        residual=residual,
-        support_radius=0.0,
-        support_height=0.0,
-        mass=mass,
-        m_of_r=m_of_r,
-        rotation=rotation,
-        floor=floor,
-        _kernel=kernel,
-    )
-    rot_arr = _rot_potential_of(star)
-    h = rot_arr[:, None] - V - c
-    R0, Z0 = _support_extent(grid, h[:, 0], h[0, :])
-    star.support_radius = R0
-    star.support_height = Z0
-    return star
-
-
-def _rot_potential_of(star: AxiStar) -> np.ndarray:
-    rot = star.rotation
-    if rot.kind == "none":
-        return np.zeros_like(star.grid.rs)
-    if rot.kind == "fixed_omega":
-        return rot.kappa**2 * np.asarray(rot.law.centrifugal_integral(star.grid.rs))
-    return _momentum_potential(star.grid, star.rho, rot.momentum, rot.eps)
+def _rot_potential_of(grid: Grid, rot: RotationSpec):
+    """rho -> rotational potential per grid radius (only the fixed-j one
+    depends on rho)."""
+    if rot.kind == "fixed_j":
+        return lambda rho: _momentum_potential(grid, rho, rot.momentum, rot.eps)
+    arr = rot.kappa**2 * np.asarray(rot.law.centrifugal_integral(grid.rs))
+    return lambda rho: arr
 
 
 def _momentum_potential(
@@ -347,6 +372,53 @@ def _momentum_potential(
     return cumulative_trapezoid(integrand, rs, initial=0) * eps**2
 
 
+def _solve(
+    eos: EquationOfState,
+    rotation: RotationSpec,
+    mu: float,
+    grid: Grid | None,
+    tol: float,
+    max_iter: int,
+    damping: float,
+    nr: int,
+    nz: int,
+    pad: float,
+) -> AxiStar:
+    """SCF equilibrium of either rotation family, seeded by the non-rotating
+    profile with the same center density."""
+    seed = solve_radial(eos, mu)
+    if rotation.kind == "fixed_j":
+        rotation.momentum.validate_origin(seed.mass)
+    if grid is None:
+        grid = make_grid(pad * seed.radius, pad * seed.radius, nr, nz)
+    if grid.rs[-1] <= seed.radius:
+        raise GridTooSmallError("grid does not contain the non-rotating support")
+    kernel = RingKernel(grid)
+    RG, ZG = grid.meshes()
+    rho0 = seed.rho_of(np.sqrt(RG**2 + ZG**2))
+    rho, V, c, h, residual, floor = _scf_iterate(
+        eos, kernel, mu, rho0, _rot_potential_of(grid, rotation), tol, max_iter, damping
+    )
+    R0, Z0 = _support_extent(grid, h[:, 0], h[0, :])
+    m_of_r = grid.cylinder_mass(rho)
+    return AxiStar(
+        eos=eos,
+        grid=grid,
+        rho=rho,
+        potential=V,
+        mu=mu,
+        c_const=c,
+        residual=residual,
+        support_radius=R0,
+        support_height=Z0,
+        mass=2.0 * math.pi * float(m_of_r[-1]),
+        m_of_r=m_of_r,
+        rotation=rotation,
+        floor=floor,
+        _kernel=kernel,
+    )
+
+
 def solve_fixed_omega(
     eos: EquationOfState,
     law: AngularVelocityLaw,
@@ -360,26 +432,11 @@ def solve_fixed_omega(
     nz: int = 96,
     pad: float = 1.35,
 ) -> AxiStar:
-    """Equilibrium with azimuthal velocity kappa * law.omega(r) * r.
-
-    Starts from the non-rotating profile with the same center density; the
-    kappa = 0 limit therefore reproduces it up to grid interpolation.
-    """
-    seed = solve_radial(eos, mu)
-    if grid is None:
-        grid = make_grid(pad * seed.radius, pad * seed.radius, nr, nz)
-    if grid.rs[-1] <= seed.radius:
-        raise GridTooSmallError("grid does not contain the non-rotating support")
-    kernel = RingKernel(grid)
-    RG, ZG = grid.meshes()
-    rho0 = seed.rho_of(np.sqrt(RG**2 + ZG**2))
-    rot_arr = kappa**2 * np.asarray(law.centrifugal_integral(grid.rs))
-
-    rho, V, c, residual, floor = _scf_iterate(
-        eos, grid, kernel, mu, rho0, lambda r_: rot_arr, tol, max_iter, damping
-    )
+    """Equilibrium with azimuthal velocity kappa * law.omega(r) * r; the
+    kappa = 0 limit reproduces the non-rotating profile up to grid
+    interpolation."""
     rotation = RotationSpec(kind="fixed_omega", law=law, kappa=kappa)
-    return _finish(eos, grid, kernel, mu, rho, V, c, residual, floor, rotation)
+    return _solve(eos, rotation, mu, grid, tol, max_iter, damping, nr, nz, pad)
 
 
 def solve_fixed_j(
@@ -398,29 +455,8 @@ def solve_fixed_j(
     """Equilibrium whose specific angular momentum follows a fixed
     distribution over cylinder mass; the rotational potential is rebuilt
     from the current iterate each sweep."""
-    seed = solve_radial(eos, mu)
-    momentum.validate_origin(seed.mass)
-    if grid is None:
-        grid = make_grid(pad * seed.radius, pad * seed.radius, nr, nz)
-    if grid.rs[-1] <= seed.radius:
-        raise GridTooSmallError("grid does not contain the non-rotating support")
-    kernel = RingKernel(grid)
-    RG, ZG = grid.meshes()
-    rho0 = seed.rho_of(np.sqrt(RG**2 + ZG**2))
-
-    rho, V, c, residual, floor = _scf_iterate(
-        eos,
-        grid,
-        kernel,
-        mu,
-        rho0,
-        lambda r_: _momentum_potential(grid, r_, momentum, eps),
-        tol,
-        max_iter,
-        damping,
-    )
     rotation = RotationSpec(kind="fixed_j", momentum=momentum, eps=eps)
-    return _finish(eos, grid, kernel, mu, rho, V, c, residual, floor, rotation)
+    return _solve(eos, rotation, mu, grid, tol, max_iter, damping, nr, nz, pad)
 
 
 def axistar_from_radial(

@@ -192,6 +192,12 @@ class FamilyScanResult:
         }
 
 
+def _family_solve(kind: str):
+    """The solve of a rotation family, looked up as a module global when
+    called (so a wrapped ``solve_fixed_*`` is the one that runs)."""
+    return solve_fixed_omega if kind == "fixed_omega" else solve_fixed_j
+
+
 @dataclass(frozen=True)
 class _ScanJob:
     eos: EquationOfState
@@ -209,9 +215,8 @@ class _ScanJob:
     zero_tol: float
 
     def run(self, mu: float) -> FamilyPoint:
-        solve = solve_fixed_omega if self.kind == "fixed_omega" else solve_fixed_j
         try:
-            star = solve(
+            star = _family_solve(self.kind)(
                 self.eos, self.rotation, self.parameter, mu,
                 nr=self.nr, nz=self.nz, pad=self.pad, tol=self.tol,
                 max_iter=self.max_iter, damping=self.damping,
@@ -327,10 +332,7 @@ def calibrate_rotation_amplitude(
         ok = True
         for mu in mu_endpoints:
             try:
-                if kind == "fixed_omega":
-                    star = solve_fixed_omega(eos, rotation, amp, mu, nr=nr, nz=nz)
-                else:
-                    star = solve_fixed_j(eos, rotation, amp, mu, nr=nr, nz=nz)
+                star = _family_solve(kind)(eos, rotation, amp, mu, nr=nr, nz=nz)
             except (NoEquilibriumError, GridTooSmallError):
                 ok = False
                 break

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import eigh
 
-__all__ = ["Inertia", "QuadraticForm", "restrict_to_complement"]
+__all__ = ["Inertia", "QuadraticForm", "restrict_to_complement", "whiten"]
 
 #: default relative half-width of the "numerically zero" eigenvalue band
 DEFAULT_ZERO_TOL = 1e-8
@@ -96,13 +96,19 @@ class QuadraticForm:
         return rel * scale
 
 
-def _pencil_eig(q: np.ndarray, g: np.ndarray):
-    """Eigenpairs of Q v = lambda G v on the numerically resolved span of G."""
+def whiten(g: np.ndarray) -> np.ndarray:
+    """Columns B with B^T G B = I spanning the numerically resolved range of
+    G: Gram eigen-directions below GRAM_CUTOFF times the largest are dropped."""
     w, u = np.linalg.eigh(g)
     keep = w > GRAM_CUTOFF * w[-1]
     if not np.any(keep):
         raise ValueError("gram matrix is numerically zero")
-    basis = u[:, keep] / np.sqrt(w[keep])
+    return u[:, keep] / np.sqrt(w[keep])
+
+
+def _pencil_eig(q: np.ndarray, g: np.ndarray):
+    """Eigenpairs of Q v = lambda G v on the numerically resolved span of G."""
+    basis = whiten(g)
     lam, vec = eigh(basis.T @ q @ basis)
     return lam, basis @ vec
 

@@ -74,15 +74,6 @@ class VelocityBasis:
         )
 
 
-def _grad_rho(star: AxiStar):
-    """grad rho0 = grad h / h''(rho0) on the support, zero outside."""
-    mask = star.support_mask
-    inv_phi2 = np.zeros_like(star.rho)
-    inv_phi2[mask] = 1.0 / star.eos.enthalpy_second(star.rho[mask])
-    ghr, ghz = star.grad_h()
-    return ghr * inv_phi2, ghz * inv_phi2
-
-
 def _legendre_1d(arg, deg):
     eye = np.eye(deg + 1)
     vals = np.stack([npleg.legval(arg, eye[i]) for i in range(deg + 1)])
@@ -114,9 +105,11 @@ def velocity_basis(
     g = star.grid
     rs, zs = g.rs, g.zs
     R0, Z0 = star.support_radius, star.support_height
-    mask = star.support_mask
+    mask, inv_phi2 = star.context.mask, star.context.inv_phi2
     rho = np.where(mask, star.rho, 0.0)
-    drho_r, drho_z = _grad_rho(star)
+    # grad rho0 = grad h / h''(rho0) on the support, zero outside
+    ghr, ghz = star.grad_h()
+    drho_r, drho_z = ghr * inv_phi2, ghz * inv_phi2
 
     RG = rs[:, None]
     fields_r, fields_z, divs, kinds = [], [], [], []
@@ -189,7 +182,7 @@ def velocity_basis(
 def upsilon_range(star: AxiStar, n_samples: int = 2048):
     """Range [min, max] of the actual discriminant over the support radii."""
     rs = star.grid.rs
-    _, _, ups = star.azimuthal_velocity_profiles()
+    ups = star.context.ups
     sup = rs <= star.support_radius
     fine = np.interp(
         np.linspace(0.0, star.support_radius, n_samples), rs[sup], ups[sup]
@@ -207,13 +200,9 @@ def assemble_meridional_form(star: AxiStar, basis: VelocityBasis) -> QuadraticFo
             "rotation is Rayleigh stable on this star; use the reduced "
             "first-order stability analysis instead"
         )
-    g = star.grid
-    w = 2.0 * math.pi * np.outer(g.wr * g.rs, g.wz_line())
-    mask = star.support_mask
-    rho = np.where(mask, star.rho, 0.0)
-    phi2 = np.zeros_like(star.rho)
-    phi2[mask] = star.eos.enthalpy_second(star.rho[mask])
-    _, _, ups = star.azimuthal_velocity_profiles()
+    ctx = star.context
+    w, phi2, ups = ctx.weights, ctx.phi2, ctx.ups
+    rho = np.where(ctx.mask, star.rho, 0.0)
 
     n = basis.count
     D = basis.div_fields.reshape(n, -1)
@@ -222,18 +211,11 @@ def assemble_meridional_form(star: AxiStar, basis: VelocityBasis) -> QuadraticFo
     WD = (basis.div_fields * (w * phi2)[None]).reshape(n, -1)
     Q = WD @ D.T
     nz_div = [k for k in range(n) if basis.kinds[k] == "grad"]
-    pots = {}
-    for k in nz_div:
-        pots[k] = star.kernel.potential(basis.div_fields[k], parity=basis.parity)
     if nz_div:
-        P = np.zeros_like(basis.div_fields[: len(nz_div)])
-        for idx, k in enumerate(nz_div):
-            P[idx] = pots[k]
+        P = star.potentials(basis.div_fields[nz_div], [basis.parity] * len(nz_div))
         WF = (basis.div_fields[nz_div] * w[None]).reshape(len(nz_div), -1)
         grav = WF @ P.reshape(len(nz_div), -1).T
-        for a, ka in enumerate(nz_div):
-            for b, kb in enumerate(nz_div):
-                Q[ka, kb] += 0.5 * (grav[a, b] + grav[b, a])
+        Q[np.ix_(nz_div, nz_div)] += 0.5 * (grav + grav.T)
 
     wu = w * (rho * ups[:, None])
     Q += (basis.fields_r * wu[None]).reshape(n, -1) @ basis.fields_r.reshape(n, -1).T

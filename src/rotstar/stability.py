@@ -33,7 +33,7 @@ from scipy.linalg import eig
 
 from rotstar.bases import PerturbationBasis, perturbation_basis, tensor_shapes
 from rotstar.equilibria import AxiStar
-from rotstar.forms import QuadraticForm, restrict_to_complement
+from rotstar.forms import QuadraticForm, restrict_to_complement, whiten
 
 __all__ = [
     "VERDICT_ZERO_TOL",
@@ -62,11 +62,6 @@ __all__ = [
 VERDICT_ZERO_TOL = 1e-3
 
 
-def _volume_weights(star: AxiStar) -> np.ndarray:
-    g = star.grid
-    return 2.0 * math.pi * np.outer(g.wr * g.rs, g.wz_line())
-
-
 def _pair_integrals(weighted_fields: np.ndarray, fields: np.ndarray) -> np.ndarray:
     n = fields.shape[0]
     a = weighted_fields.reshape(n, -1)
@@ -87,15 +82,12 @@ def assemble_perturbation_energy(
     """Pressure-plus-self-gravity energy form on the basis, with its
     weighted-L2 Gram.  Opposite-parity couplings vanish identically and are
     zeroed instead of quadratured."""
-    w = _volume_weights(star)
+    w = star.context.weights
     fields = basis.fields
     gram = _pair_integrals(fields * (w * basis.phi2)[None], fields)
     gram = _zero_cross_parity(gram, basis.parity)
 
-    pots = np.empty_like(fields)
-    for k in range(basis.count):
-        par = "even" if basis.parity[k] > 0 else "odd"
-        pots[k] = star.kernel.potential(fields[k], parity=par)
+    pots = star.potentials(fields, ["even" if p > 0 else "odd" for p in basis.parity])
     grav = _pair_integrals(fields * w[None], pots)
     grav = _zero_cross_parity(0.5 * (grav + grav.T), basis.parity)
 
@@ -107,20 +99,17 @@ def rotational_weight(star: AxiStar):
     """Per-radius weight W(r) of the reduced rotational correction, on the
     radial support mask (zero outside)."""
     rs = star.grid.rs
-    h1 = star.h_column()
-    sup = (h1 > 0) & (rs <= star.support_radius)
+    ctx = star.context
+    sup = ctx.radial_support
     w = np.zeros_like(rs)
     rot = star.rotation
     if rot.kind == "none":
         return w, sup
-    if rot.kind == "fixed_j":
-        m = star.m_of_r
-        off = sup & (rs > 0)
-        w[off] = rot.eps**2 * rot.momentum.dJ_dp(m[off], star.mass) / rs[off] ** 3
-        return w, sup
-    _, _, ups = star.azimuthal_velocity_profiles()
     off = sup & (rs > 0)
-    w[off] = ups[off] / (rs[off] * h1[off])
+    if rot.kind == "fixed_j":
+        w[off] = rot.eps**2 * rot.momentum.dJ_dp(star.m_of_r[off], star.mass) / rs[off] ** 3
+    else:
+        w[off] = ctx.ups[off] / (rs[off] * ctx.h1[off])
     return w, sup
 
 
@@ -178,13 +167,22 @@ def restrict_mass_zero(form: QuadraticForm, star: AxiStar, basis: PerturbationBa
 
 def density_form_value(star: AxiStar, fld: np.ndarray, parity: str = "even") -> float:
     """Energy-form value of a single density perturbation field."""
-    w = _volume_weights(star)
-    mask = star.support_mask
-    phi2 = np.zeros_like(star.rho)
-    phi2[mask] = star.eos.enthalpy_second(star.rho[mask])
-    pressure = float(np.sum(w * phi2 * fld * fld))
+    w = star.context.weights
+    pressure = float(np.sum(w * star.context.phi2 * fld * fld))
     pot = star.kernel.potential(fld, parity=parity)
     return pressure + float(np.sum(w * fld * pot))
+
+
+def _azimuthal_weight(star: AxiStar, user: str) -> np.ndarray:
+    """Kinetic weight 4 omega^2 / Upsilon of v_theta on the radial support
+    (zero elsewhere); it exists only for a Rayleigh stable rotation."""
+    ctx = star.context
+    sup = ctx.radial_support
+    if np.any(ctx.ups[sup] <= 0):
+        raise ValueError(f"{user} needs a centrifugally (Rayleigh) stable rotation")
+    aw = np.zeros_like(ctx.ups)
+    aw[sup] = 4.0 * ctx.omega[sup] ** 2 / ctx.ups[sup]
+    return aw
 
 
 @dataclass
@@ -211,12 +209,10 @@ def lift_azimuthal_velocity(
     rot = star.rotation
     if rot.kind == "none":
         raise ValueError("lift needs a rotating star")
-    omega, d_om_r2, ups = star.azimuthal_velocity_profiles()
+    ctx = star.context
+    d_om_r2, h1, sup = ctx.d_om_r2, ctx.h1, ctx.radial_support
+    aw = _azimuthal_weight(star, "lift")
     rs = star.grid.rs
-    h1 = star.h_column()
-    sup = (h1 > 0) & (rs <= star.support_radius)
-    if np.any(ups[sup] <= 0):
-        raise ValueError("lift needs a centrifugally (Rayleigh) stable rotation")
     F = np.asarray(coeffs) @ cumulative_cylinder_integrals(star, basis)
     total = 2.0 * math.pi * float(F[-1])  # mass_constraint(star, basis) @ coeffs
     scale = np.max(np.abs(F)) + 1e-300
@@ -229,15 +225,12 @@ def lift_azimuthal_velocity(
 
     wr = star.grid.wr
     u_norm_sq = 2.0 * math.pi * float(np.sum(wr[off] * rs[off] * u[off] ** 2 * h1[off]))
-    aw = np.zeros_like(rs)
-    aw[off] = 4.0 * omega[off] ** 2 / ups[off]
     energy = 2.0 * math.pi * float(
         np.sum(wr[off] * aw[off] * rs[off] * u[off] ** 2 * h1[off])
     )
 
     dfield = basis.combine(coeffs)
-    w = _volume_weights(star)
-    d_norm_sq = float(np.sum(w * basis.phi2 * dfield * dfield))
+    d_norm_sq = float(np.sum(ctx.weights * basis.phi2 * dfield * dfield))
     ratio = math.sqrt(u_norm_sq / d_norm_sq) if d_norm_sq > 0 else math.inf
 
     lhs = u * h1
@@ -263,17 +256,10 @@ def casimir_second_variation(star: AxiStar, state: LinearState) -> float:
     energy form of rho + rotational kinetic form of v_theta + meridional
     kinetic energy.  Needs a centrifugally stable rotation for the v_theta
     weight to exist."""
-    w = _volume_weights(star)
+    w = star.context.weights
     val = density_form_value(star, state.rho, parity=state.parity)
     if np.any(state.v_theta != 0):
-        omega, _, ups = star.azimuthal_velocity_profiles()
-        rs = star.grid.rs
-        h1 = star.h_column()
-        sup = (h1 > 0) & (rs <= star.support_radius)
-        if np.any(ups[sup] <= 0):
-            raise ValueError("v_theta energy needs a Rayleigh stable rotation")
-        aw = np.zeros_like(rs)
-        aw[sup] = 4.0 * omega[sup] ** 2 / ups[sup]
+        aw = _azimuthal_weight(star, "v_theta energy")
         val += float(np.sum(w * (aw[:, None] * star.rho) * state.v_theta**2))
     val += float(np.sum(w * star.rho * (state.v_r**2 + state.v_z**2)))
     return val
@@ -339,12 +325,6 @@ class Generator:
         return float(z @ z)
 
 
-def _whiten(gram: np.ndarray, cutoff: float = 1e-12):
-    w, u = np.linalg.eigh(gram)
-    keep = w > cutoff * w[-1]
-    return u[:, keep] / np.sqrt(w[keep])
-
-
 def assemble_generator(
     star: AxiStar,
     parity: str = "even",
@@ -363,20 +343,12 @@ def assemble_generator(
     rot = star.rotation
     if rot.kind == "none":
         raise ValueError("the generator needs a rotating star (kappa or eps > 0)")
-    omega, d_om_r2, ups = star.azimuthal_velocity_profiles()
+    aw = _azimuthal_weight(star, "the generator")
+    ctx = star.context
+    omega, d_om_r2 = ctx.omega, ctx.d_om_r2
+    w, phi2, inv_phi2 = ctx.weights, ctx.phi2, ctx.inv_phi2
     g = star.grid
     rs = g.rs
-    h1 = star.h_column()
-    sup = (h1 > 0) & (rs <= star.support_radius)
-    if np.any(ups[sup] <= 0):
-        raise ValueError("the generator needs a Rayleigh stable rotation")
-
-    mask = star.support_mask
-    w = _volume_weights(star)
-    phi2 = np.zeros_like(star.rho)
-    phi2[mask] = star.eos.enthalpy_second(star.rho[mask])
-    inv_phi2 = np.zeros_like(star.rho)
-    inv_phi2[mask] = 1.0 / phi2[mask]
 
     # density shapes: delta_rho = chi * inv_phi2 ; v_theta shapes: plain chi
     dens = tensor_shapes(rs, g.zs, star.support_radius, star.support_height,
@@ -400,20 +372,16 @@ def assemble_generator(
         "aij,bij->ab", vz * rho_w[None], vz
     )
 
-    B1 = _whiten(G1)
-    B2 = _whiten(G2)
-    BY = _whiten(GY)
+    B1 = whiten(G1)
+    B2 = whiten(G2)
+    BY = whiten(GY)
 
     # density energy block
-    pots = np.empty_like(dfields)
-    for k in range(dfields.shape[0]):
-        pots[k] = star.kernel.potential(dfields[k], parity=parity)
+    pots = star.potentials(dfields, [parity] * len(dfields))
     Lq = G1 + _pair_integrals(dfields * w[None], pots)
     Lq = 0.5 * (Lq + Lq.T)
 
     # azimuthal kinetic block: weight 4 omega^2 rho0 / Upsilon
-    aw = np.zeros_like(rs)
-    aw[sup] = 4.0 * omega[sup] ** 2 / ups[sup]
     Aq = _pair_integrals(tfields * (w * aw[:, None] * star.rho)[None], tfields)
 
     # couplings: M1[j, a] = int rho0 grad(xi_a) . grad(chi_j) dx

@@ -202,15 +202,32 @@ def test_partial_tpp_scan_exits_ok(tmp_path, monkeypatch):
     assert not (out / "error.json").exists()
 
 
-@pytest.mark.parametrize("form, scan_name", [("power_j", "scan_fixed_j"), ("rigid", "scan_fixed_omega")])
-def test_tpp_scan_passes_grid_and_solver_keys(tmp_path, monkeypatch, form, scan_name):
+_FAMILY_GLOBALS = ("scan_fixed_j", "scan_fixed_omega", "solve_fixed_j", "solve_fixed_omega")
+
+
+@pytest.mark.parametrize(
+    "form, name",
+    [
+        ("power_j", "scan_fixed_j"),
+        ("rigid", "scan_fixed_omega"),
+        ("power_j", "solve_fixed_j"),
+        ("rigid", "solve_fixed_omega"),
+    ],
+)
+def test_tpp_scan_passes_grid_and_solver_keys(tmp_path, monkeypatch, form, name):
+    """tpp-scan (scan_*) and equilibrium (solve_*) hand the grid and solver
+    keys to the family-named module global, looked up when called."""
     seen = {}
 
-    def fake_scan(*args, **kwargs):
+    def fake(*args, **kwargs):
         seen.update(kwargs)
         raise ConfigError("stop before compute")
 
-    monkeypatch.setattr(cli, scan_name, fake_scan)
+    def wrong(*args, **kwargs):
+        raise AssertionError("the other family's entry point was called")
+
+    for other in _FAMILY_GLOBALS:
+        monkeypatch.setattr(cli, other, fake if other == name else wrong)
     rigid = {"form": form, "omega_c": 1.0, "kappa": 0.05}
     rotation = rigid if form == "rigid" else TPP_CFG["rotation"]
     payload = {
@@ -219,8 +236,13 @@ def test_tpp_scan_passes_grid_and_solver_keys(tmp_path, monkeypatch, form, scan_
         "grid": {"nr": 40, "nz": 44, "pad": 1.6},
         "solver": {"tol": 1e-7, "max_iter": 17, "damping": 0.3},
     }
+    if name.startswith("solve"):
+        command = "equilibrium"
+        payload = {**{k: v for k, v in payload.items() if k != "mu_grid"}, "mu": 1.0}
+    else:
+        command = "tpp-scan"
     cfg = write(tmp_path, "cfg.json", payload)
-    assert main(["tpp-scan", cfg, "--out-dir", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert main([command, cfg, "--out-dir", str(tmp_path / "o")]) == EXIT_CONFIG
     expected = dict(nr=40, nz=44, pad=1.6, tol=1e-7, max_iter=17, damping=0.3)
     assert {k: seen[k] for k in expected} == expected
 
@@ -288,6 +310,20 @@ def test_bb1974_command_reports_turning_point(tmp_path):
     curve = (out / "mass_curve.csv").read_text().strip().splitlines()
     masses = [float(r.split(",")[1]) for r in curve[1:]]
     assert min(masses) < masses[0] and min(masses) < masses[-1]
+
+
+def test_bb1974_rejects_config_keys(tmp_path, monkeypatch):
+    """bb1974 fixes its own star, grid and basis; a key it would ignore is a
+    config error before any compute."""
+    monkeypatch.setattr(cli, "bb1974_example", lambda **kw: pytest.fail("scan ran"))
+    for name, payload in (("grid", {"grid": {"nr": 96}}), ("mu", {"mu": 2.0})):
+        cfg = write(tmp_path, f"{name}.json", payload)
+        out = tmp_path / name
+        assert main(["bb1974", cfg, "--out-dir", str(out)]) == EXIT_CONFIG
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "config"
+        assert name in err["message"]
+        assert not (out / "summary.json").exists()
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])

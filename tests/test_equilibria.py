@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -142,6 +143,46 @@ def test_scf_divergence_detected(eos53):
     damping has been halved below 1e-3."""
     with pytest.raises(NoEquilibriumError, match="iteration diverged at mu=1"):
         solve_fixed_omega(eos53, RigidLaw(1.0), 0.7, 1.0, nr=24, nz=24, pad=3.0)
+
+
+def test_scf_blowup_reported_as_divergence(eos53):
+    """Rotation far past mass shedding: the density runs away within a few
+    sweeps while the defect never rises three sweeps in a row, so only the
+    blow-up guard (defect above DIVERGENCE_FACTOR times the first sweep's)
+    stops it before the sweep budget."""
+    with pytest.raises(NoEquilibriumError, match="iteration diverged at mu=1"):
+        solve_fixed_omega(eos53, RigidLaw(1.0), 3.0, 1.0, nr=24, nz=24, pad=3.0)
+
+
+def test_one_driver_for_both_families(eos53):
+    """Without rotation the two families are the same SCF problem and the
+    shared driver gives bit-identical stars."""
+    omega = solve_fixed_omega(eos53, RigidLaw(1.0), 0.0, 1.0, nr=48, nz=48)
+    fixed_j = solve_fixed_j(eos53, FixedTotalMomentum(), 0.0, 1.0, nr=48, nz=48)
+    assert np.array_equal(omega.rho, fixed_j.rho)
+    assert np.array_equal(omega.potential, fixed_j.potential)
+    assert omega.mass == fixed_j.mass
+    assert omega.support_radius == fixed_j.support_radius
+    assert omega.residual == fixed_j.residual
+    assert (omega.rotation.kind, fixed_j.rotation.kind) == ("fixed_omega", "fixed_j")
+
+
+def test_star_context_is_built_once(rot53):
+    ctx = rot53.context
+    assert rot53.context is ctx
+    mask = rot53.rho > rot53.floor
+    assert np.array_equal(ctx.mask, mask)
+    assert np.array_equal(ctx.phi2[mask], rot53.eos.enthalpy_second(rot53.rho[mask]))
+    assert np.all(ctx.phi2[~mask] == 0) and np.all(ctx.inv_phi2[~mask] == 0)
+    g = rot53.grid
+    assert np.array_equal(ctx.weights, 2.0 * math.pi * np.outer(g.wr * g.rs, g.wz_line()))
+    assert np.array_equal(ctx.h1, rot53.h_column())
+    for got, want in zip((ctx.omega, ctx.d_om_r2, ctx.ups),
+                         rot53.azimuthal_velocity_profiles()):
+        assert np.array_equal(got, want)
+    # a copied star with another density gets its own context
+    other = dataclasses.replace(rot53, rho=2.0 * rot53.rho)
+    assert not np.array_equal(other.context.h1, ctx.h1)
 
 
 def test_boundary_asymptotics_targets(eos53):
