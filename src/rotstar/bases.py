@@ -23,7 +23,19 @@ from numpy.polynomial import legendre as npleg
 from rotstar.equilibria import AxiStar
 from rotstar.radial import solve_radial
 
-__all__ = ["ScalarShapes", "PerturbationBasis", "perturbation_basis"]
+__all__ = ["legendre_table", "ScalarShapes", "PerturbationBasis", "perturbation_basis"]
+
+
+def legendre_table(arg, deg):
+    """Legendre polynomials P_0..P_deg at ``arg`` with their first and second
+    derivatives, one row per degree."""
+    eye = np.eye(deg + 1)
+    vals = np.stack([npleg.legval(arg, eye[i]) for i in range(deg + 1)])
+    ders = np.stack([npleg.legval(arg, npleg.legder(eye[i])) for i in range(deg + 1)])
+    der2 = np.stack(
+        [npleg.legval(arg, npleg.legder(eye[i], 2)) for i in range(deg + 1)]
+    )
+    return vals, ders, der2
 
 
 @dataclass
@@ -55,18 +67,10 @@ def tensor_shapes(
     The radial argument is 2 r / r_scale - 1 and the vertical argument
     z / z_scale, so vertical parity equals the parity of the z degree.
     """
-    x = 2.0 * rs / r_scale - 1.0
-    zeta = zs / z_scale
-    eye_r = np.eye(deg_r + 1)
-    eye_z = np.eye(deg_z + 1)
-    Pr = np.stack([npleg.legval(x, eye_r[i]) for i in range(deg_r + 1)])
-    dPr = np.stack(
-        [npleg.legval(x, npleg.legder(eye_r[i])) for i in range(deg_r + 1)]
-    ) * (2.0 / r_scale)
-    Pz = np.stack([npleg.legval(zeta, eye_z[j]) for j in range(deg_z + 1)])
-    dPz = np.stack(
-        [npleg.legval(zeta, npleg.legder(eye_z[j])) for j in range(deg_z + 1)]
-    ) / z_scale
+    Pr, dPr, _ = legendre_table(2.0 * rs / r_scale - 1.0, deg_r)
+    dPr = dPr * (2.0 / r_scale)
+    Pz, dPz, _ = legendre_table(zs / z_scale, deg_z)
+    dPz = dPz / z_scale
 
     vals, gr, gz, par, degs = [], [], [], [], []
     for j in range(deg_z + 1):

@@ -468,12 +468,9 @@ def main(argv=None) -> int:
     parser.add_argument("--out-dir", default="rotstar_out")
     parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--print-defaults", action="store_true", help="dump default settings and exit"
-    )
     args = parser.parse_args(argv)
 
-    if args.command == "print-defaults" or args.print_defaults:
+    if args.command == "print-defaults":
         json.dump(DEFAULTS, sys.stdout, indent=1, sort_keys=True)
         sys.stdout.write("\n")
         return EXIT_OK

@@ -20,6 +20,10 @@ by ``DIVERGENCE_FACTOR`` stops the iteration as diverged.
 A solved star carries one lazily built ``StarContext``: the volume weights,
 the support mask, h''(rho0) and its inverse, the column density, the radial
 support and the rotation profiles that the bases and stability forms share.
+The profiles (omega, d(omega r^2)/dr, Upsilon) are the only way the rotation
+reaches those analyses; the family itself is read here only where the
+physics differs (rotational potential, fixed-j origin check, profile
+definitions, persistence).
 """
 
 from __future__ import annotations
@@ -38,7 +42,9 @@ from rotstar.radial import RadialStar, solve_radial
 from rotstar.rotlaw import (
     AngularVelocityLaw,
     MomentumDistribution,
+    law_config,
     law_from_config,
+    momentum_config,
     momentum_from_config,
 )
 
@@ -106,6 +112,12 @@ class StarContext:
     d_om_r2: np.ndarray
     ups: np.ndarray
 
+    @property
+    def rotating(self) -> bool:
+        """Whether the star rotates at all (a kappa = 0 or eps = 0 star of a
+        rotating family does not)."""
+        return bool(np.any(self.omega))
+
 
 @dataclass
 class AxiStar:
@@ -161,7 +173,8 @@ class AxiStar:
 
         The potential is differenced (it is smooth through the surface) and
         the rotational part is added analytically; h = rot - V - c, so
-        grad h = (rot'(r) - dV/dr, -dV/dz).  Used to form grad rho =
+        grad h = (rot'(r) - dV/dr, -dV/dz) with the centrifugal acceleration
+        rot'(r) = omega^2 r in both families.  Used to form grad rho =
         grad h / h'(rho) without ever differencing the density itself.
         """
         dVdr = np.gradient(self.potential, self.grid.rs, axis=0, edge_order=2)
@@ -170,22 +183,8 @@ class AxiStar:
         dVdz[:, 1:-1] = (self.potential[:, 2:] - self.potential[:, :-2]) / (2 * hz)
         dVdz[:, 0] = 0.0  # even reflection
         dVdz[:, -1] = (self.potential[:, -1] - self.potential[:, -2]) / hz
-        rotp = self.rotational_gradient()
+        rotp = self.context.omega**2 * self.grid.rs
         return rotp[:, None] - dVdr, -dVdz
-
-    def rotational_gradient(self) -> np.ndarray:
-        """d/dr of the rotational potential, per grid radius."""
-        rs = self.grid.rs
-        rot = self.rotation
-        if rot.kind == "none":
-            return np.zeros_like(rs)
-        if rot.kind == "fixed_omega":
-            return rot.kappa**2 * np.asarray(rot.law.omega(rs)) ** 2 * rs
-        out = np.zeros_like(rs)
-        off = rs > 0
-        M = self.mass
-        out[off] = rot.eps**2 * rot.momentum.J(self.m_of_r[off], M) / rs[off] ** 3
-        return out
 
     def azimuthal_velocity_profiles(self):
         """Consistent rotation profiles on the grid radii.
@@ -538,10 +537,10 @@ def save_axistar(star: AxiStar, path: str) -> None:
     rot_meta: dict = {"kind": rot.kind}
     if rot.kind == "fixed_omega":
         rot_meta["kappa"] = rot.kappa
-        rot_meta["law"] = _law_config(rot.law)
+        rot_meta["law"] = law_config(rot.law)
     elif rot.kind == "fixed_j":
         rot_meta["eps"] = rot.eps
-        rot_meta["momentum"] = _momentum_config(rot.momentum)
+        rot_meta["momentum"] = momentum_config(rot.momentum)
     eos = star.eos
     meta = {
         "mu": star.mu,
@@ -569,38 +568,6 @@ def save_axistar(star: AxiStar, path: str) -> None:
     np.savetxt(
         os.path.join(path, "potential.csv"), star.potential, delimiter=",", fmt="%.16e"
     )
-
-
-def _law_config(law) -> dict:
-    from rotstar import rotlaw
-
-    if isinstance(law, rotlaw.RigidLaw):
-        return {"form": "rigid", "omega_c": law.omega_c}
-    if isinstance(law, rotlaw.PowerTailLaw):
-        return {"form": "power_tail", "omega_c": law.omega_c, "r_c": law.r_c, "p": law.p}
-    if isinstance(law, rotlaw.TabulatedLaw):
-        return {
-            "form": "table",
-            "r": law.r_samples.tolist(),
-            "omega": law.omega_samples.tolist(),
-        }
-    raise ValueError("unknown angular velocity law")
-
-
-def _momentum_config(momentum) -> dict:
-    from rotstar import rotlaw
-
-    if isinstance(momentum, rotlaw.FixedTotalMomentum):
-        return {"form": "bb_j"}
-    if isinstance(momentum, rotlaw.PowerLawMomentum):
-        return {"form": "power_j", "coeff": momentum.coeff, "exponent": momentum.exponent}
-    if isinstance(momentum, rotlaw.UnitMassMomentum):
-        return {
-            "form": "unit_mass_j",
-            "coeff": momentum.coeff,
-            "exponent": momentum.exponent,
-        }
-    raise ValueError("unknown momentum distribution")
 
 
 def load_axistar(path: str) -> AxiStar:

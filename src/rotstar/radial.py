@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, solve_ivp
@@ -208,28 +209,30 @@ def _profile_grid(radius: float, n: int) -> np.ndarray:
 # -- family scans ----------------------------------------------------------
 
 
-def mass_derivative(eos: EquationOfState, mu: float, h_rel: float = 1e-3,
-                    tol: float = 1e-11) -> float:
-    """dM/dmu by central differences with one Richardson extrapolation."""
+def _family_derivative(eos: EquationOfState, mu: float, h_rel: float, tol: float,
+                       quantity: Callable[[RadialStar], float]) -> float:
+    """d/dmu of ``quantity`` along the family, by central differences with
+    one Richardson extrapolation."""
 
     def central(h):
-        return (solve_radial(eos, mu + h, tol).mass - solve_radial(eos, mu - h, tol).mass) / (2 * h)
+        sp = solve_radial(eos, mu + h, tol)
+        sm = solve_radial(eos, mu - h, tol)
+        return (quantity(sp) - quantity(sm)) / (2 * h)
 
     h = h_rel * mu
     return (4.0 * central(h / 2) - central(h)) / 3.0
+
+
+def mass_derivative(eos: EquationOfState, mu: float, h_rel: float = 1e-3,
+                    tol: float = 1e-11) -> float:
+    """dM/dmu by central differences with one Richardson extrapolation."""
+    return _family_derivative(eos, mu, h_rel, tol, lambda s: s.mass)
 
 
 def surface_potential_derivative(eos: EquationOfState, mu: float,
                                  h_rel: float = 1e-3, tol: float = 1e-11) -> float:
     """d/dmu of the surface potential -M/R, by the same difference scheme."""
-
-    def central(h):
-        sp = solve_radial(eos, mu + h, tol)
-        sm = solve_radial(eos, mu - h, tol)
-        return (-sp.mass / sp.radius + sm.mass / sm.radius) / (2 * h)
-
-    h = h_rel * mu
-    return (4.0 * central(h / 2) - central(h)) / 3.0
+    return _family_derivative(eos, mu, h_rel, tol, lambda s: -s.mass / s.radius)
 
 
 @dataclass
@@ -286,17 +289,10 @@ def family_scan_radial(
     if ratio_changes:
         i = ratio_changes[0]
         if refine:
-            def ratio_derivative(m):
-                h = 5e-4 * m
-
-                def central(hh):
-                    sp = solve_radial(eos, m + hh, tol)
-                    sm = solve_radial(eos, m - hh, tol)
-                    return (sp.mass / sp.radius - sm.mass / sm.radius) / (2 * hh)
-
-                return (4.0 * central(h / 2) - central(h)) / 3.0
-
-            mu_tilde = _refine_extremum(ratio_derivative, mu[i], mu[i + 1])
+            mu_tilde = _refine_extremum(
+                lambda m: -surface_potential_derivative(eos, m, h_rel=5e-4, tol=tol),
+                mu[i], mu[i + 1],
+            )
         else:
             mu_tilde = 0.5 * (mu[i] + mu[i + 1])
 

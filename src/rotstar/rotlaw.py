@@ -37,7 +37,9 @@ __all__ = [
     "UnitMassMomentum",
     "omega_from_j",
     "law_from_config",
+    "law_config",
     "momentum_from_config",
+    "momentum_config",
 ]
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(6)
@@ -386,6 +388,21 @@ def law_from_config(cfg: dict) -> AngularVelocityLaw:
     raise ValueError(f"unknown angular velocity form {form!r}")
 
 
+def law_config(law: AngularVelocityLaw) -> dict:
+    """The config section ``law_from_config`` reads back into ``law``."""
+    if isinstance(law, RigidLaw):
+        return {"form": "rigid", "omega_c": law.omega_c}
+    if isinstance(law, PowerTailLaw):
+        return {"form": "power_tail", "omega_c": law.omega_c, "r_c": law.r_c, "p": law.p}
+    if isinstance(law, TabulatedLaw):
+        return {
+            "form": "table",
+            "r": law.r_samples.tolist(),
+            "omega": law.omega_samples.tolist(),
+        }
+    raise ValueError("unknown angular velocity law")
+
+
 def momentum_from_config(cfg: dict) -> MomentumDistribution:
     form = cfg.get("form")
     if form == "bb_j":
@@ -395,3 +412,18 @@ def momentum_from_config(cfg: dict) -> MomentumDistribution:
     if form == "unit_mass_j":
         return UnitMassMomentum(coeff=cfg.get("coeff", 1.0), exponent=cfg.get("exponent", 2.0))
     raise ValueError(f"unknown momentum distribution form {form!r}")
+
+
+def momentum_config(momentum: MomentumDistribution) -> dict:
+    """The config section ``momentum_from_config`` reads back into ``momentum``."""
+    if isinstance(momentum, FixedTotalMomentum):
+        return {"form": "bb_j"}
+    if isinstance(momentum, PowerLawMomentum):
+        return {"form": "power_j", "coeff": momentum.coeff, "exponent": momentum.exponent}
+    if isinstance(momentum, UnitMassMomentum):
+        return {
+            "form": "unit_mass_j",
+            "coeff": momentum.coeff,
+            "exponent": momentum.exponent,
+        }
+    raise ValueError("unknown momentum distribution")

@@ -22,11 +22,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import legendre as npleg
 from scipy.interpolate import BSpline
 
+from rotstar.bases import legendre_table
 from rotstar.equilibria import AxiStar
 from rotstar.forms import QuadraticForm
+from rotstar.stability import LinearTrajectory
 
 __all__ = [
     "AmbiguousClassificationError",
@@ -35,7 +36,6 @@ __all__ = [
     "assemble_meridional_form",
     "SpectrumReport",
     "spectrum_report",
-    "WaveTrajectory",
     "evolve_second_order",
     "upsilon_range",
 ]
@@ -74,16 +74,6 @@ class VelocityBasis:
         )
 
 
-def _legendre_1d(arg, deg):
-    eye = np.eye(deg + 1)
-    vals = np.stack([npleg.legval(arg, eye[i]) for i in range(deg + 1)])
-    ders = np.stack([npleg.legval(arg, npleg.legder(eye[i])) for i in range(deg + 1)])
-    der2 = np.stack(
-        [npleg.legval(arg, npleg.legder(eye[i], 2)) for i in range(deg + 1)]
-    )
-    return vals, ders, der2
-
-
 def velocity_basis(
     star: AxiStar,
     parity: str = "even",
@@ -117,8 +107,8 @@ def velocity_basis(
     # gradient fields: xi = P_i(2 (r/R0)^2 - 1) * P_j(z/Z0)
     x = 2.0 * (rs / R0) ** 2 - 1.0
     zeta = zs / Z0
-    Pr, dPr, d2Pr = _legendre_1d(x, grad_deg_r)
-    Pz, dPz, d2Pz = _legendre_1d(zeta, grad_deg_z)
+    Pr, dPr, d2Pr = legendre_table(x, grad_deg_r)
+    Pz, dPz, d2Pz = legendre_table(zeta, grad_deg_z)
     x_r = (4.0 / R0**2) * rs
     for j in range(grad_deg_z + 1):
         even_j = j % 2 == 0
@@ -146,6 +136,8 @@ def velocity_basis(
     deg = 2
     t = np.concatenate([[0.0] * deg, knots, [R0] * deg])
     n_bumps = len(t) - deg - 1
+    Zt, dZt, _ = legendre_table(zeta, ring_deg_z)
+    dZt = dZt / Z0
     for ib in range(n_bumps):
         coef = np.zeros(n_bumps)
         coef[ib] = 1.0
@@ -155,8 +147,7 @@ def velocity_basis(
         if not np.any(beta):
             continue
         for j in kz:
-            Z = npleg.legval(zeta, np.eye(ring_deg_z + 1)[j])
-            dZ = npleg.legval(zeta, npleg.legder(np.eye(ring_deg_z + 1)[j])) / Z0
+            Z, dZ = Zt[j], dZt[j]
             bZ = np.outer(beta, Z)
             # u_r = r (2 rho_z q + rho q_z), u_z = -(2 rho q + r (2 rho_r q + rho q_r))
             q = bZ
@@ -334,24 +325,6 @@ def spectrum_report(
     )
 
 
-@dataclass
-class WaveTrajectory:
-    times: np.ndarray
-    norms: np.ndarray  # kinetic-Gram norm of u
-    energies: np.ndarray  # ||u_t||_Y^2 + [L u, u]
-    energy_scales: np.ndarray
-
-    @property
-    def energy_drift(self) -> float:
-        scale = np.max(self.energy_scales) + 1e-300
-        return float(np.max(np.abs(self.energies - self.energies[0]))) / scale
-
-    def growth_rate(self, window: float = 0.5) -> float:
-        n = self.times.size
-        i0 = int((1.0 - window) * n)
-        return float(np.polyfit(self.times[i0:], np.log(self.norms[i0:]), 1)[0])
-
-
 def evolve_second_order(
     form: QuadraticForm,
     u0: np.ndarray,
@@ -359,7 +332,7 @@ def evolve_second_order(
     T: float,
     dt: float | None = None,
     dt_factor: float = 0.1,
-) -> WaveTrajectory:
+) -> LinearTrajectory:
     """Leapfrog integration of  u_tt = -(form) u  in whitened coordinates.
 
     ``u0``/``v0`` are coordinates in the pencil eigenbasis, whose columns
@@ -395,4 +368,4 @@ def evolve_second_order(
             a_new = -lam * c
             v = v + 0.5 * dt * (a + a_new)
             a = a_new
-    return WaveTrajectory(times, norms, energies, scales)
+    return LinearTrajectory(times, energies, norms, scales)

@@ -10,10 +10,11 @@ equals the number of negative directions of the reduced form
 
     E[dr] + 2 pi int_0^R0 W(r) F(r)^2 dr,   F(r) = int_0^r s int dr dz ds,
 
-restricted to zero total mass, where the rotational weight W is
-Upsilon(r) / (r * int rho0 dz) for a prescribed angular velocity and
-eps^2 dJ/dp(m(r), M) / r^3 for a prescribed momentum distribution (the two
-agree identically through Upsilon = 2 omega d(omega r^2)/dr / r).
+restricted to zero total mass, where the rotational weight is
+W = Upsilon(r) / (r * int rho0 dz) for both rotation families: the star's
+rotation enters every form below only through its profiles omega,
+d(omega r^2)/dr and Upsilon (for a prescribed momentum distribution W equals
+eps^2 dJ/dp(m(r), M) / r^3 through Upsilon = 2 omega d(omega r^2)/dr / r).
 
 A matched discretization of the full linearized generator is provided as a
 cross-check: its construction is exactly Hamiltonian at the matrix level, so
@@ -96,20 +97,14 @@ def assemble_perturbation_energy(
 
 
 def rotational_weight(star: AxiStar):
-    """Per-radius weight W(r) of the reduced rotational correction, on the
-    radial support mask (zero outside)."""
+    """Per-radius weight W(r) = Upsilon / (r int rho0 dz) of the reduced
+    rotational correction, on the radial support mask (zero outside)."""
     rs = star.grid.rs
     ctx = star.context
     sup = ctx.radial_support
     w = np.zeros_like(rs)
-    rot = star.rotation
-    if rot.kind == "none":
-        return w, sup
     off = sup & (rs > 0)
-    if rot.kind == "fixed_j":
-        w[off] = rot.eps**2 * rot.momentum.dJ_dp(star.m_of_r[off], star.mass) / rs[off] ** 3
-    else:
-        w[off] = ctx.ups[off] / (rs[off] * ctx.h1[off])
+    w[off] = ctx.ups[off] / (rs[off] * ctx.h1[off])
     return w, sup
 
 
@@ -138,10 +133,7 @@ def assemble_reduced_energy(
     stability form.  For a non-rotating star the correction vanishes and the
     result equals the plain energy form."""
     base = assemble_perturbation_energy(star, basis, zero_tol=zero_tol)
-    rot = star.rotation
-    if rot.kind == "none":
-        return base
-    if rot.kind == "fixed_omega" and rot.kappa == 0.0:
+    if not star.context.rotating:
         return base
     w, sup = rotational_weight(star)
     if np.any(w[sup] < 0):
@@ -206,10 +198,9 @@ def lift_azimuthal_velocity(
     exactly at the discrete level, because all three are built from the same
     grid profiles.
     """
-    rot = star.rotation
-    if rot.kind == "none":
-        raise ValueError("lift needs a rotating star")
     ctx = star.context
+    if not ctx.rotating:
+        raise ValueError("lift needs a rotating star")
     d_om_r2, h1, sup = ctx.d_om_r2, ctx.h1, ctx.radial_support
     aw = _azimuthal_weight(star, "lift")
     rs = star.grid.rs
@@ -340,11 +331,10 @@ def assemble_generator(
     vertical parity bookkeeping is handled internally: an 'even' sector means
     even density, even v_theta, even v_r and odd v_z).
     """
-    rot = star.rotation
-    if rot.kind == "none":
+    ctx = star.context
+    if not ctx.rotating:
         raise ValueError("the generator needs a rotating star (kappa or eps > 0)")
     aw = _azimuthal_weight(star, "the generator")
-    ctx = star.context
     omega, d_om_r2 = ctx.omega, ctx.d_om_r2
     w, phi2, inv_phi2 = ctx.weights, ctx.phi2, ctx.inv_phi2
     g = star.grid
@@ -433,11 +423,14 @@ def generator_unstable_count(gen: Generator, rel_tol: float = 1e-6):
 
 @dataclass
 class LinearTrajectory:
+    """Time series of a linear evolution: the generator's first-order flow
+    or the meridional second-order wave equation (which keeps no states)."""
+
     times: np.ndarray
-    energies: np.ndarray
-    norms: np.ndarray
-    states: np.ndarray  # (n_steps + 1, dim)
+    energies: np.ndarray  # conserved quadratic per step
+    norms: np.ndarray  # state norm per step
     energy_scales: np.ndarray  # magnitude of the energy terms per step
+    states: np.ndarray | None = None  # (n_steps + 1, dim)
 
     @property
     def energy_drift(self) -> float:
@@ -483,7 +476,7 @@ def evolve_linearized(gen: Generator, z0: np.ndarray, T: float, dt: float) -> Li
         states[i] = z
         if i < n_steps:
             z = sla.lu_solve((lu, piv), B @ z)
-    return LinearTrajectory(times, energies, norms, states, scales)
+    return LinearTrajectory(times, energies, norms, scales, states)
 
 
 def generator_spectrum(star: AxiStar, parities=("even", "odd"), **kwargs) -> np.ndarray:
@@ -528,7 +521,7 @@ def stability_report(
         "n_zero": inertia.n_zero,
         "verdict": "stable" if inertia.n_minus == 0 else "unstable",
     }
-    if with_generator and star.rotation.kind != "none":
+    if with_generator and star.context.rotating:
         gen_counts = []
         growth = 0.0
         for parity in ("even", "odd"):

@@ -117,6 +117,36 @@ def test_equilibrium_and_stability_commands(tmp_path):
     assert rep["n_minus_L"] == 1
 
 
+@pytest.mark.parametrize(
+    "rotation",
+    [
+        {"form": "rigid", "omega_c": 1.0, "kappa": 0.0},
+        {"form": "power_j", "coeff": 1.0, "exponent": 2.0, "eps": 0.0},
+    ],
+    ids=["kappa0", "eps0"],
+)
+def test_static_star_skips_generator(tmp_path, rotation):
+    """A rotating family at zero amplitude is a static star: its generator
+    is skipped, as for any non-rotating star, instead of failing."""
+    cfg = write(
+        tmp_path,
+        "cfg.json",
+        {
+            "eos": {"kind": "polytropic", "c_minus": 1.0, "gamma0": 1.6666666666666667},
+            "rotation": rotation,
+            "mu": 1.0,
+            "grid": {"nr": 48, "nz": 48},
+            "basis": {"deg_r": 6, "deg_z": 2},
+            "with_generator": True,
+        },
+    )
+    out = tmp_path / "st"
+    assert main(["stability", cfg, "--out-dir", str(out)]) == EXIT_OK
+    rep = json.loads((out / "stability.json").read_text())
+    assert rep["n_minus_L"] == 1
+    assert "generator_unstable_count" not in rep and "growth_rate" not in rep
+
+
 def test_spectrum_and_evolve_commands(tmp_path):
     cfg = write(
         tmp_path,

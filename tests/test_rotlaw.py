@@ -13,6 +13,10 @@ from rotstar.rotlaw import (
     casimir_profile,
     classify_rayleigh,
     discriminant,
+    law_config,
+    law_from_config,
+    momentum_config,
+    momentum_from_config,
     omega_from_j,
 )
 
@@ -177,3 +181,36 @@ def test_table_law_from_csv(tmp_path):
     np.savetxt(path, data, delimiter=",")
     law = law_from_config({"form": "table", "path": str(path)})
     assert np.allclose(discriminant(law, np.linspace(0, 2, 11)), 9.0, atol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "law",
+    [
+        RigidLaw(0.7),
+        PowerTailLaw(omega_c=1.2, r_c=0.4, p=2.0),
+        TabulatedLaw(np.linspace(0.0, 2.0, 6), np.linspace(1.0, 0.5, 6)),
+    ],
+    ids=["rigid", "power_tail", "table"],
+)
+def test_law_config_round_trip(law):
+    cfg = law_config(law)
+    back = law_from_config(cfg)
+    assert type(back) is type(law)
+    if isinstance(law, TabulatedLaw):
+        assert np.array_equal(back.r_samples, law.r_samples)
+        assert np.array_equal(back.omega_samples, law.omega_samples)
+    else:
+        assert back == law
+    assert law_config(back) == cfg
+
+
+@pytest.mark.parametrize(
+    "momentum",
+    [FixedTotalMomentum(), PowerLawMomentum(1.5, 3.0), UnitMassMomentum(0.5, 2.5)],
+    ids=["bb_j", "power_j", "unit_mass_j"],
+)
+def test_momentum_config_round_trip(momentum):
+    cfg = momentum_config(momentum)
+    back = momentum_from_config(cfg)
+    assert back == momentum
+    assert momentum_config(back) == cfg

@@ -381,3 +381,70 @@ def test_fixed_j_weight_agrees_with_induced_law(eos53):
     w_spline = ups_spline[interior] / (rs[interior] * h1[interior])
     rel = np.abs(w_spline - w_direct[interior]) / np.max(np.abs(w_direct[interior]))
     assert np.max(rel) < 5e-3
+
+
+@pytest.fixture(scope="module")
+def power_j48(eos53):
+    from rotstar.equilibria import solve_fixed_j
+    from rotstar.rotlaw import PowerLawMomentum
+
+    return solve_fixed_j(eos53, PowerLawMomentum(1.0, 2.0), 0.4, 1.0, nr=48, nz=48)
+
+
+def _family_closed_forms(star):
+    """Centrifugal acceleration and reduced weight written per family:
+    kappa^2 omega^2 r and kappa^2 d(omega^2 r^4)/dr / (r^4 h1) for a fixed
+    angular velocity, eps^2 J / r^3 and eps^2 dJ/dp / r^3 for a fixed
+    momentum distribution (zero on the axis, the weight also off the
+    radial support)."""
+    rs, rot = star.grid.rs, star.rotation
+    h1 = star.h_column()
+    off = rs > 0
+    sup = off & star.context.radial_support
+    grad, weight = np.zeros_like(rs), np.zeros_like(rs)
+    if rot.kind == "fixed_omega":
+        grad = rot.kappa**2 * np.asarray(rot.law.omega(rs)) ** 2 * rs
+        weight[sup] = rot.kappa**2 * rot.law.omega_sq_r4_derivative(rs[sup]) / (
+            rs[sup] ** 4 * h1[sup]
+        )
+    else:
+        m, M = star.m_of_r, star.mass
+        grad[off] = rot.eps**2 * rot.momentum.J(m[off], M) / rs[off] ** 3
+        weight[sup] = rot.eps**2 * rot.momentum.dJ_dp(m[sup], M) / rs[sup] ** 3
+    return grad, weight
+
+
+@pytest.mark.parametrize("name", ["rayleigh_unstable_star", "power_j48"])
+def test_profiles_give_each_family_its_gradient_and_weight(request, name):
+    """The centrifugal gradient omega^2 r and the weight Upsilon / (r h1),
+    both read from the rotation profiles, equal the per-family formulas."""
+    star = request.getfixturevalue(name)
+    grad, weight = _family_closed_forms(star)
+    dVdr = np.gradient(star.potential, star.grid.rs, axis=0, edge_order=2)
+    rotp = star.grad_h()[0] + dVdr
+    assert np.max(np.abs(rotp - grad[:, None])) <= 1e-13 * np.max(np.abs(grad))
+    w, sup = stability.rotational_weight(star)
+    off = sup & (star.grid.rs > 0)
+    assert np.all(w[~off] == 0)
+    assert np.max(np.abs(w[off] - weight[off])) <= 1e-13 * np.max(np.abs(weight[off]))
+
+
+@pytest.mark.parametrize("family", ["fixed_omega", "fixed_j"])
+def test_static_star_of_a_rotating_family(eos53, family):
+    """kappa = 0 or eps = 0 gives a static star: the reduced form is the
+    energy form, and the lift and the generator refuse it."""
+    from rotstar.equilibria import solve_fixed_j, solve_fixed_omega
+    from rotstar.rotlaw import FixedTotalMomentum, RigidLaw
+
+    if family == "fixed_omega":
+        star = solve_fixed_omega(eos53, RigidLaw(1.0), 0.0, 1.0, nr=48, nz=48)
+    else:
+        star = solve_fixed_j(eos53, FixedTotalMomentum(), 0.0, 1.0, nr=48, nz=48)
+    assert not star.context.rotating
+    basis = perturbation_basis(star, deg_r=6, deg_z=2)
+    K = assemble_reduced_energy(star, basis)
+    assert np.array_equal(K.matrix, assemble_perturbation_energy(star, basis).matrix)
+    with pytest.raises(ValueError, match="needs a rotating star"):
+        assemble_generator(star, "even")
+    with pytest.raises(ValueError, match="needs a rotating star"):
+        lift_azimuthal_velocity(star, basis, np.zeros(basis.count))
