@@ -52,7 +52,6 @@ from rotstar.stability import (
     casimir_second_variation,
     evolve_linearized,
     evolve_linearized_state,
-    generator_spectrum,
     generator_unstable_count,
     lift_azimuthal_velocity,
     restrict_mass_zero,

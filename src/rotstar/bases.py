@@ -101,7 +101,6 @@ class PerturbationBasis:
     star: AxiStar
     fields: np.ndarray  # (n, nr, nz)
     parity: np.ndarray  # (n,), +1 / -1
-    labels: list
 
     @property
     def phi2(self) -> np.ndarray:
@@ -146,7 +145,6 @@ def perturbation_basis(
     )
     fields = shapes.values * inv_phi2[None, :, :]
     tags = list(shapes.parity)
-    labels = [f"p{i}q{j}" for (i, j) in shapes.degrees]
     extra_fields = []
 
     if append_mu_direction and parity in ("both", "even"):
@@ -159,7 +157,6 @@ def perturbation_basis(
         dmu[~mask] = 0.0
         extra_fields.append(dmu)
         tags.append(+1)
-        labels.append("mu_direction")
 
     if append_vertical_shift and parity in ("both", "odd"):
         _, hz_grad = star.grad_h()
@@ -167,10 +164,7 @@ def perturbation_basis(
         shift[~mask] = 0.0
         extra_fields.append(shift)
         tags.append(-1)
-        labels.append("vertical_shift")
 
     if extra_fields:
         fields = np.concatenate([fields, np.stack(extra_fields)], axis=0)
-    return PerturbationBasis(
-        star=star, fields=fields, parity=np.array(tags), labels=labels
-    )
+    return PerturbationBasis(star=star, fields=fields, parity=np.array(tags))

@@ -34,11 +34,7 @@ from rotstar.equilibria import (
 from rotstar.poisson import share_cpus
 from rotstar.radial import UnboundedStarError
 from rotstar.rotlaw import AngularVelocityLaw, FixedTotalMomentum, MomentumDistribution
-from rotstar.stability import (
-    VERDICT_ZERO_TOL,
-    assemble_reduced_energy,
-    restrict_mass_zero,
-)
+from rotstar.stability import assemble_reduced_energy, restrict_mass_zero
 
 __all__ = [
     "FamilyPoint",
@@ -212,7 +208,6 @@ class _ScanJob:
     damping: float
     deg_r: int
     deg_z: int
-    zero_tol: float
 
     def run(self, mu: float) -> FamilyPoint:
         try:
@@ -229,7 +224,7 @@ class _ScanJob:
             return FamilyPoint(
                 mu=mu,
                 mass=star.mass,
-                n_u=Kc.n_minus(self.zero_tol),
+                n_u=Kc.n_minus(),
                 lam_min=Kc.smallest(),
             )
         except (NoEquilibriumError, GridTooSmallError, UnboundedStarError) as exc:
@@ -265,7 +260,6 @@ def scan_fixed_omega(
     tol: float = 1e-10,
     deg_r: int = 8,
     deg_z: int = 4,
-    zero_tol: float = VERDICT_ZERO_TOL,
     jobs: int = 1,
     margin_at_extremum: bool = True,
     pad: float = 1.35,
@@ -275,8 +269,7 @@ def scan_fixed_omega(
     """Scan the fixed-angular-velocity family over mu_grid; ``pad``,
     ``tol``, ``max_iter`` and ``damping`` go to every point's solve."""
     job = _ScanJob(
-        eos, "fixed_omega", law, kappa, nr, nz, pad, tol, max_iter, damping,
-        deg_r, deg_z, zero_tol,
+        eos, "fixed_omega", law, kappa, nr, nz, pad, tol, max_iter, damping, deg_r, deg_z
     )
     return _run_scan(job, mu_grid, jobs, margin_at_extremum)
 
@@ -291,7 +284,6 @@ def scan_fixed_j(
     tol: float = 1e-10,
     deg_r: int = 8,
     deg_z: int = 4,
-    zero_tol: float = VERDICT_ZERO_TOL,
     jobs: int = 1,
     margin_at_extremum: bool = False,
     pad: float = 1.35,
@@ -301,8 +293,7 @@ def scan_fixed_j(
     """Scan the fixed-momentum-distribution family over mu_grid; ``pad``,
     ``tol``, ``max_iter`` and ``damping`` go to every point's solve."""
     job = _ScanJob(
-        eos, "fixed_j", momentum, eps, nr, nz, pad, tol, max_iter, damping,
-        deg_r, deg_z, zero_tol,
+        eos, "fixed_j", momentum, eps, nr, nz, pad, tol, max_iter, damping, deg_r, deg_z
     )
     return _run_scan(job, mu_grid, jobs, margin_at_extremum)
 

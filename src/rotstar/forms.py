@@ -5,7 +5,10 @@ directions of a symmetric bilinear form against a positive (semi)definite
 Gram matrix on a finite Galerkin subspace.  The count is performed on the
 whitened pencil: the Gram is eigendecomposed, directions below a relative
 cutoff are dropped (they carry no resolvable mass), and the form is
-diagonalized in the remaining well-conditioned subspace.
+diagonalized in the remaining well-conditioned subspace.  Every verdict
+counts its modes with one relative kernel band, VERDICT_ZERO_TOL, the
+default of ``inertia``/``n_minus``; ``stability`` re-exports it and no
+verdict path passes a band of its own.
 """
 
 from __future__ import annotations
@@ -15,10 +18,15 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import eigh
 
-__all__ = ["Inertia", "QuadraticForm", "restrict_to_complement", "whiten"]
+__all__ = [
+    "VERDICT_ZERO_TOL", "Inertia", "QuadraticForm", "restrict_to_complement", "whiten",
+]
 
-#: default relative half-width of the "numerically zero" eigenvalue band
-DEFAULT_ZERO_TOL = 1e-8
+#: relative half-width (scaled by the largest |eigenvalue|) of the kernel band
+#: every verdict is counted with: discrete kernels of the continuum forms (the
+#: vertical-shift mode) carry O(quadrature) leakage, well above pencil
+#: round-off but far below the physical gaps.
+VERDICT_ZERO_TOL = 1e-3
 #: relative Gram eigenvalue cutoff below which directions are discarded
 GRAM_CUTOFF = 1e-12
 
@@ -39,15 +47,12 @@ class QuadraticForm:
 
     ``eigenvalues`` are those of the whitened pencil Q v = lambda G v in the
     retained subspace; ``vectors`` hold the corresponding coefficient vectors
-    in the original basis (columns).  ``zero_tol`` is the relative band
-    (scaled by the largest |eigenvalue|) inside which a mode is reported as
-    kernel.
+    in the original basis (columns).  The inertia counts a mode as kernel
+    inside the relative band ``zero_tol`` (default VERDICT_ZERO_TOL).
     """
 
     matrix: np.ndarray
     gram: np.ndarray
-    zero_tol: float = DEFAULT_ZERO_TOL
-    labels: tuple[str, ...] | None = None
     constraint_vacuous: bool = False
     eigenvalues: np.ndarray = field(init=False)
     vectors: np.ndarray = field(init=False)
@@ -74,14 +79,14 @@ class QuadraticForm:
     def rank(self) -> int:
         return self.eigenvalues.size
 
-    def inertia(self, zero_tol: float | None = None) -> Inertia:
-        tol = self._band(zero_tol)
+    def inertia(self, zero_tol: float = VERDICT_ZERO_TOL) -> Inertia:
         lam = self.eigenvalues
+        tol = zero_tol * (np.max(np.abs(lam)) if lam.size else 0.0)
         n_minus = int(np.sum(lam < -tol))
         n_zero = int(np.sum(np.abs(lam) <= tol))
         return Inertia(n_minus, n_zero, lam.size - n_minus - n_zero)
 
-    def n_minus(self, zero_tol: float | None = None) -> int:
+    def n_minus(self, zero_tol: float = VERDICT_ZERO_TOL) -> int:
         return self.inertia(zero_tol).n_minus
 
     def smallest(self) -> float:
@@ -89,11 +94,6 @@ class QuadraticForm:
 
     def eigenvector(self, i: int) -> np.ndarray:
         return self.vectors[:, i]
-
-    def _band(self, zero_tol: float | None) -> float:
-        rel = self.zero_tol if zero_tol is None else zero_tol
-        scale = np.max(np.abs(self.eigenvalues)) if self.eigenvalues.size else 0.0
-        return rel * scale
 
 
 def whiten(g: np.ndarray) -> np.ndarray:
@@ -129,16 +129,11 @@ def restrict_to_complement(
     )
     c = c[live]
     if c.shape[0] == 0:
-        out = QuadraticForm(
-            form.matrix, form.gram, zero_tol=form.zero_tol, constraint_vacuous=True
-        )
-        return out
+        return QuadraticForm(form.matrix, form.gram, constraint_vacuous=True)
     _, _, vt = np.linalg.svd(c, full_matrices=True)
     null_basis = vt[c.shape[0]:].T  # (n, n-m)
     # the projections are symmetric up to round-off amplified by any large
     # dynamic range in the form entries; re-symmetrize explicitly
     q = null_basis.T @ form.matrix @ null_basis
     g = null_basis.T @ form.gram @ null_basis
-    return QuadraticForm(
-        0.5 * (q + q.T), 0.5 * (g + g.T), zero_tol=form.zero_tol
-    )
+    return QuadraticForm(0.5 * (q + q.T), 0.5 * (g + g.T))

@@ -427,8 +427,4 @@ class RingKernel:
 
     def interaction(self, f: np.ndarray, g: np.ndarray, parity: str = "even") -> float:
         """Double integral  int int f(x) g(y) / |x - y| dx dy  (same parity fields)."""
-        pot = -self.potential(g, parity)
-        wz = self.grid.wz_line()
-        return 2.0 * math.pi * float(
-            np.einsum("i,j,ij->", self.grid.wr * self.grid.rs, wz, f * pot)
-        )
+        return self.grid.integrate(f * -self.potential(g, parity))

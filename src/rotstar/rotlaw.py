@@ -228,14 +228,10 @@ def casimir_profile(law: AngularVelocityLaw, r_grid):
         raise ValueError("omega * r^2 must be strictly monotone on the grid")
     # g(s(r)) = - int_0^r omega(t) s'(t) dt, accumulated by Gauss quadrature
     def integrand(t):
-        return law.omega(t) * _d_s(law, t)
+        return law.omega(t) * law.d_omega_r2(t)
 
     g = -_cumulative_gauss(integrand, r)
     return CubicHermiteSpline(s, g, -w), s, g
-
-
-def _d_s(law: AngularVelocityLaw, t):
-    return law.d_omega_r2(t)
 
 
 def _cumulative_gauss(f, r):

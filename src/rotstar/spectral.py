@@ -7,6 +7,10 @@ the second-order system  u_tt = -(L1 + L2) u  instead, with
     [L1 u, u] = int h''(rho0) D(u)^2 dx - int int D(u)(x) D(u)(y)/|x-y|,
     [L2 u, u] = int rho0 Upsilon(r) u_r^2 dx,        D(u) = div(rho0 u).
 
+L1 is the density energy form evaluated on D(u): it is assembled by the
+same ``stability.energy_blocks`` as the reduced form and the generator, and
+every grid product goes through ``stability.pair_integrals``.
+
 Its essential spectrum is the closed range of Upsilon, an interval [-a, b]
 with a > 0; finitely many eigenvalues sit below -a and a sequence of
 eigenvalues escapes upward.  The Galerkin velocity space combines gradient
@@ -27,7 +31,7 @@ from scipy.interpolate import BSpline
 from rotstar.bases import legendre_table
 from rotstar.equilibria import AxiStar
 from rotstar.forms import QuadraticForm
-from rotstar.stability import LinearTrajectory
+from rotstar.stability import LinearTrajectory, energy_blocks, pair_integrals
 
 __all__ = [
     "AmbiguousClassificationError",
@@ -192,30 +196,23 @@ def assemble_meridional_form(star: AxiStar, basis: VelocityBasis) -> QuadraticFo
             "first-order stability analysis instead"
         )
     ctx = star.context
-    w, phi2, ups = ctx.weights, ctx.phi2, ctx.ups
+    w = ctx.weights
     rho = np.where(ctx.mask, star.rho, 0.0)
-
-    n = basis.count
-    D = basis.div_fields.reshape(n, -1)
-    if not np.all(np.isfinite(D)):
+    if not np.all(np.isfinite(basis.div_fields)):
         raise ValueError("velocity basis has entries with undefined divergence norm")
-    WD = (basis.div_fields * (w * phi2)[None]).reshape(n, -1)
-    Q = WD @ D.T
-    nz_div = [k for k in range(n) if basis.kinds[k] == "grad"]
-    if nz_div:
-        P = star.potentials(basis.div_fields[nz_div], [basis.parity] * len(nz_div))
-        WF = (basis.div_fields[nz_div] * w[None]).reshape(len(nz_div), -1)
-        grav = WF @ P.reshape(len(nz_div), -1).T
-        Q[np.ix_(nz_div, nz_div)] += 0.5 * (grav + grav.T)
 
-    wu = w * (rho * ups[:, None])
-    Q += (basis.fields_r * wu[None]).reshape(n, -1) @ basis.fields_r.reshape(n, -1).T
-    Q = 0.5 * (Q + Q.T)
+    # L1 is the energy form of div(rho0 u); the ring rows stay exact zeros
+    n = basis.count
+    grad = [k for k in range(n) if basis.kinds[k] == "grad"]
+    pressure, grav = energy_blocks(star, basis.div_fields[grad], [basis.parity] * len(grad))
+    Q = np.zeros((n, n))
+    Q[np.ix_(grad, grad)] = pressure + grav
+    Q += pair_integrals(basis.fields_r, basis.fields_r, w * (rho * ctx.ups[:, None]))
 
     wk = w * rho
-    G = (basis.fields_r * wk[None]).reshape(n, -1) @ basis.fields_r.reshape(n, -1).T
-    G += (basis.fields_z * wk[None]).reshape(n, -1) @ basis.fields_z.reshape(n, -1).T
-    return QuadraticForm(Q, 0.5 * (G + G.T))
+    G = pair_integrals(basis.fields_r, basis.fields_r, wk)
+    G += pair_integrals(basis.fields_z, basis.fields_z, wk)
+    return QuadraticForm(Q, G)
 
 
 @dataclass

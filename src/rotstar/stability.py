@@ -34,10 +34,12 @@ from scipy.linalg import eig
 
 from rotstar.bases import PerturbationBasis, perturbation_basis, tensor_shapes
 from rotstar.equilibria import AxiStar
-from rotstar.forms import QuadraticForm, restrict_to_complement, whiten
+from rotstar.forms import VERDICT_ZERO_TOL, QuadraticForm, restrict_to_complement, whiten
 
 __all__ = [
     "VERDICT_ZERO_TOL",
+    "pair_integrals",
+    "energy_blocks",
     "assemble_perturbation_energy",
     "assemble_reduced_energy",
     "restrict_mass_zero",
@@ -49,7 +51,6 @@ __all__ = [
     "casimir_second_variation",
     "Generator",
     "assemble_generator",
-    "generator_spectrum",
     "generator_unstable_count",
     "LinearTrajectory",
     "evolve_linearized",
@@ -57,17 +58,23 @@ __all__ = [
     "stability_report",
 ]
 
-#: kernel band used for verdict-level inertia: discrete kernels of the
-#: continuum forms (the vertical-shift mode) carry O(quadrature) leakage,
-#: well above the raw 1e-8 pencil band but far below the physical gaps.
-VERDICT_ZERO_TOL = 1e-3
+
+def pair_integrals(a: np.ndarray, b: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """Matrix of weighted grid products sum(a_i * weight * b_j) of two field
+    stacks (either may be empty); ``weight`` holds the quadrature weights."""
+    npts = weight.size
+    return (a * weight).reshape(-1, npts) @ b.reshape(-1, npts).T
 
 
-def _pair_integrals(weighted_fields: np.ndarray, fields: np.ndarray) -> np.ndarray:
-    n = fields.shape[0]
-    a = weighted_fields.reshape(n, -1)
-    b = fields.reshape(n, -1)
-    return a @ b.T
+def energy_blocks(star: AxiStar, fields: np.ndarray, parities) -> tuple:
+    """The two blocks of the energy form on a field stack: the pressure Gram
+    int h''(rho0) f_i f_j dx and the symmetrized gravity block
+    -int int f_i(x) f_j(y) / |x - y| dx dy, each field's potential solved
+    with its parity ("even" / "odd")."""
+    w = star.context.weights
+    pressure = pair_integrals(fields, fields, w * star.context.phi2)
+    grav = pair_integrals(fields, star.potentials(fields, parities), w)
+    return pressure, 0.5 * (grav + grav.T)
 
 
 def _zero_cross_parity(mat: np.ndarray, parity: np.ndarray) -> np.ndarray:
@@ -77,23 +84,14 @@ def _zero_cross_parity(mat: np.ndarray, parity: np.ndarray) -> np.ndarray:
     return out
 
 
-def assemble_perturbation_energy(
-    star: AxiStar, basis: PerturbationBasis, zero_tol: float | None = None
-) -> QuadraticForm:
+def assemble_perturbation_energy(star: AxiStar, basis: PerturbationBasis) -> QuadraticForm:
     """Pressure-plus-self-gravity energy form on the basis, with its
     weighted-L2 Gram.  Opposite-parity couplings vanish identically and are
     zeroed instead of quadratured."""
-    w = star.context.weights
-    fields = basis.fields
-    gram = _pair_integrals(fields * (w * basis.phi2)[None], fields)
+    parities = ["even" if p > 0 else "odd" for p in basis.parity]
+    gram, grav = energy_blocks(star, basis.fields, parities)
     gram = _zero_cross_parity(gram, basis.parity)
-
-    pots = star.potentials(fields, ["even" if p > 0 else "odd" for p in basis.parity])
-    grav = _pair_integrals(fields * w[None], pots)
-    grav = _zero_cross_parity(0.5 * (grav + grav.T), basis.parity)
-
-    kwargs = {} if zero_tol is None else {"zero_tol": zero_tol}
-    return QuadraticForm(gram + grav, gram, **kwargs)
+    return QuadraticForm(gram + _zero_cross_parity(grav, basis.parity), gram)
 
 
 def rotational_weight(star: AxiStar):
@@ -126,13 +124,11 @@ def mass_constraint(star: AxiStar, basis: PerturbationBasis) -> np.ndarray:
     return 2.0 * math.pi * F[:, -1]
 
 
-def assemble_reduced_energy(
-    star: AxiStar, basis: PerturbationBasis, zero_tol: float | None = None
-) -> QuadraticForm:
+def assemble_reduced_energy(star: AxiStar, basis: PerturbationBasis) -> QuadraticForm:
     """Perturbation energy plus the rotational correction of the reduced
     stability form.  For a non-rotating star the correction vanishes and the
     result equals the plain energy form."""
-    base = assemble_perturbation_energy(star, basis, zero_tol=zero_tol)
+    base = assemble_perturbation_energy(star, basis)
     if not star.context.rotating:
         return base
     w, sup = rotational_weight(star)
@@ -144,8 +140,7 @@ def assemble_reduced_energy(
     F = cumulative_cylinder_integrals(star, basis)
     wr = star.grid.wr
     R = 2.0 * math.pi * (F * (wr * w)[None, :]) @ F.T
-    kwargs = {} if zero_tol is None else {"zero_tol": zero_tol}
-    return QuadraticForm(base.matrix + R, base.gram, **kwargs)
+    return QuadraticForm(base.matrix + R, base.gram)
 
 
 def restrict_mass_zero(form: QuadraticForm, star: AxiStar, basis: PerturbationBasis) -> QuadraticForm:
@@ -159,10 +154,8 @@ def restrict_mass_zero(form: QuadraticForm, star: AxiStar, basis: PerturbationBa
 
 def density_form_value(star: AxiStar, fld: np.ndarray, parity: str = "even") -> float:
     """Energy-form value of a single density perturbation field."""
-    w = star.context.weights
-    pressure = float(np.sum(w * star.context.phi2 * fld * fld))
-    pot = star.kernel.potential(fld, parity=parity)
-    return pressure + float(np.sum(w * fld * pot))
+    pressure, grav = energy_blocks(star, fld[None], [parity])
+    return float(pressure[0, 0] + grav[0, 0])
 
 
 def _azimuthal_weight(star: AxiStar, user: str) -> np.ndarray:
@@ -184,7 +177,6 @@ class AzimuthalLift:
     u_theta: np.ndarray  # per grid radius
     ratio: float  # ||u_theta||_{L2 rho0} / ||delta_rho||_{L2 h''}
     energy: float  # rotational kinetic quadratic value of the lift
-    accessibility_residual: float
 
 
 def lift_azimuthal_velocity(
@@ -223,12 +215,7 @@ def lift_azimuthal_velocity(
     dfield = basis.combine(coeffs)
     d_norm_sq = float(np.sum(ctx.weights * basis.phi2 * dfield * dfield))
     ratio = math.sqrt(u_norm_sq / d_norm_sq) if d_norm_sq > 0 else math.inf
-
-    lhs = u * h1
-    rhs = np.zeros_like(rs)
-    rhs[off] = d_om_r2[off] / rs[off] ** 2 * F[off]
-    acc = float(np.max(np.abs(lhs - rhs))) / (np.max(np.abs(rhs)) + 1e-300)
-    return AzimuthalLift(u_theta=u, ratio=ratio, energy=energy, accessibility_residual=acc)
+    return AzimuthalLift(u_theta=u, ratio=ratio, energy=energy)
 
 
 @dataclass
@@ -312,9 +299,6 @@ class Generator:
             ]
         )
 
-    def state_norm_sq(self, z: np.ndarray) -> float:
-        return float(z @ z)
-
 
 def assemble_generator(
     star: AxiStar,
@@ -354,35 +338,29 @@ def assemble_generator(
     vr = vel.grad_r[keep]
     vz = vel.grad_z[keep]
 
-    # Grams
-    G1 = _pair_integrals(dfields * (w * phi2)[None], dfields)
+    # Grams; the density Gram is the pressure block of the energy form
+    G1, grav = energy_blocks(star, dfields, [parity] * len(dfields))
     rho_w = w * star.rho
-    G2 = _pair_integrals(tfields * rho_w[None], tfields)
-    GY = np.einsum("aij,bij->ab", vr * rho_w[None], vr) + np.einsum(
-        "aij,bij->ab", vz * rho_w[None], vz
-    )
+    G2 = pair_integrals(tfields, tfields, rho_w)
+    GY = pair_integrals(vr, vr, rho_w) + pair_integrals(vz, vz, rho_w)
 
     B1 = whiten(G1)
     B2 = whiten(G2)
     BY = whiten(GY)
 
     # density energy block
-    pots = star.potentials(dfields, [parity] * len(dfields))
-    Lq = G1 + _pair_integrals(dfields * w[None], pots)
-    Lq = 0.5 * (Lq + Lq.T)
+    Lq = G1 + grav
 
     # azimuthal kinetic block: weight 4 omega^2 rho0 / Upsilon
-    Aq = _pair_integrals(tfields * (w * aw[:, None] * star.rho)[None], tfields)
+    Aq = pair_integrals(tfields, tfields, w * aw[:, None] * star.rho)
 
     # couplings: M1[j, a] = int rho0 grad(xi_a) . grad(chi_j) dx
-    M1 = np.einsum("jkl,akl->ja", dens.grad_r * rho_w[None], vr) + np.einsum(
-        "jkl,akl->ja", dens.grad_z * rho_w[None], vz
-    )
+    M1 = pair_integrals(dens.grad_r, vr, rho_w) + pair_integrals(dens.grad_z, vz, rho_w)
     # M2[j, a] = -int rho0 chi_j (d(omega r^2)/dr / r) v_r(a) dx
     dor_over_r = np.zeros_like(rs)
     dor_over_r[rs > 0] = d_om_r2[rs > 0] / rs[rs > 0]
     dor_over_r[0] = 2.0 * omega[0]
-    M2 = -np.einsum("jkl,akl->ja", tfields * (rho_w * dor_over_r[:, None])[None], vr)
+    M2 = -pair_integrals(tfields, vr, rho_w * dor_over_r[:, None])
 
     # whitened blocks
     Lt = B1.T @ Lq @ B1
@@ -407,13 +385,14 @@ def assemble_generator(
 
 
 def generator_unstable_count(gen: Generator, rel_tol: float = 1e-6):
-    """Number of eigenvalues with real part above tol, the growth rate, and
-    the worst quadruple-symmetry defect (relative)."""
+    """Number of eigenvalues with real part above tol, the growth rate (0.0
+    when there is none: real parts inside the band are round-off), and the
+    worst quadruple-symmetry defect (relative)."""
     lam = gen.eigenvalues()
     scale = np.max(np.abs(lam)) + 1e-300
     tol = rel_tol * scale
     count = int(np.sum(lam.real > tol))
-    growth = float(np.max(lam.real))
+    growth = float(np.max(lam.real)) if count else 0.0
     # quadruple symmetry: spectrum maps to itself under negation
     defect = 0.0
     for v in lam:
@@ -472,18 +451,11 @@ def evolve_linearized(gen: Generator, z0: np.ndarray, T: float, dt: float) -> Li
         times[i] = i * dt
         energies[i] = gen.energy(z)
         scales[i] = gen.energy_scale(z)
-        norms[i] = math.sqrt(gen.state_norm_sq(z))
+        norms[i] = math.sqrt(float(z @ z))
         states[i] = z
         if i < n_steps:
             z = sla.lu_solve((lu, piv), B @ z)
     return LinearTrajectory(times, energies, norms, scales, states)
-
-
-def generator_spectrum(star: AxiStar, parities=("even", "odd"), **kwargs) -> np.ndarray:
-    """Eigenvalues of the discretized linearized generator over the requested
-    parity sectors (concatenated)."""
-    lams = [assemble_generator(star, parity=p, **kwargs).eigenvalues() for p in parities]
-    return np.concatenate(lams)
 
 
 def evolve_linearized_state(
@@ -506,13 +478,12 @@ def stability_report(
     star: AxiStar,
     basis: PerturbationBasis | None = None,
     with_generator: bool = False,
-    zero_tol: float = VERDICT_ZERO_TOL,
 ) -> dict:
     """Counts and verdict in the report schema used by the command line."""
     if basis is None:
         basis = perturbation_basis(star)
-    L = assemble_perturbation_energy(star, basis, zero_tol=zero_tol)
-    K = assemble_reduced_energy(star, basis, zero_tol=zero_tol)
+    L = assemble_perturbation_energy(star, basis)
+    K = assemble_reduced_energy(star, basis)
     Kc = restrict_mass_zero(K, star, basis)
     inertia = Kc.inertia()
     report = {

@@ -175,7 +175,6 @@ def test_lift_identity_for_random_constrained(rot53):
         lhs = float(c @ K.matrix @ c)
         rhs = float(c @ L.matrix @ c) + lift.energy
         assert abs(lhs - rhs) <= 1e-8 * max(abs(lhs), abs(rhs), 1e-300)
-        assert lift.accessibility_residual < 1e-12
 
 
 def test_lift_integrates_the_basis_once(rot53, monkeypatch):
@@ -320,6 +319,23 @@ def test_stability_report_schema(rot53):
     assert set(report) >= {"n_minus_L", "n_minus_K_constrained", "n_zero", "verdict"}
     assert report["verdict"] == "stable"
     assert report["generator_unstable_count"] == 0
+
+
+def test_stable_report_growth_rate_is_zero(rot53):
+    # real parts inside the band are round-off, not a growth rate
+    assert stability_report(rot53, with_generator=True)["growth_rate"] == 0.0
+
+
+def test_pair_integrals_match_einsum():
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((5, 9, 7))
+    b = rng.standard_normal((3, 9, 7))
+    weight = rng.random((9, 7))
+    got = stability.pair_integrals(a, b, weight)
+    ref = np.einsum("aij,bij,ij->ab", a, b, weight)
+    assert got.shape == (5, 3)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert stability.pair_integrals(a[:0], b, weight).shape == (0, 3)
 
 
 def test_state_level_evolution(rot53, rot13):
