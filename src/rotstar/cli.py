@@ -7,6 +7,13 @@ seeds produce byte-identical data artifacts; the manifest additionally
 records wall-clock runtimes and the Poisson thread part count, which depend
 on the host, and therefore is not byte-reproducible.
 
+The ``eos`` and ``rotation`` sections are read by
+``EquationOfState.from_config`` and ``RotationSpec.from_config``: each
+rotation form takes only its own class's parameters plus its amplitude
+(``kappa`` for a law, ``eps`` for a momentum distribution), and any other
+key is a config error.  A saved star bundle's ``meta.json`` holds the same
+two sections, so its ``eos``, ``rotation`` and ``mu`` replay as a config.
+
 ``bb1974`` fixes its own star, grid and basis: its config must be ``{}``,
 and any key in it is a config error rather than silently ignored.
 
@@ -34,13 +41,14 @@ from rotstar.equilibria import (
     GridTooSmallError,
     InsufficientResolutionError,
     NoEquilibriumError,
+    RotationSpec,
     save_axistar,
     solve_fixed_j,
     solve_fixed_omega,
 )
 from rotstar.families import bb1974_example, scan_fixed_j, scan_fixed_omega
 from rotstar.radial import UnboundedStarError, family_scan_radial
-from rotstar.rotlaw import law_from_config, momentum_from_config
+from rotstar.rotlaw import FORMS
 from rotstar.spectral import (
     AmbiguousClassificationError,
     assemble_meridional_form,
@@ -80,11 +88,13 @@ _ROTATION_SCHEMA = {
     "additionalProperties": False,
     "required": ["form"],
     "properties": {
-        "form": {"enum": ["rigid", "power_tail", "table", "bb_j", "power_j", "unit_mass_j"]},
+        "form": {"enum": sorted(FORMS)},
         "omega_c": {"type": "number"},
         "r_c": {"type": "number", "exclusiveMinimum": 0},
         "p": {"type": "number"},
         "path": {"type": "string"},
+        "r": {"type": "array", "items": {"type": "number"}},
+        "omega": {"type": "array", "items": {"type": "number"}},
         "coeff": {"type": "number"},
         "exponent": {"type": "number"},
         "kappa": {"type": "number"},
@@ -158,13 +168,6 @@ CONFIG_SCHEMA = {
                 "mode": {"enum": ["eigenmode", "random"]},
             },
         },
-        "scan": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "family": {"enum": ["fixed_omega", "fixed_j"]},
-            },
-        },
         "with_generator": {"type": "boolean"},
     },
 }
@@ -213,15 +216,10 @@ def _with_defaults(cfg: dict) -> dict:
 
 
 def build_eos(cfg: dict) -> EquationOfState:
-    spec = cfg.get("eos")
-    if spec is None:
+    if "eos" not in cfg:
         raise ConfigError("config requires an 'eos' section")
-    kw = dict(spec)
-    blend = kw.pop("blend", None)
-    if blend is not None:
-        kw["rho_blend_lo"], kw["rho_blend_hi"] = blend
     try:
-        return EquationOfState(**kw)
+        return EquationOfState.from_config(cfg["eos"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid eos: {exc}") from exc
 
@@ -235,7 +233,7 @@ def build_mu_grid(cfg: dict) -> np.ndarray:
 
 
 def solve_configured_star(cfg: dict):
-    fixed_omega, rotation, amplitude = _rotation_family(cfg)
+    fixed_omega, rotation, amplitude = _rotation(cfg)
     eos = build_eos(cfg)
     mu = cfg.get("mu")
     if mu is None:
@@ -253,19 +251,19 @@ def _solve_kwargs(cfg: dict) -> dict:
     )
 
 
-def _rotation_family(cfg: dict):
+def _rotation(cfg: dict):
     """(fixed_omega, law or momentum distribution, kappa or eps) of the
     config's rotation section; a missing section or amplitude is an error,
     not a static star."""
-    rot = cfg.get("rotation")
-    if rot is None:
+    if "rotation" not in cfg:
         raise ConfigError("config requires a 'rotation' section")
-    fixed_omega = rot["form"] in ("rigid", "power_tail", "table")
-    key = "kappa" if fixed_omega else "eps"
-    if key not in rot:
-        raise ConfigError(f"rotation form {rot['form']!r} requires {key!r}")
-    rotation = law_from_config(rot) if fixed_omega else momentum_from_config(rot)
-    return fixed_omega, rotation, rot[key]
+    try:
+        spec = RotationSpec.from_config(cfg["rotation"])
+    except (OSError, TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid rotation: {exc}") from exc
+    if spec.kind == "fixed_omega":
+        return True, spec.law, spec.kappa
+    return False, spec.momentum, spec.eps
 
 
 def _config_hash(cfg: dict) -> str:
@@ -409,7 +407,7 @@ def cmd_evolve(run: _Runner) -> int:
 
 
 def cmd_tpp_scan(run: _Runner) -> int:
-    fixed_omega, rotation, amplitude = _rotation_family(run.cfg)
+    fixed_omega, rotation, amplitude = _rotation(run.cfg)
     eos = build_eos(run.cfg)
     mu_grid = build_mu_grid(run.cfg)
     b = run.cfg["basis"]

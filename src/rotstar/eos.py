@@ -39,10 +39,11 @@ def _poly_enthalpy_coef(c: float, gamma: float) -> float:
 class EquationOfState:
     """Immutable pressure law P(rho) with derived enthalpy transforms.
 
-    Parameters mirror the configuration schema: ``kind`` selects the law,
-    ``c_minus``/``gamma0`` fix the low-density branch, and for the
-    asymptotically-polytropic kind ``c_plus``/``gamma_inf`` fix the
-    high-density branch joined over [rho_blend_lo, rho_blend_hi].
+    ``kind`` selects the law, ``c_minus``/``gamma0`` fix the low-density
+    branch, and for the asymptotically-polytropic kind ``c_plus``/
+    ``gamma_inf`` fix the high-density branch joined over [rho_blend_lo,
+    rho_blend_hi].  The config section (``from_config``/``config``) holds the
+    same values with the blend interval as the pair ``blend``.
     """
 
     kind: str
@@ -74,7 +75,25 @@ class EquationOfState:
                 raise ValueError("blend interval must satisfy 0 < lo < hi")
             object.__setattr__(self, "_blend", _BlendData(self))
         else:
+            if (self.c_plus, self.gamma_inf, self.rho_blend_lo, self.rho_blend_hi) != (None,) * 4:
+                raise ValueError("a polytropic EOS takes no c_plus, gamma_inf or blend")
             object.__setattr__(self, "_blend", None)
+
+    @classmethod
+    def from_config(cls, section: dict) -> EquationOfState:
+        """The EOS a config ``eos`` section describes."""
+        params = dict(section)
+        if "blend" in params:
+            params["rho_blend_lo"], params["rho_blend_hi"] = params.pop("blend")
+        return cls(**params)
+
+    def config(self) -> dict:
+        """The config section ``from_config`` reads back into this EOS."""
+        section = {"kind": self.kind, "c_minus": self.c_minus, "gamma0": self.gamma0}
+        if self._blend is not None:
+            section.update(c_plus=self.c_plus, gamma_inf=self.gamma_inf,
+                           blend=[self.rho_blend_lo, self.rho_blend_hi])
+        return section
 
     # -- pressure ---------------------------------------------------------
 

@@ -23,7 +23,12 @@ support and the rotation profiles that the bases and stability forms share.
 The profiles (omega, d(omega r^2)/dr, Upsilon) are the only way the rotation
 reaches those analyses; the family itself is read here only where the
 physics differs (rotational potential, fixed-j origin check, profile
-definitions, persistence).
+definitions).
+
+A saved bundle's ``meta.json`` describes the star's physics in the config's
+own format: its ``eos`` and ``rotation`` entries are the sections
+``EquationOfState.from_config`` and ``RotationSpec.from_config`` read (a
+static star's rotation is null), so a bundle can be replayed as a config.
 """
 
 from __future__ import annotations
@@ -41,11 +46,10 @@ from rotstar.poisson import Grid, RingKernel
 from rotstar.radial import RadialStar, solve_radial
 from rotstar.rotlaw import (
     AngularVelocityLaw,
+    FORMS,
     MomentumDistribution,
-    law_config,
-    law_from_config,
-    momentum_config,
-    momentum_from_config,
+    profile_config,
+    profile_from_config,
 )
 
 __all__ = [
@@ -95,6 +99,33 @@ class RotationSpec:
     kappa: float = 0.0
     momentum: MomentumDistribution | None = None
     eps: float = 0.0
+
+    @classmethod
+    def from_config(cls, section: dict | None) -> RotationSpec:
+        """The rotation a config section names: a law's section adds its
+        amplitude as ``kappa``, a distribution's as ``eps``; None is a
+        static star."""
+        if section is None:
+            return cls(kind="none")
+        params = dict(section)
+        form = params["form"]
+        fixed_omega = issubclass(FORMS[form], AngularVelocityLaw)
+        key = "kappa" if fixed_omega else "eps"
+        if key not in params:
+            raise ValueError(f"rotation form {form!r} requires {key!r}")
+        amplitude = params.pop(key)
+        profile = profile_from_config(params)
+        if fixed_omega:
+            return cls(kind="fixed_omega", law=profile, kappa=amplitude)
+        return cls(kind="fixed_j", momentum=profile, eps=amplitude)
+
+    def config(self) -> dict | None:
+        """The config section ``from_config`` reads back into this spec."""
+        if self.kind == "fixed_omega":
+            return {**profile_config(self.law), "kappa": self.kappa}
+        if self.kind == "fixed_j":
+            return {**profile_config(self.momentum), "eps": self.eps}
+        return None
 
 
 @dataclass(frozen=True)
@@ -533,15 +564,6 @@ def boundary_asymptotics_check(
 def save_axistar(star: AxiStar, path: str) -> None:
     """Write a self-describing bundle: metadata JSON + row-major density CSV."""
     os.makedirs(path, exist_ok=True)
-    rot = star.rotation
-    rot_meta: dict = {"kind": rot.kind}
-    if rot.kind == "fixed_omega":
-        rot_meta["kappa"] = rot.kappa
-        rot_meta["law"] = law_config(rot.law)
-    elif rot.kind == "fixed_j":
-        rot_meta["eps"] = rot.eps
-        rot_meta["momentum"] = momentum_config(rot.momentum)
-    eos = star.eos
     meta = {
         "mu": star.mu,
         "mass": star.mass,
@@ -550,16 +572,8 @@ def save_axistar(star: AxiStar, path: str) -> None:
         "c_const": star.c_const,
         "residual": star.residual,
         "floor": star.floor,
-        "rotation": rot_meta,
-        "eos": {
-            "kind": eos.kind,
-            "c_minus": eos.c_minus,
-            "gamma0": eos.gamma0,
-            "c_plus": eos.c_plus,
-            "gamma_inf": eos.gamma_inf,
-            "rho_blend_lo": eos.rho_blend_lo,
-            "rho_blend_hi": eos.rho_blend_hi,
-        },
+        "rotation": star.rotation.config(),
+        "eos": star.eos.config(),
         "grid": {"rs": star.grid.rs.tolist(), "zs": star.grid.zs.tolist()},
     }
     with open(os.path.join(path, "meta.json"), "w") as fh:
@@ -573,29 +587,12 @@ def save_axistar(star: AxiStar, path: str) -> None:
 def load_axistar(path: str) -> AxiStar:
     with open(os.path.join(path, "meta.json")) as fh:
         meta = json.load(fh)
-    eos_meta = {k: v for k, v in meta["eos"].items() if v is not None}
-    eos = EquationOfState(**eos_meta)
     grid = Grid(np.asarray(meta["grid"]["rs"]), np.asarray(meta["grid"]["zs"]))
     rho = np.loadtxt(os.path.join(path, "density.csv"), delimiter=",")
     V = np.loadtxt(os.path.join(path, "potential.csv"), delimiter=",")
-    rot_meta = meta["rotation"]
-    if rot_meta["kind"] == "fixed_omega":
-        rotation = RotationSpec(
-            kind="fixed_omega",
-            law=law_from_config(rot_meta["law"]),
-            kappa=rot_meta["kappa"],
-        )
-    elif rot_meta["kind"] == "fixed_j":
-        rotation = RotationSpec(
-            kind="fixed_j",
-            momentum=momentum_from_config(rot_meta["momentum"]),
-            eps=rot_meta["eps"],
-        )
-    else:
-        rotation = RotationSpec(kind="none")
     m_of_r = grid.cylinder_mass(rho)
     return AxiStar(
-        eos=eos,
+        eos=EquationOfState.from_config(meta["eos"]),
         grid=grid,
         rho=rho,
         potential=V,
@@ -606,6 +603,6 @@ def load_axistar(path: str) -> AxiStar:
         support_height=meta["support_height"],
         mass=meta["mass"],
         m_of_r=m_of_r,
-        rotation=rotation,
+        rotation=RotationSpec.from_config(meta["rotation"]),
         floor=meta["floor"],
     )

@@ -350,31 +350,20 @@ BB_EPS = 3.0
 BB_MU_GRID = tuple(np.geomspace(150.0, 24000.0, 9))
 
 
-def bb1974_example(
-    eps: float = BB_EPS,
-    mu_grid=None,
-    nr: int = 120,
-    nz: int = 120,
-    deg_r: int = 10,
-    deg_z: int = 6,
-    jobs: int = 1,
-) -> tuple[FamilyScanResult, np.ndarray]:
+def bb1974_example(jobs: int = 1) -> tuple[FamilyScanResult, np.ndarray]:
     """Self-configuring mass-minimum scan of the soft polytrope with the
-    fixed-total-momentum distribution; returns the scan plus (mu, M) plot
-    data.  Raises RuntimeError with a grid-extension hint when the preset
-    grid fails to bracket the minimum."""
-    eos = polytrope(1.0, BB_GAMMA)
-    momentum = FixedTotalMomentum()
-    grid = BB_MU_GRID if mu_grid is None else mu_grid
+    fixed-total-momentum distribution on a 120^2 grid and a 10x6 basis;
+    returns the scan plus (mu, M) plot data.  Raises RuntimeError when the
+    preset grid fails to bracket the minimum."""
     scan = scan_fixed_j(
-        eos, momentum, eps, grid, nr=nr, nz=nz, deg_r=deg_r, deg_z=deg_z,
-        jobs=jobs, margin_at_extremum=False,
+        polytrope(1.0, BB_GAMMA), FixedTotalMomentum(), BB_EPS, BB_MU_GRID,
+        nr=120, nz=120, deg_r=10, deg_z=6, jobs=jobs, margin_at_extremum=False,
     )
     has_min = any(kind == "min" for _, kind in scan.mass_extrema)
     if not has_min:
         raise RuntimeError(
-            "no mass minimum bracketed by the preset center-density grid; "
-            "extend the grid toward larger mu or increase eps"
+            "no mass minimum bracketed by the preset center-density grid "
+            f"({BB_MU_GRID[0]:g} to {BB_MU_GRID[-1]:g} at eps {BB_EPS:g})"
         )
     ok = [p for p in scan.points if not p.failed]
     plot = np.array([[p.mu, p.mass] for p in ok])

@@ -10,12 +10,19 @@ evaluated through its limit 4*omega(0)^2.  Rotation can also be specified
 through a momentum distribution j(p, q), the specific angular momentum as a
 function of cylinder mass p and total mass q, which induces
 omega(r) = eps * j(m(r), M) / r^2 on a given star.
+
+Both kinds of profile are named by one table, ``FORMS``, which maps each
+config ``form`` to its class.  ``profile_from_config`` builds a profile by
+passing the section's other keys to that class, so a key the form does not
+take is a ``TypeError``; ``profile_config`` writes the section back.  A
+table law's section gives its samples inline as ``r``/``omega`` or as the
+two columns of the CSV file at ``path``, and is written back inline.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -36,10 +43,9 @@ __all__ = [
     "FixedTotalMomentum",
     "UnitMassMomentum",
     "omega_from_j",
-    "law_from_config",
-    "law_config",
-    "momentum_from_config",
-    "momentum_config",
+    "FORMS",
+    "profile_from_config",
+    "profile_config",
 ]
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(6)
@@ -115,11 +121,17 @@ class PowerTailLaw(AngularVelocityLaw):
 
 
 class TabulatedLaw(AngularVelocityLaw):
-    """Law built from (r, omega) samples; derivatives come from a C^2 spline."""
+    """Law built from (r, omega) samples, given inline or as the first two
+    columns of the CSV file at ``path``; derivatives come from a C^2 spline."""
 
-    def __init__(self, r_samples, omega_samples):
-        r = np.asarray(r_samples, dtype=float)
-        w = np.asarray(omega_samples, dtype=float)
+    def __init__(self, r=None, omega=None, path=None):
+        if path is not None:
+            if r is not None or omega is not None:
+                raise ValueError("a table law takes 'r'/'omega' or 'path', not both")
+            table = np.loadtxt(path, delimiter=",", ndmin=2)
+            r, omega = table[:, 0], table[:, 1]
+        r = np.asarray(r, dtype=float)
+        w = np.asarray(omega, dtype=float)
         if r.ndim != 1 or r.size < 4 or np.any(np.diff(r) <= 0):
             raise ValueError("need >= 4 strictly increasing radius samples")
         if not (np.all(np.isfinite(r)) and np.all(np.isfinite(w))):
@@ -363,63 +375,30 @@ def omega_from_j(
     return TabulatedLaw(r, omega)
 
 
-# -- configuration helpers ----------------------------------------------------
+# -- configuration sections --------------------------------------------------
+
+#: config ``form`` -> profile class; the section's other keys are its arguments
+FORMS = {
+    "rigid": RigidLaw,
+    "power_tail": PowerTailLaw,
+    "table": TabulatedLaw,
+    "bb_j": FixedTotalMomentum,
+    "power_j": PowerLawMomentum,
+    "unit_mass_j": UnitMassMomentum,
+}
 
 
-def law_from_config(cfg: dict) -> AngularVelocityLaw:
-    form = cfg.get("form")
-    if form == "rigid":
-        return RigidLaw(omega_c=cfg.get("omega_c", 1.0))
-    if form == "power_tail":
-        return PowerTailLaw(
-            omega_c=cfg.get("omega_c", 1.0),
-            r_c=cfg.get("r_c", 1.0),
-            p=cfg.get("p", 1.0),
-        )
-    if form == "table":
-        if "path" in cfg:
-            table = np.loadtxt(cfg["path"], delimiter=",")
-            return TabulatedLaw(table[:, 0], table[:, 1])
-        return TabulatedLaw(np.asarray(cfg["r"]), np.asarray(cfg["omega"]))
-    raise ValueError(f"unknown angular velocity form {form!r}")
+def profile_from_config(section: dict) -> AngularVelocityLaw | MomentumDistribution:
+    """The law or momentum distribution a config section names by ``form``."""
+    params = dict(section)
+    return FORMS[params.pop("form")](**params)
 
 
-def law_config(law: AngularVelocityLaw) -> dict:
-    """The config section ``law_from_config`` reads back into ``law``."""
-    if isinstance(law, RigidLaw):
-        return {"form": "rigid", "omega_c": law.omega_c}
-    if isinstance(law, PowerTailLaw):
-        return {"form": "power_tail", "omega_c": law.omega_c, "r_c": law.r_c, "p": law.p}
-    if isinstance(law, TabulatedLaw):
-        return {
-            "form": "table",
-            "r": law.r_samples.tolist(),
-            "omega": law.omega_samples.tolist(),
-        }
-    raise ValueError("unknown angular velocity law")
-
-
-def momentum_from_config(cfg: dict) -> MomentumDistribution:
-    form = cfg.get("form")
-    if form == "bb_j":
-        return FixedTotalMomentum()
-    if form == "power_j":
-        return PowerLawMomentum(coeff=cfg.get("coeff", 1.0), exponent=cfg.get("exponent", 2.0))
-    if form == "unit_mass_j":
-        return UnitMassMomentum(coeff=cfg.get("coeff", 1.0), exponent=cfg.get("exponent", 2.0))
-    raise ValueError(f"unknown momentum distribution form {form!r}")
-
-
-def momentum_config(momentum: MomentumDistribution) -> dict:
-    """The config section ``momentum_from_config`` reads back into ``momentum``."""
-    if isinstance(momentum, FixedTotalMomentum):
-        return {"form": "bb_j"}
-    if isinstance(momentum, PowerLawMomentum):
-        return {"form": "power_j", "coeff": momentum.coeff, "exponent": momentum.exponent}
-    if isinstance(momentum, UnitMassMomentum):
-        return {
-            "form": "unit_mass_j",
-            "coeff": momentum.coeff,
-            "exponent": momentum.exponent,
-        }
-    raise ValueError("unknown momentum distribution")
+def profile_config(profile: AngularVelocityLaw | MomentumDistribution) -> dict:
+    """The config section ``profile_from_config`` reads back into ``profile``."""
+    form = {cls: name for name, cls in FORMS.items()}[type(profile)]
+    if isinstance(profile, TabulatedLaw):
+        params = {"r": profile.r_samples.tolist(), "omega": profile.omega_samples.tolist()}
+    else:
+        params = asdict(profile)
+    return {"form": form, **params}

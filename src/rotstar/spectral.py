@@ -241,17 +241,15 @@ class SpectrumReport:
 
 def spectrum_report(
     star: AxiStar,
-    parity: str = "even",
     levels: int = 3,
     ring_knots0: int = 10,
     grad_deg_r: int = 4,
     grad_deg_z: int = 4,
-    edge_margin: float = 0.10,
     discrete_drift_tol: float = 1e-3,
     strict: bool = False,
 ) -> SpectrumReport:
     """Eigenvalues of the meridional form across nested bases with
-    essential / discrete classification.
+    essential / discrete classification, on the even sector.
 
     An eigenvalue is binned essential when its local spacing contracts by at
     least a factor two per refinement (the cluster filling the interval);
@@ -266,7 +264,6 @@ def spectrum_report(
     for lev in range(levels):
         vb = velocity_basis(
             star,
-            parity=parity,
             grad_deg_r=grad_deg_r,
             grad_deg_z=grad_deg_z,
             ring_knots=ring_knots0 * 2**lev,
@@ -277,7 +274,7 @@ def spectrum_report(
     lam = spectra[-1]
     prev = spectra[-2]
     scale = max(abs(lo), abs(hi), np.max(np.abs(lam)))
-    margin = edge_margin * (hi - lo)
+    margin = 0.10 * (hi - lo)  # band beside [-a, b] counted with the cluster
     inside = (lam >= lo - margin) & (lam <= hi + margin)
 
     def local_spacing(arr, v):

@@ -300,20 +300,13 @@ class Generator:
         )
 
 
-def assemble_generator(
-    star: AxiStar,
-    parity: str = "even",
-    deg_r: int = 8,
-    deg_z: int = 4,
-    vel_deg_r: int = 8,
-    vel_deg_z: int = 4,
-) -> Generator:
+def assemble_generator(star: AxiStar, parity: str = "even") -> Generator:
     """Discretize the linearized dynamics on one z-parity sector.
 
-    Density and azimuthal-velocity scalars share tensor-polynomial shapes;
-    meridional velocities are gradients of a second scalar family (opposite
-    vertical parity bookkeeping is handled internally: an 'even' sector means
-    even density, even v_theta, even v_r and odd v_z).
+    Density and azimuthal-velocity scalars are the degree (8, 4) tensor
+    shapes; meridional velocities are the gradients of the same shapes
+    (opposite vertical parity bookkeeping is handled internally: an 'even'
+    sector means even density, even v_theta, even v_r and odd v_z).
     """
     ctx = star.context
     if not ctx.rotating:
@@ -325,18 +318,16 @@ def assemble_generator(
     rs = g.rs
 
     # density shapes: delta_rho = chi * inv_phi2 ; v_theta shapes: plain chi
-    dens = tensor_shapes(rs, g.zs, star.support_radius, star.support_height,
-                         deg_r, deg_z, parity=parity)
+    dens = tensor_shapes(rs, g.zs, star.support_radius, star.support_height, 8, 4,
+                         parity=parity)
     dfields = dens.values * inv_phi2[None]
     # v_theta lives in L2_rho0; same scalar shapes
     tfields = dens.values
 
-    vel = tensor_shapes(rs, g.zs, star.support_radius, star.support_height,
-                        vel_deg_r, vel_deg_z, parity=parity)
-    # drop the constant shape: zero gradient
-    keep = [k for k, (i, j) in enumerate(vel.degrees) if (i, j) != (0, 0)]
-    vr = vel.grad_r[keep]
-    vz = vel.grad_z[keep]
+    # meridional velocities: drop the constant shape, whose gradient is zero
+    keep = [k for k, (i, j) in enumerate(dens.degrees) if (i, j) != (0, 0)]
+    vr = dens.grad_r[keep]
+    vz = dens.grad_z[keep]
 
     # Grams; the density Gram is the pressure block of the energy form
     G1, grav = energy_blocks(star, dfields, [parity] * len(dfields))
@@ -463,11 +454,10 @@ def evolve_linearized_state(
     state0: LinearState,
     T: float,
     dt: float | None = None,
-    **generator_kwargs,
 ) -> LinearTrajectory:
     """Project a grid perturbation onto the generator's parity sector and
     evolve it; the default step resolves the fastest oscillation."""
-    gen = assemble_generator(star, parity=state0.parity, **generator_kwargs)
+    gen = assemble_generator(star, parity=state0.parity)
     if dt is None:
         lam_max = float(np.max(np.abs(gen.eigenvalues().imag)))
         dt = 0.1 / max(lam_max, 1e-12)

@@ -387,3 +387,67 @@ def test_missing_rotation_amplitude_rejected(tmp_path, command, payload, key):
     err = json.loads((out / "error.json").read_text())
     assert err["error"] == "config"
     assert f"requires {key!r}" in err["message"]
+
+
+def _table_csv(tmp_path, rows):
+    path = tmp_path / "law.csv"
+    np.savetxt(path, np.column_stack([np.linspace(0.0, 3.0, rows), np.ones(rows)]), delimiter=",")
+    return str(path)
+
+
+EQ_CFG = {**STABILITY_CFG, "grid": {"nr": 24, "nz": 24}}
+
+
+@pytest.mark.parametrize(
+    "change, needle",
+    [
+        (lambda tmp: {"rotation": {"form": "bb_j", "eps": 0.4, "kappa": 0.1}}, "kappa"),
+        (lambda tmp: {"rotation": {**_POWER_J, "eps": 0.2, "omega_c": 1.0}}, "omega_c"),
+        (lambda tmp: {"rotation": {**STABILITY_CFG["rotation"], "coeff": 2.0}}, "coeff"),
+        (
+            lambda tmp: {"eos": {**STABILITY_CFG["eos"], "c_plus": 1.0, "blend": [1.0, 3.0]}},
+            "c_plus",
+        ),
+        (
+            lambda tmp: {"rotation": {"form": "table", "path": str(tmp / "absent.csv"),
+                                      "kappa": 0.05}},
+            "absent.csv",
+        ),
+        (
+            lambda tmp: {"rotation": {"form": "table", "path": _table_csv(tmp, 2),
+                                      "kappa": 0.05}},
+            "need >= 4",
+        ),
+        (lambda tmp: {"scan": {"family": "fixed_j"}}, "scan"),
+    ],
+    ids=["kappa_on_bb_j", "omega_c_on_power_j", "coeff_on_rigid", "blend_on_polytrope",
+         "missing_table_path", "two_sample_table", "scan_section"],
+)
+def test_config_keys_a_form_does_not_take_are_rejected(tmp_path, change, needle):
+    """A key the eos kind or rotation form does not read, an unreadable or
+    too short table and the unread ``scan`` section are config errors."""
+    cfg = write(tmp_path, "cfg.json", {**EQ_CFG, **change(tmp_path)})
+    out = tmp_path / "out"
+    assert main(["equilibrium", cfg, "--out-dir", str(out)]) == EXIT_CONFIG
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "config"
+    assert needle in err["message"]
+    assert not (out / "equilibrium.json").exists()
+
+
+def test_bundle_replays_as_config(tmp_path):
+    """A star bundle's eos, rotation and mu are a valid config that solves
+    to the same density; a table law read from a file is saved inline."""
+    rotation = {"form": "table", "path": _table_csv(tmp_path, 40), "kappa": 0.05}
+    first = tmp_path / "first"
+    cfg = write(tmp_path, "cfg.json", {**EQ_CFG, "rotation": rotation})
+    assert main(["equilibrium", cfg, "--out-dir", str(first)]) == EXIT_OK
+    meta = json.loads((first / "star" / "meta.json").read_text())
+    replay = {key: meta[key] for key in ("eos", "rotation", "mu")}
+    assert replay["rotation"]["form"] == "table" and "path" not in replay["rotation"]
+    cli._CONFIG_VALIDATOR.validate(replay)
+    second = tmp_path / "second"
+    cfg = write(tmp_path, "replay.json", {**replay, "grid": EQ_CFG["grid"]})
+    assert main(["equilibrium", cfg, "--out-dir", str(second)]) == EXIT_OK
+    density = [(out / "star" / "density.csv").read_bytes() for out in (first, second)]
+    assert density[0] == density[1]

@@ -150,3 +150,14 @@ def test_pressure_strictly_increasing_property(gamma, c, r1, factor):
     eos = polytrope(c, gamma)
     assert eos.pressure(r1) < eos.pressure(r1 * factor)
     assert eos.enthalpy(r1) < eos.enthalpy(r1 * factor)
+
+
+@pytest.mark.parametrize(
+    "eos",
+    [polytrope(1.0, 5.0 / 3.0), asymptotic_polytrope(1.0, 5.0 / 3.0, 1.25, (1.0, 3.0))],
+    ids=["polytropic", "asymptotically-polytropic"],
+)
+def test_eos_config_round_trip(eos):
+    section = eos.config()
+    assert EquationOfState.from_config(section) == eos
+    assert ("blend" in section) == (eos.kind == "asymptotically-polytropic")

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -9,6 +10,8 @@ from rotstar.equilibria import (
     GridTooSmallError,
     InsufficientResolutionError,
     NoEquilibriumError,
+    RotationSpec,
+    axistar_from_radial,
     boundary_asymptotics_check,
     load_axistar,
     make_grid,
@@ -18,6 +21,7 @@ from rotstar.equilibria import (
 )
 from rotstar.radial import solve_radial
 from rotstar.rotlaw import FixedTotalMomentum, PowerLawMomentum, RigidLaw
+from rotstar.rotlaw import PowerTailLaw, TabulatedLaw, UnitMassMomentum
 
 
 def test_nonrotating_limit_matches_radial(eos53, star53):
@@ -234,3 +238,41 @@ def test_save_load_tabulated_law(tmp_path, eos53):
     assert loaded.rotation.kind == "fixed_omega"
     omega = loaded.rotation.law.omega(np.linspace(0, 2, 9))
     assert np.allclose(omega, 1.0)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        RotationSpec("fixed_omega", law=RigidLaw(0.7), kappa=0.05),
+        RotationSpec("fixed_omega", law=PowerTailLaw(1.2, 0.4, 2.0), kappa=0.25),
+        RotationSpec(
+            "fixed_omega",
+            law=TabulatedLaw(np.linspace(0.0, 2.0, 6), np.linspace(1.0, 0.5, 6)),
+            kappa=0.1,
+        ),
+        RotationSpec("fixed_j", momentum=FixedTotalMomentum(), eps=0.4),
+        RotationSpec("fixed_j", momentum=PowerLawMomentum(1.5, 3.0), eps=0.2),
+        RotationSpec("fixed_j", momentum=UnitMassMomentum(0.5, 2.5), eps=0.3),
+        RotationSpec("none"),
+    ],
+    ids=["rigid", "power_tail", "table", "bb_j", "power_j", "unit_mass_j", "static"],
+)
+def test_rotation_spec_config_round_trip(spec):
+    section = spec.config()
+    back = RotationSpec.from_config(section)
+    assert (back.kind, back.kappa, back.eps) == (spec.kind, spec.kappa, spec.eps)
+    assert type(back.law) is type(spec.law)
+    assert type(back.momentum) is type(spec.momentum)
+    assert back.config() == section
+    assert (section is None) == (spec.kind == "none")
+
+
+def test_save_load_static_star(tmp_path, star53):
+    star = axistar_from_radial(star53, nr=32, nz=32)
+    save_axistar(star, str(tmp_path / "s"))
+    meta = json.loads((tmp_path / "s" / "meta.json").read_text())
+    assert meta["rotation"] is None
+    loaded = load_axistar(str(tmp_path / "s"))
+    assert loaded.rotation == RotationSpec("none")
+    assert not loaded.context.rotating
+    assert np.array_equal(loaded.rho, star.rho)

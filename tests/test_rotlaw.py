@@ -13,11 +13,9 @@ from rotstar.rotlaw import (
     casimir_profile,
     classify_rayleigh,
     discriminant,
-    law_config,
-    law_from_config,
-    momentum_config,
-    momentum_from_config,
     omega_from_j,
+    profile_config,
+    profile_from_config,
 )
 
 
@@ -173,13 +171,13 @@ def test_rayleigh_monotone_check():
 
 
 def test_table_law_from_csv(tmp_path):
-    from rotstar.rotlaw import law_from_config
+    from rotstar.rotlaw import profile_from_config
 
     r = np.linspace(0.0, 2.0, 50)
     data = np.column_stack([r, np.full(50, 1.5)])
     path = tmp_path / "law.csv"
     np.savetxt(path, data, delimiter=",")
-    law = law_from_config({"form": "table", "path": str(path)})
+    law = profile_from_config({"form": "table", "path": str(path)})
     assert np.allclose(discriminant(law, np.linspace(0, 2, 11)), 9.0, atol=1e-9)
 
 
@@ -193,15 +191,15 @@ def test_table_law_from_csv(tmp_path):
     ids=["rigid", "power_tail", "table"],
 )
 def test_law_config_round_trip(law):
-    cfg = law_config(law)
-    back = law_from_config(cfg)
+    cfg = profile_config(law)
+    back = profile_from_config(cfg)
     assert type(back) is type(law)
     if isinstance(law, TabulatedLaw):
         assert np.array_equal(back.r_samples, law.r_samples)
         assert np.array_equal(back.omega_samples, law.omega_samples)
     else:
         assert back == law
-    assert law_config(back) == cfg
+    assert profile_config(back) == cfg
 
 
 @pytest.mark.parametrize(
@@ -210,7 +208,7 @@ def test_law_config_round_trip(law):
     ids=["bb_j", "power_j", "unit_mass_j"],
 )
 def test_momentum_config_round_trip(momentum):
-    cfg = momentum_config(momentum)
-    back = momentum_from_config(cfg)
+    cfg = profile_config(momentum)
+    back = profile_from_config(cfg)
     assert back == momentum
-    assert momentum_config(back) == cfg
+    assert profile_config(back) == cfg
