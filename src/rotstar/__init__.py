@@ -24,8 +24,6 @@ from rotstar.rotlaw import (
     RigidLaw,
     TabulatedLaw,
     UnitMassMomentum,
-    casimir_profile,
-    classify_rayleigh,
     discriminant,
     omega_from_j,
 )
@@ -45,13 +43,10 @@ from rotstar.equilibria import (
 from rotstar.bases import PerturbationBasis, perturbation_basis
 from rotstar.forms import Inertia, QuadraticForm
 from rotstar.stability import (
-    LinearState,
     assemble_generator,
     assemble_perturbation_energy,
     assemble_reduced_energy,
-    casimir_second_variation,
     evolve_linearized,
-    evolve_linearized_state,
     generator_unstable_count,
     lift_azimuthal_velocity,
     restrict_mass_zero,

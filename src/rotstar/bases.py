@@ -121,15 +121,13 @@ def perturbation_basis(
     deg_z: int = 6,
     parity: str = "both",
     append_mu_direction: bool = True,
-    append_vertical_shift: bool = True,
-    mu_step_rel: float = 1e-3,
 ) -> PerturbationBasis:
     """Tensor-polynomial perturbation basis weighted by 1/h''(rho0).
 
-    ``append_mu_direction`` adds the finite-difference derivative of the
-    non-rotating family with the star's center density (basis enrichment in
-    the even sector); ``append_vertical_shift`` adds grad_z(h)/h''(rho0),
-    the discrete vertical-translation mode, to the odd sector.
+    ``append_mu_direction`` adds the central difference (step 1e-3 mu) of
+    the non-rotating family's density in the star's center density (basis
+    enrichment in the even sector); the odd sector always gets
+    grad_z(h)/h''(rho0), the discrete vertical-translation mode.
     """
     grid = star.grid
     mask, inv_phi2 = star.context.mask, star.context.inv_phi2
@@ -148,7 +146,7 @@ def perturbation_basis(
     extra_fields = []
 
     if append_mu_direction and parity in ("both", "even"):
-        h = mu_step_rel * star.mu
+        h = 1e-3 * star.mu
         sp = solve_radial(star.eos, star.mu + h)
         sm = solve_radial(star.eos, star.mu - h)
         RG, ZG = grid.meshes()
@@ -158,7 +156,7 @@ def perturbation_basis(
         extra_fields.append(dmu)
         tags.append(+1)
 
-    if append_vertical_shift and parity in ("both", "odd"):
+    if parity in ("both", "odd"):
         _, hz_grad = star.grad_h()
         shift = hz_grad * inv_phi2
         shift[~mask] = 0.0

@@ -14,8 +14,9 @@ rotation form takes only its own class's parameters plus its amplitude
 key is a config error.  A saved star bundle's ``meta.json`` holds the same
 two sections, so its ``eos``, ``rotation`` and ``mu`` replay as a config.
 
-``bb1974`` fixes its own star, grid and basis: its config must be ``{}``,
-and any key in it is a config error rather than silently ignored.
+Each command reads only the config sections ``COMMANDS`` lists for it
+(``bb1974`` fixes its own star, grid and basis and reads none); any other
+section is a config error before any compute, not silently ignored.
 
 Exit codes: 0 success, 2 config error, 3 solver failure, 4 ambiguous
 spectral classification.  Failures leave a machine-readable error.json.
@@ -278,8 +279,6 @@ def _write_json(path: str, payload: dict) -> None:
 
 class _Runner:
     def __init__(self, given: dict, out_dir: str, seed: int, jobs: int):
-        #: the keys the config file set, and the config with defaults
-        self.given = given
         self.cfg = _with_defaults(given)
         self.out = out_dir
         self.seed = seed
@@ -424,9 +423,6 @@ def cmd_tpp_scan(run: _Runner) -> int:
 
 
 def cmd_bb1974(run: _Runner) -> int:
-    # the example fixes its own star, grid and basis; a key would be ignored
-    if run.given:
-        raise ConfigError(f"bb1974 takes no config keys, got {sorted(run.given)}")
     scan, plot = bb1974_example(jobs=run.jobs)
     _finish_scan(run, scan)
     with open(run.path("mass_curve.csv"), "w") as fh:
@@ -445,14 +441,17 @@ def _finish_scan(run: _Runner, scan) -> None:
     _write_json(run.path("summary.json"), scan.summary())
 
 
+_STAR = ("eos", "rotation", "mu", "grid", "solver")
+
+#: command -> (handler, the config sections it reads)
 COMMANDS = {
-    "radial-scan": cmd_radial_scan,
-    "equilibrium": cmd_equilibrium,
-    "stability": cmd_stability,
-    "spectrum": cmd_spectrum,
-    "evolve": cmd_evolve,
-    "tpp-scan": cmd_tpp_scan,
-    "bb1974": cmd_bb1974,
+    "radial-scan": (cmd_radial_scan, ("eos", "mu_grid")),
+    "equilibrium": (cmd_equilibrium, _STAR),
+    "stability": (cmd_stability, _STAR + ("basis", "with_generator")),
+    "spectrum": (cmd_spectrum, _STAR + ("spectrum",)),
+    "evolve": (cmd_evolve, _STAR + ("spectrum", "evolve")),
+    "tpp-scan": (cmd_tpp_scan, ("eos", "rotation", "mu_grid", "grid", "solver", "basis")),
+    "bb1974": (cmd_bb1974, ()),
 }
 
 
@@ -490,11 +489,15 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         return fail(EXIT_CONFIG, "config", str(exc))
 
+    command, sections = COMMANDS[args.command]
+    unread = sorted(set(cfg) - set(sections))
+    if unread:
+        return fail(EXIT_CONFIG, "config", f"{args.command} does not read config sections {unread}")
     if args.jobs < 1:
         return fail(EXIT_CONFIG, "config", f"--jobs must be at least 1, got {args.jobs}")
     run = _Runner(cfg, args.out_dir, args.seed, args.jobs)
     try:
-        code = COMMANDS[args.command](run)
+        code = command(run)
     except ConfigError as exc:
         return fail(EXIT_CONFIG, "config", str(exc))
     except AmbiguousClassificationError as exc:

@@ -274,21 +274,20 @@ def make_grid(
     nr: int,
     nz: int,
     refine_at: float | None = None,
-    refine_fraction: float = 0.45,
-    refine_halfwidth: float = 0.14,
 ) -> Grid:
     """Uniform tensor grid, optionally r-graded around ``refine_at``.
 
     Grading keeps z uniform (the Poisson kernel convolves in z) and places a
     denser uniform band of radii around the requested radius, which surface
-    diagnostics need.
+    diagnostics need: 45% of the radii (at least 8) within 14% of
+    ``refine_at`` on either side.
     """
     zs = np.linspace(0.0, z_max, nz)
     if refine_at is None:
         return Grid(np.linspace(0.0, r_max, nr), zs)
-    band = refine_halfwidth * refine_at
+    band = 0.14 * refine_at
     lo, hi = max(refine_at - band, 0.0), min(refine_at + band, r_max)
-    n_fine = max(int(refine_fraction * nr), 8)
+    n_fine = max(int(0.45 * nr), 8)
     n_coarse = nr - n_fine
     coarse = np.linspace(0.0, r_max, n_coarse)
     fine = np.linspace(lo, hi, n_fine)
@@ -533,14 +532,13 @@ def boundary_asymptotics_check(
     star: AxiStar,
     lam: float,
     band: tuple[float, float] = (0.01, 0.1),
-    min_rows: int = 8,
 ):
     """Fit the decay exponent of r -> int rho^lam dz toward the support edge.
 
     Returns (fitted_slope, target_slope) where the target is
     lam / (gamma0 - 1) + 1/2.  Radii with support distance in
-    ``band`` (fractions of R0) enter the fit; fewer than ``min_rows`` usable
-    rows raises InsufficientResolutionError.
+    ``band`` (fractions of R0) enter the fit; fewer than 8 usable rows
+    raises InsufficientResolutionError.
     """
     if lam <= 0:
         raise ValueError("exponent lambda must be positive")
@@ -549,7 +547,7 @@ def boundary_asymptotics_check(
     q = star.grid.z_integral(np.where(star.rho > star.floor, star.rho, 0.0) ** lam)
     dist = R0 - rs
     sel = (dist > band[0] * R0) & (dist < band[1] * R0) & (q > 0)
-    if np.count_nonzero(sel) < min_rows:
+    if np.count_nonzero(sel) < 8:
         raise InsufficientResolutionError(
             f"only {np.count_nonzero(sel)} usable radii in the fit band"
         )

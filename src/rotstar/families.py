@@ -10,6 +10,9 @@ the extrema of the total mass curve:
   first mass maximum (the rule fails), with a quantified positive margin at
   the maximum itself.
 
+Only a fixed-angular-velocity scan solves one extra point at the located
+mu_star, whose smallest constrained eigenvalue is ``margin_at_mu_star``.
+
 Counts are taken in the even-vertical-parity sector: the odd sector carries
 only the neutral vertical-shift mode and no negative directions, which the
 stability tests verify separately.
@@ -39,7 +42,6 @@ from rotstar.stability import assemble_reduced_energy, restrict_mass_zero
 __all__ = [
     "FamilyPoint",
     "FamilyScanResult",
-    "calibrate_rotation_amplitude",
     "scan_fixed_omega",
     "scan_fixed_j",
     "bb1974_example",
@@ -231,7 +233,7 @@ class _ScanJob:
             return FamilyPoint(mu=mu, failed=True, error=f"mu={mu:g}: {exc}")
 
 
-def _run_scan(job: _ScanJob, mu_grid, jobs: int, margin_at_extremum: bool) -> FamilyScanResult:
+def _run_scan(job: _ScanJob, mu_grid, jobs: int) -> FamilyScanResult:
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     mus = [float(m) for m in np.asarray(mu_grid, dtype=float)]
@@ -243,7 +245,9 @@ def _run_scan(job: _ScanJob, mu_grid, jobs: int, margin_at_extremum: bool) -> Fa
     else:
         points = [job.run(m) for m in mus]
     result = FamilyScanResult(kind=job.kind, parameter=job.parameter, points=points)
-    if margin_at_extremum and result.mu_star is not None:
+    # the margin at mu_star quantifies the fixed-angular-velocity verdict
+    # only; a fixed-momentum scan never pays for the extra point
+    if job.kind == "fixed_omega" and result.mu_star is not None:
         pt = job.run(result.mu_star)
         if not pt.failed:
             result.margin_at_mu_star = pt.lam_min
@@ -261,7 +265,6 @@ def scan_fixed_omega(
     deg_r: int = 8,
     deg_z: int = 4,
     jobs: int = 1,
-    margin_at_extremum: bool = True,
     pad: float = 1.35,
     max_iter: int = 400,
     damping: float = 0.5,
@@ -271,7 +274,7 @@ def scan_fixed_omega(
     job = _ScanJob(
         eos, "fixed_omega", law, kappa, nr, nz, pad, tol, max_iter, damping, deg_r, deg_z
     )
-    return _run_scan(job, mu_grid, jobs, margin_at_extremum)
+    return _run_scan(job, mu_grid, jobs)
 
 
 def scan_fixed_j(
@@ -285,7 +288,6 @@ def scan_fixed_j(
     deg_r: int = 8,
     deg_z: int = 4,
     jobs: int = 1,
-    margin_at_extremum: bool = False,
     pad: float = 1.35,
     max_iter: int = 400,
     damping: float = 0.5,
@@ -295,50 +297,7 @@ def scan_fixed_j(
     job = _ScanJob(
         eos, "fixed_j", momentum, eps, nr, nz, pad, tol, max_iter, damping, deg_r, deg_z
     )
-    return _run_scan(job, mu_grid, jobs, margin_at_extremum)
-
-
-def calibrate_rotation_amplitude(
-    eos: EquationOfState,
-    rotation,
-    mu_endpoints: tuple[float, float],
-    kind: str,
-    start: float = 1.0,
-    max_deviation: float = 0.05,
-    nr: int = 64,
-    nz: int = 64,
-    max_halvings: int = 12,
-) -> float:
-    """Pre-scan for a default rotation amplitude (kappa or eps).
-
-    Returns the largest amplitude in the halving sequence from ``start`` for
-    which the field solve converges at both scan endpoints and the density
-    stays within ``max_deviation * mu`` of the non-rotating profile there.
-    """
-    from rotstar.radial import solve_radial
-
-    seeds = {mu: solve_radial(eos, mu) for mu in mu_endpoints}
-    amp = start
-    for _ in range(max_halvings):
-        ok = True
-        for mu in mu_endpoints:
-            try:
-                star = _family_solve(kind)(eos, rotation, amp, mu, nr=nr, nz=nz)
-            except (NoEquilibriumError, GridTooSmallError):
-                ok = False
-                break
-            RG, ZG = star.grid.meshes()
-            seed = seeds[mu]
-            dev = float(np.max(np.abs(star.rho - seed.rho_of(np.sqrt(RG**2 + ZG**2)))))
-            if dev > max_deviation * mu:
-                ok = False
-                break
-        if ok:
-            return amp
-        amp *= 0.5
-    raise NoEquilibriumError(
-        f"no admissible rotation amplitude found above {amp:g}"
-    )
+    return _run_scan(job, mu_grid, jobs)
 
 
 #: calibrated defaults of the soft-polytrope momentum-distribution family
@@ -357,7 +316,7 @@ def bb1974_example(jobs: int = 1) -> tuple[FamilyScanResult, np.ndarray]:
     preset grid fails to bracket the minimum."""
     scan = scan_fixed_j(
         polytrope(1.0, BB_GAMMA), FixedTotalMomentum(), BB_EPS, BB_MU_GRID,
-        nr=120, nz=120, deg_r=10, deg_z=6, jobs=jobs, margin_at_extremum=False,
+        nr=120, nz=120, deg_r=10, deg_z=6, jobs=jobs,
     )
     has_min = any(kind == "min" for _, kind in scan.mass_extrema)
     if not has_min:

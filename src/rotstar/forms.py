@@ -37,9 +37,6 @@ class Inertia:
     n_zero: int
     n_plus: int
 
-    def as_tuple(self):
-        return (self.n_minus, self.n_zero, self.n_plus)
-
 
 @dataclass
 class QuadraticForm:
@@ -113,19 +110,17 @@ def _pencil_eig(q: np.ndarray, g: np.ndarray):
     return lam, basis @ vec
 
 
-def restrict_to_complement(
-    form: QuadraticForm, constraints: np.ndarray, rel_tol: float = 1e-12
-) -> QuadraticForm:
+def restrict_to_complement(form: QuadraticForm, constraints: np.ndarray) -> QuadraticForm:
     """Restrict a form to the subspace annihilated by linear constraint rows.
 
-    ``constraints`` has shape (m, n); rows that are numerically zero are
-    dropped.  If every row is zero the input is returned unchanged with the
-    ``constraint_vacuous`` flag set.
+    ``constraints`` has shape (m, n); rows below 1e-12 of the largest entry
+    are numerically zero and dropped.  If every row is zero the input is
+    returned unchanged with the ``constraint_vacuous`` flag set.
     """
     c = np.atleast_2d(np.asarray(constraints, dtype=float))
     scale = np.max(np.abs(c)) if c.size else 0.0
     live = (
-        np.max(np.abs(c), axis=1) > rel_tol * scale if scale > 0 else np.zeros(c.shape[0], bool)
+        np.max(np.abs(c), axis=1) > 1e-12 * scale if scale > 0 else np.zeros(c.shape[0], bool)
     )
     c = c[live]
     if c.shape[0] == 0:

@@ -424,7 +424,3 @@ class RingKernel:
         for z, col in planes:
             out -= _ring_green(rp[:, None], rj, zp[:, None] - z) @ col
         return out
-
-    def interaction(self, f: np.ndarray, g: np.ndarray, parity: str = "even") -> float:
-        """Double integral  int int f(x) g(y) / |x - y| dx dy  (same parity fields)."""
-        return self.grid.integrate(f * -self.potential(g, parity))

@@ -18,9 +18,12 @@ xi = r / sqrt(h(mu) / (4 pi mu)):
 For a polytrope the right-hand side is -theta^n, the same for every mu
 (Lane-Emden homology), so one integration serves the whole family: it is
 done once at the canonical mu = 1, kept in a one-entry cache keyed on
-(c_minus, gamma0, tol), and rescaled, which gives R ~ mu^((gamma-2)/2) and
+(c_minus, gamma0), and rescaled, which gives R ~ mu^((gamma-2)/2) and
 M ~ mu^((3 gamma-4)/2).  Blended equations of state integrate their own
 scaled balance at each mu and bypass the cache.
+
+Every integration of the scaled balance uses rtol = atol = ``TOL``, and
+every profile is sampled on ``N_PROFILE`` radii.
 """
 
 from __future__ import annotations
@@ -50,6 +53,10 @@ __all__ = [
 ]
 
 MAX_RADIUS_FACTOR = 100.0
+#: rtol = atol of every integration of the scaled balance
+TOL = 1e-11
+#: radii per sampled profile, log-clustered toward the surface
+N_PROFILE = 800
 
 
 class UnboundedStarError(RuntimeError):
@@ -104,12 +111,12 @@ class RadialStar:
         object.__setattr__(self, "_menc_interp", PchipInterpolator(self.r, menc))
 
 
-#: the last polytropic solution of the scaled balance: ((c_minus, gamma0,
-#: tol), solve_ivp result at the canonical mu = 1)
+#: the last polytropic solution of the scaled balance: ((c_minus, gamma0),
+#: solve_ivp result at the canonical mu = 1)
 _lane_emden = None
 
 
-def _scaled_balance(eos: EquationOfState, mu: float, tol: float):
+def _scaled_balance(eos: EquationOfState, mu: float):
     """Integrate theta'' + (2/xi) theta' = -rho(h(mu) theta) / mu outward.
 
     theta = y / h(mu) and xi = r / sqrt(h(mu) / (4 pi mu)); the integration
@@ -134,30 +141,25 @@ def _scaled_balance(eos: EquationOfState, mu: float, tol: float):
         (xi_start, MAX_RADIUS_FACTOR),
         (1.0 - xi_start**2 / 6.0, -xi_start / 3.0),
         method="DOP853",
-        rtol=tol,
-        atol=tol,
+        rtol=TOL,
+        atol=TOL,
         events=surface,
         dense_output=True,
     )
 
 
-def _scaled_solution(eos: EquationOfState, mu: float, tol: float):
+def _scaled_solution(eos: EquationOfState, mu: float):
     """Scaled balance at mu; one shared Lane-Emden solution for polytropes."""
     global _lane_emden
     if eos.kind != "polytropic":
-        return _scaled_balance(eos, mu, tol)
-    key = (eos.c_minus, eos.gamma0, tol)
+        return _scaled_balance(eos, mu)
+    key = (eos.c_minus, eos.gamma0)
     if _lane_emden is None or _lane_emden[0] != key:
-        _lane_emden = (key, _scaled_balance(eos, 1.0, tol))
+        _lane_emden = (key, _scaled_balance(eos, 1.0))
     return _lane_emden[1]
 
 
-def solve_radial(
-    eos: EquationOfState,
-    mu: float,
-    tol: float = 1e-11,
-    n_profile: int = 800,
-) -> RadialStar:
+def solve_radial(eos: EquationOfState, mu: float) -> RadialStar:
     """Integrate the spherical balance outward from center density mu.
 
     Raises UnboundedStarError when no surface is found within
@@ -167,7 +169,7 @@ def solve_radial(
         raise ValueError("center density must be positive")
     y0 = eos.enthalpy(mu)
     r_scale = math.sqrt(y0 / (4.0 * math.pi * mu))
-    sol = _scaled_solution(eos, mu, tol)
+    sol = _scaled_solution(eos, mu)
     if not sol.t_events[0].size:
         raise UnboundedStarError(
             f"no surface within {MAX_RADIUS_FACTOR} central length scales (mu={mu:g})"
@@ -177,7 +179,7 @@ def solve_radial(
     y_slope = (y0 / r_scale) * float(sol.y_events[0][0][1])
     mass = -(radius**2) * y_slope
 
-    xi = _profile_grid(xi_surface, n_profile)
+    xi = _profile_grid(xi_surface, N_PROFILE)
     r = r_scale * xi
     y = np.empty_like(r)
     y[0], y[-1] = y0, 0.0
@@ -209,30 +211,30 @@ def _profile_grid(radius: float, n: int) -> np.ndarray:
 # -- family scans ----------------------------------------------------------
 
 
-def _family_derivative(eos: EquationOfState, mu: float, h_rel: float, tol: float,
+def _family_derivative(eos: EquationOfState, mu: float, h_rel: float,
                        quantity: Callable[[RadialStar], float]) -> float:
     """d/dmu of ``quantity`` along the family, by central differences with
     one Richardson extrapolation."""
 
     def central(h):
-        sp = solve_radial(eos, mu + h, tol)
-        sm = solve_radial(eos, mu - h, tol)
+        sp = solve_radial(eos, mu + h)
+        sm = solve_radial(eos, mu - h)
         return (quantity(sp) - quantity(sm)) / (2 * h)
 
     h = h_rel * mu
     return (4.0 * central(h / 2) - central(h)) / 3.0
 
 
-def mass_derivative(eos: EquationOfState, mu: float, h_rel: float = 1e-3,
-                    tol: float = 1e-11) -> float:
-    """dM/dmu by central differences with one Richardson extrapolation."""
-    return _family_derivative(eos, mu, h_rel, tol, lambda s: s.mass)
+def mass_derivative(eos: EquationOfState, mu: float) -> float:
+    """dM/dmu by central differences (step 1e-3 mu) with one Richardson
+    extrapolation."""
+    return _family_derivative(eos, mu, 1e-3, lambda s: s.mass)
 
 
 def surface_potential_derivative(eos: EquationOfState, mu: float,
-                                 h_rel: float = 1e-3, tol: float = 1e-11) -> float:
+                                 h_rel: float = 1e-3) -> float:
     """d/dmu of the surface potential -M/R, by the same difference scheme."""
-    return _family_derivative(eos, mu, h_rel, tol, lambda s: -s.mass / s.radius)
+    return _family_derivative(eos, mu, h_rel, lambda s: -s.mass / s.radius)
 
 
 @dataclass
@@ -258,7 +260,6 @@ class RadialFamilyCurves:
 def family_scan_radial(
     eos: EquationOfState,
     mu_grid,
-    tol: float = 1e-11,
     refine: bool = True,
 ) -> RadialFamilyCurves:
     """Solve along mu_grid and locate mass extrema and the first M/R critical point."""
@@ -268,7 +269,7 @@ def family_scan_radial(
     stars = []
     for m in mu:
         try:
-            stars.append(solve_radial(eos, m, tol))
+            stars.append(solve_radial(eos, m))
         except UnboundedStarError as exc:
             raise UnboundedStarError(f"scan failed at mu={m:g}: {exc}") from exc
     radius = np.array([s.radius for s in stars])
@@ -280,7 +281,7 @@ def family_scan_radial(
     diffs = np.diff(mass)
     for i in _sign_changes(diffs):
         mu_star = _refine_extremum(
-            lambda m: mass_derivative(eos, m, tol=tol), mu[i], mu[i + 1]
+            lambda m: mass_derivative(eos, m), mu[i], mu[i + 1]
         ) if refine else 0.5 * (mu[i] + mu[i + 1])
         extrema.append((mu_star, "max" if diffs[i] > 0 else "min"))
 
@@ -290,7 +291,7 @@ def family_scan_radial(
         i = ratio_changes[0]
         if refine:
             mu_tilde = _refine_extremum(
-                lambda m: -surface_potential_derivative(eos, m, h_rel=5e-4, tol=tol),
+                lambda m: -surface_potential_derivative(eos, m, h_rel=5e-4),
                 mu[i], mu[i + 1],
             )
         else:

@@ -26,18 +26,14 @@ from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline, CubicHermiteSpline
-from scipy.optimize import minimize_scalar
+from scipy.interpolate import CubicSpline
 
 __all__ = [
     "AngularVelocityLaw",
     "RigidLaw",
     "PowerTailLaw",
     "TabulatedLaw",
-    "RayleighVerdict",
     "discriminant",
-    "classify_rayleigh",
-    "casimir_profile",
     "MomentumDistribution",
     "PowerLawMomentum",
     "FixedTotalMomentum",
@@ -122,7 +118,9 @@ class PowerTailLaw(AngularVelocityLaw):
 
 class TabulatedLaw(AngularVelocityLaw):
     """Law built from (r, omega) samples, given inline or as the first two
-    columns of the CSV file at ``path``; derivatives come from a C^2 spline."""
+    columns of the CSV file at ``path``; derivatives come from a C^2 spline.
+    Past the last sample omega is held at its last value, so its slope there
+    is 0 and both derivatives agree with the clamped omega."""
 
     def __init__(self, r=None, omega=None, path=None):
         if path is not None:
@@ -146,16 +144,19 @@ class TabulatedLaw(AngularVelocityLaw):
         r = np.clip(np.asarray(r, dtype=float), 0.0, self.r_max)
         return self._spline(r)
 
+    def _omega_and_slope(self, r):
+        """omega and d(omega)/dr of the clamped law (slope 0 past r_max)."""
+        rc = np.clip(r, 0.0, self.r_max)
+        return self._spline(rc), np.where(r > self.r_max, 0.0, self._dspline(rc))
+
     def omega_sq_r4_derivative(self, r):
         r = np.asarray(r, dtype=float)
-        w = self.omega(r)
-        dw = self._dspline(np.clip(r, 0.0, self.r_max))
+        w, dw = self._omega_and_slope(r)
         return 2.0 * w * dw * r**4 + 4.0 * w**2 * r**3
 
     def d_omega_r2(self, r):
         r = np.asarray(r, dtype=float)
-        w = self.omega(r)
-        dw = self._dspline(np.clip(r, 0.0, self.r_max))
+        w, dw = self._omega_and_slope(r)
         return dw * r**2 + 2.0 * w * r
 
 
@@ -171,79 +172,6 @@ def discriminant(law: AngularVelocityLaw, r):
     off = ~on_axis
     out[off] = law.omega_sq_r4_derivative(r[off]) / r[off] ** 3
     return float(out[0]) if scalar else out
-
-
-@dataclass(frozen=True)
-class RayleighVerdict:
-    stable: bool
-    minimum: float
-    maximum: float
-    witness: float | None  # minimizing radius when unstable
-
-    @property
-    def interval(self):
-        return (self.minimum, self.maximum)
-
-
-def classify_rayleigh(
-    law: AngularVelocityLaw, r_interval, n_samples: int = 512, tol: float = 1e-8
-) -> RayleighVerdict:
-    """Stable iff min Upsilon > 0 on the interval; extrema refined by
-    bounded golden-section search around the coarse grid optimum."""
-    lo, hi = float(r_interval[0]), float(r_interval[1])
-    if not (0.0 <= lo < hi):
-        raise ValueError("invalid radius interval")
-    r = np.linspace(lo, hi, n_samples)
-    ups = discriminant(law, r)
-
-    def refine(sign):
-        i = int(np.argmin(sign * ups))
-        a = r[max(i - 1, 0)]
-        b = r[min(i + 1, n_samples - 1)]
-        if a == b:
-            return r[i], ups[i]
-        res = minimize_scalar(
-            lambda x: sign * discriminant(law, x),
-            bounds=(a, b),
-            method="bounded",
-            options={"xatol": tol * max(hi, 1.0)},
-        )
-        return float(res.x), float(sign * res.fun)
-
-    r_min, u_min = refine(+1.0)
-    _, u_max = refine(-1.0)
-    u_min = min(u_min, float(np.min(ups)))
-    u_max = max(u_max, float(np.max(ups)))
-    if u_min > 0:
-        return RayleighVerdict(True, u_min, u_max, None)
-    return RayleighVerdict(False, u_min, u_max, r_min)
-
-
-def casimir_profile(law: AngularVelocityLaw, r_grid):
-    """Tabulate the Casimir function g(s) along s = omega(r) r^2.
-
-    Requires the discriminant to be positive on the grid so that s is
-    strictly monotone.  Returns a cubic Hermite interpolant with the exact
-    derivative data g'(s) = -omega(r(s)), anchored at g(s(0)) = 0, together
-    with the (s, g) table.
-    """
-    r = np.asarray(r_grid, dtype=float)
-    if r.ndim != 1 or r.size < 4 or np.any(np.diff(r) <= 0) or r[0] < 0:
-        raise ValueError("r_grid must be increasing and nonnegative")
-    interior = r[r > 0]
-    ups = discriminant(law, interior)
-    if np.any(ups <= 0):
-        raise ValueError("Casimir profile needs a Rayleigh-stable law on the grid")
-    w = law.omega(r)
-    s = w * r**2
-    if np.any(np.diff(s) <= 0):
-        raise ValueError("omega * r^2 must be strictly monotone on the grid")
-    # g(s(r)) = - int_0^r omega(t) s'(t) dt, accumulated by Gauss quadrature
-    def integrand(t):
-        return law.omega(t) * law.d_omega_r2(t)
-
-    g = -_cumulative_gauss(integrand, r)
-    return CubicHermiteSpline(s, g, -w), s, g
 
 
 def _cumulative_gauss(f, r):
@@ -289,10 +217,6 @@ class MomentumDistribution:
         slope = float(self.dj_dp(scale * q, q))
         if not math.isfinite(slope):
             raise ValueError("momentum distribution slope must stay finite at p = 0")
-
-    def check_rayleigh_monotone(self, q: float, p_max: float, n: int = 256) -> bool:
-        p = np.linspace(p_max / n, p_max, n)
-        return bool(np.all(self.dJ_dp(p, q) > 0))
 
 
 @dataclass(frozen=True)

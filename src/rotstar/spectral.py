@@ -174,14 +174,13 @@ def velocity_basis(
     )
 
 
-def upsilon_range(star: AxiStar, n_samples: int = 2048):
-    """Range [min, max] of the actual discriminant over the support radii."""
+def upsilon_range(star: AxiStar):
+    """Range [min, max] of the actual discriminant over the support radii,
+    read on 2048 radii interpolated from the grid profile."""
     rs = star.grid.rs
     ups = star.context.ups
     sup = rs <= star.support_radius
-    fine = np.interp(
-        np.linspace(0.0, star.support_radius, n_samples), rs[sup], ups[sup]
-    )
+    fine = np.interp(np.linspace(0.0, star.support_radius, 2048), rs[sup], ups[sup])
     return float(np.min(fine)), float(np.max(fine))
 
 

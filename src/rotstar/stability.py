@@ -19,7 +19,10 @@ eps^2 dJ/dp(m(r), M) / r^3 through Upsilon = 2 omega d(omega r^2)/dr / r).
 A matched discretization of the full linearized generator is provided as a
 cross-check: its construction is exactly Hamiltonian at the matrix level, so
 eigenvalues come in {l, -l, conj l, -conj l} quadruples and the implicit
-midpoint evolution conserves the discrete energy to round-off.
+midpoint evolution conserves the discrete energy to round-off.  That energy,
+``Generator.energy`` in the generator's whitened coordinates, is the one
+conserved quadratic (the Casimir second variation) of the package; states
+live only in those coordinates.
 """
 
 from __future__ import annotations
@@ -47,14 +50,11 @@ __all__ = [
     "density_form_value",
     "AzimuthalLift",
     "lift_azimuthal_velocity",
-    "LinearState",
-    "casimir_second_variation",
     "Generator",
     "assemble_generator",
     "generator_unstable_count",
     "LinearTrajectory",
     "evolve_linearized",
-    "evolve_linearized_state",
     "stability_report",
 ]
 
@@ -218,31 +218,6 @@ def lift_azimuthal_velocity(
     return AzimuthalLift(u_theta=u, ratio=ratio, energy=energy)
 
 
-@dataclass
-class LinearState:
-    """Grid representation of a perturbation (rho, v_theta; v_r, v_z)."""
-
-    rho: np.ndarray
-    v_theta: np.ndarray
-    v_r: np.ndarray
-    v_z: np.ndarray
-    parity: str = "even"  # parity of the density component
-
-
-def casimir_second_variation(star: AxiStar, state: LinearState) -> float:
-    """Conserved quadratic of the linearized dynamics:
-    energy form of rho + rotational kinetic form of v_theta + meridional
-    kinetic energy.  Needs a centrifugally stable rotation for the v_theta
-    weight to exist."""
-    w = star.context.weights
-    val = density_form_value(star, state.rho, parity=state.parity)
-    if np.any(state.v_theta != 0):
-        aw = _azimuthal_weight(star, "v_theta energy")
-        val += float(np.sum(w * (aw[:, None] * star.rho) * state.v_theta**2))
-    val += float(np.sum(w * star.rho * (state.v_r**2 + state.v_z**2)))
-    return val
-
-
 # -- linearized generator -----------------------------------------------------
 
 
@@ -261,7 +236,6 @@ class Generator:
     n_merid: int
     P: np.ndarray  # (n_density + n_theta, n_merid)
     Lh: np.ndarray  # (n_density + n_theta, n_density + n_theta), symmetric
-    projectors: tuple | None = None  # weighted maps from grid fields to coords
     matrix: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -286,19 +260,6 @@ class Generator:
         q, p = z[:nq], z[nq:]
         return float(np.abs(q @ self.Lh @ q) + q @ q * self._lh_norm + p @ p)
 
-    def project(self, state: "LinearState") -> np.ndarray:
-        """Coefficients of the grid state in the generator's coordinates."""
-        if self.projectors is None:
-            raise ValueError("generator was assembled without projection data")
-        w_rho, w_theta, w_vr, w_vz = self.projectors
-        return np.concatenate(
-            [
-                w_rho @ state.rho.ravel(),
-                w_theta @ state.v_theta.ravel(),
-                w_vr @ state.v_r.ravel() + w_vz @ state.v_z.ravel(),
-            ]
-        )
-
 
 def assemble_generator(star: AxiStar, parity: str = "even") -> Generator:
     """Discretize the linearized dynamics on one z-parity sector.
@@ -313,7 +274,7 @@ def assemble_generator(star: AxiStar, parity: str = "even") -> Generator:
         raise ValueError("the generator needs a rotating star (kappa or eps > 0)")
     aw = _azimuthal_weight(star, "the generator")
     omega, d_om_r2 = ctx.omega, ctx.d_om_r2
-    w, phi2, inv_phi2 = ctx.weights, ctx.phi2, ctx.inv_phi2
+    w, inv_phi2 = ctx.weights, ctx.inv_phi2
     g = star.grid
     rs = g.rs
 
@@ -363,25 +324,16 @@ def assemble_generator(star: AxiStar, parity: str = "even") -> Generator:
     Lh = np.zeros((n1 + n2, n1 + n2))
     Lh[:n1, :n1] = 0.5 * (Lt + Lt.T)
     Lh[n1:, n1:] = 0.5 * (At + At.T)
-    npts = w.size
-    projectors = (
-        B1.T @ (dfields * (w * phi2)[None]).reshape(-1, npts),
-        B2.T @ (tfields * rho_w[None]).reshape(-1, npts),
-        BY.T @ (vr * rho_w[None]).reshape(-1, npts),
-        BY.T @ (vz * rho_w[None]).reshape(-1, npts),
-    )
-    return Generator(
-        n_density=n1, n_theta=n2, n_merid=ny, P=P, Lh=Lh, projectors=projectors
-    )
+    return Generator(n_density=n1, n_theta=n2, n_merid=ny, P=P, Lh=Lh)
 
 
-def generator_unstable_count(gen: Generator, rel_tol: float = 1e-6):
-    """Number of eigenvalues with real part above tol, the growth rate (0.0
-    when there is none: real parts inside the band are round-off), and the
-    worst quadruple-symmetry defect (relative)."""
+def generator_unstable_count(gen: Generator):
+    """Number of eigenvalues with real part above 1e-6 times the spectral
+    radius, the growth rate (0.0 when there is none: real parts inside the
+    band are round-off), and the worst quadruple-symmetry defect (relative)."""
     lam = gen.eigenvalues()
     scale = np.max(np.abs(lam)) + 1e-300
-    tol = rel_tol * scale
+    tol = 1e-6 * scale
     count = int(np.sum(lam.real > tol))
     growth = float(np.max(lam.real)) if count else 0.0
     # quadruple symmetry: spectrum maps to itself under negation
@@ -394,13 +346,12 @@ def generator_unstable_count(gen: Generator, rel_tol: float = 1e-6):
 @dataclass
 class LinearTrajectory:
     """Time series of a linear evolution: the generator's first-order flow
-    or the meridional second-order wave equation (which keeps no states)."""
+    or the meridional second-order wave equation."""
 
     times: np.ndarray
     energies: np.ndarray  # conserved quadratic per step
     norms: np.ndarray  # state norm per step
     energy_scales: np.ndarray  # magnitude of the energy terms per step
-    states: np.ndarray | None = None  # (n_steps + 1, dim)
 
     @property
     def energy_drift(self) -> float:
@@ -413,10 +364,10 @@ class LinearTrajectory:
         scale = np.max(self.energy_scales) + 1e-300
         return float(np.max(np.abs(self.energies - self.energies[0]))) / scale
 
-    def growth_rate(self, window: float = 0.5) -> float:
-        """Log-slope of the state norm over the trailing fraction of the run."""
+    def growth_rate(self) -> float:
+        """Log-slope of the state norm over the trailing half of the run."""
         n = self.times.size
-        i0 = int((1.0 - window) * n)
+        i0 = int(0.5 * n)
         y = np.log(self.norms[i0:])
         return float(np.polyfit(self.times[i0:], y, 1)[0])
 
@@ -437,31 +388,14 @@ def evolve_linearized(gen: Generator, z0: np.ndarray, T: float, dt: float) -> Li
     energies = np.empty(n_steps + 1)
     norms = np.empty(n_steps + 1)
     scales = np.empty(n_steps + 1)
-    states = np.empty((n_steps + 1, dim))
     for i in range(n_steps + 1):
         times[i] = i * dt
         energies[i] = gen.energy(z)
         scales[i] = gen.energy_scale(z)
         norms[i] = math.sqrt(float(z @ z))
-        states[i] = z
         if i < n_steps:
             z = sla.lu_solve((lu, piv), B @ z)
-    return LinearTrajectory(times, energies, norms, scales, states)
-
-
-def evolve_linearized_state(
-    star: AxiStar,
-    state0: LinearState,
-    T: float,
-    dt: float | None = None,
-) -> LinearTrajectory:
-    """Project a grid perturbation onto the generator's parity sector and
-    evolve it; the default step resolves the fastest oscillation."""
-    gen = assemble_generator(star, parity=state0.parity)
-    if dt is None:
-        lam_max = float(np.max(np.abs(gen.eigenvalues().imag)))
-        dt = 0.1 / max(lam_max, 1e-12)
-    return evolve_linearized(gen, gen.project(state0), T, dt)
+    return LinearTrajectory(times, energies, norms, scales)
 
 
 def stability_report(

@@ -91,17 +91,13 @@ def test_solver_failure_exit_code(tmp_path):
 
 
 def test_equilibrium_and_stability_commands(tmp_path):
-    cfg = write(
-        tmp_path,
-        "cfg.json",
-        {
-            "eos": {"kind": "polytropic", "c_minus": 1.0, "gamma0": 1.6666666666666667},
-            "rotation": {"form": "rigid", "omega_c": 1.0, "kappa": 0.05},
-            "mu": 1.0,
-            "grid": {"nr": 56, "nz": 56},
-            "basis": {"deg_r": 8, "deg_z": 4},
-        },
-    )
+    star = {
+        "eos": {"kind": "polytropic", "c_minus": 1.0, "gamma0": 1.6666666666666667},
+        "rotation": {"form": "rigid", "omega_c": 1.0, "kappa": 0.05},
+        "mu": 1.0,
+        "grid": {"nr": 56, "nz": 56},
+    }
+    cfg = write(tmp_path, "eq.json", star)
     out1 = tmp_path / "eq"
     assert main(["equilibrium", cfg, "--out-dir", str(out1)]) == EXIT_OK
     meta = json.loads((out1 / "equilibrium.json").read_text())
@@ -110,6 +106,7 @@ def test_equilibrium_and_stability_commands(tmp_path):
     # a 56^2 table is far below one part: the solves ran on this thread
     assert json.loads((out1 / "manifest.json").read_text())["poisson_parts"] == 1
 
+    cfg = write(tmp_path, "st.json", {**star, "basis": {"deg_r": 8, "deg_z": 4}})
     out2 = tmp_path / "st"
     assert main(["stability", cfg, "--out-dir", str(out2)]) == EXIT_OK
     rep = json.loads((out2 / "stability.json").read_text())
@@ -148,24 +145,22 @@ def test_static_star_skips_generator(tmp_path, rotation):
 
 
 def test_spectrum_and_evolve_commands(tmp_path):
-    cfg = write(
-        tmp_path,
-        "cfg.json",
-        {
-            "eos": {"kind": "polytropic", "c_minus": 1.0, "gamma0": 1.3},
-            "rotation": {"form": "power_tail", "omega_c": 1.0, "r_c": 0.4, "p": 2.0, "kappa": 0.25},
-            "mu": 1.0,
-            "grid": {"nr": 64, "nz": 64},
-            "spectrum": {"levels": 2, "ring_knots": 10},
-            "evolve": {"T": 20.0, "dt_factor": 0.05, "mode": "eigenmode"},
-        },
-    )
+    star = {
+        "eos": {"kind": "polytropic", "c_minus": 1.0, "gamma0": 1.3},
+        "rotation": {"form": "power_tail", "omega_c": 1.0, "r_c": 0.4, "p": 2.0, "kappa": 0.25},
+        "mu": 1.0,
+        "grid": {"nr": 64, "nz": 64},
+        "spectrum": {"levels": 2, "ring_knots": 10},
+    }
+    cfg = write(tmp_path, "sp.json", star)
     out = tmp_path / "sp"
     assert main(["spectrum", cfg, "--out-dir", str(out)]) == EXIT_OK
     rep = json.loads((out / "spectrum.json").read_text())
     assert rep["a"] > 0
     assert rep["eta0"] <= -rep["a"] + 1e-9
 
+    evolve = {"T": 20.0, "dt_factor": 0.05, "mode": "eigenmode"}
+    cfg = write(tmp_path, "ev.json", {**star, "evolve": evolve})
     out2 = tmp_path / "ev"
     assert main(["evolve", cfg, "--out-dir", str(out2)]) == EXIT_OK
     lines = (out2 / "trajectory.csv").read_text().strip().splitlines()
@@ -268,7 +263,7 @@ def test_tpp_scan_passes_grid_and_solver_keys(tmp_path, monkeypatch, form, name)
     }
     if name.startswith("solve"):
         command = "equilibrium"
-        payload = {**{k: v for k, v in payload.items() if k != "mu_grid"}, "mu": 1.0}
+        payload = {**{k: v for k, v in payload.items() if k not in ("mu_grid", "basis")}, "mu": 1.0}
     else:
         command = "tpp-scan"
     cfg = write(tmp_path, "cfg.json", payload)
@@ -368,13 +363,15 @@ def test_nonpositive_jobs_rejected(tmp_path, jobs):
 
 
 _POWER_J = {"form": "power_j", "coeff": 1.0, "exponent": 2.0}
+#: the STABILITY_CFG star on a 24^2 grid, with only the sections equilibrium reads
+EQ_CFG = {**{k: STABILITY_CFG[k] for k in ("eos", "rotation", "mu")}, "grid": {"nr": 24, "nz": 24}}
 
 
 @pytest.mark.parametrize(
     "command, payload, key",
     [
         ("stability", {**STABILITY_CFG, "rotation": {"form": "rigid", "omega_c": 1.0}}, "kappa"),
-        ("equilibrium", {**STABILITY_CFG, "rotation": _POWER_J}, "eps"),
+        ("equilibrium", {**EQ_CFG, "rotation": _POWER_J}, "eps"),
         ("tpp-scan", {**TPP_CFG, "rotation": {"form": "rigid", "omega_c": 1.0}}, "kappa"),
         ("tpp-scan", {**TPP_CFG, "rotation": _POWER_J}, "eps"),
     ],
@@ -393,9 +390,6 @@ def _table_csv(tmp_path, rows):
     path = tmp_path / "law.csv"
     np.savetxt(path, np.column_stack([np.linspace(0.0, 3.0, rows), np.ones(rows)]), delimiter=",")
     return str(path)
-
-
-EQ_CFG = {**STABILITY_CFG, "grid": {"nr": 24, "nz": 24}}
 
 
 @pytest.mark.parametrize(
@@ -451,3 +445,33 @@ def test_bundle_replays_as_config(tmp_path):
     assert main(["equilibrium", cfg, "--out-dir", str(second)]) == EXIT_OK
     density = [(out / "star" / "density.csv").read_bytes() for out in (first, second)]
     assert density[0] == density[1]
+
+
+@pytest.mark.parametrize(
+    "command, base, section, value",
+    [
+        ("equilibrium", "eq", "basis", {"deg_r": 20}),
+        ("equilibrium", "eq", "spectrum", {"levels": 5}),
+        ("equilibrium", "eq", "with_generator", True),
+        ("equilibrium", "eq", "mu_grid", {"start": 1.0, "stop": 2.0, "num": 3}),
+        ("stability", "eq", "spectrum", {"levels": 5}),
+        ("spectrum", "eq", "evolve", {"T": 1.0}),
+        ("radial-scan", "radial", "grid", {"nr": 24}),
+        ("tpp-scan", "tpp", "mu", 1.0),
+    ],
+)
+def test_sections_a_command_does_not_read_are_rejected(
+    tmp_path, monkeypatch, command, base, section, value
+):
+    """A whole section the command never reads is a config error before any
+    compute, not silently ignored."""
+    for name in _FAMILY_GLOBALS + ("family_scan_radial",):
+        monkeypatch.setattr(cli, name, lambda *a, **kw: pytest.fail("compute ran"))
+    given = {"eq": EQ_CFG, "radial": RADIAL_CFG, "tpp": TPP_CFG}[base]
+    cfg = write(tmp_path, "cfg.json", {**given, section: value})
+    out = tmp_path / "out"
+    assert main([command, cfg, "--out-dir", str(out)]) == EXIT_CONFIG
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "config"
+    assert repr(section) in err["message"]
+    assert sorted(os.listdir(out)) == ["error.json"]

@@ -72,7 +72,6 @@ def test_eps_zero_scan_reduces_to_nonrotating(eos13):
 def test_unstable_eos_stays_unstable_rotating(eos13):
     scan = scan_fixed_omega(
         eos13, RigidLaw(1.0), 0.05, np.linspace(0.9, 1.2, 5), nr=56, nz=56,
-        margin_at_extremum=False,
     )
     assert all(p.n_u >= 1 for p in scan.points)
 
@@ -80,7 +79,6 @@ def test_unstable_eos_stays_unstable_rotating(eos13):
 def test_scan_csv(tmp_path, eos53):
     scan = scan_fixed_omega(
         eos53, RigidLaw(1.0), 0.02, np.linspace(0.9, 1.1, 5), nr=56, nz=56,
-        margin_at_extremum=False,
     )
     path = tmp_path / "scan.csv"
     scan.to_csv(path)
@@ -88,25 +86,6 @@ def test_scan_csv(tmp_path, eos53):
     assert lines[0] == "mu,M,dMdmu,n_u,verdict"
     assert len(lines) == 6
     assert lines[1].endswith("stable")
-
-
-def test_calibrate_rotation_amplitude(eos53):
-    from rotstar.families import calibrate_rotation_amplitude
-
-    amp = calibrate_rotation_amplitude(
-        eos53, RigidLaw(1.0), (0.9, 1.1), kind="fixed_omega", start=1.6, nr=48, nz=48
-    )
-    # the pre-scan must land strictly below the starting guess (rigid
-    # rotation at kappa = 1.6 distorts the star far beyond the 5% rule)
-    assert amp < 1.6
-    from rotstar.equilibria import solve_fixed_omega
-    from rotstar.radial import solve_radial
-
-    seed = solve_radial(eos53, 1.1)
-    star = solve_fixed_omega(eos53, RigidLaw(1.0), amp, 1.1, nr=48, nz=48)
-    RG, ZG = star.grid.meshes()
-    dev = np.max(np.abs(star.rho - seed.rho_of(np.sqrt(RG**2 + ZG**2))))
-    assert dev < 0.05 * 1.1
 
 
 def test_parallel_scan_matches_serial(eos53):
@@ -127,7 +106,6 @@ def test_scan_records_failures_as_partial(eos13):
     soft = polytrope(1.0, 1.2000001)  # no bounded star at any mu
     scan = scan_fixed_omega(
         soft, RigidLaw(1.0), 0.01, np.linspace(0.9, 1.1, 3), nr=40, nz=40,
-        margin_at_extremum=False,
     )
     assert scan.partial
     assert all(p.failed for p in scan.points)
@@ -161,14 +139,42 @@ class _CpuShareJob:
 
 
 def test_scan_workers_share_the_cpus():
-    res = _run_scan(_CpuShareJob(), [1.0, 2.0, 3.0], jobs=2, margin_at_extremum=False)
+    res = _run_scan(_CpuShareJob(), [1.0, 2.0, 3.0], jobs=2)
     assert [p.mass for p in res.points] == [2.0, 2.0, 2.0]
     assert poisson._cpu_share == 1  # the parent keeps the whole budget
-    serial = _run_scan(_CpuShareJob(), [1.0, 2.0, 3.0], jobs=1, margin_at_extremum=False)
+    serial = _run_scan(_CpuShareJob(), [1.0, 2.0, 3.0], jobs=1)
     assert [p.mass for p in serial.points] == [1.0, 1.0, 1.0]
 
 
 @pytest.mark.parametrize("jobs", [0, -1])
 def test_scan_rejects_nonpositive_jobs(jobs):
     with pytest.raises(ValueError, match="jobs must be at least 1"):
-        _run_scan(_CpuShareJob(), [1.0, 2.0], jobs=jobs, margin_at_extremum=False)
+        _run_scan(_CpuShareJob(), [1.0, 2.0], jobs=jobs)
+
+
+class _PeakJob:
+    """Scan job whose masses peak at mu = 2; it records every mu it runs."""
+
+    parameter = 0.1
+
+    def __init__(self, kind):
+        self.kind = kind
+        self.calls = []
+
+    def run(self, mu):
+        self.calls.append(mu)
+        return FamilyPoint(mu=mu, mass=-((mu - 2.0) ** 2), n_u=0, lam_min=0.5 * mu)
+
+
+@pytest.mark.parametrize("kind", ["fixed_omega", "fixed_j"])
+def test_margin_is_solved_for_fixed_omega_only(kind):
+    job = _PeakJob(kind)
+    mus = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5]
+    res = _run_scan(job, mus, jobs=1)
+    assert res.mu_star is not None
+    if kind == "fixed_omega":
+        assert job.calls == mus + [res.mu_star]  # one extra point, at mu_star
+        assert res.margin_at_mu_star == 0.5 * res.mu_star
+    else:
+        assert job.calls == mus
+        assert res.margin_at_mu_star is None

@@ -2,18 +2,18 @@ import numpy as np
 import pytest
 
 from rotstar import forms, stability
-from rotstar.forms import QuadraticForm, restrict_to_complement
+from rotstar.forms import Inertia, QuadraticForm, restrict_to_complement
 
 
 def test_inertia_diagonal():
     q = np.diag([-2.0, -1e-12, 3.0])
     form = QuadraticForm(q, np.eye(3))
-    assert form.inertia(1e-6).as_tuple() == (1, 1, 1)
+    assert form.inertia(1e-6) == Inertia(1, 1, 1)
 
 
 def test_default_band_is_the_verdict_band():
     form = QuadraticForm(np.diag([-1.0, 5e-4, 1.0]), np.eye(3))
-    assert form.inertia().as_tuple() == (1, 1, 1)
+    assert form.inertia() == Inertia(1, 1, 1)
     assert form.n_minus() == 1
     assert stability.VERDICT_ZERO_TOL is forms.VERDICT_ZERO_TOL
 
@@ -21,7 +21,7 @@ def test_default_band_is_the_verdict_band():
 def test_inertia_tolerance_halving_stable():
     q = np.diag([-1.0, 1e-10, 2.0])
     form = QuadraticForm(q, np.eye(3))
-    assert form.inertia(1e-4).as_tuple() == form.inertia(5e-5).as_tuple()
+    assert form.inertia(1e-4) == form.inertia(5e-5)
 
 
 def test_asymmetric_matrix_rejected():

@@ -10,8 +10,6 @@ from rotstar.rotlaw import (
     RigidLaw,
     TabulatedLaw,
     UnitMassMomentum,
-    casimir_profile,
-    classify_rayleigh,
     discriminant,
     omega_from_j,
     profile_config,
@@ -52,76 +50,30 @@ def test_tabulated_reproduces_quartic_in_radius():
     assert np.max(np.abs(discriminant(law, probe) - exact)) < 1e-7
 
 
-def test_classify_rigid_stable():
-    v = classify_rayleigh(RigidLaw(1.5), (0.0, 1.0))
-    assert v.stable
-    assert v.interval == pytest.approx((9.0, 9.0))
-
-
-def test_classify_power_tail_unstable_witness():
-    law = PowerTailLaw(1.0, 1.0, 2.0)
-    v = classify_rayleigh(law, (0.0, 2.0))
-    assert not v.stable
-    assert v.maximum == pytest.approx(4.0, rel=1e-9)
-    assert v.minimum < 0
-    # analytic minimizer of 4(1 - r^2)/(1 + r^2)^5 is at r = sqrt(3/2)
-    assert v.witness == pytest.approx(math.sqrt(1.5), abs=1e-5)
-
-
-def test_classify_regularized_tail_stable():
-    # omega ~ r^-q tail with q < 2 keeps the discriminant positive
-    r = np.linspace(0.0, 2.0, 400)
-    q = 1.3
-    omega = (0.05 + r**2) ** (-q / 2.0)
-    law = TabulatedLaw(r, omega)
-    v = classify_rayleigh(law, (0.0, 2.0))
-    assert v.stable
-
-
-def test_classify_scale_invariance():
-    law1 = PowerTailLaw(1.0, 1.0, 2.0)
-    law3 = PowerTailLaw(3.0, 1.0, 2.0)
-    v1 = classify_rayleigh(law1, (0.0, 2.0))
-    v3 = classify_rayleigh(law3, (0.0, 2.0))
-    assert v1.stable == v3.stable
-    assert v3.minimum == pytest.approx(9.0 * v1.minimum, rel=1e-7)
-    assert v3.maximum == pytest.approx(9.0 * v1.maximum, rel=1e-7)
-
-
 def test_omega_r2_monotone_for_stable_laws():
     for law in (RigidLaw(0.7), PowerTailLaw(1.0, 2.0, 0.8)):
         r = np.linspace(0.0, 1.5, 300)
-        if classify_rayleigh(law, (0.0, 1.5)).stable:
-            s = law.omega(r) * r**2
-            assert np.all(np.diff(s) > 0)
+        assert np.all(discriminant(law, r) > 0)
+        s = law.omega(r) * r**2
+        assert np.all(np.diff(s) > 0)
 
 
-def test_casimir_rigid_closed_form():
-    law = RigidLaw(2.0)
-    spline, s, g = casimir_profile(law, np.linspace(0.0, 1.0, 200))
-    assert np.max(np.abs(g + 2.0 * s)) < 1e-12
-
-
-def test_casimir_derivative_roundtrip():
-    law = PowerTailLaw(1.0, 2.0, 0.8)
+def test_power_tail_centrifugal_integral_closed_form():
+    # int_0^r omega^2 s ds = omega_c^2 r_c^2 (1 - (1+u)^(1-2p)) / (2 (2p-1)), u = r^2/r_c^2
+    omega_c, r_c, p = 1.3, 2.0, 0.8
+    law = PowerTailLaw(omega_c, r_c, p)
     r = np.linspace(0.0, 1.5, 1000)
-    spline, s, g = casimir_profile(law, r)
-    resid = spline.derivative()(law.omega(r) * r**2) + law.omega(r)
-    assert np.max(np.abs(resid)) < 1e-8
+    u = (r / r_c) ** 2
+    exact = omega_c**2 * r_c**2 * (1.0 - (1.0 + u) ** (1.0 - 2.0 * p)) / (2.0 * (2.0 * p - 1.0))
+    assert np.max(np.abs(law.centrifugal_integral(r) - exact)) < 1e-12
 
 
-def test_casimir_closed_form_cross_check():
-    law = PowerTailLaw(1.0, 2.0, 0.8)
-    r = np.linspace(0.0, 1.5, 1000)
-    _, _, g = casimir_profile(law, r)
-    reference = -0.5 * law.omega(r) ** 2 * r**2 - law.centrifugal_integral(r)
-    assert np.max(np.abs(g - reference)) < 1e-8
-
-
-def test_casimir_needs_stable_law():
-    law = PowerTailLaw(1.0, 1.0, 2.0)  # unstable beyond r = 1
-    with pytest.raises(ValueError):
-        casimir_profile(law, np.linspace(0.0, 2.0, 100))
+def test_table_law_is_clamped_past_its_last_sample():
+    law = TabulatedLaw(np.linspace(0.0, 2.0, 5), np.linspace(1.0, 0.5, 5))
+    # beyond r_max = 2 the law is omega = 0.5: d(omega r^2)/dr = r, Upsilon = 4 omega^2
+    assert law.omega(3.0) == pytest.approx(0.5)
+    assert law.d_omega_r2(3.0) == pytest.approx(3.0)
+    assert discriminant(law, 3.0) == pytest.approx(1.0)
 
 
 def test_omega_from_zero_momentum():
@@ -136,8 +88,7 @@ def test_omega_from_fixed_total_momentum_positive():
     law = omega_from_j(mom, m_of_r, 2.0 * math.pi * 0.15, 0.5, np.linspace(0, 2, 120))
     r = np.linspace(0.05, 1.9, 50)
     assert np.all(law.omega(r) > 0)
-    v = classify_rayleigh(law, (0.0, 1.9))
-    assert v.stable
+    assert np.all(discriminant(law, np.linspace(0.0, 1.9, 512)) > 0)
 
 
 def test_omega_from_quadratic_momentum_vanishes_at_axis():
@@ -163,11 +114,6 @@ def test_momentum_exponent_validation():
         PowerLawMomentum(1.0, 0.5)
     with pytest.raises(ValueError):
         UnitMassMomentum(1.0, 0.9)
-
-
-def test_rayleigh_monotone_check():
-    assert FixedTotalMomentum().check_rayleigh_monotone(1.0, 0.15)
-    assert PowerLawMomentum(1.0, 2.0).check_rayleigh_monotone(1.0, 0.9)
 
 
 def test_table_law_from_csv(tmp_path):

@@ -9,11 +9,9 @@ from rotstar.equilibria import axistar_from_radial
 from rotstar.forms import QuadraticForm
 from rotstar.radial import solve_radial
 from rotstar.stability import (
-    LinearState,
     assemble_generator,
     assemble_perturbation_energy,
     assemble_reduced_energy,
-    casimir_second_variation,
     cumulative_cylinder_integrals,
     density_form_value,
     evolve_linearized,
@@ -226,26 +224,6 @@ def test_hardy_ratio_stable_under_refinement(eos53):
     assert ratio < 2.0
 
 
-# -- conserved quadratic ------------------------------------------------------
-
-
-def test_casimir_zero_state(rot53):
-    z = np.zeros_like(rot53.rho)
-    state = LinearState(rho=z, v_theta=z, v_r=z, v_z=z)
-    assert casimir_second_variation(rot53, state) == 0.0
-
-
-def test_casimir_meridional_state_is_kinetic_norm(rot53):
-    z = np.zeros_like(rot53.rho)
-    rng = np.random.default_rng(0)
-    vr = rng.standard_normal(rot53.rho.shape)
-    vz = rng.standard_normal(rot53.rho.shape)
-    state = LinearState(rho=z, v_theta=z, v_r=vr, v_z=vz)
-    w = 2 * math.pi * np.outer(rot53.grid.wr * rot53.grid.rs, rot53.grid.wz_line())
-    expected = float(np.sum(w * rot53.rho * (vr**2 + vz**2)))
-    assert casimir_second_variation(rot53, state) == pytest.approx(expected, rel=1e-12)
-
-
 # -- generator ----------------------------------------------------------------
 
 
@@ -336,35 +314,6 @@ def test_pair_integrals_match_einsum():
     assert got.shape == (5, 3)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
     assert stability.pair_integrals(a[:0], b, weight).shape == (0, 3)
-
-
-def test_state_level_evolution(rot53, rot13):
-    from rotstar.stability import evolve_linearized_state
-
-    rng = np.random.default_rng(3)
-    shape = rot53.rho.shape
-    state = LinearState(
-        rho=rng.standard_normal(shape) * rot53.rho,
-        v_theta=np.zeros(shape),
-        v_r=rng.standard_normal(shape),
-        v_z=np.zeros(shape),
-        parity="even",
-    )
-    traj = evolve_linearized_state(rot53, state, T=25.0)
-    assert traj.energy_drift < 1e-6
-    assert np.max(traj.norms) < 10.0 * traj.norms[0]
-    # on the unstable star the same data grows at the generator rate
-    gen = assemble_generator(rot13, "even")
-    _, growth, _ = generator_unstable_count(gen)
-    state13 = LinearState(
-        rho=rng.standard_normal(shape) * rot13.rho,
-        v_theta=np.zeros(shape),
-        v_r=rng.standard_normal(shape),
-        v_z=np.zeros(shape),
-        parity="even",
-    )
-    traj13 = evolve_linearized_state(rot13, state13, T=12.0 / growth)
-    assert traj13.growth_rate() == pytest.approx(growth, rel=0.05)
 
 
 def test_reduced_form_rejects_rayleigh_unstable(rayleigh_unstable_star):
