@@ -8,11 +8,11 @@ analyses the spectrum and growth of configurations whose rotation profile is
 centrifugally (Rayleigh) unstable.
 """
 
+from rotstar.errors import AmbiguousClassificationError, ConfigError, SolverError
 from rotstar.eos import EquationOfState, asymptotic_polytrope, polytrope
 from rotstar.radial import (
     OracleMesh,
     RadialStar,
-    UnboundedStarError,
     assemble_oracle_form,
     family_scan_radial,
     solve_radial,
@@ -29,8 +29,6 @@ from rotstar.rotlaw import (
 )
 from rotstar.equilibria import (
     AxiStar,
-    GridTooSmallError,
-    NoEquilibriumError,
     RotationSpec,
     axistar_from_radial,
     boundary_asymptotics_check,

@@ -18,8 +18,22 @@ Each command reads only the config sections ``COMMANDS`` lists for it
 (``bb1974`` fixes its own star, grid and basis and reads none); any other
 section is a config error before any compute, not silently ignored.
 
-Exit codes: 0 success, 2 config error, 3 solver failure, 4 ambiguous
-spectral classification.  Failures leave a machine-readable error.json.
+Exit codes, one per error type of ``rotstar.errors``, each failure leaving
+a machine-readable error.json:
+
+* 0 success;
+* 2 ``ConfigError``: an invalid config, or an analysis the star's rotation
+  does not admit (``stability`` or ``tpp-scan`` on a Rayleigh-unstable
+  star, ``spectrum`` or ``evolve`` on a Rayleigh-stable one, a momentum
+  distribution not vanishing at the axis, a descending, flat or too short
+  ``mu_grid``);
+* 3 ``SolverError``: no SCF convergence or divergence, a grid too small
+  for the star, a star with no surface, no converged scan point;
+* 4 ``AmbiguousClassificationError``: a strict spectrum that cannot
+  classify an eigenvalue.
+
+Any other exception is a bug: it propagates with its traceback (exit 1)
+and no error.json is written.
 """
 
 from __future__ import annotations
@@ -38,20 +52,12 @@ import scipy
 
 import rotstar
 from rotstar.eos import EquationOfState
-from rotstar.equilibria import (
-    GridTooSmallError,
-    InsufficientResolutionError,
-    NoEquilibriumError,
-    RotationSpec,
-    save_axistar,
-    solve_fixed_j,
-    solve_fixed_omega,
-)
+from rotstar.equilibria import RotationSpec, save_axistar, solve_fixed_j, solve_fixed_omega
+from rotstar.errors import AmbiguousClassificationError, ConfigError, SolverError
 from rotstar.families import bb1974_example, scan_fixed_j, scan_fixed_omega
-from rotstar.radial import UnboundedStarError, family_scan_radial
+from rotstar.radial import family_scan_radial
 from rotstar.rotlaw import FORMS
 from rotstar.spectral import (
-    AmbiguousClassificationError,
     assemble_meridional_form,
     evolve_second_order,
     spectrum_report,
@@ -188,10 +194,6 @@ DEFAULTS = {
 _CONFIG_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def load_config(path: str) -> dict:
     """Read and validate a config file; the keys it sets, without defaults."""
     try:
@@ -229,6 +231,8 @@ def build_mu_grid(cfg: dict) -> np.ndarray:
     spec = cfg.get("mu_grid")
     if spec is None:
         raise ConfigError("config requires a 'mu_grid' section")
+    if spec["stop"] <= spec["start"]:
+        raise ConfigError(f"mu_grid stop {spec['stop']:g} must exceed start {spec['start']:g}")
     fn = np.geomspace if spec.get("spacing", "geometric") == "geometric" else np.linspace
     return fn(spec["start"], spec["stop"], spec["num"])
 
@@ -418,7 +422,7 @@ def cmd_tpp_scan(run: _Runner) -> int:
     _finish_scan(run, scan)
     if all(p.failed for p in scan.points):
         # the artifacts stay, but a scan with no converged point is a failure
-        raise NoEquilibriumError(f"no scan point converged (first cause: {scan.points[0].error})")
+        raise SolverError(f"no scan point converged (first cause: {scan.points[0].error})")
     return EXIT_OK
 
 
@@ -500,17 +504,10 @@ def main(argv=None) -> int:
         code = command(run)
     except ConfigError as exc:
         return fail(EXIT_CONFIG, "config", str(exc))
+    except SolverError as exc:
+        return fail(EXIT_SOLVER, "solver", str(exc))
     except AmbiguousClassificationError as exc:
         return fail(EXIT_AMBIGUOUS, "classification", str(exc))
-    except (
-        NoEquilibriumError,
-        GridTooSmallError,
-        UnboundedStarError,
-        InsufficientResolutionError,
-        RuntimeError,
-        ValueError,
-    ) as exc:
-        return fail(EXIT_SOLVER, "solver", str(exc))
     run.manifest()
     return code
 

@@ -42,6 +42,7 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
 from rotstar.eos import EquationOfState
+from rotstar.errors import SolverError
 from rotstar.poisson import Grid, RingKernel
 from rotstar.radial import RadialStar, solve_radial
 from rotstar.rotlaw import (
@@ -53,9 +54,6 @@ from rotstar.rotlaw import (
 )
 
 __all__ = [
-    "NoEquilibriumError",
-    "GridTooSmallError",
-    "InsufficientResolutionError",
     "RotationSpec",
     "StarContext",
     "AxiStar",
@@ -71,18 +69,6 @@ __all__ = [
 DENSITY_FLOOR_REL = 1e-12
 #: a sweep whose defect exceeds the first sweep's by this factor has diverged
 DIVERGENCE_FACTOR = 1e3
-
-
-class NoEquilibriumError(RuntimeError):
-    """The self-consistent-field iteration failed to contract."""
-
-
-class GridTooSmallError(RuntimeError):
-    """The support of the density touched the grid boundary."""
-
-
-class InsufficientResolutionError(RuntimeError):
-    """Too few usable grid rows for the requested diagnostic."""
 
 
 @dataclass(frozen=True)
@@ -341,17 +327,17 @@ def _scf_iterate(
         else:
             grow_count = 0
         if theta < 1e-3 or not math.isfinite(err) or err > blowup:
-            raise NoEquilibriumError(f"iteration diverged at mu={mu:g} (defect {err:.3e})")
+            raise SolverError(f"iteration diverged at mu={mu:g} (defect {err:.3e})")
         if blowup == math.inf:
             blowup = DIVERGENCE_FACTOR * err
         prev_err = err
     else:
-        raise NoEquilibriumError(
+        raise SolverError(
             f"no convergence in {max_iter} sweeps at mu={mu:g} (defect {err:.3e})"
         )
 
     if np.any(rho[-1, :] > floor) or np.any(rho[:, -1] > floor):
-        raise GridTooSmallError("density support touches the grid boundary")
+        raise SolverError("density support touches the grid boundary")
 
     # final consistent fields and residual
     V, c, h = fields(rho)
@@ -421,7 +407,7 @@ def _solve(
     if grid is None:
         grid = make_grid(pad * seed.radius, pad * seed.radius, nr, nz)
     if grid.rs[-1] <= seed.radius:
-        raise GridTooSmallError("grid does not contain the non-rotating support")
+        raise SolverError("grid does not contain the non-rotating support")
     kernel = RingKernel(grid)
     RG, ZG = grid.meshes()
     rho0 = seed.rho_of(np.sqrt(RG**2 + ZG**2))
@@ -504,7 +490,7 @@ def axistar_from_radial(
     if grid is None:
         grid = make_grid(pad * star.radius, pad * star.radius, nr, nz)
     if grid.rs[-1] <= star.radius:
-        raise GridTooSmallError("grid does not contain the support")
+        raise SolverError("grid does not contain the support")
     RG, ZG = grid.meshes()
     S = np.sqrt(RG**2 + ZG**2)
     rho = star.rho_of(S)
@@ -538,7 +524,7 @@ def boundary_asymptotics_check(
     Returns (fitted_slope, target_slope) where the target is
     lam / (gamma0 - 1) + 1/2.  Radii with support distance in
     ``band`` (fractions of R0) enter the fit; fewer than 8 usable rows
-    raises InsufficientResolutionError.
+    raises SolverError.
     """
     if lam <= 0:
         raise ValueError("exponent lambda must be positive")
@@ -548,7 +534,7 @@ def boundary_asymptotics_check(
     dist = R0 - rs
     sel = (dist > band[0] * R0) & (dist < band[1] * R0) & (q > 0)
     if np.count_nonzero(sel) < 8:
-        raise InsufficientResolutionError(
+        raise SolverError(
             f"only {np.count_nonzero(sel)} usable radii in the fit band"
         )
     slope = float(np.polyfit(np.log(dist[sel]), np.log(q[sel]), 1)[0])

@@ -28,14 +28,9 @@ import numpy as np
 
 from rotstar.bases import perturbation_basis
 from rotstar.eos import EquationOfState, polytrope
-from rotstar.equilibria import (
-    GridTooSmallError,
-    NoEquilibriumError,
-    solve_fixed_j,
-    solve_fixed_omega,
-)
+from rotstar.equilibria import solve_fixed_j, solve_fixed_omega
+from rotstar.errors import SolverError
 from rotstar.poisson import share_cpus
-from rotstar.radial import UnboundedStarError
 from rotstar.rotlaw import AngularVelocityLaw, FixedTotalMomentum, MomentumDistribution
 from rotstar.stability import assemble_reduced_energy, restrict_mass_zero
 
@@ -229,7 +224,7 @@ class _ScanJob:
                 n_u=Kc.n_minus(),
                 lam_min=Kc.smallest(),
             )
-        except (NoEquilibriumError, GridTooSmallError, UnboundedStarError) as exc:
+        except SolverError as exc:
             return FamilyPoint(mu=mu, failed=True, error=f"mu={mu:g}: {exc}")
 
 
@@ -312,7 +307,7 @@ BB_MU_GRID = tuple(np.geomspace(150.0, 24000.0, 9))
 def bb1974_example(jobs: int = 1) -> tuple[FamilyScanResult, np.ndarray]:
     """Self-configuring mass-minimum scan of the soft polytrope with the
     fixed-total-momentum distribution on a 120^2 grid and a 10x6 basis;
-    returns the scan plus (mu, M) plot data.  Raises RuntimeError when the
+    returns the scan plus (mu, M) plot data.  Raises SolverError when the
     preset grid fails to bracket the minimum."""
     scan = scan_fixed_j(
         polytrope(1.0, BB_GAMMA), FixedTotalMomentum(), BB_EPS, BB_MU_GRID,
@@ -320,7 +315,7 @@ def bb1974_example(jobs: int = 1) -> tuple[FamilyScanResult, np.ndarray]:
     )
     has_min = any(kind == "min" for _, kind in scan.mass_extrema)
     if not has_min:
-        raise RuntimeError(
+        raise SolverError(
             "no mass minimum bracketed by the preset center-density grid "
             f"({BB_MU_GRID[0]:g} to {BB_MU_GRID[-1]:g} at eps {BB_EPS:g})"
         )

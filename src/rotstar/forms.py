@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import eigh
 
+from rotstar.errors import SolverError
+
 __all__ = [
     "VERDICT_ZERO_TOL", "Inertia", "QuadraticForm", "restrict_to_complement", "whiten",
 ]
@@ -99,7 +101,7 @@ def whiten(g: np.ndarray) -> np.ndarray:
     w, u = np.linalg.eigh(g)
     keep = w > GRAM_CUTOFF * w[-1]
     if not np.any(keep):
-        raise ValueError("gram matrix is numerically zero")
+        raise SolverError("gram matrix is numerically zero")
     return u[:, keep] / np.sqrt(w[keep])
 
 

@@ -37,11 +37,11 @@ from scipy.integrate import cumulative_trapezoid, solve_ivp
 from scipy.interpolate import BSpline, PchipInterpolator
 
 from rotstar.eos import EquationOfState
+from rotstar.errors import ConfigError, SolverError
 from rotstar.forms import QuadraticForm
 
 __all__ = [
     "RadialStar",
-    "UnboundedStarError",
     "solve_radial",
     "mass_derivative",
     "surface_potential_derivative",
@@ -57,10 +57,6 @@ MAX_RADIUS_FACTOR = 100.0
 TOL = 1e-11
 #: radii per sampled profile, log-clustered toward the surface
 N_PROFILE = 800
-
-
-class UnboundedStarError(RuntimeError):
-    """The enthalpy never reached zero inside the allowed radius."""
 
 
 @dataclass(frozen=True)
@@ -162,7 +158,7 @@ def _scaled_solution(eos: EquationOfState, mu: float):
 def solve_radial(eos: EquationOfState, mu: float) -> RadialStar:
     """Integrate the spherical balance outward from center density mu.
 
-    Raises UnboundedStarError when no surface is found within
+    Raises SolverError when no surface is found within
     MAX_RADIUS_FACTOR times the central length scale sqrt(h(mu)/(4 pi mu)).
     """
     if mu <= 0:
@@ -171,7 +167,7 @@ def solve_radial(eos: EquationOfState, mu: float) -> RadialStar:
     r_scale = math.sqrt(y0 / (4.0 * math.pi * mu))
     sol = _scaled_solution(eos, mu)
     if not sol.t_events[0].size:
-        raise UnboundedStarError(
+        raise SolverError(
             f"no surface within {MAX_RADIUS_FACTOR} central length scales (mu={mu:g})"
         )
     xi_surface = float(sol.t_events[0][0])
@@ -265,13 +261,13 @@ def family_scan_radial(
     """Solve along mu_grid and locate mass extrema and the first M/R critical point."""
     mu = np.asarray(mu_grid, dtype=float)
     if mu.size < 5 or np.any(np.diff(mu) <= 0):
-        raise ValueError("mu_grid must be strictly increasing with >= 5 points")
+        raise ConfigError("mu_grid must be strictly increasing with >= 5 points")
     stars = []
     for m in mu:
         try:
             stars.append(solve_radial(eos, m))
-        except UnboundedStarError as exc:
-            raise UnboundedStarError(f"scan failed at mu={m:g}: {exc}") from exc
+        except SolverError as exc:
+            raise SolverError(f"scan failed at mu={m:g}: {exc}") from exc
     radius = np.array([s.radius for s in stars])
     mass = np.array([s.mass for s in stars])
     dM = np.gradient(mass, mu)

@@ -28,6 +28,8 @@ from typing import Callable
 import numpy as np
 from scipy.interpolate import CubicSpline
 
+from rotstar.errors import ConfigError
+
 __all__ = [
     "AngularVelocityLaw",
     "RigidLaw",
@@ -128,8 +130,12 @@ class TabulatedLaw(AngularVelocityLaw):
                 raise ValueError("a table law takes 'r'/'omega' or 'path', not both")
             table = np.loadtxt(path, delimiter=",", ndmin=2)
             r, omega = table[:, 0], table[:, 1]
+        if r is None or omega is None:
+            raise ValueError("a table law needs both 'r' and 'omega', or 'path'")
         r = np.asarray(r, dtype=float)
         w = np.asarray(omega, dtype=float)
+        if r.shape != w.shape:
+            raise ValueError(f"table law 'r' has {r.size} samples but 'omega' has {w.size}")
         if r.ndim != 1 or r.size < 4 or np.any(np.diff(r) <= 0):
             raise ValueError("need >= 4 strictly increasing radius samples")
         if not (np.all(np.isfinite(r)) and np.all(np.isfinite(w))):
@@ -210,13 +216,13 @@ class MomentumDistribution:
 
     def validate_origin(self, q: float, scale: float = 1e-6):
         """Check the smoothness requirements at p = 0: j(0, q) = 0 and a
-        finite one-sided slope.  Raises ValueError on violation."""
+        finite one-sided slope.  Raises ConfigError on violation."""
         j0 = float(self.j(0.0, q))
         if abs(j0) > 1e-12 * max(abs(float(self.j(scale * q, q))), 1e-300):
-            raise ValueError("momentum distribution must vanish at zero cylinder mass")
+            raise ConfigError("momentum distribution must vanish at zero cylinder mass")
         slope = float(self.dj_dp(scale * q, q))
         if not math.isfinite(slope):
-            raise ValueError("momentum distribution slope must stay finite at p = 0")
+            raise ConfigError("momentum distribution slope must stay finite at p = 0")
 
 
 @dataclass(frozen=True)

@@ -30,11 +30,11 @@ from scipy.interpolate import BSpline
 
 from rotstar.bases import legendre_table
 from rotstar.equilibria import AxiStar
+from rotstar.errors import AmbiguousClassificationError, ConfigError, SolverError
 from rotstar.forms import QuadraticForm
 from rotstar.stability import LinearTrajectory, energy_blocks, pair_integrals
 
 __all__ = [
-    "AmbiguousClassificationError",
     "VelocityBasis",
     "velocity_basis",
     "assemble_meridional_form",
@@ -43,10 +43,6 @@ __all__ = [
     "evolve_second_order",
     "upsilon_range",
 ]
-
-
-class AmbiguousClassificationError(RuntimeError):
-    """An eigenvalue could not be classified as essential-cluster or discrete."""
 
 
 @dataclass
@@ -190,7 +186,7 @@ def assemble_meridional_form(star: AxiStar, basis: VelocityBasis) -> QuadraticFo
     first-order route handles the stable case)."""
     lo, _ = upsilon_range(star)
     if lo >= 0:
-        raise ValueError(
+        raise ConfigError(
             "rotation is Rayleigh stable on this star; use the reduced "
             "first-order stability analysis instead"
         )
@@ -198,7 +194,7 @@ def assemble_meridional_form(star: AxiStar, basis: VelocityBasis) -> QuadraticFo
     w = ctx.weights
     rho = np.where(ctx.mask, star.rho, 0.0)
     if not np.all(np.isfinite(basis.div_fields)):
-        raise ValueError("velocity basis has entries with undefined divergence norm")
+        raise SolverError("velocity basis has entries with undefined divergence norm")
 
     # L1 is the energy form of div(rho0 u); the ring rows stay exact zeros
     n = basis.count

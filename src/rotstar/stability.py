@@ -37,6 +37,7 @@ from scipy.linalg import eig
 
 from rotstar.bases import PerturbationBasis, perturbation_basis, tensor_shapes
 from rotstar.equilibria import AxiStar
+from rotstar.errors import ConfigError
 from rotstar.forms import VERDICT_ZERO_TOL, QuadraticForm, restrict_to_complement, whiten
 
 __all__ = [
@@ -133,7 +134,7 @@ def assemble_reduced_energy(star: AxiStar, basis: PerturbationBasis) -> Quadrati
         return base
     w, sup = rotational_weight(star)
     if np.any(w[sup] < 0):
-        raise ValueError(
+        raise ConfigError(
             "rotation is Rayleigh unstable on this star; the reduced form "
             "does not apply, use the second-order meridional analysis"
         )
@@ -164,7 +165,7 @@ def _azimuthal_weight(star: AxiStar, user: str) -> np.ndarray:
     ctx = star.context
     sup = ctx.radial_support
     if np.any(ctx.ups[sup] <= 0):
-        raise ValueError(f"{user} needs a centrifugally (Rayleigh) stable rotation")
+        raise ConfigError(f"{user} needs a centrifugally (Rayleigh) stable rotation")
     aw = np.zeros_like(ctx.ups)
     aw[sup] = 4.0 * ctx.omega[sup] ** 2 / ctx.ups[sup]
     return aw
@@ -192,7 +193,7 @@ def lift_azimuthal_velocity(
     """
     ctx = star.context
     if not ctx.rotating:
-        raise ValueError("lift needs a rotating star")
+        raise ConfigError("lift needs a rotating star")
     d_om_r2, h1, sup = ctx.d_om_r2, ctx.h1, ctx.radial_support
     aw = _azimuthal_weight(star, "lift")
     rs = star.grid.rs
@@ -271,7 +272,7 @@ def assemble_generator(star: AxiStar, parity: str = "even") -> Generator:
     """
     ctx = star.context
     if not ctx.rotating:
-        raise ValueError("the generator needs a rotating star (kappa or eps > 0)")
+        raise ConfigError("the generator needs a rotating star (kappa or eps > 0)")
     aw = _azimuthal_weight(star, "the generator")
     omega, d_om_r2 = ctx.omega, ctx.d_om_r2
     w, inv_phi2 = ctx.weights, ctx.inv_phi2

@@ -475,3 +475,96 @@ def test_sections_a_command_does_not_read_are_rejected(
     assert err["error"] == "config"
     assert repr(section) in err["message"]
     assert sorted(os.listdir(out)) == ["error.json"]
+
+
+#: the Rayleigh-unstable power-tail star of test_spectrum_and_evolve_commands
+POWER_TAIL_CFG = {
+    "eos": {"kind": "polytropic", "c_minus": 1.0, "gamma0": 1.3},
+    "rotation": {"form": "power_tail", "omega_c": 1.0, "r_c": 0.4, "p": 2.0, "kappa": 0.25},
+}
+
+
+@pytest.mark.parametrize(
+    "command, payload, needle",
+    [
+        ("spectrum", EQ_CFG, "Rayleigh stable on this star"),
+        (
+            "stability",
+            {**POWER_TAIL_CFG, "mu": 1.0, "grid": {"nr": 32, "nz": 32},
+             "basis": {"deg_r": 4, "deg_z": 2}},
+            "Rayleigh unstable on this star",
+        ),
+        (
+            "tpp-scan",
+            {**POWER_TAIL_CFG, "grid": {"nr": 24, "nz": 24}, "basis": {"deg_r": 4, "deg_z": 2},
+             "mu_grid": {"start": 1.0, "stop": 1.1, "num": 2}},
+            "Rayleigh unstable on this star",
+        ),
+        ("radial-scan", {**RADIAL_CFG, "mu_grid": {**RADIAL_CFG["mu_grid"], "num": 3}}, ">= 5 points"),
+    ],
+    ids=["spectrum_rayleigh_stable", "stability_rayleigh_unstable",
+         "tpp_scan_rayleigh_unstable", "radial_scan_short_grid"],
+)
+def test_analysis_the_star_does_not_admit_is_config_error(tmp_path, command, payload, needle):
+    """A request the analysis does not apply to exits 2 with the analysis's
+    own reason, not 3 as if a solve had failed."""
+    cfg = write(tmp_path, "cfg.json", payload)
+    out = tmp_path / "out"
+    assert main([command, cfg, "--out-dir", str(out)]) == EXIT_CONFIG
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "config" and err["exit_code"] == EXIT_CONFIG
+    assert needle in err["message"]
+
+
+@pytest.mark.parametrize("command, base", [("radial-scan", RADIAL_CFG), ("tpp-scan", TPP_CFG)])
+@pytest.mark.parametrize("stop", [0.5, 1.0])
+def test_descending_or_flat_mu_grid_rejected(tmp_path, monkeypatch, command, base, stop):
+    """A scan's verdict must not depend on the order of its grid, so a grid
+    that does not ascend is a config error before any compute."""
+    for name in _FAMILY_GLOBALS + ("family_scan_radial",):
+        monkeypatch.setattr(cli, name, lambda *a, **kw: pytest.fail("compute ran"))
+    mu_grid = {"start": 1.0, "stop": stop, "num": 5, "spacing": "linear"}
+    cfg = write(tmp_path, "cfg.json", {**base, "mu_grid": mu_grid})
+    out = tmp_path / "out"
+    assert main([command, cfg, "--out-dir", str(out)]) == EXIT_CONFIG
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "config"
+    assert f"mu_grid stop {stop:g} must exceed start 1" in err["message"]
+
+
+@pytest.mark.parametrize(
+    "table, needle",
+    [
+        ({"r": [0.0, 1.0, 2.0, 3.0]}, "needs both 'r' and 'omega', or 'path'"),
+        ({"omega": [1.0, 1.0, 1.0, 1.0]}, "needs both 'r' and 'omega', or 'path'"),
+        (
+            {"r": [0.0, 1.0, 2.0, 3.0, 4.0], "omega": [1.0, 1.0, 1.0, 1.0]},
+            "'r' has 5 samples but 'omega' has 4",
+        ),
+    ],
+    ids=["r_without_omega", "omega_without_r", "length_mismatch"],
+)
+def test_table_law_messages_name_the_keys(tmp_path, table, needle):
+    rotation = {"form": "table", **table, "kappa": 0.05}
+    cfg = write(tmp_path, "cfg.json", {**EQ_CFG, "rotation": rotation})
+    out = tmp_path / "out"
+    assert main(["equilibrium", cfg, "--out-dir", str(out)]) == EXIT_CONFIG
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "config"
+    assert needle in err["message"]
+
+
+@pytest.mark.parametrize("exc_type", [ValueError, TypeError])
+def test_programming_error_is_not_a_solver_failure(tmp_path, monkeypatch, exc_type):
+    """An exception that is not one of the package's error types is a bug:
+    it propagates with its traceback and leaves no error.json."""
+
+    def broken(*args, **kwargs):
+        raise exc_type("injected bug")
+
+    monkeypatch.setattr(cli, "perturbation_basis", broken)
+    cfg = write(tmp_path, "cfg.json", {**EQ_CFG, "basis": {"deg_r": 4, "deg_z": 2}})
+    out = tmp_path / "out"
+    with pytest.raises(exc_type, match="injected bug"):
+        main(["stability", cfg, "--out-dir", str(out)])
+    assert not (out / "error.json").exists()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rotstar.errors import SolverError
 from rotstar.spectral import (
     assemble_meridional_form,
     evolve_second_order,
@@ -200,12 +201,12 @@ def test_nonfinite_divergence_rejected(rayleigh_unstable_star):
         kinds=["grad"],
         parity="even",
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(SolverError, match="undefined divergence"):
         assemble_meridional_form(star, bad)
 
 
 def test_strict_mode_escalates_ambiguity(rayleigh_unstable_star):
-    from rotstar.spectral import AmbiguousClassificationError
+    from rotstar.errors import AmbiguousClassificationError
 
     with pytest.raises(AmbiguousClassificationError):
         spectrum_report(
