@@ -5,7 +5,9 @@ chi smooth tensor-polynomial shape functions (Legendre in r/R0 and z/Z0,
 z-parity given by the vertical degree).  The 1/h'' weighting keeps every
 basis function inside the weighted space the stability forms act on (the
 weight decays like rho0^(2-gamma0) toward the surface) and lets the grid
-quadrature see smooth integrands.
+quadrature see smooth integrands.  The shapes are tensor products of two
+Legendre tables, each built with one ``legval`` per derivative order, and
+every stack is one broadcast product of those tables.
 
 Two physically distinguished directions can be appended: the center-density
 derivative of the non-rotating family (even sector) and the vertical-shift
@@ -28,13 +30,12 @@ __all__ = ["legendre_table", "ScalarShapes", "PerturbationBasis", "perturbation_
 
 def legendre_table(arg, deg):
     """Legendre polynomials P_0..P_deg at ``arg`` with their first and second
-    derivatives, one row per degree."""
+    derivatives, one row per degree: one ``legval`` per derivative order on
+    the identity coefficient matrix, whose column i is P_i."""
     eye = np.eye(deg + 1)
-    vals = np.stack([npleg.legval(arg, eye[i]) for i in range(deg + 1)])
-    ders = np.stack([npleg.legval(arg, npleg.legder(eye[i])) for i in range(deg + 1)])
-    der2 = np.stack(
-        [npleg.legval(arg, npleg.legder(eye[i], 2)) for i in range(deg + 1)]
-    )
+    vals = npleg.legval(arg, eye)
+    ders = npleg.legval(arg, npleg.legder(eye))
+    der2 = npleg.legval(arg, npleg.legder(eye, 2))
     return vals, ders, der2
 
 
@@ -66,30 +67,29 @@ def tensor_shapes(
 
     The radial argument is 2 r / r_scale - 1 and the vertical argument
     z / z_scale, so vertical parity equals the parity of the z degree.
+    Each stack is one broadcast product of the radial and vertical Legendre
+    tables, ordered z degree outer and r degree inner.
     """
     Pr, dPr, _ = legendre_table(2.0 * rs / r_scale - 1.0, deg_r)
     dPr = dPr * (2.0 / r_scale)
     Pz, dPz, _ = legendre_table(zs / z_scale, deg_z)
     dPz = dPz / z_scale
 
-    vals, gr, gz, par, degs = [], [], [], [], []
-    for j in range(deg_z + 1):
-        p = +1 if j % 2 == 0 else -1
-        if parity == "even" and p < 0:
-            continue
-        if parity == "odd" and p > 0:
-            continue
-        for i in range(deg_r + 1):
-            vals.append(np.outer(Pr[i], Pz[j]))
-            gr.append(np.outer(dPr[i], Pz[j]))
-            gz.append(np.outer(Pr[i], dPz[j]))
-            par.append(p)
-            degs.append((i, j))
+    skip = {"even": 1, "odd": 0}.get(parity)  # z-degree parity left out
+    js = [j for j in range(deg_z + 1) if j % 2 != skip]
+    degs = [(i, j) for j in js for i in range(deg_r + 1)]
+
+    def stack(pr, pz):
+        # shape (i, j) is pr[i] (x) pz[j], j outer and i inner as in ``degs``,
+        # broadcast straight into the (n, nr, nz) stack
+        out = pr[None, :, :, None] * pz[js][:, None, None, :]
+        return out.reshape(len(degs), rs.size, zs.size)
+
     return ScalarShapes(
-        values=np.stack(vals),
-        grad_r=np.stack(gr),
-        grad_z=np.stack(gz),
-        parity=np.array(par),
+        values=stack(Pr, Pz),
+        grad_r=stack(dPr, Pz),
+        grad_z=stack(Pr, dPz),
+        parity=np.array([+1 if j % 2 == 0 else -1 for _, j in degs]),
         degrees=degs,
     )
 

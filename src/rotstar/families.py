@@ -232,6 +232,9 @@ def _run_scan(job: _ScanJob, mu_grid, jobs: int) -> FamilyScanResult:
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     mus = [float(m) for m in np.asarray(mu_grid, dtype=float)]
+    # the verdict reads slopes and grid steps in scan order
+    if np.any(np.diff(mus) <= 0):
+        raise ValueError("mu_grid must increase strictly")
     if jobs > 1:
         # each worker's Poisson threads get its share of the CPUs
         pool = ProcessPoolExecutor(max_workers=jobs, initializer=share_cpus, initargs=(jobs,))
@@ -264,7 +267,8 @@ def scan_fixed_omega(
     max_iter: int = 400,
     damping: float = 0.5,
 ) -> FamilyScanResult:
-    """Scan the fixed-angular-velocity family over mu_grid; ``pad``,
+    """Scan the fixed-angular-velocity family over mu_grid, which must
+    increase strictly (ValueError before any solve otherwise); ``pad``,
     ``tol``, ``max_iter`` and ``damping`` go to every point's solve."""
     job = _ScanJob(
         eos, "fixed_omega", law, kappa, nr, nz, pad, tol, max_iter, damping, deg_r, deg_z
@@ -287,7 +291,8 @@ def scan_fixed_j(
     max_iter: int = 400,
     damping: float = 0.5,
 ) -> FamilyScanResult:
-    """Scan the fixed-momentum-distribution family over mu_grid; ``pad``,
+    """Scan the fixed-momentum-distribution family over mu_grid, which must
+    increase strictly (ValueError before any solve otherwise); ``pad``,
     ``tol``, ``max_iter`` and ``damping`` go to every point's solve."""
     job = _ScanJob(
         eos, "fixed_j", momentum, eps, nr, nz, pad, tol, max_iter, damping, deg_r, deg_z

@@ -89,6 +89,12 @@ def velocity_basis(
     h''-weighted space).  Stream functions are r^2 rho0^2 times a spline
     bump in radius and a Legendre factor in z; parity bookkeeping: an
     'even' basis has even v_r and odd v_z.
+
+    All spline bumps come from one ``BSpline`` evaluation on the identity
+    coefficients (bumps that miss every grid radius are dropped), and each
+    family of fields is broadcast straight into preallocated stacks:
+    gradient fields first (z degree outer), then ring fields (bump outer,
+    z factor inner).  Every field is exactly zero off the support.
     """
     if parity not in ("even", "odd"):
         raise ValueError("parity must be 'even' or 'odd'")
@@ -101,71 +107,77 @@ def velocity_basis(
     ghr, ghz = star.grad_h()
     drho_r, drho_z = ghr * inv_phi2, ghz * inv_phi2
 
-    RG = rs[:, None]
-    fields_r, fields_z, divs, kinds = [], [], [], []
-
-    # gradient fields: xi = P_i(2 (r/R0)^2 - 1) * P_j(z/Z0)
+    # gradient fields: xi = P_i(2 (r/R0)^2 - 1) * P_j(z/Z0), the constant
+    # (0, 0) left out (zero field); j outer, i inner
+    pairs = [
+        (i, j)
+        for j in range(grad_deg_z + 1)
+        if (parity == "even") == (j % 2 == 0)
+        for i in range(grad_deg_r + 1)
+        if (i, j) != (0, 0)
+    ]
+    gi = np.array([i for i, _ in pairs], dtype=int)
+    gj = np.array([j for _, j in pairs], dtype=int)
     x = 2.0 * (rs / R0) ** 2 - 1.0
     zeta = zs / Z0
     Pr, dPr, d2Pr = legendre_table(x, grad_deg_r)
     Pz, dPz, d2Pz = legendre_table(zeta, grad_deg_z)
     x_r = (4.0 / R0**2) * rs
-    for j in range(grad_deg_z + 1):
-        even_j = j % 2 == 0
-        if (parity == "even") != even_j:
-            continue
-        for i in range(grad_deg_r + 1):
-            if i == 0 and j == 0:
-                continue  # constant potential: zero field
-            xi_r = np.outer(dPr[i] * x_r, Pz[j])
-            xi_z = np.outer(Pr[i], dPz[j]) / Z0
-            # laplacian: xi_rr + xi_r / r + xi_zz, with the r^2 argument
-            lap = (
-                np.outer(d2Pr[i] * x_r**2 + dPr[i] * (8.0 / R0**2), Pz[j])
-                + np.outer(Pr[i], d2Pz[j]) / Z0**2
-            )
-            div = rho * lap + drho_r * xi_r + drho_z * xi_z
-            fields_r.append(np.where(mask, xi_r, 0.0))
-            fields_z.append(np.where(mask, xi_z, 0.0))
-            divs.append(np.where(mask, div, 0.0))
-            kinds.append("grad")
 
-    # stream fields: Psi = r^2 rho0^2 beta_i(r) Z_j(z); u = curl-type, div-free
+    # stream fields: Psi = r^2 rho0^2 beta_b(r) Z_j(z); u = curl-type, div-free
     kz = [j for j in range(ring_deg_z + 1) if (j % 2 == 1) == (parity == "even")]
     knots = np.linspace(0.0, R0, ring_knots + 1)
     deg = 2
     t = np.concatenate([[0.0] * deg, knots, [R0] * deg])
-    n_bumps = len(t) - deg - 1
+    spl = BSpline(t, np.eye(len(t) - deg - 1), deg, extrapolate=False)
+    beta = np.nan_to_num(spl(rs)).T  # (n_bumps, nr), one row per bump
+    keep = np.any(beta, axis=1)  # a bump between two grid radii is dropped
+    beta = beta[keep]
+    dbeta = np.nan_to_num(spl.derivative()(rs)).T[keep]
     Zt, dZt, _ = legendre_table(zeta, ring_deg_z)
-    dZt = dZt / Z0
-    for ib in range(n_bumps):
-        coef = np.zeros(n_bumps)
-        coef[ib] = 1.0
-        spl = BSpline(t, coef, deg, extrapolate=False)
-        beta = np.nan_to_num(spl(rs))
-        dbeta = np.nan_to_num(spl.derivative()(rs))
-        if not np.any(beta):
-            continue
-        for j in kz:
-            Z, dZ = Zt[j], dZt[j]
-            bZ = np.outer(beta, Z)
-            # u_r = r (2 rho_z q + rho q_z), u_z = -(2 rho q + r (2 rho_r q + rho q_r))
-            q = bZ
-            q_r = np.outer(dbeta, Z)
-            q_z = np.outer(beta, dZ)
-            ur = RG * (2.0 * drho_z * q + rho * q_z)
-            uz = -(2.0 * rho * q + RG * (2.0 * drho_r * q + rho * q_r))
-            fields_r.append(np.where(mask, ur, 0.0))
-            fields_z.append(np.where(mask, uz, 0.0))
-            divs.append(np.zeros_like(ur))
-            kinds.append("ring")
+    Z, dZ = Zt[kz], dZt[kz] / Z0
+
+    n_grad, n_ring = len(pairs), beta.shape[0] * len(kz)
+    shape = (n_grad + n_ring,) + rho.shape
+    fields_r, fields_z, divs = np.empty(shape), np.empty(shape), np.zeros(shape)
+
+    xi_r, xi_z, div = fields_r[:n_grad], fields_z[:n_grad], divs[:n_grad]
+    np.multiply((dPr * x_r)[gi][:, :, None], Pz[gj][:, None, :], out=xi_r)
+    np.multiply(Pr[gi][:, :, None], dPz[gj][:, None, :], out=xi_z)
+    xi_z /= Z0
+    # laplacian: xi_rr + xi_r / r + xi_zz, with the r^2 argument
+    lap_r = d2Pr * x_r**2 + dPr * (8.0 / R0**2)
+    np.multiply(lap_r[gi][:, :, None], Pz[gj][:, None, :], out=div)
+    div += Pr[gi][:, :, None] * d2Pz[gj][:, None, :] / Z0**2
+    div *= rho
+    div += drho_r * xi_r
+    div += drho_z * xi_z
+    for stack in (xi_r, xi_z, div):
+        stack[:, ~mask] = 0.0
+
+    # ring fields, bump b outer and z factor j inner:
+    # u_r = r beta_b (2 rho_z Z_j + rho Z_j'),
+    # u_z = -Z_j (beta_b (2 rho + 2 r rho_r) + r rho beta_b');
+    # rho0 and its gradient vanish off the support, so these do too
+    ring_shape = (beta.shape[0], len(kz)) + rho.shape
+    RG = rs[:, None]
+    flux_z = 2.0 * drho_z[None] * Z[:, None, :] + rho[None] * dZ[:, None, :]
+    np.multiply(
+        (rs * beta)[:, None, :, None], flux_z[None],
+        out=fields_r[n_grad:].reshape(ring_shape),
+    )
+    radial = beta[:, :, None] * (2.0 * rho + 2.0 * RG * drho_r)
+    radial += dbeta[:, :, None] * (RG * rho)
+    np.multiply(
+        radial[:, None], -Z[None, :, None, :], out=fields_z[n_grad:].reshape(ring_shape)
+    )
 
     return VelocityBasis(
         star=star,
-        fields_r=np.stack(fields_r),
-        fields_z=np.stack(fields_z),
-        div_fields=np.stack(divs),
-        kinds=kinds,
+        fields_r=fields_r,
+        fields_z=fields_z,
+        div_fields=divs,
+        kinds=["grad"] * n_grad + ["ring"] * n_ring,
         parity=parity,
     )
 

@@ -61,20 +61,32 @@ __all__ = [
 
 
 def pair_integrals(a: np.ndarray, b: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """Matrix of weighted grid products sum(a_i * weight * b_j) of two field
-    stacks (either may be empty); ``weight`` holds the quadrature weights."""
-    npts = weight.size
-    return (a * weight).reshape(-1, npts) @ b.reshape(-1, npts).T
+    """Matrix of weighted grid products sum(a_i * weight * b_j) of two
+    (n, nr, nz) field stacks; ``weight`` (nr, nz) holds the quadrature
+    weights.
+
+    Only the radii up to the last one where ``weight`` is nonzero are
+    summed: the products vanish beyond it, and a weight that is zero off a
+    star's support keeps the contraction to the star's radii.  ``b`` is
+    read through a view of those radii, never copied.  An all-zero weight
+    or an empty stack gives zeros.
+    """
+    rows = np.flatnonzero(np.any(weight, axis=1))
+    J = rows[-1] + 1 if rows.size else 0
+    m = J * weight.shape[1]
+    aw = (a[:, :J] * weight[:J]).reshape(a.shape[0], m)
+    return aw @ b[:, :J].reshape(b.shape[0], m).T
 
 
 def energy_blocks(star: AxiStar, fields: np.ndarray, parities) -> tuple:
     """The two blocks of the energy form on a field stack: the pressure Gram
     int h''(rho0) f_i f_j dx and the symmetrized gravity block
     -int int f_i(x) f_j(y) / |x - y| dx dy, each field's potential solved
-    with its parity ("even" / "odd")."""
-    w = star.context.weights
-    pressure = pair_integrals(fields, fields, w * star.context.phi2)
-    grav = pair_integrals(fields, star.potentials(fields, parities), w)
+    with its parity ("even" / "odd").  The fields vanish off the star's
+    support, so both products are weighted on the support only."""
+    ctx = star.context
+    pressure = pair_integrals(fields, fields, ctx.weights * ctx.phi2)
+    grav = pair_integrals(fields, star.potentials(fields, parities), ctx.weights * ctx.mask)
     return pressure, 0.5 * (grav + grav.T)
 
 
@@ -154,7 +166,8 @@ def restrict_mass_zero(form: QuadraticForm, star: AxiStar, basis: PerturbationBa
 
 
 def density_form_value(star: AxiStar, fld: np.ndarray, parity: str = "even") -> float:
-    """Energy-form value of a single density perturbation field."""
+    """Energy-form value of a single density perturbation field, weighted on
+    the star's support like every block of ``energy_blocks``."""
     pressure, grav = energy_blocks(star, fld[None], [parity])
     return float(pressure[0, 0] + grav[0, 0])
 
@@ -338,9 +351,7 @@ def generator_unstable_count(gen: Generator):
     count = int(np.sum(lam.real > tol))
     growth = float(np.max(lam.real)) if count else 0.0
     # quadruple symmetry: spectrum maps to itself under negation
-    defect = 0.0
-    for v in lam:
-        defect = max(defect, float(np.min(np.abs(lam + v))) / scale)
+    defect = float(np.abs(lam[:, None] + lam[None, :]).min(axis=1).max()) / scale
     return count, growth, defect
 
 

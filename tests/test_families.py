@@ -178,3 +178,30 @@ def test_margin_is_solved_for_fixed_omega_only(kind):
     else:
         assert job.calls == mus
         assert res.margin_at_mu_star is None
+
+
+class _TurningJob:
+    """Fixed-omega scan job: M = 1 - (mu - 2)^2, one unstable mode from
+    mu = 2.25 on; it records every mu it runs."""
+
+    kind = "fixed_omega"
+    parameter = 0.1
+
+    def __init__(self):
+        self.calls = []
+
+    def run(self, mu):
+        self.calls.append(mu)
+        return FamilyPoint(mu=mu, mass=1.0 - (mu - 2.0) ** 2, n_u=int(mu >= 2.25))
+
+
+def test_scan_rejects_unsorted_mu_grid_before_any_solve():
+    mus = np.linspace(1.0, 3.0, 9)
+    job = _TurningJob()
+    assert _run_scan(job, mus, jobs=1).tpp_verdict == "TPP-holds"
+    # unsorted, the verdict would misread these points (TPP-fails, mu_hat 2.125)
+    for grid in (mus[::-1], np.r_[mus[:4], mus[3:]]):
+        job = _TurningJob()
+        with pytest.raises(ValueError, match="mu_grid must increase strictly"):
+            _run_scan(job, grid, jobs=1)
+        assert job.calls == []

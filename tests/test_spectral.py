@@ -1,9 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.interpolate import BSpline
 
+from rotstar.bases import legendre_table
+from rotstar.eos import polytrope
+from rotstar.equilibria import solve_fixed_omega
 from rotstar.errors import SolverError
+from rotstar.rotlaw import PowerTailLaw
 from rotstar.spectral import (
     assemble_meridional_form,
     evolve_second_order,
@@ -11,6 +17,13 @@ from rotstar.spectral import (
     upsilon_range,
     velocity_basis,
 )
+
+
+@pytest.fixture(scope="module")
+def small_unstable_star():
+    """The Rayleigh-unstable power-tail star on a 48^2 grid."""
+    law = PowerTailLaw(omega_c=1.0, r_c=0.4, p=2.0)
+    return solve_fixed_omega(polytrope(1.0, 1.3), law, 0.25, 1.0, nr=48, nz=48)
 
 
 @pytest.fixture(scope="module")
@@ -216,3 +229,94 @@ def test_strict_mode_escalates_ambiguity(rayleigh_unstable_star):
             discrete_drift_tol=0.0,
             strict=True,
         )
+
+
+def _velocity_basis_loop(star, parity, grad_deg_r, grad_deg_z, ring_knots, ring_deg_z=3):
+    """Reference: one field at a time, masked with ``np.where``."""
+    g = star.grid
+    rs, zs = g.rs, g.zs
+    R0, Z0 = star.support_radius, star.support_height
+    mask, inv_phi2 = star.context.mask, star.context.inv_phi2
+    rho = np.where(mask, star.rho, 0.0)
+    ghr, ghz = star.grad_h()
+    drho_r, drho_z = ghr * inv_phi2, ghz * inv_phi2
+    RG = rs[:, None]
+    fr, fz, divs, kinds = [], [], [], []
+    Pr, dPr, d2Pr = legendre_table(2.0 * (rs / R0) ** 2 - 1.0, grad_deg_r)
+    Pz, dPz, d2Pz = legendre_table(zs / Z0, grad_deg_z)
+    x_r = (4.0 / R0**2) * rs
+    for j in range(grad_deg_z + 1):
+        if (parity == "even") != (j % 2 == 0):
+            continue
+        for i in range(grad_deg_r + 1):
+            if i == 0 and j == 0:
+                continue
+            xi_r = np.outer(dPr[i] * x_r, Pz[j])
+            xi_z = np.outer(Pr[i], dPz[j]) / Z0
+            lap = (
+                np.outer(d2Pr[i] * x_r**2 + dPr[i] * (8.0 / R0**2), Pz[j])
+                + np.outer(Pr[i], d2Pz[j]) / Z0**2
+            )
+            div = rho * lap + drho_r * xi_r + drho_z * xi_z
+            fr.append(np.where(mask, xi_r, 0.0))
+            fz.append(np.where(mask, xi_z, 0.0))
+            divs.append(np.where(mask, div, 0.0))
+            kinds.append("grad")
+    kz = [j for j in range(ring_deg_z + 1) if (j % 2 == 1) == (parity == "even")]
+    t = np.concatenate([[0.0] * 2, np.linspace(0.0, R0, ring_knots + 1), [R0] * 2])
+    Zt, dZt, _ = legendre_table(zs / Z0, ring_deg_z)
+    dZt = dZt / Z0
+    for ib in range(len(t) - 3):
+        spl = BSpline(t, np.eye(len(t) - 3)[ib], 2, extrapolate=False)
+        beta = np.nan_to_num(spl(rs))
+        dbeta = np.nan_to_num(spl.derivative()(rs))
+        if not np.any(beta):
+            continue
+        for j in kz:
+            q = np.outer(beta, Zt[j])
+            ur = RG * (2.0 * drho_z * q + rho * np.outer(beta, dZt[j]))
+            uz = -(2.0 * rho * q + RG * (2.0 * drho_r * q + rho * np.outer(dbeta, Zt[j])))
+            fr.append(np.where(mask, ur, 0.0))
+            fz.append(np.where(mask, uz, 0.0))
+            divs.append(np.zeros_like(ur))
+            kinds.append("ring")
+    return np.stack(fr), np.stack(fz), np.stack(divs), kinds
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+@pytest.mark.parametrize("grad_deg", [4, 0])
+def test_velocity_basis_matches_per_field_loop(small_unstable_star, parity, grad_deg):
+    star = small_unstable_star
+    ring_knots = 40  # fine enough on 48^2 that a bump misses every grid radius
+    vb = velocity_basis(star, parity=parity, grad_deg_r=grad_deg, grad_deg_z=grad_deg,
+                        ring_knots=ring_knots)
+    ref_r, ref_z, ref_div, kinds = _velocity_basis_loop(
+        star, parity, grad_deg, grad_deg, ring_knots
+    )
+    assert vb.kinds == kinds
+    assert kinds.count("ring") < 2 * (ring_knots + 2)  # a dropped bump
+    assert (grad_deg == 0) == ("grad" not in kinds)
+    for got, ref in ((vb.fields_r, ref_r), (vb.fields_z, ref_z), (vb.div_fields, ref_div)):
+        assert got.shape == ref.shape
+        err = np.max(np.abs(got - ref), axis=(1, 2))
+        assert np.all(err <= 1e-14 * np.max(np.abs(ref), axis=(1, 2)))
+    off = ~star.context.mask
+    ring = np.array(kinds) == "ring"
+    assert np.all(vb.fields_r[ring][:, off] == 0.0)
+    assert np.all(vb.fields_z[ring][:, off] == 0.0)
+    assert not np.any(vb.div_fields[ring])
+
+
+def test_velocity_basis_memory_is_bounded_by_its_stacks(small_unstable_star):
+    """Building the stacks allocates at most 1.75x the bytes it returns: the
+    fields are written into their final arrays, not stacked from lists."""
+    star = small_unstable_star
+    star.context  # shared arrays built once per star, outside the measurement
+    tracemalloc.start()
+    try:
+        vb = velocity_basis(star, ring_knots=40)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    returned = vb.fields_r.nbytes + vb.fields_z.nbytes + vb.div_fields.nbytes
+    assert peak <= 1.75 * returned

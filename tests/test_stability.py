@@ -313,7 +313,40 @@ def test_pair_integrals_match_einsum():
     ref = np.einsum("aij,bij,ij->ab", a, b, weight)
     assert got.shape == (5, 3)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
-    assert stability.pair_integrals(a[:0], b, weight).shape == (0, 3)
+    assert np.array_equal(stability.pair_integrals(a[:0], b, weight), np.zeros((0, 3)))
+    assert np.array_equal(stability.pair_integrals(a, b[:0], weight), np.zeros((5, 0)))
+
+
+@pytest.mark.parametrize("J", [6, 9, 0])
+def test_pair_integrals_sum_only_radii_with_nonzero_weight(J):
+    """Radii past the last nonzero weight row are never read: NaN there
+    leaves the product equal to the full-grid contraction of clean stacks."""
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((4, 9, 7))
+    b = rng.standard_normal((6, 9, 7))
+    weight = rng.random((9, 7))
+    weight[J:] = 0.0
+    if J:
+        weight[J - 1, :3] = 0.0  # a partly zero last row still counts
+    ref = np.einsum("aij,bij,ij->ab", a, b, weight)
+    a[:, J:] = np.nan
+    b[:, J:] = np.nan
+    got = stability.pair_integrals(a, b, weight)
+    assert got.shape == (4, 6)
+    if J == 0:
+        assert np.array_equal(got, np.zeros((4, 6)))
+    else:
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_quadruple_defect_equals_per_eigenvalue_loop(rot13):
+    gen = assemble_generator(rot13, "odd")
+    lam = gen.eigenvalues()
+    scale = np.max(np.abs(lam)) + 1e-300
+    defect = 0.0
+    for v in lam:
+        defect = max(defect, float(np.min(np.abs(lam + v))) / scale)
+    assert generator_unstable_count(gen)[2] == defect
 
 
 def test_reduced_form_rejects_rayleigh_unstable(rayleigh_unstable_star):
