@@ -18,6 +18,7 @@ forms).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
@@ -41,17 +42,36 @@ def legendre_table(arg, deg):
 
 @dataclass
 class ScalarShapes:
-    """Tensor Legendre shapes chi_(i,j)(r, z) with values and gradients on a grid."""
+    """Tensor Legendre shapes chi_(i,j)(r, z) on a grid.  Each (n, nr, nz)
+    stack, the values and the two gradient components, is one broadcast
+    product of a radial and a vertical table, built when first read."""
 
-    values: np.ndarray  # (n, nr, nz)
-    grad_r: np.ndarray  # (n, nr, nz)
-    grad_z: np.ndarray  # (n, nr, nz)
-    parity: np.ndarray  # (n,), +1 even / -1 odd in z
-    degrees: list  # (i, j) per shape
+    radial: tuple  # (P_i, dP_i/dr), each (deg_r + 1, nr)
+    vertical: tuple  # (P_j, dP_j/dz) of the kept z degrees, each (n_j, nz)
+    degrees: list  # (i, j) per shape, z degree outer and r degree inner
 
     @property
-    def count(self) -> int:
-        return self.values.shape[0]
+    def parity(self) -> np.ndarray:
+        """+1 even / -1 odd in z, per shape."""
+        return np.array([+1 if j % 2 == 0 else -1 for _, j in self.degrees])
+
+    def _stack(self, pr: np.ndarray, pz: np.ndarray) -> np.ndarray:
+        # shape (i, j) is pr[i] (x) pz[j], j outer and i inner as in
+        # ``degrees``, broadcast straight into the (n, nr, nz) stack
+        out = pr[None, :, :, None] * pz[:, None, None, :]
+        return out.reshape(len(self.degrees), pr.shape[1], pz.shape[1])
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        return self._stack(self.radial[0], self.vertical[0])
+
+    @cached_property
+    def grad_r(self) -> np.ndarray:
+        return self._stack(self.radial[1], self.vertical[0])
+
+    @cached_property
+    def grad_z(self) -> np.ndarray:
+        return self._stack(self.radial[0], self.vertical[1])
 
 
 def tensor_shapes(
@@ -67,8 +87,7 @@ def tensor_shapes(
 
     The radial argument is 2 r / r_scale - 1 and the vertical argument
     z / z_scale, so vertical parity equals the parity of the z degree.
-    Each stack is one broadcast product of the radial and vertical Legendre
-    tables, ordered z degree outer and r degree inner.
+    Shapes are ordered z degree outer and r degree inner.
     """
     Pr, dPr, _ = legendre_table(2.0 * rs / r_scale - 1.0, deg_r)
     dPr = dPr * (2.0 / r_scale)
@@ -78,20 +97,7 @@ def tensor_shapes(
     skip = {"even": 1, "odd": 0}.get(parity)  # z-degree parity left out
     js = [j for j in range(deg_z + 1) if j % 2 != skip]
     degs = [(i, j) for j in js for i in range(deg_r + 1)]
-
-    def stack(pr, pz):
-        # shape (i, j) is pr[i] (x) pz[j], j outer and i inner as in ``degs``,
-        # broadcast straight into the (n, nr, nz) stack
-        out = pr[None, :, :, None] * pz[js][:, None, None, :]
-        return out.reshape(len(degs), rs.size, zs.size)
-
-    return ScalarShapes(
-        values=stack(Pr, Pz),
-        grad_r=stack(dPr, Pz),
-        grad_z=stack(Pr, dPz),
-        parity=np.array([+1 if j % 2 == 0 else -1 for _, j in degs]),
-        degrees=degs,
-    )
+    return ScalarShapes(radial=(Pr, dPr), vertical=(Pz[js], dPz[js]), degrees=degs)
 
 
 @dataclass
@@ -101,11 +107,6 @@ class PerturbationBasis:
     star: AxiStar
     fields: np.ndarray  # (n, nr, nz)
     parity: np.ndarray  # (n,), +1 / -1
-
-    @property
-    def phi2(self) -> np.ndarray:
-        """h''(rho0) on the support, 0 outside."""
-        return self.star.context.phi2
 
     @property
     def count(self) -> int:
@@ -120,14 +121,12 @@ def perturbation_basis(
     deg_r: int = 10,
     deg_z: int = 6,
     parity: str = "both",
-    append_mu_direction: bool = True,
 ) -> PerturbationBasis:
     """Tensor-polynomial perturbation basis weighted by 1/h''(rho0).
 
-    ``append_mu_direction`` adds the central difference (step 1e-3 mu) of
-    the non-rotating family's density in the star's center density (basis
-    enrichment in the even sector); the odd sector always gets
-    grad_z(h)/h''(rho0), the discrete vertical-translation mode.
+    The even sector also gets the central difference (step 1e-3 mu) of the
+    non-rotating family's density in the star's center density, the odd
+    sector grad_z(h)/h''(rho0), the discrete vertical-translation mode.
     """
     grid = star.grid
     mask, inv_phi2 = star.context.mask, star.context.inv_phi2
@@ -145,7 +144,7 @@ def perturbation_basis(
     tags = list(shapes.parity)
     extra_fields = []
 
-    if append_mu_direction and parity in ("both", "even"):
+    if parity in ("both", "even"):
         h = 1e-3 * star.mu
         sp = solve_radial(star.eos, star.mu + h)
         sm = solve_radial(star.eos, star.mu - h)

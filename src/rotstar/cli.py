@@ -238,13 +238,13 @@ def build_mu_grid(cfg: dict) -> np.ndarray:
 
 
 def solve_configured_star(cfg: dict):
-    fixed_omega, rotation, amplitude = _rotation(cfg)
+    spec = _rotation(cfg)
     eos = build_eos(cfg)
     mu = cfg.get("mu")
     if mu is None:
         raise ConfigError("config requires 'mu'")
-    solve = solve_fixed_omega if fixed_omega else solve_fixed_j
-    return solve(eos, rotation, amplitude, mu, **_solve_kwargs(cfg))
+    solve = solve_fixed_omega if spec.kind == "fixed_omega" else solve_fixed_j
+    return solve(eos, spec.profile, spec.amplitude, mu, **_solve_kwargs(cfg))
 
 
 def _solve_kwargs(cfg: dict) -> dict:
@@ -256,19 +256,15 @@ def _solve_kwargs(cfg: dict) -> dict:
     )
 
 
-def _rotation(cfg: dict):
-    """(fixed_omega, law or momentum distribution, kappa or eps) of the
-    config's rotation section; a missing section or amplitude is an error,
-    not a static star."""
+def _rotation(cfg: dict) -> RotationSpec:
+    """The rotation of the config's rotation section; a missing section or
+    amplitude is an error, not a static star."""
     if "rotation" not in cfg:
         raise ConfigError("config requires a 'rotation' section")
     try:
-        spec = RotationSpec.from_config(cfg["rotation"])
+        return RotationSpec.from_config(cfg["rotation"])
     except (OSError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid rotation: {exc}") from exc
-    if spec.kind == "fixed_omega":
-        return True, spec.law, spec.kappa
-    return False, spec.momentum, spec.eps
 
 
 def _config_hash(cfg: dict) -> str:
@@ -410,13 +406,13 @@ def cmd_evolve(run: _Runner) -> int:
 
 
 def cmd_tpp_scan(run: _Runner) -> int:
-    fixed_omega, rotation, amplitude = _rotation(run.cfg)
+    spec = _rotation(run.cfg)
     eos = build_eos(run.cfg)
     mu_grid = build_mu_grid(run.cfg)
     b = run.cfg["basis"]
-    scan_family = scan_fixed_omega if fixed_omega else scan_fixed_j
+    scan_family = scan_fixed_omega if spec.kind == "fixed_omega" else scan_fixed_j
     scan = scan_family(
-        eos, rotation, amplitude, mu_grid, **_solve_kwargs(run.cfg),
+        eos, spec.profile, spec.amplitude, mu_grid, **_solve_kwargs(run.cfg),
         deg_r=b["deg_r"], deg_z=b["deg_z"], jobs=run.jobs,
     )
     _finish_scan(run, scan)
@@ -427,12 +423,7 @@ def cmd_tpp_scan(run: _Runner) -> int:
 
 
 def cmd_bb1974(run: _Runner) -> int:
-    scan, plot = bb1974_example(jobs=run.jobs)
-    _finish_scan(run, scan)
-    with open(run.path("mass_curve.csv"), "w") as fh:
-        fh.write("mu,M\n")
-        for mu, M in plot:
-            fh.write(f"{mu:.11e},{M:.11e}\n")
+    _finish_scan(run, bb1974_example(jobs=run.jobs))
     return EXIT_OK
 
 

@@ -2,7 +2,9 @@
 
 Both slow-rotation families are one Euler-Poisson problem on a half-plane
 (r, z >= 0) grid with even reflection, solved by one SCF driver keyed on a
-``RotationSpec``; the families differ only in the rotational potential:
+``RotationSpec(profile, amplitude)``: the profile's class (an angular
+velocity law or a momentum distribution) names the family, and the families
+differ only in the rotational potential:
 
 * fixed angular velocity: the centrifugal potential kappa^2 int_0^r w^2 s ds
   is a fixed function of radius;
@@ -17,8 +19,10 @@ enthalpy inverse.  Updates are damped and the damping halves whenever the
 defect grows; a defect that turns non-finite or exceeds the first sweep's
 by ``DIVERGENCE_FACTOR`` stops the iteration as diverged.
 
-A solved star carries one lazily built ``StarContext``: the volume weights,
-the support mask, h''(rho0) and its inverse, the column density, the radial
+A star stores only what defines it: its mass, cylinder mass and density
+floor are properties of its grid, density and center density.  It carries
+one lazily built ``StarContext``, the only copy of the volume weights, the
+support mask, h''(rho0) and its inverse, the column density, the radial
 support and the rotation profiles that the bases and stability forms share.
 The profiles (omega, d(omega r^2)/dr, Upsilon) are the only way the rotation
 reaches those analyses; the family itself is read here only where the
@@ -37,6 +41,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -73,45 +78,48 @@ DIVERGENCE_FACTOR = 1e3
 
 @dataclass(frozen=True)
 class RotationSpec:
-    """Rotation metadata of an equilibrium.
+    """The rotation of an equilibrium: a profile and its amplitude.
 
-    kind is 'none', 'fixed_omega' (law, kappa) or 'fixed_j' (j, eps).  The
-    actual azimuthal velocity is kappa * law.omega(r) * r for the first
-    family and eps * j(m(r), M) / r for the second.
+    An ``AngularVelocityLaw`` profile is the fixed-angular-velocity family
+    (azimuthal velocity amplitude * law.omega(r) * r, the amplitude is
+    kappa); a ``MomentumDistribution`` is the fixed-momentum family
+    (amplitude * j(m(r), M) / r, the amplitude is eps); no profile is a
+    static star.
     """
 
-    kind: str
-    law: AngularVelocityLaw | None = None
-    kappa: float = 0.0
-    momentum: MomentumDistribution | None = None
-    eps: float = 0.0
+    profile: AngularVelocityLaw | MomentumDistribution | None = None
+    amplitude: float = 0.0
+
+    @property
+    def kind(self) -> str:
+        """'fixed_omega', 'fixed_j' or 'none', from the profile's class."""
+        if isinstance(self.profile, AngularVelocityLaw):
+            return "fixed_omega"
+        if isinstance(self.profile, MomentumDistribution):
+            return "fixed_j"
+        return "none"
 
     @classmethod
     def from_config(cls, section: dict | None) -> RotationSpec:
-        """The rotation a config section names: a law's section adds its
+        """The rotation a config section names: a law's section gives its
         amplitude as ``kappa``, a distribution's as ``eps``; None is a
         static star."""
         if section is None:
-            return cls(kind="none")
+            return cls()
         params = dict(section)
         form = params["form"]
-        fixed_omega = issubclass(FORMS[form], AngularVelocityLaw)
-        key = "kappa" if fixed_omega else "eps"
+        key = "kappa" if issubclass(FORMS[form], AngularVelocityLaw) else "eps"
         if key not in params:
             raise ValueError(f"rotation form {form!r} requires {key!r}")
         amplitude = params.pop(key)
-        profile = profile_from_config(params)
-        if fixed_omega:
-            return cls(kind="fixed_omega", law=profile, kappa=amplitude)
-        return cls(kind="fixed_j", momentum=profile, eps=amplitude)
+        return cls(profile_from_config(params), amplitude)
 
     def config(self) -> dict | None:
         """The config section ``from_config`` reads back into this spec."""
-        if self.kind == "fixed_omega":
-            return {**profile_config(self.law), "kappa": self.kappa}
-        if self.kind == "fixed_j":
-            return {**profile_config(self.momentum), "eps": self.eps}
-        return None
+        if self.profile is None:
+            return None
+        key = "kappa" if self.kind == "fixed_omega" else "eps"
+        return {**profile_config(self.profile), key: self.amplitude}
 
 
 @dataclass(frozen=True)
@@ -125,7 +133,7 @@ class StarContext:
     inv_phi2: np.ndarray  # 1 / h''(rho0) on the support, 0 outside
     h1: np.ndarray  # int rho0 dz per radius
     radial_support: np.ndarray  # (h1 > 0) & (r <= R0)
-    omega: np.ndarray  # this and the next two: azimuthal_velocity_profiles()
+    omega: np.ndarray  # this and the next two: _velocity_profiles()
     d_om_r2: np.ndarray
     ups: np.ndarray
 
@@ -138,7 +146,8 @@ class StarContext:
 
 @dataclass
 class AxiStar:
-    """Axisymmetric equilibrium on a half-plane grid (even in z)."""
+    """Axisymmetric equilibrium on a half-plane grid (even in z); a copy
+    with another density (``dataclasses.replace``) derives its own mass."""
 
     eos: EquationOfState
     grid: Grid
@@ -149,24 +158,28 @@ class AxiStar:
     residual: float
     support_radius: float  # R0
     support_height: float  # Z0
-    mass: float
-    m_of_r: np.ndarray  # cylinder mass per grid radius, m(R0) = M / (2 pi)
     rotation: RotationSpec
-    floor: float
     _kernel: RingKernel | None = field(default=None, repr=False, compare=False)
-    _context: StarContext | None = field(default=None, init=False, repr=False, compare=False)
+
+    @cached_property
+    def m_of_r(self) -> np.ndarray:
+        """Cylinder mass per grid radius, m(R0) = M / (2 pi)."""
+        return self.grid.cylinder_mass(self.rho)
 
     @property
-    def support_mask(self) -> np.ndarray:
-        return self.rho > self.floor
+    def mass(self) -> float:
+        return 2.0 * math.pi * float(self.m_of_r[-1])
 
     @property
+    def floor(self) -> float:
+        """Density below which a node is outside the support."""
+        return DENSITY_FLOOR_REL * self.mu
+
+    @cached_property
     def context(self) -> StarContext:
         """The star's shared derived arrays, built on first use from its
         fields as they stand (a solved star's fields are not modified)."""
-        if self._context is None:
-            self._context = _star_context(self)
-        return self._context
+        return _star_context(self)
 
     @property
     def kernel(self) -> RingKernel:
@@ -180,10 +193,6 @@ class AxiStar:
         for k, par in enumerate(parities):
             pots[k] = self.kernel.potential(fields[k], parity=par)
         return pots
-
-    def h_column(self) -> np.ndarray:
-        """int rho dz per radius (full line, even reflection)."""
-        return self.grid.z_integral(self.rho)
 
     def grad_h(self):
         """Gradient of the effective enthalpy field, (d/dr, d/dz).
@@ -203,55 +212,57 @@ class AxiStar:
         rotp = self.context.omega**2 * self.grid.rs
         return rotp[:, None] - dVdr, -dVdz
 
-    def azimuthal_velocity_profiles(self):
-        """Consistent rotation profiles on the grid radii.
 
-        Returns (omega, d(omega r^2)/dr, Upsilon) for the actual rotation,
-        built from the same arrays everywhere so that discrete identities
-        relating the reduced rotational correction and the azimuthal-lift
-        energy hold to round-off.
-        """
-        rs = self.grid.rs
-        rot = self.rotation
-        if rot.kind == "none":
-            z = np.zeros_like(rs)
-            return z, z.copy(), z.copy()
-        if rot.kind == "fixed_omega":
-            omega = rot.kappa * np.asarray(rot.law.omega(rs))
-            d_om_r2 = rot.kappa * np.asarray(rot.law.d_omega_r2(rs))
-            ups = np.empty_like(rs)
-            ups[0] = 4.0 * omega[0] ** 2
-            ups[1:] = rot.kappa**2 * rot.law.omega_sq_r4_derivative(rs[1:]) / rs[1:] ** 3
-            return omega, d_om_r2, ups
-        # fixed_j: omega = eps j(m(r), M)/r^2; chain rule through m'(r) = r h1(r)
-        M = self.mass
-        h1 = self.h_column()
-        m = self.m_of_r
-        omega = np.empty_like(rs)
-        off = rs > 0
-        omega[off] = rot.eps * rot.momentum.j(m[off], M) / rs[off] ** 2
-        omega[0] = float(rot.eps * rot.momentum.dj_dp(0.0, M) * 0.5 * h1[0]) if np.isfinite(
-            rot.momentum.dj_dp(0.0, M)
-        ) else 0.0
-        # d/dr (omega r^2) = eps dj/dp(m) m'(r)
-        d_om_r2 = rot.eps * rot.momentum.dj_dp(m, M) * rs * h1
+def _velocity_profiles(star: AxiStar, h1: np.ndarray):
+    """Consistent rotation profiles on the grid radii.
+
+    Returns (omega, d(omega r^2)/dr, Upsilon) for the actual rotation,
+    built from the same arrays everywhere so that discrete identities
+    relating the reduced rotational correction and the azimuthal-lift
+    energy hold to round-off; ``h1`` is the star's column density.
+    """
+    rs = star.grid.rs
+    rot = star.rotation
+    kind, profile, amp = rot.kind, rot.profile, rot.amplitude
+    if kind == "none":
+        z = np.zeros_like(rs)
+        return z, z.copy(), z.copy()
+    if kind == "fixed_omega":
+        omega = amp * np.asarray(profile.omega(rs))
+        d_om_r2 = amp * np.asarray(profile.d_omega_r2(rs))
         ups = np.empty_like(rs)
-        ups[off] = rot.eps**2 * rot.momentum.dJ_dp(m[off], M) * h1[off] / rs[off] ** 2
         ups[0] = 4.0 * omega[0] ** 2
+        ups[1:] = amp**2 * profile.omega_sq_r4_derivative(rs[1:]) / rs[1:] ** 3
         return omega, d_om_r2, ups
+    # fixed_j: omega = eps j(m(r), M)/r^2; chain rule through m'(r) = r h1(r)
+    M = star.mass
+    m = star.m_of_r
+    omega = np.empty_like(rs)
+    off = rs > 0
+    omega[off] = amp * profile.j(m[off], M) / rs[off] ** 2
+    omega[0] = float(amp * profile.dj_dp(0.0, M) * 0.5 * h1[0]) if np.isfinite(
+        profile.dj_dp(0.0, M)
+    ) else 0.0
+    # d/dr (omega r^2) = eps dj/dp(m) m'(r)
+    d_om_r2 = amp * profile.dj_dp(m, M) * rs * h1
+    ups = np.empty_like(rs)
+    ups[off] = amp**2 * profile.dJ_dp(m[off], M) * h1[off] / rs[off] ** 2
+    ups[0] = 4.0 * omega[0] ** 2
+    return omega, d_om_r2, ups
 
 
 def _star_context(star: AxiStar) -> StarContext:
-    g, mask = star.grid, star.support_mask
+    g = star.grid
+    mask = star.rho > star.floor
     phi2 = np.zeros_like(star.rho)
     phi2[mask] = star.eos.enthalpy_second(star.rho[mask])
     inv_phi2 = np.zeros_like(star.rho)
     inv_phi2[mask] = 1.0 / phi2[mask]
-    h1 = star.h_column()
+    h1 = g.z_integral(star.rho)
     weights = 2.0 * math.pi * np.outer(g.wr * g.rs, g.wz_line())
     support = (h1 > 0) & (g.rs <= star.support_radius)
     return StarContext(weights, mask, phi2, inv_phi2, h1, support,
-                       *star.azimuthal_velocity_profiles())
+                       *_velocity_profiles(star, h1))
 
 
 def make_grid(
@@ -343,7 +354,7 @@ def _scf_iterate(
     V, c, h = fields(rho)
     mask = rho > floor
     residual = float(np.max(np.abs(eos.enthalpy(rho[mask]) - h[mask])))
-    return rho, V, float(c), h, residual, floor
+    return rho, V, float(c), h, residual
 
 
 def _support_extent(grid: Grid, h_equator: np.ndarray, h_axis: np.ndarray):
@@ -366,8 +377,8 @@ def _rot_potential_of(grid: Grid, rot: RotationSpec):
     """rho -> rotational potential per grid radius (only the fixed-j one
     depends on rho)."""
     if rot.kind == "fixed_j":
-        return lambda rho: _momentum_potential(grid, rho, rot.momentum, rot.eps)
-    arr = rot.kappa**2 * np.asarray(rot.law.centrifugal_integral(grid.rs))
+        return lambda rho: _momentum_potential(grid, rho, rot.profile, rot.amplitude)
+    arr = rot.amplitude**2 * np.asarray(rot.profile.centrifugal_integral(grid.rs))
     return lambda rho: arr
 
 
@@ -403,7 +414,7 @@ def _solve(
     profile with the same center density."""
     seed = solve_radial(eos, mu)
     if rotation.kind == "fixed_j":
-        rotation.momentum.validate_origin(seed.mass)
+        rotation.profile.validate_origin(seed.mass)
     if grid is None:
         grid = make_grid(pad * seed.radius, pad * seed.radius, nr, nz)
     if grid.rs[-1] <= seed.radius:
@@ -411,11 +422,10 @@ def _solve(
     kernel = RingKernel(grid)
     RG, ZG = grid.meshes()
     rho0 = seed.rho_of(np.sqrt(RG**2 + ZG**2))
-    rho, V, c, h, residual, floor = _scf_iterate(
+    rho, V, c, h, residual = _scf_iterate(
         eos, kernel, mu, rho0, _rot_potential_of(grid, rotation), tol, max_iter, damping
     )
     R0, Z0 = _support_extent(grid, h[:, 0], h[0, :])
-    m_of_r = grid.cylinder_mass(rho)
     return AxiStar(
         eos=eos,
         grid=grid,
@@ -426,10 +436,7 @@ def _solve(
         residual=residual,
         support_radius=R0,
         support_height=Z0,
-        mass=2.0 * math.pi * float(m_of_r[-1]),
-        m_of_r=m_of_r,
         rotation=rotation,
-        floor=floor,
         _kernel=kernel,
     )
 
@@ -450,8 +457,9 @@ def solve_fixed_omega(
     """Equilibrium with azimuthal velocity kappa * law.omega(r) * r; the
     kappa = 0 limit reproduces the non-rotating profile up to grid
     interpolation."""
-    rotation = RotationSpec(kind="fixed_omega", law=law, kappa=kappa)
-    return _solve(eos, rotation, mu, grid, tol, max_iter, damping, nr, nz, pad)
+    return _solve(
+        eos, RotationSpec(law, kappa), mu, grid, tol, max_iter, damping, nr, nz, pad
+    )
 
 
 def solve_fixed_j(
@@ -470,8 +478,9 @@ def solve_fixed_j(
     """Equilibrium whose specific angular momentum follows a fixed
     distribution over cylinder mass; the rotational potential is rebuilt
     from the current iterate each sweep."""
-    rotation = RotationSpec(kind="fixed_j", momentum=momentum, eps=eps)
-    return _solve(eos, rotation, mu, grid, tol, max_iter, damping, nr, nz, pad)
+    return _solve(
+        eos, RotationSpec(momentum, eps), mu, grid, tol, max_iter, damping, nr, nz, pad
+    )
 
 
 def axistar_from_radial(
@@ -495,8 +504,6 @@ def axistar_from_radial(
     S = np.sqrt(RG**2 + ZG**2)
     rho = star.rho_of(S)
     V = star.potential_of(S)
-    floor = DENSITY_FLOOR_REL * star.mu
-    m_of_r = grid.cylinder_mass(rho)
     return AxiStar(
         eos=star.eos,
         grid=grid,
@@ -507,10 +514,7 @@ def axistar_from_radial(
         residual=0.0,
         support_radius=star.radius,
         support_height=star.radius,
-        mass=2.0 * math.pi * float(m_of_r[-1]),
-        m_of_r=m_of_r,
-        rotation=RotationSpec(kind="none"),
-        floor=floor,
+        rotation=RotationSpec(),
     )
 
 
@@ -574,7 +578,6 @@ def load_axistar(path: str) -> AxiStar:
     grid = Grid(np.asarray(meta["grid"]["rs"]), np.asarray(meta["grid"]["zs"]))
     rho = np.loadtxt(os.path.join(path, "density.csv"), delimiter=",")
     V = np.loadtxt(os.path.join(path, "potential.csv"), delimiter=",")
-    m_of_r = grid.cylinder_mass(rho)
     return AxiStar(
         eos=EquationOfState.from_config(meta["eos"]),
         grid=grid,
@@ -585,8 +588,5 @@ def load_axistar(path: str) -> AxiStar:
         residual=meta["residual"],
         support_radius=meta["support_radius"],
         support_height=meta["support_height"],
-        mass=meta["mass"],
-        m_of_r=m_of_r,
         rotation=RotationSpec.from_config(meta["rotation"]),
-        floor=meta["floor"],
     )

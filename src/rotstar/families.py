@@ -10,8 +10,12 @@ the extrema of the total mass curve:
   first mass maximum (the rule fails), with a quantified positive margin at
   the maximum itself.
 
-Only a fixed-angular-velocity scan solves one extra point at the located
-mu_star, whose smallest constrained eigenvalue is ``margin_at_mu_star``.
+A scan carries its family as one ``RotationSpec`` (profile and amplitude)
+from every point's solve to its result, whose summary writes the spec's
+``kind`` and amplitude (``parameter``).  Only a fixed-angular-velocity scan
+solves one extra point at the located mu_star, whose smallest constrained
+eigenvalue is ``margin_at_mu_star``.  A point failed exactly when it
+records an error.
 
 Counts are taken in the even-vertical-parity sector: the odd sector carries
 only the neutral vertical-shift mode and no negative directions, which the
@@ -28,7 +32,7 @@ import numpy as np
 
 from rotstar.bases import perturbation_basis
 from rotstar.eos import EquationOfState, polytrope
-from rotstar.equilibria import solve_fixed_j, solve_fixed_omega
+from rotstar.equilibria import RotationSpec, solve_fixed_j, solve_fixed_omega
 from rotstar.errors import SolverError
 from rotstar.poisson import share_cpus
 from rotstar.rotlaw import AngularVelocityLaw, FixedTotalMomentum, MomentumDistribution
@@ -45,18 +49,22 @@ __all__ = [
 
 @dataclass
 class FamilyPoint:
+    """One scan point: its counts, or the cause it failed with."""
+
     mu: float
     mass: float = math.nan
     n_u: int = -1
     lam_min: float = math.nan
-    failed: bool = False
     error: str | None = None
+
+    @property
+    def failed(self) -> bool:
+        return self.error is not None
 
 
 @dataclass
 class FamilyScanResult:
-    kind: str  # 'fixed_omega' | 'fixed_j'
-    parameter: float  # kappa or eps
+    rotation: RotationSpec  # the family and its amplitude (kappa or eps)
     points: list
     dM_dmu: np.ndarray = field(init=False)
     mass_extrema: list = field(init=False)
@@ -109,6 +117,11 @@ class FamilyScanResult:
             else None
         )
         self.tpp_verdict = self._verdict(mu, n_u)
+
+    @property
+    def kind(self) -> str:
+        """'fixed_omega' or 'fixed_j'."""
+        return self.rotation.kind
 
     def _verdict(self, mu, n_u):
         if self.partial:
@@ -170,7 +183,7 @@ class FamilyScanResult:
     def summary(self) -> dict:
         return {
             "kind": self.kind,
-            "parameter": self.parameter,
+            "parameter": self.rotation.amplitude,
             "mu_star": self.mu_star,
             "mu_star_kind": self.mu_star_kind,
             "mu_hat": self.mu_hat,
@@ -185,18 +198,10 @@ class FamilyScanResult:
         }
 
 
-def _family_solve(kind: str):
-    """The solve of a rotation family, looked up as a module global when
-    called (so a wrapped ``solve_fixed_*`` is the one that runs)."""
-    return solve_fixed_omega if kind == "fixed_omega" else solve_fixed_j
-
-
 @dataclass(frozen=True)
 class _ScanJob:
     eos: EquationOfState
-    kind: str
-    rotation: object  # law or momentum distribution
-    parameter: float
+    rotation: RotationSpec
     nr: int
     nz: int
     pad: float
@@ -207,9 +212,13 @@ class _ScanJob:
     deg_z: int
 
     def run(self, mu: float) -> FamilyPoint:
+        # the family's solve is looked up as a module global when called, so
+        # a wrapped ``solve_fixed_*`` is the one that runs
+        rot = self.rotation
+        solve = solve_fixed_omega if rot.kind == "fixed_omega" else solve_fixed_j
         try:
-            star = _family_solve(self.kind)(
-                self.eos, self.rotation, self.parameter, mu,
+            star = solve(
+                self.eos, rot.profile, rot.amplitude, mu,
                 nr=self.nr, nz=self.nz, pad=self.pad, tol=self.tol,
                 max_iter=self.max_iter, damping=self.damping,
             )
@@ -225,7 +234,7 @@ class _ScanJob:
                 lam_min=Kc.smallest(),
             )
         except SolverError as exc:
-            return FamilyPoint(mu=mu, failed=True, error=f"mu={mu:g}: {exc}")
+            return FamilyPoint(mu=mu, error=f"mu={mu:g}: {exc}")
 
 
 def _run_scan(job: _ScanJob, mu_grid, jobs: int) -> FamilyScanResult:
@@ -242,10 +251,10 @@ def _run_scan(job: _ScanJob, mu_grid, jobs: int) -> FamilyScanResult:
             points = list(pool.map(job.run, mus))
     else:
         points = [job.run(m) for m in mus]
-    result = FamilyScanResult(kind=job.kind, parameter=job.parameter, points=points)
+    result = FamilyScanResult(job.rotation, points)
     # the margin at mu_star quantifies the fixed-angular-velocity verdict
     # only; a fixed-momentum scan never pays for the extra point
-    if job.kind == "fixed_omega" and result.mu_star is not None:
+    if result.kind == "fixed_omega" and result.mu_star is not None:
         pt = job.run(result.mu_star)
         if not pt.failed:
             result.margin_at_mu_star = pt.lam_min
@@ -271,7 +280,7 @@ def scan_fixed_omega(
     increase strictly (ValueError before any solve otherwise); ``pad``,
     ``tol``, ``max_iter`` and ``damping`` go to every point's solve."""
     job = _ScanJob(
-        eos, "fixed_omega", law, kappa, nr, nz, pad, tol, max_iter, damping, deg_r, deg_z
+        eos, RotationSpec(law, kappa), nr, nz, pad, tol, max_iter, damping, deg_r, deg_z
     )
     return _run_scan(job, mu_grid, jobs)
 
@@ -295,7 +304,7 @@ def scan_fixed_j(
     increase strictly (ValueError before any solve otherwise); ``pad``,
     ``tol``, ``max_iter`` and ``damping`` go to every point's solve."""
     job = _ScanJob(
-        eos, "fixed_j", momentum, eps, nr, nz, pad, tol, max_iter, damping, deg_r, deg_z
+        eos, RotationSpec(momentum, eps), nr, nz, pad, tol, max_iter, damping, deg_r, deg_z
     )
     return _run_scan(job, mu_grid, jobs)
 
@@ -309,11 +318,10 @@ BB_EPS = 3.0
 BB_MU_GRID = tuple(np.geomspace(150.0, 24000.0, 9))
 
 
-def bb1974_example(jobs: int = 1) -> tuple[FamilyScanResult, np.ndarray]:
+def bb1974_example(jobs: int = 1) -> FamilyScanResult:
     """Self-configuring mass-minimum scan of the soft polytrope with the
-    fixed-total-momentum distribution on a 120^2 grid and a 10x6 basis;
-    returns the scan plus (mu, M) plot data.  Raises SolverError when the
-    preset grid fails to bracket the minimum."""
+    fixed-total-momentum distribution on a 120^2 grid and a 10x6 basis.
+    Raises SolverError when the preset grid fails to bracket the minimum."""
     scan = scan_fixed_j(
         polytrope(1.0, BB_GAMMA), FixedTotalMomentum(), BB_EPS, BB_MU_GRID,
         nr=120, nz=120, deg_r=10, deg_z=6, jobs=jobs,
@@ -324,6 +332,4 @@ def bb1974_example(jobs: int = 1) -> tuple[FamilyScanResult, np.ndarray]:
             "no mass minimum bracketed by the preset center-density grid "
             f"({BB_MU_GRID[0]:g} to {BB_MU_GRID[-1]:g} at eps {BB_EPS:g})"
         )
-    ok = [p for p in scan.points if not p.failed]
-    plot = np.array([[p.mu, p.mass] for p in ok])
-    return scan, plot
+    return scan

@@ -17,7 +17,10 @@ eigenvalues escapes upward.  The Galerkin velocity space combines gradient
 fields (which feel the compressible part L1) with exactly divergence-free
 stream-function fields built from radial spline bumps; refining the bump
 family makes the discrete spectrum fill the essential interval while the
-edges sharpen.
+edges sharpen.  A velocity basis stores its gradient fields first and
+records only how many there are; a spectrum report stores the sorted
+eigenvalues of every level, and its finest level and lowest eigenvalue
+eta0 are read from them.
 """
 
 from __future__ import annotations
@@ -49,8 +52,9 @@ __all__ = [
 class VelocityBasis:
     """Meridional velocity fields with their mass-flux divergences.
 
-    ``div_fields`` stores div(rho0 u); it is identically zero for the stream
-    (ring) members by construction, so the compressible part of the form
+    The first ``n_grad`` fields are gradient fields, the rest stream (ring)
+    fields.  ``div_fields`` stores div(rho0 u); it is identically zero for
+    the ring members by construction, so the compressible part of the form
     never sees quadrature noise from them.
     """
 
@@ -58,7 +62,7 @@ class VelocityBasis:
     fields_r: np.ndarray  # (n, nr, nz)
     fields_z: np.ndarray
     div_fields: np.ndarray
-    kinds: list  # 'grad' | 'ring'
+    n_grad: int
     parity: str
 
     @property
@@ -177,7 +181,7 @@ def velocity_basis(
         fields_r=fields_r,
         fields_z=fields_z,
         div_fields=divs,
-        kinds=["grad"] * n_grad + ["ring"] * n_ring,
+        n_grad=n_grad,
         parity=parity,
     )
 
@@ -209,11 +213,10 @@ def assemble_meridional_form(star: AxiStar, basis: VelocityBasis) -> QuadraticFo
         raise SolverError("velocity basis has entries with undefined divergence norm")
 
     # L1 is the energy form of div(rho0 u); the ring rows stay exact zeros
-    n = basis.count
-    grad = [k for k in range(n) if basis.kinds[k] == "grad"]
-    pressure, grav = energy_blocks(star, basis.div_fields[grad], [basis.parity] * len(grad))
+    n, ng = basis.count, basis.n_grad
+    pressure, grav = energy_blocks(star, basis.div_fields[:ng], [basis.parity] * ng)
     Q = np.zeros((n, n))
-    Q[np.ix_(grad, grad)] = pressure + grav
+    Q[:ng, :ng] = pressure + grav
     Q += pair_integrals(basis.fields_r, basis.fields_r, w * (rho * ctx.ups[:, None]))
 
     wk = w * rho
@@ -226,13 +229,19 @@ def assemble_meridional_form(star: AxiStar, basis: VelocityBasis) -> QuadraticFo
 class SpectrumReport:
     essential_lo: float  # -a
     essential_hi: float  # b
-    eta0: float
-    eigenvalues: np.ndarray  # finest level
     discrete_below: list
     discrete_above_count: int
     cluster_fraction: float
     flags: list
-    levels: list  # eigenvalue arrays per refinement level
+    levels: list  # sorted eigenvalue arrays per refinement level
+
+    @property
+    def eigenvalues(self) -> np.ndarray:  # the finest level's
+        return self.levels[-1]
+
+    @property
+    def eta0(self) -> float:
+        return float(self.eigenvalues[0])
 
     def as_dict(self) -> dict:
         return {
@@ -316,8 +325,6 @@ def spectrum_report(
     return SpectrumReport(
         essential_lo=lo,
         essential_hi=hi,
-        eta0=float(lam[0]),
-        eigenvalues=lam,
         discrete_below=discrete_below,
         discrete_above_count=n_above,
         cluster_fraction=float(np.mean(inside)),

@@ -227,7 +227,7 @@ def lift_azimuthal_velocity(
     )
 
     dfield = basis.combine(coeffs)
-    d_norm_sq = float(np.sum(ctx.weights * basis.phi2 * dfield * dfield))
+    d_norm_sq = float(np.sum(ctx.weights * ctx.phi2 * dfield * dfield))
     ratio = math.sqrt(u_norm_sq / d_norm_sq) if d_norm_sq > 0 else math.inf
     return AzimuthalLift(u_theta=u, ratio=ratio, energy=energy)
 
@@ -245,16 +245,12 @@ class Generator:
     quadratic q^T Lh q + p^T p is conserved exactly.
     """
 
-    n_density: int
-    n_theta: int
-    n_merid: int
-    P: np.ndarray  # (n_density + n_theta, n_merid)
-    Lh: np.ndarray  # (n_density + n_theta, n_density + n_theta), symmetric
+    P: np.ndarray  # (n_q, n_merid), n_q density plus azimuthal coordinates
+    Lh: np.ndarray  # (n_q, n_q), symmetric
     matrix: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        nq = self.n_density + self.n_theta
-        npp = self.n_merid
+        nq, npp = self.P.shape
         G = np.zeros((nq + npp, nq + npp))
         G[:nq, nq:] = self.P
         G[nq:, :nq] = -self.P.T @ self.Lh
@@ -265,12 +261,12 @@ class Generator:
         return eig(self.matrix, right=False)
 
     def energy(self, z: np.ndarray) -> float:
-        nq = self.n_density + self.n_theta
+        nq = self.P.shape[0]
         q, p = z[:nq], z[nq:]
         return float(q @ self.Lh @ q + p @ p)
 
     def energy_scale(self, z: np.ndarray) -> float:
-        nq = self.n_density + self.n_theta
+        nq = self.P.shape[0]
         q, p = z[:nq], z[nq:]
         return float(np.abs(q @ self.Lh @ q) + q @ q * self._lh_norm + p @ p)
 
@@ -333,12 +329,11 @@ def assemble_generator(star: AxiStar, parity: str = "even") -> Generator:
     At = B2.T @ Aq @ B2
     P1 = B1.T @ M1 @ BY
     P2 = B2.T @ M2 @ BY
-    n1, n2, ny = P1.shape[0], P2.shape[0], P1.shape[1]
-    P = np.vstack([P1, P2])
+    n1, n2 = P1.shape[0], P2.shape[0]
     Lh = np.zeros((n1 + n2, n1 + n2))
     Lh[:n1, :n1] = 0.5 * (Lt + Lt.T)
     Lh[n1:, n1:] = 0.5 * (At + At.T)
-    return Generator(n_density=n1, n_theta=n2, n_merid=ny, P=P, Lh=Lh)
+    return Generator(np.vstack([P1, P2]), Lh)
 
 
 def generator_unstable_count(gen: Generator):

@@ -131,8 +131,9 @@ def test_criterion_03_nonrotating_verdicts():
             drho = PchipInterpolator(rad.r, np.gradient(rad.rho, rad.r))
             target = np.where(S < rad.radius, drho(np.clip(S, 0, rad.radius)), 0.0) * ZG / S
             w = 2 * math.pi * np.outer(star.grid.wr * star.grid.rs, star.grid.wz_line())
-            corr = abs(np.sum(w * basis.phi2 * fld * target)) / math.sqrt(
-                np.sum(w * basis.phi2 * fld**2) * np.sum(w * basis.phi2 * target**2)
+            phi2 = star.context.phi2
+            corr = abs(np.sum(w * phi2 * fld * target)) / math.sqrt(
+                np.sum(w * phi2 * fld**2) * np.sum(w * phi2 * target**2)
             )
     ok = results[5.0 / 3.0] == 0 and results[1.3] >= 1 and corr > 0.99
     record(
@@ -262,7 +263,7 @@ def test_criterion_08_tpp_fails_fixed_omega(blend_eos):
 
 
 def test_criterion_09_mass_minimum_example():
-    scan, plot = bb1974_example()
+    scan = bb1974_example()
     mu = np.array([p.mu for p in scan.points])
     mass = np.array([p.mass for p in scan.points])
     n_u = np.array([p.n_u for p in scan.points])

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from numpy.polynomial import legendre as npleg
 
-from rotstar.bases import legendre_table, tensor_shapes
+from rotstar import bases
+from rotstar.bases import legendre_table, perturbation_basis, tensor_shapes
 
 
 def _legendre_loop(arg, deg):
@@ -59,3 +60,19 @@ def test_tensor_shapes_match_per_shape_outer_products(parity, degs):
     assert np.array_equal(got.values, values)
     assert np.array_equal(got.grad_r, grad_r)
     assert np.array_equal(got.grad_z, grad_z)
+
+
+def test_perturbation_basis_builds_no_gradient_stack(axi53, monkeypatch):
+    """The basis reads only the shape values; the gradient stacks, which
+    only the generator reads, are never built."""
+    built = []
+
+    def recording(*args, **kwargs):
+        built.append(tensor_shapes(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(bases, "tensor_shapes", recording)
+    perturbation_basis(axi53, deg_r=4, deg_z=2)
+    (shapes,) = built
+    assert "values" in vars(shapes)
+    assert "grad_r" not in vars(shapes) and "grad_z" not in vars(shapes)

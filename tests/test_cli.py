@@ -9,7 +9,9 @@ import pytest
 
 from rotstar import cli, poisson, radial
 from rotstar.cli import EXIT_AMBIGUOUS, EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, ConfigError, main
+from rotstar.equilibria import RotationSpec
 from rotstar.families import FamilyPoint, FamilyScanResult
+from rotstar.rotlaw import FixedTotalMomentum
 
 
 SRC = os.path.dirname(os.path.dirname(cli.__file__))
@@ -214,9 +216,9 @@ def test_tpp_scan_honours_solver_max_iter(tmp_path):
 def test_partial_tpp_scan_exits_ok(tmp_path, monkeypatch):
     points = [
         FamilyPoint(mu=1.0, mass=1.0, n_u=0),
-        FamilyPoint(mu=1.1, failed=True, error="mu=1.1: no convergence"),
+        FamilyPoint(mu=1.1, error="mu=1.1: no convergence"),
     ]
-    scan = FamilyScanResult("fixed_j", 0.2, points)
+    scan = FamilyScanResult(RotationSpec(FixedTotalMomentum(), 0.2), points)
     monkeypatch.setattr(cli, "scan_fixed_j", lambda *args, **kwargs: scan)
     cfg = write(tmp_path, "cfg.json", TPP_CFG)
     out = tmp_path / "tpp"
@@ -332,7 +334,7 @@ def test_bb1974_command_reports_turning_point(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["tpp_verdict"] == "TPP-holds"
     assert summary["mu_star_kind"] == "min"
-    curve = (out / "mass_curve.csv").read_text().strip().splitlines()
+    curve = (out / "plot_data.csv").read_text().strip().splitlines()
     masses = [float(r.split(",")[1]) for r in curve[1:]]
     assert min(masses) < masses[0] and min(masses) < masses[-1]
 

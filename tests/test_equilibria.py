@@ -170,21 +170,60 @@ def test_one_driver_for_both_families(eos53):
 
 
 def test_star_context_is_built_once(rot53):
+    """Every context array equals its formula, written out here for the
+    rigidly rotating star (kappa 0.05, omega_c 1)."""
     ctx = rot53.context
     assert rot53.context is ctx
-    mask = rot53.rho > rot53.floor
+    mask = rot53.rho > 1e-12 * rot53.mu
     assert np.array_equal(ctx.mask, mask)
-    assert np.array_equal(ctx.phi2[mask], rot53.eos.enthalpy_second(rot53.rho[mask]))
+    phi2 = rot53.eos.enthalpy_second(rot53.rho[mask])
+    assert np.array_equal(ctx.phi2[mask], phi2)
+    assert np.array_equal(ctx.inv_phi2[mask], 1.0 / phi2)
     assert np.all(ctx.phi2[~mask] == 0) and np.all(ctx.inv_phi2[~mask] == 0)
     g = rot53.grid
     assert np.array_equal(ctx.weights, 2.0 * math.pi * np.outer(g.wr * g.rs, g.wz_line()))
-    assert np.array_equal(ctx.h1, rot53.h_column())
-    for got, want in zip((ctx.omega, ctx.d_om_r2, ctx.ups),
-                         rot53.azimuthal_velocity_profiles()):
-        assert np.array_equal(got, want)
+    h1 = g.z_integral(rot53.rho)
+    assert np.array_equal(ctx.h1, h1)
+    assert np.array_equal(ctx.radial_support, (h1 > 0) & (g.rs <= rot53.support_radius))
+    kappa, rs = rot53.rotation.amplitude, g.rs
+    assert (kappa, rot53.rotation.profile) == (0.05, RigidLaw(1.0))
+    assert np.array_equal(ctx.omega, np.full_like(rs, kappa))
+    assert np.array_equal(ctx.d_om_r2, kappa * 2.0 * rs)
+    assert ctx.ups[0] == 4.0 * kappa**2
+    assert np.array_equal(ctx.ups[1:], kappa**2 * 4.0 * rs[1:] ** 3 / rs[1:] ** 3)
     # a copied star with another density gets its own context
     other = dataclasses.replace(rot53, rho=2.0 * rot53.rho)
     assert not np.array_equal(other.context.h1, ctx.h1)
+
+
+def test_replaced_density_carries_its_own_mass(eos53):
+    """Mass, cylinder mass and a fixed-j star's rotation profile follow a
+    density swapped in by ``dataclasses.replace``."""
+    mom = FixedTotalMomentum()
+    star = solve_fixed_j(eos53, mom, 0.4, 1.0, nr=48, nz=48)
+    other = dataclasses.replace(star, rho=2.0 * star.rho)
+    assert np.array_equal(other.m_of_r, other.grid.cylinder_mass(other.rho))
+    assert np.array_equal(other.m_of_r, 2.0 * star.m_of_r)
+    assert other.mass == 2.0 * star.mass
+    assert other.mass == pytest.approx(other.grid.integrate(other.rho), rel=1e-12)
+    rs = other.grid.rs
+    off = rs > 0
+    want = 0.4 * mom.j(other.m_of_r[off], other.mass) / rs[off] ** 2
+    assert np.array_equal(other.context.omega[off], want)
+    assert not np.allclose(other.context.omega[off], star.context.omega[off])
+
+
+@pytest.mark.parametrize(
+    "spec, kind",
+    [
+        (RotationSpec(RigidLaw(), 0.1), "fixed_omega"),
+        (RotationSpec(FixedTotalMomentum(), 0.3), "fixed_j"),
+        (RotationSpec(), "none"),
+    ],
+    ids=["law", "distribution", "static"],
+)
+def test_rotation_kind_follows_the_profile_class(spec, kind):
+    assert spec.kind == kind
 
 
 def test_boundary_asymptotics_targets(eos53):
@@ -212,7 +251,7 @@ def test_save_load_roundtrip(tmp_path, rot53):
     assert np.array_equal(loaded.rho, rot53.rho)
     assert loaded.mass == pytest.approx(rot53.mass, rel=1e-14)
     assert loaded.rotation.kind == "fixed_omega"
-    assert loaded.rotation.kappa == rot53.rotation.kappa
+    assert loaded.rotation.amplitude == rot53.rotation.amplitude
     assert loaded.eos.gamma0 == rot53.eos.gamma0
 
 
@@ -221,7 +260,7 @@ def test_save_load_fixed_j_bundle(tmp_path, eos53):
     save_axistar(star, str(tmp_path / "b"))
     loaded = load_axistar(str(tmp_path / "b"))
     assert loaded.rotation.kind == "fixed_j"
-    assert loaded.rotation.eps == 0.4
+    assert loaded.rotation.amplitude == 0.4
     assert np.array_equal(loaded.rho, star.rho)
 
 
@@ -234,33 +273,31 @@ def test_save_load_tabulated_law(tmp_path, eos53):
     save_axistar(star, str(tmp_path / "t"))
     loaded = load_axistar(str(tmp_path / "t"))
     assert loaded.rotation.kind == "fixed_omega"
-    omega = loaded.rotation.law.omega(np.linspace(0, 2, 9))
+    omega = loaded.rotation.profile.omega(np.linspace(0, 2, 9))
     assert np.allclose(omega, 1.0)
 
 
 @pytest.mark.parametrize(
     "spec",
     [
-        RotationSpec("fixed_omega", law=RigidLaw(0.7), kappa=0.05),
-        RotationSpec("fixed_omega", law=PowerTailLaw(1.2, 0.4, 2.0), kappa=0.25),
+        RotationSpec(RigidLaw(0.7), 0.05),
+        RotationSpec(PowerTailLaw(1.2, 0.4, 2.0), 0.25),
         RotationSpec(
-            "fixed_omega",
-            law=TabulatedLaw(np.linspace(0.0, 2.0, 6), np.linspace(1.0, 0.5, 6)),
-            kappa=0.1,
+            TabulatedLaw(np.linspace(0.0, 2.0, 6), np.linspace(1.0, 0.5, 6)),
+            0.1,
         ),
-        RotationSpec("fixed_j", momentum=FixedTotalMomentum(), eps=0.4),
-        RotationSpec("fixed_j", momentum=PowerLawMomentum(1.5, 3.0), eps=0.2),
-        RotationSpec("fixed_j", momentum=UnitMassMomentum(0.5, 2.5), eps=0.3),
-        RotationSpec("none"),
+        RotationSpec(FixedTotalMomentum(), 0.4),
+        RotationSpec(PowerLawMomentum(1.5, 3.0), 0.2),
+        RotationSpec(UnitMassMomentum(0.5, 2.5), 0.3),
+        RotationSpec(),
     ],
     ids=["rigid", "power_tail", "table", "bb_j", "power_j", "unit_mass_j", "static"],
 )
 def test_rotation_spec_config_round_trip(spec):
     section = spec.config()
     back = RotationSpec.from_config(section)
-    assert (back.kind, back.kappa, back.eps) == (spec.kind, spec.kappa, spec.eps)
-    assert type(back.law) is type(spec.law)
-    assert type(back.momentum) is type(spec.momentum)
+    assert (back.kind, back.amplitude) == (spec.kind, spec.amplitude)
+    assert type(back.profile) is type(spec.profile)
     assert back.config() == section
     assert (section is None) == (spec.kind == "none")
 
@@ -271,6 +308,6 @@ def test_save_load_static_star(tmp_path, star53):
     meta = json.loads((tmp_path / "s" / "meta.json").read_text())
     assert meta["rotation"] is None
     loaded = load_axistar(str(tmp_path / "s"))
-    assert loaded.rotation == RotationSpec("none")
+    assert loaded.rotation == RotationSpec()
     assert not loaded.context.rotating
     assert np.array_equal(loaded.rho, star.rho)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rotstar import poisson
+from rotstar.equilibria import RotationSpec
 from rotstar.families import (
     FamilyPoint,
     FamilyScanResult,
@@ -12,11 +13,18 @@ from rotstar.families import (
 from rotstar.rotlaw import PowerLawMomentum, RigidLaw
 
 
-def _result(kind, mus, masses, counts, parameter=0.1):
+#: a rotation of each family, with amplitude 0.1
+ROTATIONS = {
+    "fixed_omega": RotationSpec(RigidLaw(1.0), 0.1),
+    "fixed_j": RotationSpec(PowerLawMomentum(1.0, 2.0), 0.1),
+}
+
+
+def _result(kind, mus, masses, counts):
     points = [
         FamilyPoint(mu=m, mass=M, n_u=n) for m, M, n in zip(mus, masses, counts)
     ]
-    return FamilyScanResult(kind=kind, parameter=parameter, points=points)
+    return FamilyScanResult(rotation=ROTATIONS[kind], points=points)
 
 
 def test_extrema_and_transition_detection():
@@ -48,10 +56,15 @@ def test_fixed_omega_verdict_reports_gap():
 
 
 def test_partial_scan_flag():
-    points = [FamilyPoint(mu=1.0, mass=1.0, n_u=0), FamilyPoint(mu=2.0, failed=True, error="x")]
-    res = FamilyScanResult(kind="fixed_j", parameter=0.1, points=points)
+    points = [FamilyPoint(mu=1.0, mass=1.0, n_u=0), FamilyPoint(mu=2.0, error="x")]
+    res = FamilyScanResult(rotation=ROTATIONS["fixed_j"], points=points)
     assert res.partial
     assert res.tpp_verdict == "partial"
+
+
+def test_a_point_with_an_error_has_failed():
+    assert FamilyPoint(mu=1.0, error="x").failed
+    assert not FamilyPoint(mu=1.0, mass=1.0, n_u=0).failed
 
 
 def test_monotone_stretch_no_spurious_transitions(eos53):
@@ -131,8 +144,7 @@ def test_transitions_stable_under_grid_refinement(eos_blend):
 class _CpuShareJob:
     """Scan job whose points report the Poisson CPU share of their process."""
 
-    kind = "fixed_j"
-    parameter = 0.1
+    rotation = ROTATIONS["fixed_j"]
 
     def run(self, mu):
         return FamilyPoint(mu=mu, mass=float(poisson._cpu_share), n_u=0)
@@ -155,10 +167,8 @@ def test_scan_rejects_nonpositive_jobs(jobs):
 class _PeakJob:
     """Scan job whose masses peak at mu = 2; it records every mu it runs."""
 
-    parameter = 0.1
-
     def __init__(self, kind):
-        self.kind = kind
+        self.rotation = ROTATIONS[kind]
         self.calls = []
 
     def run(self, mu):
@@ -184,8 +194,7 @@ class _TurningJob:
     """Fixed-omega scan job: M = 1 - (mu - 2)^2, one unstable mode from
     mu = 2.25 on; it records every mu it runs."""
 
-    kind = "fixed_omega"
-    parameter = 0.1
+    rotation = ROTATIONS["fixed_omega"]
 
     def __init__(self):
         self.calls = []

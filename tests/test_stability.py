@@ -9,6 +9,7 @@ from rotstar.equilibria import axistar_from_radial
 from rotstar.forms import QuadraticForm
 from rotstar.radial import solve_radial
 from rotstar.stability import (
+    Generator,
     assemble_generator,
     assemble_perturbation_energy,
     assemble_reduced_energy,
@@ -61,7 +62,7 @@ def test_kernel_vector_is_vertical_density_shift(axi53, basis53, L53):
         S < star.radius, PchipInterpolator(star.r, drho)(np.clip(S, 0, star.radius)), 0.0
     ) * ZG / S
     w = 2 * math.pi * np.outer(axi53.grid.wr * axi53.grid.rs, axi53.grid.wz_line())
-    phi2 = basis53.phi2
+    phi2 = axi53.context.phi2
     corr = abs(np.sum(w * phi2 * fld * target)) / math.sqrt(
         np.sum(w * phi2 * fld**2) * np.sum(w * phi2 * target**2)
     )
@@ -134,7 +135,7 @@ def test_cumulative_cylinder_integrals_match_per_field_trapezoid(axi53, basis53)
 
 
 def test_constraint_vacuous_flag(axi53):
-    basis = perturbation_basis(axi53, parity="odd", append_mu_direction=False)
+    basis = perturbation_basis(axi53, parity="odd")
     K = assemble_reduced_energy(axi53, basis)
     Kc = restrict_mass_zero(K, axi53, basis)
     assert Kc.constraint_vacuous
@@ -248,6 +249,31 @@ def test_generator_quadruple_symmetry(rot13):
     for v in (lam[np.argmax(lam.real)], lam[np.argmax(np.abs(lam.imag))]):
         assert np.min(np.abs(lam - np.conj(v))) < 1e-8 * scale
         assert np.min(np.abs(lam + v)) < 1e-8 * scale
+
+
+def test_generator_is_defined_by_its_two_blocks(eos53):
+    """``Generator(P, Lh)`` of the README star (rigid kappa 0.05 at 96^2):
+    the coordinate counts come from P's shape (27 density plus 27 azimuthal,
+    26 meridional), and the matrix and the energy equal their block formulas
+    and the values recorded when the counts were stored as fields."""
+    from rotstar.equilibria import solve_fixed_omega
+    from rotstar.rotlaw import RigidLaw
+
+    star = solve_fixed_omega(eos53, RigidLaw(1.0), 0.05, 1.0, nr=96, nz=96)
+    built = assemble_generator(star, "even")
+    gen = Generator(built.P, built.Lh)
+    nq = 54
+    assert gen.P.shape == (nq, 26) and gen.Lh.shape == (nq, nq)
+    want = np.zeros((80, 80))
+    want[:nq, nq:] = gen.P
+    want[nq:, :nq] = -gen.P.T @ gen.Lh
+    assert np.array_equal(gen.matrix, want)
+    assert np.array_equal(gen.matrix, built.matrix)
+    z = np.random.default_rng(3).standard_normal(80)
+    q, p = z[:nq], z[nq:]
+    assert gen.energy(z) == float(q @ gen.Lh @ q + p @ p)
+    assert gen.energy(z) == pytest.approx(80.66638792216916, rel=1e-9)
+    assert gen.energy_scale(z) == pytest.approx(278.73176131902846, rel=1e-9)
 
 
 def test_generator_needs_rotation(axi53):
@@ -370,9 +396,9 @@ def test_fixed_j_weight_agrees_with_induced_law(eos53):
 
     rs = star.grid.rs
     m_interp = PchipInterpolator(rs, star.m_of_r)
-    law = omega_from_j(mom, m_interp, star.mass, star.rotation.eps, rs)
+    law = omega_from_j(mom, m_interp, star.mass, star.rotation.amplitude, rs)
     ups_spline = discriminant(law, rs)
-    h1 = star.h_column()
+    h1 = star.context.h1
     interior = sup & (rs > 0.05 * star.support_radius) & (
         rs < 0.9 * star.support_radius
     )
@@ -396,19 +422,19 @@ def _family_closed_forms(star):
     momentum distribution (zero on the axis, the weight also off the
     radial support)."""
     rs, rot = star.grid.rs, star.rotation
-    h1 = star.h_column()
+    h1 = star.context.h1
     off = rs > 0
     sup = off & star.context.radial_support
     grad, weight = np.zeros_like(rs), np.zeros_like(rs)
     if rot.kind == "fixed_omega":
-        grad = rot.kappa**2 * np.asarray(rot.law.omega(rs)) ** 2 * rs
-        weight[sup] = rot.kappa**2 * rot.law.omega_sq_r4_derivative(rs[sup]) / (
+        grad = rot.amplitude**2 * np.asarray(rot.profile.omega(rs)) ** 2 * rs
+        weight[sup] = rot.amplitude**2 * rot.profile.omega_sq_r4_derivative(rs[sup]) / (
             rs[sup] ** 4 * h1[sup]
         )
     else:
         m, M = star.m_of_r, star.mass
-        grad[off] = rot.eps**2 * rot.momentum.J(m[off], M) / rs[off] ** 3
-        weight[sup] = rot.eps**2 * rot.momentum.dJ_dp(m[sup], M) / rs[sup] ** 3
+        grad[off] = rot.amplitude**2 * rot.profile.J(m[off], M) / rs[off] ** 3
+        weight[sup] = rot.amplitude**2 * rot.profile.dJ_dp(m[sup], M) / rs[sup] ** 3
     return grad, weight
 
 
