@@ -11,7 +11,6 @@ centrifugally (Rayleigh) unstable.
 from rotstar.errors import AmbiguousClassificationError, ConfigError, SolverError
 from rotstar.eos import EquationOfState, asymptotic_polytrope, polytrope
 from rotstar.radial import (
-    OracleMesh,
     RadialStar,
     assemble_oracle_form,
     family_scan_radial,

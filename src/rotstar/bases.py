@@ -13,6 +13,9 @@ Two physically distinguished directions can be appended: the center-density
 derivative of the non-rotating family (even sector) and the vertical-shift
 direction d(rho0)/dz (odd sector, the expected kernel of the perturbation
 forms).
+
+A basis carries the star it was built on (``PerturbationBasis.star``);
+every analysis of a basis in ``stability`` reads the star from there.
 """
 
 from __future__ import annotations

@@ -351,9 +351,7 @@ def cmd_stability(run: _Runner) -> int:
     star = run.solve_star()
     b = run.cfg["basis"]
     basis = perturbation_basis(star, deg_r=b["deg_r"], deg_z=b["deg_z"])
-    report = stability_report(
-        star, basis, with_generator=run.cfg.get("with_generator", False)
-    )
+    report = stability_report(basis, with_generator=run.cfg.get("with_generator", False))
     _write_json(run.path("stability.json"), report)
     return EXIT_OK
 
@@ -374,7 +372,7 @@ def cmd_spectrum(run: _Runner) -> int:
 def cmd_evolve(run: _Runner) -> int:
     star = run.solve_star()
     vb = velocity_basis(star, ring_knots=run.cfg["spectrum"]["ring_knots"] * 2)
-    form = assemble_meridional_form(star, vb)
+    form = assemble_meridional_form(vb)
     ev = run.cfg["evolve"]
     n = form.eigenvalues.size
     if ev["mode"] == "eigenmode":

@@ -225,8 +225,8 @@ class _ScanJob:
             basis = perturbation_basis(
                 star, deg_r=self.deg_r, deg_z=self.deg_z, parity="even"
             )
-            K = assemble_reduced_energy(star, basis)
-            Kc = restrict_mass_zero(K, star, basis)
+            K = assemble_reduced_energy(basis)
+            Kc = restrict_mass_zero(K, basis)
             return FamilyPoint(
                 mu=mu,
                 mass=star.mass,

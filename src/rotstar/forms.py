@@ -6,9 +6,9 @@ Gram matrix on a finite Galerkin subspace.  The count is performed on the
 whitened pencil: the Gram is eigendecomposed, directions below a relative
 cutoff are dropped (they carry no resolvable mass), and the form is
 diagonalized in the remaining well-conditioned subspace.  Every verdict
-counts its modes with one relative kernel band, VERDICT_ZERO_TOL, the
-default of ``inertia``/``n_minus``; ``stability`` re-exports it and no
-verdict path passes a band of its own.
+counts its modes with one relative kernel band, VERDICT_ZERO_TOL: it is
+the only band ``inertia`` and ``n_minus`` count with, and ``stability``
+re-exports it.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ class QuadraticForm:
     ``eigenvalues`` are those of the whitened pencil Q v = lambda G v in the
     retained subspace; ``vectors`` hold the corresponding coefficient vectors
     in the original basis (columns).  The inertia counts a mode as kernel
-    inside the relative band ``zero_tol`` (default VERDICT_ZERO_TOL).
+    inside the relative band VERDICT_ZERO_TOL.
     """
 
     matrix: np.ndarray
@@ -78,15 +78,15 @@ class QuadraticForm:
     def rank(self) -> int:
         return self.eigenvalues.size
 
-    def inertia(self, zero_tol: float = VERDICT_ZERO_TOL) -> Inertia:
+    def inertia(self) -> Inertia:
         lam = self.eigenvalues
-        tol = zero_tol * (np.max(np.abs(lam)) if lam.size else 0.0)
+        tol = VERDICT_ZERO_TOL * (np.max(np.abs(lam)) if lam.size else 0.0)
         n_minus = int(np.sum(lam < -tol))
         n_zero = int(np.sum(np.abs(lam) <= tol))
         return Inertia(n_minus, n_zero, lam.size - n_minus - n_zero)
 
-    def n_minus(self, zero_tol: float = VERDICT_ZERO_TOL) -> int:
-        return self.inertia(zero_tol).n_minus
+    def n_minus(self) -> int:
+        return self.inertia().n_minus
 
     def smallest(self) -> float:
         return float(self.eigenvalues[0])

@@ -47,7 +47,6 @@ __all__ = [
     "surface_potential_derivative",
     "RadialFamilyCurves",
     "family_scan_radial",
-    "OracleMesh",
     "OracleForm",
     "assemble_oracle_form",
 ]
@@ -334,20 +333,13 @@ def _refine_extremum(derivative, lo, hi, iters: int = 12):
 # -- oracle quadratic form --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OracleMesh:
-    """Discretization of the potential-side oracle form.
-
-    Radial cubic B-splines live on [0, outer_factor * R]; the axisymmetric
-    test space is a direct sum of spherical-harmonic sectors up to lmax with
-    the exact harmonic exterior folded in through a boundary term, so the
-    whole-space energy is represented without domain truncation error.
-    """
-
-    n_radial: int = 36
-    lmax: int = 4
-    outer_factor: float = 2.0
-    quad_points: int = 8
+# The oracle's mesh: ORACLE_N_RADIAL radial cubic B-spline knots on
+# [0, ORACLE_OUTER_FACTOR * R], which contains the star, ORACLE_QUAD_POINTS
+# Gauss nodes per knot span, and spherical-harmonic sectors up to ORACLE_LMAX.
+ORACLE_N_RADIAL = 36
+ORACLE_OUTER_FACTOR = 2.0
+ORACLE_QUAD_POINTS = 8
+ORACLE_LMAX = 4
 
 
 @dataclass
@@ -357,7 +349,6 @@ class OracleForm:
     form: QuadraticForm
     spline_basis: list
     ells: np.ndarray  # harmonic degree per basis column
-    radius_outer: float
 
     def radial_component(self, coeffs: np.ndarray, ell: int, s: np.ndarray) -> np.ndarray:
         """Radial profile of the degree-ell part of a coefficient vector."""
@@ -368,26 +359,23 @@ class OracleForm:
         return out
 
 
-def assemble_oracle_form(
-    star: RadialStar, mesh: OracleMesh = OracleMesh(), parity: str = "even"
-) -> OracleForm:
+def assemble_oracle_form(star: RadialStar, parity: str = "even") -> OracleForm:
     """Galerkin matrix of the reduced potential-side form.
 
     The form is  int |grad psi|^2 dx - 4 pi int psi^2 / h'(rho) dx  over
     axisymmetric psi of the requested z-parity; its negative-mode count is an
     independent oracle for the density-side perturbation form.  The Gram is
-    the (whole-space) Dirichlet energy.
+    the (whole-space) Dirichlet energy: the exact harmonic exterior enters
+    through a boundary term, so the domain is not truncated.
     """
     if parity not in ("even", "odd"):
         raise ValueError("parity must be 'even' or 'odd'")
-    if mesh.outer_factor <= 1.0:
-        raise ValueError("oracle mesh must strictly contain the star support")
     R = star.radius
-    R_out = mesh.outer_factor * R
+    R_out = ORACLE_OUTER_FACTOR * R
 
     # knots: denser inside the support than outside
-    n_in = max(int(0.7 * mesh.n_radial), 6)
-    n_out = max(mesh.n_radial - n_in, 3)
+    n_in = max(int(0.7 * ORACLE_N_RADIAL), 6)
+    n_out = max(ORACLE_N_RADIAL - n_in, 3)
     interior = np.concatenate(
         [np.linspace(0.0, R, n_in, endpoint=False),
          np.linspace(R, R_out, n_out + 1)]
@@ -410,7 +398,7 @@ def assemble_oracle_form(
         return vals, ders
 
     # Gauss nodes per knot span
-    gx, gw = np.polynomial.legendre.leggauss(mesh.quad_points)
+    gx, gw = np.polynomial.legendre.leggauss(ORACLE_QUAD_POINTS)
     spans = np.unique(interior)
     nodes, weights = [], []
     for a, b in zip(spans[:-1], spans[1:]):
@@ -433,7 +421,7 @@ def assemble_oracle_form(
     A_pp = (fvals * (w * s**2 * pot_weight)) @ fvals.T  # potential term
     f_end = np.array([np.nan_to_num(spl(R_out)) for spl in splines])
 
-    ells = range(0, mesh.lmax + 1, 2) if parity == "even" else range(1, mesh.lmax + 1, 2)
+    ells = range(0 if parity == "even" else 1, ORACLE_LMAX + 1, 2)
     blocks_q, blocks_g, ell_tags = [], [], []
     for ell in ells:
         pref = 4.0 * math.pi / (2 * ell + 1)
@@ -457,5 +445,4 @@ def assemble_oracle_form(
         form=form,
         spline_basis=splines * max(1, len(blocks_q)),
         ells=np.array(ell_tags),
-        radius_outer=R_out,
     )

@@ -18,9 +18,10 @@ fields (which feel the compressible part L1) with exactly divergence-free
 stream-function fields built from radial spline bumps; refining the bump
 family makes the discrete spectrum fill the essential interval while the
 edges sharpen.  A velocity basis stores its gradient fields first and
-records only how many there are; a spectrum report stores the sorted
-eigenvalues of every level, and its finest level and lowest eigenvalue
-eta0 are read from them.
+records only how many there are; it carries the star it was built on, so
+``assemble_meridional_form`` takes the basis alone.  A spectrum report
+stores the sorted eigenvalues of every level, and its finest level and
+lowest eigenvalue eta0 are read from them.
 """
 
 from __future__ import annotations
@@ -196,10 +197,11 @@ def upsilon_range(star: AxiStar):
     return float(np.min(fine)), float(np.max(fine))
 
 
-def assemble_meridional_form(star: AxiStar, basis: VelocityBasis) -> QuadraticForm:
-    """Quadratic form of the second-order meridional dynamics over the
-    kinetic-energy Gram.  Requires a centrifugally unstable rotation (the
-    first-order route handles the stable case)."""
+def assemble_meridional_form(basis: VelocityBasis) -> QuadraticForm:
+    """Quadratic form of the second-order meridional dynamics on the basis's
+    star over the kinetic-energy Gram.  Requires a centrifugally unstable
+    rotation (the first-order route handles the stable case)."""
+    star = basis.star
     lo, _ = upsilon_range(star)
     if lo >= 0:
         raise ConfigError(
@@ -284,7 +286,7 @@ def spectrum_report(
             grad_deg_z=grad_deg_z,
             ring_knots=ring_knots0 * 2**lev,
         )
-        form = assemble_meridional_form(star, vb)
+        form = assemble_meridional_form(vb)
         spectra.append(np.sort(form.eigenvalues))
 
     lam = spectra[-1]

@@ -16,6 +16,10 @@ rotation enters every form below only through its profiles omega,
 d(omega r^2)/dr and Upsilon (for a prescribed momentum distribution W equals
 eps^2 dJ/dp(m(r), M) / r^3 through Upsilon = 2 omega d(omega r^2)/dr / r).
 
+A perturbation basis carries its star, so every analysis of a basis takes
+the basis alone and reads ``basis.star``; only functions of raw fields or of
+their own shapes (``energy_blocks``, ``assemble_generator``) take a star.
+
 A matched discretization of the full linearized generator is provided as a
 cross-check: its construction is exactly Hamiltonian at the matrix level, so
 eigenvalues come in {l, -l, conj l, -conj l} quadruples and the implicit
@@ -35,7 +39,7 @@ import scipy.linalg as sla
 from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import eig
 
-from rotstar.bases import PerturbationBasis, perturbation_basis, tensor_shapes
+from rotstar.bases import PerturbationBasis, tensor_shapes
 from rotstar.equilibria import AxiStar
 from rotstar.errors import ConfigError
 from rotstar.forms import VERDICT_ZERO_TOL, QuadraticForm, restrict_to_complement, whiten
@@ -97,12 +101,12 @@ def _zero_cross_parity(mat: np.ndarray, parity: np.ndarray) -> np.ndarray:
     return out
 
 
-def assemble_perturbation_energy(star: AxiStar, basis: PerturbationBasis) -> QuadraticForm:
-    """Pressure-plus-self-gravity energy form on the basis, with its
+def assemble_perturbation_energy(basis: PerturbationBasis) -> QuadraticForm:
+    """Pressure-plus-self-gravity energy form on the basis's star, with its
     weighted-L2 Gram.  Opposite-parity couplings vanish identically and are
     zeroed instead of quadratured."""
     parities = ["even" if p > 0 else "odd" for p in basis.parity]
-    gram, grav = energy_blocks(star, basis.fields, parities)
+    gram, grav = energy_blocks(basis.star, basis.fields, parities)
     gram = _zero_cross_parity(gram, basis.parity)
     return QuadraticForm(gram + _zero_cross_parity(grav, basis.parity), gram)
 
@@ -119,29 +123,30 @@ def rotational_weight(star: AxiStar):
     return w, sup
 
 
-def cumulative_cylinder_integrals(star: AxiStar, basis: PerturbationBasis) -> np.ndarray:
+def cumulative_cylinder_integrals(basis: PerturbationBasis) -> np.ndarray:
     """F_k(r) = int_0^r s [int delta_rho_k dz] ds for every basis field.
 
     Odd fields integrate to zero over z and get F identically zero.
     """
-    g = star.grid
+    g = basis.star.grid
     F = cumulative_trapezoid(g.rs * g.z_integral(basis.fields), g.rs, initial=0)
     F[basis.parity < 0] = 0.0
     return F
 
 
-def mass_constraint(star: AxiStar, basis: PerturbationBasis) -> np.ndarray:
+def mass_constraint(basis: PerturbationBasis) -> np.ndarray:
     """Total-mass functionals int delta_rho_k dx, consistent with the
     cumulative cylinder integrals (2 pi F_k at the outer grid edge)."""
-    F = cumulative_cylinder_integrals(star, basis)
+    F = cumulative_cylinder_integrals(basis)
     return 2.0 * math.pi * F[:, -1]
 
 
-def assemble_reduced_energy(star: AxiStar, basis: PerturbationBasis) -> QuadraticForm:
+def assemble_reduced_energy(basis: PerturbationBasis) -> QuadraticForm:
     """Perturbation energy plus the rotational correction of the reduced
     stability form.  For a non-rotating star the correction vanishes and the
     result equals the plain energy form."""
-    base = assemble_perturbation_energy(star, basis)
+    star = basis.star
+    base = assemble_perturbation_energy(basis)
     if not star.context.rotating:
         return base
     w, sup = rotational_weight(star)
@@ -150,19 +155,19 @@ def assemble_reduced_energy(star: AxiStar, basis: PerturbationBasis) -> Quadrati
             "rotation is Rayleigh unstable on this star; the reduced form "
             "does not apply, use the second-order meridional analysis"
         )
-    F = cumulative_cylinder_integrals(star, basis)
+    F = cumulative_cylinder_integrals(basis)
     wr = star.grid.wr
     R = 2.0 * math.pi * (F * (wr * w)[None, :]) @ F.T
     return QuadraticForm(base.matrix + R, base.gram)
 
 
-def restrict_mass_zero(form: QuadraticForm, star: AxiStar, basis: PerturbationBasis) -> QuadraticForm:
+def restrict_mass_zero(form: QuadraticForm, basis: PerturbationBasis) -> QuadraticForm:
     """Restrict a form to perturbations with zero total mass.
 
     When every basis function already integrates to zero the constraint is
     vacuous; the input is returned with a warning flag set.
     """
-    return restrict_to_complement(form, mass_constraint(star, basis))
+    return restrict_to_complement(form, mass_constraint(basis))
 
 
 def density_form_value(star: AxiStar, fld: np.ndarray, parity: str = "even") -> float:
@@ -172,16 +177,19 @@ def density_form_value(star: AxiStar, fld: np.ndarray, parity: str = "even") -> 
     return float(pressure[0, 0] + grav[0, 0])
 
 
-def _azimuthal_weight(star: AxiStar, user: str) -> np.ndarray:
+def _azimuthal_weight(star: AxiStar, user: str) -> tuple:
     """Kinetic weight 4 omega^2 / Upsilon of v_theta on the radial support
-    (zero elsewhere); it exists only for a Rayleigh stable rotation."""
+    off the axis (zero elsewhere), with that mask; it exists only for a
+    Rayleigh stable rotation.  The axis node carries no quadrature weight,
+    so its Upsilon, the limit 4 omega(0)^2 that vanishes when dj/dp(0) = 0,
+    is not read."""
     ctx = star.context
-    sup = ctx.radial_support
-    if np.any(ctx.ups[sup] <= 0):
+    off = ctx.radial_support & (star.grid.rs > 0)
+    if np.any(ctx.ups[off] <= 0):
         raise ConfigError(f"{user} needs a centrifugally (Rayleigh) stable rotation")
     aw = np.zeros_like(ctx.ups)
-    aw[sup] = 4.0 * ctx.omega[sup] ** 2 / ctx.ups[sup]
-    return aw
+    aw[off] = 4.0 * ctx.omega[off] ** 2 / ctx.ups[off]
+    return aw, off
 
 
 @dataclass
@@ -193,31 +201,29 @@ class AzimuthalLift:
     energy: float  # rotational kinetic quadratic value of the lift
 
 
-def lift_azimuthal_velocity(
-    star: AxiStar, basis: PerturbationBasis, coeffs: np.ndarray
-) -> AzimuthalLift:
+def lift_azimuthal_velocity(basis: PerturbationBasis, coeffs: np.ndarray) -> AzimuthalLift:
     """Lift of a constrained density perturbation to the azimuthal velocity
     that keeps the pair dynamically accessible.
 
     Requires a centrifugally stable rotation and zero total mass; the
     returned energy satisfies  reduced_form = energy_form + lift energy
     exactly at the discrete level, because all three are built from the same
-    grid profiles.
+    grid profiles of the basis's star.
     """
+    star = basis.star
     ctx = star.context
     if not ctx.rotating:
         raise ConfigError("lift needs a rotating star")
-    d_om_r2, h1, sup = ctx.d_om_r2, ctx.h1, ctx.radial_support
-    aw = _azimuthal_weight(star, "lift")
+    d_om_r2, h1 = ctx.d_om_r2, ctx.h1
+    aw, off = _azimuthal_weight(star, "lift")
     rs = star.grid.rs
-    F = np.asarray(coeffs) @ cumulative_cylinder_integrals(star, basis)
-    total = 2.0 * math.pi * float(F[-1])  # mass_constraint(star, basis) @ coeffs
+    F = np.asarray(coeffs) @ cumulative_cylinder_integrals(basis)
+    total = 2.0 * math.pi * float(F[-1])  # mass_constraint(basis) @ coeffs
     scale = np.max(np.abs(F)) + 1e-300
     if abs(total) > 1e-8 * 2.0 * math.pi * scale:
         raise ValueError("lift needs a zero-total-mass perturbation")
 
     u = np.zeros_like(rs)
-    off = sup & (rs > 0)
     u[off] = d_om_r2[off] / rs[off] ** 2 * F[off] / h1[off]
 
     wr = star.grid.wr
@@ -282,7 +288,7 @@ def assemble_generator(star: AxiStar, parity: str = "even") -> Generator:
     ctx = star.context
     if not ctx.rotating:
         raise ConfigError("the generator needs a rotating star (kappa or eps > 0)")
-    aw = _azimuthal_weight(star, "the generator")
+    aw, _ = _azimuthal_weight(star, "the generator")
     omega, d_om_r2 = ctx.omega, ctx.d_om_r2
     w, inv_phi2 = ctx.weights, ctx.inv_phi2
     g = star.grid
@@ -405,17 +411,13 @@ def evolve_linearized(gen: Generator, z0: np.ndarray, T: float, dt: float) -> Li
     return LinearTrajectory(times, energies, norms, scales)
 
 
-def stability_report(
-    star: AxiStar,
-    basis: PerturbationBasis | None = None,
-    with_generator: bool = False,
-) -> dict:
-    """Counts and verdict in the report schema used by the command line."""
-    if basis is None:
-        basis = perturbation_basis(star)
-    L = assemble_perturbation_energy(star, basis)
-    K = assemble_reduced_energy(star, basis)
-    Kc = restrict_mass_zero(K, star, basis)
+def stability_report(basis: PerturbationBasis, with_generator: bool = False) -> dict:
+    """Counts and verdict of the basis's star in the report schema used by
+    the command line."""
+    star = basis.star
+    L = assemble_perturbation_energy(basis)
+    K = assemble_reduced_energy(basis)
+    Kc = restrict_mass_zero(K, basis)
     inertia = Kc.inertia()
     report = {
         "n_minus_L": L.n_minus(),

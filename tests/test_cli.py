@@ -146,6 +146,29 @@ def test_static_star_skips_generator(tmp_path, rotation):
     assert "generator_unstable_count" not in rep and "growth_rate" not in rep
 
 
+def test_generator_accepts_a_star_with_no_rotation_on_the_axis(tmp_path):
+    """power_j with exponent 2 has dj/dp(0) = 0, so Upsilon is zero on the
+    axis only; the rotation is Rayleigh stable and the generator agrees
+    with the reduced form."""
+    cfg = write(
+        tmp_path,
+        "cfg.json",
+        {
+            "eos": {"kind": "polytropic", "c_minus": 1.0, "gamma0": 1.6666666666666667},
+            "rotation": {"form": "power_j", "coeff": 1.0, "exponent": 2.0, "eps": 0.4},
+            "mu": 1.0,
+            "grid": {"nr": 48, "nz": 48},
+            "basis": {"deg_r": 6, "deg_z": 2},
+            "with_generator": True,
+        },
+    )
+    out = tmp_path / "st"
+    assert main(["stability", cfg, "--out-dir", str(out)]) == EXIT_OK
+    rep = json.loads((out / "stability.json").read_text())
+    assert rep["verdict"] == "stable"
+    assert rep["generator_unstable_count"] == rep["n_minus_K_constrained"] == 0
+
+
 def test_spectrum_and_evolve_commands(tmp_path):
     star = {
         "eos": {"kind": "polytropic", "c_minus": 1.0, "gamma0": 1.3},

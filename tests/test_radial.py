@@ -8,7 +8,6 @@ from rotstar import radial
 from rotstar.eos import polytrope
 from rotstar.errors import SolverError
 from rotstar.radial import (
-    OracleMesh,
     assemble_oracle_form,
     family_scan_radial,
     mass_derivative,
@@ -118,15 +117,15 @@ def test_scan_csv_format(tmp_path, eos53):
 
 
 def test_oracle_counts_stable(star53):
-    even = assemble_oracle_form(star53, OracleMesh(), "even")
-    odd = assemble_oracle_form(star53, OracleMesh(), "odd")
-    assert even.form.n_minus(1e-3) == 1
-    assert odd.form.n_minus(1e-3) == 0
-    assert odd.form.inertia(1e-3).n_zero == 1
+    even = assemble_oracle_form(star53, "even")
+    odd = assemble_oracle_form(star53, "odd")
+    assert even.form.n_minus() == 1
+    assert odd.form.n_minus() == 0
+    assert odd.form.inertia().n_zero == 1
 
 
 def test_oracle_kernel_is_vertical_derivative_of_potential(star53):
-    oracle = assemble_oracle_form(star53, OracleMesh(), "odd")
+    oracle = assemble_oracle_form(star53, "odd")
     i0 = int(np.argmin(np.abs(oracle.form.eigenvalues)))
     coeffs = oracle.form.eigenvector(i0)
     s = np.linspace(1e-3, 1.999, 400) * star53.radius
@@ -141,9 +140,7 @@ def test_oracle_kernel_is_vertical_derivative_of_potential(star53):
 
 def test_oracle_mesh_validation(star53):
     with pytest.raises(ValueError):
-        assemble_oracle_form(star53, OracleMesh(outer_factor=0.9), "even")
-    with pytest.raises(ValueError):
-        assemble_oracle_form(star53, OracleMesh(), "sideways")
+        assemble_oracle_form(star53, "sideways")
 
 
 # -- homology cache ------------------------------------------------------------

@@ -33,12 +33,12 @@ def vb(rayleigh_unstable_star):
 
 @pytest.fixture(scope="module")
 def form(rayleigh_unstable_star, vb):
-    return assemble_meridional_form(rayleigh_unstable_star, vb)
+    return assemble_meridional_form(vb)
 
 
 def test_needs_unstable_rotation(rot53):
     with pytest.raises(ValueError):
-        assemble_meridional_form(rot53, velocity_basis(rot53))
+        assemble_meridional_form(velocity_basis(rot53))
 
 
 def test_divergence_free_zero_radial_velocity_gives_zero(rayleigh_unstable_star):
@@ -59,7 +59,7 @@ def test_divergence_free_zero_radial_velocity_gives_zero(rayleigh_unstable_star)
         n_grad=0,
         parity="even",
     )
-    form = assemble_meridional_form(star, basis)
+    form = assemble_meridional_form(basis)
     assert abs(form.matrix[0, 0]) < 1e-14 * abs(form.gram[0, 0])
 
 
@@ -68,7 +68,7 @@ def test_ring_quotients_inside_upsilon_range(rayleigh_unstable_star):
     lo, hi = upsilon_range(star)
     basis = velocity_basis(star, ring_knots=16, grad_deg_r=0, grad_deg_z=0)
     assert basis.n_grad == 0  # no gradient shapes requested
-    form = assemble_meridional_form(star, basis)
+    form = assemble_meridional_form(basis)
     lam = form.eigenvalues
     assert lam[0] >= lo - 1e-9
     assert lam[-1] <= hi + 1e-9
@@ -142,7 +142,7 @@ def test_spectrum_upper_family_grows_with_basis(rayleigh_unstable_star):
         basis = velocity_basis(
             rayleigh_unstable_star, grad_deg_r=deg, grad_deg_z=deg, ring_knots=8
         )
-        form = assemble_meridional_form(rayleigh_unstable_star, basis)
+        form = assemble_meridional_form(basis)
         _, hi = upsilon_range(rayleigh_unstable_star)
         counts.append(int(np.sum(form.eigenvalues > hi + 0.1)))
     assert counts[0] < counts[1] < counts[2]
@@ -152,7 +152,7 @@ def test_eta0_monotone_under_enrichment(rayleigh_unstable_star):
     etas = []
     for knots in (8, 16, 32):
         basis = velocity_basis(rayleigh_unstable_star, ring_knots=knots)
-        form = assemble_meridional_form(rayleigh_unstable_star, basis)
+        form = assemble_meridional_form(basis)
         etas.append(form.eigenvalues[0])
     assert etas[0] >= etas[1] >= etas[2] - 1e-12
 
@@ -214,7 +214,7 @@ def test_nonfinite_divergence_rejected(rayleigh_unstable_star):
         parity="even",
     )
     with pytest.raises(SolverError, match="undefined divergence"):
-        assemble_meridional_form(star, bad)
+        assemble_meridional_form(bad)
 
 
 def test_strict_mode_escalates_ambiguity(rayleigh_unstable_star):
