@@ -1,19 +1,25 @@
 """Barotropic equations of state with enthalpy transforms.
 
-Two kinds are supported:
+An equation of state is a piecewise law, one piece per density interval:
 
-* ``polytropic``: P(rho) = c_minus * rho**gamma0, everything in closed form.
-* ``asymptotically-polytropic``: a low-density polytrope c_minus*rho**gamma0
-  joined to a high-density polytrope c_plus*rho**gamma_inf by a C^1 cubic
-  Hermite interpolant of log P versus log rho over [rho_blend_lo,
-  rho_blend_hi].  The blend keeps P' > 0 as long as the interpolant stays
-  monotone, which is validated at construction.
+* ``polytropic``: one polytrope, P(rho) = c_minus * rho**gamma0, everything
+  in closed form.
+* ``asymptotically-polytropic``: three pieces.  The low-density polytrope
+  c_minus*rho**gamma0 up to rho_blend_lo; a C^1 cubic Hermite interpolant of
+  log P versus log rho over [rho_blend_lo, rho_blend_hi]; and the
+  high-density polytrope c_plus*rho**gamma_inf from rho_blend_hi up, its
+  enthalpy offset to the blend's top enthalpy.  The blend keeps P' > 0 as
+  long as the interpolant stays monotone, which is validated at
+  construction.
 
-The specific enthalpy is h(rho) = integral_0^rho P'(s)/s ds.  For the blended
-kind the blend-region enthalpy is precomputed by per-interval Gauss quadrature
-on a dense logarithmic grid and interpolated monotonically; the inverse is the
-same table flipped, polished by Newton iterations so round trips hold to
-near machine precision.
+A polytrope piece that starts at density rho0 with enthalpy h0 has
+h(rho) = h0 + gamma*c/(gamma-1) * (rho**(gamma-1) - rho0**(gamma-1)), so
+the specific enthalpy h(rho) = integral_0^rho P'(s)/s ds is continuous
+across the pieces.  The blend's enthalpy is precomputed by per-interval
+Gauss quadrature on a dense logarithmic grid and interpolated monotonically;
+its inverse is the same table flipped, polished by Newton iterations so
+round trips hold to near machine precision.  A value on a piece edge
+belongs to the polytrope on that side.
 """
 
 from __future__ import annotations
@@ -28,11 +34,6 @@ __all__ = ["EquationOfState", "polytrope", "asymptotic_polytrope"]
 
 _BLEND_TABLE_SIZE = 2000
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(10)
-
-
-def _poly_enthalpy_coef(c: float, gamma: float) -> float:
-    # h = gamma*c/(gamma-1) * rho**(gamma-1) for a pure polytrope
-    return gamma * c / (gamma - 1.0)
 
 
 @dataclass(frozen=True)
@@ -63,21 +64,27 @@ class EquationOfState:
             raise ValueError("gamma0 must lie in (6/5, 2]")
         if self.c_minus <= 0:
             raise ValueError("c_minus must be positive")
-        if self.kind == "asymptotically-polytropic":
-            if self.c_plus is None or self.gamma_inf is None:
-                raise ValueError("blended EOS needs c_plus and gamma_inf")
-            gi = self.gamma_inf
-            if not (1.0 < gi < 4.0 / 3.0) or math.isclose(gi, 6.0 / 5.0):
-                raise ValueError("gamma_inf must lie in (1,6/5) or (6/5,4/3)")
-            if self.rho_blend_lo is None or self.rho_blend_hi is None:
-                raise ValueError("blended EOS needs rho_blend_lo/hi")
-            if not (0 < self.rho_blend_lo < self.rho_blend_hi):
-                raise ValueError("blend interval must satisfy 0 < lo < hi")
-            object.__setattr__(self, "_blend", _BlendData(self))
-        else:
+        low = _Polytrope(self.c_minus, self.gamma0)
+        if self.kind == "polytropic":
             if (self.c_plus, self.gamma_inf, self.rho_blend_lo, self.rho_blend_hi) != (None,) * 4:
                 raise ValueError("a polytropic EOS takes no c_plus, gamma_inf or blend")
-            object.__setattr__(self, "_blend", None)
+            object.__setattr__(self, "_pieces", (low,))
+            return
+        if self.c_plus is None or self.gamma_inf is None:
+            raise ValueError("blended EOS needs c_plus and gamma_inf")
+        if self.c_plus <= 0:
+            raise ValueError("c_plus must be positive")
+        gi = self.gamma_inf
+        if not (1.0 < gi < 4.0 / 3.0) or math.isclose(gi, 6.0 / 5.0):
+            raise ValueError("gamma_inf must lie in (1,6/5) or (6/5,4/3)")
+        if self.rho_blend_lo is None or self.rho_blend_hi is None:
+            raise ValueError("blended EOS needs rho_blend_lo/hi")
+        if not (0 < self.rho_blend_lo < self.rho_blend_hi):
+            raise ValueError("blend interval must satisfy 0 < lo < hi")
+        blend = _Blend(low, self.c_plus, gi, self.rho_blend_lo, self.rho_blend_hi,
+                       self.pressure_derivative)
+        high = _Polytrope(self.c_plus, gi, self.rho_blend_hi, blend.h1)
+        object.__setattr__(self, "_pieces", (low, blend, high))
 
     @classmethod
     def from_config(cls, section: dict) -> EquationOfState:
@@ -90,186 +97,155 @@ class EquationOfState:
     def config(self) -> dict:
         """The config section ``from_config`` reads back into this EOS."""
         section = {"kind": self.kind, "c_minus": self.c_minus, "gamma0": self.gamma0}
-        if self._blend is not None:
+        if self.kind == "asymptotically-polytropic":
             section.update(c_plus=self.c_plus, gamma_inf=self.gamma_inf,
                            blend=[self.rho_blend_lo, self.rho_blend_hi])
         return section
 
-    # -- pressure ---------------------------------------------------------
-
     def pressure(self, rho):
         """P(rho); P(0) = 0 and strictly increasing.  rho must be >= 0."""
-        rho_arr, scalar = _checked(rho, allow_zero=True)
-        if self.kind == "polytropic":
-            out = self.c_minus * rho_arr**self.gamma0
-        else:
-            out = self._blend.pressure(rho_arr)
-        return _unwrap(out, scalar)
+        return self._piecewise(rho, lambda piece, r: piece.pressure(r))
 
     def pressure_derivative(self, rho):
         """dP/drho, positive on (0, inf)."""
-        rho_arr, scalar = _checked(rho, allow_zero=False)
-        if self.kind == "polytropic":
-            out = self.gamma0 * self.c_minus * rho_arr ** (self.gamma0 - 1.0)
-        else:
-            out = self._blend.pressure_derivative(rho_arr)
-        return _unwrap(out, scalar)
-
-    # -- enthalpy ---------------------------------------------------------
+        return self._piecewise(rho, lambda piece, r: piece.pressure_derivative(r),
+                               positive=True)
 
     def enthalpy(self, rho):
         """Specific enthalpy h(rho) = int_0^rho P'(s)/s ds, with h(0) = 0."""
-        rho_arr, scalar = _checked(rho, allow_zero=True)
-        if self.kind == "polytropic":
-            out = _poly_enthalpy_coef(self.c_minus, self.gamma0) * rho_arr ** (
-                self.gamma0 - 1.0
-            )
-        else:
-            out = self._blend.enthalpy(rho_arr)
-        return _unwrap(out, scalar)
+        return self._piecewise(rho, lambda piece, r: piece.enthalpy(r))
 
     def enthalpy_inverse(self, h):
         """Density with the given specific enthalpy; exact inverse of enthalpy."""
-        h_arr, scalar = _checked(h, allow_zero=True, name="enthalpy")
-        if self.kind == "polytropic":
-            coef = _poly_enthalpy_coef(self.c_minus, self.gamma0)
-            out = (h_arr / coef) ** (1.0 / (self.gamma0 - 1.0))
-        else:
-            out = self._blend.enthalpy_inverse(h_arr)
-        return _unwrap(out, scalar)
+        return self._piecewise(h, lambda piece, v: piece.enthalpy_inverse(v),
+                               of="enthalpy")
 
     def enthalpy_second(self, rho):
         """h'(rho) = P'(rho)/rho.  Diverges as rho -> 0+ when gamma0 < 2."""
-        rho_arr, scalar = _checked(rho, allow_zero=False)
-        out = self.pressure_derivative(rho_arr) / rho_arr
-        return _unwrap(np.asarray(out), scalar)
+        return self._piecewise(rho, lambda piece, r: piece.pressure_derivative(r) / r,
+                               positive=True)
+
+    def _piecewise(self, value, transform, positive=False, of="density"):
+        """``transform(piece, values)`` applied to each value's piece.
+
+        ``value`` is a density, or an enthalpy when ``of == "enthalpy"``; it
+        must be positive, or nonnegative unless ``positive``.  A value on
+        the blend's lower edge belongs to the low polytrope and one on its
+        upper edge to the high polytrope.  Scalars come back as ``float``.
+        """
+        arr = np.asarray(value, dtype=float)
+        if (arr <= 0).any() if positive else (arr < 0).any():
+            raise ValueError(f"{of} must be {'positive' if positive else 'nonnegative'}")
+        scalar = arr.ndim == 0
+        if scalar:
+            arr = arr.reshape(1)
+        if len(self._pieces) == 1:
+            out = transform(self._pieces[0], arr)
+        else:
+            low, blend, high = self._pieces
+            if of == "enthalpy":
+                below, above = arr <= blend.h0, arr >= high.h0
+            else:
+                below, above = arr <= blend.rho0, arr >= high.rho0
+            out = np.empty_like(arr)
+            for piece, mask in ((low, below), (blend, ~(below | above)), (high, above)):
+                if mask.any():
+                    out[mask] = transform(piece, arr[mask])
+        return float(out[0]) if scalar else out
 
 
-class _BlendData:
-    """Precomputed cubic-Hermite blend of log P vs log rho plus enthalpy tables."""
+class _Polytrope:
+    """P = c rho**g from density rho0 up, where the enthalpy is h0."""
 
-    def __init__(self, eos: EquationOfState):
-        self.c_lo = eos.c_minus
-        self.g_lo = eos.gamma0
-        self.c_hi = eos.c_plus
-        self.g_hi = eos.gamma_inf
-        self.x0 = math.log(eos.rho_blend_lo)
-        self.x1 = math.log(eos.rho_blend_hi)
-        self.rho_lo = eos.rho_blend_lo
-        self.rho_hi = eos.rho_blend_hi
-        dx = self.x1 - self.x0
-        y0 = math.log(self.c_lo) + self.g_lo * self.x0
-        y1 = math.log(self.c_hi) + self.g_hi * self.x1
+    def __init__(self, c: float, g: float, rho0: float = 0.0, h0: float = 0.0):
+        self.c, self.g, self.rho0, self.h0 = c, g, rho0, h0
+        self._k = g * c / (g - 1.0)
+        self._x0 = rho0 ** (g - 1.0)
+
+    def pressure(self, rho):
+        return self.c * rho**self.g
+
+    def pressure_derivative(self, rho):
+        return self.g * self.c * rho ** (self.g - 1.0)
+
+    def enthalpy(self, rho):
+        return self.h0 + self._k * (rho ** (self.g - 1.0) - self._x0)
+
+    def enthalpy_inverse(self, h):
+        return ((h - self.h0) / self._k + self._x0) ** (1.0 / (self.g - 1.0))
+
+
+class _Blend:
+    """Cubic-Hermite blend of log P vs log rho over [rho0, rho1] plus its
+    enthalpy table.
+
+    ``low`` is the polytrope below the blend; the blend meets c_hi*rho**g_hi
+    at rho1 in value and slope.  ``law_slope`` is the whole law's dP/drho,
+    which the Newton polish of the inverse evaluates up to both edges.
+    """
+
+    def __init__(self, low: _Polytrope, c_hi, g_hi, rho0, rho1, law_slope):
+        self.rho0, self.rho1 = rho0, rho1
+        self._law_slope = law_slope
+        self._x0 = math.log(rho0)
+        x1 = math.log(rho1)
+        self._dx = x1 - self._x0
+        y0 = math.log(low.c) + low.g * self._x0
+        y1 = math.log(c_hi) + g_hi * x1
         # Hermite in normalized t = (x - x0)/dx: value/slope match both ends.
-        self._dx = dx
-        self._coef = _hermite_coefficients(y0, self.g_lo * dx, y1, self.g_hi * dx)
+        self._coef = _hermite_coefficients(y0, low.g * self._dx, y1, g_hi * self._dx)
 
-        xs = np.linspace(self.x0, self.x1, 257)
-        slopes = self._H_prime(xs)
-        if np.any(slopes <= 0):
+        if np.any(self._H_prime(np.linspace(self._x0, x1, 257)) <= 0):
             raise ValueError(
                 "blend is not monotone (P' <= 0 inside the blend window); "
                 "adjust c_plus or the blend interval"
             )
 
         # Enthalpy over the blend: cumulative Gauss quadrature of P'(s)/s on a
-        # dense log grid, then monotone interpolation both ways.
-        self.h_lo = _poly_enthalpy_coef(self.c_lo, self.g_lo) * self.rho_lo ** (
-            self.g_lo - 1.0
-        )
-        xg = np.linspace(self.x0, self.x1, _BLEND_TABLE_SIZE)
-        vals = np.empty_like(xg)
-        vals[0] = self.h_lo
-        # integrand in x = log s:  P'(s)/s ds = P'(s) dx  (ds = s dx)
-        for i in range(1, xg.size):
-            a, b = xg[i - 1], xg[i]
-            mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            nodes = mid + half * _GAUSS_NODES
-            vals[i] = vals[i - 1] + half * np.dot(
-                _GAUSS_WEIGHTS, self._P_prime_x(nodes)
-            )
-        self.h_hi = float(vals[-1])
+        # dense log grid, then monotone interpolation both ways.  In x = log s,
+        # P'(s)/s ds = P'(s) dx.  Each interval's weighted sum stays a 1-D
+        # np.dot: a matrix-vector product sums the ten terms in another order
+        # and moves the table's last bits.
+        self.h0 = low.enthalpy(rho0)
+        xg = np.linspace(self._x0, x1, _BLEND_TABLE_SIZE)
+        mid, half = 0.5 * (xg[:-1] + xg[1:]), 0.5 * (xg[1:] - xg[:-1])
+        x = mid[:, None] + half[:, None] * _GAUSS_NODES
+        slopes = np.exp(self._H(x)) * self._H_prime(x) / np.exp(x)
+        steps = half * np.array([np.dot(_GAUSS_WEIGHTS, row) for row in slopes])
+        vals = np.cumsum(np.concatenate(([self.h0], steps)))
+        self.h1 = float(vals[-1])
         self._h_of_x = PchipInterpolator(xg, vals)
         self._x_of_h = PchipInterpolator(vals, xg)
-        self.h_coef_hi = _poly_enthalpy_coef(self.c_hi, self.g_hi)
 
     # Hermite helpers (x is log density)
     def _H(self, x):
-        t = (np.asarray(x) - self.x0) / self._dx
+        t = (np.asarray(x) - self._x0) / self._dx
         c = self._coef
         return ((c[3] * t + c[2]) * t + c[1]) * t + c[0]
 
     def _H_prime(self, x):
-        t = (np.asarray(x) - self.x0) / self._dx
+        t = (np.asarray(x) - self._x0) / self._dx
         c = self._coef
         return ((3.0 * c[3] * t + 2.0 * c[2]) * t + c[1]) / self._dx
 
-    def _P_prime_x(self, x):
-        # P'(s) evaluated at s = e^x inside the blend
-        P = np.exp(self._H(x))
-        return P * self._H_prime(x) / np.exp(x)
-
     def pressure(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        out = np.empty_like(rho)
-        lo = rho <= self.rho_lo
-        hi = rho >= self.rho_hi
-        mid = ~(lo | hi)
-        out[lo] = self.c_lo * rho[lo] ** self.g_lo
-        out[hi] = self.c_hi * rho[hi] ** self.g_hi
-        if np.any(mid):
-            out[mid] = np.exp(self._H(np.log(rho[mid])))
-        return out
+        return np.exp(self._H(np.log(rho)))
 
     def pressure_derivative(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        out = np.empty_like(rho)
-        lo = rho <= self.rho_lo
-        hi = rho >= self.rho_hi
-        mid = ~(lo | hi)
-        out[lo] = self.g_lo * self.c_lo * rho[lo] ** (self.g_lo - 1.0)
-        out[hi] = self.g_hi * self.c_hi * rho[hi] ** (self.g_hi - 1.0)
-        if np.any(mid):
-            x = np.log(rho[mid])
-            out[mid] = np.exp(self._H(x)) * self._H_prime(x) / rho[mid]
-        return out
+        x = np.log(rho)
+        return np.exp(self._H(x)) * self._H_prime(x) / rho
 
     def enthalpy(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        out = np.empty_like(rho)
-        lo = rho <= self.rho_lo
-        hi = rho >= self.rho_hi
-        mid = ~(lo | hi)
-        out[lo] = _poly_enthalpy_coef(self.c_lo, self.g_lo) * rho[lo] ** (
-            self.g_lo - 1.0
-        )
-        out[hi] = self.h_hi + self.h_coef_hi * (
-            rho[hi] ** (self.g_hi - 1.0) - self.rho_hi ** (self.g_hi - 1.0)
-        )
-        if np.any(mid):
-            out[mid] = self._h_of_x(np.log(rho[mid]))
-        return out
+        return self._h_of_x(np.log(rho))
 
     def enthalpy_inverse(self, h):
-        h = np.asarray(h, dtype=float)
-        out = np.empty_like(h)
-        lo = h <= self.h_lo
-        hi = h >= self.h_hi
-        mid = ~(lo | hi)
-        coef_lo = _poly_enthalpy_coef(self.c_lo, self.g_lo)
-        out[lo] = (h[lo] / coef_lo) ** (1.0 / (self.g_lo - 1.0))
-        out[hi] = (
-            (h[hi] - self.h_hi) / self.h_coef_hi + self.rho_hi ** (self.g_hi - 1.0)
-        ) ** (1.0 / (self.g_hi - 1.0))
-        if np.any(mid):
-            rho = np.exp(self._x_of_h(h[mid]))
-            # Newton polish against the tabulated forward map; h' = P'/rho.
-            for _ in range(3):
-                res = self._h_of_x(np.log(rho)) - h[mid]
-                rho = rho - res / (self.pressure_derivative(rho) / rho)
-                np.clip(rho, self.rho_lo, self.rho_hi, out=rho)
-            out[mid] = rho
-        return out
+        rho = np.exp(self._x_of_h(h))
+        # Newton polish against the tabulated forward map; h' = P'/rho.
+        for _ in range(3):
+            res = self._h_of_x(np.log(rho)) - h
+            rho = rho - res / (self._law_slope(rho) / rho)
+            np.clip(rho, self.rho0, self.rho1, out=rho)
+        return rho
 
 
 def _hermite_coefficients(y0, m0, y1, m1):
@@ -280,22 +256,6 @@ def _hermite_coefficients(y0, m0, y1, m1):
         -3.0 * y0 - 2.0 * m0 + 3.0 * y1 - m1,
         2.0 * y0 + m0 - 2.0 * y1 + m1,
     )
-
-
-def _checked(value, allow_zero: bool, name: str = "density"):
-    arr = np.asarray(value, dtype=float)
-    scalar = arr.ndim == 0
-    if allow_zero:
-        if np.any(arr < 0):
-            raise ValueError(f"{name} must be nonnegative")
-    else:
-        if np.any(arr <= 0):
-            raise ValueError(f"{name} must be positive")
-    return (arr.reshape(1) if scalar else arr), scalar
-
-
-def _unwrap(arr, scalar):
-    return float(arr[0]) if scalar else arr
 
 
 def polytrope(c: float = 1.0, gamma: float = 5.0 / 3.0) -> EquationOfState:

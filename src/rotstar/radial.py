@@ -60,7 +60,7 @@ N_PROFILE = 800
 
 @dataclass(frozen=True)
 class RadialStar:
-    """Spherical equilibrium: monotone profile of (r, rho, enthalpy, potential)."""
+    """Spherical equilibrium: monotone profile of (r, rho, enthalpy)."""
 
     eos: EquationOfState
     mu: float
@@ -69,8 +69,6 @@ class RadialStar:
     r: np.ndarray
     rho: np.ndarray
     enthalpy: np.ndarray
-    potential: np.ndarray
-    surface_slope: float  # y'(R) < 0
     _rho_interp: PchipInterpolator = field(repr=False, default=None)
 
     def rho_of(self, s):
@@ -180,7 +178,6 @@ def solve_radial(eos: EquationOfState, mu: float) -> RadialStar:
     y[0], y[-1] = y0, 0.0
     y[1:-1] = np.clip(y0 * sol.sol(xi[1:-1])[0], 0.0, None)
     rho = eos.enthalpy_inverse(y)
-    potential = -mass / radius - y
     return RadialStar(
         eos=eos,
         mu=mu,
@@ -189,8 +186,6 @@ def solve_radial(eos: EquationOfState, mu: float) -> RadialStar:
         r=r,
         rho=rho,
         enthalpy=y,
-        potential=potential,
-        surface_slope=y_slope,
     )
 
 

@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import eig
 
 from rotstar.bases import PerturbationBasis, tensor_shapes
@@ -128,8 +127,7 @@ def cumulative_cylinder_integrals(basis: PerturbationBasis) -> np.ndarray:
 
     Odd fields integrate to zero over z and get F identically zero.
     """
-    g = basis.star.grid
-    F = cumulative_trapezoid(g.rs * g.z_integral(basis.fields), g.rs, initial=0)
+    F = basis.star.grid.cylinder_mass(basis.fields)
     F[basis.parity < 0] = 0.0
     return F
 

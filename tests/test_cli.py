@@ -77,6 +77,17 @@ def test_missing_eos_is_config_error(tmp_path):
     assert main(["radial-scan", cfg, "--out-dir", str(tmp_path / "o")]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("c_plus", [-1.0, 0.0])
+def test_nonpositive_c_plus_names_the_key(tmp_path, c_plus):
+    eos = {"kind": "asymptotically-polytropic", "c_minus": 1.0, "gamma0": 1.6666666666666667,
+           "c_plus": c_plus, "gamma_inf": 1.25, "blend": [1.0, 3.0]}
+    cfg = write(tmp_path, "cfg.json", {**RADIAL_CFG, "eos": eos})
+    out = tmp_path / "out"
+    assert main(["radial-scan", cfg, "--out-dir", str(out)]) == EXIT_CONFIG
+    err = json.loads((out / "error.json").read_text())
+    assert err["message"] == "invalid eos: c_plus must be positive"
+
+
 def test_solver_failure_exit_code(tmp_path):
     cfg = write(
         tmp_path,

@@ -19,6 +19,36 @@ def test_blend_below_window_is_pure_low_branch():
     assert b.pressure(0.5) == pytest.approx(0.5 ** (5.0 / 3.0), rel=1e-13)
 
 
+def _closed_forms(c, g, rho0=0.0, h0=0.0):
+    """P, P', h and h^-1 of the polytrope c rho**g whose enthalpy is h0 at rho0."""
+    k = g * c / (g - 1.0)
+    return (
+        lambda rho: c * rho**g,
+        lambda rho: g * c * rho ** (g - 1.0),
+        lambda rho: h0 + k * (rho ** (g - 1.0) - rho0 ** (g - 1.0)),
+        lambda h: ((h - h0) / k + rho0 ** (g - 1.0)) ** (1.0 / (g - 1.0)),
+    )
+
+
+@pytest.mark.parametrize("blend", [(0.5, 2.9), (1.1, 2.2)])
+def test_transforms_exact_at_piece_edges(blend):
+    """On the blend's edges, in density and in enthalpy, every transform is
+    the closed form of the polytrope on that side, to the last bit."""
+    b = asymptotic_polytrope(1.3, 5.0 / 3.0, 1.25, blend)
+    lo, hi = np.array(blend[:1]), np.array(blend[1:])
+    h_hi = b.enthalpy(blend[1])
+    for eos, c, g, rho0, h0, edge in (
+        (b, b.c_minus, b.gamma0, 0.0, 0.0, lo),
+        (b, b.c_plus, b.gamma_inf, blend[1], h_hi, hi),
+        (polytrope(0.7, 1.4), 0.7, 1.4, 0.0, 0.0, np.logspace(-6, 3, 50)),
+    ):
+        P, dP, h, h_inv = _closed_forms(c, g, rho0, h0)
+        assert np.array_equal(eos.pressure(edge), P(edge))
+        assert np.array_equal(eos.pressure_derivative(edge), dP(edge))
+        assert np.array_equal(eos.enthalpy(edge), h(edge))
+        assert np.array_equal(eos.enthalpy_inverse(h(edge)), h_inv(h(edge)))
+
+
 def test_negative_density_rejected():
     p = polytrope()
     with pytest.raises(ValueError):
