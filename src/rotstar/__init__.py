@@ -21,6 +21,7 @@ from rotstar.rotlaw import (
     PowerLawMomentum,
     PowerTailLaw,
     RigidLaw,
+    RotationSpec,
     TabulatedLaw,
     UnitMassMomentum,
     discriminant,
@@ -28,7 +29,6 @@ from rotstar.rotlaw import (
 )
 from rotstar.equilibria import (
     AxiStar,
-    RotationSpec,
     axistar_from_radial,
     boundary_asymptotics_check,
     load_axistar,

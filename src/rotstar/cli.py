@@ -52,11 +52,11 @@ import scipy
 
 import rotstar
 from rotstar.eos import EquationOfState
-from rotstar.equilibria import RotationSpec, save_axistar, solve_fixed_j, solve_fixed_omega
+from rotstar.equilibria import save_axistar, solve_fixed_j, solve_fixed_omega
 from rotstar.errors import AmbiguousClassificationError, ConfigError, SolverError
 from rotstar.families import bb1974_example, scan_fixed_j, scan_fixed_omega
 from rotstar.radial import family_scan_radial
-from rotstar.rotlaw import FORMS
+from rotstar.rotlaw import FORMS, RotationSpec
 from rotstar.spectral import (
     assemble_meridional_form,
     evolve_second_order,
@@ -194,11 +194,19 @@ DEFAULTS = {
 _CONFIG_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
 
 
+def _finite_float(text: str) -> float:
+    """A config number; json's NaN, +-Infinity and overflowing literals are errors."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"config number {text} is not finite")
+    return value
+
+
 def load_config(path: str) -> dict:
     """Read and validate a config file; the keys it sets, without defaults."""
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_constant=_finite_float, parse_float=_finite_float)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     error = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(cfg))
@@ -488,6 +496,8 @@ def main(argv=None) -> int:
         return fail(EXIT_CONFIG, "config", f"{args.command} does not read config sections {unread}")
     if args.jobs < 1:
         return fail(EXIT_CONFIG, "config", f"--jobs must be at least 1, got {args.jobs}")
+    if args.seed < 0:
+        return fail(EXIT_CONFIG, "config", f"--seed must be nonnegative, got {args.seed}")
     run = _Runner(cfg, args.out_dir, args.seed, args.jobs)
     try:
         code = command(run)

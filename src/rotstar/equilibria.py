@@ -2,15 +2,11 @@
 
 Both slow-rotation families are one Euler-Poisson problem on a half-plane
 (r, z >= 0) grid with even reflection, solved by one SCF driver keyed on a
-``RotationSpec(profile, amplitude)``: the profile's class (an angular
-velocity law or a momentum distribution) names the family, and the families
-differ only in the rotational potential:
-
-* fixed angular velocity: the centrifugal potential kappa^2 int_0^r w^2 s ds
-  is a fixed function of radius;
-* fixed momentum distribution: the rotational potential
-  eps^2 int_0^r J(m(s), M) s^-3 ds is rebuilt each sweep from the current
-  iterate's cylinder mass.
+``RotationSpec(profile, amplitude)`` (``rotstar.rotlaw``).  The families
+differ only in the rotational potential, and each profile class carries its
+own (``rotational_potential``): fixed in radius for an angular velocity law,
+rebuilt each sweep from the current iterate's cylinder mass for a momentum
+distribution.
 
 Each sweep solves the Poisson problem for the current density, forms the
 effective enthalpy h = rot - V - c with the constant c pinned so that
@@ -24,10 +20,9 @@ floor are properties of its grid, density and center density.  It carries
 one lazily built ``StarContext``, the only copy of the volume weights, the
 support mask, h''(rho0) and its inverse, the column density, the radial
 support and the rotation profiles that the bases and stability forms share.
-The profiles (omega, d(omega r^2)/dr, Upsilon) are the only way the rotation
-reaches those analyses; the family itself is read here only where the
-physics differs (rotational potential, fixed-j origin check, profile
-definitions).
+The profiles (omega, d(omega r^2)/dr, Upsilon) come from the profile class
+(``grid_profiles``) and are the only way the rotation reaches those
+analyses; this module reads the family only for the fixed-j origin check.
 
 A saved bundle's ``meta.json`` describes the star's physics in the config's
 own format: its ``eos`` and ``rotation`` entries are the sections
@@ -44,22 +39,14 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from rotstar.eos import EquationOfState
 from rotstar.errors import SolverError
 from rotstar.poisson import Grid, RingKernel
 from rotstar.radial import RadialStar, solve_radial
-from rotstar.rotlaw import (
-    AngularVelocityLaw,
-    FORMS,
-    MomentumDistribution,
-    profile_config,
-    profile_from_config,
-)
+from rotstar.rotlaw import AngularVelocityLaw, MomentumDistribution, RotationSpec
 
 __all__ = [
-    "RotationSpec",
     "StarContext",
     "AxiStar",
     "make_grid",
@@ -77,52 +64,6 @@ DIVERGENCE_FACTOR = 1e3
 
 
 @dataclass(frozen=True)
-class RotationSpec:
-    """The rotation of an equilibrium: a profile and its amplitude.
-
-    An ``AngularVelocityLaw`` profile is the fixed-angular-velocity family
-    (azimuthal velocity amplitude * law.omega(r) * r, the amplitude is
-    kappa); a ``MomentumDistribution`` is the fixed-momentum family
-    (amplitude * j(m(r), M) / r, the amplitude is eps); no profile is a
-    static star.
-    """
-
-    profile: AngularVelocityLaw | MomentumDistribution | None = None
-    amplitude: float = 0.0
-
-    @property
-    def kind(self) -> str:
-        """'fixed_omega', 'fixed_j' or 'none', from the profile's class."""
-        if isinstance(self.profile, AngularVelocityLaw):
-            return "fixed_omega"
-        if isinstance(self.profile, MomentumDistribution):
-            return "fixed_j"
-        return "none"
-
-    @classmethod
-    def from_config(cls, section: dict | None) -> RotationSpec:
-        """The rotation a config section names: a law's section gives its
-        amplitude as ``kappa``, a distribution's as ``eps``; None is a
-        static star."""
-        if section is None:
-            return cls()
-        params = dict(section)
-        form = params["form"]
-        key = "kappa" if issubclass(FORMS[form], AngularVelocityLaw) else "eps"
-        if key not in params:
-            raise ValueError(f"rotation form {form!r} requires {key!r}")
-        amplitude = params.pop(key)
-        return cls(profile_from_config(params), amplitude)
-
-    def config(self) -> dict | None:
-        """The config section ``from_config`` reads back into this spec."""
-        if self.profile is None:
-            return None
-        key = "kappa" if self.kind == "fixed_omega" else "eps"
-        return {**profile_config(self.profile), key: self.amplitude}
-
-
-@dataclass(frozen=True)
 class StarContext:
     """Arrays the analyses of one equilibrium share, built once; callers
     read them and never write into them."""
@@ -133,7 +74,7 @@ class StarContext:
     inv_phi2: np.ndarray  # 1 / h''(rho0) on the support, 0 outside
     h1: np.ndarray  # int rho0 dz per radius
     radial_support: np.ndarray  # (h1 > 0) & (r <= R0)
-    omega: np.ndarray  # this and the next two: _velocity_profiles()
+    omega: np.ndarray  # this and the next two: the profile's grid_profiles()
     d_om_r2: np.ndarray
     ups: np.ndarray
 
@@ -213,44 +154,6 @@ class AxiStar:
         return rotp[:, None] - dVdr, -dVdz
 
 
-def _velocity_profiles(star: AxiStar, h1: np.ndarray):
-    """Consistent rotation profiles on the grid radii.
-
-    Returns (omega, d(omega r^2)/dr, Upsilon) for the actual rotation,
-    built from the same arrays everywhere so that discrete identities
-    relating the reduced rotational correction and the azimuthal-lift
-    energy hold to round-off; ``h1`` is the star's column density.
-    """
-    rs = star.grid.rs
-    rot = star.rotation
-    kind, profile, amp = rot.kind, rot.profile, rot.amplitude
-    if kind == "none":
-        z = np.zeros_like(rs)
-        return z, z.copy(), z.copy()
-    if kind == "fixed_omega":
-        omega = amp * np.asarray(profile.omega(rs))
-        d_om_r2 = amp * np.asarray(profile.d_omega_r2(rs))
-        ups = np.empty_like(rs)
-        ups[0] = 4.0 * omega[0] ** 2
-        ups[1:] = amp**2 * profile.omega_sq_r4_derivative(rs[1:]) / rs[1:] ** 3
-        return omega, d_om_r2, ups
-    # fixed_j: omega = eps j(m(r), M)/r^2; chain rule through m'(r) = r h1(r)
-    M = star.mass
-    m = star.m_of_r
-    omega = np.empty_like(rs)
-    off = rs > 0
-    omega[off] = amp * profile.j(m[off], M) / rs[off] ** 2
-    omega[0] = float(amp * profile.dj_dp(0.0, M) * 0.5 * h1[0]) if np.isfinite(
-        profile.dj_dp(0.0, M)
-    ) else 0.0
-    # d/dr (omega r^2) = eps dj/dp(m) m'(r)
-    d_om_r2 = amp * profile.dj_dp(m, M) * rs * h1
-    ups = np.empty_like(rs)
-    ups[off] = amp**2 * profile.dJ_dp(m[off], M) * h1[off] / rs[off] ** 2
-    ups[0] = 4.0 * omega[0] ** 2
-    return omega, d_om_r2, ups
-
-
 def _star_context(star: AxiStar) -> StarContext:
     g = star.grid
     mask = star.rho > star.floor
@@ -261,8 +164,12 @@ def _star_context(star: AxiStar) -> StarContext:
     h1 = g.z_integral(star.rho)
     weights = 2.0 * math.pi * np.outer(g.wr * g.rs, g.wz_line())
     support = (h1 > 0) & (g.rs <= star.support_radius)
-    return StarContext(weights, mask, phi2, inv_phi2, h1, support,
-                       *_velocity_profiles(star, h1))
+    rot = star.rotation
+    if rot.profile is None:
+        profiles = [np.zeros_like(g.rs) for _ in range(3)]
+    else:
+        profiles = rot.profile.grid_profiles(rot.amplitude, g.rs, star.m_of_r, h1)
+    return StarContext(weights, mask, phi2, inv_phi2, h1, support, *profiles)
 
 
 def make_grid(
@@ -354,6 +261,8 @@ def _scf_iterate(
     V, c, h = fields(rho)
     mask = rho > floor
     residual = float(np.max(np.abs(eos.enthalpy(rho[mask]) - h[mask])))
+    if not math.isfinite(residual):
+        raise SolverError(f"converged to a non-finite residual at mu={mu:g}")
     return rho, V, float(c), h, residual
 
 
@@ -371,31 +280,6 @@ def _support_extent(grid: Grid, h_equator: np.ndarray, h_axis: np.ndarray):
         return float(x[i] + (x[i + 1] - x[i]) * f0 / (f0 - f1))
 
     return crossing(grid.rs, h_equator), crossing(grid.zs, h_axis)
-
-
-def _rot_potential_of(grid: Grid, rot: RotationSpec):
-    """rho -> rotational potential per grid radius (only the fixed-j one
-    depends on rho)."""
-    if rot.kind == "fixed_j":
-        return lambda rho: _momentum_potential(grid, rho, rot.profile, rot.amplitude)
-    arr = rot.amplitude**2 * np.asarray(rot.profile.centrifugal_integral(grid.rs))
-    return lambda rho: arr
-
-
-def _momentum_potential(
-    grid: Grid, rho: np.ndarray, momentum: MomentumDistribution, eps: float
-) -> np.ndarray:
-    """eps^2 int_0^r J(m(s), M) s^-3 ds on the grid radii.
-
-    The integrand vanishes at the axis because J = O(m^2) and m = O(s^2).
-    """
-    rs = grid.rs
-    m = grid.cylinder_mass(rho)
-    M = 2.0 * math.pi * float(m[-1])
-    integrand = np.zeros_like(rs)
-    off = rs > 0
-    integrand[off] = momentum.J(m[off], M) / rs[off] ** 3
-    return cumulative_trapezoid(integrand, rs, initial=0) * eps**2
 
 
 def _solve(
@@ -422,8 +306,9 @@ def _solve(
     kernel = RingKernel(grid)
     RG, ZG = grid.meshes()
     rho0 = seed.rho_of(np.sqrt(RG**2 + ZG**2))
+    rot_potential = rotation.profile.rotational_potential(rotation.amplitude, grid)
     rho, V, c, h, residual = _scf_iterate(
-        eos, kernel, mu, rho0, _rot_potential_of(grid, rotation), tol, max_iter, damping
+        eos, kernel, mu, rho0, rot_potential, tol, max_iter, damping
     )
     R0, Z0 = _support_extent(grid, h[:, 0], h[0, :])
     return AxiStar(

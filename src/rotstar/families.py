@@ -32,10 +32,11 @@ import numpy as np
 
 from rotstar.bases import perturbation_basis
 from rotstar.eos import EquationOfState, polytrope
-from rotstar.equilibria import RotationSpec, solve_fixed_j, solve_fixed_omega
+from rotstar.equilibria import solve_fixed_j, solve_fixed_omega
 from rotstar.errors import SolverError
 from rotstar.poisson import share_cpus
-from rotstar.rotlaw import AngularVelocityLaw, FixedTotalMomentum, MomentumDistribution
+from rotstar.rotlaw import AngularVelocityLaw, MomentumDistribution, RotationSpec
+from rotstar.rotlaw import FixedTotalMomentum
 from rotstar.stability import assemble_reduced_energy, restrict_mass_zero
 
 __all__ = [

@@ -1,4 +1,5 @@
-"""Rotation laws, the Rayleigh discriminant, and related profiles.
+"""Rotation: laws, momentum distributions, the Rayleigh discriminant, and
+the rotation of an equilibrium.
 
 An angular velocity law omega(r) is centrifugally stable when the Rayleigh
 discriminant
@@ -11,12 +12,21 @@ through a momentum distribution j(p, q), the specific angular momentum as a
 function of cylinder mass p and total mass q, which induces
 omega(r) = eps * j(m(r), M) / r^2 on a given star.
 
-Both kinds of profile are named by one table, ``FORMS``, which maps each
-config ``form`` to its class.  ``profile_from_config`` builds a profile by
-passing the section's other keys to that class, so a key the form does not
-take is a ``TypeError``; ``profile_config`` writes the section back.  A
-table law's section gives its samples inline as ``r``/``omega`` or as the
-two columns of the CSV file at ``path``, and is written back inline.
+Each profile class carries its family (a law ``fixed_omega`` with amplitude
+``kappa``, a distribution ``fixed_j`` with ``eps``) and the family's physics
+on a grid: the star's (omega, d(omega r^2)/dr, Upsilon) in ``grid_profiles``
+and the SCF's ``rotational_potential``, fixed in radius for a law and
+rebuilt from each iterate's cylinder mass for a distribution.  The three
+profiles come from the same arrays, so the discrete identities relating the
+reduced rotational correction and the azimuthal-lift energy hold to
+round-off.
+
+``RotationSpec(profile, amplitude)`` is the rotation of an equilibrium.  Its
+config section names the class by ``form`` through ``FORMS``, the amplitude
+under the class's key, and the class's arguments, so a key the form does
+not take is a ``TypeError``.  A table law's samples are given inline as
+``r``/``omega`` or as the two columns of the CSV file at ``path``, and are
+written back inline.
 """
 
 from __future__ import annotations
@@ -26,6 +36,7 @@ from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.integrate import cumulative_trapezoid
 from scipy.interpolate import CubicSpline
 
 from rotstar.errors import ConfigError
@@ -42,15 +53,18 @@ __all__ = [
     "UnitMassMomentum",
     "omega_from_j",
     "FORMS",
-    "profile_from_config",
-    "profile_config",
+    "RotationSpec",
 ]
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(6)
 
 
 class AngularVelocityLaw:
-    """C^1 angular velocity profile omega(r) with its analytic derivatives."""
+    """C^1 angular velocity profile omega(r) with its analytic derivatives;
+    the fixed-angular-velocity family, azimuthal velocity kappa omega(r) r."""
+
+    family = "fixed_omega"
+    amplitude_key = "kappa"
 
     def omega(self, r):
         raise NotImplementedError
@@ -67,6 +81,23 @@ class AngularVelocityLaw:
         """int_0^r omega(s)^2 s ds, per-interval Gauss quadrature, vectorized."""
         r = np.atleast_1d(np.asarray(r, dtype=float))
         return _cumulative_gauss(lambda s: self.omega(s) ** 2 * s, r)
+
+    def grid_profiles(self, amp, rs, m, h1):
+        """(omega, d(omega r^2)/dr, Upsilon) at amplitude ``amp`` on the
+        radii ``rs``; a law reads neither the cylinder mass ``m`` nor the
+        column density ``h1``."""
+        omega = amp * np.asarray(self.omega(rs))
+        d_om_r2 = amp * np.asarray(self.d_omega_r2(rs))
+        ups = np.empty_like(rs)
+        ups[0] = 4.0 * omega[0] ** 2
+        ups[1:] = amp**2 * self.omega_sq_r4_derivative(rs[1:]) / rs[1:] ** 3
+        return omega, d_om_r2, ups
+
+    def rotational_potential(self, amp, grid):
+        """rho -> centrifugal potential amp^2 int_0^r omega^2 s ds per radius
+        of the ``Grid`` ``grid``, the same array for every density."""
+        arr = amp**2 * np.asarray(self.centrifugal_integral(grid.rs))
+        return lambda rho: arr
 
 
 @dataclass(frozen=True)
@@ -199,7 +230,11 @@ def _cumulative_gauss(f, r):
 
 
 class MomentumDistribution:
-    """Specific angular momentum j(p, q) of cylinder mass p and total mass q."""
+    """Specific angular momentum j(p, q) of cylinder mass p and total mass q;
+    the fixed-momentum family, azimuthal velocity eps j(m(r), M) / r."""
+
+    family = "fixed_j"
+    amplitude_key = "eps"
 
     def j(self, p, q):
         raise NotImplementedError
@@ -223,6 +258,42 @@ class MomentumDistribution:
         slope = float(self.dj_dp(scale * q, q))
         if not math.isfinite(slope):
             raise ConfigError("momentum distribution slope must stay finite at p = 0")
+
+    def grid_profiles(self, amp, rs, m, h1):
+        """(omega, d(omega r^2)/dr, Upsilon) at amplitude ``amp`` on the
+        radii ``rs`` of a star with cylinder mass ``m`` and column density
+        ``h1``: omega = eps j(m(r), M)/r^2, with the chain rule through
+        m'(r) = r h1(r)."""
+        M = 2.0 * math.pi * float(m[-1])
+        omega = np.empty_like(rs)
+        off = rs > 0
+        omega[off] = amp * self.j(m[off], M) / rs[off] ** 2
+        dj0 = self.dj_dp(0.0, M)
+        omega[0] = float(amp * dj0 * 0.5 * h1[0]) if np.isfinite(dj0) else 0.0
+        # d/dr (omega r^2) = eps dj/dp(m) m'(r)
+        d_om_r2 = amp * self.dj_dp(m, M) * rs * h1
+        ups = np.empty_like(rs)
+        ups[off] = amp**2 * self.dJ_dp(m[off], M) * h1[off] / rs[off] ** 2
+        ups[0] = 4.0 * omega[0] ** 2
+        return omega, d_om_r2, ups
+
+    def rotational_potential(self, amp, grid):
+        """rho -> eps^2 int_0^r J(m(s), M) s^-3 ds per radius of the ``Grid``
+        ``grid``, from the cylinder mass of the density it is given.
+
+        The integrand vanishes at the axis because J = O(m^2) and m = O(s^2).
+        """
+        rs = grid.rs
+        off = rs > 0
+
+        def potential(rho):
+            m = grid.cylinder_mass(rho)
+            M = 2.0 * math.pi * float(m[-1])
+            integrand = np.zeros_like(rs)
+            integrand[off] = self.J(m[off], M) / rs[off] ** 3
+            return cumulative_trapezoid(integrand, rs, initial=0) * amp**2
+
+        return potential
 
 
 @dataclass(frozen=True)
@@ -305,7 +376,7 @@ def omega_from_j(
     return TabulatedLaw(r, omega)
 
 
-# -- configuration sections --------------------------------------------------
+# -- the rotation of an equilibrium ------------------------------------------
 
 #: config ``form`` -> profile class; the section's other keys are its arguments
 FORMS = {
@@ -318,17 +389,44 @@ FORMS = {
 }
 
 
-def profile_from_config(section: dict) -> AngularVelocityLaw | MomentumDistribution:
-    """The law or momentum distribution a config section names by ``form``."""
-    params = dict(section)
-    return FORMS[params.pop("form")](**params)
+@dataclass(frozen=True)
+class RotationSpec:
+    """The rotation of an equilibrium: a profile and its amplitude, kappa
+    for a law and eps for a momentum distribution; no profile is a static
+    star."""
 
+    profile: AngularVelocityLaw | MomentumDistribution | None = None
+    amplitude: float = 0.0
 
-def profile_config(profile: AngularVelocityLaw | MomentumDistribution) -> dict:
-    """The config section ``profile_from_config`` reads back into ``profile``."""
-    form = {cls: name for name, cls in FORMS.items()}[type(profile)]
-    if isinstance(profile, TabulatedLaw):
-        params = {"r": profile.r_samples.tolist(), "omega": profile.omega_samples.tolist()}
-    else:
-        params = asdict(profile)
-    return {"form": form, **params}
+    @property
+    def kind(self) -> str:
+        """The profile's family, 'fixed_omega' or 'fixed_j'; 'none' if static."""
+        return "none" if self.profile is None else self.profile.family
+
+    @classmethod
+    def from_config(cls, section: dict | None) -> RotationSpec:
+        """The rotation a config section names; None is a static star."""
+        if section is None:
+            return cls()
+        params = dict(section)
+        form = params.pop("form", None)
+        if form not in FORMS:
+            raise ValueError(f"unknown rotation form {form!r}, expected one of {sorted(FORMS)}")
+        profile_cls = FORMS[form]
+        key = profile_cls.amplitude_key
+        if key not in params:
+            raise ValueError(f"rotation form {form!r} requires {key!r}")
+        amplitude = params.pop(key)
+        return cls(profile_cls(**params), amplitude)
+
+    def config(self) -> dict | None:
+        """The config section ``from_config`` reads back into this spec."""
+        if self.profile is None:
+            return None
+        form = {cls: name for name, cls in FORMS.items()}[type(self.profile)]
+        if isinstance(self.profile, TabulatedLaw):
+            params = {"r": self.profile.r_samples.tolist(),
+                      "omega": self.profile.omega_samples.tolist()}
+        else:
+            params = asdict(self.profile)
+        return {"form": form, **params, self.profile.amplitude_key: self.amplitude}

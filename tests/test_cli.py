@@ -9,9 +9,8 @@ import pytest
 
 from rotstar import cli, poisson, radial
 from rotstar.cli import EXIT_AMBIGUOUS, EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, ConfigError, main
-from rotstar.equilibria import RotationSpec
 from rotstar.families import FamilyPoint, FamilyScanResult
-from rotstar.rotlaw import FixedTotalMomentum
+from rotstar.rotlaw import FixedTotalMomentum, RotationSpec
 
 
 SRC = os.path.dirname(os.path.dirname(cli.__file__))
@@ -420,6 +419,34 @@ def test_missing_rotation_amplitude_rejected(tmp_path, command, payload, key):
     err = json.loads((out / "error.json").read_text())
     assert err["error"] == "config"
     assert f"requires {key!r}" in err["message"]
+
+
+@pytest.mark.parametrize(
+    "key, literal",
+    [("kappa", "NaN"), ("mu", "NaN"), ("mu", "Infinity"), ("kappa", "-Infinity"), ("mu", "1e400")],
+)
+def test_non_finite_config_numbers_rejected(tmp_path, key, literal):
+    """json reads NaN, +-Infinity and an overflowing literal as floats the
+    schema's number checks accept; each is a config error before any
+    compute (a NaN kappa used to solve to a collapsed star and exit 0)."""
+    payload = {**EQ_CFG, "rotation": dict(EQ_CFG["rotation"])}
+    (payload["rotation"] if key == "kappa" else payload)[key] = "@"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(payload).replace('"@"', literal))
+    out = tmp_path / "out"
+    assert main(["equilibrium", str(path), "--out-dir", str(out)]) == EXIT_CONFIG
+    err = json.loads((out / "error.json").read_text())
+    assert err["message"] == f"config number {literal} is not finite"
+    assert not (out / "equilibrium.json").exists()
+
+
+def test_negative_seed_rejected_before_compute(tmp_path):
+    cfg = write(tmp_path, "cfg.json", EQ_CFG)
+    out = tmp_path / "out"
+    assert main(["equilibrium", cfg, "--out-dir", str(out), "--seed", "-1"]) == EXIT_CONFIG
+    err = json.loads((out / "error.json").read_text())
+    assert err["message"] == "--seed must be nonnegative, got -1"
+    assert not (out / "equilibrium.json").exists()
 
 
 def _table_csv(tmp_path, rows):

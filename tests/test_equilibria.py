@@ -78,8 +78,6 @@ def test_fixed_j_soft_polytrope_center_density():
 
 
 def test_fixed_j_rotational_integrand_vanishing_at_axis(rot53, eos53):
-    from rotstar.equilibria import _momentum_potential
-
     mom = FixedTotalMomentum()
     st = solve_fixed_j(eos53, mom, 0.5, 1.0, nr=72, nz=72)
     rs = st.grid.rs
@@ -156,6 +154,13 @@ def test_scf_blowup_reported_as_divergence(eos53):
         solve_fixed_omega(eos53, RigidLaw(1.0), 3.0, 1.0, nr=24, nz=24, pad=3.0)
 
 
+def test_scf_rejects_a_non_finite_residual(eos53):
+    """A NaN amplitude makes every sweep's enthalpy NaN: the density decays
+    below the tolerance and the iteration stops, but on no equilibrium."""
+    with pytest.raises(SolverError, match="non-finite residual at mu=1"):
+        solve_fixed_omega(eos53, RigidLaw(1.0), math.nan, 1.0, nr=24, nz=24)
+
+
 def test_one_driver_for_both_families(eos53):
     """Without rotation the two families are the same SCF problem and the
     shared driver gives bit-identical stars."""
@@ -224,6 +229,32 @@ def test_replaced_density_carries_its_own_mass(eos53):
 )
 def test_rotation_kind_follows_the_profile_class(spec, kind):
     assert spec.kind == kind
+
+
+@pytest.mark.parametrize(
+    "profile, amp, bound",
+    [
+        (PowerTailLaw(1.0, 0.6, 1.0), 0.3, 2.2e-2),
+        (PowerLawMomentum(1.0, 2.0), 0.4, 1.3e-2),
+        (FixedTotalMomentum(), 0.5, 9.1e-3),
+    ],
+    ids=["power_tail", "power_j", "bb_j"],
+)
+def test_rotational_potential_slope_is_the_centrifugal_acceleration(
+    eos53, profile, amp, bound
+):
+    """In both families the SCF's rotational potential has d/dr = omega^2 r,
+    the acceleration ``grad_h`` adds.  Each bound is 3x the largest error
+    measured at 48^2 relative to max omega^2 r on the radial support (7.3e-3,
+    4.3e-3 and 3.0e-3; at 96^2 they fall fourfold, second order)."""
+    solve = {"fixed_omega": solve_fixed_omega, "fixed_j": solve_fixed_j}[profile.family]
+    star = solve(eos53, profile, amp, 1.0, nr=48, nz=48)
+    rs = star.grid.rs
+    pot = profile.rotational_potential(amp, star.grid)(star.rho)
+    slope = np.gradient(pot, rs, edge_order=2)
+    want = star.context.omega**2 * rs
+    sup = star.context.radial_support
+    assert np.max(np.abs(slope - want)[sup]) < bound * np.max(want[sup])
 
 
 def test_boundary_asymptotics_targets(eos53):
@@ -300,6 +331,21 @@ def test_rotation_spec_config_round_trip(spec):
     assert type(back.profile) is type(spec.profile)
     assert back.config() == section
     assert (section is None) == (spec.kind == "none")
+
+
+@pytest.mark.parametrize(
+    "edit, name",
+    [(lambda rot: rot.pop("form"), "None"), (lambda rot: rot.update(form="spiral"), "'spiral'")],
+    ids=["missing", "unknown"],
+)
+def test_bundle_with_a_bad_rotation_form_is_a_value_error(tmp_path, rot53, edit, name):
+    save_axistar(rot53, str(tmp_path / "b"))
+    meta_path = tmp_path / "b" / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    edit(meta["rotation"])
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match=f"unknown rotation form {name}"):
+        load_axistar(str(tmp_path / "b"))
 
 
 def test_save_load_static_star(tmp_path, star53):

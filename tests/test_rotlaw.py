@@ -8,12 +8,11 @@ from rotstar.rotlaw import (
     PowerLawMomentum,
     PowerTailLaw,
     RigidLaw,
+    RotationSpec,
     TabulatedLaw,
     UnitMassMomentum,
     discriminant,
     omega_from_j,
-    profile_config,
-    profile_from_config,
 )
 
 
@@ -117,13 +116,12 @@ def test_momentum_exponent_validation():
 
 
 def test_table_law_from_csv(tmp_path):
-    from rotstar.rotlaw import profile_from_config
-
     r = np.linspace(0.0, 2.0, 50)
     data = np.column_stack([r, np.full(50, 1.5)])
     path = tmp_path / "law.csv"
     np.savetxt(path, data, delimiter=",")
-    law = profile_from_config({"form": "table", "path": str(path)})
+    law = RotationSpec.from_config({"form": "table", "path": str(path), "kappa": 1.0}).profile
+    assert isinstance(law, TabulatedLaw)
     assert np.allclose(discriminant(law, np.linspace(0, 2, 11)), 9.0, atol=1e-9)
 
 
@@ -137,15 +135,15 @@ def test_table_law_from_csv(tmp_path):
     ids=["rigid", "power_tail", "table"],
 )
 def test_law_config_round_trip(law):
-    cfg = profile_config(law)
-    back = profile_from_config(cfg)
+    cfg = RotationSpec(law, 0.3).config()
+    back = RotationSpec.from_config(cfg).profile
     assert type(back) is type(law)
     if isinstance(law, TabulatedLaw):
         assert np.array_equal(back.r_samples, law.r_samples)
         assert np.array_equal(back.omega_samples, law.omega_samples)
     else:
         assert back == law
-    assert profile_config(back) == cfg
+    assert RotationSpec(back, 0.3).config() == cfg
 
 
 @pytest.mark.parametrize(
@@ -154,7 +152,7 @@ def test_law_config_round_trip(law):
     ids=["bb_j", "power_j", "unit_mass_j"],
 )
 def test_momentum_config_round_trip(momentum):
-    cfg = profile_config(momentum)
-    back = profile_from_config(cfg)
+    cfg = RotationSpec(momentum, 0.3).config()
+    back = RotationSpec.from_config(cfg).profile
     assert back == momentum
-    assert profile_config(back) == cfg
+    assert RotationSpec(back, 0.3).config() == cfg
