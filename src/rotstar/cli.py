@@ -295,7 +295,6 @@ class _Runner:
         #: thread parts of the run's Poisson kernel (None: no single star)
         self.poisson_parts = None
         self.t0 = time.time()
-        os.makedirs(out_dir, exist_ok=True)
 
     def path(self, name: str) -> str:
         self.artifacts.append(name)
@@ -498,6 +497,10 @@ def main(argv=None) -> int:
         return fail(EXIT_CONFIG, "config", f"--jobs must be at least 1, got {args.jobs}")
     if args.seed < 0:
         return fail(EXIT_CONFIG, "config", f"--seed must be nonnegative, got {args.seed}")
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+    except OSError as exc:
+        return fail(EXIT_CONFIG, "config", f"cannot create --out-dir {args.out_dir}: {exc.strerror}")
     run = _Runner(cfg, args.out_dir, args.seed, args.jobs)
     try:
         code = command(run)

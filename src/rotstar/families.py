@@ -10,6 +10,9 @@ the extrema of the total mass curve:
   first mass maximum (the rule fails), with a quantified positive margin at
   the maximum itself.
 
+Mass extrema are bracketed by ``radial.sign_changes`` on the smoothed
+mass slope and placed by a 4-point quadratic fit.
+
 A scan carries its family as one ``RotationSpec`` (profile and amplitude)
 from every point's solve to its result, whose summary writes the spec's
 ``kind`` and amplitude (``parameter``).  Only a fixed-angular-velocity scan
@@ -35,6 +38,7 @@ from rotstar.eos import EquationOfState, polytrope
 from rotstar.equilibria import solve_fixed_j, solve_fixed_omega
 from rotstar.errors import SolverError
 from rotstar.poisson import share_cpus
+from rotstar.radial import sign_changes
 from rotstar.rotlaw import AngularVelocityLaw, MomentumDistribution, RotationSpec
 from rotstar.rotlaw import FixedTotalMomentum
 from rotstar.stability import assemble_reduced_energy, restrict_mass_zero
@@ -85,23 +89,22 @@ class FamilyScanResult:
         n_u = np.array([p.n_u for p in ok])
         self.dM_dmu = np.gradient(mass, mu) if mu.size >= 3 else np.full(mu.size, math.nan)
 
-        # extrema: strict sign change of the 3-point-smoothed discrete slope
+        # extrema: sign changes of the 3-point-smoothed discrete slope, each
+        # bracket (mu[i], mu[j + 1]) refined by a 4-point quadratic fit
         diffs = np.diff(mass)
         smooth = diffs.copy()
         if diffs.size >= 3:
             smooth[1:-1] = (diffs[:-2] + diffs[1:-1] + diffs[2:]) / 3.0
         self.mass_extrema = []
-        for i in range(smooth.size - 1):
-            if smooth[i] == 0 or smooth[i + 1] == 0:
-                continue
-            if smooth[i] * smooth[i + 1] < 0:
-                lo = max(i, 1)
-                sl = slice(lo - 1, lo + 3)
-                co = np.polyfit(mu[sl], mass[sl], 2)
-                mu_e = float(-co[1] / (2 * co[0])) if co[0] != 0 else 0.5 * (mu[i] + mu[i + 2])
-                if not (mu[max(i - 1, 0)] <= mu_e <= mu[min(i + 2, mu.size - 1)]):
-                    mu_e = 0.5 * (mu[i] + mu[i + 2])
-                self.mass_extrema.append((mu_e, "max" if smooth[i] > 0 else "min"))
+        for i, j in sign_changes(smooth):
+            lo = max(j - 1, 1)
+            sl = slice(lo - 1, lo + 3)
+            co = np.polyfit(mu[sl], mass[sl], 2)
+            mid = 0.5 * (mu[i] + mu[j + 1])
+            mu_e = float(-co[1] / (2 * co[0])) if co[0] != 0 else mid
+            if not (mu[max(i - 1, 0)] <= mu_e <= mu[j + 1]):
+                mu_e = mid
+            self.mass_extrema.append((mu_e, "max" if smooth[i] > 0 else "min"))
 
         self.transitions = []
         for i in range(n_u.size - 1):

@@ -24,10 +24,14 @@ scaled balance at each mu and bypass the cache.
 
 Every integration of the scaled balance uses rtol = atol = ``TOL``, and
 every profile is sampled on ``N_PROFILE`` radii.
+
+Both family scans bracket extrema with ``sign_changes``, and
+``family_scan_radial`` root-finds the Richardson derivative in each bracket.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -35,6 +39,7 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, solve_ivp
 from scipy.interpolate import BSpline, PchipInterpolator
+from scipy.optimize import brentq
 
 from rotstar.eos import EquationOfState
 from rotstar.errors import ConfigError, SolverError
@@ -156,7 +161,9 @@ def solve_radial(eos: EquationOfState, mu: float) -> RadialStar:
     """Integrate the spherical balance outward from center density mu.
 
     Raises SolverError when no surface is found within
-    MAX_RADIUS_FACTOR times the central length scale sqrt(h(mu)/(4 pi mu)).
+    MAX_RADIUS_FACTOR times the central length scale sqrt(h(mu)/(4 pi mu)),
+    or when the profile's slopes leave float range, as they do from center
+    densities of about 1e150 up.
     """
     if mu <= 0:
         raise ValueError("center density must be positive")
@@ -178,15 +185,12 @@ def solve_radial(eos: EquationOfState, mu: float) -> RadialStar:
     y[0], y[-1] = y0, 0.0
     y[1:-1] = np.clip(y0 * sol.sol(xi[1:-1])[0], 0.0, None)
     rho = eos.enthalpy_inverse(y)
-    return RadialStar(
-        eos=eos,
-        mu=mu,
-        radius=radius,
-        mass=mass,
-        r=r,
-        rho=rho,
-        enthalpy=y,
-    )
+    # at extreme center densities the interpolants' slopes leave float range
+    with np.errstate(over="raise", divide="raise"):
+        try:
+            return RadialStar(eos=eos, mu=mu, radius=radius, mass=mass, r=r, rho=rho, enthalpy=y)
+        except FloatingPointError as exc:
+            raise SolverError(f"profile slopes overflow float range (mu={mu:g})") from exc
 
 
 def _profile_grid(radius: float, n: int) -> np.ndarray:
@@ -247,11 +251,7 @@ class RadialFamilyCurves:
                 fh.write(",".join(f"{v:.11e}" for v in row) + "\n")
 
 
-def family_scan_radial(
-    eos: EquationOfState,
-    mu_grid,
-    refine: bool = True,
-) -> RadialFamilyCurves:
+def family_scan_radial(eos: EquationOfState, mu_grid) -> RadialFamilyCurves:
     """Solve along mu_grid and locate mass extrema and the first M/R critical point."""
     mu = np.asarray(mu_grid, dtype=float)
     if mu.size < 5 or np.any(np.diff(mu) <= 0):
@@ -267,62 +267,42 @@ def family_scan_radial(
     dM = np.gradient(mass, mu)
     ratio = mass / radius
 
-    extrema = []
     diffs = np.diff(mass)
-    for i in _sign_changes(diffs):
-        mu_star = _refine_extremum(
-            lambda m: mass_derivative(eos, m), mu[i], mu[i + 1]
-        ) if refine else 0.5 * (mu[i] + mu[i + 1])
-        extrema.append((mu_star, "max" if diffs[i] > 0 else "min"))
+    mass_slope = functools.cache(lambda m: mass_derivative(eos, m))
+    extrema = [
+        (_root_in(mass_slope, mu[i], mu[j + 1]), "max" if diffs[i] > 0 else "min")
+        for i, j in sign_changes(diffs)
+    ]
 
     mu_tilde = math.inf
-    ratio_changes = _sign_changes(np.diff(ratio))
+    ratio_changes = sign_changes(np.diff(ratio))
     if ratio_changes:
-        i = ratio_changes[0]
-        if refine:
-            mu_tilde = _refine_extremum(
-                lambda m: -surface_potential_derivative(eos, m, h_rel=5e-4),
-                mu[i], mu[i + 1],
-            )
-        else:
-            mu_tilde = 0.5 * (mu[i] + mu[i + 1])
+        i, j = ratio_changes[0]
+        mu_tilde = _root_in(
+            functools.cache(lambda m: surface_potential_derivative(eos, m, h_rel=5e-4)),
+            mu[i], mu[j + 1],
+        )
 
     return RadialFamilyCurves(mu, radius, mass, dM, ratio, extrema, mu_tilde)
 
 
-def _sign_changes(diffs):
-    idx = []
-    for i in range(len(diffs) - 1):
-        if diffs[i] == 0:
-            continue
-        j = i + 1
-        while j < len(diffs) and diffs[j] == 0:
-            j += 1
-        if j < len(diffs) and diffs[i] * diffs[j] < 0:
-            idx.append(i)
-    return idx
+def sign_changes(slopes) -> list[tuple[int, int]]:
+    """Pairs (i, j) of nonzero slopes of opposite sign with only zeros
+    between: a curve sampled at mu has an extremum in (mu[i], mu[j + 1])."""
+    nonzero = np.flatnonzero(slopes)
+    return [
+        (int(i), int(j))
+        for i, j in zip(nonzero[:-1], nonzero[1:])
+        if (slopes[i] > 0) != (slopes[j] > 0)
+    ]
 
 
-def _refine_extremum(derivative, lo, hi, iters: int = 12):
-    """Bisection on a derivative sign change (one solver-based refinement pass)."""
-    dlo = derivative(lo)
-    dhi = derivative(hi)
-    if dlo == 0:
-        return lo
-    if dhi == 0 or dlo * dhi > 0:
+def _root_in(derivative, lo: float, hi: float) -> float:
+    """Root of a cached derivative in [lo, hi] to within 1e-4 hi; the
+    midpoint when the derivative has one sign at both ends."""
+    if derivative(lo) * derivative(hi) > 0:
         return 0.5 * (lo + hi)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        dm = derivative(mid)
-        if dm == 0:
-            return mid
-        if dm * dlo < 0:
-            hi = mid
-        else:
-            lo, dlo = mid, dm
-        if (hi - lo) < 1e-4 * hi:
-            break
-    return 0.5 * (lo + hi)
+    return brentq(derivative, lo, hi, xtol=1e-4 * hi)
 
 
 # -- oracle quadratic form --------------------------------------------------

@@ -160,6 +160,10 @@ class TabulatedLaw(AngularVelocityLaw):
             if r is not None or omega is not None:
                 raise ValueError("a table law takes 'r'/'omega' or 'path', not both")
             table = np.loadtxt(path, delimiter=",", ndmin=2)
+            if table.shape[1] < 2:
+                raise ValueError(
+                    f"table law file {path} has {table.shape[1]} column(s), needs 2 (r, omega)"
+                )
             r, omega = table[:, 0], table[:, 1]
         if r is None or omega is None:
             raise ValueError("a table law needs both 'r' and 'omega', or 'path'")

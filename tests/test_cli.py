@@ -88,18 +88,18 @@ def test_nonpositive_c_plus_names_the_key(tmp_path, c_plus):
 
 
 def test_solver_failure_exit_code(tmp_path):
-    cfg = write(
-        tmp_path,
-        "cfg.json",
-        {
-            "eos": {"kind": "polytropic", "c_minus": 1.0, "gamma0": 1.2000001},
-            "mu_grid": {"start": 0.5, "stop": 2.0, "num": 5},
-        },
-    )
-    out = tmp_path / "out"
-    assert main(["radial-scan", cfg, "--out-dir", str(out)]) == EXIT_SOLVER
-    err = json.loads((out / "error.json").read_text())
-    assert err["error"] == "solver"
+    """A star with no surface and a center density whose profile overflows
+    float range are solver failures."""
+    no_surface = {
+        "eos": {"kind": "polytropic", "c_minus": 1.0, "gamma0": 1.2000001},
+        "mu_grid": {"start": 0.5, "stop": 2.0, "num": 5},
+    }
+    for command, payload in [("radial-scan", no_surface), ("equilibrium", {**EQ_CFG, "mu": 1e300})]:
+        cfg = write(tmp_path, "cfg.json", payload)
+        out = tmp_path / command
+        assert main([command, cfg, "--out-dir", str(out)]) == EXIT_SOLVER
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "solver"
 
 
 def test_equilibrium_and_stability_commands(tmp_path):
@@ -604,10 +604,15 @@ def test_descending_or_flat_mu_grid_rejected(tmp_path, monkeypatch, command, bas
             {"r": [0.0, 1.0, 2.0, 3.0, 4.0], "omega": [1.0, 1.0, 1.0, 1.0]},
             "'r' has 5 samples but 'omega' has 4",
         ),
+        ({"path": "one_column.csv"}, "one_column.csv has 1 column(s)"),
     ],
-    ids=["r_without_omega", "omega_without_r", "length_mismatch"],
+    ids=["r_without_omega", "omega_without_r", "length_mismatch", "one_column_file"],
 )
 def test_table_law_messages_name_the_keys(tmp_path, table, needle):
+    if "path" in table:
+        path = tmp_path / table["path"]
+        np.savetxt(path, np.linspace(0.0, 3.0, 8), delimiter=",")
+        table = {"path": str(path)}
     rotation = {"form": "table", **table, "kappa": 0.05}
     cfg = write(tmp_path, "cfg.json", {**EQ_CFG, "rotation": rotation})
     out = tmp_path / "out"
@@ -631,3 +636,14 @@ def test_programming_error_is_not_a_solver_failure(tmp_path, monkeypatch, exc_ty
     with pytest.raises(exc_type, match="injected bug"):
         main(["stability", cfg, "--out-dir", str(out)])
     assert not (out / "error.json").exists()
+
+
+@pytest.mark.parametrize("blocker", ["file", "file/sub"])
+def test_out_dir_that_cannot_be_created_is_config_error(tmp_path, monkeypatch, capsys, blocker):
+    """An --out-dir that is a file, or lies under one, exits 2 before any
+    compute, naming the directory."""
+    monkeypatch.setattr(cli, "family_scan_radial", lambda *a, **kw: pytest.fail("compute ran"))
+    (tmp_path / "file").write_text("")
+    out = str(tmp_path / blocker)
+    assert main(["radial-scan", write(tmp_path, "cfg.json", RADIAL_CFG), "--out-dir", out]) == EXIT_CONFIG
+    assert f"cannot create --out-dir {out}" in capsys.readouterr().err

@@ -38,6 +38,14 @@ def test_extrema_and_transition_detection():
     assert res.tpp_verdict == "TPP-holds"
 
 
+def test_extremum_across_a_zero_smoothed_slope():
+    # the smoothed slope is exactly 0 at the peak's grid step
+    mus = np.linspace(1.0, 3.5, 6)
+    res = _result("fixed_j", mus, 1.0 - (mus - 2.25) ** 2, [0] * 6)
+    assert [kind for _, kind in res.mass_extrema] == ["max"]
+    assert res.mu_star == pytest.approx(2.25, rel=1e-12)
+
+
 def test_fixed_j_verdict_fails_on_misaligned_transition():
     mus = np.linspace(1.0, 9.0, 9)
     masses = -((mus - 4.0) ** 2)

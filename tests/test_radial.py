@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import simpson, solve_ivp
 
 from rotstar import radial
-from rotstar.eos import polytrope
+from rotstar.eos import asymptotic_polytrope, polytrope
 from rotstar.errors import SolverError
 from rotstar.radial import (
     assemble_oracle_form,
@@ -73,27 +73,53 @@ def test_derivative_sign_flips_across_43():
 
 
 def test_family_scan_monotone_no_extrema(eos53):
-    curves = family_scan_radial(eos53, np.linspace(0.5, 2.0, 8), refine=False)
+    curves = family_scan_radial(eos53, np.linspace(0.5, 2.0, 8))
     assert curves.mass_extrema == []
     assert math.isinf(curves.mu_tilde)
     assert np.all(np.diff(curves.mass) > 0)
 
 
 def test_family_scan_blend_has_maximum(eos_blend):
-    curves = family_scan_radial(eos_blend, np.geomspace(2.0, 40.0, 9), refine=False)
+    curves = family_scan_radial(eos_blend, np.geomspace(2.0, 40.0, 9))
     kinds = [k for _, k in curves.mass_extrema]
     assert "max" in kinds
     mu_star = curves.mass_extrema[0][0]
     assert curves.mass_extrema[0][1] == "max"
+    # the slope changes sign over [mu_3, mu_5]; the maximum lies past mu_4
+    assert mu_star == pytest.approx(10.36408, rel=1e-3)
     assert mu_star < curves.mu_tilde
 
 
 def test_family_scan_derivative_against_fit(eos53):
     mus = np.linspace(0.9, 1.1, 5)
-    curves = family_scan_radial(eos53, mus, refine=False)
+    curves = family_scan_radial(eos53, mus)
     co = np.polyfit(curves.mu, curves.mass, 2)
     fitted = 2 * co[0] * mus[2] + co[1]
     assert curves.dM_dmu[2] == pytest.approx(fitted, rel=0.02)
+
+
+@pytest.mark.parametrize(
+    "slopes, pairs",
+    [
+        ([1.0, 2.0, 3.0], []),
+        ([1.0, -1.0, 2.0], [(0, 1), (1, 2)]),
+        ([1.0, 0.0, 0.0, -1.0, 2.0], [(0, 3), (3, 4)]),
+        ([1.0, 0.0, 1.0], []),
+    ],
+    ids=["no_change", "two_changes", "zero_run", "zeros_without_change"],
+)
+def test_sign_changes_bracket_across_zero_runs(slopes, pairs):
+    assert radial.sign_changes(np.array(slopes)) == pairs
+
+
+@pytest.mark.parametrize(
+    "eos",
+    [polytrope(1.0, 5.0 / 3.0), asymptotic_polytrope(1.0, 5.0 / 3.0, 1.25, (1.0, 3.0))],
+    ids=["polytropic", "blend"],
+)
+def test_overflowing_profile_is_a_solver_error(eos):
+    with pytest.raises(SolverError, match="mu=1e\\+300"):
+        solve_radial(eos, 1e300)
 
 
 def test_family_scan_validates_grid(eos53):
@@ -104,7 +130,7 @@ def test_family_scan_validates_grid(eos53):
 
 
 def test_scan_csv_format(tmp_path, eos53):
-    curves = family_scan_radial(eos53, np.linspace(0.8, 1.2, 5), refine=False)
+    curves = family_scan_radial(eos53, np.linspace(0.8, 1.2, 5))
     path = tmp_path / "scan.csv"
     curves.to_csv(path)
     lines = path.read_text().strip().splitlines()
