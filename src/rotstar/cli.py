@@ -349,6 +349,7 @@ def cmd_equilibrium(run: _Runner) -> int:
             "support_height": star.support_height,
             "c_const": star.c_const,
             "residual": star.residual,
+            "sweeps": star.sweeps,
         },
     )
     return EXIT_OK

@@ -8,12 +8,22 @@ own (``rotational_potential``): fixed in radius for an angular velocity law,
 rebuilt each sweep from the current iterate's cylinder mass for a momentum
 distribution.
 
-Each sweep solves the Poisson problem for the current density, forms the
-effective enthalpy h = rot - V - c with the constant c pinned so that
-h(0, 0) equals the target center enthalpy, and maps back through the
-enthalpy inverse.  Updates are damped and the damping halves whenever the
-defect grows; a defect that turns non-finite or exceeds the first sweep's
-by ``DIVERGENCE_FACTOR`` stops the iteration as diverged.
+Each sweep projects the current density rho to g = G(rho): it solves the
+Poisson problem, forms the effective enthalpy h = rot - V - c with the
+constant c pinned so that h(0, 0) equals the target center enthalpy, and
+maps back through the enthalpy inverse.  The defect is max|g - rho| / mu.
+The next iterate is a type-II Anderson step over the last
+``ANDERSON_DEPTH`` sweeps, g - (dX + dF) gamma clipped at 0, with gamma the
+least-squares fit of the defect f = g - rho by the defect differences dF
+(dX: the iterate differences).  The damped step rho + damping * f stands
+in on the first sweep, after a restart, and when the Anderson step puts
+density on the grid's outer row or column; a restart clears the history
+and happens when that step touches the boundary or when the defect has
+grown three sweeps in a row, which also halves the damping.  The iteration
+ends on the projection g itself, which is exactly zero off the support.  A
+defect that turns non-finite or exceeds the first sweep's by
+``DIVERGENCE_FACTOR`` stops the iteration as diverged; the star records
+its sweep count.
 
 A star stores only what defines it: its mass, cylinder mass and density
 floor are properties of its grid, density and center density.  It carries
@@ -61,6 +71,8 @@ __all__ = [
 DENSITY_FLOOR_REL = 1e-12
 #: a sweep whose defect exceeds the first sweep's by this factor has diverged
 DIVERGENCE_FACTOR = 1e3
+#: past sweeps an Anderson step extrapolates over
+ANDERSON_DEPTH = 5
 
 
 @dataclass(frozen=True)
@@ -100,6 +112,7 @@ class AxiStar:
     support_radius: float  # R0
     support_height: float  # Z0
     rotation: RotationSpec
+    sweeps: int = 0  # SCF sweeps that produced rho; 0 for a sampled or loaded star
     _kernel: RingKernel | None = field(default=None, repr=False, compare=False)
 
     @cached_property
@@ -220,28 +233,45 @@ def _scf_iterate(
         c = -V[0, 0] - h_center
         return V, c, rot[:, None] - V - c
 
-    rho = rho0.copy()
+    def project(rho):
+        """G(rho): the density the enthalpy of rho's fields maps back to; the
+        inverse maps h = 0 to 0, so only the support needs it."""
+        h = fields(rho)[2]
+        pos = h > 0
+        g = np.zeros_like(h)
+        g[pos] = eos.enthalpy_inverse(h[pos])
+        return g
+
+    def touches_boundary(rho):
+        return bool(np.any(rho[-1, :] > floor) or np.any(rho[:, -1] > floor))
+
+    # Anderson history: differences of successive iterates and defects,
+    # ANDERSON_DEPTH rows each, overwritten oldest first
+    dX = np.empty((ANDERSON_DEPTH, rho0.size))
+    dF = np.empty_like(dX)
+    depth = 0
+    head = 0
+    rho = rho0  # never written into: every iterate is a new array
+    rho_prev = f_prev = None
     theta = damping
     prev_err = math.inf
     grow_count = 0
     err = math.inf
     blowup = math.inf  # set from the first sweep's defect
-    for _ in range(max_iter):
-        _, _, h = fields(rho)
-        # the inverse maps h = 0 to 0, so only the support needs it
-        pos = h > 0
-        rho_raw = np.zeros_like(h)
-        rho_raw[pos] = eos.enthalpy_inverse(h[pos])
-        rho_new = (1.0 - theta) * rho + theta * rho_raw
-        err = float(np.max(np.abs(rho_new - rho))) / mu
-        rho = rho_new
+    for sweep in range(1, max_iter + 1):
+        g = project(rho)
+        f = g - rho
+        err = float(np.max(np.abs(f))) / mu
         if err < tol:
+            rho = g
             break
+        restart = False
         if err > prev_err * (1.0 + 1e-12):
             grow_count += 1
             if grow_count >= 3:
                 theta *= 0.5
                 grow_count = 0
+                restart = True
         else:
             grow_count = 0
         if theta < 1e-3 or not math.isfinite(err) or err > blowup:
@@ -249,21 +279,41 @@ def _scf_iterate(
         if blowup == math.inf:
             blowup = DIVERGENCE_FACTOR * err
         prev_err = err
+
+        if restart:
+            depth = head = 0
+        elif rho_prev is not None:
+            dX[head] = (rho - rho_prev).ravel()
+            dF[head] = (f - f_prev).ravel()
+            head = (head + 1) % ANDERSON_DEPTH
+            depth = min(depth + 1, ANDERSON_DEPTH)
+        rho_prev, f_prev = rho, f
+        if depth:
+            hf = dF[:depth]
+            gamma = np.linalg.lstsq(hf.T, f.ravel(), rcond=None)[0]
+            # g becomes the Anderson step g - (dX + dF) gamma, clipped at 0
+            np.subtract(g, (gamma @ dX[:depth] + gamma @ hf).reshape(g.shape), out=g)
+            np.maximum(g, 0.0, out=g)
+            if touches_boundary(g):
+                depth = head = 0
+        rho = g if depth else rho + theta * f
     else:
         raise SolverError(
             f"no convergence in {max_iter} sweeps at mu={mu:g} (defect {err:.3e})"
         )
 
-    if np.any(rho[-1, :] > floor) or np.any(rho[:, -1] > floor):
+    if touches_boundary(rho):
         raise SolverError("density support touches the grid boundary")
 
     # final consistent fields and residual
     V, c, h = fields(rho)
     mask = rho > floor
-    residual = float(np.max(np.abs(eos.enthalpy(rho[mask]) - h[mask])))
+    residual = math.nan  # an empty support or a non-finite h has none
+    if mask.any() and np.all(np.isfinite(h)):
+        residual = float(np.max(np.abs(eos.enthalpy(rho[mask]) - h[mask])))
     if not math.isfinite(residual):
         raise SolverError(f"converged to a non-finite residual at mu={mu:g}")
-    return rho, V, float(c), h, residual
+    return rho, V, float(c), h, residual, sweep
 
 
 def _support_extent(grid: Grid, h_equator: np.ndarray, h_axis: np.ndarray):
@@ -304,10 +354,9 @@ def _solve(
     if grid.rs[-1] <= seed.radius:
         raise SolverError("grid does not contain the non-rotating support")
     kernel = RingKernel(grid)
-    RG, ZG = grid.meshes()
-    rho0 = seed.rho_of(np.sqrt(RG**2 + ZG**2))
+    rho0 = seed.rho_of(np.sqrt(sum(m**2 for m in grid.meshes())))
     rot_potential = rotation.profile.rotational_potential(rotation.amplitude, grid)
-    rho, V, c, h, residual = _scf_iterate(
+    rho, V, c, h, residual, sweeps = _scf_iterate(
         eos, kernel, mu, rho0, rot_potential, tol, max_iter, damping
     )
     R0, Z0 = _support_extent(grid, h[:, 0], h[0, :])
@@ -322,6 +371,7 @@ def _solve(
         support_radius=R0,
         support_height=Z0,
         rotation=rotation,
+        sweeps=sweeps,
         _kernel=kernel,
     )
 

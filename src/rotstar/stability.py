@@ -143,8 +143,12 @@ def assemble_reduced_energy(basis: PerturbationBasis) -> QuadraticForm:
     """Perturbation energy plus the rotational correction of the reduced
     stability form.  For a non-rotating star the correction vanishes and the
     result equals the plain energy form."""
+    return _add_rotational_correction(assemble_perturbation_energy(basis), basis)
+
+
+def _add_rotational_correction(base: QuadraticForm, basis: PerturbationBasis) -> QuadraticForm:
+    """The reduced form from the basis's perturbation-energy form ``base``."""
     star = basis.star
-    base = assemble_perturbation_energy(basis)
     if not star.context.rotating:
         return base
     w, sup = rotational_weight(star)
@@ -414,7 +418,7 @@ def stability_report(basis: PerturbationBasis, with_generator: bool = False) -> 
     the command line."""
     star = basis.star
     L = assemble_perturbation_energy(basis)
-    K = assemble_reduced_energy(basis)
+    K = _add_rotational_correction(L, basis)
     Kc = restrict_mass_zero(K, basis)
     inertia = Kc.inertia()
     report = {

@@ -102,6 +102,22 @@ def test_solver_failure_exit_code(tmp_path):
         assert err["error"] == "solver"
 
 
+def test_equilibrium_records_its_sweeps(tmp_path):
+    """Anderson mixing: the README star at 96^2 (50 damped sweeps) takes at
+    most 15, and equilibrium.json records the count."""
+    star = {
+        "eos": {"kind": "polytropic", "c_minus": 1.0, "gamma0": 1.6666666666666667},
+        "rotation": {"form": "rigid", "omega_c": 1.0, "kappa": 0.05},
+        "mu": 1.0,
+        "grid": {"nr": 96, "nz": 96},
+    }
+    out = tmp_path / "eq"
+    assert main(["equilibrium", write(tmp_path, "eq.json", star), "--out-dir", str(out)]) == EXIT_OK
+    meta = json.loads((out / "equilibrium.json").read_text())
+    assert 0 < meta["sweeps"] <= 15
+    assert meta["residual"] < 1e-9
+
+
 def test_equilibrium_and_stability_commands(tmp_path):
     star = {
         "eos": {"kind": "polytropic", "c_minus": 1.0, "gamma0": 1.6666666666666667},

@@ -133,6 +133,13 @@ def test_fixed_j_grid_too_small(eos53):
         solve_fixed_j(eos53, FixedTotalMomentum(), 0.1, 1.0, grid=small)
 
 
+def test_mixed_star_mass_matches_damped_iteration(eos53):
+    """Anderson mixing converges the 48^2 rigid star to the mass that damped
+    iteration reached (pinned from it)."""
+    st = solve_fixed_omega(eos53, RigidLaw(1.0), 0.05, 1.0, nr=48, nz=48)
+    assert st.mass == pytest.approx(3.042657046913899, rel=1e-9)
+
+
 def test_sweep_budget_exhausted(eos53):
     with pytest.raises(SolverError, match="no convergence in 2 sweeps"):
         solve_fixed_omega(eos53, RigidLaw(1.0), 0.05, 1.0, nr=32, nz=32, max_iter=2)

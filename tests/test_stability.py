@@ -327,6 +327,25 @@ def test_stability_report_schema(rot53):
     assert report["generator_unstable_count"] == 0
 
 
+def test_report_assembles_the_energy_form_once(rot53, monkeypatch):
+    """The report's reduced form is the rotational correction of its own L:
+    equal to ``assemble_reduced_energy`` with one energy assembly."""
+    basis = perturbation_basis(rot53)
+    K = assemble_reduced_energy(basis)
+    blocks, forms = [], []
+    real_blocks, real_restrict = stability.energy_blocks, stability.restrict_mass_zero
+    monkeypatch.setattr(
+        stability, "energy_blocks", lambda *a: blocks.append(a) or real_blocks(*a)
+    )
+    monkeypatch.setattr(
+        stability, "restrict_mass_zero", lambda f, b: forms.append(f) or real_restrict(f, b)
+    )
+    stability_report(basis)
+    assert len(blocks) == 1
+    assert np.array_equal(forms[0].matrix, K.matrix)
+    assert np.array_equal(forms[0].gram, K.gram)
+
+
 def test_stable_report_growth_rate_is_zero(rot53):
     # real parts inside the band are round-off, not a growth rate
     assert stability_report(perturbation_basis(rot53), with_generator=True)["growth_rate"] == 0.0
