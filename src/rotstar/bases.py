@@ -110,6 +110,7 @@ class PerturbationBasis:
     star: AxiStar
     fields: np.ndarray  # (n, nr, nz)
     parity: np.ndarray  # (n,), +1 / -1
+    degrees: list  # (i, j) of each tensor row; the appended directions follow them
 
     @property
     def count(self) -> int:
@@ -167,4 +168,4 @@ def perturbation_basis(
 
     if extra_fields:
         fields = np.concatenate([fields, np.stack(extra_fields)], axis=0)
-    return PerturbationBasis(star=star, fields=fields, parity=np.array(tags))
+    return PerturbationBasis(star, fields, np.array(tags), shapes.degrees)

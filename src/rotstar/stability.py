@@ -17,8 +17,8 @@ d(omega r^2)/dr and Upsilon (for a prescribed momentum distribution W equals
 eps^2 dJ/dp(m(r), M) / r^3 through Upsilon = 2 omega d(omega r^2)/dr / r).
 
 A perturbation basis carries its star, so every analysis of a basis takes
-the basis alone and reads ``basis.star``; only functions of raw fields or of
-their own shapes (``energy_blocks``, ``assemble_generator``) take a star.
+the basis alone and reads ``basis.star`` (the generator also its energy
+form); only ``energy_blocks`` and ``density_form_value`` take a star.
 
 A matched discretization of the full linearized generator is provided as a
 cross-check: its construction is exactly Hamiltonian at the matrix level, so
@@ -243,6 +243,12 @@ def lift_azimuthal_velocity(basis: PerturbationBasis, coeffs: np.ndarray) -> Azi
 # -- linearized generator -----------------------------------------------------
 
 
+#: (deg_r, deg_z) of the generator, not the basis's: 12x8 shapes show a growing
+#: pair (7.4e-3) on the README star at 96^2 that the reduced form does not count,
+#: and z degree below 4 misses the gamma 1.3 rigid star's mode.
+GENERATOR_DEGREE = (8, 4)
+
+
 @dataclass
 class Generator:
     """Whitened Galerkin matrices of the linearized dynamics (one z-parity).
@@ -279,27 +285,32 @@ class Generator:
         return float(np.abs(q @ self.Lh @ q) + q @ q * self._lh_norm + p @ p)
 
 
-def assemble_generator(star: AxiStar, parity: str = "even") -> Generator:
-    """Discretize the linearized dynamics on one z-parity sector.
+def assemble_generator(basis: PerturbationBasis, energy: QuadraticForm,
+                       parity: str = "even") -> Generator:
+    """Discretize the linearized dynamics of the basis's star on one z-parity
+    sector from its energy form ``energy`` (``assemble_perturbation_energy``).
 
-    Density and azimuthal-velocity scalars are the degree (8, 4) tensor
-    shapes; meridional velocities are the gradients of the same shapes
-    (opposite vertical parity bookkeeping is handled internally: an 'even'
+    The scalars are the sector's GENERATOR_DEGREE tensor shapes: the density
+    block is ``energy`` on the basis's rows of them (ConfigError if one is
+    missing), v_theta the plain shapes and v_r, v_z their gradients (an 'even'
     sector means even density, even v_theta, even v_r and odd v_z).
     """
+    star = basis.star
     ctx = star.context
     if not ctx.rotating:
         raise ConfigError("the generator needs a rotating star (kappa or eps > 0)")
     aw, _ = _azimuthal_weight(star, "the generator")
-    omega, d_om_r2 = ctx.omega, ctx.d_om_r2
-    w, inv_phi2 = ctx.weights, ctx.inv_phi2
+    omega, d_om_r2, w = ctx.omega, ctx.d_om_r2, ctx.weights
     g = star.grid
     rs = g.rs
 
-    # density shapes: delta_rho = chi * inv_phi2 ; v_theta shapes: plain chi
-    dens = tensor_shapes(rs, g.zs, star.support_radius, star.support_height, 8, 4,
-                         parity=parity)
-    dfields = dens.values * inv_phi2[None]
+    dens = tensor_shapes(rs, g.zs, star.support_radius, star.support_height,
+                         *GENERATOR_DEGREE, parity=parity)
+    if not set(dens.degrees) <= set(basis.degrees):
+        raise ConfigError(f"the generator needs every {parity} basis shape up to "
+                          f"degree (deg_r, deg_z) = {GENERATOR_DEGREE}")
+    rows = [basis.degrees.index(d) for d in dens.degrees]
+    G1, Lq = (m[np.ix_(rows, rows)] for m in (energy.gram, energy.matrix))
     # v_theta lives in L2_rho0; same scalar shapes
     tfields = dens.values
 
@@ -308,8 +319,6 @@ def assemble_generator(star: AxiStar, parity: str = "even") -> Generator:
     vr = dens.grad_r[keep]
     vz = dens.grad_z[keep]
 
-    # Grams; the density Gram is the pressure block of the energy form
-    G1, grav = energy_blocks(star, dfields, [parity] * len(dfields))
     rho_w = w * star.rho
     G2 = pair_integrals(tfields, tfields, rho_w)
     GY = pair_integrals(vr, vr, rho_w) + pair_integrals(vz, vz, rho_w)
@@ -317,9 +326,6 @@ def assemble_generator(star: AxiStar, parity: str = "even") -> Generator:
     B1 = whiten(G1)
     B2 = whiten(G2)
     BY = whiten(GY)
-
-    # density energy block
-    Lq = G1 + grav
 
     # azimuthal kinetic block: weight 4 omega^2 rho0 / Upsilon
     Aq = pair_integrals(tfields, tfields, w * aw[:, None] * star.rho)
@@ -431,7 +437,7 @@ def stability_report(basis: PerturbationBasis, with_generator: bool = False) -> 
         gen_counts = []
         growth = 0.0
         for parity in ("even", "odd"):
-            gen = assemble_generator(star, parity=parity)
+            gen = assemble_generator(basis, L, parity)
             c, gr, _ = generator_unstable_count(gen)
             gen_counts.append(c)
             growth = max(growth, gr)

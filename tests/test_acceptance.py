@@ -202,9 +202,10 @@ def test_criterion_06_generator_cross_check():
             basis = perturbation_basis(star)
             Kc = restrict_mass_zero(assemble_reduced_energy(basis), basis)
             nK = Kc.n_minus()
+            L = assemble_perturbation_energy(basis)
             total, defect = 0, 0.0
             for parity in ("even", "odd"):
-                gen = assemble_generator(star, parity=parity)
+                gen = assemble_generator(basis, L, parity)
                 c, _, d = generator_unstable_count(gen)
                 total += c
                 defect = max(defect, d)

@@ -86,3 +86,21 @@ def test_scan_records_a_solve_and_a_point_span_per_point(spans):
     assert spans("families.point") == 2
     assert spans("families.scan") == 1
     assert np.isfinite([p.mass for p in scan.points]).all()
+
+
+def test_generator_report_solves_each_basis_field_once(spans):
+    """A report with the generator assembles the energy form once, and both
+    generator sectors read it: one Poisson solve per basis field."""
+    from rotstar import cli
+    from rotstar.bases import perturbation_basis
+    from rotstar.stability import stability_report
+
+    star = cli.solve_configured_star(cli._with_defaults(STAR_24))
+    basis = perturbation_basis(star, deg_r=8, deg_z=4)
+    fields = basis.count
+    before = spans("poisson.potential")
+    report = stability_report(basis, with_generator=True)
+    assert "generator_unstable_count" in report
+    assert spans("stability.generator") == 2
+    assert spans("stability.energy_assembly") == 1
+    assert spans("poisson.potential") - before == fields

@@ -184,7 +184,7 @@ def test_generator_accepts_a_star_with_no_rotation_on_the_axis(tmp_path):
             "rotation": {"form": "power_j", "coeff": 1.0, "exponent": 2.0, "eps": 0.4},
             "mu": 1.0,
             "grid": {"nr": 48, "nz": 48},
-            "basis": {"deg_r": 6, "deg_z": 2},
+            "basis": {"deg_r": 8, "deg_z": 4},
             "with_generator": True,
         },
     )
@@ -339,7 +339,7 @@ STABILITY_CFG = {
     "rotation": {"form": "rigid", "omega_c": 1.0, "kappa": 0.05},
     "mu": 1.0,
     "grid": {"nr": 48, "nz": 48},
-    "basis": {"deg_r": 6, "deg_z": 4},
+    "basis": {"deg_r": 8, "deg_z": 4},
     "with_generator": True,
 }
 
@@ -580,9 +580,14 @@ POWER_TAIL_CFG = {
             "Rayleigh unstable on this star",
         ),
         ("radial-scan", {**RADIAL_CFG, "mu_grid": {**RADIAL_CFG["mu_grid"], "num": 3}}, ">= 5 points"),
+        (
+            "stability",
+            {**EQ_CFG, "basis": {"deg_r": 6, "deg_z": 2}, "with_generator": True},
+            "(deg_r, deg_z) = (8, 4)",
+        ),
     ],
     ids=["spectrum_rayleigh_stable", "stability_rayleigh_unstable",
-         "tpp_scan_rayleigh_unstable", "radial_scan_short_grid"],
+         "tpp_scan_rayleigh_unstable", "radial_scan_short_grid", "generator_below_its_degree"],
 )
 def test_analysis_the_star_does_not_admit_is_config_error(tmp_path, command, payload, needle):
     """A request the analysis does not apply to exits 2 with the analysis's

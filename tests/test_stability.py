@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from rotstar import stability
-from rotstar.bases import PerturbationBasis, perturbation_basis
+from rotstar.bases import PerturbationBasis, perturbation_basis, tensor_shapes
 from rotstar.equilibria import axistar_from_radial
 from rotstar.forms import QuadraticForm
 from rotstar.radial import solve_radial
 from rotstar.stability import (
+    GENERATOR_DEGREE,
     Generator,
     assemble_generator,
     assemble_perturbation_energy,
@@ -230,22 +231,38 @@ def test_hardy_ratio_stable_under_refinement(eos53):
 # -- generator ----------------------------------------------------------------
 
 
+@pytest.fixture(scope="module")
+def generator_of():
+    """``generator_of(star, parity)``: the generator read from the star's 8x4
+    basis and its energy form, both built once per star."""
+    forms = {}
+
+    def build(star, parity):
+        if id(star) not in forms:
+            basis = perturbation_basis(star, deg_r=8, deg_z=4)
+            forms[id(star)] = basis, assemble_perturbation_energy(basis)
+        return assemble_generator(*forms[id(star)], parity)
+
+    return build
+
+
 def test_generator_counts_match_reduced_form(rot53, rot13):
     for star, expected in ((rot53, 0), (rot13, 1)):
         basis = perturbation_basis(star)
         Kc = restrict_mass_zero(assemble_reduced_energy(basis), basis)
         assert Kc.n_minus() == expected
+        L = assemble_perturbation_energy(basis)
         total = 0
         for parity in ("even", "odd"):
-            gen = assemble_generator(star, parity=parity)
+            gen = assemble_generator(basis, L, parity)
             count, _, defect = generator_unstable_count(gen)
             total += count
             assert defect < 1e-10
         assert total == expected
 
 
-def test_generator_quadruple_symmetry(rot13):
-    gen = assemble_generator(rot13, "even")
+def test_generator_quadruple_symmetry(rot13, generator_of):
+    gen = generator_of(rot13, "even")
     lam = gen.eigenvalues()
     scale = np.max(np.abs(lam))
     for v in (lam[np.argmax(lam.real)], lam[np.argmax(np.abs(lam.imag))]):
@@ -262,7 +279,8 @@ def test_generator_is_defined_by_its_two_blocks(eos53):
     from rotstar.rotlaw import RigidLaw
 
     star = solve_fixed_omega(eos53, RigidLaw(1.0), 0.05, 1.0, nr=96, nz=96)
-    built = assemble_generator(star, "even")
+    basis = perturbation_basis(star, deg_r=8, deg_z=4)
+    built = assemble_generator(basis, assemble_perturbation_energy(basis), "even")
     gen = Generator(built.P, built.Lh)
     nq = 54
     assert gen.P.shape == (nq, 26) and gen.Lh.shape == (nq, nq)
@@ -278,13 +296,13 @@ def test_generator_is_defined_by_its_two_blocks(eos53):
     assert gen.energy_scale(z) == pytest.approx(278.73176131902846, rel=1e-9)
 
 
-def test_generator_needs_rotation(axi53):
+def test_generator_needs_rotation(basis53, L53):
     with pytest.raises(ValueError):
-        assemble_generator(axi53, "even")
+        assemble_generator(basis53, L53, "even")
 
 
-def test_stable_evolution_bounded_and_conservative(rot53):
-    gen = assemble_generator(rot53, "even")
+def test_stable_evolution_bounded_and_conservative(rot53, generator_of):
+    gen = generator_of(rot53, "even")
     lam_max = np.max(np.abs(gen.eigenvalues().imag))
     rng = np.random.default_rng(1)
     z0 = rng.standard_normal(gen.matrix.shape[0])
@@ -294,8 +312,8 @@ def test_stable_evolution_bounded_and_conservative(rot53):
     assert traj.energy_drift < 1e-6
 
 
-def test_unstable_growth_rate_matches_eigenvalue(rot13):
-    gen = assemble_generator(rot13, "even")
+def test_unstable_growth_rate_matches_eigenvalue(rot13, generator_of):
+    gen = generator_of(rot13, "even")
     count, growth, _ = generator_unstable_count(gen)
     assert count == 1
     lam_max = np.max(np.abs(gen.eigenvalues().imag))
@@ -312,12 +330,46 @@ def test_verdict_equivalence(rot53, rot13):
         basis = perturbation_basis(star)
         Kc = restrict_mass_zero(assemble_reduced_energy(basis), basis)
         reduced_stable = Kc.n_minus() == 0
+        L = assemble_perturbation_energy(basis)
         lam = np.concatenate(
-            [assemble_generator(star, p).eigenvalues() for p in ("even", "odd")]
+            [assemble_generator(basis, L, p).eigenvalues() for p in ("even", "odd")]
         )
         scale = np.max(np.abs(lam))
         generator_stable = np.max(lam.real) < 1e-6 * scale
         assert reduced_stable == generator_stable
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_generator_blocks_are_sub_blocks_of_the_basis_energy(rot53, rot13, parity):
+    """The generator's 8x4 density fields are the basis's rows of the same
+    degrees, bit for bit (Legendre shapes nest), so its blocks read from
+    the basis's energy form equal ``energy_blocks`` on its own fields to
+    round-off."""
+    for star in (rot53, rot13):
+        basis = perturbation_basis(star)
+        L = assemble_perturbation_energy(basis)
+        g = star.grid
+        shapes = tensor_shapes(g.rs, g.zs, star.support_radius, star.support_height,
+                               *GENERATOR_DEGREE, parity=parity)
+        fields = shapes.values * star.context.inv_phi2[None]
+        rows = [basis.degrees.index(d) for d in shapes.degrees]
+        assert np.array_equal(fields, basis.fields[rows])
+        pressure, grav = stability.energy_blocks(star, fields, [parity] * len(rows))
+        sub = np.ix_(rows, rows)
+        for own, read in ((pressure, L.gram[sub]), (pressure + grav, L.matrix[sub])):
+            assert np.max(np.abs(own - read)) <= 1e-13 * np.max(np.abs(own))
+
+
+def test_generator_keeps_its_degree_on_a_larger_basis(eos53):
+    """On a 12x8 basis of the README star (rigid kappa 0.05 at 96^2) the
+    generator still reads its 8x4 rows and agrees with the reduced form;
+    all 12x8 shapes would show a spurious growing pair."""
+    from rotstar.equilibria import solve_fixed_omega
+    from rotstar.rotlaw import RigidLaw
+
+    star = solve_fixed_omega(eos53, RigidLaw(1.0), 0.05, 1.0, nr=96, nz=96)
+    report = stability_report(perturbation_basis(star, deg_r=12, deg_z=8), with_generator=True)
+    assert report["generator_unstable_count"] == report["n_minus_K_constrained"] == 0
 
 
 def test_stability_report_schema(rot53):
@@ -327,9 +379,11 @@ def test_stability_report_schema(rot53):
     assert report["generator_unstable_count"] == 0
 
 
-def test_report_assembles_the_energy_form_once(rot53, monkeypatch):
+@pytest.mark.parametrize("with_generator", [False, True])
+def test_report_assembles_the_energy_form_once(rot53, monkeypatch, with_generator):
     """The report's reduced form is the rotational correction of its own L:
-    equal to ``assemble_reduced_energy`` with one energy assembly."""
+    equal to ``assemble_reduced_energy`` with one energy assembly, which
+    the generator reads too."""
     basis = perturbation_basis(rot53)
     K = assemble_reduced_energy(basis)
     blocks, forms = [], []
@@ -340,7 +394,7 @@ def test_report_assembles_the_energy_form_once(rot53, monkeypatch):
     monkeypatch.setattr(
         stability, "restrict_mass_zero", lambda f, b: forms.append(f) or real_restrict(f, b)
     )
-    stability_report(basis)
+    stability_report(basis, with_generator=with_generator)
     assert len(blocks) == 1
     assert np.array_equal(forms[0].matrix, K.matrix)
     assert np.array_equal(forms[0].gram, K.gram)
@@ -386,8 +440,8 @@ def test_pair_integrals_sum_only_radii_with_nonzero_weight(J):
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-def test_quadruple_defect_equals_per_eigenvalue_loop(rot13):
-    gen = assemble_generator(rot13, "odd")
+def test_quadruple_defect_equals_per_eigenvalue_loop(rot13, generator_of):
+    gen = generator_of(rot13, "odd")
     lam = gen.eigenvalues()
     scale = np.max(np.abs(lam)) + 1e-300
     defect = 0.0
@@ -485,6 +539,7 @@ def test_analyses_of_a_basis_take_no_star():
         assemble_reduced_energy,
         restrict_mass_zero,
         lift_azimuthal_velocity,
+        assemble_generator,
         stability_report,
         spectral.assemble_meridional_form,
     )
@@ -508,6 +563,6 @@ def test_static_star_of_a_rotating_family(eos53, family):
     K = assemble_reduced_energy(basis)
     assert np.array_equal(K.matrix, assemble_perturbation_energy(basis).matrix)
     with pytest.raises(ValueError, match="needs a rotating star"):
-        assemble_generator(star, "even")
+        assemble_generator(basis, K, "even")
     with pytest.raises(ValueError, match="needs a rotating star"):
         lift_azimuthal_velocity(basis, np.zeros(basis.count))
