@@ -20,10 +20,12 @@ A perturbation basis carries its star, so every analysis of a basis takes
 the basis alone and reads ``basis.star`` (the generator also its energy
 form); only ``energy_blocks`` and ``density_form_value`` take a star.
 
-A matched discretization of the full linearized generator is provided as a
-cross-check: its construction is exactly Hamiltonian at the matrix level, so
+A matched discretization of the full linearized generator on the basis's
+shapes is a cross-check: exactly Hamiltonian at the matrix level, its
 eigenvalues come in {l, -l, conj l, -conj l} quadruples and the implicit
-midpoint evolution conserves the discrete energy to round-off.  That energy,
+midpoint evolution conserves the discrete energy to round-off.  Its growing
+pairs, the negative directions of one symmetric matrix, are counted inside
+the verdict band like every form's.  That energy,
 ``Generator.energy`` in the generator's whitened coordinates, is the one
 conserved quadratic (the Casimir second variation) of the package; states
 live only in those coordinates.
@@ -36,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg import eig
+from scipy.linalg import eig, eigh
 
 from rotstar.bases import PerturbationBasis, tensor_shapes
 from rotstar.equilibria import AxiStar
@@ -243,12 +245,6 @@ def lift_azimuthal_velocity(basis: PerturbationBasis, coeffs: np.ndarray) -> Azi
 # -- linearized generator -----------------------------------------------------
 
 
-#: (deg_r, deg_z) of the generator, not the basis's: 12x8 shapes show a growing
-#: pair (7.4e-3) on the README star at 96^2 that the reduced form does not count,
-#: and z degree below 4 misses the gamma 1.3 rigid star's mode.
-GENERATOR_DEGREE = (8, 4)
-
-
 @dataclass
 class Generator:
     """Whitened Galerkin matrices of the linearized dynamics (one z-parity).
@@ -274,6 +270,14 @@ class Generator:
     def eigenvalues(self) -> np.ndarray:
         return eig(self.matrix, right=False)
 
+    def quadruple_defect(self) -> float:
+        """Worst distance of -lambda from the spectrum over its eigenvalues,
+        relative to the spectral radius: the Hamiltonian check, zero up to
+        round-off when the spectrum maps to itself under negation."""
+        lam = self.eigenvalues()
+        scale = np.max(np.abs(lam)) + 1e-300
+        return float(np.abs(lam[:, None] + lam[None, :]).min(axis=1).max()) / scale
+
     def energy(self, z: np.ndarray) -> float:
         nq = self.P.shape[0]
         q, p = z[:nq], z[nq:]
@@ -290,10 +294,10 @@ def assemble_generator(basis: PerturbationBasis, energy: QuadraticForm,
     """Discretize the linearized dynamics of the basis's star on one z-parity
     sector from its energy form ``energy`` (``assemble_perturbation_energy``).
 
-    The scalars are the sector's GENERATOR_DEGREE tensor shapes: the density
-    block is ``energy`` on the basis's rows of them (ConfigError if one is
-    missing), v_theta the plain shapes and v_r, v_z their gradients (an 'even'
-    sector means even density, even v_theta, even v_r and odd v_z).
+    The scalars are the basis's tensor shapes of the sector at the basis's
+    own degree: the density block is ``energy`` on the basis's rows of them,
+    v_theta the plain shapes and v_r, v_z their gradients (an 'even' sector
+    means even density, even v_theta, even v_r and odd v_z).
     """
     star = basis.star
     ctx = star.context
@@ -304,24 +308,24 @@ def assemble_generator(basis: PerturbationBasis, energy: QuadraticForm,
     g = star.grid
     rs = g.rs
 
+    rows = [k for k, (_, j) in enumerate(basis.degrees) if j % 2 == (parity == "odd")]
+    if not rows:
+        raise ConfigError(f"the generator needs {parity} basis shapes")
+    deg_r, deg_z = (max(d) for d in zip(*basis.degrees))
     dens = tensor_shapes(rs, g.zs, star.support_radius, star.support_height,
-                         *GENERATOR_DEGREE, parity=parity)
-    if not set(dens.degrees) <= set(basis.degrees):
-        raise ConfigError(f"the generator needs every {parity} basis shape up to "
-                          f"degree (deg_r, deg_z) = {GENERATOR_DEGREE}")
-    rows = [basis.degrees.index(d) for d in dens.degrees]
+                         deg_r, deg_z, parity=parity)
     G1, Lq = (m[np.ix_(rows, rows)] for m in (energy.gram, energy.matrix))
     # v_theta lives in L2_rho0; same scalar shapes
     tfields = dens.values
 
-    # meridional velocities: drop the constant shape, whose gradient is zero
-    keep = [k for k, (i, j) in enumerate(dens.degrees) if (i, j) != (0, 0)]
-    vr = dens.grad_r[keep]
-    vz = dens.grad_z[keep]
-
+    # meridional velocities are the gradients of every shape but the
+    # constant one, whose gradient is zero
+    keep = [k for k, d in enumerate(dens.degrees) if d != (0, 0)]
     rho_w = w * star.rho
+    grads = (pair_integrals(dens.grad_r, dens.grad_r, rho_w)
+             + pair_integrals(dens.grad_z, dens.grad_z, rho_w))
     G2 = pair_integrals(tfields, tfields, rho_w)
-    GY = pair_integrals(vr, vr, rho_w) + pair_integrals(vz, vz, rho_w)
+    GY = grads[np.ix_(keep, keep)]
 
     B1 = whiten(G1)
     B2 = whiten(G2)
@@ -331,37 +335,35 @@ def assemble_generator(basis: PerturbationBasis, energy: QuadraticForm,
     Aq = pair_integrals(tfields, tfields, w * aw[:, None] * star.rho)
 
     # couplings: M1[j, a] = int rho0 grad(xi_a) . grad(chi_j) dx
-    M1 = pair_integrals(dens.grad_r, vr, rho_w) + pair_integrals(dens.grad_z, vz, rho_w)
+    M1 = grads[:, keep]
     # M2[j, a] = -int rho0 chi_j (d(omega r^2)/dr / r) v_r(a) dx
     dor_over_r = np.zeros_like(rs)
     dor_over_r[rs > 0] = d_om_r2[rs > 0] / rs[rs > 0]
     dor_over_r[0] = 2.0 * omega[0]
-    M2 = -pair_integrals(tfields, vr, rho_w * dor_over_r[:, None])
+    M2 = -pair_integrals(tfields, dens.grad_r, rho_w * dor_over_r[:, None])[:, keep]
 
     # whitened blocks
     Lt = B1.T @ Lq @ B1
     At = B2.T @ Aq @ B2
     P1 = B1.T @ M1 @ BY
     P2 = B2.T @ M2 @ BY
-    n1, n2 = P1.shape[0], P2.shape[0]
-    Lh = np.zeros((n1 + n2, n1 + n2))
-    Lh[:n1, :n1] = 0.5 * (Lt + Lt.T)
-    Lh[n1:, n1:] = 0.5 * (At + At.T)
+    Lh = sla.block_diag(0.5 * (Lt + Lt.T), 0.5 * (At + At.T))
     return Generator(np.vstack([P1, P2]), Lh)
 
 
 def generator_unstable_count(gen: Generator):
-    """Number of eigenvalues with real part above 1e-6 times the spectral
-    radius, the growth rate (0.0 when there is none: real parts inside the
-    band are round-off), and the worst quadruple-symmetry defect (relative)."""
-    lam = gen.eigenvalues()
-    scale = np.max(np.abs(lam)) + 1e-300
-    tol = 1e-6 * scale
-    count = int(np.sum(lam.real > tol))
-    growth = float(np.max(lam.real)) if count else 0.0
-    # quadruple symmetry: spectrum maps to itself under negation
-    defect = float(np.abs(lam[:, None] + lam[None, :]).min(axis=1).max()) / scale
-    return count, growth, defect
+    """(count, largest counted growth rate or 0.0, pairs in the band) of the
+    generator's growing pairs +-sqrt(-mu): the eigenvalues mu < 0 of
+    S = P^T Lh P (d^2p/dt^2 = -S p), those above -1e-12 max|mu| being
+    round-off.  A pair counts when its mode's energy quotient
+    q.Lh.q / q.q / ||Lh|| with q = P p is below -VERDICT_ZERO_TOL."""
+    mu, p = eigh(gen.P.T @ gen.Lh @ gen.P)
+    grows = mu < -1e-12 * np.max(np.abs(mu))
+    mu = mu[grows]
+    quotient = mu / np.sum((gen.P @ p[:, grows]) ** 2, axis=0) / gen._lh_norm
+    counted = quotient < -VERDICT_ZERO_TOL
+    growth = math.sqrt(-mu[counted].min()) if counted.any() else 0.0
+    return int(counted.sum()), growth, int(mu.size - counted.sum())
 
 
 @dataclass
@@ -434,13 +436,10 @@ def stability_report(basis: PerturbationBasis, with_generator: bool = False) -> 
         "verdict": "stable" if inertia.n_minus == 0 else "unstable",
     }
     if with_generator and star.context.rotating:
-        gen_counts = []
-        growth = 0.0
-        for parity in ("even", "odd"):
-            gen = assemble_generator(basis, L, parity)
-            c, gr, _ = generator_unstable_count(gen)
-            gen_counts.append(c)
-            growth = max(growth, gr)
-        report["generator_unstable_count"] = int(sum(gen_counts))
-        report["growth_rate"] = growth
+        counts = [generator_unstable_count(assemble_generator(basis, L, parity))
+                  for parity in ("even", "odd")]
+        count, growth, n_zero = zip(*counts)
+        report["generator_unstable_count"] = sum(count)
+        report["generator_n_zero"] = sum(n_zero)
+        report["growth_rate"] = max(growth)
     return report

@@ -206,7 +206,8 @@ def test_criterion_06_generator_cross_check():
             total, defect = 0, 0.0
             for parity in ("even", "odd"):
                 gen = assemble_generator(basis, L, parity)
-                c, _, d = generator_unstable_count(gen)
+                c, _, _ = generator_unstable_count(gen)
+                d = gen.quadruple_defect()
                 total += c
                 defect = max(defect, d)
             ok &= total == nK == expected and defect < 1e-8

@@ -100,7 +100,8 @@ def test_generator_report_solves_each_basis_field_once(spans):
     fields = basis.count
     before = spans("poisson.potential")
     report = stability_report(basis, with_generator=True)
-    assert "generator_unstable_count" in report
+    assert "generator_unstable_count" in report and "generator_n_zero" in report
     assert spans("stability.generator") == 2
+    assert spans("stability.generator_eig") == 2
     assert spans("stability.energy_assembly") == 1
     assert spans("poisson.potential") - before == fields

@@ -580,14 +580,9 @@ POWER_TAIL_CFG = {
             "Rayleigh unstable on this star",
         ),
         ("radial-scan", {**RADIAL_CFG, "mu_grid": {**RADIAL_CFG["mu_grid"], "num": 3}}, ">= 5 points"),
-        (
-            "stability",
-            {**EQ_CFG, "basis": {"deg_r": 6, "deg_z": 2}, "with_generator": True},
-            "(deg_r, deg_z) = (8, 4)",
-        ),
     ],
     ids=["spectrum_rayleigh_stable", "stability_rayleigh_unstable",
-         "tpp_scan_rayleigh_unstable", "radial_scan_short_grid", "generator_below_its_degree"],
+         "tpp_scan_rayleigh_unstable", "radial_scan_short_grid"],
 )
 def test_analysis_the_star_does_not_admit_is_config_error(tmp_path, command, payload, needle):
     """A request the analysis does not apply to exits 2 with the analysis's
@@ -598,6 +593,18 @@ def test_analysis_the_star_does_not_admit_is_config_error(tmp_path, command, pay
     err = json.loads((out / "error.json").read_text())
     assert err["error"] == "config" and err["exit_code"] == EXIT_CONFIG
     assert needle in err["message"]
+
+
+def test_generator_runs_at_the_basis_degree(tmp_path):
+    """The generator reads every tensor row of the basis, whatever its
+    degree: a 6x2 basis runs it and the report carries its in-band pairs."""
+    cfg = write(tmp_path, "cfg.json",
+                {**EQ_CFG, "basis": {"deg_r": 6, "deg_z": 2}, "with_generator": True})
+    out = tmp_path / "out"
+    assert main(["stability", cfg, "--out-dir", str(out)]) == EXIT_OK
+    rep = json.loads((out / "stability.json").read_text())
+    assert rep["generator_unstable_count"] == rep["n_minus_K_constrained"] == 0
+    assert rep["generator_n_zero"] == 0
 
 
 @pytest.mark.parametrize("command, base", [("radial-scan", RADIAL_CFG), ("tpp-scan", TPP_CFG)])

@@ -7,10 +7,9 @@ import pytest
 from rotstar import stability
 from rotstar.bases import PerturbationBasis, perturbation_basis, tensor_shapes
 from rotstar.equilibria import axistar_from_radial
-from rotstar.forms import QuadraticForm
+from rotstar.forms import VERDICT_ZERO_TOL, QuadraticForm
 from rotstar.radial import solve_radial
 from rotstar.stability import (
-    GENERATOR_DEGREE,
     Generator,
     assemble_generator,
     assemble_perturbation_energy,
@@ -247,6 +246,8 @@ def generator_of():
 
 
 def test_generator_counts_match_reduced_form(rot53, rot13):
+    """At the default basis the generator counts what the reduced form
+    counts, so both give one verdict, and its spectrum is Hamiltonian."""
     for star, expected in ((rot53, 0), (rot13, 1)):
         basis = perturbation_basis(star)
         Kc = restrict_mass_zero(assemble_reduced_energy(basis), basis)
@@ -255,9 +256,8 @@ def test_generator_counts_match_reduced_form(rot53, rot13):
         total = 0
         for parity in ("even", "odd"):
             gen = assemble_generator(basis, L, parity)
-            count, _, defect = generator_unstable_count(gen)
-            total += count
-            assert defect < 1e-10
+            total += generator_unstable_count(gen)[0]
+            assert gen.quadruple_defect() < 1e-10
         assert total == expected
 
 
@@ -301,6 +301,12 @@ def test_generator_needs_rotation(basis53, L53):
         assemble_generator(basis53, L53, "even")
 
 
+def test_generator_needs_shapes_of_its_parity(rot53):
+    basis = perturbation_basis(rot53, deg_r=4, deg_z=2, parity="even")
+    with pytest.raises(ValueError, match="odd basis shapes"):
+        assemble_generator(basis, assemble_perturbation_energy(basis), "odd")
+
+
 def test_stable_evolution_bounded_and_conservative(rot53, generator_of):
     gen = generator_of(rot53, "even")
     lam_max = np.max(np.abs(gen.eigenvalues().imag))
@@ -339,18 +345,47 @@ def test_verdict_equivalence(rot53, rot13):
         assert reduced_stable == generator_stable
 
 
+@pytest.mark.parametrize("degree", [(8, 4), (10, 6)])
+def test_generator_count_is_the_symmetric_reduction_of_eig(rot13, degree):
+    """The growing pairs counted on S = P^T Lh P are the full matrix's
+    eigenvalues with real part above 1e-6 of its spectral radius, at the
+    same growth rate, and each is counted or in the band by the energy
+    quotient of its eigenvector's (density, azimuthal) part.  The true
+    mode's quotient clears the band tenfold at the default 10x6 basis only
+    (8.5-fold at 8x4)."""
+    basis = perturbation_basis(rot13, *degree)
+    L = assemble_perturbation_energy(basis)
+    quotients = []
+    for parity in ("even", "odd"):
+        gen = assemble_generator(basis, L, parity)
+        count, growth, n_zero = generator_unstable_count(gen)
+        lam, vec = np.linalg.eig(gen.matrix)
+        grows = np.flatnonzero(lam.real > 1e-6 * np.max(np.abs(lam)))
+        assert count + n_zero == grows.size
+        q = vec[: gen.P.shape[0], grows]
+        quot = np.einsum("ik,ij,jk->k", q.conj(), gen.Lh, q).real / np.sum(abs(q) ** 2, 0)
+        quot /= np.linalg.norm(gen.Lh, 2)
+        assert count == np.sum(quot < -VERDICT_ZERO_TOL)
+        if count:
+            assert growth == pytest.approx(np.max(lam.real), rel=1e-10)
+        quotients.extend(quot)
+    assert len(quotients) == 1
+    if degree == (10, 6):
+        assert quotients[0] <= -10 * VERDICT_ZERO_TOL
+
+
 @pytest.mark.parametrize("parity", ["even", "odd"])
 def test_generator_blocks_are_sub_blocks_of_the_basis_energy(rot53, rot13, parity):
-    """The generator's 8x4 density fields are the basis's rows of the same
-    degrees, bit for bit (Legendre shapes nest), so its blocks read from
-    the basis's energy form equal ``energy_blocks`` on its own fields to
-    round-off."""
+    """The generator's density fields, the sector's tensor shapes at the
+    basis's own degree, are the basis's rows of the same degrees bit for
+    bit, so its blocks read from the basis's energy form equal
+    ``energy_blocks`` on its own fields to round-off."""
     for star in (rot53, rot13):
-        basis = perturbation_basis(star)
+        basis = perturbation_basis(star, deg_r=10, deg_z=6)
         L = assemble_perturbation_energy(basis)
         g = star.grid
         shapes = tensor_shapes(g.rs, g.zs, star.support_radius, star.support_height,
-                               *GENERATOR_DEGREE, parity=parity)
+                               10, 6, parity=parity)
         fields = shapes.values * star.context.inv_phi2[None]
         rows = [basis.degrees.index(d) for d in shapes.degrees]
         assert np.array_equal(fields, basis.fields[rows])
@@ -360,23 +395,26 @@ def test_generator_blocks_are_sub_blocks_of_the_basis_energy(rot53, rot13, parit
             assert np.max(np.abs(own - read)) <= 1e-13 * np.max(np.abs(own))
 
 
-def test_generator_keeps_its_degree_on_a_larger_basis(eos53):
-    """On a 12x8 basis of the README star (rigid kappa 0.05 at 96^2) the
-    generator still reads its 8x4 rows and agrees with the reduced form;
-    all 12x8 shapes would show a spurious growing pair."""
+def test_generator_flags_an_in_band_pair_on_a_larger_basis(eos53):
+    """On a 12x8 basis of the README star (rigid kappa 0.05 at 96^2) one
+    odd pair grows at 7.4e-3 with energy quotient -3.1e-5, inside the
+    verdict band: the generator does not count it, agreeing with the
+    reduced form, and reports it as in the band."""
     from rotstar.equilibria import solve_fixed_omega
     from rotstar.rotlaw import RigidLaw
 
     star = solve_fixed_omega(eos53, RigidLaw(1.0), 0.05, 1.0, nr=96, nz=96)
     report = stability_report(perturbation_basis(star, deg_r=12, deg_z=8), with_generator=True)
     assert report["generator_unstable_count"] == report["n_minus_K_constrained"] == 0
+    assert report["generator_n_zero"] == 1
+    assert report["growth_rate"] == 0.0
 
 
 def test_stability_report_schema(rot53):
     report = stability_report(perturbation_basis(rot53), with_generator=True)
     assert set(report) >= {"n_minus_L", "n_minus_K_constrained", "n_zero", "verdict"}
     assert report["verdict"] == "stable"
-    assert report["generator_unstable_count"] == 0
+    assert report["generator_unstable_count"] == report["generator_n_zero"] == 0
 
 
 @pytest.mark.parametrize("with_generator", [False, True])
@@ -401,7 +439,7 @@ def test_report_assembles_the_energy_form_once(rot53, monkeypatch, with_generato
 
 
 def test_stable_report_growth_rate_is_zero(rot53):
-    # real parts inside the band are round-off, not a growth rate
+    # no pair grows past the round-off screen, so none counts
     assert stability_report(perturbation_basis(rot53), with_generator=True)["growth_rate"] == 0.0
 
 
@@ -447,7 +485,7 @@ def test_quadruple_defect_equals_per_eigenvalue_loop(rot13, generator_of):
     defect = 0.0
     for v in lam:
         defect = max(defect, float(np.min(np.abs(lam + v))) / scale)
-    assert generator_unstable_count(gen)[2] == defect
+    assert gen.quadruple_defect() == defect
 
 
 def test_reduced_form_rejects_rayleigh_unstable(rayleigh_unstable_star):
