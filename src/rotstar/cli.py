@@ -16,7 +16,9 @@ two sections, so its ``eos``, ``rotation`` and ``mu`` replay as a config.
 
 Each command reads only the config sections ``COMMANDS`` lists for it
 (``bb1974`` fixes its own star, grid and basis and reads none); any other
-section is a config error before any compute, not silently ignored.
+section is a config error before any compute, not silently ignored.  A
+section listed key by key (``evolve`` reads ``spectrum.ring_knots``) rejects
+its other keys the same way.
 
 Exit codes, one per error type of ``rotstar.errors``, each failure leaving
 a machine-readable error.json:
@@ -146,7 +148,6 @@ CONFIG_SCHEMA = {
             "properties": {
                 "tol": {"type": "number", "exclusiveMinimum": 0},
                 "max_iter": {"type": "integer", "minimum": 1},
-                "damping": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
             },
         },
         "basis": {
@@ -181,7 +182,7 @@ CONFIG_SCHEMA = {
 
 DEFAULTS = {
     "grid": {"nr": 96, "nz": 96, "pad": 1.35},
-    "solver": {"tol": 1e-10, "max_iter": 400, "damping": 0.5},
+    "solver": {"tol": 1e-10, "max_iter": 400},
     "basis": {"deg_r": 10, "deg_z": 6},
     "spectrum": {"levels": 3, "ring_knots": 10, "strict": False},
     "evolve": {"T": 30.0, "dt_factor": 0.05, "mode": "random"},
@@ -260,7 +261,7 @@ def _solve_kwargs(cfg: dict) -> dict:
     g, s = cfg["grid"], cfg["solver"]
     return dict(
         nr=g["nr"], nz=g["nz"], pad=g["pad"],
-        tol=s["tol"], max_iter=s["max_iter"], damping=s["damping"],
+        tol=s["tol"], max_iter=s["max_iter"],
     )
 
 
@@ -444,16 +445,30 @@ def _finish_scan(run: _Runner, scan) -> None:
 
 _STAR = ("eos", "rotation", "mu", "grid", "solver")
 
-#: command -> (handler, the config sections it reads)
+#: command -> (handler, the config sections it reads, or 'section.key' for
+#: one key of a section it reads only in part)
 COMMANDS = {
     "radial-scan": (cmd_radial_scan, ("eos", "mu_grid")),
     "equilibrium": (cmd_equilibrium, _STAR),
     "stability": (cmd_stability, _STAR + ("basis", "with_generator")),
     "spectrum": (cmd_spectrum, _STAR + ("spectrum",)),
-    "evolve": (cmd_evolve, _STAR + ("spectrum", "evolve")),
+    "evolve": (cmd_evolve, _STAR + ("spectrum.ring_knots", "evolve")),
     "tpp-scan": (cmd_tpp_scan, ("eos", "rotation", "mu_grid", "grid", "solver", "basis")),
     "bb1974": (cmd_bb1974, ()),
 }
+
+
+def _unread(cfg: dict, reads) -> list:
+    """The sections of ``cfg`` a command reading ``reads`` never reads, and
+    'section.key' for each key of a section it reads only key by key."""
+    unread = []
+    for section, value in cfg.items():
+        keys = {key for sec, _, key in (r.partition(".") for r in reads) if sec == section}
+        if not keys:
+            unread.append(section)
+        elif "" not in keys:
+            unread += [f"{section}.{key}" for key in value if key not in keys]
+    return sorted(unread)
 
 
 def main(argv=None) -> int:
@@ -490,10 +505,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         return fail(EXIT_CONFIG, "config", str(exc))
 
-    command, sections = COMMANDS[args.command]
-    unread = sorted(set(cfg) - set(sections))
+    command, reads = COMMANDS[args.command]
+    unread = _unread(cfg, reads)
     if unread:
-        return fail(EXIT_CONFIG, "config", f"{args.command} does not read config sections {unread}")
+        return fail(EXIT_CONFIG, "config", f"{args.command} does not read config {unread}")
     if args.jobs < 1:
         return fail(EXIT_CONFIG, "config", f"--jobs must be at least 1, got {args.jobs}")
     if args.seed < 0:

@@ -15,15 +15,15 @@ maps back through the enthalpy inverse.  The defect is max|g - rho| / mu.
 The next iterate is a type-II Anderson step over the last
 ``ANDERSON_DEPTH`` sweeps, g - (dX + dF) gamma clipped at 0, with gamma the
 least-squares fit of the defect f = g - rho by the defect differences dF
-(dX: the iterate differences).  The damped step rho + damping * f stands
-in on the first sweep, after a restart, and when the Anderson step puts
-density on the grid's outer row or column; a restart clears the history
-and happens when that step touches the boundary or when the defect has
-grown three sweeps in a row, which also halves the damping.  The iteration
-ends on the projection g itself, which is exactly zero off the support.  A
-defect that turns non-finite or exceeds the first sweep's by
-``DIVERGENCE_FACTOR`` stops the iteration as diverged; the star records
-its sweep count.
+(dX: the iterate differences).  The damped step rho + theta * f, theta
+starting at ``DAMPING``, stands in on the first sweep, after a restart, and
+when the Anderson step puts density on the grid's outer row or column; a
+restart clears the history and happens when that step touches the boundary
+or when the defect has grown three sweeps in a row, which also halves theta.
+The iteration ends on the projection g itself, which is exactly zero off the
+support.  A defect that turns non-finite or exceeds the first sweep's by
+``DIVERGENCE_FACTOR`` stops the iteration as diverged; the star records its
+sweep count.
 
 A star stores only what defines it: its mass, cylinder mass and density
 floor are properties of its grid, density and center density.  It carries
@@ -73,6 +73,8 @@ DENSITY_FLOOR_REL = 1e-12
 DIVERGENCE_FACTOR = 1e3
 #: past sweeps an Anderson step extrapolates over
 ANDERSON_DEPTH = 5
+#: first step of the damped sweep that stands in for an Anderson step
+DAMPING = 0.5
 
 
 @dataclass(frozen=True)
@@ -221,7 +223,6 @@ def _scf_iterate(
     rot_potential,  # callable(rho) -> per-radius rotational potential
     tol: float,
     max_iter: int,
-    damping: float,
 ):
     h_center = eos.enthalpy(mu)
     floor = DENSITY_FLOOR_REL * mu
@@ -253,7 +254,7 @@ def _scf_iterate(
     head = 0
     rho = rho0  # never written into: every iterate is a new array
     rho_prev = f_prev = None
-    theta = damping
+    theta = DAMPING
     prev_err = math.inf
     grow_count = 0
     err = math.inf
@@ -339,7 +340,6 @@ def _solve(
     grid: Grid | None,
     tol: float,
     max_iter: int,
-    damping: float,
     nr: int,
     nz: int,
     pad: float,
@@ -357,7 +357,7 @@ def _solve(
     rho0 = seed.rho_of(np.sqrt(sum(m**2 for m in grid.meshes())))
     rot_potential = rotation.profile.rotational_potential(rotation.amplitude, grid)
     rho, V, c, h, residual, sweeps = _scf_iterate(
-        eos, kernel, mu, rho0, rot_potential, tol, max_iter, damping
+        eos, kernel, mu, rho0, rot_potential, tol, max_iter
     )
     R0, Z0 = _support_extent(grid, h[:, 0], h[0, :])
     return AxiStar(
@@ -384,7 +384,6 @@ def solve_fixed_omega(
     grid: Grid | None = None,
     tol: float = 1e-10,
     max_iter: int = 400,
-    damping: float = 0.5,
     nr: int = 96,
     nz: int = 96,
     pad: float = 1.35,
@@ -393,7 +392,7 @@ def solve_fixed_omega(
     kappa = 0 limit reproduces the non-rotating profile up to grid
     interpolation."""
     return _solve(
-        eos, RotationSpec(law, kappa), mu, grid, tol, max_iter, damping, nr, nz, pad
+        eos, RotationSpec(law, kappa), mu, grid, tol, max_iter, nr, nz, pad
     )
 
 
@@ -405,7 +404,6 @@ def solve_fixed_j(
     grid: Grid | None = None,
     tol: float = 1e-10,
     max_iter: int = 400,
-    damping: float = 0.5,
     nr: int = 96,
     nz: int = 96,
     pad: float = 1.35,
@@ -414,7 +412,7 @@ def solve_fixed_j(
     distribution over cylinder mass; the rotational potential is rebuilt
     from the current iterate each sweep."""
     return _solve(
-        eos, RotationSpec(momentum, eps), mu, grid, tol, max_iter, damping, nr, nz, pad
+        eos, RotationSpec(momentum, eps), mu, grid, tol, max_iter, nr, nz, pad
     )
 
 

@@ -211,7 +211,6 @@ class _ScanJob:
     pad: float
     tol: float
     max_iter: int
-    damping: float
     deg_r: int
     deg_z: int
 
@@ -224,7 +223,7 @@ class _ScanJob:
             star = solve(
                 self.eos, rot.profile, rot.amplitude, mu,
                 nr=self.nr, nz=self.nz, pad=self.pad, tol=self.tol,
-                max_iter=self.max_iter, damping=self.damping,
+                max_iter=self.max_iter,
             )
             basis = perturbation_basis(
                 star, deg_r=self.deg_r, deg_z=self.deg_z, parity="even"
@@ -278,13 +277,12 @@ def scan_fixed_omega(
     jobs: int = 1,
     pad: float = 1.35,
     max_iter: int = 400,
-    damping: float = 0.5,
 ) -> FamilyScanResult:
     """Scan the fixed-angular-velocity family over mu_grid, which must
     increase strictly (ValueError before any solve otherwise); ``pad``,
-    ``tol``, ``max_iter`` and ``damping`` go to every point's solve."""
+    ``tol`` and ``max_iter`` go to every point's solve."""
     job = _ScanJob(
-        eos, RotationSpec(law, kappa), nr, nz, pad, tol, max_iter, damping, deg_r, deg_z
+        eos, RotationSpec(law, kappa), nr, nz, pad, tol, max_iter, deg_r, deg_z
     )
     return _run_scan(job, mu_grid, jobs)
 
@@ -302,13 +300,12 @@ def scan_fixed_j(
     jobs: int = 1,
     pad: float = 1.35,
     max_iter: int = 400,
-    damping: float = 0.5,
 ) -> FamilyScanResult:
     """Scan the fixed-momentum-distribution family over mu_grid, which must
     increase strictly (ValueError before any solve otherwise); ``pad``,
-    ``tol``, ``max_iter`` and ``damping`` go to every point's solve."""
+    ``tol`` and ``max_iter`` go to every point's solve."""
     job = _ScanJob(
-        eos, RotationSpec(momentum, eps), nr, nz, pad, tol, max_iter, damping, deg_r, deg_z
+        eos, RotationSpec(momentum, eps), nr, nz, pad, tol, max_iter, deg_r, deg_z
     )
     return _run_scan(job, mu_grid, jobs)
 

@@ -39,6 +39,7 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, solve_ivp
 from scipy.interpolate import BSpline, PchipInterpolator
+from scipy.linalg import block_diag
 from scipy.optimize import brentq
 
 from rotstar.eos import EquationOfState
@@ -322,16 +323,12 @@ class OracleForm:
     """Assembled oracle form with enough structure to evaluate eigenvectors."""
 
     form: QuadraticForm
-    spline_basis: list
+    spline: BSpline  # every radial basis function, identity coefficients
     ells: np.ndarray  # harmonic degree per basis column
 
     def radial_component(self, coeffs: np.ndarray, ell: int, s: np.ndarray) -> np.ndarray:
         """Radial profile of the degree-ell part of a coefficient vector."""
-        sel = self.ells == ell
-        out = np.zeros_like(np.asarray(s, dtype=float))
-        for c, spl in zip(np.asarray(coeffs)[sel], [b for b, m in zip(self.spline_basis, sel) if m]):
-            out += c * spl(s)
-        return out
+        return self.spline(np.asarray(s, dtype=float)) @ np.asarray(coeffs)[self.ells == ell]
 
 
 def assemble_oracle_form(star: RadialStar, parity: str = "even") -> OracleForm:
@@ -358,19 +355,7 @@ def assemble_oracle_form(star: RadialStar, parity: str = "even") -> OracleForm:
     k = 3
     t = np.concatenate([[interior[0]] * k, interior, [interior[-1]] * k])
     n_basis = len(t) - k - 1
-    splines = []
-    for j in range(n_basis):
-        coeff = np.zeros(n_basis)
-        coeff[j] = 1.0
-        splines.append(BSpline(t, coeff, k, extrapolate=False))
-
-    def eval_basis(s):
-        vals = np.zeros((n_basis, s.size))
-        ders = np.zeros((n_basis, s.size))
-        for j, spl in enumerate(splines):
-            vals[j] = np.nan_to_num(spl(s))
-            ders[j] = np.nan_to_num(spl.derivative()(s))
-        return vals, ders
+    spline = BSpline(t, np.eye(n_basis), k, extrapolate=False)
 
     # Gauss nodes per knot span
     gx, gw = np.polynomial.legendre.leggauss(ORACLE_QUAD_POINTS)
@@ -381,7 +366,8 @@ def assemble_oracle_form(star: RadialStar, parity: str = "even") -> OracleForm:
         weights.append(0.5 * (b - a) * gw)
     s = np.concatenate(nodes)
     w = np.concatenate(weights)
-    fvals, fders = eval_basis(s)
+    fvals = np.nan_to_num(spline(s)).T
+    fders = np.nan_to_num(spline.derivative()(s)).T
 
     inside = s < R
     pot_weight = np.zeros_like(s)
@@ -394,7 +380,7 @@ def assemble_oracle_form(star: RadialStar, parity: str = "even") -> OracleForm:
     A_dd = (fders * (w * s**2)) @ fders.T          # int f' g' s^2 ds
     A_00 = (fvals * w) @ fvals.T                   # int f g ds
     A_pp = (fvals * (w * s**2 * pot_weight)) @ fvals.T  # potential term
-    f_end = np.array([np.nan_to_num(spl(R_out)) for spl in splines])
+    f_end = np.nan_to_num(spline(R_out))
 
     ells = range(0 if parity == "even" else 1, ORACLE_LMAX + 1, 2)
     blocks_q, blocks_g, ell_tags = [], [], []
@@ -406,18 +392,9 @@ def assemble_oracle_form(star: RadialStar, parity: str = "even") -> OracleForm:
         blocks_g.append(pref * energy)
         ell_tags.extend([ell] * n_basis)
 
-    def blockdiag(blocks):
-        n = sum(b.shape[0] for b in blocks)
-        out = np.zeros((n, n))
-        at = 0
-        for b in blocks:
-            out[at:at + b.shape[0], at:at + b.shape[0]] = b
-            at += b.shape[0]
-        return out
-
-    form = QuadraticForm(blockdiag(blocks_q), blockdiag(blocks_g))
+    form = QuadraticForm(block_diag(*blocks_q), block_diag(*blocks_g))
     return OracleForm(
         form=form,
-        spline_basis=splines * max(1, len(blocks_q)),
+        spline=spline,
         ells=np.array(ell_tags),
     )

@@ -4,22 +4,25 @@ the rotation of an equilibrium.
 An angular velocity law omega(r) is centrifugally stable when the Rayleigh
 discriminant
 
-    Upsilon(r) = d/dr (omega^2 r^4) / r^3
+    Upsilon(r) = d/dr (omega^2 r^4) / r^3 = 2 omega d(omega r^2)/dr / r
 
-is positive on the whole support; at the axis the removable singularity is
-evaluated through its limit 4*omega(0)^2.  Rotation can also be specified
-through a momentum distribution j(p, q), the specific angular momentum as a
-function of cylinder mass p and total mass q, which induces
+is positive on the whole support.  Rotation can also be specified through a
+momentum distribution j(p, q), the specific angular momentum as a function
+of cylinder mass p and total mass q, which induces
 omega(r) = eps * j(m(r), M) / r^2 on a given star.
 
 Each profile class carries its family (a law ``fixed_omega`` with amplitude
 ``kappa``, a distribution ``fixed_j`` with ``eps``) and the family's physics
 on a grid: the star's (omega, d(omega r^2)/dr, Upsilon) in ``grid_profiles``
 and the SCF's ``rotational_potential``, fixed in radius for a law and
-rebuilt from each iterate's cylinder mass for a distribution.  The three
-profiles come from the same arrays, so the discrete identities relating the
-reduced rotational correction and the azimuthal-lift energy hold to
-round-off.
+rebuilt from each iterate's cylinder mass for a distribution.  A law
+supplies omega and its slope d(omega)/dr; d(omega r^2)/dr is written once
+from them.  Upsilon is derived once for both families (``upsilon``), as 2
+omega times d(omega r^2)/dr / r, whose axis limit 2 omega(0)
+(``d_omega_r2_over_r``, which the generator reads too) gives
+Upsilon(0) = 4 omega(0)^2 without a rule of its own.  So the weights
+4 omega^2 / Upsilon of the azimuthal lift and Upsilon / (r h1) of the
+reduced rotational correction cancel by construction.
 
 ``RotationSpec(profile, amplitude)`` is the rotation of an equilibrium.  Its
 config section names the class by ``form`` through ``FORMS``, the amplitude
@@ -46,6 +49,8 @@ __all__ = [
     "RigidLaw",
     "PowerTailLaw",
     "TabulatedLaw",
+    "d_omega_r2_over_r",
+    "upsilon",
     "discriminant",
     "MomentumDistribution",
     "PowerLawMomentum",
@@ -60,8 +65,9 @@ _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(6)
 
 
 class AngularVelocityLaw:
-    """C^1 angular velocity profile omega(r) with its analytic derivatives;
-    the fixed-angular-velocity family, azimuthal velocity kappa omega(r) r."""
+    """C^1 angular velocity profile omega(r) with its slope d(omega)/dr, the
+    one derivative a law writes out; the fixed-angular-velocity family,
+    azimuthal velocity kappa omega(r) r."""
 
     family = "fixed_omega"
     amplitude_key = "kappa"
@@ -69,13 +75,15 @@ class AngularVelocityLaw:
     def omega(self, r):
         raise NotImplementedError
 
-    def omega_sq_r4_derivative(self, r):
-        """d/dr (omega^2 r^4); subclasses supply the analytic form."""
+    def omega_slope(self, r):
+        """d(omega)/dr."""
         raise NotImplementedError
 
     def d_omega_r2(self, r):
-        """d/dr (omega r^2), used by the azimuthal lift and the generator."""
-        raise NotImplementedError
+        """d/dr (omega r^2) = omega' r^2 + 2 omega r, used by the azimuthal
+        lift and the generator."""
+        r = np.asarray(r, dtype=float)
+        return self.omega_slope(r) * r**2 + 2.0 * self.omega(r) * r
 
     def centrifugal_integral(self, r):
         """int_0^r omega(s)^2 s ds, per-interval Gauss quadrature, vectorized."""
@@ -87,11 +95,8 @@ class AngularVelocityLaw:
         radii ``rs``; a law reads neither the cylinder mass ``m`` nor the
         column density ``h1``."""
         omega = amp * np.asarray(self.omega(rs))
-        d_om_r2 = amp * np.asarray(self.d_omega_r2(rs))
-        ups = np.empty_like(rs)
-        ups[0] = 4.0 * omega[0] ** 2
-        ups[1:] = amp**2 * self.omega_sq_r4_derivative(rs[1:]) / rs[1:] ** 3
-        return omega, d_om_r2, ups
+        d_om_r2 = amp * self.d_omega_r2(rs)
+        return omega, d_om_r2, upsilon(omega, d_om_r2, rs)
 
     def rotational_potential(self, amp, grid):
         """rho -> centrifugal potential amp^2 int_0^r omega^2 s ds per radius
@@ -107,13 +112,8 @@ class RigidLaw(AngularVelocityLaw):
     def omega(self, r):
         return np.full_like(np.asarray(r, dtype=float), self.omega_c)
 
-    def omega_sq_r4_derivative(self, r):
-        r = np.asarray(r, dtype=float)
-        return 4.0 * self.omega_c**2 * r**3
-
-    def d_omega_r2(self, r):
-        r = np.asarray(r, dtype=float)
-        return 2.0 * self.omega_c * r
+    def omega_slope(self, r):
+        return np.zeros_like(np.asarray(r, dtype=float))
 
     def centrifugal_integral(self, r):
         r = np.asarray(r, dtype=float)
@@ -132,28 +132,17 @@ class PowerTailLaw(AngularVelocityLaw):
         u = (np.asarray(r, dtype=float) / self.r_c) ** 2
         return self.omega_c * (1.0 + u) ** (-self.p)
 
-    def omega_sq_r4_derivative(self, r):
+    def omega_slope(self, r):
         r = np.asarray(r, dtype=float)
         u = (r / self.r_c) ** 2
-        return (
-            self.omega_c**2
-            * r**3
-            * (1.0 + u) ** (-2.0 * self.p - 1.0)
-            * (4.0 + (4.0 - 4.0 * self.p) * u)
-        )
-
-    def d_omega_r2(self, r):
-        r = np.asarray(r, dtype=float)
-        u = (r / self.r_c) ** 2
-        # d/dr [omega_c r^2 (1+u)^{-p}] = omega_c r (1+u)^{-p-1} (2 + (2-2p) u)
-        return self.omega_c * r * (1.0 + u) ** (-self.p - 1.0) * (2.0 + (2.0 - 2.0 * self.p) * u)
+        return -2.0 * self.p * self.omega_c * r / self.r_c**2 * (1.0 + u) ** (-self.p - 1.0)
 
 
 class TabulatedLaw(AngularVelocityLaw):
     """Law built from (r, omega) samples, given inline or as the first two
-    columns of the CSV file at ``path``; derivatives come from a C^2 spline.
+    columns of the CSV file at ``path``; its slope comes from a C^2 spline.
     Past the last sample omega is held at its last value, so its slope there
-    is 0 and both derivatives agree with the clamped omega."""
+    is 0."""
 
     def __init__(self, r=None, omega=None, path=None):
         if path is not None:
@@ -185,34 +174,32 @@ class TabulatedLaw(AngularVelocityLaw):
         r = np.clip(np.asarray(r, dtype=float), 0.0, self.r_max)
         return self._spline(r)
 
-    def _omega_and_slope(self, r):
-        """omega and d(omega)/dr of the clamped law (slope 0 past r_max)."""
-        rc = np.clip(r, 0.0, self.r_max)
-        return self._spline(rc), np.where(r > self.r_max, 0.0, self._dspline(rc))
-
-    def omega_sq_r4_derivative(self, r):
+    def omega_slope(self, r):
+        """Slope of the clamped law: the spline's, and 0 past r_max."""
         r = np.asarray(r, dtype=float)
-        w, dw = self._omega_and_slope(r)
-        return 2.0 * w * dw * r**4 + 4.0 * w**2 * r**3
+        return np.where(r > self.r_max, 0.0, self._dspline(np.clip(r, 0.0, self.r_max)))
 
-    def d_omega_r2(self, r):
-        r = np.asarray(r, dtype=float)
-        w, dw = self._omega_and_slope(r)
-        return dw * r**2 + 2.0 * w * r
+
+def d_omega_r2_over_r(omega, d_om_r2, rs):
+    """d(omega r^2)/dr / r on the radii ``rs`` from the profiles there; on
+    the axis, the limit 2 omega(0)."""
+    out = 2.0 * np.asarray(omega, dtype=float)
+    off = rs > 0
+    out[off] = d_om_r2[off] / rs[off]
+    return out
+
+
+def upsilon(omega, d_om_r2, rs):
+    """Rayleigh discriminant d(omega^2 r^4)/dr / r^3 = 2 omega d(omega r^2)/dr
+    / r on the radii ``rs``, for either family; on the axis 4 omega(0)^2."""
+    return 2.0 * omega * d_omega_r2_over_r(omega, d_om_r2, rs)
 
 
 def discriminant(law: AngularVelocityLaw, r):
-    """Rayleigh discriminant; the axis value is the limit 4*omega(0)^2."""
-    r = np.asarray(r, dtype=float)
-    scalar = r.ndim == 0
-    r = np.atleast_1d(r)
-    out = np.empty_like(r)
-    on_axis = r == 0.0
-    if np.any(on_axis):
-        out[on_axis] = 4.0 * float(np.atleast_1d(law.omega(0.0))[0]) ** 2
-    off = ~on_axis
-    out[off] = law.omega_sq_r4_derivative(r[off]) / r[off] ** 3
-    return float(out[0]) if scalar else out
+    """Rayleigh discriminant of ``law`` at the radii ``r``."""
+    rs = np.atleast_1d(np.asarray(r, dtype=float))
+    ups = upsilon(np.asarray(law.omega(rs)), law.d_omega_r2(rs), rs)
+    return float(ups[0]) if np.ndim(r) == 0 else ups
 
 
 def _cumulative_gauss(f, r):
@@ -250,9 +237,6 @@ class MomentumDistribution:
         """J = j^2."""
         return self.j(p, q) ** 2
 
-    def dJ_dp(self, p, q):
-        return 2.0 * self.j(p, q) * self.dj_dp(p, q)
-
     def validate_origin(self, q: float, scale: float = 1e-6):
         """Check the smoothness requirements at p = 0: j(0, q) = 0 and a
         finite one-sided slope.  Raises ConfigError on violation."""
@@ -276,10 +260,7 @@ class MomentumDistribution:
         omega[0] = float(amp * dj0 * 0.5 * h1[0]) if np.isfinite(dj0) else 0.0
         # d/dr (omega r^2) = eps dj/dp(m) m'(r)
         d_om_r2 = amp * self.dj_dp(m, M) * rs * h1
-        ups = np.empty_like(rs)
-        ups[off] = amp**2 * self.dJ_dp(m[off], M) * h1[off] / rs[off] ** 2
-        ups[0] = 4.0 * omega[0] ** 2
-        return omega, d_om_r2, ups
+        return omega, d_om_r2, upsilon(omega, d_om_r2, rs)
 
     def rotational_potential(self, amp, grid):
         """rho -> eps^2 int_0^r J(m(s), M) s^-3 ds per radius of the ``Grid``

@@ -17,8 +17,9 @@ eigenvalues escapes upward.  The Galerkin velocity space combines gradient
 fields (which feel the compressible part L1) with exactly divergence-free
 stream-function fields built from radial spline bumps; refining the bump
 family makes the discrete spectrum fill the essential interval while the
-edges sharpen.  A velocity basis stores its gradient fields first and
-records only how many there are; it carries the star it was built on, so
+edges sharpen.  A velocity basis stores its gradient fields first and the
+mass-flux divergences of those alone, whose count is the number of
+gradient fields; it carries the star it was built on, so
 ``assemble_meridional_form`` takes the basis alone.  A spectrum report
 stores the sorted eigenvalues of every level, and its finest level and
 lowest eigenvalue eta0 are read from them.
@@ -54,28 +55,31 @@ class VelocityBasis:
     """Meridional velocity fields with their mass-flux divergences.
 
     The first ``n_grad`` fields are gradient fields, the rest stream (ring)
-    fields.  ``div_fields`` stores div(rho0 u); it is identically zero for
-    the ring members by construction, so the compressible part of the form
-    never sees quadrature noise from them.
+    fields.  ``div_fields`` stores div(rho0 u) of the gradient fields only:
+    it is identically zero for the ring members by construction, so the
+    compressible part of the form never sees quadrature noise from them.
     """
 
     star: AxiStar
     fields_r: np.ndarray  # (n, nr, nz)
     fields_z: np.ndarray
-    div_fields: np.ndarray
-    n_grad: int
+    div_fields: np.ndarray  # (n_grad, nr, nz)
     parity: str
 
     @property
     def count(self) -> int:
         return self.fields_r.shape[0]
 
+    @property
+    def n_grad(self) -> int:
+        return self.div_fields.shape[0]
+
     def combine(self, coeffs):
         c = np.asarray(coeffs)
         return (
             np.tensordot(c, self.fields_r, axes=(0, 0)),
             np.tensordot(c, self.fields_z, axes=(0, 0)),
-            np.tensordot(c, self.div_fields, axes=(0, 0)),
+            np.tensordot(c[:self.n_grad], self.div_fields, axes=(0, 0)),
         )
 
 
@@ -144,9 +148,10 @@ def velocity_basis(
 
     n_grad, n_ring = len(pairs), beta.shape[0] * len(kz)
     shape = (n_grad + n_ring,) + rho.shape
-    fields_r, fields_z, divs = np.empty(shape), np.empty(shape), np.zeros(shape)
+    fields_r, fields_z = np.empty(shape), np.empty(shape)
+    div = np.empty((n_grad,) + rho.shape)
 
-    xi_r, xi_z, div = fields_r[:n_grad], fields_z[:n_grad], divs[:n_grad]
+    xi_r, xi_z = fields_r[:n_grad], fields_z[:n_grad]
     np.multiply((dPr * x_r)[gi][:, :, None], Pz[gj][:, None, :], out=xi_r)
     np.multiply(Pr[gi][:, :, None], dPz[gj][:, None, :], out=xi_z)
     xi_z /= Z0
@@ -181,8 +186,7 @@ def velocity_basis(
         star=star,
         fields_r=fields_r,
         fields_z=fields_z,
-        div_fields=divs,
-        n_grad=n_grad,
+        div_fields=div,
         parity=parity,
     )
 
@@ -216,7 +220,7 @@ def assemble_meridional_form(basis: VelocityBasis) -> QuadraticForm:
 
     # L1 is the energy form of div(rho0 u); the ring rows stay exact zeros
     n, ng = basis.count, basis.n_grad
-    pressure, grav = energy_blocks(star, basis.div_fields[:ng], [basis.parity] * ng)
+    pressure, grav = energy_blocks(star, basis.div_fields, [basis.parity] * ng)
     Q = np.zeros((n, n))
     Q[:ng, :ng] = pressure + grav
     Q += pair_integrals(basis.fields_r, basis.fields_r, w * (rho * ctx.ups[:, None]))

@@ -44,6 +44,7 @@ from rotstar.bases import PerturbationBasis, tensor_shapes
 from rotstar.equilibria import AxiStar
 from rotstar.errors import ConfigError
 from rotstar.forms import VERDICT_ZERO_TOL, QuadraticForm, restrict_to_complement, whiten
+from rotstar.rotlaw import d_omega_r2_over_r
 
 __all__ = [
     "VERDICT_ZERO_TOL",
@@ -304,7 +305,7 @@ def assemble_generator(basis: PerturbationBasis, energy: QuadraticForm,
     if not ctx.rotating:
         raise ConfigError("the generator needs a rotating star (kappa or eps > 0)")
     aw, _ = _azimuthal_weight(star, "the generator")
-    omega, d_om_r2, w = ctx.omega, ctx.d_om_r2, ctx.weights
+    w = ctx.weights
     g = star.grid
     rs = g.rs
 
@@ -337,9 +338,7 @@ def assemble_generator(basis: PerturbationBasis, energy: QuadraticForm,
     # couplings: M1[j, a] = int rho0 grad(xi_a) . grad(chi_j) dx
     M1 = grads[:, keep]
     # M2[j, a] = -int rho0 chi_j (d(omega r^2)/dr / r) v_r(a) dx
-    dor_over_r = np.zeros_like(rs)
-    dor_over_r[rs > 0] = d_om_r2[rs > 0] / rs[rs > 0]
-    dor_over_r[0] = 2.0 * omega[0]
+    dor_over_r = d_omega_r2_over_r(ctx.omega, ctx.d_om_r2, rs)
     M2 = -pair_integrals(tfields, dens.grad_r, rho_w * dor_over_r[:, None])[:, keep]
 
     # whitened blocks

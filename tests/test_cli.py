@@ -201,9 +201,8 @@ def test_spectrum_and_evolve_commands(tmp_path):
         "rotation": {"form": "power_tail", "omega_c": 1.0, "r_c": 0.4, "p": 2.0, "kappa": 0.25},
         "mu": 1.0,
         "grid": {"nr": 64, "nz": 64},
-        "spectrum": {"levels": 2, "ring_knots": 10},
     }
-    cfg = write(tmp_path, "sp.json", star)
+    cfg = write(tmp_path, "sp.json", {**star, "spectrum": {"levels": 2, "ring_knots": 10}})
     out = tmp_path / "sp"
     assert main(["spectrum", cfg, "--out-dir", str(out)]) == EXIT_OK
     rep = json.loads((out / "spectrum.json").read_text())
@@ -211,7 +210,7 @@ def test_spectrum_and_evolve_commands(tmp_path):
     assert rep["eta0"] <= -rep["a"] + 1e-9
 
     evolve = {"T": 20.0, "dt_factor": 0.05, "mode": "eigenmode"}
-    cfg = write(tmp_path, "ev.json", {**star, "evolve": evolve})
+    cfg = write(tmp_path, "ev.json", {**star, "spectrum": {"ring_knots": 10}, "evolve": evolve})
     out2 = tmp_path / "ev"
     assert main(["evolve", cfg, "--out-dir", str(out2)]) == EXIT_OK
     lines = (out2 / "trajectory.csv").read_text().strip().splitlines()
@@ -310,7 +309,7 @@ def test_tpp_scan_passes_grid_and_solver_keys(tmp_path, monkeypatch, form, name)
         **TPP_CFG,
         "rotation": rotation,
         "grid": {"nr": 40, "nz": 44, "pad": 1.6},
-        "solver": {"tol": 1e-7, "max_iter": 17, "damping": 0.3},
+        "solver": {"tol": 1e-7, "max_iter": 17},
     }
     if name.startswith("solve"):
         command = "equilibrium"
@@ -319,7 +318,7 @@ def test_tpp_scan_passes_grid_and_solver_keys(tmp_path, monkeypatch, form, name)
         command = "tpp-scan"
     cfg = write(tmp_path, "cfg.json", payload)
     assert main([command, cfg, "--out-dir", str(tmp_path / "o")]) == EXIT_CONFIG
-    expected = dict(nr=40, nz=44, pad=1.6, tol=1e-7, max_iter=17, damping=0.3)
+    expected = dict(nr=40, nz=44, pad=1.6, tol=1e-7, max_iter=17)
     assert {k: seen[k] for k in expected} == expected
 
 
@@ -553,6 +552,30 @@ def test_sections_a_command_does_not_read_are_rejected(
     err = json.loads((out / "error.json").read_text())
     assert err["error"] == "config"
     assert repr(section) in err["message"]
+    assert sorted(os.listdir(out)) == ["error.json"]
+
+
+@pytest.mark.parametrize("command, base, section, value, needle", [
+    ("evolve", "eq", "spectrum", {"ring_knots": 10, "levels": 2}, "spectrum.levels"),
+    ("evolve", "eq", "spectrum", {"strict": True}, "spectrum.strict"),
+    ("equilibrium", "eq", "solver", {"damping": 0.5}, "damping"),
+    ("tpp-scan", "tpp", "solver", {"tol": 1e-8, "damping": 0.3}, "damping"),
+])
+def test_keys_a_command_does_not_read_are_rejected(
+    tmp_path, monkeypatch, command, base, section, value, needle
+):
+    """A key of a section the command reads only in part (evolve reads
+    spectrum.ring_knots alone), and the removed solver.damping, are config
+    errors before any compute."""
+    for name in _FAMILY_GLOBALS:
+        monkeypatch.setattr(cli, name, lambda *a, **kw: pytest.fail("compute ran"))
+    given = {"eq": EQ_CFG, "tpp": TPP_CFG}[base]
+    cfg = write(tmp_path, "cfg.json", {**given, section: value})
+    out = tmp_path / "out"
+    assert main([command, cfg, "--out-dir", str(out)]) == EXIT_CONFIG
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "config"
+    assert needle in err["message"]
     assert sorted(os.listdir(out)) == ["error.json"]
 
 

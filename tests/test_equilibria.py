@@ -199,10 +199,14 @@ def test_star_context_is_built_once(rot53):
     assert np.array_equal(ctx.radial_support, (h1 > 0) & (g.rs <= rot53.support_radius))
     kappa, rs = rot53.rotation.amplitude, g.rs
     assert (kappa, rot53.rotation.profile) == (0.05, RigidLaw(1.0))
-    assert np.array_equal(ctx.omega, np.full_like(rs, kappa))
-    assert np.array_equal(ctx.d_om_r2, kappa * 2.0 * rs)
+    omega = np.full_like(rs, kappa)
+    assert np.array_equal(ctx.omega, omega)
+    # d(omega r^2)/dr = omega' r^2 + 2 omega r, with the rigid slope 0
+    d_om_r2 = kappa * (0.0 * rs**2 + 2.0 * 1.0 * rs)
+    assert np.array_equal(ctx.d_om_r2, d_om_r2)
+    # Upsilon = 2 omega d(omega r^2)/dr / r, whose axis limit is 2 omega(0)
+    assert np.array_equal(ctx.ups, 2.0 * omega * np.r_[2.0 * kappa, d_om_r2[1:] / rs[1:]])
     assert ctx.ups[0] == 4.0 * kappa**2
-    assert np.array_equal(ctx.ups[1:], kappa**2 * 4.0 * rs[1:] ** 3 / rs[1:] ** 3)
     # a copied star with another density gets its own context
     other = dataclasses.replace(rot53, rho=2.0 * rot53.rho)
     assert not np.array_equal(other.context.h1, ctx.h1)

@@ -16,6 +16,31 @@ from rotstar.rotlaw import (
 )
 
 
+_TABLE_R = np.linspace(0.0, 2.0, 21)
+
+
+@pytest.mark.parametrize(
+    "law",
+    [RigidLaw(1.3), PowerTailLaw(1.0, 0.4, 2.0), TabulatedLaw(_TABLE_R, 1.0 / (1.0 + _TABLE_R**2))],
+    ids=["rigid", "power_tail", "table"],
+)
+def test_derivatives_match_central_differences(law):
+    """d(omega r^2)/dr and Upsilon, derived from omega and its slope, equal
+    central differences of omega r^2 and omega^2 r^4 / r^3; the last two
+    radii lie past the table's r_max, where omega is held and its slope is 0."""
+    r = np.r_[np.linspace(0.05, 1.9, 38), 2.3, 2.6]
+    h = 1e-4
+
+    def central(f):  # fourth order
+        return (8.0 * (f(r + h) - f(r - h)) - (f(r + 2 * h) - f(r - 2 * h))) / (12.0 * h)
+
+    d_om_r2 = central(lambda x: law.omega(x) * x**2)
+    ups = central(lambda x: law.omega(x) ** 2 * x**4) / r**3
+    assert np.allclose(law.d_omega_r2(r), d_om_r2, rtol=1e-8, atol=1e-10)
+    assert np.allclose(discriminant(law, r), ups, rtol=1e-8, atol=1e-10)
+    assert discriminant(law, 0.0) == 4.0 * float(law.omega(0.0)) ** 2
+
+
 def test_rigid_discriminant_constant():
     law = RigidLaw(2.0)
     r = np.array([0.0, 0.3, 1.0, 2.5])

@@ -162,10 +162,15 @@ def _random_constrained_coeffs(basis, rng):
     return c
 
 
-def test_lift_identity_for_random_constrained(rot53, power_j48):
+def test_lift_identity_for_random_constrained(rot53, power_j48, eos53):
     # power_j48 has dj/dp(0) = 0: no rotation on the axis, Upsilon(0) = 0
     assert power_j48.context.ups[0] == 0.0
-    for star in (rot53, power_j48):
+    from rotstar.equilibria import solve_fixed_omega
+    from rotstar.rotlaw import PowerTailLaw
+
+    # criterion 6's Rayleigh-stable differentially rotating star
+    power_tail = solve_fixed_omega(eos53, PowerTailLaw(1.0, 1.5, 0.7), 0.08, 1.0, nr=48, nz=48)
+    for star in (rot53, power_j48, power_tail):
         basis = perturbation_basis(star)
         L = assemble_perturbation_energy(basis)
         K = assemble_reduced_energy(basis)
@@ -530,8 +535,9 @@ def power_j48(eos53):
 
 def _family_closed_forms(star):
     """Centrifugal acceleration and reduced weight written per family:
-    kappa^2 omega^2 r and kappa^2 d(omega^2 r^4)/dr / (r^4 h1) for a fixed
-    angular velocity, eps^2 J / r^3 and eps^2 dJ/dp / r^3 for a fixed
+    kappa^2 omega^2 r and kappa^2 d(omega^2 r^4)/dr / (r^4 h1), expanded as
+    2 omega omega' r^4 + 4 omega^2 r^3, for a fixed angular velocity,
+    eps^2 J / r^3 and eps^2 dJ/dp / r^3 = eps^2 2 j dj/dp / r^3 for a fixed
     momentum distribution (zero on the axis, the weight also off the
     radial support)."""
     rs, rot = star.grid.rs, star.rotation
@@ -541,13 +547,15 @@ def _family_closed_forms(star):
     grad, weight = np.zeros_like(rs), np.zeros_like(rs)
     if rot.kind == "fixed_omega":
         grad = rot.amplitude**2 * np.asarray(rot.profile.omega(rs)) ** 2 * rs
-        weight[sup] = rot.amplitude**2 * rot.profile.omega_sq_r4_derivative(rs[sup]) / (
-            rs[sup] ** 4 * h1[sup]
-        )
+        r = rs[sup]
+        om, slope = rot.profile.omega(r), rot.profile.omega_slope(r)
+        d_om2_r4 = 2.0 * om * slope * r**4 + 4.0 * om**2 * r**3
+        weight[sup] = rot.amplitude**2 * d_om2_r4 / (r**4 * h1[sup])
     else:
         m, M = star.m_of_r, star.mass
         grad[off] = rot.amplitude**2 * rot.profile.J(m[off], M) / rs[off] ** 3
-        weight[sup] = rot.amplitude**2 * rot.profile.dJ_dp(m[sup], M) / rs[sup] ** 3
+        dJ = 2.0 * rot.profile.j(m[sup], M) * rot.profile.dj_dp(m[sup], M)
+        weight[sup] = rot.amplitude**2 * dJ / rs[sup] ** 3
     return grad, weight
 
 
