@@ -144,10 +144,16 @@ class AxiStar:
         return self._kernel
 
     def potentials(self, fields: np.ndarray, parities) -> np.ndarray:
-        """Gravitational potential of each field, one Poisson solve per field."""
+        """Gravitational potential of each field of an (n, nr, nz) stack: one
+        stacked ``RingKernel.potential`` solve per parity present."""
+        parities = np.asarray(parities)
+        kinds = np.unique(parities)
+        if kinds.size == 1:  # solved as it stands, with no copy of the stack
+            return self.kernel.potential(fields, parity=kinds[0])
         pots = np.empty_like(fields)
-        for k, par in enumerate(parities):
-            pots[k] = self.kernel.potential(fields[k], parity=par)
+        for par in kinds:
+            sel = parities == par
+            pots[sel] = self.kernel.potential(fields[sel], parity=par)
         return pots
 
     def grad_h(self):

@@ -201,10 +201,24 @@ def upsilon_range(star: AxiStar):
     return float(np.min(fine)), float(np.max(fine))
 
 
-def assemble_meridional_form(basis: VelocityBasis) -> QuadraticForm:
+def _l1_block(basis: VelocityBasis) -> np.ndarray:
+    """L1 on the basis's gradient fields: the energy form of their
+    div(rho0 u), pressure plus gravity."""
+    if not np.all(np.isfinite(basis.div_fields)):
+        raise SolverError("velocity basis has entries with undefined divergence norm")
+    pressure, grav = energy_blocks(basis.star, basis.div_fields, [basis.parity] * basis.n_grad)
+    return pressure + grav
+
+
+def assemble_meridional_form(basis: VelocityBasis, l1: np.ndarray | None = None) -> QuadraticForm:
     """Quadratic form of the second-order meridional dynamics on the basis's
     star over the kinetic-energy Gram.  Requires a centrifugally unstable
-    rotation (the first-order route handles the stable case)."""
+    rotation (the first-order route handles the stable case).
+
+    L1 depends on the gradient fields alone, not on the ring fields; ``l1``,
+    when given, is its block from a basis with the same gradient fields,
+    reused instead of solving their potentials again.
+    """
     star = basis.star
     lo, _ = upsilon_range(star)
     if lo >= 0:
@@ -215,14 +229,11 @@ def assemble_meridional_form(basis: VelocityBasis) -> QuadraticForm:
     ctx = star.context
     w = ctx.weights
     rho = np.where(ctx.mask, star.rho, 0.0)
-    if not np.all(np.isfinite(basis.div_fields)):
-        raise SolverError("velocity basis has entries with undefined divergence norm")
 
     # L1 is the energy form of div(rho0 u); the ring rows stay exact zeros
     n, ng = basis.count, basis.n_grad
-    pressure, grav = energy_blocks(star, basis.div_fields, [basis.parity] * ng)
     Q = np.zeros((n, n))
-    Q[:ng, :ng] = pressure + grav
+    Q[:ng, :ng] = _l1_block(basis) if l1 is None else l1
     Q += pair_integrals(basis.fields_r, basis.fields_r, w * (rho * ctx.ups[:, None]))
 
     wk = w * rho
@@ -278,11 +289,13 @@ def spectrum_report(
     discrete when it moves by less than ``discrete_drift_tol`` relatively
     between the two finest levels while staying outside the interval.
     Ambiguous values are flagged; ``strict`` escalates them to an error.
+    The levels differ in their ring fields only, so L1 is assembled once,
+    on the first level's gradient fields, and reused at every level.
     """
     if levels < 2:
         raise ValueError("need at least two refinement levels")
     lo, hi = upsilon_range(star)
-    spectra = []
+    spectra, l1 = [], None
     for lev in range(levels):
         vb = velocity_basis(
             star,
@@ -290,7 +303,9 @@ def spectrum_report(
             grad_deg_z=grad_deg_z,
             ring_knots=ring_knots0 * 2**lev,
         )
-        form = assemble_meridional_form(vb)
+        if l1 is None:  # every level has the same gradient fields
+            l1 = _l1_block(vb)
+        form = assemble_meridional_form(vb, l1)
         spectra.append(np.sort(form.eigenvalues))
 
     lam = spectra[-1]

@@ -192,9 +192,76 @@ def test_trimmed_potential_matches_direct_sum(parity, where):
 @pytest.mark.parametrize("parity", ["even", "odd"])
 def test_zero_source_gives_exactly_zero(parity):
     grid = make_grid(1.3, 1.1, 21, 19, refine_at=0.8)
-    V = RingKernel(grid).potential(np.zeros(grid.shape), parity)
-    assert V.shape == grid.shape
-    assert np.all(V == 0.0)
+    for shape in (grid.shape, (3,) + grid.shape):  # a lone field and a stack
+        V = RingKernel(grid).potential(np.zeros(shape), parity)
+        assert V.shape == shape
+        assert np.all(V == 0.0)
+
+
+def _stack_of_fields(grid, n=19):
+    """n random fields sharing a support that ends short of the last radius:
+    one all-zero member, one with a shorter support, and every third member
+    with a zero z = 0 plane (the others keep a nonzero one)."""
+    stack = np.random.default_rng(17).standard_normal((n,) + grid.shape)
+    stack[:, -2:] = 0.0
+    stack[4] = 0.0
+    stack[7, grid.nr // 2 :] = 0.0
+    stack[::3, :, 0] = 0.0
+    return stack
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_stacked_potential_matches_per_field_solves(parity):
+    """A stack longer than two blocks (8 + 8 + 3) solves each field as a
+    lone solve does, to round-off of the stack's largest potential (a block
+    product sums in another order than a lone field's); a lone field is a
+    stack of one, bit for bit."""
+    grid = make_grid(1.3, 1.1, 21, 19, refine_at=0.8)
+    kernel = RingKernel(grid)
+    stack = _stack_of_fields(grid)
+    assert 2 * poisson._STACK_BLOCK < stack.shape[0] < 3 * poisson._STACK_BLOCK
+    V = kernel.potential(stack, parity)
+    assert V.shape == stack.shape
+    ref = np.stack([kernel.potential(src, parity) for src in stack])
+    for src, want in zip(stack, ref):
+        assert np.array_equal(kernel.potential(src[None], parity)[0], want)
+    assert np.max(np.abs(V - ref)) <= 1e-15 * np.max(np.abs(ref))
+    assert np.all(V[4] == 0.0)
+
+
+@pytest.mark.parametrize("shape", [(3, 22, 19), (3, 21, 18), (3, 19, 21), (2, 3, 21, 19), (21,)])
+def test_potential_rejects_a_stack_off_the_grid(shape):
+    kernel = RingKernel(make_grid(1.3, 1.1, 21, 19, refine_at=0.8))
+    with pytest.raises(ValueError):
+        kernel.potential(np.ones(shape))
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_stacked_solve_memory_is_bounded(monkeypatch, parity):
+    """A 45-field solve holds its result and one block's spectra, not the
+    stack's.  A block's spectra are two (M + 1, block, nr) arrays, its
+    source rows and its potentials' spectrum; the peak measured 2.01 such
+    arrays above the result for an even stack and 2.50 for an odd one (the
+    weighted block and its transform meet the rows), so the bound allows 3.
+    Solving the whole stack at once measured 11.3 and 14.0."""
+    grid = make_grid(1.0, 1.0, 64, 64)
+    kernel = RingKernel(grid)
+    stack = np.random.default_rng(19).standard_normal((45,) + grid.shape)
+    stack[:, :, 0] = 0.0  # odd Galerkin fields vanish on z = 0
+    spectrum = poisson._STACK_BLOCK * kernel._ghat.shape[0] * grid.nr * 8
+    bound = stack.nbytes + 3 * spectrum
+
+    def peak():
+        tracemalloc.start()
+        try:
+            kernel.potential(stack, parity)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak() <= bound
+    monkeypatch.setattr(poisson, "_STACK_BLOCK", stack.shape[0])  # one block
+    assert peak() > bound
 
 
 def test_potential_rejects_unknown_parity(axi53):
@@ -343,6 +410,8 @@ def test_split_potential_equals_one_part_potential(monkeypatch, fast_switching, 
         (rng.standard_normal(grid.shape), "odd"),  # nonzero midplane row
         (trimmed, "even"),
         (trimmed, "odd"),
+        (_stack_of_fields(grid), "even"),
+        (_stack_of_fields(grid), "odd"),
     ]
     ref = [kernel.potential(src, parity) for src, parity in cases]
     _force_parts(monkeypatch, parts)

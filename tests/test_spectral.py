@@ -136,6 +136,26 @@ def test_spectrum_classification(rayleigh_unstable_star):
         assert np.sum(lv < rep.essential_lo - margin) == 1
 
 
+def test_spectrum_report_solves_the_gradient_fields_once(small_unstable_star, monkeypatch):
+    """Every level has the same gradient fields, so L1 is assembled once, and
+    each level's spectrum is still that of its own full assembly."""
+    from rotstar import spectral
+
+    star = small_unstable_star
+    assembled = []
+    real = spectral.energy_blocks
+    monkeypatch.setattr(
+        spectral, "energy_blocks", lambda *a: assembled.append(a[1].shape[0]) or real(*a)
+    )
+    rep = spectrum_report(star, levels=3, ring_knots0=6, grad_deg_r=3, grad_deg_z=3)
+    n_grad = velocity_basis(star, grad_deg_r=3, grad_deg_z=3).n_grad
+    assert assembled == [n_grad]
+    monkeypatch.undo()
+    for lev, lam in enumerate(rep.levels):
+        vb = velocity_basis(star, grad_deg_r=3, grad_deg_z=3, ring_knots=6 * 2**lev)
+        assert np.array_equal(lam, np.sort(assemble_meridional_form(vb).eigenvalues))
+
+
 def test_spectrum_upper_family_grows_with_basis(rayleigh_unstable_star):
     counts = []
     for deg in (3, 5, 7):
