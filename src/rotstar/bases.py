@@ -6,8 +6,13 @@ z-parity given by the vertical degree).  The 1/h'' weighting keeps every
 basis function inside the weighted space the stability forms act on (the
 weight decays like rho0^(2-gamma0) toward the surface) and lets the grid
 quadrature see smooth integrands.  The shapes are tensor products of two
-Legendre tables, each built with one ``legval`` per derivative order, and
-every stack is one broadcast product of those tables.
+Legendre tables, each built with one ``legval`` per derivative order.
+
+A field stack whose members are sums of a few radial x vertical x shared
+profile products is kept factored (``FactoredStack``, one ``Term`` per
+product): ``stability.factored_pair_integrals`` contracts two of them z
+first and r second, and the dense (n, nr, nz) stack is built only when
+asked for.  The shapes' values and gradients are such stacks.
 
 Two physically distinguished directions can be appended: the center-density
 derivative of the non-rotating family (even sector) and the vertical-shift
@@ -29,7 +34,14 @@ from numpy.polynomial import legendre as npleg
 from rotstar.equilibria import AxiStar
 from rotstar.radial import solve_radial
 
-__all__ = ["legendre_table", "ScalarShapes", "PerturbationBasis", "perturbation_basis"]
+__all__ = [
+    "legendre_table",
+    "Term",
+    "FactoredStack",
+    "ScalarShapes",
+    "PerturbationBasis",
+    "perturbation_basis",
+]
 
 
 def legendre_table(arg, deg):
@@ -43,11 +55,52 @@ def legendre_table(arg, deg):
     return vals, ders, der2
 
 
+@dataclass(frozen=True, eq=False)
+class Term:
+    """One term of a factored field stack: member k is
+    radial[k](r) * vertical[index[k]](z) * profile(r, z).  A member whose
+    index is -1 has no part in the term; a ``None`` profile is 1."""
+
+    radial: np.ndarray  # (n, nr), one row per member
+    vertical: np.ndarray  # (n_v, nz), a small table of vertical factors
+    index: np.ndarray  # (n,), row of ``vertical`` per member, or -1
+    profile: np.ndarray | None = None  # (nr, nz), shared by every member
+
+    @cached_property
+    def groups(self) -> list:
+        """(vertical row, members that read it) for every row in use."""
+        return [(v, np.flatnonzero(self.index == v)) for v in np.unique(self.index) if v >= 0]
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros(self.index.shape + (self.radial.shape[1], self.vertical.shape[1]))
+        live = self.index >= 0
+        out[live] = self.radial[live][:, :, None] * self.vertical[self.index[live]][:, None, :]
+        if self.profile is not None:
+            out *= self.profile
+        return out
+
+
+@dataclass(frozen=True, eq=False)
+class FactoredStack:
+    """A stack of fields, each the sum of its parts in a few ``Term``s; the
+    dense (n, nr, nz) stack is built only when asked for."""
+
+    terms: tuple
+
+    @property
+    def count(self) -> int:
+        return self.terms[0].index.size
+
+    def dense(self) -> np.ndarray:
+        return sum(t.dense() for t in self.terms)
+
+
 @dataclass
 class ScalarShapes:
-    """Tensor Legendre shapes chi_(i,j)(r, z) on a grid.  Each (n, nr, nz)
-    stack, the values and the two gradient components, is one broadcast
-    product of a radial and a vertical table, built when first read."""
+    """Tensor Legendre shapes chi_(i,j)(r, z) on a grid: shape (i, j) is a
+    radial table row times a vertical table row.  The values and the two
+    gradient components are factored stacks of those tables; the dense
+    (n, nr, nz) values are built when first read."""
 
     radial: tuple  # (P_i, dP_i/dr), each (deg_r + 1, nr)
     vertical: tuple  # (P_j, dP_j/dz) of the kept z degrees, each (n_j, nz)
@@ -58,23 +111,20 @@ class ScalarShapes:
         """+1 even / -1 odd in z, per shape."""
         return np.array([+1 if j % 2 == 0 else -1 for _, j in self.degrees])
 
-    def _stack(self, pr: np.ndarray, pz: np.ndarray) -> np.ndarray:
-        # shape (i, j) is pr[i] (x) pz[j], j outer and i inner as in
-        # ``degrees``, broadcast straight into the (n, nr, nz) stack
-        out = pr[None, :, :, None] * pz[:, None, None, :]
-        return out.reshape(len(self.degrees), pr.shape[1], pz.shape[1])
+    def factored(self, d_r: int = 0, d_z: int = 0) -> FactoredStack:
+        """The shapes' d_r-th r and d_z-th z derivatives (0 or 1 each), one
+        term of the two tables' rows (j outer and i inner, as in
+        ``degrees``)."""
+        k = np.arange(len(self.degrees))
+        n_i = self.radial[0].shape[0]
+        return FactoredStack((Term(self.radial[d_r][k % n_i], self.vertical[d_z], k // n_i),))
 
     @cached_property
     def values(self) -> np.ndarray:
-        return self._stack(self.radial[0], self.vertical[0])
-
-    @cached_property
-    def grad_r(self) -> np.ndarray:
-        return self._stack(self.radial[1], self.vertical[0])
-
-    @cached_property
-    def grad_z(self) -> np.ndarray:
-        return self._stack(self.radial[0], self.vertical[1])
+        # broadcast straight into the (n, nr, nz) stack
+        pr, pz = self.radial[0], self.vertical[0]
+        out = pr[None, :, :, None] * pz[:, None, None, :]
+        return out.reshape(len(self.degrees), pr.shape[1], pz.shape[1])
 
 
 def tensor_shapes(

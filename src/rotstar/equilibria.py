@@ -52,7 +52,7 @@ import numpy as np
 
 from rotstar.eos import EquationOfState
 from rotstar.errors import SolverError
-from rotstar.poisson import Grid, RingKernel
+from rotstar.poisson import _STACK_BLOCK, Grid, RingKernel
 from rotstar.radial import RadialStar, solve_radial
 from rotstar.rotlaw import AngularVelocityLaw, MomentumDistribution, RotationSpec
 
@@ -145,15 +145,27 @@ class AxiStar:
 
     def potentials(self, fields: np.ndarray, parities) -> np.ndarray:
         """Gravitational potential of each field of an (n, nr, nz) stack: one
-        stacked ``RingKernel.potential`` solve per parity present."""
+        stacked ``RingKernel.potential`` solve per parity present.
+
+        A stack of one parity is solved as it stands.  Otherwise the result
+        array holds the fields first, gathered in parity order a block at a
+        time; each parity's rows are solved in place and then moved back to
+        their fields' order, so no parity is copied whole.
+        """
         parities = np.asarray(parities)
         kinds = np.unique(parities)
-        if kinds.size == 1:  # solved as it stands, with no copy of the stack
+        if kinds.size == 1:
             return self.kernel.potential(fields, parity=kinds[0])
+        order = np.argsort(parities, kind="stable")  # kinds' rows in turn
         pots = np.empty_like(fields)
+        for b0 in range(0, order.size, _STACK_BLOCK):
+            pots[b0:b0 + _STACK_BLOCK] = fields[order[b0:b0 + _STACK_BLOCK]]
+        start = 0
         for par in kinds:
-            sel = parities == par
-            pots[sel] = self.kernel.potential(fields[sel], parity=par)
+            part = pots[start:start + np.count_nonzero(parities == par)]
+            self.kernel.potential(part, parity=par, out=part)
+            start += part.shape[0]
+        _scatter_rows(pots, order)
         return pots
 
     def grad_h(self):
@@ -173,6 +185,20 @@ class AxiStar:
         dVdz[:, -1] = (self.potential[:, -1] - self.potential[:, -2]) / hz
         rotp = self.context.omega**2 * self.grid.rs
         return rotp[:, None] - dVdr, -dVdz
+
+
+def _scatter_rows(stack: np.ndarray, order: np.ndarray) -> None:
+    """Move row k of ``stack`` to row order[k], in place: each cycle of the
+    permutation is followed with one row in hand."""
+    placed = np.zeros(order.size, dtype=bool)
+    for k in range(order.size):
+        if placed[k]:
+            continue
+        carry, j = stack[k].copy(), order[k]
+        while not placed[j]:
+            carry, stack[j] = stack[j].copy(), carry
+            placed[j] = True
+            j = order[j]
 
 
 def _star_context(star: AxiStar) -> StarContext:

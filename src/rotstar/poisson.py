@@ -66,7 +66,10 @@ midplane rule holds per field: each odd field whose z = 0 plane is nonzero
 adds its own delta row to its block's product.  A lone field's rows and
 product are those of a field-by-field solve, so its potential is the same
 bit for bit; a stacked field's differs only by the summation order of the
-block product (round-off).
+block product (round-off).  A solve may write into a given array, the
+source itself included, since each block is read before its potentials
+are written: a both-parity basis's potentials are solved in place in
+their result (``AxiStar.potentials``).
 
 K is evaluated from the complementary parameter
 m1 = 1 - m = ((r - r')^2 + (z - z')^2) / ((r + r')^2 + (z - z')^2), formed
@@ -396,31 +399,38 @@ class RingKernel:
         # carry hz and the sign of the (attractive) potential
         self._src_weight = -(grid.hz / s) * grid.wr * grid.rs
 
-    def potential(self, source: np.ndarray, parity: str = "even") -> np.ndarray:
+    def potential(self, source: np.ndarray, parity: str = "even",
+                  out: np.ndarray | None = None) -> np.ndarray:
         """Potential of `source` on the grid nodes (attractive: negative).
 
         ``source`` is one field (nr, nz) or a stack (n, nr, nz) of fields
         that share ``parity``, which states how the half-plane fields
-        continue to z < 0; the result has the shape of ``source``.
+        continue to z < 0; the result has the shape of ``source``.  It is
+        written into ``out`` when given, which may be ``source`` itself: a
+        block of fields is read before its potentials are written.
         """
         grid = self.grid
         if source.ndim not in (2, 3) or source.shape[-2:] != grid.shape:
             raise ValueError("source shape does not match the grid")
         even = _parity_sign(parity) > 0
         stack = source.reshape((-1,) + grid.shape)
-        out = np.zeros(stack.shape)
         # source radii past the last nonzero one of the stack only multiply zeros
         support = np.flatnonzero(np.any(stack, axis=(0, 2)))
+        if out is None:
+            out = np.zeros(source.shape)
+        elif not support.size:
+            out[...] = 0.0
+        pots = out if out.ndim == 3 else out[None]
         if support.size:
             J = support[-1] + 1
             for b0 in range(0, stack.shape[0], _STACK_BLOCK):
                 b1 = b0 + _STACK_BLOCK
-                self._solve_block(stack[b0:b1, :J], even, out[b0:b1])
-        return out.reshape(source.shape)
+                self._solve_block(stack[b0:b1, :J], even, pots[b0:b1])
+        return out
 
     def _solve_block(self, source: np.ndarray, even: bool, out: np.ndarray) -> None:
         """Potentials of a (b, J, nz) block of sources trimmed to their
-        shared support, written into the zeroed (b, nr, nz) ``out``."""
+        shared support, written into the (b, nr, nz) ``out``."""
         nz = self.grid.nz
         b, J = source.shape[:2]
         ghat = self._ghat
@@ -446,6 +456,7 @@ class RingKernel:
         else:
             v = idst(vhat[1:M, :b], type=1, axis=0, overwrite_x=True)
             out[:, :, 1:] = v[: nz - 1].transpose(1, 2, 0)
+            out[:, :, 0] = 0.0
             if mids.size:
                 v = idct(vhat[:, b:], type=1, axis=0, overwrite_x=True)
                 out[mids] += v[:nz].transpose(1, 2, 0)

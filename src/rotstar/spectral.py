@@ -8,8 +8,11 @@ the second-order system  u_tt = -(L1 + L2) u  instead, with
     [L2 u, u] = int rho0 Upsilon(r) u_r^2 dx,        D(u) = div(rho0 u).
 
 L1 is the density energy form evaluated on D(u): it is assembled by the
-same ``stability.energy_blocks`` as the reduced form and the generator, and
-every grid product goes through ``stability.pair_integrals``.
+same ``stability.energy_blocks`` as the reduced form and the generator.
+The velocity components are factored stacks (a radial x vertical x shared
+profile product per term), so the Upsilon block and the kinetic Gram go
+through ``stability.factored_pair_integrals`` (z first, then r) and no
+dense velocity stack is built for a form.
 
 Its essential spectrum is the closed range of Upsilon, an interval [-a, b]
 with a > 0; finitely many eigenvalues sit below -a and a sequence of
@@ -29,15 +32,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import BSpline
 
-from rotstar.bases import legendre_table
+from rotstar.bases import FactoredStack, Term, legendre_table
 from rotstar.equilibria import AxiStar
 from rotstar.errors import AmbiguousClassificationError, ConfigError, SolverError
 from rotstar.forms import QuadraticForm
-from rotstar.stability import LinearTrajectory, energy_blocks, pair_integrals
+from rotstar.stability import LinearTrajectory, energy_blocks, factored_pair_integrals
 
 __all__ = [
     "VelocityBasis",
@@ -55,24 +59,35 @@ class VelocityBasis:
     """Meridional velocity fields with their mass-flux divergences.
 
     The first ``n_grad`` fields are gradient fields, the rest stream (ring)
-    fields.  ``div_fields`` stores div(rho0 u) of the gradient fields only:
-    it is identically zero for the ring members by construction, so the
-    compressible part of the form never sees quadrature noise from them.
+    fields.  ``u_r`` and ``u_z`` hold the velocity components as factored
+    stacks; ``fields_r`` and ``fields_z`` are their dense (n, nr, nz)
+    stacks, built on demand and read by no form.  ``div_fields`` stores
+    div(rho0 u) of the gradient fields only: it is identically zero for
+    the ring members by construction, so the compressible part of the form
+    never sees quadrature noise from them.
     """
 
     star: AxiStar
-    fields_r: np.ndarray  # (n, nr, nz)
-    fields_z: np.ndarray
+    u_r: FactoredStack
+    u_z: FactoredStack
     div_fields: np.ndarray  # (n_grad, nr, nz)
     parity: str
 
     @property
     def count(self) -> int:
-        return self.fields_r.shape[0]
+        return self.u_r.count
 
     @property
     def n_grad(self) -> int:
         return self.div_fields.shape[0]
+
+    @cached_property
+    def fields_r(self) -> np.ndarray:
+        return self.u_r.dense()
+
+    @cached_property
+    def fields_z(self) -> np.ndarray:
+        return self.u_z.dense()
 
     def combine(self, coeffs):
         c = np.asarray(coeffs)
@@ -100,10 +115,14 @@ def velocity_basis(
     'even' basis has even v_r and odd v_z.
 
     All spline bumps come from one ``BSpline`` evaluation on the identity
-    coefficients (bumps that miss every grid radius are dropped), and each
-    family of fields is broadcast straight into preallocated stacks:
-    gradient fields first (z degree outer), then ring fields (bump outer,
-    z factor inner).  Every field is exactly zero off the support.
+    coefficients (bumps that miss every grid radius are dropped).  The
+    fields are gradient fields first (z degree outer), then ring fields
+    (bump outer, z factor inner).  Each velocity component is a factored
+    stack: a gradient field is one radial x vertical product on the
+    support mask, a ring field the sum of two such products with profiles
+    of rho0 and its gradient.  Only the gradient fields' divergences, which
+    L1's Poisson solves need, are dense.  Every field is exactly zero off
+    the support.
     """
     if parity not in ("even", "odd"):
         raise ValueError("parity must be 'even' or 'odd'")
@@ -118,13 +137,8 @@ def velocity_basis(
 
     # gradient fields: xi = P_i(2 (r/R0)^2 - 1) * P_j(z/Z0), the constant
     # (0, 0) left out (zero field); j outer, i inner
-    pairs = [
-        (i, j)
-        for j in range(grad_deg_z + 1)
-        if (parity == "even") == (j % 2 == 0)
-        for i in range(grad_deg_r + 1)
-        if (i, j) != (0, 0)
-    ]
+    js = [j for j in range(grad_deg_z + 1) if (parity == "even") == (j % 2 == 0)]
+    pairs = [(i, j) for j in js for i in range(grad_deg_r + 1) if (i, j) != (0, 0)]
     gi = np.array([i for i, _ in pairs], dtype=int)
     gj = np.array([j for _, j in pairs], dtype=int)
     x = 2.0 * (rs / R0) ** 2 - 1.0
@@ -147,48 +161,53 @@ def velocity_basis(
     Z, dZ = Zt[kz], dZt[kz] / Z0
 
     n_grad, n_ring = len(pairs), beta.shape[0] * len(kz)
-    shape = (n_grad + n_ring,) + rho.shape
-    fields_r, fields_z = np.empty(shape), np.empty(shape)
-    div = np.empty((n_grad,) + rho.shape)
+    grad, ring = slice(0, n_grad), slice(n_grad, n_grad + n_ring)
 
-    xi_r, xi_z = fields_r[:n_grad], fields_z[:n_grad]
-    np.multiply((dPr * x_r)[gi][:, :, None], Pz[gj][:, None, :], out=xi_r)
-    np.multiply(Pr[gi][:, :, None], dPz[gj][:, None, :], out=xi_z)
+    def term(part, radial, vertical, index, profile):
+        # the members outside ``part`` have no share in the term
+        rows = np.zeros((n_grad + n_ring, rs.size))
+        rows[part] = radial
+        at = np.full(n_grad + n_ring, -1)
+        at[part] = index
+        return Term(rows, vertical, at, profile)
+
+    # gradient fields, on the support: xi_r = P_i' x_r P_j, xi_z = P_i P_j' / Z0
+    on = mask.astype(float)
+    gpos = np.searchsorted(js, gj)
+    dxi = (dPr * x_r)[gi]
+    grad_r = term(grad, dxi, Pz[js], gpos, on)
+    grad_z = term(grad, Pr[gi], dPz[js] / Z0, gpos, on)
+    # laplacian: xi_rr + xi_r / r + xi_zz, with the r^2 argument; the
+    # divergence alone is dense, read from unmasked gradient stacks
+    xi_r = dxi[:, :, None] * Pz[gj][:, None, :]
+    xi_z = Pr[gi][:, :, None] * dPz[gj][:, None, :]
     xi_z /= Z0
-    # laplacian: xi_rr + xi_r / r + xi_zz, with the r^2 argument
     lap_r = d2Pr * x_r**2 + dPr * (8.0 / R0**2)
-    np.multiply(lap_r[gi][:, :, None], Pz[gj][:, None, :], out=div)
+    div = lap_r[gi][:, :, None] * Pz[gj][:, None, :]
     div += Pr[gi][:, :, None] * d2Pz[gj][:, None, :] / Z0**2
     div *= rho
     div += drho_r * xi_r
     div += drho_z * xi_z
-    for stack in (xi_r, xi_z, div):
-        stack[:, ~mask] = 0.0
+    div[:, ~mask] = 0.0
 
     # ring fields, bump b outer and z factor j inner:
     # u_r = r beta_b (2 rho_z Z_j + rho Z_j'),
     # u_z = -Z_j (beta_b (2 rho + 2 r rho_r) + r rho beta_b');
     # rho0 and its gradient vanish off the support, so these do too
-    ring_shape = (beta.shape[0], len(kz)) + rho.shape
     RG = rs[:, None]
-    flux_z = 2.0 * drho_z[None] * Z[:, None, :] + rho[None] * dZ[:, None, :]
-    np.multiply(
-        (rs * beta)[:, None, :, None], flux_z[None],
-        out=fields_r[n_grad:].reshape(ring_shape),
-    )
-    radial = beta[:, :, None] * (2.0 * rho + 2.0 * RG * drho_r)
-    radial += dbeta[:, :, None] * (RG * rho)
-    np.multiply(
-        radial[:, None], -Z[None, :, None, :], out=fields_z[n_grad:].reshape(ring_shape)
-    )
-
-    return VelocityBasis(
-        star=star,
-        fields_r=fields_r,
-        fields_z=fields_z,
-        div_fields=div,
-        parity=parity,
-    )
+    zpos = np.tile(np.arange(len(kz)), beta.shape[0])
+    rbeta = np.repeat(rs * beta, len(kz), axis=0)
+    u_r = FactoredStack((
+        grad_r,
+        term(ring, rbeta, Z, zpos, 2.0 * drho_z),
+        term(ring, rbeta, dZ, zpos, rho),
+    ))
+    u_z = FactoredStack((
+        grad_z,
+        term(ring, np.repeat(beta, len(kz), axis=0), -Z, zpos, 2.0 * rho + 2.0 * RG * drho_r),
+        term(ring, np.repeat(dbeta, len(kz), axis=0), -Z, zpos, RG * rho),
+    ))
+    return VelocityBasis(star=star, u_r=u_r, u_z=u_z, div_fields=div, parity=parity)
 
 
 def upsilon_range(star: AxiStar):
@@ -234,11 +253,11 @@ def assemble_meridional_form(basis: VelocityBasis, l1: np.ndarray | None = None)
     n, ng = basis.count, basis.n_grad
     Q = np.zeros((n, n))
     Q[:ng, :ng] = _l1_block(basis) if l1 is None else l1
-    Q += pair_integrals(basis.fields_r, basis.fields_r, w * (rho * ctx.ups[:, None]))
+    u_r, u_z = basis.u_r, basis.u_z
+    Q += factored_pair_integrals(u_r, u_r, w * (rho * ctx.ups[:, None]))
 
     wk = w * rho
-    G = pair_integrals(basis.fields_r, basis.fields_r, wk)
-    G += pair_integrals(basis.fields_z, basis.fields_z, wk)
+    G = factored_pair_integrals(u_r, u_r, wk) + factored_pair_integrals(u_z, u_z, wk)
     return QuadraticForm(Q, G)
 
 

@@ -16,6 +16,13 @@ rotation enters every form below only through its profiles omega,
 d(omega r^2)/dr and Upsilon (for a prescribed momentum distribution W equals
 eps^2 dJ/dp(m(r), M) / r^3 through Upsilon = 2 omega d(omega r^2)/dr / r).
 
+Grid products of dense field stacks (the energy blocks) go through
+``pair_integrals``, one matrix product over the weighted support;
+products of factored stacks (the generator's tensor shapes and their
+gradients, the meridional velocities of ``spectral``) go through
+``factored_pair_integrals``, which contracts z first and r second and
+never builds the dense stacks.
+
 A perturbation basis carries its star, so every analysis of a basis takes
 the basis alone and reads ``basis.star`` (the generator also its energy
 form); only ``energy_blocks`` and ``density_form_value`` take a star.
@@ -40,7 +47,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.linalg import eig, eigh
 
-from rotstar.bases import PerturbationBasis, tensor_shapes
+from rotstar.bases import FactoredStack, PerturbationBasis, tensor_shapes
 from rotstar.equilibria import AxiStar
 from rotstar.errors import ConfigError
 from rotstar.forms import VERDICT_ZERO_TOL, QuadraticForm, restrict_to_complement, whiten
@@ -49,6 +56,7 @@ from rotstar.rotlaw import d_omega_r2_over_r
 __all__ = [
     "VERDICT_ZERO_TOL",
     "pair_integrals",
+    "factored_pair_integrals",
     "energy_blocks",
     "assemble_perturbation_energy",
     "assemble_reduced_energy",
@@ -66,6 +74,12 @@ __all__ = [
 ]
 
 
+def _weighted_radii(weight: np.ndarray) -> int:
+    """Radii a weighted product sums: up to the last with a nonzero weight."""
+    rows = np.flatnonzero(np.any(weight, axis=1))
+    return rows[-1] + 1 if rows.size else 0
+
+
 def pair_integrals(a: np.ndarray, b: np.ndarray, weight: np.ndarray) -> np.ndarray:
     """Matrix of weighted grid products sum(a_i * weight * b_j) of two
     (n, nr, nz) field stacks; ``weight`` (nr, nz) holds the quadrature
@@ -77,11 +91,39 @@ def pair_integrals(a: np.ndarray, b: np.ndarray, weight: np.ndarray) -> np.ndarr
     read through a view of those radii, never copied.  An all-zero weight
     or an empty stack gives zeros.
     """
-    rows = np.flatnonzero(np.any(weight, axis=1))
-    J = rows[-1] + 1 if rows.size else 0
+    J = _weighted_radii(weight)
     m = J * weight.shape[1]
     aw = (a[:, :J] * weight[:J]).reshape(a.shape[0], m)
     return aw @ b[:, :J].reshape(b.shape[0], m).T
+
+
+def factored_pair_integrals(a: FactoredStack, b: FactoredStack,
+                            weight: np.ndarray) -> np.ndarray:
+    """``pair_integrals`` of two factored stacks without their dense stacks
+    (sum factorization): per pair of terms, z is contracted first, into a
+    (vertical rows, radii, vertical rows) table of weight * profile_a *
+    profile_b, and r second, one small matrix product per pair of vertical
+    rows.  The work is O(n nr nz) plus O(n^2 nr), not O(n^2 nr nz).  Only
+    the radii up to the last one where ``weight`` is nonzero are summed, as
+    in ``pair_integrals``."""
+    J = _weighted_radii(weight)
+    out = np.zeros((a.count, b.count))
+    for s in a.terms:
+        for t in b.terms:
+            w = weight[:J]
+            for p in (s.profile, t.profile):
+                if p is not None:
+                    w = w * p[:J]
+            ns, nz = s.vertical.shape
+            table = (s.vertical[:, None, :] * w).reshape(ns * J, nz) @ t.vertical.T
+            table = table.reshape(ns, J, -1)
+            for u, ka in s.groups:
+                left = s.radial[ka, :J]
+                rows = np.zeros((ka.size, b.count))
+                for v, kb in t.groups:
+                    rows[:, kb] = (left * table[u, :, v]) @ t.radial[kb, :J].T
+                out[ka] += rows
+    return out
 
 
 def energy_blocks(star: AxiStar, fields: np.ndarray, parities) -> tuple:
@@ -290,6 +332,27 @@ class Generator:
         return float(np.abs(q @ self.Lh @ q) + q @ q * self._lh_norm + p @ p)
 
 
+def _sector_products(star: AxiStar, dens, aw: np.ndarray) -> tuple:
+    """The generator's Galerkin products on one sector's tensor shapes
+    ``dens``, each a factored product of the shapes' values or gradients:
+    the v_theta Gram int rho0 chi_i chi_j, its kinetic block with weight
+    ``aw`` = 4 omega^2 / Upsilon, the gradient Gram
+    int rho0 grad(chi_i) . grad(chi_j) and the coupling
+    -int rho0 chi_i (d(omega r^2)/dr / r) d_r chi_j."""
+    ctx = star.context
+    w = ctx.weights
+    values, grad_r, grad_z = dens.factored(), dens.factored(1, 0), dens.factored(0, 1)
+    rho_w = w * star.rho
+    dor_over_r = d_omega_r2_over_r(ctx.omega, ctx.d_om_r2, star.grid.rs)
+    return (
+        factored_pair_integrals(values, values, rho_w),
+        factored_pair_integrals(values, values, w * aw[:, None] * star.rho),
+        factored_pair_integrals(grad_r, grad_r, rho_w)
+        + factored_pair_integrals(grad_z, grad_z, rho_w),
+        -factored_pair_integrals(values, grad_r, rho_w * dor_over_r[:, None]),
+    )
+
+
 def assemble_generator(basis: PerturbationBasis, energy: QuadraticForm,
                        parity: str = "even") -> Generator:
     """Discretize the linearized dynamics of the basis's star on one z-parity
@@ -301,45 +364,35 @@ def assemble_generator(basis: PerturbationBasis, energy: QuadraticForm,
     means even density, even v_theta, even v_r and odd v_z).
     """
     star = basis.star
-    ctx = star.context
-    if not ctx.rotating:
+    if not star.context.rotating:
         raise ConfigError("the generator needs a rotating star (kappa or eps > 0)")
     aw, _ = _azimuthal_weight(star, "the generator")
-    w = ctx.weights
     g = star.grid
-    rs = g.rs
 
     rows = [k for k, (_, j) in enumerate(basis.degrees) if j % 2 == (parity == "odd")]
     if not rows:
         raise ConfigError(f"the generator needs {parity} basis shapes")
     deg_r, deg_z = (max(d) for d in zip(*basis.degrees))
-    dens = tensor_shapes(rs, g.zs, star.support_radius, star.support_height,
+    dens = tensor_shapes(g.rs, g.zs, star.support_radius, star.support_height,
                          deg_r, deg_z, parity=parity)
     G1, Lq = (m[np.ix_(rows, rows)] for m in (energy.gram, energy.matrix))
-    # v_theta lives in L2_rho0; same scalar shapes
-    tfields = dens.values
+    # v_theta lives in L2_rho0 on the same scalar shapes, with the
+    # azimuthal kinetic block Aq
+    G2, Aq, grads, coupling = _sector_products(star, dens, aw)
 
     # meridional velocities are the gradients of every shape but the
     # constant one, whose gradient is zero
     keep = [k for k, d in enumerate(dens.degrees) if d != (0, 0)]
-    rho_w = w * star.rho
-    grads = (pair_integrals(dens.grad_r, dens.grad_r, rho_w)
-             + pair_integrals(dens.grad_z, dens.grad_z, rho_w))
-    G2 = pair_integrals(tfields, tfields, rho_w)
     GY = grads[np.ix_(keep, keep)]
 
     B1 = whiten(G1)
     B2 = whiten(G2)
     BY = whiten(GY)
 
-    # azimuthal kinetic block: weight 4 omega^2 rho0 / Upsilon
-    Aq = pair_integrals(tfields, tfields, w * aw[:, None] * star.rho)
-
-    # couplings: M1[j, a] = int rho0 grad(xi_a) . grad(chi_j) dx
-    M1 = grads[:, keep]
+    # couplings: M1[j, a] = int rho0 grad(xi_a) . grad(chi_j) dx and
     # M2[j, a] = -int rho0 chi_j (d(omega r^2)/dr / r) v_r(a) dx
-    dor_over_r = d_omega_r2_over_r(ctx.omega, ctx.d_om_r2, rs)
-    M2 = -pair_integrals(tfields, dens.grad_r, rho_w * dor_over_r[:, None])[:, keep]
+    M1 = grads[:, keep]
+    M2 = coupling[:, keep]
 
     # whitened blocks
     Lt = B1.T @ Lq @ B1

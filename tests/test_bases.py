@@ -54,17 +54,19 @@ def test_tensor_shapes_match_per_shape_outer_products(parity, degs):
     zs = np.linspace(0.0, 1.1, 17)
     got = tensor_shapes(rs, zs, 1.2, 0.9, *degs, parity=parity)
     values, grad_r, grad_z, par, order = _shapes_loop(rs, zs, 1.2, 0.9, *degs, parity)
-    # the arithmetic per entry is unchanged, so the stacks are equal
+    # the arithmetic per entry is unchanged, so the stacks are equal; the
+    # gradients are the factored stacks of the derivative tables
     assert got.degrees == order
     assert np.array_equal(got.parity, par)
     assert np.array_equal(got.values, values)
-    assert np.array_equal(got.grad_r, grad_r)
-    assert np.array_equal(got.grad_z, grad_z)
+    assert np.array_equal(got.factored().dense(), values)
+    assert np.array_equal(got.factored(1, 0).dense(), grad_r)
+    assert np.array_equal(got.factored(0, 1).dense(), grad_z)
 
 
 def test_perturbation_basis_builds_no_gradient_stack(axi53, monkeypatch):
-    """The basis reads only the shape values; the gradient stacks, which
-    only the generator reads, are never built."""
+    """The basis reads only the shape values: the one dense stack the
+    shapes hold is theirs (the generator reads factored gradients)."""
     built = []
 
     def recording(*args, **kwargs):
@@ -74,5 +76,5 @@ def test_perturbation_basis_builds_no_gradient_stack(axi53, monkeypatch):
     monkeypatch.setattr(bases, "tensor_shapes", recording)
     perturbation_basis(axi53, deg_r=4, deg_z=2)
     (shapes,) = built
-    assert "values" in vars(shapes)
-    assert "grad_r" not in vars(shapes) and "grad_z" not in vars(shapes)
+    stacks = [k for k, v in vars(shapes).items() if isinstance(v, np.ndarray) and v.ndim == 3]
+    assert stacks == ["values"]

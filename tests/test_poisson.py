@@ -229,6 +229,24 @@ def test_stacked_potential_matches_per_field_solves(parity):
     assert np.all(V[4] == 0.0)
 
 
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_potential_in_place_equals_a_fresh_result(parity):
+    """``out`` is overwritten whatever it held, and may be the source
+    itself: every block is read before its potentials are written, so the
+    stack's potentials replace it bit for bit as a fresh result holds them
+    (an all-zero stack included)."""
+    grid = make_grid(1.3, 1.1, 21, 19, refine_at=0.8)
+    kernel = RingKernel(grid)
+    for stack in (_stack_of_fields(grid), np.zeros((3,) + grid.shape)):
+        want = kernel.potential(stack, parity)
+        work = stack.copy()
+        assert kernel.potential(work, parity, out=work) is work
+        assert np.array_equal(work, want)
+        junk = np.full(stack.shape, 7.0)
+        kernel.potential(stack, parity, out=junk)
+        assert np.array_equal(junk, want)
+
+
 @pytest.mark.parametrize("shape", [(3, 22, 19), (3, 21, 18), (3, 19, 21), (2, 3, 21, 19), (21,)])
 def test_potential_rejects_a_stack_off_the_grid(shape):
     kernel = RingKernel(make_grid(1.3, 1.1, 21, 19, refine_at=0.8))

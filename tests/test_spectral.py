@@ -5,18 +5,32 @@ import numpy as np
 import pytest
 from scipy.interpolate import BSpline
 
-from rotstar.bases import legendre_table
+from rotstar.bases import FactoredStack, Term, legendre_table
 from rotstar.eos import polytrope
 from rotstar.equilibria import solve_fixed_omega
 from rotstar.errors import SolverError
+from rotstar.forms import QuadraticForm
 from rotstar.rotlaw import PowerTailLaw
 from rotstar.spectral import (
+    VelocityBasis,
+    _l1_block,
     assemble_meridional_form,
     evolve_second_order,
     spectrum_report,
     upsilon_range,
     velocity_basis,
 )
+from rotstar.stability import energy_blocks, pair_integrals
+
+
+def _factored(stack):
+    """A dense (n, nr, nz) stack as a factored one: one term per field,
+    with the field as its profile."""
+    n, nr, nz = stack.shape
+    return FactoredStack(tuple(
+        Term(np.ones((n, nr)), np.ones((1, nz)), np.where(np.arange(n) == k, 0, -1), stack[k])
+        for k in range(n)
+    ))
 
 
 @pytest.fixture(scope="module")
@@ -45,16 +59,13 @@ def test_divergence_free_zero_radial_velocity_gives_zero(rayleigh_unstable_star)
     """A field with no radial component and vanishing mass-flux divergence
     scores exactly zero in the form."""
     star = rayleigh_unstable_star
-    from rotstar.bases import PerturbationBasis
-    from rotstar.spectral import VelocityBasis
-
     vz = np.where(star.context.mask, 1.0, 0.0) * star.grid.rs[:, None] * 0 + np.where(
         star.context.mask, 0.3, 0.0
     )
     basis = VelocityBasis(
         star=star,
-        fields_r=np.zeros((1,) + star.rho.shape),
-        fields_z=vz[None],
+        u_r=_factored(np.zeros((1,) + star.rho.shape)),
+        u_z=_factored(vz[None]),
         div_fields=np.zeros((0,) + star.rho.shape),
         parity="even",
     )
@@ -222,13 +233,12 @@ def test_step_size_guard(form):
 
 
 def test_nonfinite_divergence_rejected(rayleigh_unstable_star):
-    from rotstar.spectral import VelocityBasis
-
     star = rayleigh_unstable_star
+    zero = _factored(np.zeros((1,) + star.rho.shape))
     bad = VelocityBasis(
         star=star,
-        fields_r=np.zeros((1,) + star.rho.shape),
-        fields_z=np.zeros((1,) + star.rho.shape),
+        u_r=zero,
+        u_z=zero,
         div_fields=np.full((1,) + star.rho.shape, np.nan),
         parity="even",
     )
@@ -325,16 +335,57 @@ def test_velocity_basis_matches_per_field_loop(small_unstable_star, parity, grad
     assert np.all(vb.fields_z[ring][:, off] == 0.0)
 
 
-def test_velocity_basis_memory_is_bounded_by_its_stacks(small_unstable_star):
-    """Building the stacks allocates at most 1.75x the bytes it returns: the
-    fields are written into their final arrays, not stacked from lists."""
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_meridional_form_matches_dense_reference(small_unstable_star, parity):
+    """The factored products give the form of the dense per-field stacks:
+    Q and G within 1e-12 of their largest entry, and the same retained
+    rank."""
     star = small_unstable_star
-    star.context  # shared arrays built once per star, outside the measurement
+    vb = velocity_basis(star, parity=parity, grad_deg_r=3, grad_deg_z=3, ring_knots=24)
+    fr, fz, divs, _ = _velocity_basis_loop(star, parity, 3, 3, 24)
+    form = assemble_meridional_form(vb)
+    ctx = star.context
+    rho = np.where(ctx.mask, star.rho, 0.0)
+    wk = ctx.weights * rho
+    ng = vb.n_grad
+    Q = pair_integrals(fr, fr, wk * ctx.ups[:, None])
+    pressure, grav = energy_blocks(star, divs, [parity] * ng)
+    Q[:ng, :ng] += pressure + grav
+    ref = QuadraticForm(Q, pair_integrals(fr, fr, wk) + pair_integrals(fz, fz, wk))
+    for got, want in ((form.matrix, ref.matrix), (form.gram, ref.gram)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert form.rank == ref.rank
+
+
+def test_criterion_10_ranks_are_pinned(rayleigh_unstable_star):
+    """Criterion 10's star (80^2, degree 3x3) keeps 72/129/182 Gram
+    directions at ring knots 40/80/160.  At 160 knots the smallest kept
+    Gram eigenvalue is 1.015e-12 of the largest, 1.5% above GRAM_CUTOFF,
+    so a change of summation order that drops it shows here."""
+    ranks = []
+    l1 = None
+    for knots in (40, 80, 160):
+        vb = velocity_basis(rayleigh_unstable_star, grad_deg_r=3, grad_deg_z=3, ring_knots=knots)
+        l1 = _l1_block(vb) if l1 is None else l1
+        ranks.append(assemble_meridional_form(vb, l1).rank)
+    assert ranks == [72, 129, 182]
+
+
+def test_spectrum_path_memory_is_bounded(small_unstable_star):
+    """A three-level spectrum report on the 48^2 star (ring knots 20/40/80)
+    peaks at 2.6 MB of allocations past the kernel (measured); the bound is
+    3.2 MB.  The dense velocity stacks of the finest level's ring fields
+    alone would exceed it: the forms read factored stacks only."""
+    star = small_unstable_star
+    star.kernel, star.context  # built once per star, outside the measurement
     tracemalloc.start()
     try:
-        vb = velocity_basis(star, ring_knots=40)
+        spectrum_report(star, levels=3, ring_knots0=20)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    returned = vb.fields_r.nbytes + vb.fields_z.nbytes + vb.div_fields.nbytes
-    assert peak <= 1.75 * returned
+    bound = 3.2e6
+    assert peak <= bound
+    finest = velocity_basis(star, ring_knots=80)
+    n_ring = finest.count - finest.n_grad
+    assert 2 * n_ring * star.rho.nbytes > bound

@@ -3,11 +3,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from rotstar import stability
-from rotstar.bases import PerturbationBasis, perturbation_basis, tensor_shapes
+from rotstar.bases import FactoredStack, PerturbationBasis, Term, perturbation_basis, tensor_shapes
 from rotstar.equilibria import axistar_from_radial
-from rotstar.forms import VERDICT_ZERO_TOL, QuadraticForm
+from rotstar.forms import VERDICT_ZERO_TOL, QuadraticForm, whiten
 from rotstar.radial import solve_radial
 from rotstar.stability import (
     Generator,
@@ -481,6 +482,105 @@ def test_pair_integrals_sum_only_radii_with_nonzero_weight(J):
         assert np.array_equal(got, np.zeros((4, 6)))
     else:
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def _random_factored(rng, n, nr, nz, n_terms, with_profiles):
+    """A random factored stack: every term has its own vertical table and
+    leaves some members out (index -1)."""
+    terms = []
+    for t in range(n_terms):
+        n_v = 1 + t
+        index = rng.integers(-1, n_v, n)
+        profile = rng.standard_normal((nr, nz)) if with_profiles else None
+        if profile is not None:
+            profile[rng.random(nr) < 0.3] = 0.0  # zero on some radii
+        terms.append(Term(rng.standard_normal((n, nr)), rng.standard_normal((n_v, nz)),
+                          index, profile))
+    return FactoredStack(tuple(terms))
+
+
+@pytest.mark.parametrize("n_a, n_b", [(7, 5), (0, 4), (6, 0)])
+@pytest.mark.parametrize("trailing", [0, 4])
+def test_factored_pair_integrals_match_dense(n_a, n_b, trailing):
+    """The z-then-r product of two factored stacks equals ``pair_integrals``
+    of their dense stacks (empty families give empty blocks), and the dense
+    stack is the sum of its terms built member by member."""
+    rng = np.random.default_rng(n_a + 10 * n_b + trailing)
+    nr, nz = 11, 9
+    a = _random_factored(rng, n_a, nr, nz, 3, True)
+    b = _random_factored(rng, n_b, nr, nz, 2, n_b % 2 == 0)
+    weight = rng.random((nr, nz))
+    weight[nr - trailing:] = 0.0  # trailing radii of zero weight
+    da, db = a.dense(), b.dense()
+    for stack, dense in ((a, da), (b, db)):
+        ref = np.zeros_like(dense)
+        for t in stack.terms:
+            p = 1.0 if t.profile is None else t.profile
+            for k, v in enumerate(t.index):
+                if v >= 0:
+                    ref[k] += np.outer(t.radial[k], t.vertical[v]) * p
+        assert np.allclose(dense, ref, rtol=0, atol=1e-14 * max(np.max(np.abs(ref), initial=0), 1))
+    got = stability.factored_pair_integrals(a, b, weight)
+    want = stability.pair_integrals(da, db, weight)
+    assert got.shape == want.shape == (n_a, n_b)
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-13 * np.max(np.abs(want), initial=0.0)
+
+
+def _dense_generator(basis, energy, parity):
+    """Reference: the generator's Galerkin products from dense (n, nr, nz)
+    shape stacks, each a broadcast product of the tensor shapes' tables,
+    through ``pair_integrals``; and its (P, Lh) whitened from them."""
+    star = basis.star
+    ctx, g = star.context, star.grid
+    aw, _ = stability._azimuthal_weight(star, "the reference")
+    rows = [k for k, (_, j) in enumerate(basis.degrees) if j % 2 == (parity == "odd")]
+    deg_r, deg_z = (max(d) for d in zip(*basis.degrees))
+    dens = tensor_shapes(g.rs, g.zs, star.support_radius, star.support_height,
+                         deg_r, deg_z, parity=parity)
+    n = len(dens.degrees)
+
+    def stack(pr, pz):
+        return (pr[None, :, :, None] * pz[:, None, None, :]).reshape(n, g.nr, g.nz)
+
+    (Pr, dPr), (Pz, dPz) = dens.radial, dens.vertical
+    vals, gr, gz = stack(Pr, Pz), stack(dPr, Pz), stack(Pr, dPz)
+    rho_w = ctx.weights * star.rho
+    pi = stability.pair_integrals
+    dor = stability.d_omega_r2_over_r(ctx.omega, ctx.d_om_r2, g.rs)
+    products = (
+        pi(vals, vals, rho_w),
+        pi(vals, vals, ctx.weights * aw[:, None] * star.rho),
+        pi(gr, gr, rho_w) + pi(gz, gz, rho_w),
+        -pi(vals, gr, rho_w * dor[:, None]),
+    )
+    G2, Aq, grads, coupling = products
+    keep = [k for k, d in enumerate(dens.degrees) if d != (0, 0)]
+    G1, Lq = (m[np.ix_(rows, rows)] for m in (energy.gram, energy.matrix))
+    B1, B2, BY = (whiten(m) for m in (G1, G2, grads[np.ix_(keep, keep)]))
+    Lt, At = B1.T @ Lq @ B1, B2.T @ Aq @ B2
+    P = np.vstack([B1.T @ grads[:, keep] @ BY, B2.T @ coupling[:, keep] @ BY])
+    Lh = scipy.linalg.block_diag(0.5 * (Lt + Lt.T), 0.5 * (At + At.T))
+    return dens, aw, products, Generator(P, Lh)
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_generator_matches_dense_stack_reference(rot13, parity):
+    """The generator's four Galerkin products, factored, equal those of
+    dense shape stacks within 1e-12 of their largest entries (measured
+    <= 8e-16).  Whitening by Grams of condition up to 6e11 amplifies that
+    round-off in P and Lh themselves (up to 2e-5 in the odd Lh at 10x6),
+    so those are checked by their shapes and their counts."""
+    basis = perturbation_basis(rot13, deg_r=10, deg_z=6)
+    L = assemble_perturbation_energy(basis)
+    dens, aw, products, ref = _dense_generator(basis, L, parity)
+    for got, want in zip(stability._sector_products(rot13, dens, aw), products):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    gen = assemble_generator(basis, L, parity)
+    assert gen.P.shape == ref.P.shape and gen.Lh.shape == ref.Lh.shape
+    count, growth, n_zero = generator_unstable_count(gen)
+    want_count, want_growth, want_zero = generator_unstable_count(ref)
+    assert (count, n_zero) == (want_count, want_zero)
+    assert growth == pytest.approx(want_growth, rel=1e-6)
 
 
 def test_quadruple_defect_equals_per_eigenvalue_loop(rot13, generator_of):
