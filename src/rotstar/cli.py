@@ -4,8 +4,9 @@ Subcommands read one JSON config file, validate it against a strict schema
 (unknown keys are rejected), run the requested experiment, and write CSV/JSON
 artifacts plus a manifest into the output directory.  Identical configs and
 seeds produce byte-identical data artifacts; the manifest additionally
-records wall-clock runtimes and the Poisson thread part count, which depend
-on the host, and therefore is not byte-reproducible.
+records wall-clock runtimes, which depend on the host, and therefore is not
+byte-reproducible; it also records the bytes the star's Poisson kernel
+table holds (null for the scans).
 
 The ``eos`` and ``rotation`` sections are read by
 ``EquationOfState.from_config`` and ``RotationSpec.from_config``: each
@@ -293,8 +294,8 @@ class _Runner:
         self.seed = seed
         self.jobs = jobs
         self.artifacts = []
-        #: thread parts of the run's Poisson kernel (None: no single star)
-        self.poisson_parts = None
+        #: bytes of the run's Poisson kernel table (None: no single star)
+        self.poisson_table_bytes = None
         self.t0 = time.time()
 
     def path(self, name: str) -> str:
@@ -303,7 +304,7 @@ class _Runner:
 
     def solve_star(self):
         star = solve_configured_star(self.cfg)
-        self.poisson_parts = star.kernel.parts
+        self.poisson_table_bytes = star.kernel.table_bytes
         return star
 
     def manifest(self) -> None:
@@ -318,7 +319,7 @@ class _Runner:
                     "scipy": scipy.__version__,
                 },
                 "artifacts": sorted(self.artifacts),
-                "poisson_parts": self.poisson_parts,
+                "poisson_table_bytes": self.poisson_table_bytes,
                 "runtime_seconds": time.time() - self.t0,
             },
         )

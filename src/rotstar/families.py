@@ -37,7 +37,6 @@ from rotstar.bases import perturbation_basis
 from rotstar.eos import EquationOfState, polytrope
 from rotstar.equilibria import solve_fixed_j, solve_fixed_omega
 from rotstar.errors import SolverError
-from rotstar.poisson import share_cpus
 from rotstar.radial import sign_changes
 from rotstar.rotlaw import AngularVelocityLaw, MomentumDistribution, RotationSpec
 from rotstar.rotlaw import FixedTotalMomentum
@@ -248,9 +247,7 @@ def _run_scan(job: _ScanJob, mu_grid, jobs: int) -> FamilyScanResult:
     if np.any(np.diff(mus) <= 0):
         raise ValueError("mu_grid must increase strictly")
     if jobs > 1:
-        # each worker's Poisson threads get its share of the CPUs
-        pool = ProcessPoolExecutor(max_workers=jobs, initializer=share_cpus, initargs=(jobs,))
-        with pool:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             points = list(pool.map(job.run, mus))
     else:
         points = [job.run(m) for m in mus]

@@ -29,24 +29,52 @@ symmetric-convolution theorem, Martucci 1994).  So a solve transforms the
 weighted source along the contiguous z axis (DCT-I of planes 0..nz-1 padded
 to M + 1 points, or DST-I of planes 1..nz-1 padded to M - 1), multiplies
 each frequency's source row into the table and inverts the transform.  By
-the r <-> r' symmetry the product is row @ ghat[f, :J, :], which reads one
-contiguous slab of J table rows per frequency, the table once per solve.
+the r <-> r' symmetry the product is row @ ghat[f, :J, :], which reads the
+table once per solve.
 An odd-parity source whose z = 0 plane is nonzero keeps the meaning of the
 mirrored sum: that plane is counted once, as an even delta.  Its spectrum
 is the plane itself at every frequency, carried as a second row of the same
 product and inverted with a DCT-I; the row is left out when the plane is
 zero, as it is for every odd Galerkin field.
 
-The table is built in blocks of _R_BLOCK target radii, each filling only
-its columns j >= i; the strict lower triangle is then mirrored from the
-upper one frequency at a time.  Each block needs two arrays of its own
-size, formed and transformed in place, so a build peaks a few MiB above the
-table it returns (at 256^2 the table is 256.5 MiB and the build's
-high-water mark 263 MiB above the process before it).
+The table is a symmetric hierarchical matrix (Hackbusch 1999, Computing
+62:89).  A table whose dense size, (M + 1) nr^2 doubles, is at most
+_DENSE_BYTES (64 MiB) is one dense leaf: every table up to 160^2.  A larger
+one bisects the radii recursively down to leaves of at most _LEAF (32)
+radii.  Each diagonal leaf is a dense (M + 1, n, n) block; each pair of
+sibling ranges [lo, mid), [mid, hi) stores its upper block once, as
+per-frequency factors u (M + 1, mid - lo, k) and v (M + 1, k, hi - mid),
+and its lower block is the transpose.  Off the diagonal the kernel
+separates: in the continuum the vertical transform of the m = 0 ring
+kernel is I0(k r<) K0(k r>), rank one per frequency, and the wrapped,
+discrete blocks keep ranks 5 to 9.  Dense sizes and split sizes:
+
+    grid     dense       table
+    96^2      13.6 MiB    13.6 MiB (one leaf)
+    160^2     62.7 MiB    62.7 MiB (one leaf)
+    192^2    108.3 MiB    25.0 MiB
+    256^2    256.5 MiB    52.4 MiB
+
+A dense block is built in blocks of _R_BLOCK target radii, each filling
+only its columns j >= i, transformed in place; its strict lower triangle
+is then mirrored from the upper one frequency at a time, so it peaks a few
+MiB above the block it returns.  A pair is filled by adaptive cross
+approximation (Bebendorf 2000, Numer. Math. 86:565) from kernel rows and
+columns, never from its dense block, and recompressed to its rank at
+_CROSS_TOL of each frequency's largest diagonal-leaf entry
+(``_cross_pair``).  At 256^2 the split build evaluates 13,248 kernel
+rows (of M + 1 entries) against the dense build's 33,024, took 0.36 s
+against 0.60 s and peaked 9 MiB above its table, and a lone field's
+product took 6.0 ms against 15.6 ms (Intel Xeon vCPU, one BLAS thread);
+its potentials agree with the dense table's to 3e-15 of the largest for
+a star density and to 5e-13 for white noise.  At 96^2 a split table
+builds in 0.050 s against 0.035 s and an 8-field product takes 1.9 ms
+against 0.9 ms, which is why small tables stay one leaf.
 
 A solve trims the source at its support: radii past the last one with a
-nonzero value only multiply zeros, so the transform and the matrix product
-see the first J radii only (ghat[:, :J, :], J = last nonzero radius + 1).
+nonzero value only multiply zeros, so the transform and the table product
+see the first J radii only (J = last nonzero radius + 1), and a leaf or
+half of a pair whose source radii start at or past J is skipped.
 Star densities and Galerkin fields vanish outside the star (J = 197 of 256
 radii for a 256^2 star grid at the default padding); the potential is the
 same as with all radii, and an all-zero source gives exactly 0.
@@ -55,11 +83,11 @@ A solve takes one field (nr, nz) or a stack (n, nr, nz) of fields of one
 parity, such as a stability form's Galerkin fields; a lone field is a stack
 of one.  The stack shares one support J, that of its widest field, and is
 solved in blocks of _STACK_BLOCK (8) fields.  A block is one forward
-transform, one matrix product per frequency (rows, J) @ ghat[f, :J, :] that
-reads the slab once for all its fields, and one inverse transform written
+transform, one table product per frequency with its (rows, J) spectra that
+reads the table once for all its fields, and one inverse transform written
 straight into the stack's preallocated result.  Field by field, each solve
-streams the whole slab for one row: at 120^2, 45 even fields took 85 ms one
-at a time and 49 ms stacked (Intel Xeon vCPU, one BLAS thread).  The block
+streams the whole table for one row: at 120^2, 45 even fields took 85 ms
+one at a time and 49 ms stacked (Intel Xeon vCPU, one BLAS thread).  The block
 bounds the spectra in flight to 8 fields' worth however long the stack;
 solving a 45-field stack at once held about six times as much.  The odd
 midplane rule holds per field: each odd field whose z = 0 plane is nonzero
@@ -86,31 +114,11 @@ grid with the same nr, nz and normalised coordinates reuses it, which is what
 a family scan's pad * R grids do.  A grid that misses drops the old table
 before the new one is built, so a process holds at most one table beyond
 those its live kernels still use.  Each ``--jobs`` worker builds its own.
-
-Large tables are built and applied on several threads of one process.  One
-rule sets the part count of a build and of a solve: one part per
-_PART_BYTES (64 MiB) of the table, or of the slab a solve reads, and at most
-one per CPU this process may run on (``os.sched_getaffinity``); a worker of a
-``--jobs N`` scan gets max(1, cpus // N) of them (``share_cpus``).  Below one
-part the work runs inline on the calling thread, as every table up to 128^2
-(32 MiB) does; a 256^2 table gets two parts on two CPUs.  A build deals its
-row blocks out to the parts in turn and mirrors contiguous frequency ranges;
-a solve cuts the frequency axis of its matrix product into contiguous
-ranges.  Each part writes its own entries with the same arithmetic as the
-one-part path, so tables and potentials are bit-identical whatever the part
-count.  The threads run only numpy, scipy.special and pocketfft kernels,
-which release the GIL; they end before the call returns, so no thread
-outlives a build or solve into a forked scan worker.  The build's parts
-share its _R_BLOCK rows in flight and their arrays are allocated on the
-calling thread (memory a worker thread allocates stays in that thread's
-malloc arena), so a two-part build peaks no higher than a one-part build.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -121,19 +129,30 @@ from scipy.special import ellipkm1
 
 __all__ = ["Grid", "RingKernel", "rect_log_mean"]
 
-#: target radii per block of the kernel build; bounds its temporaries
+#: target radii per block of a dense leaf's fill; bounds its temporaries
 _R_BLOCK = 2
 
-#: table bytes (build) or table-slab bytes (solve) per thread part; smaller
-#: work runs inline on the calling thread
-_PART_BYTES = 64 * 2**20
+#: a table whose dense size is at most this many bytes is one dense leaf;
+#: a larger one is split into leaves and low-rank off-diagonal pairs
+_DENSE_BYTES = 64 * 2**20
+
+#: most radii per leaf of a split table
+_LEAF = 32
+
+#: cross approximation and recompression tolerance of the off-diagonal
+#: pairs, relative to each frequency's largest diagonal-leaf entry (at
+#: 1e-13, white-noise odd sources at 192^2 and 256^2 read up to 1.5e-12
+#: from the dense potential; at this value 5e-13, for 2% more table)
+_CROSS_TOL = 5e-14
+
+#: smallest pivot, relative to its frequency's residual row and column,
+#: that a cross step takes: a smaller one inflates the factors, and with
+#: them the round-off of every later residual, by its inverse
+_PIVOT_RATIO = 1e-2
 
 #: fields per block of a stacked solve; a block's spectra are the only
 #: temporaries that grow with the fields solved at once
 _STACK_BLOCK = 8
-
-#: scan workers sharing this process's CPUs (``share_cpus``)
-_cpu_share = 1
 
 #: a grid reuses the cached unit table when its normalised radii and hz
 #: agree with the table's to this absolute tolerance
@@ -176,43 +195,6 @@ def _parity_sign(parity: str) -> float:
     if parity not in ("even", "odd"):
         raise ValueError("parity must be 'even' or 'odd'")
     return 1.0 if parity == "even" else -1.0
-
-
-def share_cpus(jobs: int) -> None:
-    """Let this process's builds and solves use max(1, cpus // jobs) threads.
-
-    Run in each worker process of a ``--jobs`` scan pool, so that the workers
-    together use no more threads than the process has CPUs.
-    """
-    global _cpu_share
-    _cpu_share = jobs
-
-
-def _part_count(nbytes: int) -> int:
-    """Parts for a table build or solve that sweeps nbytes of table.
-
-    One part per _PART_BYTES, at most one per thread of the CPU budget
-    (the CPUs this process may run on, divided by ``share_cpus``).
-    """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    threads = max(1, (cpus or 1) // _cpu_share)
-    return max(1, min(threads, nbytes // _PART_BYTES))
-
-
-def _run_parts(work, parts: int) -> None:
-    """Call work(p) for p = 0..parts-1, part 0 on the calling thread.
-
-    The other parts run on threads that end before this returns, so none is
-    left to a forked scan worker.  Each part must write disjoint output.
-    """
-    if parts == 1:
-        work(0)
-        return
-    with ThreadPoolExecutor(max_workers=parts - 1) as pool:
-        futures = [pool.submit(work, p) for p in range(1, parts)]
-        work(0)
-        for fut in futures:
-            fut.result()
 
 
 def rect_log_mean(a: float, b: float) -> float:
@@ -287,68 +269,235 @@ class Grid:
         return cumulative_trapezoid(self.rs * self.z_integral(rho), self.rs, initial=0)
 
 
+class _Leaf(NamedTuple):
+    """Dense diagonal block ghat[:, lo:hi, lo:hi]."""
+
+    lo: int
+    hi: int
+    block: np.ndarray
+
+
+class _Pair(NamedTuple):
+    """Off-diagonal blocks ghat[f, lo:mid, mid:hi] = u[f] @ v[f] and, by the
+    symmetry, ghat[f, mid:hi, lo:mid] = v[f].T @ u[f].T."""
+
+    lo: int
+    mid: int
+    hi: int
+    u: np.ndarray  # (M + 1, mid - lo, k)
+    v: np.ndarray  # (M + 1, k, hi - mid)
+
+
+class _Table(NamedTuple):
+    """Real kernel spectrum ghat[f, i, j] of a unit grid, as a symmetric
+    hierarchical matrix: dense diagonal leaves and low-rank pairs."""
+
+    leaves: tuple
+    pairs: tuple
+
+    @property
+    def freqs(self) -> int:
+        return self.leaves[0].block.shape[0]
+
+    @property
+    def nbytes(self) -> int:
+        return sum(leaf.block.nbytes for leaf in self.leaves) + sum(
+            pair.u.nbytes + pair.v.nbytes for pair in self.pairs
+        )
+
+    def multiply(self, rows: np.ndarray, out: np.ndarray) -> None:
+        """out[f] = rows[f] @ ghat[f, :J, :] for (M + 1, b, J) rows.
+
+        A leaf or half of a pair whose source radii start at or past J
+        only multiplies zeros and is skipped.
+        """
+        J = rows.shape[2]
+        for lo, hi, block in self.leaves:
+            if lo < J:
+                top = min(hi, J)
+                np.matmul(rows[:, :, lo:top], block[:, : top - lo], out=out[:, :, lo:hi])
+            else:
+                out[:, :, lo:hi] = 0.0
+        for lo, mid, hi, u, v in self.pairs:
+            if lo < J:
+                top = min(mid, J)
+                out[:, :, mid:hi] += (rows[:, :, lo:top] @ u[:, : top - lo]) @ v
+            if mid < J:
+                top = min(hi, J)
+                vt = v[:, :, : top - mid].transpose(0, 2, 1)
+                out[:, :, lo:mid] += (rows[:, :, mid:top] @ vt) @ u.transpose(0, 2, 1)
+
+
 class _UnitTable(NamedTuple):
     rs: np.ndarray
     hz: float
     nz: int
-    ghat: np.ndarray
+    table: _Table
 
 
 #: the last unit-coordinate table built in this process
 _unit_table: _UnitTable | None = None
 
 
-def _build_unit_table(rs: np.ndarray, hz: float, nz: int) -> np.ndarray:
-    """Real kernel spectrum ghat[f, i, j] of the grid (rs, hz, nz), read-only."""
-    nr = rs.size
-    half = next_fast_len(2 * nz - 2)  # N / 2
+def _bisect(lo: int, hi: int):
+    """Leaf spans (lo, hi) and pair spans (lo, mid, hi) of the radii
+    [lo, hi) bisected down to leaves of at most _LEAF radii."""
+    if hi - lo <= _LEAF:
+        return [(lo, hi)], []
+    mid = (lo + hi) // 2
+    leaves_lo, pairs_lo = _bisect(lo, mid)
+    leaves_hi, pairs_hi = _bisect(mid, hi)
+    return leaves_lo + leaves_hi, [(lo, mid, hi)] + pairs_lo + pairs_hi
+
+
+def _dense_block(rs: np.ndarray, hz: float, dz: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Diagonal block ghat[:, lo:hi, lo:hi] of the grid (rs, hz)."""
+    n = hi - lo
     local_dr = np.gradient(rs)  # self-cell widths
-    dz = hz * np.arange(half + 1)
-    ghat = np.empty((half + 1, nr, nr))
-    parts = _part_count(ghat.nbytes)
-    # the parts share the _R_BLOCK rows in flight (one row each beyond
-    # _R_BLOCK parts), so the temporaries of a build on up to _R_BLOCK parts
-    # do not grow with the part count; they are allocated on this thread,
-    # since memory a worker thread allocates stays in its malloc arena
-    block = max(1, _R_BLOCK // parts)
-    work = [[np.empty((block, nr, half + 1)) for _ in range(2)] for _ in range(parts)]
-
-    def fill_rows(p):
-        # each block of rows fills its columns j >= i0; blocks are dealt out
-        # in turn, which evens the parts' triangle work
-        for i0 in range(p * block, nr, parts * block):
-            i1 = min(i0 + block, nr)
-            gtab = _ring_green(
-                rs[i0:i1, None, None], rs[None, i0:, None], dz,
-                [w[: i1 - i0, : nr - i0] for w in work[p]],
-            )
-            # analytic log average over the self cell for diagonal targets;
-            # the axis entry carries zero quadrature weight and is left as is
-            for i in range(max(i0, 1), i1):
-                mean_ln = rect_log_mean(0.5 * local_dr[i], 0.5 * hz)
-                gtab[i - i0, i - i0, 0] = (2.0 / rs[i]) * (math.log(8.0 * rs[i]) - mean_ln)
-            ghat[:, i0:i1, i0:] = dct(gtab, type=1, axis=2, overwrite_x=True).transpose(2, 0, 1)
-
-    _run_parts(fill_rows, parts)
+    ghat = np.empty((dz.size, n, n))
+    work = [np.empty((_R_BLOCK, n, dz.size)) for _ in range(2)]
+    # each block of rows fills its columns j >= i0
+    for i0 in range(lo, hi, _R_BLOCK):
+        i1 = min(i0 + _R_BLOCK, hi)
+        gtab = _ring_green(
+            rs[i0:i1, None, None], rs[None, i0:hi, None], dz,
+            [w[: i1 - i0, : hi - i0] for w in work],
+        )
+        # analytic log average over the self cell for diagonal targets;
+        # the axis entry carries zero quadrature weight and is left as is
+        for i in range(max(i0, 1), i1):
+            mean_ln = rect_log_mean(0.5 * local_dr[i], 0.5 * hz)
+            gtab[i - i0, i - i0, 0] = (2.0 / rs[i]) * (math.log(8.0 * rs[i]) - mean_ln)
+        ghat[:, i0 - lo : i1 - lo, i0 - lo :] = dct(
+            gtab, type=1, axis=2, overwrite_x=True
+        ).transpose(2, 0, 1)
     # the strict lower triangle is mirrored from the upper by the r <-> r'
-    # symmetry, one frequency at a time, through one buffer per part (a copy
-    # from the overlapping view gf.T would allocate it on the part's thread)
+    # symmetry, one frequency at a time, through one buffer (a copy from the
+    # overlapping view gf.T would allocate one per frequency)
     del work
-    lower = np.tri(nr, k=-1, dtype=bool)
-    mirror_buf = [np.empty((nr, nr)) for _ in range(parts)]
-    freqs = np.linspace(0, half + 1, parts + 1).astype(int)
-
-    def mirror(p):
-        for gf in ghat[freqs[p] : freqs[p + 1]]:
-            np.copyto(mirror_buf[p], gf.T)
-            np.copyto(gf, mirror_buf[p], where=lower)
-
-    _run_parts(mirror, parts)
-    ghat.flags.writeable = False
+    lower = np.tri(n, k=-1, dtype=bool)
+    buf = np.empty((n, n))
+    for gf in ghat:
+        np.copyto(buf, gf.T)
+        np.copyto(gf, buf, where=lower)
     return ghat
 
 
-def _shared_unit_table(rs: np.ndarray, hz: float, nz: int) -> np.ndarray:
+def _kernel_spectra(rs: np.ndarray, dz: np.ndarray, i: int, a: int, b: int) -> np.ndarray:
+    """ghat[:, i, a:b] off the diagonal (by the symmetry also ghat[:, a:b, i])."""
+    return dct(_ring_green(rs[i], rs[a:b, None], dz), type=1, axis=1, overwrite_x=True).T
+
+
+def _cross_pair(rs: np.ndarray, dz: np.ndarray, lo: int, mid: int, hi: int,
+                scale: np.ndarray) -> _Pair:
+    """Pair of ghat[:, lo:mid, mid:hi] by adaptive cross approximation.
+
+    Rows and columns of the block are kernel spectra, evaluated once and
+    shared by all frequencies; each frequency f keeps its own cross terms
+    and its tolerance _CROSS_TOL * scale[f].  The first row is the one
+    beside the diagonal, which holds the largest entries.  In a row, the
+    column is taken where the residual row is largest against the
+    tolerances; a frequency whose pivot there is inside its tolerance takes
+    no update (its pivot is round-off), nor does one whose pivot is below
+    _PIVOT_RATIO of its residual row's and column's largest entries.  The
+    others take the cross term, which clears their residual row, and
+    further columns of the same row are taken while the row is outside a
+    tolerance and some frequency takes an update.  The next row is the
+    unused one where the residual columns were largest.  A fresh row inside
+    every tolerance hands over to the next unused probe row (distances
+    1, 2, 4, ... from the diagonal, where the high frequencies live, then
+    the far edge), and the steps stop when the probes are used up.  A
+    frequency's terms fill its own slots, so the factors are as wide as the
+    most terms one frequency took; they are then recompressed frequency by
+    frequency (QR of both, SVD of the small core), kept above the tolerance
+    and padded with zeros to the largest kept rank.
+    """
+    # residuals are kept in units of each frequency's tolerance
+    inv_tol = 1.0 / (_CROSS_TOL * scale)[:, None]
+    n1, n2 = mid - lo, hi - mid
+    u = np.zeros((dz.size, n1, 8))  # residual columns over their pivots
+    v = np.zeros((dz.size, 8, n2))  # residual rows
+    terms = np.zeros(dz.size, dtype=int)
+    free = np.ones(n1, dtype=bool)
+    probes = [mid - 1 - d for d in 2 ** np.arange(int(math.log2(n1)) + 1) if d < n1] + [lo]
+    i = mid - 1
+    while True:
+        free[i - lo] = False
+        k = terms.max()
+        row = _kernel_spectra(rs, dz, i, mid, hi) * inv_tol
+        row -= (u[:, i - lo, None, :k] @ v[:, :k])[:, 0]
+        score = None  # largest residual column entries met in this row
+        for _ in range(n2):
+            above = _largest(row, axis=0)
+            if np.max(above) <= 1.0:
+                break
+            j = int(np.argmax(above))
+            k = terms.max()
+            col = _kernel_spectra(rs, dz, mid + j, lo, mid) * inv_tol
+            col -= (u[:, :, :k] @ v[:, :k, j, None])[:, :, 0]
+            col_above = _largest(col, axis=0)
+            score = col_above if score is None else np.maximum(score, col_above)
+            largest = np.maximum(_largest(row, axis=1), _largest(col, axis=1))
+            pivot = np.abs(row[:, j])
+            live = np.flatnonzero((pivot > 1.0) & (pivot >= _PIVOT_RATIO * largest))
+            if not live.size:
+                break
+            if k == u.shape[2]:
+                u = np.concatenate([u, np.zeros_like(u)], axis=2)
+                v = np.concatenate([v, np.zeros_like(v)], axis=1)
+            slot = terms[live]
+            u[live, :, slot] = col[live] / row[live, j, None]
+            v[live, slot, :] = row[live]
+            terms[live] += 1
+            row[live] -= u[live, i - lo, slot, None] * v[live, slot, :]
+        if score is not None and free.any():
+            i = lo + int(np.argmax(np.where(free, score, -1.0)))
+            continue
+        i = next((p for p in probes if free[p - lo]), None)
+        if i is None:
+            break
+    k = terms.max()
+    qu, ru = np.linalg.qr(u[:, :, :k])
+    qv, rv = np.linalg.qr(v[:, :k].transpose(0, 2, 1))
+    del u, v
+    w, s, zt = np.linalg.svd(ru @ rv.transpose(0, 2, 1))
+    s[s <= 1.0] = 0.0
+    rank = int(np.max(np.count_nonzero(s, axis=1)))
+    s /= inv_tol  # back from tolerance units
+    return _Pair(lo, mid, hi, qu @ (w[:, :, :rank] * s[:, None, :rank]),
+                 zt[:, :rank] @ qv.transpose(0, 2, 1))
+
+
+def _largest(a: np.ndarray, axis: int) -> np.ndarray:
+    """max |a| along ``axis``, without an |a| temporary."""
+    return np.maximum(a.max(axis=axis), -a.min(axis=axis))
+
+
+def _build_unit_table(rs: np.ndarray, hz: float, nz: int) -> _Table:
+    """Kernel spectrum of the grid (rs, hz, nz): one dense leaf when its
+    dense size is at most _DENSE_BYTES, else leaves and pairs."""
+    nr = rs.size
+    half = next_fast_len(2 * nz - 2)  # N / 2
+    dz = hz * np.arange(half + 1)
+    if (half + 1) * nr * nr * 8 <= _DENSE_BYTES:
+        spans, pair_spans = [(0, nr)], []
+    else:
+        spans, pair_spans = _bisect(0, nr)
+    leaves = tuple(_Leaf(lo, hi, _dense_block(rs, hz, dz, lo, hi)) for lo, hi in spans)
+    pairs = ()
+    if pair_spans:
+        scale = np.max([_largest(leaf.block, axis=(1, 2)) for leaf in leaves], axis=0)
+        pairs = tuple(_cross_pair(rs, dz, lo, mid, hi, scale) for lo, mid, hi in pair_spans)
+    table = _Table(leaves, pairs)
+    for leaf in leaves:
+        leaf.block.flags.writeable = False
+    for pair in pairs:
+        pair.u.flags.writeable = False
+        pair.v.flags.writeable = False
+    return table
+
+
+def _shared_unit_table(rs: np.ndarray, hz: float, nz: int) -> _Table:
     """Table of the unit grid (rs, hz, nz), taken from the one-entry cache."""
     global _unit_table
     t = _unit_table
@@ -359,11 +508,11 @@ def _shared_unit_table(rs: np.ndarray, hz: float, nz: int) -> np.ndarray:
         and abs(t.hz - hz) <= _MATCH_TOL
         and np.max(np.abs(t.rs - rs)) <= _MATCH_TOL
     ):
-        return t.ghat
+        return t.table
     t = _unit_table = None  # release the old table before the new one is built
-    ghat = _build_unit_table(rs, hz, nz)
-    _unit_table = _UnitTable(rs, hz, nz, ghat)
-    return ghat
+    table = _build_unit_table(rs, hz, nz)
+    _unit_table = _UnitTable(rs, hz, nz, table)
+    return table
 
 
 def _spectrum_rows(w: np.ndarray, even: bool, M: int):
@@ -392,12 +541,15 @@ class RingKernel:
     def __init__(self, grid: Grid):
         self.grid = grid
         s = grid.rs[-1]
-        self._ghat = _shared_unit_table(grid.rs / s, grid.hz / s, grid.nz)
-        #: most thread parts the table's build and this kernel's solves use
-        self.parts = _part_count(self._ghat.nbytes)
+        self._table = _shared_unit_table(grid.rs / s, grid.hz / s, grid.nz)
         # the grid's kernel is the unit table divided by s; the weights also
         # carry hz and the sign of the (attractive) potential
         self._src_weight = -(grid.hz / s) * grid.wr * grid.rs
+
+    @property
+    def table_bytes(self) -> int:
+        """Bytes the (shared) unit table holds."""
+        return self._table.nbytes
 
     def potential(self, source: np.ndarray, parity: str = "even",
                   out: np.ndarray | None = None) -> np.ndarray:
@@ -433,22 +585,12 @@ class RingKernel:
         shared support, written into the (b, nr, nz) ``out``."""
         nz = self.grid.nz
         b, J = source.shape[:2]
-        ghat = self._ghat
-        M = ghat.shape[0] - 1
+        M = self._table.freqs - 1
         # the weighted block lives only as long as its transform
         rows, mids = _spectrum_rows(source * self._src_weight[:J, None], even, M)
-        # rows @ ghat[f, :J, :] equals ghat[f, :, :J] @ rows.T by the symmetry;
-        # the parts take contiguous frequency ranges of one product
-        slab = ghat[:, :J, :]
-        parts = _part_count(slab.nbytes)
-        freqs = np.linspace(0, M + 1, parts + 1).astype(int)
+        # rows @ ghat[f, :J, :] equals ghat[f, :, :J] @ rows.T by the symmetry
         vhat = np.empty((M + 1, rows.shape[1], self.grid.nr))
-
-        def multiply(p):
-            f0, f1 = freqs[p], freqs[p + 1]
-            np.matmul(rows[f0:f1], slab[f0:f1], out=vhat[f0:f1])
-
-        _run_parts(multiply, parts)
+        self._table.multiply(rows, vhat)
         # the inverse transforms run in place in vhat (no second array of its
         # size); the potentials are copied out of their M + 1 planes
         if even:

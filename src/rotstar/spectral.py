@@ -105,6 +105,7 @@ def velocity_basis(
     grad_deg_z: int = 4,
     ring_knots: int = 12,
     ring_deg_z: int = 3,
+    div_fields: np.ndarray | None = None,
 ) -> VelocityBasis:
     """Gradient plus divergence-free stream fields on the star.
 
@@ -122,7 +123,9 @@ def velocity_basis(
     support mask, a ring field the sum of two such products with profiles
     of rho0 and its gradient.  Only the gradient fields' divergences, which
     L1's Poisson solves need, are dense.  Every field is exactly zero off
-    the support.
+    the support.  ``div_fields``, when given, are those divergences from a
+    basis of the same star, parity and gradient degrees (the ring fields
+    may differ), and are reused instead of built again.
     """
     if parity not in ("even", "odd"):
         raise ValueError("parity must be 'even' or 'odd'")
@@ -177,18 +180,20 @@ def velocity_basis(
     dxi = (dPr * x_r)[gi]
     grad_r = term(grad, dxi, Pz[js], gpos, on)
     grad_z = term(grad, Pr[gi], dPz[js] / Z0, gpos, on)
-    # laplacian: xi_rr + xi_r / r + xi_zz, with the r^2 argument; the
-    # divergence alone is dense, read from unmasked gradient stacks
-    xi_r = dxi[:, :, None] * Pz[gj][:, None, :]
-    xi_z = Pr[gi][:, :, None] * dPz[gj][:, None, :]
-    xi_z /= Z0
-    lap_r = d2Pr * x_r**2 + dPr * (8.0 / R0**2)
-    div = lap_r[gi][:, :, None] * Pz[gj][:, None, :]
-    div += Pr[gi][:, :, None] * d2Pz[gj][:, None, :] / Z0**2
-    div *= rho
-    div += drho_r * xi_r
-    div += drho_z * xi_z
-    div[:, ~mask] = 0.0
+    if div_fields is None:
+        # laplacian: xi_rr + xi_r / r + xi_zz, with the r^2 argument; the
+        # divergence alone is dense, read from unmasked gradient stacks
+        xi_r = dxi[:, :, None] * Pz[gj][:, None, :]
+        xi_z = Pr[gi][:, :, None] * dPz[gj][:, None, :]
+        xi_z /= Z0
+        lap_r = d2Pr * x_r**2 + dPr * (8.0 / R0**2)
+        div_fields = lap_r[gi][:, :, None] * Pz[gj][:, None, :]
+        div_fields += Pr[gi][:, :, None] * d2Pz[gj][:, None, :] / Z0**2
+        div_fields *= rho
+        div_fields += drho_r * xi_r
+        div_fields += drho_z * xi_z
+        div_fields[:, ~mask] = 0.0
+        del xi_r, xi_z
 
     # ring fields, bump b outer and z factor j inner:
     # u_r = r beta_b (2 rho_z Z_j + rho Z_j'),
@@ -207,7 +212,7 @@ def velocity_basis(
         term(ring, np.repeat(beta, len(kz), axis=0), -Z, zpos, 2.0 * rho + 2.0 * RG * drho_r),
         term(ring, np.repeat(dbeta, len(kz), axis=0), -Z, zpos, RG * rho),
     ))
-    return VelocityBasis(star=star, u_r=u_r, u_z=u_z, div_fields=div, parity=parity)
+    return VelocityBasis(star=star, u_r=u_r, u_z=u_z, div_fields=div_fields, parity=parity)
 
 
 def upsilon_range(star: AxiStar):
@@ -308,20 +313,23 @@ def spectrum_report(
     discrete when it moves by less than ``discrete_drift_tol`` relatively
     between the two finest levels while staying outside the interval.
     Ambiguous values are flagged; ``strict`` escalates them to an error.
-    The levels differ in their ring fields only, so L1 is assembled once,
-    on the first level's gradient fields, and reused at every level.
+    The levels differ in their ring fields only, so the gradient fields'
+    divergences are built and L1 is assembled once, on the first level,
+    and both are reused at every level.
     """
     if levels < 2:
         raise ValueError("need at least two refinement levels")
     lo, hi = upsilon_range(star)
-    spectra, l1 = [], None
+    spectra, l1, div = [], None, None
     for lev in range(levels):
         vb = velocity_basis(
             star,
             grad_deg_r=grad_deg_r,
             grad_deg_z=grad_deg_z,
             ring_knots=ring_knots0 * 2**lev,
+            div_fields=div,
         )
+        div = vb.div_fields
         if l1 is None:  # every level has the same gradient fields
             l1 = _l1_block(vb)
         form = assemble_meridional_form(vb, l1)

@@ -6,6 +6,7 @@ import sys
 import jsonschema
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 
 from rotstar import cli, poisson, radial
 from rotstar.cli import EXIT_AMBIGUOUS, EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, ConfigError, main
@@ -38,7 +39,7 @@ def test_radial_scan_monotone_mass(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert "config_hash" in manifest and "versions" in manifest
     assert "radial_scan.csv" in manifest["artifacts"]
-    assert manifest["poisson_parts"] is None  # no Poisson solve
+    assert manifest["poisson_table_bytes"] is None  # no Poisson solve
 
 
 def test_unknown_key_rejected_before_compute(tmp_path):
@@ -131,8 +132,9 @@ def test_equilibrium_and_stability_commands(tmp_path):
     meta = json.loads((out1 / "equilibrium.json").read_text())
     assert meta["residual"] < 1e-8
     assert (out1 / "star" / "density.csv").exists()
-    # a 56^2 table is far below one part: the solves ran on this thread
-    assert json.loads((out1 / "manifest.json").read_text())["poisson_parts"] == 1
+    # a 56^2 table is one dense leaf of (M + 1, 56, 56) doubles, M = next_fast_len(110)
+    table_bytes = json.loads((out1 / "manifest.json").read_text())["poisson_table_bytes"]
+    assert table_bytes == (next_fast_len(110) + 1) * 56 * 56 * 8
 
     cfg = write(tmp_path, "st.json", {**star, "basis": {"deg_r": 8, "deg_z": 4}})
     out2 = tmp_path / "st"

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from rotstar import poisson
 from rotstar.equilibria import RotationSpec
 from rotstar.families import (
     FamilyPoint,
@@ -149,27 +148,19 @@ def test_transitions_stable_under_grid_refinement(eos_blend):
     assert coarse.tpp_verdict == fine.tpp_verdict == "TPP-holds"
 
 
-class _CpuShareJob:
-    """Scan job whose points report the Poisson CPU share of their process."""
+class _TrivialJob:
+    """Scan job whose points carry their own mu as the mass."""
 
     rotation = ROTATIONS["fixed_j"]
 
     def run(self, mu):
-        return FamilyPoint(mu=mu, mass=float(poisson._cpu_share), n_u=0)
-
-
-def test_scan_workers_share_the_cpus():
-    res = _run_scan(_CpuShareJob(), [1.0, 2.0, 3.0], jobs=2)
-    assert [p.mass for p in res.points] == [2.0, 2.0, 2.0]
-    assert poisson._cpu_share == 1  # the parent keeps the whole budget
-    serial = _run_scan(_CpuShareJob(), [1.0, 2.0, 3.0], jobs=1)
-    assert [p.mass for p in serial.points] == [1.0, 1.0, 1.0]
+        return FamilyPoint(mu=mu, mass=mu, n_u=0)
 
 
 @pytest.mark.parametrize("jobs", [0, -1])
 def test_scan_rejects_nonpositive_jobs(jobs):
     with pytest.raises(ValueError, match="jobs must be at least 1"):
-        _run_scan(_CpuShareJob(), [1.0, 2.0], jobs=jobs)
+        _run_scan(_TrivialJob(), [1.0, 2.0], jobs=jobs)
 
 
 class _PeakJob:

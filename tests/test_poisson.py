@@ -1,5 +1,4 @@
 import math
-import sys
 import tracemalloc
 
 import numpy as np
@@ -171,7 +170,9 @@ def test_odd_source_counts_its_midplane_once():
 
 @pytest.mark.parametrize("shape, refine_at", [((21, 19), 0.8), ((40, 36), None), ((33, 27), 0.5)])
 def test_built_table_is_exactly_symmetric(shape, refine_at):
-    ghat = _fresh_kernel(make_grid(1.3, 1.1, *shape, refine_at=refine_at))._ghat
+    table = _fresh_kernel(make_grid(1.3, 1.1, *shape, refine_at=refine_at))._table
+    assert len(table.leaves) == 1 and not table.pairs
+    ghat = table.leaves[0].block
     assert ghat.shape == (ghat.shape[0], shape[0], shape[0])
     assert np.array_equal(ghat, ghat.transpose(0, 2, 1))
 
@@ -266,7 +267,7 @@ def test_stacked_solve_memory_is_bounded(monkeypatch, parity):
     kernel = RingKernel(grid)
     stack = np.random.default_rng(19).standard_normal((45,) + grid.shape)
     stack[:, :, 0] = 0.0  # odd Galerkin fields vanish on z = 0
-    spectrum = poisson._STACK_BLOCK * kernel._ghat.shape[0] * grid.nr * 8
+    spectrum = poisson._STACK_BLOCK * kernel._table.freqs * grid.nr * 8
     bound = stack.nbytes + 3 * spectrum
 
     def peak():
@@ -303,10 +304,10 @@ def test_cache_hit_matches_fresh_build(graded, lam):
     unit = _fresh_kernel(_scaled_grid(1.0, graded))
     grid = _scaled_grid(lam, graded)
     hit = RingKernel(grid)
-    assert hit._ghat is unit._ghat
-    assert not hit._ghat.flags.writeable
+    assert hit._table is unit._table
+    assert not hit._table.leaves[0].block.flags.writeable
     fresh = _fresh_kernel(grid)
-    assert fresh._ghat is not unit._ghat
+    assert fresh._table is not unit._table
     src = np.random.default_rng(3).standard_normal(grid.shape)
     for parity in ("even", "odd"):
         ref = fresh.potential(src, parity)
@@ -317,11 +318,11 @@ def test_cache_hit_matches_fresh_build(graded, lam):
 def test_cache_misses_on_other_nz_or_grading():
     base = _fresh_kernel(_scaled_grid(1.0, False))
     taller = RingKernel(_scaled_grid(1.0, False, nz=37))
-    assert taller._ghat is not base._ghat
+    assert taller._table is not base._table
     base = RingKernel(_scaled_grid(2.0, False))
     graded = RingKernel(_scaled_grid(2.0, True, nr=base.grid.nr))
     assert graded.grid.shape == base.grid.shape
-    assert graded._ghat is not base._ghat
+    assert graded._table is not base._table
 
 
 @settings(max_examples=25, deadline=None)
@@ -355,7 +356,7 @@ def test_kernel_build_memory_is_bounded():
     assert poisson._unit_table is not None
     assert peak <= 100 * 2**20
     # the build's temporaries stay small beside the table it returns
-    assert peak <= poisson._unit_table.ghat.nbytes + 8 * 2**20
+    assert peak <= poisson._unit_table.table.nbytes + 8 * 2**20
 
 
 def test_cache_miss_releases_old_table_first():
@@ -364,7 +365,7 @@ def test_cache_miss_releases_old_table_first():
     try:
         RingKernel(make_grid(1.0, 1.0, 128, 128))  # cached, no kernel keeps it
         one_build = tracemalloc.get_traced_memory()[1]
-        table_bytes = poisson._unit_table.ghat.nbytes
+        table_bytes = poisson._unit_table.table.nbytes
         RingKernel(make_grid(1.0, 1.0, 128, 127))  # miss
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -375,86 +376,132 @@ def test_cache_miss_releases_old_table_first():
     assert peak < one_build + 0.5 * table_bytes
 
 
-@pytest.fixture
-def fast_switching():
-    """Switch threads as often as the interpreter allows, to shake out races."""
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        yield
-    finally:
-        sys.setswitchinterval(old)
 
 
-def _force_parts(monkeypatch, parts):
-    """Split every build and solve into `parts` thread parts, however small."""
-    monkeypatch.setattr(poisson, "_PART_BYTES", 1)
-    _set_cpus(monkeypatch, parts)
+def _dense_of(table):
+    """The dense ghat[f, i, j] a table stands for."""
+    nr = table.leaves[-1].hi
+    ghat = np.empty((table.freqs, nr, nr))
+    for lo, hi, block in table.leaves:
+        ghat[:, lo:hi, lo:hi] = block
+    for lo, mid, hi, u, v in table.pairs:
+        ghat[:, lo:mid, mid:hi] = u @ v
+        ghat[:, mid:hi, lo:mid] = (u @ v).transpose(0, 2, 1)
+    return ghat
 
 
-def _set_cpus(monkeypatch, cpus):
-    monkeypatch.setattr(
-        poisson.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False
-    )
+def _force_split(monkeypatch, leaf):
+    """Split every table, however small, down to leaves of ``leaf`` radii."""
+    monkeypatch.setattr(poisson, "_DENSE_BYTES", 1)
+    monkeypatch.setattr(poisson, "_LEAF", leaf)
 
 
-@pytest.mark.parametrize("parts, r_block", [(2, 2), (3, 2), (2, 5), (6, 2)])
+@pytest.mark.parametrize("leaf, r_block", [(2, 2), (3, 2), (2, 5), (6, 2)])
 @pytest.mark.parametrize("shape, refine_at", [((21, 19), 0.8), ((40, 36), None)])
-def test_split_table_equals_one_part_table(
-    monkeypatch, fast_switching, parts, r_block, shape, refine_at
-):
+def test_split_table_equals_one_part_table(monkeypatch, leaf, r_block, shape, refine_at):
+    """A split table's leaves are the one-leaf table's diagonal blocks bit
+    for bit, and its pairs stand for the off-diagonal blocks to within the
+    cross tolerance of each frequency's largest entry (1.2e-13 measured)."""
     grid = make_grid(1.3, 1.1, *shape, refine_at=refine_at)
     monkeypatch.setattr(poisson, "_R_BLOCK", r_block)
-    one = _fresh_kernel(grid)
-    assert one.parts == 1
-    _force_parts(monkeypatch, parts)
-    split = _fresh_kernel(grid)
-    assert split.parts == parts
-    assert np.array_equal(split._ghat, one._ghat)
+    one = _fresh_kernel(grid)._table
+    assert len(one.leaves) == 1 and not one.pairs
+    _force_split(monkeypatch, leaf)
+    split = _fresh_kernel(grid)._table
+    spans = [(lo, hi) for lo, hi, _ in split.leaves]
+    assert [lo for lo, _ in spans] == [0] + [hi for _, hi in spans[:-1]]
+    assert spans[-1][1] == grid.nr and all(hi - lo <= leaf for lo, hi in spans)
+    assert len(split.pairs) == len(spans) - 1
+    ghat = one.leaves[0].block
+    for lo, hi, block in split.leaves:
+        assert np.array_equal(block, ghat[:, lo:hi, lo:hi])
+    scale = np.max(np.abs(ghat), axis=(1, 2))
+    err = np.max(np.abs(_dense_of(split) - ghat), axis=(1, 2))
+    assert np.all(err <= 1e-12 * scale)
+    for pair in split.pairs:
+        assert not pair.u.flags.writeable and not pair.v.flags.writeable
 
 
-@pytest.mark.parametrize("parts", [2, 3, 6])
-def test_split_potential_equals_one_part_potential(monkeypatch, fast_switching, parts):
-    grid = make_grid(1.3, 1.1, 21, 19, refine_at=0.8)
-    kernel = _fresh_kernel(grid)
-    rng = np.random.default_rng(13)
+def _split_cases(grid, rng):
+    """(source, parity) pairs: both parities, an odd source with a nonzero
+    z = 0 plane, support-trimmed sources and stacks of 1, 8 and 9 fields."""
     odd = rng.standard_normal(grid.shape)
     odd[:, 0] = 0.0
     trimmed = rng.standard_normal(grid.shape)
     trimmed[grid.nr // 2 :] = 0.0
-    cases = [
+    stack = _stack_of_fields(grid, n=9)
+    return [
         (rng.standard_normal(grid.shape), "even"),
         (odd, "odd"),
         (rng.standard_normal(grid.shape), "odd"),  # nonzero midplane row
         (trimmed, "even"),
         (trimmed, "odd"),
-        (_stack_of_fields(grid), "even"),
-        (_stack_of_fields(grid), "odd"),
+        (stack[:1], "even"),
+        (stack[:8], "odd"),
+        (stack, "even"),
+        (stack, "odd"),
     ]
-    ref = [kernel.potential(src, parity) for src, parity in cases]
-    _force_parts(monkeypatch, parts)
-    for (src, parity), want in zip(cases, ref):
-        assert np.array_equal(kernel.potential(src, parity), want)
 
 
-def test_part_count_rule(monkeypatch):
-    """One part per 64 MiB of table, at most one per CPU of the budget."""
-    monkeypatch.setattr(poisson, "_cpu_share", 1)
+@pytest.mark.parametrize("leaf", [2, 3, 6])
+def test_split_potential_equals_one_part_potential(monkeypatch, leaf):
+    """Potentials through a split table agree with the one-leaf table's to
+    1e-12 of the largest, on a graded and a uniform grid (1.5e-13 measured)."""
+    for grid in (make_grid(1.3, 1.1, 21, 19, refine_at=0.8), make_grid(1.3, 1.1, 40, 36)):
+        cases = _split_cases(grid, np.random.default_rng(13))
+        kernel = _fresh_kernel(grid)
+        ref = [kernel.potential(src, parity) for src, parity in cases]
+        with monkeypatch.context() as patch:
+            _force_split(patch, leaf)
+            split = _fresh_kernel(grid)
+        assert split._table.pairs
+        for (src, parity), want in zip(cases, ref):
+            got = split.potential(src, parity)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    def parts(cpus, nbytes):
-        _set_cpus(monkeypatch, cpus)
-        return poisson._part_count(nbytes)
 
-    table_256 = 513 * 256 * 256 * 8  # 256.5 MiB
-    table_120 = 241 * 120 * 120 * 8  # the bb1974 scan's table
-    assert parts(2, table_256) == 2
-    assert parts(8, table_256) == 4
-    assert parts(1, table_256) == 1
-    assert parts(8, table_120) == 1
-    assert parts(8, 63 * 2**20) == 1
-    poisson.share_cpus(2)  # a worker of a --jobs 2 scan
-    assert parts(2, table_256) == 1
-    assert parts(8, table_256) == 4
-    poisson.share_cpus(3)
-    assert parts(8, table_256) == 2
-    assert parts(2, table_256) == 1
+def test_split_table_at_192(monkeypatch):
+    """A 192^2 table splits under the real byte constant, holds at most a
+    third of its dense bytes (23% measured), and its potentials agree with
+    the dense table's to 1e-12 of the largest: a star density, its odd
+    moment, a 9-field stack of density-weighted fields and white noise of
+    both parities (3.1e-13 measured)."""
+    grid = make_grid(1.3, 1.3, 192, 192)
+    split = _fresh_kernel(grid)
+    table = split._table
+    dense_bytes = table.freqs * grid.nr**2 * 8
+    assert dense_bytes > poisson._DENSE_BYTES
+    assert len(table.leaves) == 8 and len(table.pairs) == 7
+    assert split.table_bytes == table.nbytes <= dense_bytes / 3
+    rng = np.random.default_rng(23)
+    RG, ZG = grid.meshes()
+    rho = np.maximum(1.0 - RG**2 - ZG**2, 0.0) ** 1.5
+    stack = rng.standard_normal((9,) + grid.shape) * rho
+    cases = [(rho, "even"), (rho * ZG, "odd"), (stack, "even"), (stack, "odd"),
+             (rng.standard_normal(grid.shape), "even"), (rng.standard_normal(grid.shape), "odd")]
+    got = [split.potential(src, parity) for src, parity in cases]
+    del split, table
+    monkeypatch.setattr(poisson, "_DENSE_BYTES", dense_bytes)
+    dense = _fresh_kernel(grid)
+    for (src, parity), mine in zip(cases, got):
+        want = dense.potential(src, parity)
+        assert np.max(np.abs(mine - want)) <= 1e-12 * np.max(np.abs(want))
+    poisson._unit_table = None
+
+
+def test_split_build_memory_is_bounded():
+    """A split build holds its leaves and pairs and little more: at 192^2
+    it peaked 5.4 MiB above its 25 MiB table, bound 8 MiB; the dense build
+    of the same grid returns 108 MiB."""
+    grid = make_grid(1.3, 1.3, 192, 192)
+    poisson._unit_table = None
+    tracemalloc.start()
+    try:
+        RingKernel(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table = poisson._unit_table.table
+    assert table.pairs
+    assert peak <= table.nbytes + 8 * 2**20
+    poisson._unit_table = None

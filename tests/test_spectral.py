@@ -148,19 +148,26 @@ def test_spectrum_classification(rayleigh_unstable_star):
 
 
 def test_spectrum_report_solves_the_gradient_fields_once(small_unstable_star, monkeypatch):
-    """Every level has the same gradient fields, so L1 is assembled once, and
-    each level's spectrum is still that of its own full assembly."""
+    """Every level has the same gradient fields, so their divergences are
+    built and L1 is assembled once, and each level's spectrum is still that
+    of its own full assembly."""
     from rotstar import spectral
 
     star = small_unstable_star
-    assembled = []
+    assembled, bases = [], []
     real = spectral.energy_blocks
     monkeypatch.setattr(
         spectral, "energy_blocks", lambda *a: assembled.append(a[1].shape[0]) or real(*a)
     )
+    real_basis = spectral.velocity_basis
+    monkeypatch.setattr(
+        spectral, "velocity_basis", lambda *a, **k: bases.append(real_basis(*a, **k)) or bases[-1]
+    )
     rep = spectrum_report(star, levels=3, ring_knots0=6, grad_deg_r=3, grad_deg_z=3)
     n_grad = velocity_basis(star, grad_deg_r=3, grad_deg_z=3).n_grad
     assert assembled == [n_grad]
+    assert len(bases) == 3
+    assert all(vb.div_fields is bases[0].div_fields for vb in bases)
     monkeypatch.undo()
     for lev, lam in enumerate(rep.levels):
         vb = velocity_basis(star, grad_deg_r=3, grad_deg_z=3, ring_knots=6 * 2**lev)
