@@ -1,19 +1,24 @@
 """Command-line front end: config validation, orchestration, artifacts.
 
-Subcommands read one JSON config file, validate it against a strict schema
-(unknown keys are rejected), run the requested experiment, and write CSV/JSON
-artifacts plus a manifest into the output directory.  Identical configs and
-seeds produce byte-identical data artifacts; the manifest additionally
-records wall-clock runtimes, which depend on the host, and therefore is not
-byte-reproducible; it also records the bytes the star's Poisson kernel
-table holds (null for the scans).
+Subcommands read one JSON config file, check it, run the requested
+experiment, and write CSV/JSON artifacts plus a manifest into the output
+directory.  Identical configs and seeds produce byte-identical data
+artifacts; the manifest additionally records wall-clock runtimes, which
+depend on the host, and therefore is not byte-reproducible; it also records
+the bytes the star's Poisson kernel table holds (null for the scans).
 
-The ``eos`` and ``rotation`` sections are read by
-``EquationOfState.from_config`` and ``RotationSpec.from_config``: each
-rotation form takes only its own class's parameters plus its amplitude
-(``kappa`` for a law, ``eps`` for a momentum distribution), and any other
-key is a config error.  A saved star bundle's ``meta.json`` holds the same
-two sections, so its ``eos``, ``rotation`` and ``mu`` replay as a config.
+Every scalar knob's type, range and default are one entry of ``KNOBS``;
+a key it does not list, a wrong type (an integer knob takes a JSON
+integer, a number is never a bool) or a value out of range is a config
+error naming the key path.  The ``eos`` and ``rotation`` sections are read
+by ``EquationOfState.from_config`` and ``RotationSpec.from_config``, which
+own their keys and bounds: each rotation form takes only its own class's
+parameters plus its amplitude (``kappa`` for a law, ``eps`` for a momentum
+distribution), and any other key is a config error.  Here each of their
+values is checked only for its kind: ``kind``, ``form`` and ``path`` are
+strings, ``blend``, ``r`` and ``omega`` lists of numbers, any other key a
+number.  A saved star bundle's ``meta.json`` holds the same two sections,
+so its ``eos``, ``rotation`` and ``mu`` replay as a config.
 
 Each command reads only the config sections ``COMMANDS`` lists for it
 (``bb1974`` fixes its own star, grid and basis and reads none); any other
@@ -50,7 +55,6 @@ import sys
 import time
 
 import numpy as np
-import jsonschema
 import scipy
 
 import rotstar
@@ -74,157 +78,132 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_AMBIGUOUS = 4
 
-_EOS_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["kind", "c_minus", "gamma0"],
-    "properties": {
-        "kind": {"enum": ["polytropic", "asymptotically-polytropic"]},
-        "c_minus": {"type": "number", "exclusiveMinimum": 0},
-        "gamma0": {"type": "number"},
-        "c_plus": {"type": "number"},
-        "gamma_inf": {"type": "number"},
-        "blend": {
-            "type": "array",
-            "items": {"type": "number"},
-            "minItems": 2,
-            "maxItems": 2,
-        },
-    },
+
+def _is_number(value) -> bool:
+    """A JSON number: an int or a float, never a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _integer(lo: int, hi: float = math.inf):
+    """The rule of an integer knob in [lo, hi]: a JSON integer, never 24.0."""
+    want = f"an integer >= {lo}" if hi == math.inf else f"an integer in [{lo}, {hi}]"
+    return (lambda v: type(v) is int and lo <= v <= hi), want
+
+
+def _real(lo: float, hi: float = math.inf):
+    """The rule of a real knob in (lo, hi]."""
+    want = f"a number > {lo:g}" if hi == math.inf else f"a number in ({lo:g}, {hi:g}]"
+    return (lambda v: _is_number(v) and lo < v <= hi), want
+
+
+def _one_of(*choices):
+    """The rule of a knob that takes one of ``choices``."""
+    return (lambda v: v in choices), f"one of {list(choices)}"
+
+
+_BOOL = (lambda v: isinstance(v, bool)), "true or false"
+_NUMBER = _is_number, "a number"
+_STRING = (lambda v: isinstance(v, str)), "a string"
+_NUMBERS = (lambda v: isinstance(v, list) and all(map(_is_number, v))), "a list of numbers"
+
+#: every scalar config knob: key path -> (rule, default).  A rule is a test
+#: of the value and what it wants, for the message.  No default (None): the
+#: commands that read the knob require it, or (``mu_grid.spacing``) default
+#: it where they read it, and ``print-defaults`` leaves it out.
+KNOBS = {
+    "grid.nr": (_integer(16, 256), 96),
+    "grid.nz": (_integer(16, 256), 96),
+    "grid.pad": (_real(1.0), 1.35),
+    "solver.tol": (_real(0.0), 1e-10),
+    "solver.max_iter": (_integer(1), 400),
+    "basis.deg_r": (_integer(1, 20), 10),
+    "basis.deg_z": (_integer(1, 12), 6),
+    "spectrum.levels": (_integer(2, 5), 3),
+    "spectrum.ring_knots": (_integer(4, 128), 10),
+    "spectrum.strict": (_BOOL, False),
+    "evolve.T": (_real(0.0), 30.0),
+    "evolve.dt_factor": (_real(0.0, 1.0), 0.05),
+    "evolve.mode": (_one_of("eigenmode", "random"), "random"),
+    "with_generator": (_BOOL, False),
+    "mu": (_real(0.0), None),
+    "mu_grid.start": (_real(0.0), None),
+    "mu_grid.stop": (_real(0.0), None),
+    "mu_grid.num": (_integer(2), None),
+    "mu_grid.spacing": (_one_of("linear", "geometric"), None),
 }
 
-_ROTATION_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["form"],
-    "properties": {
-        "form": {"enum": sorted(FORMS)},
-        "omega_c": {"type": "number"},
-        "r_c": {"type": "number", "exclusiveMinimum": 0},
-        "p": {"type": "number"},
-        "path": {"type": "string"},
-        "r": {"type": "array", "items": {"type": "number"}},
-        "omega": {"type": "array", "items": {"type": "number"}},
-        "coeff": {"type": "number"},
-        "exponent": {"type": "number"},
-        "kappa": {"type": "number"},
-        "eps": {"type": "number"},
-    },
-}
+#: the value kind of an ``eos`` or ``rotation`` key, a real number unless
+#: listed; which keys exist, which are required and their bounds are the
+#: classes' to check
+_CLASS_KEYS = {"kind": _STRING, "form": _STRING, "path": _STRING,
+               "blend": _NUMBERS, "r": _NUMBERS, "omega": _NUMBERS}
 
-_GRID_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "nr": {"type": "integer", "minimum": 16, "maximum": 256},
-        "nz": {"type": "integer", "minimum": 16, "maximum": 256},
-        "pad": {"type": "number", "exclusiveMinimum": 1.0},
-    },
-}
-
-_MU_GRID_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["start", "stop", "num"],
-    "properties": {
-        "start": {"type": "number", "exclusiveMinimum": 0},
-        "stop": {"type": "number", "exclusiveMinimum": 0},
-        "num": {"type": "integer", "minimum": 2},
-        "spacing": {"enum": ["linear", "geometric"]},
-    },
-}
-
-CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "eos": _EOS_SCHEMA,
-        "rotation": _ROTATION_SCHEMA,
-        "grid": _GRID_SCHEMA,
-        "mu": {"type": "number", "exclusiveMinimum": 0},
-        "mu_grid": _MU_GRID_SCHEMA,
-        "solver": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "tol": {"type": "number", "exclusiveMinimum": 0},
-                "max_iter": {"type": "integer", "minimum": 1},
-            },
-        },
-        "basis": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "deg_r": {"type": "integer", "minimum": 1, "maximum": 20},
-                "deg_z": {"type": "integer", "minimum": 1, "maximum": 12},
-            },
-        },
-        "spectrum": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "levels": {"type": "integer", "minimum": 2, "maximum": 5},
-                "ring_knots": {"type": "integer", "minimum": 4, "maximum": 128},
-                "strict": {"type": "boolean"},
-            },
-        },
-        "evolve": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "T": {"type": "number", "exclusiveMinimum": 0},
-                "dt_factor": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-                "mode": {"enum": ["eigenmode", "random"]},
-            },
-        },
-        "with_generator": {"type": "boolean"},
-    },
-}
-
-DEFAULTS = {
-    "grid": {"nr": 96, "nz": 96, "pad": 1.35},
-    "solver": {"tol": 1e-10, "max_iter": 400},
-    "basis": {"deg_r": 10, "deg_z": 6},
-    "spectrum": {"levels": 3, "ring_knots": 10, "strict": False},
-    "evolve": {"T": 30.0, "dt_factor": 0.05, "mode": "random"},
-    "with_generator": False,
-}
+_SECTIONS = {path.partition(".")[0] for path in KNOBS if "." in path} | {"eos", "rotation"}
 
 
-#: built once; ``jsonschema.validate`` would check CONFIG_SCHEMA itself against
-#: the metaschema on every call, which costs far more than validating a config
-_CONFIG_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+def check_config(cfg) -> None:
+    """Raise ConfigError, naming the key path, unless every key ``cfg``
+    gives is a knob within its rule or an eos or rotation key of its kind."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config must be a JSON object, got {json.dumps(cfg)}")
+    for key, value in cfg.items():
+        if key not in _SECTIONS:
+            _check_value("", key, value)
+        elif not isinstance(value, dict):
+            raise ConfigError(f"config {key} must be an object, got {json.dumps(value)}")
+        else:
+            for sub, v in value.items():
+                _check_value(key, sub, v)
+
+
+def _check_value(section: str, key: str, value) -> None:
+    path = f"{section}.{key}" if section else key
+    if section in ("eos", "rotation"):
+        test, want = _CLASS_KEYS.get(key, _NUMBER)
+    elif path in KNOBS and "." not in key:  # a top-level "grid.nr" is no knob
+        test, want = KNOBS[path][0]
+    else:
+        raise ConfigError(f"unknown config key {path}")
+    if not test(value):
+        raise ConfigError(f"config {path} must be {want}, got {json.dumps(value)}")
 
 
 def _finite_float(text: str) -> float:
-    """A config number; json's NaN, +-Infinity and overflowing literals are errors."""
+    """A config number; json's NaN, +-Infinity and literals overflowing a
+    float are errors."""
     value = float(text)
     if not math.isfinite(value):
         raise ConfigError(f"config number {text} is not finite")
     return value
 
 
+def _finite_int(text: str) -> int:
+    """An integer literal; one a float cannot hold is an error, as the code
+    computes with it as a float."""
+    _finite_float(text)
+    return int(text)
+
+
 def load_config(path: str) -> dict:
-    """Read and validate a config file; the keys it sets, without defaults."""
+    """Read and check a config file; the keys it sets, without defaults."""
     try:
         with open(path) as fh:
-            cfg = json.load(fh, parse_constant=_finite_float, parse_float=_finite_float)
-    except (OSError, json.JSONDecodeError) as exc:
+            cfg = json.load(fh, parse_constant=_finite_float, parse_float=_finite_float,
+                            parse_int=_finite_int)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    error = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(cfg))
-    if error is not None:
-        raise ConfigError(f"config validation failed: {error.message}")
+    check_config(cfg)
     return cfg
 
 
 def _with_defaults(cfg: dict) -> dict:
-    """A validated config with DEFAULTS filled in under the keys it omits."""
-    merged = json.loads(json.dumps(DEFAULTS))
-    for key, value in cfg.items():
-        if isinstance(value, dict) and key in merged:
-            merged[key].update(value)
-        else:
-            merged[key] = value
+    """A checked config with the KNOBS defaults under the keys it omits; of
+    the empty config, the defaults ``print-defaults`` prints."""
+    merged = {key: dict(value) if isinstance(value, dict) else value for key, value in cfg.items()}
+    for path, (_, default) in KNOBS.items():
+        section, _, key = path.rpartition(".")
+        if default is not None:
+            (merged.setdefault(section, {}) if section else merged).setdefault(key, default)
     return merged
 
 
@@ -241,6 +220,9 @@ def build_mu_grid(cfg: dict) -> np.ndarray:
     spec = cfg.get("mu_grid")
     if spec is None:
         raise ConfigError("config requires a 'mu_grid' section")
+    for key in ("start", "stop", "num"):
+        if key not in spec:
+            raise ConfigError(f"config requires 'mu_grid.{key}'")
     if spec["stop"] <= spec["start"]:
         raise ConfigError(f"mu_grid stop {spec['stop']:g} must exceed start {spec['start']:g}")
     fn = np.geomspace if spec.get("spacing", "geometric") == "geometric" else np.linspace
@@ -485,7 +467,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "print-defaults":
-        json.dump(DEFAULTS, sys.stdout, indent=1, sort_keys=True)
+        json.dump(_with_defaults({}), sys.stdout, indent=1, sort_keys=True)
         sys.stdout.write("\n")
         return EXIT_OK
 

@@ -91,7 +91,10 @@ class EquationOfState:
         """The EOS a config ``eos`` section describes."""
         params = dict(section)
         if "blend" in params:
-            params["rho_blend_lo"], params["rho_blend_hi"] = params.pop("blend")
+            blend = params.pop("blend")
+            if len(blend) != 2:
+                raise ValueError(f"eos blend must be a pair [lo, hi], got {blend}")
+            params["rho_blend_lo"], params["rho_blend_hi"] = blend
         return cls(**params)
 
     def config(self) -> dict:

@@ -128,6 +128,10 @@ class PowerTailLaw(AngularVelocityLaw):
     r_c: float = 1.0
     p: float = 1.0
 
+    def __post_init__(self):
+        if not self.r_c > 0:
+            raise ValueError(f"power_tail r_c must be positive, got {self.r_c}")
+
     def omega(self, r):
         u = (np.asarray(r, dtype=float) / self.r_c) ** 2
         return self.omega_c * (1.0 + u) ** (-self.p)

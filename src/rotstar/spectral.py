@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import BSpline
@@ -60,11 +59,9 @@ class VelocityBasis:
 
     The first ``n_grad`` fields are gradient fields, the rest stream (ring)
     fields.  ``u_r`` and ``u_z`` hold the velocity components as factored
-    stacks; ``fields_r`` and ``fields_z`` are their dense (n, nr, nz)
-    stacks, built on demand and read by no form.  ``div_fields`` stores
-    div(rho0 u) of the gradient fields only: it is identically zero for
-    the ring members by construction, so the compressible part of the form
-    never sees quadrature noise from them.
+    stacks.  ``div_fields`` stores div(rho0 u) of the gradient fields only:
+    it is identically zero for the ring members by construction, so the
+    compressible part of the form never sees quadrature noise from them.
     """
 
     star: AxiStar
@@ -80,22 +77,6 @@ class VelocityBasis:
     @property
     def n_grad(self) -> int:
         return self.div_fields.shape[0]
-
-    @cached_property
-    def fields_r(self) -> np.ndarray:
-        return self.u_r.dense()
-
-    @cached_property
-    def fields_z(self) -> np.ndarray:
-        return self.u_z.dense()
-
-    def combine(self, coeffs):
-        c = np.asarray(coeffs)
-        return (
-            np.tensordot(c, self.fields_r, axes=(0, 0)),
-            np.tensordot(c, self.fields_z, axes=(0, 0)),
-            np.tensordot(c[:self.n_grad], self.div_fields, axes=(0, 0)),
-        )
 
 
 def velocity_basis(

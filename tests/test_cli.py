@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 
-import jsonschema
 import numpy as np
 import pytest
 from scipy.fft import next_fast_len
@@ -51,25 +50,38 @@ def test_unknown_key_rejected_before_compute(tmp_path):
     assert not (out / "radial_scan.csv").exists()
 
 
-def test_config_schema_is_a_valid_schema():
-    jsonschema.validators.validator_for(cli.CONFIG_SCHEMA).check_schema(cli.CONFIG_SCHEMA)
-
-
 @pytest.mark.parametrize(
-    "payload",
+    "payload, needle",
     [
-        {**RADIAL_CFG, "mystery": 1},
-        {**RADIAL_CFG, "eos": {**RADIAL_CFG["eos"], "kind": "liquid"}},
-        {**RADIAL_CFG, "eos": {**RADIAL_CFG["eos"], "gamma0": "soft"}},
-        {**RADIAL_CFG, "mu_grid": {**RADIAL_CFG["mu_grid"], "num": -3, "spacing": "odd"}},
+        ({**RADIAL_CFG, "mystery": 1}, "unknown config key mystery"),
+        ({**RADIAL_CFG, "eos": {**RADIAL_CFG["eos"], "kind": "liquid"}}, "EOS kind 'liquid'"),
+        ({**RADIAL_CFG, "eos": {**RADIAL_CFG["eos"], "gamma0": "soft"}}, "eos.gamma0"),
+        ({**RADIAL_CFG, "mu_grid": {**RADIAL_CFG["mu_grid"], "num": -3, "spacing": "odd"}},
+         "mu_grid.num"),
+        ({**RADIAL_CFG, "mu_grid": {"start": 0.5, "stop": 2.0}}, "mu_grid.num"),
+        ({**RADIAL_CFG, "mu_grid": {**RADIAL_CFG["mu_grid"], "spacing": "odd"}},
+         "mu_grid.spacing"),
+        ({**RADIAL_CFG, "mu_grid": [0.5, 2.0]}, "mu_grid must be an object"),
     ],
+    ids=["unknown_key", "eos_kind", "eos_gamma0_string", "mu_grid_num", "mu_grid_without_num",
+         "mu_grid_spacing", "mu_grid_list"],
 )
-def test_config_error_message_matches_jsonschema_validate(tmp_path, payload):
-    with pytest.raises(jsonschema.ValidationError) as expected:
-        jsonschema.validate(payload, cli.CONFIG_SCHEMA)
-    with pytest.raises(ConfigError) as got:
-        cli.load_config(write(tmp_path, "cfg.json", payload))
-    assert str(got.value) == f"config validation failed: {expected.value.message}"
+def test_invalid_config_names_the_key(tmp_path, monkeypatch, payload, needle):
+    monkeypatch.setattr(cli, "family_scan_radial", lambda *a, **kw: pytest.fail("compute ran"))
+    out = tmp_path / "out"
+    assert main(["radial-scan", write(tmp_path, "cfg.json", payload), "--out-dir", str(out)]) == EXIT_CONFIG
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "config"
+    assert needle in err["message"]
+    assert sorted(os.listdir(out)) == ["error.json"]
+
+
+def test_config_that_is_not_utf8_is_config_error(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b'{"mu": "\xff"}')
+    out = tmp_path / "out"
+    assert main(["bb1974", str(path), "--out-dir", str(out)]) == EXIT_CONFIG
+    assert "cannot read config" in json.loads((out / "error.json").read_text())["message"]
 
 
 def test_missing_eos_is_config_error(tmp_path):
@@ -373,8 +385,39 @@ def test_tpp_scan_jobs_do_not_change_scan_csv(tmp_path, monkeypatch):
     assert outs[0] == outs[1]
 
 
-def test_print_defaults():
+#: the defaults print-defaults printed before they moved into cli.KNOBS
+PRINTED_DEFAULTS = """{
+ "basis": {
+  "deg_r": 10,
+  "deg_z": 6
+ },
+ "evolve": {
+  "T": 30.0,
+  "dt_factor": 0.05,
+  "mode": "random"
+ },
+ "grid": {
+  "nr": 96,
+  "nz": 96,
+  "pad": 1.35
+ },
+ "solver": {
+  "max_iter": 400,
+  "tol": 1e-10
+ },
+ "spectrum": {
+  "levels": 3,
+  "ring_knots": 10,
+  "strict": false
+ },
+ "with_generator": false
+}
+"""
+
+
+def test_print_defaults(capsys):
     assert main(["print-defaults"]) == EXIT_OK
+    assert capsys.readouterr().out == PRINTED_DEFAULTS
 
 
 def test_bb1974_command_reports_turning_point(tmp_path):
@@ -440,12 +483,15 @@ def test_missing_rotation_amplitude_rejected(tmp_path, command, payload, key):
 
 @pytest.mark.parametrize(
     "key, literal",
-    [("kappa", "NaN"), ("mu", "NaN"), ("mu", "Infinity"), ("kappa", "-Infinity"), ("mu", "1e400")],
+    [("kappa", "NaN"), ("mu", "NaN"), ("mu", "Infinity"), ("kappa", "-Infinity"), ("mu", "1e400"),
+     pytest.param("mu", "1" + "0" * 400, id="mu-huge-integer"),
+     pytest.param("kappa", "1" + "0" * 400, id="kappa-huge-integer")],
 )
 def test_non_finite_config_numbers_rejected(tmp_path, key, literal):
-    """json reads NaN, +-Infinity and an overflowing literal as floats the
-    schema's number checks accept; each is a config error before any
-    compute (a NaN kappa used to solve to a collapsed star and exit 0)."""
+    """json reads NaN, +-Infinity and an overflowing literal as numbers a
+    range check accepts, and an integer literal too large for a float as an
+    int; each is a config error before any compute (a NaN kappa used to
+    solve to a collapsed star and exit 0, a huge integer to overflow)."""
     payload = {**EQ_CFG, "rotation": dict(EQ_CFG["rotation"])}
     (payload["rotation"] if key == "kappa" else payload)[key] = "@"
     path = tmp_path / "cfg.json"
@@ -464,6 +510,13 @@ def test_negative_seed_rejected_before_compute(tmp_path):
     err = json.loads((out / "error.json").read_text())
     assert err["message"] == "--seed must be nonnegative, got -1"
     assert not (out / "equilibrium.json").exists()
+
+
+#: the Rayleigh-unstable power-tail star of test_spectrum_and_evolve_commands
+POWER_TAIL_CFG = {
+    "eos": {"kind": "polytropic", "c_minus": 1.0, "gamma0": 1.3},
+    "rotation": {"form": "power_tail", "omega_c": 1.0, "r_c": 0.4, "p": 2.0, "kappa": 0.25},
+}
 
 
 def _table_csv(tmp_path, rows):
@@ -493,13 +546,25 @@ def _table_csv(tmp_path, rows):
             "need >= 4",
         ),
         (lambda tmp: {"scan": {"family": "fixed_j"}}, "scan"),
+        (lambda tmp: {"rotation": {"omega_c": 1.0, "kappa": 0.05}}, "unknown rotation form None"),
+        (lambda tmp: {"rotation": {**POWER_TAIL_CFG["rotation"], "r_c": 0.0}}, "r_c must be positive"),
+        (lambda tmp: {"rotation": {**POWER_TAIL_CFG["rotation"], "r_c": -0.4}}, "r_c must be positive"),
+        (
+            lambda tmp: {"eos": {**STABILITY_CFG["eos"], "kind": "asymptotically-polytropic",
+                                 "c_plus": 1.0, "gamma_inf": 1.25, "blend": [1.0, 2.0, 3.0]}},
+            "eos blend must be a pair",
+        ),
+        (lambda tmp: {"eos": {"c_minus": 1.0, "gamma0": 1.6}}, "kind"),
     ],
     ids=["kappa_on_bb_j", "omega_c_on_power_j", "coeff_on_rigid", "blend_on_polytrope",
-         "missing_table_path", "two_sample_table", "scan_section"],
+         "missing_table_path", "two_sample_table", "scan_section", "rotation_without_form",
+         "r_c_zero", "r_c_negative", "blend_of_three", "eos_without_kind"],
 )
 def test_config_keys_a_form_does_not_take_are_rejected(tmp_path, change, needle):
-    """A key the eos kind or rotation form does not read, an unreadable or
-    too short table and the unread ``scan`` section are config errors."""
+    """A key the eos kind or rotation form does not read, a missing form or
+    kind, an out-of-range parameter, an unreadable or too short table and
+    the unread ``scan`` section are config errors; the eos and rotation
+    classes check their own keys."""
     cfg = write(tmp_path, "cfg.json", {**EQ_CFG, **change(tmp_path)})
     out = tmp_path / "out"
     assert main(["equilibrium", cfg, "--out-dir", str(out)]) == EXIT_CONFIG
@@ -507,6 +572,58 @@ def test_config_keys_a_form_does_not_take_are_rejected(tmp_path, change, needle)
     assert err["error"] == "config"
     assert needle in err["message"]
     assert not (out / "equilibrium.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command, section, value, path",
+    [
+        ("equilibrium", "grid", {"nr": 24.0}, "grid.nr"),
+        ("equilibrium", "solver", {"max_iter": 50.0}, "solver.max_iter"),
+        ("stability", "basis", {"deg_r": 4.0}, "basis.deg_r"),
+        ("equilibrium", "grid", {"nz": True}, "grid.nz"),
+        ("stability", "with_generator", 1, "with_generator"),
+        ("equilibrium", "mu", True, "mu"),
+    ],
+)
+def test_wrong_type_on_a_knob_names_the_key(tmp_path, command, section, value, path):
+    """An integer knob takes a JSON integer (an integral float like 24.0 used
+    to reach range() and exit 1), and a bool is never a number."""
+    cfg = write(tmp_path, "cfg.json", {**EQ_CFG, section: value})
+    out = tmp_path / "out"
+    assert main([command, cfg, "--out-dir", str(out)]) == EXIT_CONFIG
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "config"
+    assert f"config {path} must be" in err["message"]
+    assert sorted(os.listdir(out)) == ["error.json"]
+
+
+@pytest.mark.parametrize(
+    "section, change, path",
+    [
+        ("rotation", {"omega_c": "1"}, "rotation.omega_c"),
+        ("rotation", {"omega_c": True}, "rotation.omega_c"),
+        ("rotation", {"kappa": "0.1"}, "rotation.kappa"),
+        ("rotation", {"kappa": [0.1]}, "rotation.kappa"),
+        ("rotation", {"form": "power_tail", "r_c": 0.4, "p": "2"}, "rotation.p"),
+        ("rotation", {"form": "power_j", "coeff": "1", "eps": 0.2}, "rotation.coeff"),
+        ("rotation", {"form": "power_j", "eps": True}, "rotation.eps"),
+        ("rotation", {"form": "table", "r": ["0", "1", "2", "3"], "omega": [1.0] * 4},
+         "rotation.r"),
+        ("rotation", {"form": 1}, "rotation.form"),
+        ("eos", {"c_minus": True}, "eos.c_minus"),
+        ("eos", {"kind": None}, "eos.kind"),
+    ],
+)
+def test_wrong_value_kind_in_eos_or_rotation_names_the_key(tmp_path, section, change, path):
+    """Which eos and rotation keys exist is the classes' to say; that a kind,
+    form or path is a string, a table a list of numbers and any other value
+    a number, the config check's."""
+    cfg = write(tmp_path, "cfg.json", {**EQ_CFG, section: {**EQ_CFG[section], **change}})
+    out = tmp_path / "out"
+    assert main(["equilibrium", cfg, "--out-dir", str(out)]) == EXIT_CONFIG
+    err = json.loads((out / "error.json").read_text())
+    assert f"config {path} must be" in err["message"]
+    assert sorted(os.listdir(out)) == ["error.json"]
 
 
 def test_bundle_replays_as_config(tmp_path):
@@ -519,7 +636,7 @@ def test_bundle_replays_as_config(tmp_path):
     meta = json.loads((first / "star" / "meta.json").read_text())
     replay = {key: meta[key] for key in ("eos", "rotation", "mu")}
     assert replay["rotation"]["form"] == "table" and "path" not in replay["rotation"]
-    cli._CONFIG_VALIDATOR.validate(replay)
+    cli.check_config(replay)
     second = tmp_path / "second"
     cfg = write(tmp_path, "replay.json", {**replay, "grid": EQ_CFG["grid"]})
     assert main(["equilibrium", cfg, "--out-dir", str(second)]) == EXIT_OK
@@ -579,13 +696,6 @@ def test_keys_a_command_does_not_read_are_rejected(
     assert err["error"] == "config"
     assert needle in err["message"]
     assert sorted(os.listdir(out)) == ["error.json"]
-
-
-#: the Rayleigh-unstable power-tail star of test_spectrum_and_evolve_commands
-POWER_TAIL_CFG = {
-    "eos": {"kind": "polytropic", "c_minus": 1.0, "gamma0": 1.3},
-    "rotation": {"form": "power_tail", "omega_c": 1.0, "r_c": 0.4, "p": 2.0, "kappa": 0.25},
-}
 
 
 @pytest.mark.parametrize(

@@ -54,6 +54,12 @@ def test_power_tail_closed_form():
     assert np.allclose(discriminant(law, r), expected, atol=1e-14)
 
 
+@pytest.mark.parametrize("r_c", [0.0, -0.4])
+def test_power_tail_core_radius_must_be_positive(r_c):
+    with pytest.raises(ValueError, match="r_c must be positive"):
+        PowerTailLaw(1.0, r_c, 2.0)
+
+
 def test_tabulated_matches_rigid():
     knots = np.linspace(0.0, 1.0, 200)
     law = TabulatedLaw(knots, np.full(200, 2.0))
