@@ -14,10 +14,12 @@ product): ``stability.factored_pair_integrals`` contracts two of them z
 first and r second, and the dense (n, nr, nz) stack is built only when
 asked for.  The shapes' values and gradients are such stacks.
 
-Two physically distinguished directions can be appended: the center-density
-derivative of the non-rotating family (even sector) and the vertical-shift
-direction d(rho0)/dz (odd sector, the expected kernel of the perturbation
-forms).
+A basis is its even sector's rows followed by its odd sector's
+(``PerturbationBasis.sectors``), each a contiguous slice of one field
+stack: the sector's tensor shapes, then one appended direction, the
+center-density derivative of the non-rotating family (even) or the
+vertical shift d(rho0)/dz (odd, the expected kernel of the perturbation
+forms).  A sector keeps its shapes' tables, never their dense stack.
 
 A basis carries the star it was built on (``PerturbationBasis.star``);
 every analysis of a basis in ``stability`` reads the star from there.
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
@@ -39,6 +42,7 @@ __all__ = [
     "Term",
     "FactoredStack",
     "ScalarShapes",
+    "Sector",
     "PerturbationBasis",
     "perturbation_basis",
 ]
@@ -97,19 +101,14 @@ class FactoredStack:
 
 @dataclass
 class ScalarShapes:
-    """Tensor Legendre shapes chi_(i,j)(r, z) on a grid: shape (i, j) is a
-    radial table row times a vertical table row.  The values and the two
-    gradient components are factored stacks of those tables; the dense
-    (n, nr, nz) values are built when first read."""
+    """Tensor Legendre shapes chi_(i,j)(r, z) of one z-parity on a grid:
+    shape (i, j) is a radial table row times a vertical table row.  The
+    values and the two gradient components are factored stacks of those
+    tables; the dense (n, nr, nz) values are built only when asked for."""
 
     radial: tuple  # (P_i, dP_i/dr), each (deg_r + 1, nr)
     vertical: tuple  # (P_j, dP_j/dz) of the kept z degrees, each (n_j, nz)
     degrees: list  # (i, j) per shape, z degree outer and r degree inner
-
-    @property
-    def parity(self) -> np.ndarray:
-        """+1 even / -1 odd in z, per shape."""
-        return np.array([+1 if j % 2 == 0 else -1 for _, j in self.degrees])
 
     def factored(self, d_r: int = 0, d_z: int = 0) -> FactoredStack:
         """The shapes' d_r-th r and d_z-th z derivatives (0 or 1 each), one
@@ -119,12 +118,15 @@ class ScalarShapes:
         n_i = self.radial[0].shape[0]
         return FactoredStack((Term(self.radial[d_r][k % n_i], self.vertical[d_z], k // n_i),))
 
-    @cached_property
-    def values(self) -> np.ndarray:
-        # broadcast straight into the (n, nr, nz) stack
+    def values(self, out: np.ndarray | None = None) -> np.ndarray:
+        """The dense (n, nr, nz) values, broadcast straight into ``out`` (a
+        C-contiguous stack, such as a basis's rows) when given."""
         pr, pz = self.radial[0], self.vertical[0]
-        out = pr[None, :, :, None] * pz[:, None, None, :]
-        return out.reshape(len(self.degrees), pr.shape[1], pz.shape[1])
+        if out is None:
+            out = np.empty((len(self.degrees), pr.shape[1], pz.shape[1]))
+        np.multiply(pr[None, :, :, None], pz[:, None, None, :],
+                    out=out.reshape(pz.shape[0], pr.shape[0], pr.shape[1], pz.shape[1]))
+        return out
 
 
 def tensor_shapes(
@@ -134,37 +136,53 @@ def tensor_shapes(
     z_scale: float,
     deg_r: int,
     deg_z: int,
-    parity: str = "both",
+    parity: str,
 ) -> ScalarShapes:
-    """Legendre tensor shapes on the (r, z) grid.
+    """Legendre tensor shapes of one z-parity ("even" or "odd") on the
+    (r, z) grid.
 
     The radial argument is 2 r / r_scale - 1 and the vertical argument
     z / z_scale, so vertical parity equals the parity of the z degree.
     Shapes are ordered z degree outer and r degree inner.
     """
+    if parity not in ("even", "odd"):
+        raise ValueError("parity must be 'even' or 'odd'")
     Pr, dPr, _ = legendre_table(2.0 * rs / r_scale - 1.0, deg_r)
     dPr = dPr * (2.0 / r_scale)
     Pz, dPz, _ = legendre_table(zs / z_scale, deg_z)
     dPz = dPz / z_scale
 
-    skip = {"even": 1, "odd": 0}.get(parity)  # z-degree parity left out
-    js = [j for j in range(deg_z + 1) if j % 2 != skip]
+    js = list(range(int(parity == "odd"), deg_z + 1, 2))
     degs = [(i, j) for j in js for i in range(deg_r + 1)]
     return ScalarShapes(radial=(Pr, dPr), vertical=(Pz[js], dPz[js]), degrees=degs)
 
 
+class Sector(NamedTuple):
+    """One z-parity sector of a basis: its rows of the field stack (its
+    tensor shapes, then its appended direction) and those shapes."""
+
+    rows: slice
+    shapes: ScalarShapes
+
+
 @dataclass
 class PerturbationBasis:
-    """Density perturbation fields delta_rho_k on a star grid with parity tags."""
+    """Density perturbation fields delta_rho_k on a star grid, sector by
+    sector: the even sector's rows, then the odd sector's."""
 
     star: AxiStar
     fields: np.ndarray  # (n, nr, nz)
-    parity: np.ndarray  # (n,), +1 / -1
-    degrees: list  # (i, j) of each tensor row; the appended directions follow them
+    sectors: dict  # "even" / "odd" -> Sector, in row order
 
     @property
     def count(self) -> int:
         return self.fields.shape[0]
+
+    @property
+    def parity(self) -> np.ndarray:
+        """+1 even / -1 odd in z, per field."""
+        return np.concatenate([np.full(s.rows.stop - s.rows.start, 1 if name == "even" else -1)
+                               for name, s in self.sectors.items()])
 
     def combine(self, coeffs: np.ndarray) -> np.ndarray:
         return np.tensordot(np.asarray(coeffs), self.fields, axes=(0, 0))
@@ -176,46 +194,38 @@ def perturbation_basis(
     deg_z: int = 6,
     parity: str = "both",
 ) -> PerturbationBasis:
-    """Tensor-polynomial perturbation basis weighted by 1/h''(rho0).
+    """Tensor-polynomial perturbation basis weighted by 1/h''(rho0), of one
+    sector ("even" or "odd") or of both, even first.
 
-    The even sector also gets the central difference (step 1e-3 mu) of the
-    non-rotating family's density in the star's center density, the odd
-    sector grad_z(h)/h''(rho0), the discrete vertical-translation mode.
+    Each sector's shapes are broadcast straight into their rows of the one
+    field stack.  The even sector then gets the central difference (step
+    1e-3 mu) of the non-rotating family's density in the star's center
+    density, the odd sector grad_z(h)/h''(rho0), the discrete
+    vertical-translation mode.
     """
-    grid = star.grid
-    mask, inv_phi2 = star.context.mask, star.context.inv_phi2
-
-    shapes = tensor_shapes(
-        grid.rs,
-        grid.zs,
-        r_scale=star.support_radius,
-        z_scale=star.support_height,
-        deg_r=deg_r,
-        deg_z=deg_z,
-        parity=parity,
-    )
-    fields = shapes.values * inv_phi2[None, :, :]
-    tags = list(shapes.parity)
-    extra_fields = []
-
-    if parity in ("both", "even"):
-        h = 1e-3 * star.mu
-        sp = solve_radial(star.eos, star.mu + h)
-        sm = solve_radial(star.eos, star.mu - h)
-        RG, ZG = grid.meshes()
-        S = np.sqrt(RG**2 + ZG**2)
-        dmu = (sp.rho_of(S) - sm.rho_of(S)) / (2.0 * h)
-        dmu[~mask] = 0.0
-        extra_fields.append(dmu)
-        tags.append(+1)
-
-    if parity in ("both", "odd"):
-        _, hz_grad = star.grad_h()
-        shift = hz_grad * inv_phi2
-        shift[~mask] = 0.0
-        extra_fields.append(shift)
-        tags.append(-1)
-
-    if extra_fields:
-        fields = np.concatenate([fields, np.stack(extra_fields)], axis=0)
-    return PerturbationBasis(star, fields, np.array(tags), shapes.degrees)
+    names = {"even": ("even",), "odd": ("odd",), "both": ("even", "odd")}.get(parity)
+    if names is None:
+        raise ValueError("parity must be 'even', 'odd' or 'both'")
+    grid, ctx = star.grid, star.context
+    shapes = [tensor_shapes(grid.rs, grid.zs, star.support_radius, star.support_height,
+                            deg_r, deg_z, name) for name in names]
+    fields = np.empty((sum(len(s.degrees) + 1 for s in shapes), grid.nr, grid.nz))
+    sectors, start = {}, 0
+    for name, sh in zip(names, shapes):
+        stop = start + len(sh.degrees)
+        sh.values(out=fields[start:stop])
+        fields[start:stop] *= ctx.inv_phi2
+        if name == "even":
+            h = 1e-3 * star.mu
+            sp = solve_radial(star.eos, star.mu + h)
+            sm = solve_radial(star.eos, star.mu - h)
+            RG, ZG = grid.meshes()
+            S = np.sqrt(RG**2 + ZG**2)
+            direction = (sp.rho_of(S) - sm.rho_of(S)) / (2.0 * h)
+        else:
+            direction = star.grad_h()[1] * ctx.inv_phi2
+        direction[~ctx.mask] = 0.0
+        fields[stop] = direction
+        sectors[name] = Sector(slice(start, stop + 1), sh)
+        start = stop + 1
+    return PerturbationBasis(star, fields, sectors)

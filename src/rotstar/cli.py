@@ -111,8 +111,8 @@ _NUMBERS = (lambda v: isinstance(v, list) and all(map(_is_number, v))), "a list 
 #: commands that read the knob require it, or (``mu_grid.spacing``) default
 #: it where they read it, and ``print-defaults`` leaves it out.
 KNOBS = {
-    "grid.nr": (_integer(16, 256), 96),
-    "grid.nz": (_integer(16, 256), 96),
+    "grid.nr": (_integer(16, 512), 96),
+    "grid.nz": (_integer(16, 512), 96),
     "grid.pad": (_real(1.0), 1.35),
     "solver.tol": (_real(0.0), 1e-10),
     "solver.max_iter": (_integer(1), 400),

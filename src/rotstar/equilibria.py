@@ -26,10 +26,12 @@ support.  A defect that turns non-finite or exceeds the first sweep's by
 sweep count.
 
 A star stores only what defines it: its mass, cylinder mass and density
-floor are properties of its grid, density and center density.  It carries
-one lazily built ``StarContext``, the only copy of the volume weights, the
-support mask, h''(rho0) and its inverse, the column density, the radial
-support and the rotation profiles that the bases and stability forms share.
+floor are properties of its grid, density and center density.  Its ring
+kernel (``AxiStar.kernel``) solves the potentials of any field stack of one
+parity.  It carries one lazily built ``StarContext``, the only copy of the
+volume weights, the support mask, h''(rho0) and its inverse, the column
+density, the radial support and the rotation profiles that the bases and
+stability forms share.
 The profiles (omega, d(omega r^2)/dr, Upsilon) come from the profile class
 (``grid_profiles``) and are the only way the rotation reaches those
 analyses; this module reads the family only for the fixed-j origin check.
@@ -52,7 +54,7 @@ import numpy as np
 
 from rotstar.eos import EquationOfState
 from rotstar.errors import SolverError
-from rotstar.poisson import _STACK_BLOCK, Grid, RingKernel
+from rotstar.poisson import Grid, RingKernel
 from rotstar.radial import RadialStar, solve_radial
 from rotstar.rotlaw import AngularVelocityLaw, MomentumDistribution, RotationSpec
 
@@ -143,31 +145,6 @@ class AxiStar:
             self._kernel = RingKernel(self.grid)
         return self._kernel
 
-    def potentials(self, fields: np.ndarray, parities) -> np.ndarray:
-        """Gravitational potential of each field of an (n, nr, nz) stack: one
-        stacked ``RingKernel.potential`` solve per parity present.
-
-        A stack of one parity is solved as it stands.  Otherwise the result
-        array holds the fields first, gathered in parity order a block at a
-        time; each parity's rows are solved in place and then moved back to
-        their fields' order, so no parity is copied whole.
-        """
-        parities = np.asarray(parities)
-        kinds = np.unique(parities)
-        if kinds.size == 1:
-            return self.kernel.potential(fields, parity=kinds[0])
-        order = np.argsort(parities, kind="stable")  # kinds' rows in turn
-        pots = np.empty_like(fields)
-        for b0 in range(0, order.size, _STACK_BLOCK):
-            pots[b0:b0 + _STACK_BLOCK] = fields[order[b0:b0 + _STACK_BLOCK]]
-        start = 0
-        for par in kinds:
-            part = pots[start:start + np.count_nonzero(parities == par)]
-            self.kernel.potential(part, parity=par, out=part)
-            start += part.shape[0]
-        _scatter_rows(pots, order)
-        return pots
-
     def grad_h(self):
         """Gradient of the effective enthalpy field, (d/dr, d/dz).
 
@@ -185,20 +162,6 @@ class AxiStar:
         dVdz[:, -1] = (self.potential[:, -1] - self.potential[:, -2]) / hz
         rotp = self.context.omega**2 * self.grid.rs
         return rotp[:, None] - dVdr, -dVdz
-
-
-def _scatter_rows(stack: np.ndarray, order: np.ndarray) -> None:
-    """Move row k of ``stack`` to row order[k], in place: each cycle of the
-    permutation is followed with one row in hand."""
-    placed = np.zeros(order.size, dtype=bool)
-    for k in range(order.size):
-        if placed[k]:
-            continue
-        carry, j = stack[k].copy(), order[k]
-        while not placed[j]:
-            carry, stack[j] = stack[j].copy(), carry
-            placed[j] = True
-            j = order[j]
 
 
 def _star_context(star: AxiStar) -> StarContext:

@@ -96,8 +96,7 @@ product are those of a field-by-field solve, so its potential is the same
 bit for bit; a stacked field's differs only by the summation order of the
 block product (round-off).  A solve may write into a given array, the
 source itself included, since each block is read before its potentials
-are written: a both-parity basis's potentials are solved in place in
-their result (``AxiStar.potentials``).
+are written.
 
 K is evaluated from the complementary parameter
 m1 = 1 - m = ((r - r')^2 + (z - z')^2) / ((r + r')^2 + (z - z')^2), formed

@@ -211,7 +211,7 @@ def _l1_block(basis: VelocityBasis) -> np.ndarray:
     div(rho0 u), pressure plus gravity."""
     if not np.all(np.isfinite(basis.div_fields)):
         raise SolverError("velocity basis has entries with undefined divergence norm")
-    pressure, grav = energy_blocks(basis.star, basis.div_fields, [basis.parity] * basis.n_grad)
+    pressure, grav = energy_blocks(basis.star, basis.div_fields, basis.parity)
     return pressure + grav
 
 

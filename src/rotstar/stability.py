@@ -25,7 +25,9 @@ never builds the dense stacks.
 
 A perturbation basis carries its star, so every analysis of a basis takes
 the basis alone and reads ``basis.star`` (the generator also its energy
-form); only ``energy_blocks`` and ``density_form_value`` take a star.
+form); only ``energy_blocks`` and ``density_form_value`` take a star.  The
+parities do not couple: the energy form is ``energy_blocks`` on each of the
+basis's sectors, placed on its diagonal, and a generator reads one sector.
 
 A matched discretization of the full linearized generator on the basis's
 shapes is a cross-check: exactly Hamiltonian at the matrix level, its
@@ -47,7 +49,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.linalg import eig, eigh
 
-from rotstar.bases import FactoredStack, PerturbationBasis, tensor_shapes
+from rotstar.bases import FactoredStack, PerturbationBasis
 from rotstar.equilibria import AxiStar
 from rotstar.errors import ConfigError
 from rotstar.forms import VERDICT_ZERO_TOL, QuadraticForm, restrict_to_complement, whiten
@@ -126,33 +128,27 @@ def factored_pair_integrals(a: FactoredStack, b: FactoredStack,
     return out
 
 
-def energy_blocks(star: AxiStar, fields: np.ndarray, parities) -> tuple:
-    """The two blocks of the energy form on a field stack: the pressure Gram
-    int h''(rho0) f_i f_j dx and the symmetrized gravity block
-    -int int f_i(x) f_j(y) / |x - y| dx dy, each field's potential solved
-    with its parity ("even" / "odd").  The fields vanish off the star's
-    support, so both products are weighted on the support only."""
+def energy_blocks(star: AxiStar, fields: np.ndarray, parity: str) -> tuple:
+    """The two blocks of the energy form on a field stack of one z-parity
+    ("even" / "odd"): the pressure Gram int h''(rho0) f_i f_j dx and the
+    symmetrized gravity block -int int f_i(x) f_j(y) / |x - y| dx dy, the
+    potentials solved in one stacked solve.  The fields vanish off the
+    star's support, so both products are weighted on the support only."""
     ctx = star.context
     pressure = pair_integrals(fields, fields, ctx.weights * ctx.phi2)
-    grav = pair_integrals(fields, star.potentials(fields, parities), ctx.weights * ctx.mask)
+    grav = pair_integrals(fields, star.kernel.potential(fields, parity), ctx.weights * ctx.mask)
     return pressure, 0.5 * (grav + grav.T)
-
-
-def _zero_cross_parity(mat: np.ndarray, parity: np.ndarray) -> np.ndarray:
-    cross = parity[:, None] != parity[None, :]
-    out = mat.copy()
-    out[cross] = 0.0
-    return out
 
 
 def assemble_perturbation_energy(basis: PerturbationBasis) -> QuadraticForm:
     """Pressure-plus-self-gravity energy form on the basis's star, with its
-    weighted-L2 Gram.  Opposite-parity couplings vanish identically and are
-    zeroed instead of quadratured."""
-    parities = ["even" if p > 0 else "odd" for p in basis.parity]
-    gram, grav = energy_blocks(basis.star, basis.fields, parities)
-    gram = _zero_cross_parity(gram, basis.parity)
-    return QuadraticForm(gram + _zero_cross_parity(grav, basis.parity), gram)
+    weighted-L2 Gram: ``energy_blocks`` on each sector's fields, placed on
+    the diagonal.  Opposite parities do not couple, so the cross-sector
+    blocks are exact zeros and never quadratured."""
+    pressure, grav = zip(*(energy_blocks(basis.star, basis.fields[s.rows], parity)
+                           for parity, s in basis.sectors.items()))
+    gram = sla.block_diag(*pressure)
+    return QuadraticForm(gram + sla.block_diag(*grav), gram)
 
 
 def rotational_weight(star: AxiStar):
@@ -220,7 +216,7 @@ def restrict_mass_zero(form: QuadraticForm, basis: PerturbationBasis) -> Quadrat
 def density_form_value(star: AxiStar, fld: np.ndarray, parity: str = "even") -> float:
     """Energy-form value of a single density perturbation field, weighted on
     the star's support like every block of ``energy_blocks``."""
-    pressure, grav = energy_blocks(star, fld[None], [parity])
+    pressure, grav = energy_blocks(star, fld[None], parity)
     return float(pressure[0, 0] + grav[0, 0])
 
 
@@ -358,49 +354,38 @@ def assemble_generator(basis: PerturbationBasis, energy: QuadraticForm,
     """Discretize the linearized dynamics of the basis's star on one z-parity
     sector from its energy form ``energy`` (``assemble_perturbation_energy``).
 
-    The scalars are the basis's tensor shapes of the sector at the basis's
-    own degree: the density block is ``energy`` on the basis's rows of them,
-    v_theta the plain shapes and v_r, v_z their gradients (an 'even' sector
-    means even density, even v_theta, even v_r and odd v_z).
+    The scalars are the sector's tensor shapes (``basis.sectors[parity]``):
+    the density block is ``energy`` on the sector's rows of them, v_theta
+    the plain shapes and v_r, v_z their gradients (an 'even' sector means
+    even density, even v_theta, even v_r and odd v_z).
     """
     star = basis.star
     if not star.context.rotating:
         raise ConfigError("the generator needs a rotating star (kappa or eps > 0)")
     aw, _ = _azimuthal_weight(star, "the generator")
-    g = star.grid
 
-    rows = [k for k, (_, j) in enumerate(basis.degrees) if j % 2 == (parity == "odd")]
-    if not rows:
+    sector = basis.sectors.get(parity)
+    if sector is None or not sector.shapes.degrees:
         raise ConfigError(f"the generator needs {parity} basis shapes")
-    deg_r, deg_z = (max(d) for d in zip(*basis.degrees))
-    dens = tensor_shapes(g.rs, g.zs, star.support_radius, star.support_height,
-                         deg_r, deg_z, parity=parity)
-    G1, Lq = (m[np.ix_(rows, rows)] for m in (energy.gram, energy.matrix))
+    dens = sector.shapes
+    rows = slice(sector.rows.start, sector.rows.start + len(dens.degrees))
+    G1, Lq = energy.gram[rows, rows], energy.matrix[rows, rows]
     # v_theta lives in L2_rho0 on the same scalar shapes, with the
     # azimuthal kinetic block Aq
     G2, Aq, grads, coupling = _sector_products(star, dens, aw)
 
     # meridional velocities are the gradients of every shape but the
-    # constant one, whose gradient is zero
-    keep = [k for k, d in enumerate(dens.degrees) if d != (0, 0)]
-    GY = grads[np.ix_(keep, keep)]
+    # constant one, the even sector's first, whose gradient is zero
+    keep = slice(int(parity == "even"), None)
+    B1, B2, BY = whiten(G1), whiten(G2), whiten(grads[keep, keep])
 
-    B1 = whiten(G1)
-    B2 = whiten(G2)
-    BY = whiten(GY)
-
-    # couplings: M1[j, a] = int rho0 grad(xi_a) . grad(chi_j) dx and
-    # M2[j, a] = -int rho0 chi_j (d(omega r^2)/dr / r) v_r(a) dx
-    M1 = grads[:, keep]
-    M2 = coupling[:, keep]
-
-    # whitened blocks
-    Lt = B1.T @ Lq @ B1
-    At = B2.T @ Aq @ B2
-    P1 = B1.T @ M1 @ BY
-    P2 = B2.T @ M2 @ BY
+    # whitened blocks; the couplings are M1[j, a] = int rho0 grad(xi_a) .
+    # grad(chi_j) dx and M2[j, a] = -int rho0 chi_j (d(omega r^2)/dr / r)
+    # v_r(a) dx
+    Lt, At = B1.T @ Lq @ B1, B2.T @ Aq @ B2
+    P = np.vstack([B1.T @ grads[:, keep] @ BY, B2.T @ coupling[:, keep] @ BY])
     Lh = sla.block_diag(0.5 * (Lt + Lt.T), 0.5 * (At + At.T))
-    return Generator(np.vstack([P1, P2]), Lh)
+    return Generator(P, Lh)
 
 
 def generator_unstable_count(gen: Generator):
@@ -489,7 +474,7 @@ def stability_report(basis: PerturbationBasis, with_generator: bool = False) -> 
     }
     if with_generator and star.context.rotating:
         counts = [generator_unstable_count(assemble_generator(basis, L, parity))
-                  for parity in ("even", "odd")]
+                  for parity in basis.sectors]
         count, growth, n_zero = zip(*counts)
         report["generator_unstable_count"] = sum(count)
         report["generator_n_zero"] = sum(n_zero)

@@ -512,6 +512,18 @@ def test_negative_seed_rejected_before_compute(tmp_path):
     assert not (out / "equilibrium.json").exists()
 
 
+@pytest.mark.parametrize("key", ["nr", "nz"])
+def test_grid_admits_512_and_rejects_513_before_compute(tmp_path, monkeypatch, key):
+    cli.check_config(cli._with_defaults({**EQ_CFG, "grid": {"nr": 512, "nz": 512}}))
+    monkeypatch.setattr(cli, "solve_configured_star", lambda *a: pytest.fail("compute ran"))
+    cfg = write(tmp_path, "cfg.json", {**EQ_CFG, "grid": {**EQ_CFG["grid"], key: 513}})
+    out = tmp_path / "out"
+    assert main(["equilibrium", cfg, "--out-dir", str(out)]) == EXIT_CONFIG
+    err = json.loads((out / "error.json").read_text())
+    assert err["message"] == f"config grid.{key} must be an integer in [16, 512], got 513"
+    assert sorted(os.listdir(out)) == ["error.json"]
+
+
 #: the Rayleigh-unstable power-tail star of test_spectrum_and_evolve_commands
 POWER_TAIL_CFG = {
     "eos": {"kind": "polytropic", "c_minus": 1.0, "gamma0": 1.3},

@@ -368,29 +368,3 @@ def test_save_load_static_star(tmp_path, star53):
     assert loaded.rotation == RotationSpec()
     assert not loaded.context.rotating
     assert np.array_equal(loaded.rho, star.rho)
-
-
-def test_both_parity_potentials_equal_their_parity_stacks(axi53):
-    """A both-parity basis's potentials, gathered a block at a time and
-    solved in place, equal bit for bit those of each parity's own stack
-    (each parity keeps its stack's support J), and the solve allocates
-    2.19 MB past its 5.8 MB result at the 10x6 basis on 96^2 (measured;
-    copying each parity whole and scattering its potentials back took
-    8.70 MB).  The bound is 3 MB."""
-    import tracemalloc
-
-    from rotstar.bases import perturbation_basis
-
-    basis = perturbation_basis(axi53, deg_r=10, deg_z=6)
-    parities = ["even" if p > 0 else "odd" for p in basis.parity]
-    axi53.kernel  # built once per star, outside the measurement
-    tracemalloc.start()
-    try:
-        V = axi53.potentials(basis.fields, parities)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - V.nbytes <= 3e6
-    for par in ("even", "odd"):
-        sel = np.array(parities) == par
-        assert np.array_equal(V[sel], axi53.kernel.potential(basis.fields[sel], par))

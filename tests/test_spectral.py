@@ -358,7 +358,7 @@ def test_meridional_form_matches_dense_reference(small_unstable_star, parity):
     wk = ctx.weights * rho
     ng = vb.n_grad
     Q = pair_integrals(fr, fr, wk * ctx.ups[:, None])
-    pressure, grav = energy_blocks(star, divs, [parity] * ng)
+    pressure, grav = energy_blocks(star, divs, parity)
     Q[:ng, :ng] += pressure + grav
     ref = QuadraticForm(Q, pair_integrals(fr, fr, wk) + pair_integrals(fz, fz, wk))
     for got, want in ((form.matrix, ref.matrix), (form.gram, ref.gram)):
