@@ -30,12 +30,9 @@ weighted source along the contiguous z axis (DCT-I of planes 0..nz-1 padded
 to M + 1 points, or DST-I of planes 1..nz-1 padded to M - 1), multiplies
 each frequency's source row into the table and inverts the transform.  By
 the r <-> r' symmetry the product is row @ ghat[f, :J, :], which reads the
-table once per solve.
-An odd-parity source whose z = 0 plane is nonzero keeps the meaning of the
-mirrored sum: that plane is counted once, as an even delta.  Its spectrum
-is the plane itself at every frequency, carried as a second row of the same
-product and inverted with a DCT-I; the row is left out when the plane is
-zero, as it is for every odd Galerkin field.
+table once per solve.  An odd source must vanish on z = 0, the symmetry
+point of its DST-I (every odd field the package solves is exactly zero
+there); one that does not is rejected.
 
 The table is a symmetric hierarchical matrix (Hackbusch 1999, Computing
 62:89).  A table whose dense size, (M + 1) nr^2 doubles, is at most
@@ -55,13 +52,13 @@ discrete blocks keep ranks 5 to 9.  Dense sizes and split sizes:
     192^2    108.3 MiB    25.0 MiB
     256^2    256.5 MiB    52.4 MiB
 
-A dense block is built in blocks of _R_BLOCK target radii, each filling
-only its columns j >= i, transformed in place; its strict lower triangle
-is then mirrored from the upper one frequency at a time, so it peaks a few
-MiB above the block it returns.  A pair is filled by adaptive cross
-approximation (Bebendorf 2000, Numer. Math. 86:565) from kernel rows and
-columns, never from its dense block, and recompressed to its rank at
-_CROSS_TOL of each frequency's largest diagonal-leaf entry
+Kernel rows are read one way (``_kernel_spectra``).  A dense block takes
+them _R_BLOCK target radii at a time, each over its columns j >= i, and
+mirrors its strict lower triangle from the upper one frequency at a time,
+so it peaks a few MiB above the block it returns.  A pair is filled by
+adaptive cross approximation (Bebendorf 2000, Numer. Math. 86:565) from
+kernel rows and columns, never from its dense block, and recompressed to
+its rank at _CROSS_TOL of each frequency's largest diagonal-leaf entry
 (``_cross_pair``).  At 256^2 the split build evaluates 13,248 kernel
 rows (of M + 1 entries) against the dense build's 33,024, took 0.36 s
 against 0.60 s and peaked 9 MiB above its table, and a lone field's
@@ -89,14 +86,10 @@ straight into the stack's preallocated result.  Field by field, each solve
 streams the whole table for one row: at 120^2, 45 even fields took 85 ms
 one at a time and 49 ms stacked (Intel Xeon vCPU, one BLAS thread).  The block
 bounds the spectra in flight to 8 fields' worth however long the stack;
-solving a 45-field stack at once held about six times as much.  The odd
-midplane rule holds per field: each odd field whose z = 0 plane is nonzero
-adds its own delta row to its block's product.  A lone field's rows and
-product are those of a field-by-field solve, so its potential is the same
-bit for bit; a stacked field's differs only by the summation order of the
-block product (round-off).  A solve may write into a given array, the
-source itself included, since each block is read before its potentials
-are written.
+solving a 45-field stack at once held about six times as much.  A lone
+field's rows and product are those of a field-by-field solve, so its
+potential is the same bit for bit; a stacked field's differs only by the
+summation order of the block product (round-off).
 
 K is evaluated from the complementary parameter
 m1 = 1 - m = ((r - r')^2 + (z - z')^2) / ((r + r')^2 + (z - z')^2), formed
@@ -162,22 +155,18 @@ _MATCH_TOL = 1e-13
 _M1_FLOOR = 1e-15
 
 
-def _ring_green(r, rp, dz, work=None):
+def _ring_green(r, rp, dz):
     """Ring kernel 4 K(m) / sqrt((r + r')^2 + dz^2), broadcast over its inputs.
 
     K is taken from m1 = 1 - m formed directly (module docstring).  The
     coincident axis point r = r' = dz = 0 gets the finite value 2 pi; it
     carries zero quadrature weight.  The two full-size arrays are reused in
-    place: the result is written over m1.  ``work``, if given, is the pair
-    of arrays to use, of the broadcast shape; the result is then ``work[1]``.
+    place: the result is written over m1.
     """
     sum_sq = np.square(np.add(r, rp))
     dz_sq = np.square(dz)
-    shape = np.broadcast_shapes(sum_sq.shape, dz_sq.shape)
-    if work is None:
-        work = (np.empty(shape), np.empty(shape))
-    far_sq = np.add(sum_sq, dz_sq, out=work[0])
-    m1 = np.add(np.square(np.subtract(r, rp)), dz_sq, out=work[1])
+    far_sq = sum_sq + dz_sq
+    m1 = np.square(np.subtract(r, rp)) + dz_sq
     if np.any(sum_sq == 0) and np.any(dz_sq == 0):
         on_axis = far_sq == 0  # implies m1 == 0 too
         far_sq[on_axis] = 1.0
@@ -349,42 +338,37 @@ def _bisect(lo: int, hi: int):
     return leaves_lo + leaves_hi, [(lo, mid, hi)] + pairs_lo + pairs_hi
 
 
-def _dense_block(rs: np.ndarray, hz: float, dz: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Diagonal block ghat[:, lo:hi, lo:hi] of the grid (rs, hz)."""
+def _kernel_spectra(rs: np.ndarray, dz: np.ndarray, i0: int, i1: int, a: int, b: int) -> np.ndarray:
+    """ghat[:, i0:i1, a:b], and by the symmetry ghat[:, a:b, i0:i1]: the
+    DCT-I over the lags dz = hz (0, 1, ..., M) of the kernel rows of targets
+    i0..i1-1 and sources a..b-1.  A target meeting its own radius off the
+    axis takes the analytic log average over its self cell at lag 0 (the
+    axis entry carries zero quadrature weight and is left as is)."""
+    g = _ring_green(rs[i0:i1, None, None], rs[None, a:b, None], dz)
+    for i in range(max(i0, a, 1), min(i1, b)):
+        cell = np.gradient(rs[i - 1 : i + 2])[1]  # centred, one step at the last radius
+        mean_ln = rect_log_mean(0.5 * cell, 0.5 * dz[1])
+        g[i - i0, i - a, 0] = (2.0 / rs[i]) * (math.log(8.0 * rs[i]) - mean_ln)
+    return dct(g, type=1, axis=2, overwrite_x=True).transpose(2, 0, 1)
+
+
+def _dense_block(rs: np.ndarray, dz: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Diagonal block ghat[:, lo:hi, lo:hi] of the grid with lags dz."""
     n = hi - lo
-    local_dr = np.gradient(rs)  # self-cell widths
     ghat = np.empty((dz.size, n, n))
-    work = [np.empty((_R_BLOCK, n, dz.size)) for _ in range(2)]
     # each block of rows fills its columns j >= i0
     for i0 in range(lo, hi, _R_BLOCK):
         i1 = min(i0 + _R_BLOCK, hi)
-        gtab = _ring_green(
-            rs[i0:i1, None, None], rs[None, i0:hi, None], dz,
-            [w[: i1 - i0, : hi - i0] for w in work],
-        )
-        # analytic log average over the self cell for diagonal targets;
-        # the axis entry carries zero quadrature weight and is left as is
-        for i in range(max(i0, 1), i1):
-            mean_ln = rect_log_mean(0.5 * local_dr[i], 0.5 * hz)
-            gtab[i - i0, i - i0, 0] = (2.0 / rs[i]) * (math.log(8.0 * rs[i]) - mean_ln)
-        ghat[:, i0 - lo : i1 - lo, i0 - lo :] = dct(
-            gtab, type=1, axis=2, overwrite_x=True
-        ).transpose(2, 0, 1)
+        ghat[:, i0 - lo : i1 - lo, i0 - lo :] = _kernel_spectra(rs, dz, i0, i1, i0, hi)
     # the strict lower triangle is mirrored from the upper by the r <-> r'
     # symmetry, one frequency at a time, through one buffer (a copy from the
     # overlapping view gf.T would allocate one per frequency)
-    del work
     lower = np.tri(n, k=-1, dtype=bool)
     buf = np.empty((n, n))
     for gf in ghat:
         np.copyto(buf, gf.T)
         np.copyto(gf, buf, where=lower)
     return ghat
-
-
-def _kernel_spectra(rs: np.ndarray, dz: np.ndarray, i: int, a: int, b: int) -> np.ndarray:
-    """ghat[:, i, a:b] off the diagonal (by the symmetry also ghat[:, a:b, i])."""
-    return dct(_ring_green(rs[i], rs[a:b, None], dz), type=1, axis=1, overwrite_x=True).T
 
 
 def _cross_pair(rs: np.ndarray, dz: np.ndarray, lo: int, mid: int, hi: int,
@@ -423,7 +407,7 @@ def _cross_pair(rs: np.ndarray, dz: np.ndarray, lo: int, mid: int, hi: int,
     while True:
         free[i - lo] = False
         k = terms.max()
-        row = _kernel_spectra(rs, dz, i, mid, hi) * inv_tol
+        row = _kernel_spectra(rs, dz, i, i + 1, mid, hi)[:, 0] * inv_tol
         row -= (u[:, i - lo, None, :k] @ v[:, :k])[:, 0]
         score = None  # largest residual column entries met in this row
         for _ in range(n2):
@@ -432,7 +416,7 @@ def _cross_pair(rs: np.ndarray, dz: np.ndarray, lo: int, mid: int, hi: int,
                 break
             j = int(np.argmax(above))
             k = terms.max()
-            col = _kernel_spectra(rs, dz, mid + j, lo, mid) * inv_tol
+            col = _kernel_spectra(rs, dz, mid + j, mid + j + 1, lo, mid)[:, 0] * inv_tol
             col -= (u[:, :, :k] @ v[:, :k, j, None])[:, :, 0]
             col_above = _largest(col, axis=0)
             score = col_above if score is None else np.maximum(score, col_above)
@@ -482,7 +466,7 @@ def _build_unit_table(rs: np.ndarray, hz: float, nz: int) -> _Table:
         spans, pair_spans = [(0, nr)], []
     else:
         spans, pair_spans = _bisect(0, nr)
-    leaves = tuple(_Leaf(lo, hi, _dense_block(rs, hz, dz, lo, hi)) for lo, hi in spans)
+    leaves = tuple(_Leaf(lo, hi, _dense_block(rs, dz, lo, hi)) for lo, hi in spans)
     pairs = ()
     if pair_spans:
         scale = np.max([_largest(leaf.block, axis=(1, 2)) for leaf in leaves], axis=0)
@@ -514,24 +498,16 @@ def _shared_unit_table(rs: np.ndarray, hz: float, nz: int) -> _Table:
     return table
 
 
-def _spectrum_rows(w: np.ndarray, even: bool, M: int):
-    """Spectrum rows (M + 1, rows, J) of a weighted (b, J, nz) source block,
-    and the members whose z = 0 plane has a row of its own (odd parity).
-
-    Even planes take a DCT-I.  Odd planes 1..nz-1 take a DST-I (zero at
-    f = 0 and M); a nonzero z = 0 plane is counted once, as an even delta
-    row after the block's b odd rows.
-    """
+def _spectrum_rows(w: np.ndarray, even: bool, M: int) -> np.ndarray:
+    """Spectrum rows (M + 1, b, J) of a weighted (b, J, nz) source block:
+    the DCT-I of even planes, or the DST-I of odd planes 1..nz-1 with zero
+    rows at f = 0 and M (an odd source vanishes on z = 0)."""
     if even:
         # a view, not a contiguous copy: a lone field's product then takes
         # the BLAS path, and so the round-off, of a field-by-field solve
-        return dct(w, type=1, n=M + 1, axis=2).transpose(2, 0, 1), None
-    b, J = w.shape[:2]
-    mids = np.flatnonzero(np.any(w[:, :, 0], axis=1))
-    rows = np.zeros((M + 1, b + mids.size, J))
-    rows[1:M, :b] = dst(w[:, :, 1:], type=1, n=M - 1, axis=2).transpose(2, 0, 1)
-    rows[:, b:] = w[mids, :, 0]
-    return rows, mids
+        return dct(w, type=1, n=M + 1, axis=2).transpose(2, 0, 1)
+    rows = dst(w[:, :, 1:], type=1, n=M - 1, axis=2).transpose(2, 0, 1)
+    return np.pad(rows, ((1, 1), (0, 0), (0, 0)))
 
 
 class RingKernel:
@@ -550,57 +526,49 @@ class RingKernel:
         """Bytes the (shared) unit table holds."""
         return self._table.nbytes
 
-    def potential(self, source: np.ndarray, parity: str = "even",
-                  out: np.ndarray | None = None) -> np.ndarray:
+    def potential(self, source: np.ndarray, parity: str = "even") -> np.ndarray:
         """Potential of `source` on the grid nodes (attractive: negative).
 
         ``source`` is one field (nr, nz) or a stack (n, nr, nz) of fields
         that share ``parity``, which states how the half-plane fields
-        continue to z < 0; the result has the shape of ``source``.  It is
-        written into ``out`` when given, which may be ``source`` itself: a
-        block of fields is read before its potentials are written.
+        continue to z < 0; an odd one that is nonzero on z = 0 raises
+        ValueError.  The result is a new array of the shape of ``source``.
         """
         grid = self.grid
         if source.ndim not in (2, 3) or source.shape[-2:] != grid.shape:
             raise ValueError("source shape does not match the grid")
         even = _parity_sign(parity) > 0
         stack = source.reshape((-1,) + grid.shape)
+        if not even and np.any(stack[:, :, 0]):
+            raise ValueError("an odd source must vanish on z = 0")
+        out = np.zeros(stack.shape)
         # source radii past the last nonzero one of the stack only multiply zeros
         support = np.flatnonzero(np.any(stack, axis=(0, 2)))
-        if out is None:
-            out = np.zeros(source.shape)
-        elif not support.size:
-            out[...] = 0.0
-        pots = out if out.ndim == 3 else out[None]
         if support.size:
             J = support[-1] + 1
             for b0 in range(0, stack.shape[0], _STACK_BLOCK):
                 b1 = b0 + _STACK_BLOCK
-                self._solve_block(stack[b0:b1, :J], even, pots[b0:b1])
-        return out
+                self._solve_block(stack[b0:b1, :J], even, out[b0:b1])
+        return out.reshape(source.shape)
 
     def _solve_block(self, source: np.ndarray, even: bool, out: np.ndarray) -> None:
         """Potentials of a (b, J, nz) block of sources trimmed to their
-        shared support, written into the (b, nr, nz) ``out``."""
+        shared support, written into the zeroed (b, nr, nz) ``out``."""
         nz = self.grid.nz
         b, J = source.shape[:2]
         M = self._table.freqs - 1
         # the weighted block lives only as long as its transform
-        rows, mids = _spectrum_rows(source * self._src_weight[:J, None], even, M)
+        rows = _spectrum_rows(source * self._src_weight[:J, None], even, M)
         # rows @ ghat[f, :J, :] equals ghat[f, :, :J] @ rows.T by the symmetry
-        vhat = np.empty((M + 1, rows.shape[1], self.grid.nr))
+        vhat = np.empty((M + 1, b, self.grid.nr))
         self._table.multiply(rows, vhat)
         # the inverse transforms run in place in vhat (no second array of its
         # size); the potentials are copied out of their M + 1 planes
         if even:
             out[:] = idct(vhat, type=1, axis=0, overwrite_x=True)[:nz].transpose(1, 2, 0)
         else:
-            v = idst(vhat[1:M, :b], type=1, axis=0, overwrite_x=True)
+            v = idst(vhat[1:M], type=1, axis=0, overwrite_x=True)
             out[:, :, 1:] = v[: nz - 1].transpose(1, 2, 0)
-            out[:, :, 0] = 0.0
-            if mids.size:
-                v = idct(vhat[:, b:], type=1, axis=0, overwrite_x=True)
-                out[mids] += v[:nz].transpose(1, 2, 0)
 
     def potential_at(self, source: np.ndarray, r_pts, z_pts, parity: str = "even") -> np.ndarray:
         """Potential of `source` at arbitrary probe points (direct summation)."""

@@ -473,8 +473,12 @@ def stability_report(basis: PerturbationBasis, with_generator: bool = False) -> 
         "verdict": "stable" if inertia.n_minus == 0 else "unstable",
     }
     if with_generator and star.context.rotating:
+        # a sector of its appended direction alone has no generator
+        parities = [name for name, s in basis.sectors.items() if s.shapes.degrees]
+        if not parities:
+            raise ConfigError("the generator needs basis shapes")
         counts = [generator_unstable_count(assemble_generator(basis, L, parity))
-                  for parity in basis.sectors]
+                  for parity in parities]
         count, growth, n_zero = zip(*counts)
         report["generator_unstable_count"] = sum(count)
         report["generator_n_zero"] = sum(n_zero)

@@ -140,32 +140,59 @@ def _direct_sum_potential(grid, source, parity):
     return -np.einsum("ikjl,jl->ik", G, ssrc)
 
 
+def _with_parity(src, parity):
+    """``src`` as a source of ``parity``: an odd one is a copy that
+    vanishes on z = 0, as every odd source must."""
+    if parity == "even":
+        return src
+    src = src.copy()
+    src[..., 0] = 0.0
+    return src
+
+
 @pytest.mark.parametrize("parity", ["even", "odd"])
 @pytest.mark.parametrize("nz", [19, 20, 27])  # next_fast_len(2nz - 2) pads 20 and 27
 def test_potential_matches_direct_sum_on_graded_grid(parity, nz):
     grid = make_grid(1.3, 1.1, 21, nz, refine_at=0.8)
-    src = np.random.default_rng(7).standard_normal(grid.shape)
+    src = _with_parity(np.random.default_rng(7).standard_normal(grid.shape), parity)
     ref = _direct_sum_potential(grid, src, parity)
     V = RingKernel(grid).potential(src, parity)
     assert np.max(np.abs(V - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-def test_odd_source_counts_its_midplane_once():
-    """An odd-parity source with a nonzero z = 0 plane keeps that plane once."""
-    grid = make_grid(1.3, 1.1, 21, 20, refine_at=0.8)
-    mid = np.zeros(grid.shape)
-    mid[:, 0] = np.random.default_rng(5).standard_normal(grid.nr)
-    kernel = RingKernel(grid)
-    V = kernel.potential(mid, "odd")
-    # a source on z = 0 alone has no mirrored planes, so parity does not matter
-    ref = _direct_sum_potential(grid, mid, "even")
-    assert np.max(np.abs(V - ref)) <= 1e-13 * np.max(np.abs(ref))
-    assert np.max(np.abs(V - kernel.potential(mid, "even"))) <= 1e-13 * np.max(np.abs(ref))
-    odd = np.random.default_rng(6).standard_normal(grid.shape)
-    odd[:, 0] = 0.0
-    src = odd + mid
-    ref = _direct_sum_potential(grid, src, "odd")
-    assert np.max(np.abs(kernel.potential(src, "odd") - ref)) <= 1e-13 * np.max(np.abs(ref))
+@pytest.mark.parametrize("shape", [(21, 19), (5, 21, 19)], ids=["field", "stack"])
+def test_odd_source_with_a_nonzero_midplane_is_rejected(monkeypatch, shape):
+    """An odd source that does not vanish on z = 0 is not an odd field: it
+    is rejected, a stack for any one member, before any transform runs."""
+    kernel = RingKernel(make_grid(1.3, 1.1, 21, 19, refine_at=0.8))
+    src = _with_parity(np.random.default_rng(5).standard_normal(shape), "odd")
+    src[(-1, 3, 0) if len(shape) == 3 else (3, 0)] = 1e-300
+
+    def transform(*args, **kwargs):
+        raise AssertionError("a transform ran")
+
+    for name in ("dct", "dst", "idct", "idst"):
+        monkeypatch.setattr(poisson, name, transform)
+    with pytest.raises(ValueError, match="z = 0"):
+        kernel.potential(src, "odd")
+
+
+def test_package_odd_stacks_vanish_on_the_midplane(eos53):
+    """The odd stacks the package solves vanish on z = 0 exactly: the odd
+    sector of the README star's 10x6 basis (odd Legendre rows and the
+    vertical shift) and the divergences of an odd velocity basis."""
+    from rotstar.bases import perturbation_basis
+    from rotstar.equilibria import solve_fixed_omega
+    from rotstar.rotlaw import RigidLaw
+    from rotstar.spectral import velocity_basis
+
+    star = solve_fixed_omega(eos53, RigidLaw(1.0), 0.05, 1.0, nr=96, nz=96)
+    basis = perturbation_basis(star, deg_r=10, deg_z=6)
+    odd = basis.fields[basis.sectors["odd"].rows]
+    div = velocity_basis(star, parity="odd").div_fields
+    for stack in (odd, div):
+        assert np.any(stack[:, :, 1:])
+        assert np.all(stack[:, :, 0] == 0.0)
 
 
 @pytest.mark.parametrize("shape, refine_at", [((21, 19), 0.8), ((40, 36), None), ((33, 27), 0.5)])
@@ -183,7 +210,7 @@ def test_trimmed_potential_matches_direct_sum(parity, where):
     """Sources that vanish beyond radius index J solve on columns 0..J only."""
     grid = make_grid(1.3, 1.1, 21, 19, refine_at=0.8)
     J = {"first": 1, "middle": grid.nr // 2, "last": grid.nr - 1}[where]
-    src = np.random.default_rng(11).standard_normal(grid.shape)
+    src = _with_parity(np.random.default_rng(11).standard_normal(grid.shape), parity)
     src[J + 1 :] = 0.0
     ref = _direct_sum_potential(grid, src, parity)
     V = RingKernel(grid).potential(src, parity)
@@ -201,13 +228,11 @@ def test_zero_source_gives_exactly_zero(parity):
 
 def _stack_of_fields(grid, n=19):
     """n random fields sharing a support that ends short of the last radius:
-    one all-zero member, one with a shorter support, and every third member
-    with a zero z = 0 plane (the others keep a nonzero one)."""
+    one all-zero member and one with a shorter support."""
     stack = np.random.default_rng(17).standard_normal((n,) + grid.shape)
     stack[:, -2:] = 0.0
     stack[4] = 0.0
     stack[7, grid.nr // 2 :] = 0.0
-    stack[::3, :, 0] = 0.0
     return stack
 
 
@@ -219,7 +244,7 @@ def test_stacked_potential_matches_per_field_solves(parity):
     stack of one, bit for bit."""
     grid = make_grid(1.3, 1.1, 21, 19, refine_at=0.8)
     kernel = RingKernel(grid)
-    stack = _stack_of_fields(grid)
+    stack = _with_parity(_stack_of_fields(grid), parity)
     assert 2 * poisson._STACK_BLOCK < stack.shape[0] < 3 * poisson._STACK_BLOCK
     V = kernel.potential(stack, parity)
     assert V.shape == stack.shape
@@ -228,24 +253,6 @@ def test_stacked_potential_matches_per_field_solves(parity):
         assert np.array_equal(kernel.potential(src[None], parity)[0], want)
     assert np.max(np.abs(V - ref)) <= 1e-15 * np.max(np.abs(ref))
     assert np.all(V[4] == 0.0)
-
-
-@pytest.mark.parametrize("parity", ["even", "odd"])
-def test_potential_in_place_equals_a_fresh_result(parity):
-    """``out`` is overwritten whatever it held, and may be the source
-    itself: every block is read before its potentials are written, so the
-    stack's potentials replace it bit for bit as a fresh result holds them
-    (an all-zero stack included)."""
-    grid = make_grid(1.3, 1.1, 21, 19, refine_at=0.8)
-    kernel = RingKernel(grid)
-    for stack in (_stack_of_fields(grid), np.zeros((3,) + grid.shape)):
-        want = kernel.potential(stack, parity)
-        work = stack.copy()
-        assert kernel.potential(work, parity, out=work) is work
-        assert np.array_equal(work, want)
-        junk = np.full(stack.shape, 7.0)
-        kernel.potential(stack, parity, out=junk)
-        assert np.array_equal(junk, want)
 
 
 @pytest.mark.parametrize("shape", [(3, 22, 19), (3, 21, 18), (3, 19, 21), (2, 3, 21, 19), (21,)])
@@ -308,8 +315,8 @@ def test_cache_hit_matches_fresh_build(graded, lam):
     assert not hit._table.leaves[0].block.flags.writeable
     fresh = _fresh_kernel(grid)
     assert fresh._table is not unit._table
-    src = np.random.default_rng(3).standard_normal(grid.shape)
     for parity in ("even", "odd"):
+        src = _with_parity(np.random.default_rng(3).standard_normal(grid.shape), parity)
         ref = fresh.potential(src, parity)
         err = np.max(np.abs(hit.potential(src, parity) - ref))
         assert err <= 1e-13 * np.max(np.abs(ref))
@@ -333,7 +340,7 @@ def test_cache_misses_on_other_nz_or_grading():
 )
 def test_potential_scales_as_lambda_squared(lam, parity, seed):
     """Same density on a grid scaled by lam: V_lam = lam^2 V_1 at matching nodes."""
-    src = np.random.default_rng(seed).standard_normal((24, 20))
+    src = _with_parity(np.random.default_rng(seed).standard_normal((24, 20)), parity)
     v1 = _fresh_kernel(_scaled_grid(1.0, True, 24, 20)).potential(src, parity)
     v_lam = _fresh_kernel(_scaled_grid(lam, True, 24, 20)).potential(src, parity)
     assert np.max(np.abs(v_lam - lam**2 * v1)) <= 1e-13 * lam**2 * np.max(np.abs(v1))
@@ -423,30 +430,28 @@ def test_split_table_equals_one_part_table(monkeypatch, leaf, r_block, shape, re
 
 
 def _split_cases(grid, rng):
-    """(source, parity) pairs: both parities, an odd source with a nonzero
-    z = 0 plane, support-trimmed sources and stacks of 1, 8 and 9 fields."""
-    odd = rng.standard_normal(grid.shape)
-    odd[:, 0] = 0.0
+    """(source, parity) pairs: both parities, support-trimmed sources and
+    stacks of 1, 8 and 9 fields."""
+    odd = _with_parity(rng.standard_normal(grid.shape), "odd")
     trimmed = rng.standard_normal(grid.shape)
     trimmed[grid.nr // 2 :] = 0.0
     stack = _stack_of_fields(grid, n=9)
     return [
         (rng.standard_normal(grid.shape), "even"),
         (odd, "odd"),
-        (rng.standard_normal(grid.shape), "odd"),  # nonzero midplane row
         (trimmed, "even"),
-        (trimmed, "odd"),
+        (_with_parity(trimmed, "odd"), "odd"),
         (stack[:1], "even"),
-        (stack[:8], "odd"),
+        (_with_parity(stack[:8], "odd"), "odd"),
         (stack, "even"),
-        (stack, "odd"),
+        (_with_parity(stack, "odd"), "odd"),
     ]
 
 
 @pytest.mark.parametrize("leaf", [2, 3, 6])
 def test_split_potential_equals_one_part_potential(monkeypatch, leaf):
     """Potentials through a split table agree with the one-leaf table's to
-    1e-12 of the largest, on a graded and a uniform grid (1.5e-13 measured)."""
+    1e-12 of the largest, on a graded and a uniform grid (1.4e-13 measured)."""
     for grid in (make_grid(1.3, 1.1, 21, 19, refine_at=0.8), make_grid(1.3, 1.1, 40, 36)):
         cases = _split_cases(grid, np.random.default_rng(13))
         kernel = _fresh_kernel(grid)
@@ -465,7 +470,7 @@ def test_split_table_at_192(monkeypatch):
     third of its dense bytes (23% measured), and its potentials agree with
     the dense table's to 1e-12 of the largest: a star density, its odd
     moment, a 9-field stack of density-weighted fields and white noise of
-    both parities (3.1e-13 measured)."""
+    both parities (2.8e-13 measured)."""
     grid = make_grid(1.3, 1.3, 192, 192)
     split = _fresh_kernel(grid)
     table = split._table
@@ -477,8 +482,9 @@ def test_split_table_at_192(monkeypatch):
     RG, ZG = grid.meshes()
     rho = np.maximum(1.0 - RG**2 - ZG**2, 0.0) ** 1.5
     stack = rng.standard_normal((9,) + grid.shape) * rho
-    cases = [(rho, "even"), (rho * ZG, "odd"), (stack, "even"), (stack, "odd"),
-             (rng.standard_normal(grid.shape), "even"), (rng.standard_normal(grid.shape), "odd")]
+    cases = [(rho, "even"), (rho * ZG, "odd"), (stack, "even"), (_with_parity(stack, "odd"), "odd"),
+             (rng.standard_normal(grid.shape), "even"),
+             (_with_parity(rng.standard_normal(grid.shape), "odd"), "odd")]
     got = [split.potential(src, parity) for src, parity in cases]
     del split, table
     monkeypatch.setattr(poisson, "_DENSE_BYTES", dense_bytes)

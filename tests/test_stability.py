@@ -313,6 +313,22 @@ def test_generator_needs_shapes_of_its_parity(rot53):
         assemble_generator(basis, assemble_perturbation_energy(basis), "odd")
 
 
+def test_report_runs_the_generator_on_each_sector_with_shapes(rot53):
+    """A deg_z = 0 basis's odd sector is the shift direction alone, with no
+    tensor shape and so no generator: the report runs the generator on the
+    even sector only, as for the even basis.  A basis with no shapes in any
+    sector has no generator at all."""
+    both = stability_report(perturbation_basis(rot53, deg_r=4, deg_z=0), with_generator=True)
+    even = stability_report(perturbation_basis(rot53, deg_r=4, deg_z=0, parity="even"),
+                            with_generator=True)
+    for key in ("generator_unstable_count", "generator_n_zero", "growth_rate"):
+        assert both[key] == even[key]
+    odd = perturbation_basis(rot53, deg_r=4, deg_z=0, parity="odd")
+    assert stability_report(odd)["n_minus_L"] >= 0
+    with pytest.raises(ValueError, match="the generator needs basis shapes"):
+        stability_report(odd, with_generator=True)
+
+
 def test_stable_evolution_bounded_and_conservative(rot53, generator_of):
     gen = generator_of(rot53, "even")
     lam_max = np.max(np.abs(gen.eigenvalues().imag))
