@@ -10,16 +10,18 @@ Legendre tables, each built with one ``legval`` per derivative order.
 
 A field stack whose members are sums of a few radial x vertical x shared
 profile products is kept factored (``FactoredStack``, one ``Term`` per
-product): ``stability.factored_pair_integrals`` contracts two of them z
-first and r second, and the dense (n, nr, nz) stack is built only when
-asked for.  The shapes' values and gradients are such stacks.
+product, over a run of members of its own from ``Term.start``):
+``stability.factored_pair_integrals`` contracts two of them z first and r
+second, and the dense (n, nr, nz) stack is built only when asked for.  The
+shapes' values and gradients are such stacks.
 
 A basis is its even sector's rows followed by its odd sector's
 (``PerturbationBasis.sectors``), each a contiguous slice of one field
 stack: the sector's tensor shapes, then one appended direction, the
 center-density derivative of the non-rotating family (even) or the
-vertical shift d(rho0)/dz (odd, the expected kernel of the perturbation
-forms).  A sector keeps its shapes' tables, never their dense stack.
+vertical shift d(rho0)/dz, read from the star's context (odd, the expected
+kernel of the perturbation forms).  A sector keeps its shapes' tables,
+never their dense stack.
 
 A basis carries the star it was built on (``PerturbationBasis.star``);
 every analysis of a basis in ``stability`` reads the star from there.
@@ -61,24 +63,25 @@ def legendre_table(arg, deg):
 
 @dataclass(frozen=True, eq=False)
 class Term:
-    """One term of a factored field stack: member k is
-    radial[k](r) * vertical[index[k]](z) * profile(r, z).  A member whose
-    index is -1 has no part in the term; a ``None`` profile is 1."""
+    """One term of a factored field stack, over the stack's members start
+    to start + m: its row k adds radial[k](r) * vertical[index[k]](z) *
+    profile(r, z) to member start + k, and the other members have no part
+    in it.  A ``None`` profile is 1."""
 
-    radial: np.ndarray  # (n, nr), one row per member
+    radial: np.ndarray  # (m, nr), one row per member of the term
     vertical: np.ndarray  # (n_v, nz), a small table of vertical factors
-    index: np.ndarray  # (n,), row of ``vertical`` per member, or -1
+    index: np.ndarray  # (m,), row of ``vertical`` per member of the term
     profile: np.ndarray | None = None  # (nr, nz), shared by every member
+    start: int = 0  # stack member of row 0
 
     @cached_property
     def groups(self) -> list:
-        """(vertical row, members that read it) for every row in use."""
-        return [(v, np.flatnonzero(self.index == v)) for v in np.unique(self.index) if v >= 0]
+        """(vertical row, term rows that read it) for every row in use."""
+        return [(v, np.flatnonzero(self.index == v)) for v in np.unique(self.index)]
 
     def dense(self) -> np.ndarray:
-        out = np.zeros(self.index.shape + (self.radial.shape[1], self.vertical.shape[1]))
-        live = self.index >= 0
-        out[live] = self.radial[live][:, :, None] * self.vertical[self.index[live]][:, None, :]
+        """The term's (m, nr, nz) share of its members."""
+        out = self.radial[:, :, None] * self.vertical[self.index][:, None, :]
         if self.profile is not None:
             out *= self.profile
         return out
@@ -86,17 +89,21 @@ class Term:
 
 @dataclass(frozen=True, eq=False)
 class FactoredStack:
-    """A stack of fields, each the sum of its parts in a few ``Term``s; the
-    dense (n, nr, nz) stack is built only when asked for."""
+    """A stack of fields, each the sum of its parts in the ``Term``s that
+    cover it; the dense (n, nr, nz) stack is built only when asked for."""
 
     terms: tuple
 
     @property
     def count(self) -> int:
-        return self.terms[0].index.size
+        return max(t.start + t.index.size for t in self.terms)
 
     def dense(self) -> np.ndarray:
-        return sum(t.dense() for t in self.terms)
+        nr, nz = self.terms[0].radial.shape[1], self.terms[0].vertical.shape[1]
+        out = np.zeros((self.count, nr, nz))
+        for t in self.terms:
+            out[t.start:t.start + t.index.size] += t.dense()
+        return out
 
 
 @dataclass
@@ -200,8 +207,8 @@ def perturbation_basis(
     Each sector's shapes are broadcast straight into their rows of the one
     field stack.  The even sector then gets the central difference (step
     1e-3 mu) of the non-rotating family's density in the star's center
-    density, the odd sector grad_z(h)/h''(rho0), the discrete
-    vertical-translation mode.
+    density, the odd sector a copy of the context's d(rho0)/dz
+    (``StarContext.grad_rho``), the discrete vertical-translation mode.
     """
     names = {"even": ("even",), "odd": ("odd",), "both": ("even", "odd")}.get(parity)
     if names is None:
@@ -223,7 +230,7 @@ def perturbation_basis(
             S = np.sqrt(RG**2 + ZG**2)
             direction = (sp.rho_of(S) - sm.rho_of(S)) / (2.0 * h)
         else:
-            direction = star.grad_h()[1] * ctx.inv_phi2
+            direction = ctx.grad_rho[1].copy()
         direction[~ctx.mask] = 0.0
         fields[stop] = direction
         sectors[name] = Sector(slice(start, stop + 1), sh)

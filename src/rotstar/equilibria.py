@@ -29,9 +29,10 @@ A star stores only what defines it: its mass, cylinder mass and density
 floor are properties of its grid, density and center density.  Its ring
 kernel (``AxiStar.kernel``) solves the potentials of any field stack of one
 parity.  It carries one lazily built ``StarContext``, the only copy of the
-volume weights, the support mask, h''(rho0) and its inverse, the column
-density, the radial support and the rotation profiles that the bases and
-stability forms share.
+volume weights, the support mask, rho0 on the support and its gradient
+grad h / h''(rho0), h''(rho0) and its inverse, the column density, the
+radial support and the rotation profiles that the bases and stability forms
+share; no analysis masks the density or differences the potential itself.
 The profiles (omega, d(omega r^2)/dr, Upsilon) come from the profile class
 (``grid_profiles``) and are the only way the rotation reaches those
 analyses; this module reads the family only for the fixed-j origin check.
@@ -86,6 +87,8 @@ class StarContext:
 
     weights: np.ndarray  # volume weights 2 pi (wr r) (x) wz
     mask: np.ndarray  # support, rho0 > floor
+    rho: np.ndarray  # rho0 on the support, 0 outside
+    grad_rho: np.ndarray  # (d/dr, d/dz) of rho0, grad h / h''(rho0) on the support, 0 outside
     phi2: np.ndarray  # h''(rho0) on the support, 0 outside
     inv_phi2: np.ndarray  # 1 / h''(rho0) on the support, 0 outside
     h1: np.ndarray  # int rho0 dz per radius
@@ -145,24 +148,6 @@ class AxiStar:
             self._kernel = RingKernel(self.grid)
         return self._kernel
 
-    def grad_h(self):
-        """Gradient of the effective enthalpy field, (d/dr, d/dz).
-
-        The potential is differenced (it is smooth through the surface) and
-        the rotational part is added analytically; h = rot - V - c, so
-        grad h = (rot'(r) - dV/dr, -dV/dz) with the centrifugal acceleration
-        rot'(r) = omega^2 r in both families.  Used to form grad rho =
-        grad h / h'(rho) without ever differencing the density itself.
-        """
-        dVdr = np.gradient(self.potential, self.grid.rs, axis=0, edge_order=2)
-        dVdz = np.empty_like(self.potential)
-        hz = self.grid.hz
-        dVdz[:, 1:-1] = (self.potential[:, 2:] - self.potential[:, :-2]) / (2 * hz)
-        dVdz[:, 0] = 0.0  # even reflection
-        dVdz[:, -1] = (self.potential[:, -1] - self.potential[:, -2]) / hz
-        rotp = self.context.omega**2 * self.grid.rs
-        return rotp[:, None] - dVdr, -dVdz
-
 
 def _star_context(star: AxiStar) -> StarContext:
     g = star.grid
@@ -179,7 +164,16 @@ def _star_context(star: AxiStar) -> StarContext:
         profiles = [np.zeros_like(g.rs) for _ in range(3)]
     else:
         profiles = rot.profile.grid_profiles(rot.amplitude, g.rs, star.m_of_r, h1)
-    return StarContext(weights, mask, phi2, inv_phi2, h1, support, *profiles)
+    # grad rho0 = grad h / h''(rho0) with grad h = (omega^2 r - dV/dr, -dV/dz),
+    # h = rot - V - c: the potential is differenced (it is smooth through
+    # the surface), the density never
+    V = star.potential
+    dVdr = np.gradient(V, g.rs, axis=0, edge_order=2)
+    dVdz = np.gradient(V, g.hz, axis=1)
+    dVdz[:, 0] = 0.0  # even reflection
+    grad_rho = np.stack(((profiles[0] ** 2 * g.rs)[:, None] - dVdr, -dVdz)) * inv_phi2
+    rho = np.where(mask, star.rho, 0.0)
+    return StarContext(weights, mask, rho, grad_rho, phi2, inv_phi2, h1, support, *profiles)
 
 
 def make_grid(
@@ -462,7 +456,7 @@ def boundary_asymptotics_check(
         raise ValueError("exponent lambda must be positive")
     R0 = star.support_radius
     rs = star.grid.rs
-    q = star.grid.z_integral(np.where(star.rho > star.floor, star.rho, 0.0) ** lam)
+    q = star.grid.z_integral(star.context.rho ** lam)
     dist = R0 - rs
     sel = (dist > band[0] * R0) & (dist < band[1] * R0) & (q > 0)
     if np.count_nonzero(sel) < 8:

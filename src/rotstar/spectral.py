@@ -9,10 +9,11 @@ the second-order system  u_tt = -(L1 + L2) u  instead, with
 
 L1 is the density energy form evaluated on D(u): it is assembled by the
 same ``stability.energy_blocks`` as the reduced form and the generator.
-The velocity components are factored stacks (a radial x vertical x shared
-profile product per term), so the Upsilon block and the kinetic Gram go
-through ``stability.factored_pair_integrals`` (z first, then r) and no
-dense velocity stack is built for a form.
+The velocity components are factored stacks of rho0 and grad rho0 as the
+star's context holds them (a radial x vertical x shared profile product
+per term, over the term's own fields), so the Upsilon block and the
+kinetic Gram go through ``stability.factored_pair_integrals`` (z first,
+then r) and no dense velocity stack is built for a form.
 
 Its essential spectrum is the closed range of Upsilon, an interval [-a, b]
 with a > 0; finitely many eigenvalues sit below -a and a sequence of
@@ -52,6 +53,12 @@ __all__ = [
     "upsilon_range",
 ]
 
+#: highest Legendre degree of a stream field's vertical factor
+RING_DEG_Z = 3
+#: relative drift between the two finest levels below which an eigenvalue
+#: under the interval is discrete
+DISCRETE_DRIFT_TOL = 1e-3
+
 
 @dataclass
 class VelocityBasis:
@@ -85,7 +92,6 @@ def velocity_basis(
     grad_deg_r: int = 4,
     grad_deg_z: int = 4,
     ring_knots: int = 12,
-    ring_deg_z: int = 3,
     div_fields: np.ndarray | None = None,
 ) -> VelocityBasis:
     """Gradient plus divergence-free stream fields on the star.
@@ -93,8 +99,8 @@ def velocity_basis(
     Gradient potentials use an r^2 radial argument so their axis behaviour
     is regular (the mass-flux divergence stays square-integrable in the
     h''-weighted space).  Stream functions are r^2 rho0^2 times a spline
-    bump in radius and a Legendre factor in z; parity bookkeeping: an
-    'even' basis has even v_r and odd v_z.
+    bump in radius and a Legendre factor in z of degree at most
+    ``RING_DEG_Z``; an 'even' basis has even v_r and odd v_z.
 
     All spline bumps come from one ``BSpline`` evaluation on the identity
     coefficients (bumps that miss every grid radius are dropped).  The
@@ -102,22 +108,21 @@ def velocity_basis(
     (bump outer, z factor inner).  Each velocity component is a factored
     stack: a gradient field is one radial x vertical product on the
     support mask, a ring field the sum of two such products with profiles
-    of rho0 and its gradient.  Only the gradient fields' divergences, which
-    L1's Poisson solves need, are dense.  Every field is exactly zero off
-    the support.  ``div_fields``, when given, are those divergences from a
-    basis of the same star, parity and gradient degrees (the ring fields
-    may differ), and are reused instead of built again.
+    of the context's rho0 and grad rho0; each term covers its own fields
+    only.  Only the gradient fields' divergences, which L1's Poisson
+    solves need, are dense.  Every field is exactly zero off the support.
+    ``div_fields``, when given, are those divergences from a basis of the
+    same star, parity and gradient degrees (the ring fields may differ),
+    and are reused instead of built again.
     """
     if parity not in ("even", "odd"):
         raise ValueError("parity must be 'even' or 'odd'")
     g = star.grid
     rs, zs = g.rs, g.zs
     R0, Z0 = star.support_radius, star.support_height
-    mask, inv_phi2 = star.context.mask, star.context.inv_phi2
-    rho = np.where(mask, star.rho, 0.0)
-    # grad rho0 = grad h / h''(rho0) on the support, zero outside
-    ghr, ghz = star.grad_h()
-    drho_r, drho_z = ghr * inv_phi2, ghz * inv_phi2
+    ctx = star.context
+    mask, rho = ctx.mask, ctx.rho
+    drho_r, drho_z = ctx.grad_rho
 
     # gradient fields: xi = P_i(2 (r/R0)^2 - 1) * P_j(z/Z0), the constant
     # (0, 0) left out (zero field); j outer, i inner
@@ -132,7 +137,7 @@ def velocity_basis(
     x_r = (4.0 / R0**2) * rs
 
     # stream fields: Psi = r^2 rho0^2 beta_b(r) Z_j(z); u = curl-type, div-free
-    kz = [j for j in range(ring_deg_z + 1) if (j % 2 == 1) == (parity == "even")]
+    kz = [j for j in range(RING_DEG_Z + 1) if (j % 2 == 1) == (parity == "even")]
     knots = np.linspace(0.0, R0, ring_knots + 1)
     deg = 2
     t = np.concatenate([[0.0] * deg, knots, [R0] * deg])
@@ -141,26 +146,15 @@ def velocity_basis(
     keep = np.any(beta, axis=1)  # a bump between two grid radii is dropped
     beta = beta[keep]
     dbeta = np.nan_to_num(spl.derivative()(rs)).T[keep]
-    Zt, dZt, _ = legendre_table(zeta, ring_deg_z)
+    Zt, dZt, _ = legendre_table(zeta, RING_DEG_Z)
     Z, dZ = Zt[kz], dZt[kz] / Z0
-
-    n_grad, n_ring = len(pairs), beta.shape[0] * len(kz)
-    grad, ring = slice(0, n_grad), slice(n_grad, n_grad + n_ring)
-
-    def term(part, radial, vertical, index, profile):
-        # the members outside ``part`` have no share in the term
-        rows = np.zeros((n_grad + n_ring, rs.size))
-        rows[part] = radial
-        at = np.full(n_grad + n_ring, -1)
-        at[part] = index
-        return Term(rows, vertical, at, profile)
 
     # gradient fields, on the support: xi_r = P_i' x_r P_j, xi_z = P_i P_j' / Z0
     on = mask.astype(float)
     gpos = np.searchsorted(js, gj)
     dxi = (dPr * x_r)[gi]
-    grad_r = term(grad, dxi, Pz[js], gpos, on)
-    grad_z = term(grad, Pr[gi], dPz[js] / Z0, gpos, on)
+    grad_r = Term(dxi, Pz[js], gpos, on)
+    grad_z = Term(Pr[gi], dPz[js] / Z0, gpos, on)
     if div_fields is None:
         # laplacian: xi_rr + xi_r / r + xi_zz, with the r^2 argument; the
         # divergence alone is dense, read from unmasked gradient stacks
@@ -181,17 +175,18 @@ def velocity_basis(
     # u_z = -Z_j (beta_b (2 rho + 2 r rho_r) + r rho beta_b');
     # rho0 and its gradient vanish off the support, so these do too
     RG = rs[:, None]
+    n_grad = len(pairs)
     zpos = np.tile(np.arange(len(kz)), beta.shape[0])
     rbeta = np.repeat(rs * beta, len(kz), axis=0)
     u_r = FactoredStack((
         grad_r,
-        term(ring, rbeta, Z, zpos, 2.0 * drho_z),
-        term(ring, rbeta, dZ, zpos, rho),
+        Term(rbeta, Z, zpos, 2.0 * drho_z, n_grad),
+        Term(rbeta, dZ, zpos, rho, n_grad),
     ))
     u_z = FactoredStack((
         grad_z,
-        term(ring, np.repeat(beta, len(kz), axis=0), -Z, zpos, 2.0 * rho + 2.0 * RG * drho_r),
-        term(ring, np.repeat(dbeta, len(kz), axis=0), -Z, zpos, RG * rho),
+        Term(np.repeat(beta, len(kz), axis=0), -Z, zpos, 2.0 * rho + 2.0 * RG * drho_r, n_grad),
+        Term(np.repeat(dbeta, len(kz), axis=0), -Z, zpos, RG * rho, n_grad),
     ))
     return VelocityBasis(star=star, u_r=u_r, u_z=u_z, div_fields=div_fields, parity=parity)
 
@@ -199,10 +194,9 @@ def velocity_basis(
 def upsilon_range(star: AxiStar):
     """Range [min, max] of the actual discriminant over the support radii,
     read on 2048 radii interpolated from the grid profile."""
-    rs = star.grid.rs
-    ups = star.context.ups
-    sup = rs <= star.support_radius
-    fine = np.interp(np.linspace(0.0, star.support_radius, 2048), rs[sup], ups[sup])
+    ctx = star.context
+    sup = ctx.radial_support
+    fine = np.interp(np.linspace(0.0, star.support_radius, 2048), star.grid.rs[sup], ctx.ups[sup])
     return float(np.min(fine)), float(np.max(fine))
 
 
@@ -232,8 +226,7 @@ def assemble_meridional_form(basis: VelocityBasis, l1: np.ndarray | None = None)
             "first-order stability analysis instead"
         )
     ctx = star.context
-    w = ctx.weights
-    rho = np.where(ctx.mask, star.rho, 0.0)
+    w, rho = ctx.weights, ctx.rho
 
     # L1 is the energy form of div(rho0 u); the ring rows stay exact zeros
     n, ng = basis.count, basis.n_grad
@@ -283,7 +276,6 @@ def spectrum_report(
     ring_knots0: int = 10,
     grad_deg_r: int = 4,
     grad_deg_z: int = 4,
-    discrete_drift_tol: float = 1e-3,
     strict: bool = False,
 ) -> SpectrumReport:
     """Eigenvalues of the meridional form across nested bases with
@@ -291,7 +283,7 @@ def spectrum_report(
 
     An eigenvalue is binned essential when its local spacing contracts by at
     least a factor two per refinement (the cluster filling the interval);
-    discrete when it moves by less than ``discrete_drift_tol`` relatively
+    discrete when it moves by less than ``DISCRETE_DRIFT_TOL`` relatively
     between the two finest levels while staying outside the interval.
     Ambiguous values are flagged; ``strict`` escalates them to an error.
     The levels differ in their ring fields only, so the gradient fields'
@@ -338,7 +330,7 @@ def spectrum_report(
     for v in lam[lam < lo - margin]:
         nearest = prev[np.argmin(np.abs(prev - v))]
         drift = abs(nearest - v) / scale
-        if drift < discrete_drift_tol:
+        if drift < DISCRETE_DRIFT_TOL:
             discrete_below.append(float(v))
             continue
         # a late-arriving cluster member crowding the lower edge contracts
@@ -367,7 +359,6 @@ def evolve_second_order(
     u0: np.ndarray,
     v0: np.ndarray,
     T: float,
-    dt: float | None = None,
     dt_factor: float = 0.1,
 ) -> LinearTrajectory:
     """Leapfrog integration of  u_tt = -(form) u  in whitened coordinates.
@@ -375,15 +366,13 @@ def evolve_second_order(
     ``u0``/``v0`` are coordinates in the pencil eigenbasis, whose columns
     ``form.vectors`` are Gram-orthonormal: a field with basis coefficients x
     has coordinates ``form.vectors.T @ form.gram @ x``, and a unit vector
-    starts a pure eigenmode.  The default step is
-    dt_factor / sqrt(max eigenvalue), within the leapfrog stability bound.
+    starts a pure eigenmode.  The step is dt_factor / sqrt(max |eigenvalue|);
+    a factor of 2 or more exceeds the leapfrog stability bound.
     """
-    lam = form.eigenvalues
-    lam_max = float(np.max(np.abs(lam)))
-    if dt is None:
-        dt = dt_factor / math.sqrt(lam_max)
-    if dt * math.sqrt(lam_max) >= 2.0:
+    if dt_factor >= 2.0:
         raise ValueError("time step exceeds the leapfrog stability bound")
+    lam = form.eigenvalues
+    dt = dt_factor / math.sqrt(float(np.max(np.abs(lam))))
     n_steps = max(int(round(T / dt)), 1)
     # whitened coordinates diagonalize the pencil: u'' = -diag(lam) u
     c = np.asarray(u0, dtype=float).copy()

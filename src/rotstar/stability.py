@@ -119,12 +119,13 @@ def factored_pair_integrals(a: FactoredStack, b: FactoredStack,
             ns, nz = s.vertical.shape
             table = (s.vertical[:, None, :] * w).reshape(ns * J, nz) @ t.vertical.T
             table = table.reshape(ns, J, -1)
+            block = out[s.start:s.start + s.index.size, t.start:t.start + t.index.size]
             for u, ka in s.groups:
                 left = s.radial[ka, :J]
-                rows = np.zeros((ka.size, b.count))
+                rows = np.zeros((ka.size, t.index.size))
                 for v, kb in t.groups:
                     rows[:, kb] = (left * table[u, :, v]) @ t.radial[kb, :J].T
-                out[ka] += rows
+                block[ka] += rows
     return out
 
 
@@ -338,11 +339,11 @@ def _sector_products(star: AxiStar, dens, aw: np.ndarray) -> tuple:
     ctx = star.context
     w = ctx.weights
     values, grad_r, grad_z = dens.factored(), dens.factored(1, 0), dens.factored(0, 1)
-    rho_w = w * star.rho
+    rho_w = w * ctx.rho
     dor_over_r = d_omega_r2_over_r(ctx.omega, ctx.d_om_r2, star.grid.rs)
     return (
         factored_pair_integrals(values, values, rho_w),
-        factored_pair_integrals(values, values, w * aw[:, None] * star.rho),
+        factored_pair_integrals(values, values, w * aw[:, None] * ctx.rho),
         factored_pair_integrals(grad_r, grad_r, rho_w)
         + factored_pair_integrals(grad_z, grad_z, rho_w),
         -factored_pair_integrals(values, grad_r, rho_w * dor_over_r[:, None]),

@@ -115,6 +115,22 @@ def test_solver_failure_exit_code(tmp_path):
         assert err["error"] == "solver"
 
 
+def test_support_reaching_the_grid_edge_is_a_solver_failure(tmp_path):
+    """Spun up to kappa 0.3 on a grid padded by only 1.05, the star's
+    equator reaches the outer radius: exit 3, and error.json says why."""
+    star = {
+        "eos": {"kind": "polytropic", "c_minus": 1.0, "gamma0": 1.6666666666666667},
+        "rotation": {"form": "rigid", "omega_c": 1.0, "kappa": 0.3},
+        "mu": 1.0,
+        "grid": {"nr": 24, "nz": 24, "pad": 1.05},
+    }
+    out = tmp_path / "eq"
+    cfg = write(tmp_path, "eq.json", star)
+    assert main(["equilibrium", cfg, "--out-dir", str(out)]) == EXIT_SOLVER
+    err = json.loads((out / "error.json").read_text())
+    assert err["message"] == "density support touches the grid boundary"
+
+
 def test_equilibrium_records_its_sweeps(tmp_path):
     """Anderson mixing: the README star at 96^2 (50 damped sweeps) takes at
     most 15, and equilibrium.json records the count."""

@@ -133,6 +133,15 @@ def test_fixed_j_grid_too_small(eos53):
         solve_fixed_j(eos53, FixedTotalMomentum(), 0.1, 1.0, grid=small)
 
 
+def test_unit_pad_grid_does_not_contain_the_support(eos53):
+    """A grid padded by 1.0 ends at the non-rotating radius itself, so
+    neither the SCF nor the sampled star has room for the surface."""
+    with pytest.raises(SolverError, match="grid does not contain the non-rotating support"):
+        solve_fixed_omega(eos53, RigidLaw(1.0), 0.05, 1.0, nr=24, nz=24, pad=1.0)
+    with pytest.raises(SolverError, match="grid does not contain the support"):
+        axistar_from_radial(solve_radial(eos53, 1.0), pad=1.0, nr=24, nz=24)
+
+
 def test_mixed_star_mass_matches_damped_iteration(eos53):
     """Anderson mixing converges the 48^2 rigid star to the mass that damped
     iteration reached (pinned from it)."""
@@ -188,6 +197,7 @@ def test_star_context_is_built_once(rot53):
     assert rot53.context is ctx
     mask = rot53.rho > 1e-12 * rot53.mu
     assert np.array_equal(ctx.mask, mask)
+    assert np.array_equal(ctx.rho, rot53.rho * mask)
     phi2 = rot53.eos.enthalpy_second(rot53.rho[mask])
     assert np.array_equal(ctx.phi2[mask], phi2)
     assert np.array_equal(ctx.inv_phi2[mask], 1.0 / phi2)
@@ -207,6 +217,20 @@ def test_star_context_is_built_once(rot53):
     # Upsilon = 2 omega d(omega r^2)/dr / r, whose axis limit is 2 omega(0)
     assert np.array_equal(ctx.ups, 2.0 * omega * np.r_[2.0 * kappa, d_om_r2[1:] / rs[1:]])
     assert ctx.ups[0] == 4.0 * kappa**2
+    # grad rho0 = grad h / h''(rho0), grad h = (omega^2 r - dV/dr, -dV/dz), on
+    # the support: central differences inside, one-sided at the outer rows
+    V, hr, hz = rot53.potential, g.rs[1] - g.rs[0], g.hz
+    dVdr = np.empty_like(V)
+    dVdr[1:-1] = (V[2:] - V[:-2]) / (2 * hr)
+    dVdr[0] = (-3 * V[0] + 4 * V[1] - V[2]) / (2 * hr)
+    dVdr[-1] = (3 * V[-1] - 4 * V[-2] + V[-3]) / (2 * hr)
+    dVdz = np.zeros_like(V)
+    dVdz[:, 1:-1] = (V[:, 2:] - V[:, :-2]) / (2 * hz)
+    dVdz[:, -1] = (V[:, -1] - V[:, -2]) / hz
+    want = np.stack(((omega**2 * rs)[:, None] - dVdr, -dVdz)) * ctx.inv_phi2
+    assert ctx.grad_rho.shape == (2,) + V.shape
+    assert np.all(ctx.grad_rho[:, ~mask] == 0)
+    assert np.max(np.abs(ctx.grad_rho - want)) <= 1e-10 * np.max(np.abs(want))
     # a copied star with another density gets its own context
     other = dataclasses.replace(rot53, rho=2.0 * rot53.rho)
     assert not np.array_equal(other.context.h1, ctx.h1)

@@ -12,6 +12,7 @@ from rotstar.errors import SolverError
 from rotstar.forms import QuadraticForm
 from rotstar.rotlaw import PowerTailLaw
 from rotstar.spectral import (
+    RING_DEG_Z,
     VelocityBasis,
     _l1_block,
     assemble_meridional_form,
@@ -28,7 +29,7 @@ def _factored(stack):
     with the field as its profile."""
     n, nr, nz = stack.shape
     return FactoredStack(tuple(
-        Term(np.ones((n, nr)), np.ones((1, nz)), np.where(np.arange(n) == k, 0, -1), stack[k])
+        Term(np.ones((1, nr)), np.ones((1, nz)), np.zeros(1, dtype=int), stack[k], k)
         for k in range(n)
     ))
 
@@ -91,7 +92,7 @@ def test_localized_ring_quotient_near_local_discriminant(rayleigh_unstable_star)
     ups = star.context.ups
     rs = star.grid.rs
     w = 2 * math.pi * np.outer(star.grid.wr * star.grid.rs, star.grid.wz_line())
-    basis = velocity_basis(star, ring_knots=40, grad_deg_r=0, grad_deg_z=0, ring_deg_z=1)
+    basis = velocity_basis(star, ring_knots=40, grad_deg_r=0, grad_deg_z=0)
     checked = 0
     fields_r = basis.u_r.dense()
     for k in range(basis.count):
@@ -237,7 +238,7 @@ def test_generic_growth_bounded(form):
 def test_step_size_guard(form):
     n = form.eigenvalues.size
     with pytest.raises(ValueError):
-        evolve_second_order(form, np.zeros(n), np.zeros(n), T=1.0, dt=1e9)
+        evolve_second_order(form, np.zeros(n), np.zeros(n), T=1.0, dt_factor=2.0)
 
 
 def test_nonfinite_divergence_rejected(rayleigh_unstable_star):
@@ -254,28 +255,31 @@ def test_nonfinite_divergence_rejected(rayleigh_unstable_star):
         assemble_meridional_form(bad)
 
 
-def test_strict_mode_escalates_ambiguity(rayleigh_unstable_star):
+def test_strict_mode_escalates_ambiguity(rayleigh_unstable_star, monkeypatch):
+    from rotstar import spectral
     from rotstar.errors import AmbiguousClassificationError
 
+    monkeypatch.setattr(spectral, "DISCRETE_DRIFT_TOL", 0.0)
     with pytest.raises(AmbiguousClassificationError):
-        spectrum_report(
-            rayleigh_unstable_star,
-            levels=2,
-            ring_knots0=10,
-            discrete_drift_tol=0.0,
-            strict=True,
-        )
+        spectrum_report(rayleigh_unstable_star, levels=2, ring_knots0=10, strict=True)
 
 
-def _velocity_basis_loop(star, parity, grad_deg_r, grad_deg_z, ring_knots, ring_deg_z=3):
-    """Reference: one field at a time, masked with ``np.where``."""
+def _velocity_basis_loop(star, parity, grad_deg_r, grad_deg_z, ring_knots):
+    """Reference: one field at a time, masked with ``np.where``; grad rho0 is
+    grad h / h''(rho0), with grad h = (omega^2 r - dV/dr, -dV/dz) differenced
+    from the star's own potential."""
     g = star.grid
     rs, zs = g.rs, g.zs
     R0, Z0 = star.support_radius, star.support_height
     mask, inv_phi2 = star.context.mask, star.context.inv_phi2
     rho = np.where(mask, star.rho, 0.0)
-    ghr, ghz = star.grad_h()
-    drho_r, drho_z = ghr * inv_phi2, ghz * inv_phi2
+    V = star.potential
+    dVdr = np.gradient(V, rs, axis=0, edge_order=2)
+    dVdz = np.zeros_like(V)  # zero on z = 0 by even reflection
+    dVdz[:, 1:-1] = (V[:, 2:] - V[:, :-2]) / (2 * g.hz)
+    dVdz[:, -1] = (V[:, -1] - V[:, -2]) / g.hz
+    drho_r = ((star.context.omega**2 * rs)[:, None] - dVdr) * inv_phi2
+    drho_z = -dVdz * inv_phi2
     RG = rs[:, None]
     fr, fz, divs, kinds = [], [], [], []
     Pr, dPr, d2Pr = legendre_table(2.0 * (rs / R0) ** 2 - 1.0, grad_deg_r)
@@ -298,9 +302,9 @@ def _velocity_basis_loop(star, parity, grad_deg_r, grad_deg_z, ring_knots, ring_
             fz.append(np.where(mask, xi_z, 0.0))
             divs.append(np.where(mask, div, 0.0))
             kinds.append("grad")
-    kz = [j for j in range(ring_deg_z + 1) if (j % 2 == 1) == (parity == "even")]
+    kz = [j for j in range(RING_DEG_Z + 1) if (j % 2 == 1) == (parity == "even")]
     t = np.concatenate([[0.0] * 2, np.linspace(0.0, R0, ring_knots + 1), [R0] * 2])
-    Zt, dZt, _ = legendre_table(zs / Z0, ring_deg_z)
+    Zt, dZt, _ = legendre_table(zs / Z0, RING_DEG_Z)
     dZt = dZt / Z0
     for ib in range(len(t) - 3):
         spl = BSpline(t, np.eye(len(t) - 3)[ib], 2, extrapolate=False)

@@ -551,17 +551,20 @@ def test_pair_integrals_sum_only_radii_with_nonzero_weight(J):
 
 
 def _random_factored(rng, n, nr, nz, n_terms, with_profiles):
-    """A random factored stack: every term has its own vertical table and
-    leaves some members out (index -1)."""
+    """A random factored stack of n members: every term has its own
+    vertical table and covers its own run of members, the first term the
+    last ones, so the others leave some members out."""
     terms = []
     for t in range(n_terms):
         n_v = 1 + t
-        index = rng.integers(-1, n_v, n)
+        start = int(rng.integers(0, n // 2 + 1))
+        stop = n if t == 0 else int(rng.integers(start, n + 1))
+        index = rng.integers(0, n_v, stop - start)
         profile = rng.standard_normal((nr, nz)) if with_profiles else None
         if profile is not None:
             profile[rng.random(nr) < 0.3] = 0.0  # zero on some radii
-        terms.append(Term(rng.standard_normal((n, nr)), rng.standard_normal((n_v, nz)),
-                          index, profile))
+        terms.append(Term(rng.standard_normal((stop - start, nr)), rng.standard_normal((n_v, nz)),
+                          index, profile, start))
     return FactoredStack(tuple(terms))
 
 
@@ -583,8 +586,7 @@ def test_factored_pair_integrals_match_dense(n_a, n_b, trailing):
         for t in stack.terms:
             p = 1.0 if t.profile is None else t.profile
             for k, v in enumerate(t.index):
-                if v >= 0:
-                    ref[k] += np.outer(t.radial[k], t.vertical[v]) * p
+                ref[t.start + k] += np.outer(t.radial[k], t.vertical[v]) * p
         assert np.allclose(dense, ref, rtol=0, atol=1e-14 * max(np.max(np.abs(ref), initial=0), 1))
     got = stability.factored_pair_integrals(a, b, weight)
     want = stability.pair_integrals(da, db, weight)
@@ -609,12 +611,13 @@ def _dense_generator(basis, energy, parity):
 
     (Pr, dPr), (Pz, dPz) = dens.radial, dens.vertical
     vals, gr, gz = stack(Pr, Pz), stack(dPr, Pz), stack(Pr, dPz)
-    rho_w = ctx.weights * star.rho
+    rho = np.where(ctx.mask, star.rho, 0.0)
+    rho_w = ctx.weights * rho
     pi = stability.pair_integrals
     dor = stability.d_omega_r2_over_r(ctx.omega, ctx.d_om_r2, g.rs)
     products = (
         pi(vals, vals, rho_w),
-        pi(vals, vals, ctx.weights * aw[:, None] * star.rho),
+        pi(vals, vals, ctx.weights * aw[:, None] * rho),
         pi(gr, gr, rho_w) + pi(gz, gz, rho_w),
         -pi(vals, gr, rho_w * dor[:, None]),
     )
@@ -646,6 +649,30 @@ def test_generator_matches_dense_stack_reference(rot13, parity):
     want_count, want_growth, want_zero = generator_unstable_count(ref)
     assert (count, n_zero) == (want_count, want_zero)
     assert growth == pytest.approx(want_growth, rel=1e-6)
+
+
+def test_generator_reads_rho0_on_its_support_only(eos53):
+    """A node inside R0 but above the surface, bumped to half the density
+    floor, stays off the support: the generator's Galerkin products weigh
+    by the context's rho0, so P and Lh do not move."""
+    import dataclasses
+
+    from rotstar.equilibria import solve_fixed_omega
+    from rotstar.rotlaw import RigidLaw
+
+    star = solve_fixed_omega(eos53, RigidLaw(1.0), 0.05, 1.0, nr=32, nz=32)
+    above = (star.rho == 0) & (star.grid.rs[:, None] <= star.support_radius)
+    i, j = np.argwhere(above & (star.context.weights > 0))[0]
+    rho = star.rho.copy()
+    rho[i, j] = 0.5 * star.floor
+    bumped = dataclasses.replace(star, rho=rho)
+    assert np.array_equal(bumped.context.mask, star.context.mask)
+    gens = []
+    for s in (star, bumped):
+        basis = perturbation_basis(s, deg_r=4, deg_z=2, parity="even")
+        gens.append(assemble_generator(basis, assemble_perturbation_energy(basis)))
+    assert np.array_equal(gens[0].P, gens[1].P)
+    assert np.array_equal(gens[0].Lh, gens[1].Lh)
 
 
 def test_quadruple_defect_equals_per_eigenvalue_loop(rot13, generator_of):
@@ -730,9 +757,8 @@ def test_profiles_give_each_family_its_gradient_and_weight(request, name):
     both read from the rotation profiles, equal the per-family formulas."""
     star = request.getfixturevalue(name)
     grad, weight = _family_closed_forms(star)
-    dVdr = np.gradient(star.potential, star.grid.rs, axis=0, edge_order=2)
-    rotp = star.grad_h()[0] + dVdr
-    assert np.max(np.abs(rotp - grad[:, None])) <= 1e-13 * np.max(np.abs(grad))
+    rotp = star.context.omega**2 * star.grid.rs
+    assert np.max(np.abs(rotp - grad)) <= 1e-13 * np.max(np.abs(grad))
     w, sup = stability.rotational_weight(star)
     off = sup & (star.grid.rs > 0)
     assert np.all(w[~off] == 0)
