@@ -228,11 +228,10 @@ def perturbation_basis(
             sm = solve_radial(star.eos, star.mu - h)
             RG, ZG = grid.meshes()
             S = np.sqrt(RG**2 + ZG**2)
-            direction = (sp.rho_of(S) - sm.rho_of(S)) / (2.0 * h)
+            fields[stop] = (sp.rho_of(S) - sm.rho_of(S)) / (2.0 * h)
+            fields[stop, ~ctx.mask] = 0.0  # a non-rotating profile's support
         else:
-            direction = ctx.grad_rho[1].copy()
-        direction[~ctx.mask] = 0.0
-        fields[stop] = direction
+            fields[stop] = ctx.grad_rho[1]  # zero off the support
         sectors[name] = Sector(slice(start, stop + 1), sh)
         start = stop + 1
     return PerturbationBasis(star, fields, sectors)

@@ -31,10 +31,10 @@ a machine-readable error.json:
 
 * 0 success;
 * 2 ``ConfigError``: an invalid config, or an analysis the star's rotation
-  does not admit (``stability`` or ``tpp-scan`` on a Rayleigh-unstable
-  star, ``spectrum`` or ``evolve`` on a Rayleigh-stable one, a momentum
-  distribution not vanishing at the axis, a descending, flat or too short
-  ``mu_grid``);
+  does not admit (``stability`` or ``tpp-scan`` on a star that is not
+  ``StarContext.rayleigh_stable``, ``spectrum`` or ``evolve`` on a static
+  or Rayleigh-stable one, a momentum distribution not vanishing at the
+  axis, a descending, flat or too short ``mu_grid``);
 * 3 ``SolverError``: no SCF convergence or divergence, a grid too small
   for the star, a star with no surface, no converged scan point;
 * 4 ``AmbiguousClassificationError``: a strict spectrum that cannot

@@ -26,13 +26,16 @@ support.  A defect that turns non-finite or exceeds the first sweep's by
 sweep count.
 
 A star stores only what defines it: its mass, cylinder mass and density
-floor are properties of its grid, density and center density.  Its ring
-kernel (``AxiStar.kernel``) solves the potentials of any field stack of one
-parity.  It carries one lazily built ``StarContext``, the only copy of the
-volume weights, the support mask, rho0 on the support and its gradient
-grad h / h''(rho0), h''(rho0) and its inverse, the column density, the
-radial support and the rotation profiles that the bases and stability forms
-share; no analysis masks the density or differences the potential itself.
+floor are properties of its grid, density and center density.  Its density
+is rho0, zero at and below the floor by construction (solved, sampled,
+loaded or replaced), so its mass and every analysis read the support alone.
+Its ring kernel (``AxiStar.kernel``) solves the potentials of any field
+stack of one parity.  It carries one lazily built ``StarContext``, the only
+copy of the volume weights, the support mask, grad rho0 = grad h / h''(rho0),
+h''(rho0) and its inverse, the column density, the radial support, the
+rotation profiles, the two rotational weights and the rotation regime
+(``rayleigh_stable``) that the bases and stability forms share; no analysis
+masks the density, differences the potential or compares Upsilon with 0.
 The profiles (omega, d(omega r^2)/dr, Upsilon) come from the profile class
 (``grid_profiles``) and are the only way the rotation reaches those
 analyses; this module reads the family only for the fixed-j origin check.
@@ -86,8 +89,7 @@ class StarContext:
     read them and never write into them."""
 
     weights: np.ndarray  # volume weights 2 pi (wr r) (x) wz
-    mask: np.ndarray  # support, rho0 > floor
-    rho: np.ndarray  # rho0 on the support, 0 outside
+    mask: np.ndarray  # support, rho0 > 0
     grad_rho: np.ndarray  # (d/dr, d/dz) of rho0, grad h / h''(rho0) on the support, 0 outside
     phi2: np.ndarray  # h''(rho0) on the support, 0 outside
     inv_phi2: np.ndarray  # 1 / h''(rho0) on the support, 0 outside
@@ -96,6 +98,8 @@ class StarContext:
     omega: np.ndarray  # this and the next two: the profile's grid_profiles()
     d_om_r2: np.ndarray
     ups: np.ndarray
+    rot_weight: np.ndarray  # Upsilon / (r h1) on the radial support off the axis, else 0
+    kin_weight: np.ndarray  # 4 omega^2 / Upsilon there where Upsilon > 0, else 0
 
     @property
     def rotating(self) -> bool:
@@ -103,11 +107,19 @@ class StarContext:
         rotating family does not)."""
         return bool(np.any(self.omega))
 
+    @property
+    def rayleigh_stable(self) -> bool:
+        """Upsilon > 0 on every radial-support radius off the axis (index
+        0): the one rule that admits the reduced form, the lift and the
+        generator and refuses the meridional form; a static star fails it."""
+        return bool(np.all(self.ups[1:][self.radial_support[1:]] > 0))
+
 
 @dataclass
 class AxiStar:
     """Axisymmetric equilibrium on a half-plane grid (even in z); a copy
-    with another density (``dataclasses.replace``) derives its own mass."""
+    with another density (``dataclasses.replace``) derives its own mass.
+    ``rho`` is rho0: any density it is given is cut to 0 at the floor."""
 
     eos: EquationOfState
     grid: Grid
@@ -121,6 +133,9 @@ class AxiStar:
     rotation: RotationSpec
     sweeps: int = 0  # SCF sweeps that produced rho; 0 for a sampled or loaded star
     _kernel: RingKernel | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.rho = np.where(self.rho <= self.floor, 0.0, self.rho)  # a NaN stays
 
     @cached_property
     def m_of_r(self) -> np.ndarray:
@@ -151,7 +166,7 @@ class AxiStar:
 
 def _star_context(star: AxiStar) -> StarContext:
     g = star.grid
-    mask = star.rho > star.floor
+    mask = star.rho > 0
     phi2 = np.zeros_like(star.rho)
     phi2[mask] = star.eos.enthalpy_second(star.rho[mask])
     inv_phi2 = np.zeros_like(star.rho)
@@ -171,9 +186,13 @@ def _star_context(star: AxiStar) -> StarContext:
     dVdr = np.gradient(V, g.rs, axis=0, edge_order=2)
     dVdz = np.gradient(V, g.hz, axis=1)
     dVdz[:, 0] = 0.0  # even reflection
-    grad_rho = np.stack(((profiles[0] ** 2 * g.rs)[:, None] - dVdr, -dVdz)) * inv_phi2
-    rho = np.where(mask, star.rho, 0.0)
-    return StarContext(weights, mask, rho, grad_rho, phi2, inv_phi2, h1, support, *profiles)
+    omega, _, ups = profiles
+    grad_rho = np.stack(((omega**2 * g.rs)[:, None] - dVdr, -dVdz)) * inv_phi2
+    off = support & (g.rs > 0)
+    rot_weight = np.divide(ups, g.rs * h1, out=np.zeros_like(ups), where=off)
+    kin_weight = np.divide(4.0 * omega**2, ups, out=np.zeros_like(ups), where=off & (ups > 0))
+    return StarContext(weights, mask, grad_rho, phi2, inv_phi2, h1, support, *profiles,
+                       rot_weight, kin_weight)
 
 
 def make_grid(
@@ -456,7 +475,7 @@ def boundary_asymptotics_check(
         raise ValueError("exponent lambda must be positive")
     R0 = star.support_radius
     rs = star.grid.rs
-    q = star.grid.z_integral(star.context.rho ** lam)
+    q = star.grid.z_integral(star.rho ** lam)
     dist = R0 - rs
     sel = (dist > band[0] * R0) & (dist < band[1] * R0) & (q > 0)
     if np.count_nonzero(sel) < 8:

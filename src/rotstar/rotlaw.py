@@ -62,6 +62,8 @@ __all__ = [
 ]
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(6)
+#: p / q at which ``validate_origin`` probes j and dj/dp near the axis
+ORIGIN_SCALE = 1e-6
 
 
 class AngularVelocityLaw:
@@ -241,13 +243,13 @@ class MomentumDistribution:
         """J = j^2."""
         return self.j(p, q) ** 2
 
-    def validate_origin(self, q: float, scale: float = 1e-6):
+    def validate_origin(self, q: float):
         """Check the smoothness requirements at p = 0: j(0, q) = 0 and a
-        finite one-sided slope.  Raises ConfigError on violation."""
+        finite slope at p = ``ORIGIN_SCALE`` q; raises ConfigError if not."""
         j0 = float(self.j(0.0, q))
-        if abs(j0) > 1e-12 * max(abs(float(self.j(scale * q, q))), 1e-300):
+        if abs(j0) > 1e-12 * max(abs(float(self.j(ORIGIN_SCALE * q, q))), 1e-300):
             raise ConfigError("momentum distribution must vanish at zero cylinder mass")
-        slope = float(self.dj_dp(scale * q, q))
+        slope = float(self.dj_dp(ORIGIN_SCALE * q, q))
         if not math.isfinite(slope):
             raise ConfigError("momentum distribution slope must stay finite at p = 0")
 

@@ -1,16 +1,16 @@
 """Spectrum and growth analysis for centrifugally unstable rotation.
 
-When the discriminant Upsilon dips below zero the azimuthal-velocity weight
-of the first-order formulation blows up, and the meridional velocity obeys
-the second-order system  u_tt = -(L1 + L2) u  instead, with
+When Upsilon > 0 fails on the support (``StarContext.rayleigh_stable``)
+the azimuthal-velocity weight of the first-order formulation blows up, and
+the meridional velocity obeys u_tt = -(L1 + L2) u instead, with
 
     [L1 u, u] = int h''(rho0) D(u)^2 dx - int int D(u)(x) D(u)(y)/|x-y|,
     [L2 u, u] = int rho0 Upsilon(r) u_r^2 dx,        D(u) = div(rho0 u).
 
 L1 is the density energy form evaluated on D(u): it is assembled by the
 same ``stability.energy_blocks`` as the reduced form and the generator.
-The velocity components are factored stacks of rho0 and grad rho0 as the
-star's context holds them (a radial x vertical x shared profile product
+The velocity components are factored stacks of the star's rho0 and its
+context's grad rho0 (a radial x vertical x shared profile product
 per term, over the term's own fields), so the Upsilon block and the
 kinetic Gram go through ``stability.factored_pair_integrals`` (z first,
 then r) and no dense velocity stack is built for a form.
@@ -108,7 +108,7 @@ def velocity_basis(
     (bump outer, z factor inner).  Each velocity component is a factored
     stack: a gradient field is one radial x vertical product on the
     support mask, a ring field the sum of two such products with profiles
-    of the context's rho0 and grad rho0; each term covers its own fields
+    of rho0 and the context's grad rho0; each term covers its own fields
     only.  Only the gradient fields' divergences, which L1's Poisson
     solves need, are dense.  Every field is exactly zero off the support.
     ``div_fields``, when given, are those divergences from a basis of the
@@ -121,7 +121,7 @@ def velocity_basis(
     rs, zs = g.rs, g.zs
     R0, Z0 = star.support_radius, star.support_height
     ctx = star.context
-    mask, rho = ctx.mask, ctx.rho
+    mask, rho = ctx.mask, star.rho
     drho_r, drho_z = ctx.grad_rho
 
     # gradient fields: xi = P_i(2 (r/R0)^2 - 1) * P_j(z/Z0), the constant
@@ -167,7 +167,6 @@ def velocity_basis(
         div_fields *= rho
         div_fields += drho_r * xi_r
         div_fields += drho_z * xi_z
-        div_fields[:, ~mask] = 0.0
         del xi_r, xi_z
 
     # ring fields, bump b outer and z factor j inner:
@@ -211,22 +210,21 @@ def _l1_block(basis: VelocityBasis) -> np.ndarray:
 
 def assemble_meridional_form(basis: VelocityBasis, l1: np.ndarray | None = None) -> QuadraticForm:
     """Quadratic form of the second-order meridional dynamics on the basis's
-    star over the kinetic-energy Gram.  Requires a centrifugally unstable
-    rotation (the first-order route handles the stable case).
+    star over the kinetic-energy Gram, for a rotating star that is not
+    ``rayleigh_stable`` (the first-order route handles the stable case).
 
     L1 depends on the gradient fields alone, not on the ring fields; ``l1``,
     when given, is its block from a basis with the same gradient fields,
     reused instead of solving their potentials again.
     """
     star = basis.star
-    lo, _ = upsilon_range(star)
-    if lo >= 0:
+    ctx = star.context
+    if not ctx.rotating or ctx.rayleigh_stable:
         raise ConfigError(
             "rotation is Rayleigh stable on this star; use the reduced "
             "first-order stability analysis instead"
         )
-    ctx = star.context
-    w, rho = ctx.weights, ctx.rho
+    w, rho = ctx.weights, star.rho
 
     # L1 is the energy form of div(rho0 u); the ring rows stay exact zeros
     n, ng = basis.count, basis.n_grad

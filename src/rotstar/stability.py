@@ -5,16 +5,18 @@ energy; its density block is the perturbation-energy form
 
     E[dr] = int h''(rho0) dr^2 dx - int int dr(x) dr(y) / |x - y| dx dy,
 
-and for a centrifugally stable rotation the number of growing-mode pairs
-equals the number of negative directions of the reduced form
+and for a Rayleigh stable rotation (``StarContext.rayleigh_stable``) the
+number of growing-mode pairs is the number of negative directions of the
+reduced form
 
     E[dr] + 2 pi int_0^R0 W(r) F(r)^2 dr,   F(r) = int_0^r s int dr dz ds,
 
-restricted to zero total mass, where the rotational weight is
+restricted to zero total mass, where the rotational weight is the context's
 W = Upsilon(r) / (r * int rho0 dz) for both rotation families: the star's
-rotation enters every form below only through its profiles omega,
-d(omega r^2)/dr and Upsilon (for a prescribed momentum distribution W equals
-eps^2 dJ/dp(m(r), M) / r^3 through Upsilon = 2 omega d(omega r^2)/dr / r).
+rotation enters every form below only through its context, the profiles
+omega, d(omega r^2)/dr, Upsilon and the weights W and 4 omega^2 / Upsilon
+(for a prescribed momentum distribution W equals eps^2 dJ/dp(m(r), M) / r^3
+through Upsilon = 2 omega d(omega r^2)/dr / r).
 
 Grid products of dense field stacks (the energy blocks) go through
 ``pair_integrals``, one matrix product over the weighted support;
@@ -152,18 +154,6 @@ def assemble_perturbation_energy(basis: PerturbationBasis) -> QuadraticForm:
     return QuadraticForm(gram + sla.block_diag(*grav), gram)
 
 
-def rotational_weight(star: AxiStar):
-    """Per-radius weight W(r) = Upsilon / (r int rho0 dz) of the reduced
-    rotational correction, on the radial support mask (zero outside)."""
-    rs = star.grid.rs
-    ctx = star.context
-    sup = ctx.radial_support
-    w = np.zeros_like(rs)
-    off = sup & (rs > 0)
-    w[off] = ctx.ups[off] / (rs[off] * ctx.h1[off])
-    return w, sup
-
-
 def cumulative_cylinder_integrals(basis: PerturbationBasis) -> np.ndarray:
     """F_k(r) = int_0^r s [int delta_rho_k dz] ds for every basis field.
 
@@ -191,17 +181,16 @@ def assemble_reduced_energy(basis: PerturbationBasis) -> QuadraticForm:
 def _add_rotational_correction(base: QuadraticForm, basis: PerturbationBasis) -> QuadraticForm:
     """The reduced form from the basis's perturbation-energy form ``base``."""
     star = basis.star
-    if not star.context.rotating:
+    ctx = star.context
+    if not ctx.rotating:
         return base
-    w, sup = rotational_weight(star)
-    if np.any(w[sup] < 0):
+    if not ctx.rayleigh_stable:
         raise ConfigError(
             "rotation is Rayleigh unstable on this star; the reduced form "
             "does not apply, use the second-order meridional analysis"
         )
     F = cumulative_cylinder_integrals(basis)
-    wr = star.grid.wr
-    R = 2.0 * math.pi * (F * (wr * w)[None, :]) @ F.T
+    R = 2.0 * math.pi * (F * (star.grid.wr * ctx.rot_weight)[None, :]) @ F.T
     return QuadraticForm(base.matrix + R, base.gram)
 
 
@@ -221,21 +210,6 @@ def density_form_value(star: AxiStar, fld: np.ndarray, parity: str = "even") -> 
     return float(pressure[0, 0] + grav[0, 0])
 
 
-def _azimuthal_weight(star: AxiStar, user: str) -> tuple:
-    """Kinetic weight 4 omega^2 / Upsilon of v_theta on the radial support
-    off the axis (zero elsewhere), with that mask; it exists only for a
-    Rayleigh stable rotation.  The axis node carries no quadrature weight,
-    so its Upsilon, the limit 4 omega(0)^2 that vanishes when dj/dp(0) = 0,
-    is not read."""
-    ctx = star.context
-    off = ctx.radial_support & (star.grid.rs > 0)
-    if np.any(ctx.ups[off] <= 0):
-        raise ConfigError(f"{user} needs a centrifugally (Rayleigh) stable rotation")
-    aw = np.zeros_like(ctx.ups)
-    aw[off] = 4.0 * ctx.omega[off] ** 2 / ctx.ups[off]
-    return aw, off
-
-
 @dataclass
 class AzimuthalLift:
     """Azimuthal velocity induced by a mass-zero density perturbation."""
@@ -249,18 +223,19 @@ def lift_azimuthal_velocity(basis: PerturbationBasis, coeffs: np.ndarray) -> Azi
     """Lift of a constrained density perturbation to the azimuthal velocity
     that keeps the pair dynamically accessible.
 
-    Requires a centrifugally stable rotation and zero total mass; the
+    Requires a Rayleigh stable rotation and zero total mass; the
     returned energy satisfies  reduced_form = energy_form + lift energy
     exactly at the discrete level, because all three are built from the same
     grid profiles of the basis's star.
     """
     star = basis.star
     ctx = star.context
-    if not ctx.rotating:
-        raise ConfigError("lift needs a rotating star")
+    if not ctx.rayleigh_stable:  # a static star is not
+        raise ConfigError("lift needs a rotating star with a centrifugally (Rayleigh) "
+                          "stable rotation")
     d_om_r2, h1 = ctx.d_om_r2, ctx.h1
-    aw, off = _azimuthal_weight(star, "lift")
     rs = star.grid.rs
+    off = ctx.radial_support & (rs > 0)
     F = np.asarray(coeffs) @ cumulative_cylinder_integrals(basis)
     total = 2.0 * math.pi * float(F[-1])  # mass_constraint(basis) @ coeffs
     scale = np.max(np.abs(F)) + 1e-300
@@ -270,11 +245,9 @@ def lift_azimuthal_velocity(basis: PerturbationBasis, coeffs: np.ndarray) -> Azi
     u = np.zeros_like(rs)
     u[off] = d_om_r2[off] / rs[off] ** 2 * F[off] / h1[off]
 
-    wr = star.grid.wr
-    u_norm_sq = 2.0 * math.pi * float(np.sum(wr[off] * rs[off] * u[off] ** 2 * h1[off]))
-    energy = 2.0 * math.pi * float(
-        np.sum(wr[off] * aw[off] * rs[off] * u[off] ** 2 * h1[off])
-    )
+    u_sq = 2.0 * math.pi * star.grid.wr * rs * u**2 * h1  # per radius, int rho0 u^2 dx
+    u_norm_sq = float(np.sum(u_sq))
+    energy = float(np.sum(ctx.kin_weight * u_sq))
 
     dfield = basis.combine(coeffs)
     d_norm_sq = float(np.sum(ctx.weights * ctx.phi2 * dfield * dfield))
@@ -329,21 +302,21 @@ class Generator:
         return float(np.abs(q @ self.Lh @ q) + q @ q * self._lh_norm + p @ p)
 
 
-def _sector_products(star: AxiStar, dens, aw: np.ndarray) -> tuple:
+def _sector_products(star: AxiStar, dens) -> tuple:
     """The generator's Galerkin products on one sector's tensor shapes
     ``dens``, each a factored product of the shapes' values or gradients:
-    the v_theta Gram int rho0 chi_i chi_j, its kinetic block with weight
-    ``aw`` = 4 omega^2 / Upsilon, the gradient Gram
+    the v_theta Gram int rho0 chi_i chi_j, its kinetic block with the
+    context's weight 4 omega^2 / Upsilon, the gradient Gram
     int rho0 grad(chi_i) . grad(chi_j) and the coupling
     -int rho0 chi_i (d(omega r^2)/dr / r) d_r chi_j."""
     ctx = star.context
     w = ctx.weights
     values, grad_r, grad_z = dens.factored(), dens.factored(1, 0), dens.factored(0, 1)
-    rho_w = w * ctx.rho
+    rho_w = w * star.rho
     dor_over_r = d_omega_r2_over_r(ctx.omega, ctx.d_om_r2, star.grid.rs)
     return (
         factored_pair_integrals(values, values, rho_w),
-        factored_pair_integrals(values, values, w * aw[:, None] * ctx.rho),
+        factored_pair_integrals(values, values, w * ctx.kin_weight[:, None] * star.rho),
         factored_pair_integrals(grad_r, grad_r, rho_w)
         + factored_pair_integrals(grad_z, grad_z, rho_w),
         -factored_pair_integrals(values, grad_r, rho_w * dor_over_r[:, None]),
@@ -361,10 +334,9 @@ def assemble_generator(basis: PerturbationBasis, energy: QuadraticForm,
     even density, even v_theta, even v_r and odd v_z).
     """
     star = basis.star
-    if not star.context.rotating:
-        raise ConfigError("the generator needs a rotating star (kappa or eps > 0)")
-    aw, _ = _azimuthal_weight(star, "the generator")
-
+    if not star.context.rayleigh_stable:  # a static star is not
+        raise ConfigError("the generator needs a rotating star with a centrifugally "
+                          "(Rayleigh) stable rotation")
     sector = basis.sectors.get(parity)
     if sector is None or not sector.shapes.degrees:
         raise ConfigError(f"the generator needs {parity} basis shapes")
@@ -373,7 +345,7 @@ def assemble_generator(basis: PerturbationBasis, energy: QuadraticForm,
     G1, Lq = energy.gram[rows, rows], energy.matrix[rows, rows]
     # v_theta lives in L2_rho0 on the same scalar shapes, with the
     # azimuthal kinetic block Aq
-    G2, Aq, grads, coupling = _sector_products(star, dens, aw)
+    G2, Aq, grads, coupling = _sector_products(star, dens)
 
     # meridional velocities are the gradients of every shape but the
     # constant one, the even sector's first, whose gradient is zero

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.fft import next_fast_len
 
-from rotstar import cli, poisson, radial
+from rotstar import cli, poisson, radial, spectral
 from rotstar.cli import EXIT_AMBIGUOUS, EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, ConfigError, main
 from rotstar.families import FamilyPoint, FamilyScanResult
 from rotstar.rotlaw import FixedTotalMomentum, RotationSpec
@@ -547,6 +548,40 @@ POWER_TAIL_CFG = {
 }
 
 
+#: that star at 32^2, as the workflow's console-script step runs it
+SPECTRUM_32_CFG = {**POWER_TAIL_CFG, "mu": 1.0, "grid": {"nr": 32, "nz": 32}}
+
+
+def test_strict_spectrum_that_cannot_classify_exits_4(tmp_path, monkeypatch):
+    """With a zero drift tolerance no eigenvalue below the interval is
+    discrete, so a strict spectrum cannot classify them: exit 4, and
+    error.json says so."""
+    monkeypatch.setattr(spectral, "DISCRETE_DRIFT_TOL", 0.0)
+    spectrum = {"levels": 2, "ring_knots": 10, "strict": True}
+    cfg = write(tmp_path, "cfg.json", {**SPECTRUM_32_CFG, "spectrum": spectrum})
+    out = tmp_path / "out"
+    assert main(["spectrum", cfg, "--out-dir", str(out)]) == EXIT_AMBIGUOUS
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "classification" and err["exit_code"] == EXIT_AMBIGUOUS
+    assert not (out / "spectrum.json").exists()
+
+
+def test_evolve_random_start_follows_its_seed(tmp_path):
+    """evolve's default mode starts from a random state drawn from --seed:
+    the same seed gives a byte-identical trajectory, another seed another
+    one, and the unstable star's state grows."""
+    cfg = write(tmp_path, "cfg.json", SPECTRUM_32_CFG)
+    trajectories = []
+    for name, seed in (("a", "1"), ("b", "1"), ("c", "2")):
+        out = tmp_path / name
+        assert main(["evolve", cfg, "--out-dir", str(out), "--seed", seed]) == EXIT_OK
+        trajectories.append((out / "trajectory.csv").read_bytes())
+        info = json.loads((out / "evolve.json").read_text())
+        assert info["growth_rate"] > 0 and math.isfinite(info["energy_drift"])
+    assert trajectories[0] == trajectories[1]
+    assert trajectories[0] != trajectories[2]
+
+
 def _table_csv(tmp_path, rows):
     path = tmp_path / "law.csv"
     np.savetxt(path, np.column_stack([np.linspace(0.0, 3.0, rows), np.ones(rows)]), delimiter=",")
@@ -743,16 +778,25 @@ def test_keys_a_command_does_not_read_are_rejected(
             "Rayleigh unstable on this star",
         ),
         ("radial-scan", {**RADIAL_CFG, "mu_grid": {**RADIAL_CFG["mu_grid"], "num": 3}}, ">= 5 points"),
+        ("equilibrium", [EQ_CFG], "config must be a JSON object"),
+        ("radial-scan", {"eos": RADIAL_CFG["eos"]}, "config requires a 'mu_grid' section"),
+        ("equilibrium", {k: v for k, v in EQ_CFG.items() if k != "mu"}, "config requires 'mu'"),
+        ("equilibrium", {k: v for k, v in EQ_CFG.items() if k != "rotation"},
+         "config requires a 'rotation' section"),
+        ("equilibrium", None, "missing config file argument"),
     ],
     ids=["spectrum_rayleigh_stable", "stability_rayleigh_unstable",
-         "tpp_scan_rayleigh_unstable", "radial_scan_short_grid"],
+         "tpp_scan_rayleigh_unstable", "radial_scan_short_grid", "config_not_an_object",
+         "no_mu_grid_section", "no_mu", "no_rotation_section", "no_config_argument"],
 )
 def test_analysis_the_star_does_not_admit_is_config_error(tmp_path, command, payload, needle):
-    """A request the analysis does not apply to exits 2 with the analysis's
-    own reason, not 3 as if a solve had failed."""
-    cfg = write(tmp_path, "cfg.json", payload)
+    """A request the command cannot run (an analysis the star does not
+    admit, or a config, or a config argument, missing what it needs) exits
+    2 with its own reason, not 3 as if a solve had failed.  A None payload
+    gives no config argument."""
+    args = [] if payload is None else [write(tmp_path, "cfg.json", payload)]
     out = tmp_path / "out"
-    assert main([command, cfg, "--out-dir", str(out)]) == EXIT_CONFIG
+    assert main([command, *args, "--out-dir", str(out)]) == EXIT_CONFIG
     err = json.loads((out / "error.json").read_text())
     assert err["error"] == "config" and err["exit_code"] == EXIT_CONFIG
     assert needle in err["message"]

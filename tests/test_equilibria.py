@@ -197,7 +197,7 @@ def test_star_context_is_built_once(rot53):
     assert rot53.context is ctx
     mask = rot53.rho > 1e-12 * rot53.mu
     assert np.array_equal(ctx.mask, mask)
-    assert np.array_equal(ctx.rho, rot53.rho * mask)
+    assert np.all(rot53.rho[~mask] == 0)  # the star's density is rho0
     phi2 = rot53.eos.enthalpy_second(rot53.rho[mask])
     assert np.array_equal(ctx.phi2[mask], phi2)
     assert np.array_equal(ctx.inv_phi2[mask], 1.0 / phi2)
@@ -217,6 +217,14 @@ def test_star_context_is_built_once(rot53):
     # Upsilon = 2 omega d(omega r^2)/dr / r, whose axis limit is 2 omega(0)
     assert np.array_equal(ctx.ups, 2.0 * omega * np.r_[2.0 * kappa, d_om_r2[1:] / rs[1:]])
     assert ctx.ups[0] == 4.0 * kappa**2
+    # the weights on the radial support off the axis, 0 elsewhere, written
+    # out for the rigid law: Upsilon / (r h1) = 4 kappa^2 / (r h1) and
+    # 4 omega^2 / Upsilon = 1; Upsilon > 0 there, so the star is Rayleigh stable
+    off = ctx.radial_support & (rs > 0)
+    assert np.all(ctx.rot_weight[~off] == 0) and np.all(ctx.kin_weight[~off] == 0)
+    assert np.allclose(ctx.rot_weight[off], 4.0 * kappa**2 / (rs[off] * h1[off]), rtol=1e-14, atol=0)
+    assert np.allclose(ctx.kin_weight[off], 1.0, rtol=1e-14, atol=0)
+    assert ctx.rayleigh_stable
     # grad rho0 = grad h / h''(rho0), grad h = (omega^2 r - dV/dr, -dV/dz), on
     # the support: central differences inside, one-sided at the outer rows
     V, hr, hz = rot53.potential, g.rs[1] - g.rs[0], g.hz
@@ -234,6 +242,39 @@ def test_star_context_is_built_once(rot53):
     # a copied star with another density gets its own context
     other = dataclasses.replace(rot53, rho=2.0 * rot53.rho)
     assert not np.array_equal(other.context.h1, ctx.h1)
+
+
+def test_sub_floor_node_is_not_part_of_the_star(eos53):
+    """A star's density is rho0: a zero-density node inside R0 set to half
+    the floor by ``dataclasses.replace`` is cut back to 0, so the column
+    density, the cylinder mass, the mass, a fixed-j star's profiles and its
+    rotational weight do not move by a bit."""
+    star = solve_fixed_j(eos53, PowerLawMomentum(1.0, 2.0), 0.2, 1.0, nr=32, nz=32)
+    above = (star.rho == 0) & (star.grid.rs[:, None] <= star.support_radius)
+    i, j = np.argwhere(above & (star.context.weights > 0))[0]
+    rho = star.rho.copy()
+    rho[i, j] = 0.5 * star.floor
+    bumped = dataclasses.replace(star, rho=rho)
+    assert bumped.rho[i, j] == 0
+    assert bumped.mass == star.mass
+    assert np.array_equal(bumped.m_of_r, star.m_of_r)
+    for name in ("h1", "omega", "ups", "rot_weight"):
+        assert np.array_equal(getattr(bumped.context, name), getattr(star.context, name)), name
+
+
+def test_unit_mass_j_star_is_the_power_j_star_at_its_own_mass(eos53):
+    """j = coeff (p/M)^2 is the power law (coeff / M^2) p^2 at the star's
+    own mass M: the two stars' masses agree (measured 6.5e-15 relative),
+    and the unit-mass star's report runs the generator."""
+    from rotstar.bases import perturbation_basis
+    from rotstar.stability import stability_report
+
+    unit = solve_fixed_j(eos53, UnitMassMomentum(1.0, 2.0), 0.2, 1.0, nr=32, nz=32)
+    power = solve_fixed_j(eos53, PowerLawMomentum(1.0 / unit.mass**2, 2.0), 0.2, 1.0,
+                          nr=32, nz=32)
+    assert power.mass == pytest.approx(unit.mass, rel=1e-12, abs=0)
+    report = stability_report(perturbation_basis(unit, deg_r=4, deg_z=2), with_generator=True)
+    assert report["generator_unstable_count"] == report["n_minus_K_constrained"] == 0
 
 
 def test_replaced_density_carries_its_own_mass(eos53):

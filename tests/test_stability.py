@@ -7,9 +7,11 @@ import scipy.linalg
 
 from rotstar import stability
 from rotstar.bases import FactoredStack, PerturbationBasis, Term, perturbation_basis
-from rotstar.equilibria import axistar_from_radial
+from rotstar.equilibria import axistar_from_radial, solve_fixed_omega
+from rotstar.errors import ConfigError
 from rotstar.forms import VERDICT_ZERO_TOL, QuadraticForm, whiten
 from rotstar.radial import solve_radial
+from rotstar.rotlaw import RigidLaw
 from rotstar.stability import (
     Generator,
     assemble_generator,
@@ -600,7 +602,10 @@ def _dense_generator(basis, energy, parity):
     through ``pair_integrals``; and its (P, Lh) whitened from them."""
     star = basis.star
     ctx, g = star.context, star.grid
-    aw, _ = stability._azimuthal_weight(star, "the reference")
+    # the kinetic weight 4 omega^2 / Upsilon on the radial support off the axis
+    off = ctx.radial_support & (g.rs > 0)
+    aw = np.zeros_like(g.rs)
+    aw[off] = 4.0 * ctx.omega[off] ** 2 / ctx.ups[off]
     sector = basis.sectors[parity]
     dens = sector.shapes
     n = len(dens.degrees)
@@ -628,7 +633,7 @@ def _dense_generator(basis, energy, parity):
     Lt, At = B1.T @ Lq @ B1, B2.T @ Aq @ B2
     P = np.vstack([B1.T @ grads[:, keep] @ BY, B2.T @ coupling[:, keep] @ BY])
     Lh = scipy.linalg.block_diag(0.5 * (Lt + Lt.T), 0.5 * (At + At.T))
-    return dens, aw, products, Generator(P, Lh)
+    return dens, products, Generator(P, Lh)
 
 
 @pytest.mark.parametrize("parity", ["even", "odd"])
@@ -640,8 +645,8 @@ def test_generator_matches_dense_stack_reference(rot13, parity):
     so those are checked by their shapes and their counts."""
     basis = perturbation_basis(rot13, deg_r=10, deg_z=6)
     L = assemble_perturbation_energy(basis)
-    dens, aw, products, ref = _dense_generator(basis, L, parity)
-    for got, want in zip(stability._sector_products(rot13, dens, aw), products):
+    dens, products, ref = _dense_generator(basis, L, parity)
+    for got, want in zip(stability._sector_products(rot13, dens), products):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     gen = assemble_generator(basis, L, parity)
     assert gen.P.shape == ref.P.shape and gen.Lh.shape == ref.Lh.shape
@@ -691,6 +696,42 @@ def test_reduced_form_rejects_rayleigh_unstable(rayleigh_unstable_star):
         assemble_reduced_energy(basis)
 
 
+def test_generator_and_lift_reject_rayleigh_unstable(rayleigh_unstable_star):
+    basis = perturbation_basis(rayleigh_unstable_star, deg_r=4, deg_z=2)
+    energy = assemble_perturbation_energy(basis)
+    with pytest.raises(ConfigError, match=r"centrifugally \(Rayleigh\) stable rotation"):
+        assemble_generator(basis, energy, "even")
+    with pytest.raises(ConfigError, match=r"centrifugally \(Rayleigh\) stable rotation"):
+        lift_azimuthal_velocity(basis, np.zeros(basis.count))
+
+
+class _DippedRigidLaw(RigidLaw):
+    """A rigid law whose grid Upsilon reads -1e-14 at radius index 5."""
+
+    def grid_profiles(self, amp, rs, m, h1):
+        omega, d_om_r2, ups = super().grid_profiles(amp, rs, m, h1)
+        ups[5] = -1e-14
+        return omega, d_om_r2, ups
+
+
+def test_one_rayleigh_rule_admits_each_analysis(eos53):
+    """A rigid kappa 0.05 star whose Upsilon dips to -1e-14 at one support
+    radius is not Rayleigh stable: the first-order report refuses it and
+    the meridional form takes it.  (A form that read the minimum of an
+    interpolated Upsilon missed the dip and refused both.)"""
+    from rotstar.spectral import assemble_meridional_form, velocity_basis
+
+    star = solve_fixed_omega(eos53, _DippedRigidLaw(1.0), 0.05, 1.0, nr=32, nz=32)
+    ctx = star.context
+    assert ctx.radial_support[5] and ctx.ups[5] == -1e-14
+    assert np.all(np.delete(ctx.ups, 5) > 0)
+    with pytest.raises(ConfigError, match="Rayleigh unstable on this star"):
+        stability_report(perturbation_basis(star, deg_r=4, deg_z=2))
+    form = assemble_meridional_form(velocity_basis(star, ring_knots=8))
+    assert np.all(np.isfinite(form.eigenvalues))
+    assert not ctx.rayleigh_stable
+
+
 def test_fixed_j_weight_agrees_with_induced_law(eos53):
     """The momentum-distribution form of the rotational weight must agree
     with the discriminant of the induced angular-velocity profile."""
@@ -698,11 +739,10 @@ def test_fixed_j_weight_agrees_with_induced_law(eos53):
 
     from rotstar.equilibria import solve_fixed_j
     from rotstar.rotlaw import PowerLawMomentum, discriminant, omega_from_j
-    from rotstar.stability import rotational_weight
 
     mom = PowerLawMomentum(1.0, 2.0)
     star = solve_fixed_j(eos53, mom, 0.4, 1.0, nr=96, nz=96)
-    w_direct, sup = rotational_weight(star)
+    w_direct, sup = star.context.rot_weight, star.context.radial_support
 
     rs = star.grid.rs
     m_interp = PchipInterpolator(rs, star.m_of_r)
@@ -753,14 +793,15 @@ def _family_closed_forms(star):
 
 @pytest.mark.parametrize("name", ["rayleigh_unstable_star", "power_j48"])
 def test_profiles_give_each_family_its_gradient_and_weight(request, name):
-    """The centrifugal gradient omega^2 r and the weight Upsilon / (r h1),
-    both read from the rotation profiles, equal the per-family formulas."""
+    """The centrifugal gradient omega^2 r and the context's weight
+    Upsilon / (r h1), both from the rotation profiles, equal the per-family
+    formulas."""
     star = request.getfixturevalue(name)
     grad, weight = _family_closed_forms(star)
     rotp = star.context.omega**2 * star.grid.rs
     assert np.max(np.abs(rotp - grad)) <= 1e-13 * np.max(np.abs(grad))
-    w, sup = stability.rotational_weight(star)
-    off = sup & (star.grid.rs > 0)
+    w = star.context.rot_weight
+    off = star.context.radial_support & (star.grid.rs > 0)
     assert np.all(w[~off] == 0)
     assert np.max(np.abs(w[off] - weight[off])) <= 1e-13 * np.max(np.abs(weight[off]))
 
