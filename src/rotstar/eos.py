@@ -28,7 +28,8 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
+
+from rotstar.numerics import MonotoneCubic
 
 __all__ = ["EquationOfState", "polytrope", "asymptotic_polytrope"]
 
@@ -217,8 +218,8 @@ class _Blend:
         steps = half * np.array([np.dot(_GAUSS_WEIGHTS, row) for row in slopes])
         vals = np.cumsum(np.concatenate(([self.h0], steps)))
         self.h1 = float(vals[-1])
-        self._h_of_x = PchipInterpolator(xg, vals)
-        self._x_of_h = PchipInterpolator(vals, xg)
+        self._h_of_x = MonotoneCubic(xg, vals)
+        self._x_of_h = MonotoneCubic(vals, xg)
 
     # Hermite helpers (x is log density)
     def _H(self, x):

@@ -116,8 +116,9 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.fft import dct, dst, idct, idst, next_fast_len
-from scipy.integrate import cumulative_trapezoid
 from scipy.special import ellipkm1
+
+from rotstar.numerics import cumulative_trapezoid
 
 __all__ = ["Grid", "RingKernel", "rect_log_mean"]
 
@@ -254,7 +255,7 @@ class Grid:
 
     def cylinder_mass(self, rho: np.ndarray) -> np.ndarray:
         """m(r) = int_0^r s [int rho dz] ds (no 2 pi factor; m(R) = M / (2 pi))."""
-        return cumulative_trapezoid(self.rs * self.z_integral(rho), self.rs, initial=0)
+        return cumulative_trapezoid(self.rs * self.z_integral(rho), self.rs)
 
 
 class _Leaf(NamedTuple):

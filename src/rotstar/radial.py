@@ -7,8 +7,8 @@ when the density derivative blows up there (gamma0 < 2):
     y'' + (2/r) y' = -4 pi rho(y),   y(0) = h(mu),  y'(0) = 0,
 
 with rho(y) the enthalpy inverse clipped at vacuum.  The support radius is
-the first zero of y, found by event detection, and the total mass follows
-from the exterior matching M = -R^2 y'(R).
+the first zero of y, and the total mass follows from the exterior matching
+M = -R^2 y'(R).
 
 The balance is integrated in the scaled variables theta = y / h(mu) and
 xi = r / sqrt(h(mu) / (4 pi mu)):
@@ -33,18 +33,17 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, solve_ivp
-from scipy.interpolate import BSpline, PchipInterpolator
 from scipy.linalg import block_diag
-from scipy.optimize import brentq
 
 from rotstar.eos import EquationOfState
 from rotstar.errors import ConfigError, SolverError
 from rotstar.forms import QuadraticForm
+from rotstar.numerics import MonotoneCubic, cumulative_trapezoid
 
 __all__ = [
     "RadialStar",
@@ -75,7 +74,7 @@ class RadialStar:
     r: np.ndarray
     rho: np.ndarray
     enthalpy: np.ndarray
-    _rho_interp: PchipInterpolator = field(repr=False, default=None)
+    _rho_interp: MonotoneCubic = field(repr=False, default=None)
 
     def rho_of(self, s):
         """Density at spherical radius s (0 outside the support)."""
@@ -101,50 +100,103 @@ class RadialStar:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "_rho_interp", PchipInterpolator(self.r, self.rho, extrapolate=False)
+            self, "_rho_interp", MonotoneCubic(self.r, self.rho, extrapolate=False)
         )
         object.__setattr__(
-            self, "_y_interp", PchipInterpolator(self.r, self.enthalpy, extrapolate=False)
+            self, "_y_interp", MonotoneCubic(self.r, self.enthalpy, extrapolate=False)
         )
-        menc = cumulative_trapezoid(4.0 * math.pi * self.rho * self.r**2, self.r, initial=0)
-        object.__setattr__(self, "_menc_interp", PchipInterpolator(self.r, menc))
+        menc = cumulative_trapezoid(4.0 * math.pi * self.rho * self.r**2, self.r)
+        object.__setattr__(self, "_menc_interp", MonotoneCubic(self.r, menc))
 
 
 #: the last polytropic solution of the scaled balance: ((c_minus, gamma0),
-#: solve_ivp result at the canonical mu = 1)
+#: its _scaled_balance at the canonical mu = 1)
 _lane_emden = None
+
+# Dormand-Prince 5(4): nodes and couplings of stages 2-6, the 5th-order weights
+# (stage 7 is the new point's slope) and their excess over the 4th-order ones
+_DP_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+_DP_A = ((1 / 5,), (3 / 40, 9 / 40), (44 / 45, -56 / 15, 32 / 9),
+         (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+         (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656))
+_DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+
+
+def _dp_step(accel, xi, state, h):
+    """One Dormand-Prince step of size h for theta' = phi, phi' = accel(xi,
+    theta, phi) from state = (theta, phi, phi') at xi: the state at xi + h
+    and the error estimates of theta and phi."""
+    theta, phi, acc = state
+    # theta's stage slopes are phi's stage values
+    phis, accs = [phi], [acc]
+    for c, a in zip(_DP_C, _DP_A):
+        th, ph = theta + h * _dot(a, phis), phi + h * _dot(a, accs)
+        phis.append(ph)
+        accs.append(accel(xi + c * h, th, ph))
+    th, ph = theta + h * _dot(_DP_B, phis), phi + h * _dot(_DP_B, accs)
+    phis.append(ph)
+    accs.append(accel(xi + h, th, ph))
+    return (th, ph, accs[-1]), (h * _dot(_DP_E, phis), h * _dot(_DP_E, accs))
+
+
+def _dot(weights, values):
+    return sum(map(operator.mul, weights, values))
+
+
+def _quintic(s, h, left, right):
+    """theta at fraction s of a step of size h, from (theta, theta',
+    theta'') at both ends: the quintic Hermite interpolant."""
+    (t0, d0, a0), (t1, d1, a1) = left, right
+    u = 1.0 - s
+    return (u**3 * (t0 * (1.0 + 3.0 * s + 6.0 * s * s) + h * d0 * s * (1.0 + 3.0 * s)
+                    + 0.5 * h * h * a0 * s * s)
+            + s**3 * (t1 * (1.0 + 3.0 * u + 6.0 * u * u) - h * d1 * u * (1.0 + 3.0 * u)
+                      + 0.5 * h * h * a1 * u * u))
 
 
 def _scaled_balance(eos: EquationOfState, mu: float):
     """Integrate theta'' + (2/xi) theta' = -rho(h(mu) theta) / mu outward.
 
-    theta = y / h(mu) and xi = r / sqrt(h(mu) / (4 pi mu)); the integration
-    stops at the first zero of theta or at xi = MAX_RADIUS_FACTOR.
+    theta = y / h(mu) and xi = r / sqrt(h(mu) / (4 pi mu)).  The adaptive
+    Dormand-Prince steps hold the error estimate to rtol = atol = TOL.  The
+    surface is the first root of theta on the dense output; one more step
+    from the last accepted point lands on it and gives the surface slope.
+    Returns the knots xi, the last on the surface, and (theta, theta',
+    theta'') there, one column each; None when theta has no root below
+    xi = MAX_RADIUS_FACTOR.
     """
     y0 = eos.enthalpy(mu)
 
-    def rhs(xi, state):
-        theta, dtheta = state
-        rho = eos.enthalpy_inverse(y0 * max(theta, 0.0))
-        return (dtheta, -rho / mu - 2.0 * dtheta / xi)
+    def accel(xi, theta, phi):
+        return -eos.enthalpy_inverse(y0 * max(theta, 0.0)) / mu - 2.0 * phi / xi
 
-    def surface(xi, state):
-        return state[0]
-
-    surface.terminal = True
-    surface.direction = -1
-
-    xi_start = 1e-8
-    return solve_ivp(
-        rhs,
-        (xi_start, MAX_RADIUS_FACTOR),
-        (1.0 - xi_start**2 / 6.0, -xi_start / 3.0),
-        method="DOP853",
-        rtol=TOL,
-        atol=TOL,
-        events=surface,
-        dense_output=True,
-    )
+    xi = 1e-8
+    theta, phi = 1.0 - xi**2 / 6.0, -xi / 3.0
+    state = (theta, phi, accel(xi, theta, phi))
+    knots, states = [xi], [state]
+    h = 1e-3
+    while xi < MAX_RADIUS_FACTOR:
+        h = min(h, MAX_RADIUS_FACTOR - xi)
+        new, err = _dp_step(accel, xi, state, h)
+        err_norm = math.hypot(*(
+            e / (TOL + TOL * max(abs(a), abs(b))) for e, a, b in zip(err, state, new)
+        )) / math.sqrt(2.0)
+        if err_norm < 1.0 and new[0] <= 0.0:
+            lo, hi = 0.0, 1.0  # bisect the step's quintic for the root
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if _quintic(mid, h, state, new) > 0.0 else (lo, mid)
+            state, _ = _dp_step(accel, xi, state, lo * h)
+            return np.array(knots + [xi + lo * h]), np.array(states + [state]).T
+        if err_norm < 1.0:
+            xi, state = xi + h, new
+            knots.append(xi)
+            states.append(state)
+        elif xi + 0.2 * h == xi:
+            raise SolverError(f"radial step size underflow at xi={xi:g} (mu={mu:g})")
+        h *= min(10.0, max(0.2, 0.9 * max(err_norm, 1e-10) ** -0.2))
+    return None
 
 
 def _scaled_solution(eos: EquationOfState, mu: float):
@@ -171,20 +223,23 @@ def solve_radial(eos: EquationOfState, mu: float) -> RadialStar:
     y0 = eos.enthalpy(mu)
     r_scale = math.sqrt(y0 / (4.0 * math.pi * mu))
     sol = _scaled_solution(eos, mu)
-    if not sol.t_events[0].size:
+    if sol is None:
         raise SolverError(
             f"no surface within {MAX_RADIUS_FACTOR} central length scales (mu={mu:g})"
         )
-    xi_surface = float(sol.t_events[0][0])
-    radius = r_scale * xi_surface
-    y_slope = (y0 / r_scale) * float(sol.y_events[0][0][1])
-    mass = -(radius**2) * y_slope
+    knots, states = sol
+    radius = r_scale * float(knots[-1])
+    mass = -(radius**2) * (y0 / r_scale) * float(states[1, -1])
 
-    xi = _profile_grid(xi_surface, N_PROFILE)
+    xi = _profile_grid(float(knots[-1]), N_PROFILE)
     r = r_scale * xi
+    # the dense output: each step's quintic between its two knots
+    k = np.searchsorted(knots[1:-1], xi[1:-1], "right")
+    h = knots[k + 1] - knots[k]
+    theta = _quintic((xi[1:-1] - knots[k]) / h, h, states[:, k], states[:, k + 1])
     y = np.empty_like(r)
     y[0], y[-1] = y0, 0.0
-    y[1:-1] = np.clip(y0 * sol.sol(xi[1:-1])[0], 0.0, None)
+    y[1:-1] = np.clip(y0 * theta, 0.0, None)
     rho = eos.enthalpy_inverse(y)
     # at extreme center densities the interpolants' slopes leave float range
     with np.errstate(over="raise", divide="raise"):
@@ -303,6 +358,8 @@ def _root_in(derivative, lo: float, hi: float) -> float:
     midpoint when the derivative has one sign at both ends."""
     if derivative(lo) * derivative(hi) > 0:
         return 0.5 * (lo + hi)
+    from scipy.optimize import brentq  # radial-scan alone needs it
+
     return brentq(derivative, lo, hi, xtol=1e-4 * hi)
 
 
@@ -323,7 +380,7 @@ class OracleForm:
     """Assembled oracle form with enough structure to evaluate eigenvectors."""
 
     form: QuadraticForm
-    spline: BSpline  # every radial basis function, identity coefficients
+    spline: Callable  # every radial BSpline, identity coefficients
     ells: np.ndarray  # harmonic degree per basis column
 
     def radial_component(self, coeffs: np.ndarray, ell: int, s: np.ndarray) -> np.ndarray:
@@ -352,6 +409,8 @@ def assemble_oracle_form(star: RadialStar, parity: str = "even") -> OracleForm:
         [np.linspace(0.0, R, n_in, endpoint=False),
          np.linspace(R, R_out, n_out + 1)]
     )
+    from scipy.interpolate import BSpline  # only this oracle needs it
+
     k = 3
     t = np.concatenate([[interior[0]] * k, interior, [interior[-1]] * k])
     n_basis = len(t) - k - 1

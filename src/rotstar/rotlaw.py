@@ -39,10 +39,9 @@ from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
-from scipy.interpolate import CubicSpline
 
 from rotstar.errors import ConfigError
+from rotstar.numerics import cumulative_trapezoid
 
 __all__ = [
     "AngularVelocityLaw",
@@ -173,6 +172,8 @@ class TabulatedLaw(AngularVelocityLaw):
         self.r_samples = r
         self.omega_samples = w
         self.r_max = float(r[-1])
+        from scipy.interpolate import CubicSpline  # only the table form needs it
+
         self._spline = CubicSpline(r, w, bc_type="not-a-knot")
         self._dspline = self._spline.derivative()
 
@@ -282,7 +283,7 @@ class MomentumDistribution:
             M = 2.0 * math.pi * float(m[-1])
             integrand = np.zeros_like(rs)
             integrand[off] = self.J(m[off], M) / rs[off] ** 3
-            return cumulative_trapezoid(integrand, rs, initial=0) * amp**2
+            return cumulative_trapezoid(integrand, rs) * amp**2
 
         return potential
 

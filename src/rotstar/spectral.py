@@ -35,12 +35,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import BSpline
 
 from rotstar.bases import FactoredStack, Term, legendre_table
 from rotstar.equilibria import AxiStar
 from rotstar.errors import AmbiguousClassificationError, ConfigError, SolverError
 from rotstar.forms import QuadraticForm
+from rotstar.numerics import bspline_table
 from rotstar.stability import LinearTrajectory, energy_blocks, factored_pair_integrals
 
 __all__ = [
@@ -102,15 +102,16 @@ def velocity_basis(
     bump in radius and a Legendre factor in z of degree at most
     ``RING_DEG_Z``; an 'even' basis has even v_r and odd v_z.
 
-    All spline bumps come from one ``BSpline`` evaluation on the identity
-    coefficients (bumps that miss every grid radius are dropped).  The
-    fields are gradient fields first (z degree outer), then ring fields
-    (bump outer, z factor inner).  Each velocity component is a factored
-    stack: a gradient field is one radial x vertical product on the
-    support mask, a ring field the sum of two such products with profiles
-    of rho0 and the context's grad rho0; each term covers its own fields
-    only.  Only the gradient fields' divergences, which L1's Poisson
-    solves need, are dense.  Every field is exactly zero off the support.
+    All spline bumps and their slopes come from one ``bspline_table`` of the
+    clamped quadratic B-splines on uniform knots (bumps that miss every grid
+    radius are dropped).  The fields are gradient fields first (z degree
+    outer), then ring fields (bump outer, z factor inner).  Each velocity
+    component is a factored stack: a gradient field is one radial x
+    vertical product on the support mask, a ring field the sum of two such
+    products with profiles of rho0 and the context's grad rho0; each term
+    covers its own fields only.  Only the gradient fields' divergences,
+    which L1's Poisson solves need, are dense.  Every field is exactly zero
+    off the support.
     ``div_fields``, when given, are those divergences from a basis of the
     same star, parity and gradient degrees (the ring fields may differ),
     and are reused instead of built again.
@@ -139,13 +140,9 @@ def velocity_basis(
     # stream fields: Psi = r^2 rho0^2 beta_b(r) Z_j(z); u = curl-type, div-free
     kz = [j for j in range(RING_DEG_Z + 1) if (j % 2 == 1) == (parity == "even")]
     knots = np.linspace(0.0, R0, ring_knots + 1)
-    deg = 2
-    t = np.concatenate([[0.0] * deg, knots, [R0] * deg])
-    spl = BSpline(t, np.eye(len(t) - deg - 1), deg, extrapolate=False)
-    beta = np.nan_to_num(spl(rs)).T  # (n_bumps, nr), one row per bump
+    beta, dbeta = bspline_table(np.concatenate([[0.0] * 2, knots, [R0] * 2]), 2, rs)
     keep = np.any(beta, axis=1)  # a bump between two grid radii is dropped
-    beta = beta[keep]
-    dbeta = np.nan_to_num(spl.derivative()(rs)).T[keep]
+    beta, dbeta = beta[keep], dbeta[keep]
     Zt, dZt, _ = legendre_table(zeta, RING_DEG_Z)
     Z, dZ = Zt[kz], dZt[kz] / Z0
 
@@ -220,10 +217,9 @@ def assemble_meridional_form(basis: VelocityBasis, l1: np.ndarray | None = None)
     star = basis.star
     ctx = star.context
     if not ctx.rotating or ctx.rayleigh_stable:
-        raise ConfigError(
-            "rotation is Rayleigh stable on this star; use the reduced "
-            "first-order stability analysis instead"
-        )
+        reason = ("rotation is Rayleigh stable on this star" if ctx.rotating
+                  else "the star does not rotate (kappa = 0 or eps = 0)")
+        raise ConfigError(f"{reason}; use the reduced first-order stability analysis instead")
     w, rho = ctx.weights, star.rho
 
     # L1 is the energy form of div(rho0 u); the ring rows stay exact zeros

@@ -761,6 +761,10 @@ def test_keys_a_command_does_not_read_are_rejected(
     assert sorted(os.listdir(out)) == ["error.json"]
 
 
+#: a rotating family at zero amplitude: a static star
+STATIC_ROTATION = {"form": "rigid", "omega_c": 1.0, "kappa": 0.0}
+
+
 @pytest.mark.parametrize(
     "command, payload, needle",
     [
@@ -784,10 +788,13 @@ def test_keys_a_command_does_not_read_are_rejected(
         ("equilibrium", {k: v for k, v in EQ_CFG.items() if k != "rotation"},
          "config requires a 'rotation' section"),
         ("equilibrium", None, "missing config file argument"),
+        ("spectrum", {**EQ_CFG, "rotation": STATIC_ROTATION}, "the star does not rotate"),
+        ("evolve", {**EQ_CFG, "rotation": STATIC_ROTATION}, "the star does not rotate"),
     ],
     ids=["spectrum_rayleigh_stable", "stability_rayleigh_unstable",
          "tpp_scan_rayleigh_unstable", "radial_scan_short_grid", "config_not_an_object",
-         "no_mu_grid_section", "no_mu", "no_rotation_section", "no_config_argument"],
+         "no_mu_grid_section", "no_mu", "no_rotation_section", "no_config_argument",
+         "spectrum_static_star", "evolve_static_star"],
 )
 def test_analysis_the_star_does_not_admit_is_config_error(tmp_path, command, payload, needle):
     """A request the command cannot run (an analysis the star does not
@@ -882,3 +889,50 @@ def test_out_dir_that_cannot_be_created_is_config_error(tmp_path, monkeypatch, c
     out = str(tmp_path / blocker)
     assert main(["radial-scan", write(tmp_path, "cfg.json", RADIAL_CFG), "--out-dir", out]) == EXIT_CONFIG
     assert f"cannot create --out-dir {out}" in capsys.readouterr().err
+
+
+#: subpackages of scipy that no command but radial-scan may load
+LAZY_SCIPY = ("scipy.integrate", "scipy.interpolate", "scipy.optimize", "scipy.sparse",
+              "scipy.spatial")
+
+#: runs main on argv[2:], then fails if a module named in argv[1] (comma
+#: separated) or below one is loaded
+_IMPORT_GUARD = """
+import sys
+from rotstar.cli import main
+code = main(sys.argv[2:])
+lazy = sys.argv[1].split(",")
+loaded = sorted(m for m in sys.modules if any(m == p or m.startswith(p + ".") for p in lazy))
+print(code, loaded)
+sys.exit(code or bool(loaded))
+"""
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("stability", {**STABILITY_CFG, "grid": {"nr": 32, "nz": 32},
+                       "basis": {"deg_r": 4, "deg_z": 2}}),
+        ("spectrum", {**SPECTRUM_32_CFG, "spectrum": {"levels": 2, "ring_knots": 10}}),
+        ("evolve", SPECTRUM_32_CFG),
+        ("equilibrium", EQ_CFG),
+        ("equilibrium", {**EQ_CFG, "mu": 10.0, "eos": {
+            "kind": "asymptotically-polytropic", "c_minus": 1.0, "gamma0": 1.6666666666666667,
+            "c_plus": 1.0, "gamma_inf": 1.25, "blend": [1.0, 3.0]}}),
+        ("tpp-scan", {**TPP_CFG, "grid": {"nr": 24, "nz": 24}, "basis": {"deg_r": 4, "deg_z": 2},
+                      "mu_grid": {"start": 0.9, "stop": 1.1, "num": 2}}),
+        ("bb1974", {}),
+    ],
+    ids=["stability", "spectrum", "evolve", "equilibrium", "equilibrium_blend", "tpp_scan",
+         "bb1974"],
+)
+def test_commands_do_not_import_lazy_scipy(tmp_path, command, payload):
+    """Every command but radial-scan runs on numpy, scipy.fft, scipy.special
+    and scipy.linalg alone: the subpackages that interpolate, integrate and
+    optimize (and sparse and spatial, which they pull in) stay unloaded."""
+    cfg = write(tmp_path, "cfg.json", payload)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    args = [",".join(LAZY_SCIPY), command, cfg, "--out-dir", str(tmp_path / "out")]
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD, *args], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -25,6 +25,22 @@ def test_linear_pressure_response_profile(tmp_path):
     assert star.radius == pytest.approx(math.pi / k, rel=1e-8)
 
 
+@pytest.mark.parametrize("mu", [0.3, 1.0, 7.0])
+def test_linear_pressure_response_star_is_exact(mu):
+    """gamma 2, c 1: theta = sin(xi)/xi, so R = pi a and M = 4 pi^2 mu a^3
+    with a = sqrt(h(mu) / (4 pi mu)); the bounds leave room above the
+    errors of a DOP853 integration at TOL (1.8e-12, 8.9e-12, 1.8e-11)."""
+    eos = polytrope(1.0, 2.0)
+    star = solve_radial(eos, mu)
+    y0 = eos.enthalpy(mu)
+    a = math.sqrt(y0 / (4.0 * math.pi * mu))
+    assert star.radius == pytest.approx(math.pi * a, rel=1e-11, abs=0.0)
+    assert star.mass == pytest.approx(4.0 * math.pi**2 * mu * a**3, rel=3e-11, abs=0.0)
+    assert star.r.size == radial.N_PROFILE
+    theta = np.sinc(star.r / (math.pi * a))
+    assert np.max(np.abs(star.enthalpy / y0 - theta)) <= 5e-11
+
+
 def test_mass_scaling_gamma53(eos53):
     m1 = solve_radial(eos53, 1.0).mass
     m2 = solve_radial(eos53, 2.0).mass
