@@ -28,10 +28,10 @@ class MonotoneCubic:
     Interior slopes are the weighted harmonic mean of the two neighbouring
     secants, 0 where those differ in sign or one vanishes; each end slope is
     the shape-preserving three-point estimate.  Outside [x[0], x[-1]] the
-    end cubics extrapolate, or give NaN unless ``extrapolate``.
+    end cubics extrapolate.
     """
 
-    def __init__(self, x, y, extrapolate: bool = True):
+    def __init__(self, x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         h = np.diff(x)
@@ -52,7 +52,6 @@ class MonotoneCubic:
         # power-basis coefficients in (v - x[i]) per interval, highest first
         self._coef = (t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1])
         self.x = x
-        self.extrapolate = extrapolate
 
     def __call__(self, v) -> np.ndarray:
         v = np.asarray(v, dtype=float)
@@ -62,10 +61,7 @@ class MonotoneCubic:
         s = v - x[i]
         ss = s * s
         c0, c1, c2, c3 = self._coef
-        out = c3[i] + c2[i] * s + c1[i] * ss + c0[i] * (ss * s)
-        if not self.extrapolate:
-            out = np.where((v < x[0]) | (v > x[-1]), np.nan, out)
-        return out
+        return c3[i] + c2[i] * s + c1[i] * ss + c0[i] * (ss * s)
 
 
 def _end_slope(h0, h1, m0, m1):

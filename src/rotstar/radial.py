@@ -99,12 +99,8 @@ class RadialStar:
         return np.where(s < self.radius, self._menc_interp(s), self.mass)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "_rho_interp", MonotoneCubic(self.r, self.rho, extrapolate=False)
-        )
-        object.__setattr__(
-            self, "_y_interp", MonotoneCubic(self.r, self.enthalpy, extrapolate=False)
-        )
+        object.__setattr__(self, "_rho_interp", MonotoneCubic(self.r, self.rho))
+        object.__setattr__(self, "_y_interp", MonotoneCubic(self.r, self.enthalpy))
         menc = cumulative_trapezoid(4.0 * math.pi * self.rho * self.r**2, self.r)
         object.__setattr__(self, "_menc_interp", MonotoneCubic(self.r, menc))
 
