@@ -9,15 +9,16 @@ An equation of state is a piecewise law, one piece per density interval:
   log P versus log rho over [rho_blend_lo, rho_blend_hi]; and the
   high-density polytrope c_plus*rho**gamma_inf from rho_blend_hi up, its
   enthalpy offset to the blend's top enthalpy.  The blend keeps P' > 0 as
-  long as the interpolant stays monotone, which is validated at
-  construction.
+  long as the interpolant stays monotone, which construction checks
+  exactly.
 
 A polytrope piece that starts at density rho0 with enthalpy h0 has
 h(rho) = h0 + gamma*c/(gamma-1) * (rho**(gamma-1) - rho0**(gamma-1)), so
 the specific enthalpy h(rho) = integral_0^rho P'(s)/s ds is continuous
-across the pieces.  The blend's enthalpy is precomputed by per-interval
-Gauss quadrature on a dense logarithmic grid and interpolated monotonically;
-its inverse is the same table flipped, polished by Newton iterations so
+across the pieces.  The blend's enthalpy is tabulated by per-cell Gauss
+quadrature on a dense logarithmic grid and interpolated monotonically.  Its
+inverse reads the blend alone: the table read backwards linearly, then two
+Newton steps in log rho on the forward table with the blend's own P', so
 round trips hold to near machine precision.  A value on a piece edge
 belongs to the polytrope on that side.
 """
@@ -29,12 +30,11 @@ import math
 
 import numpy as np
 
-from rotstar.numerics import MonotoneCubic
+from rotstar.numerics import MonotoneCubic, cell_integrals
 
 __all__ = ["EquationOfState", "polytrope", "asymptotic_polytrope"]
 
 _BLEND_TABLE_SIZE = 2000
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(10)
 
 
 @dataclass(frozen=True)
@@ -82,8 +82,7 @@ class EquationOfState:
             raise ValueError("blended EOS needs rho_blend_lo/hi")
         if not (0 < self.rho_blend_lo < self.rho_blend_hi):
             raise ValueError("blend interval must satisfy 0 < lo < hi")
-        blend = _Blend(low, self.c_plus, gi, self.rho_blend_lo, self.rho_blend_hi,
-                       self.pressure_derivative)
+        blend = _Blend(low, self.c_plus, gi, self.rho_blend_lo, self.rho_blend_hi)
         high = _Polytrope(self.c_plus, gi, self.rho_blend_hi, blend.h1)
         object.__setattr__(self, "_pieces", (low, blend, high))
 
@@ -184,42 +183,40 @@ class _Blend:
     enthalpy table.
 
     ``low`` is the polytrope below the blend; the blend meets c_hi*rho**g_hi
-    at rho1 in value and slope.  ``law_slope`` is the whole law's dP/drho,
-    which the Newton polish of the inverse evaluates up to both edges.
+    at rho1 in value and slope.
     """
 
-    def __init__(self, low: _Polytrope, c_hi, g_hi, rho0, rho1, law_slope):
-        self.rho0, self.rho1 = rho0, rho1
-        self._law_slope = law_slope
+    def __init__(self, low: _Polytrope, c_hi, g_hi, rho0, rho1):
+        self.rho0 = rho0
         self._x0 = math.log(rho0)
         x1 = math.log(rho1)
         self._dx = x1 - self._x0
-        y0 = math.log(low.c) + low.g * self._x0
-        y1 = math.log(c_hi) + g_hi * x1
-        # Hermite in normalized t = (x - x0)/dx: value/slope match both ends.
-        self._coef = _hermite_coefficients(y0, low.g * self._dx, y1, g_hi * self._dx)
+        # Hermite cubic in t = (x - x0)/dx: value y and slope m at both ends
+        y0, m0 = math.log(low.c) + low.g * self._x0, low.g * self._dx
+        y1, m1 = math.log(c_hi) + g_hi * x1, g_hi * self._dx
+        self._coef = (y0, m0, -3.0 * y0 - 2.0 * m0 + 3.0 * y1 - m1, 2.0 * y0 + m0 - 2.0 * y1 + m1)
 
-        if np.any(self._H_prime(np.linspace(self._x0, x1, 257)) <= 0):
+        # dH/dt = c1 + 2 c2 t + 3 c3 t^2 is positive at both ends (the
+        # gammas), so its minimum over [0, 1] is the vertex -c2 / (3 c3)
+        # when the parabola opens upward, clipped to the interval.
+        _, c1, c2, c3 = self._coef
+        t = min(max(-c2 / (3.0 * c3), 0.0), 1.0) if c3 > 0 else 0.0
+        if c1 + (2.0 * c2 + 3.0 * c3 * t) * t <= 0:
             raise ValueError(
                 "blend is not monotone (P' <= 0 inside the blend window); "
                 "adjust c_plus or the blend interval"
             )
 
         # Enthalpy over the blend: cumulative Gauss quadrature of P'(s)/s on a
-        # dense log grid, then monotone interpolation both ways.  In x = log s,
-        # P'(s)/s ds = P'(s) dx.  Each interval's weighted sum stays a 1-D
-        # np.dot: a matrix-vector product sums the ten terms in another order
-        # and moves the table's last bits.
+        # dense log grid, interpolated monotonically.  In x = log s,
+        # P'(s)/s ds = P'(s) dx.
         self.h0 = low.enthalpy(rho0)
-        xg = np.linspace(self._x0, x1, _BLEND_TABLE_SIZE)
-        mid, half = 0.5 * (xg[:-1] + xg[1:]), 0.5 * (xg[1:] - xg[:-1])
-        x = mid[:, None] + half[:, None] * _GAUSS_NODES
-        slopes = np.exp(self._H(x)) * self._H_prime(x) / np.exp(x)
-        steps = half * np.array([np.dot(_GAUSS_WEIGHTS, row) for row in slopes])
-        vals = np.cumsum(np.concatenate(([self.h0], steps)))
-        self.h1 = float(vals[-1])
-        self._h_of_x = MonotoneCubic(xg, vals)
-        self._x_of_h = MonotoneCubic(vals, xg)
+        self._xg = np.linspace(self._x0, x1, _BLEND_TABLE_SIZE)
+        steps = cell_integrals(lambda x: np.exp(self._H(x)) * self._H_prime(x) / np.exp(x),
+                               self._xg, 10)
+        self._hg = np.cumsum(np.concatenate(([self.h0], steps)))
+        self.h1 = float(self._hg[-1])
+        self._h_of_x = MonotoneCubic(self._xg, self._hg)
 
     # Hermite helpers (x is log density)
     def _H(self, x):
@@ -243,23 +240,12 @@ class _Blend:
         return self._h_of_x(np.log(rho))
 
     def enthalpy_inverse(self, h):
-        rho = np.exp(self._x_of_h(h))
-        # Newton polish against the tabulated forward map; h' = P'/rho.
-        for _ in range(3):
-            res = self._h_of_x(np.log(rho)) - h
-            rho = rho - res / (self._law_slope(rho) / rho)
-            np.clip(rho, self.rho0, self.rho1, out=rho)
-        return rho
-
-
-def _hermite_coefficients(y0, m0, y1, m1):
-    # cubic in t over [0,1] with value/derivative (y0,m0) and (y1,m1)
-    return (
-        y0,
-        m0,
-        -3.0 * y0 - 2.0 * m0 + 3.0 * y1 - m1,
-        2.0 * y0 + m0 - 2.0 * y1 + m1,
-    )
+        # Newton in x = log rho against the forward table from its linear
+        # inverse; dh/dx = rho h'(rho) = P'(rho).
+        x = np.interp(h, self._hg, self._xg)
+        for _ in range(2):
+            x = x - (self._h_of_x(x) - h) / self.pressure_derivative(np.exp(x))
+        return np.exp(x)
 
 
 def polytrope(c: float = 1.0, gamma: float = 5.0 / 3.0) -> EquationOfState:

@@ -1,15 +1,16 @@
-"""Numpy stand-ins for three scipy routines, so that no command imports
-``scipy.integrate`` or ``scipy.interpolate``: ``cumulative_trapezoid``
+"""Numerical primitives, each defined once in numpy, so that no command
+imports ``scipy.integrate`` or ``scipy.interpolate``: ``cumulative_trapezoid``
 (``initial=0``, along the last axis) and ``PchipInterpolator`` (1-D) in
-scipy's own arithmetic and order, and ``BSpline`` as a table of clamped
-B-splines and their slopes.
+scipy's own arithmetic and order, a Gauss-Legendre rule per cell, and
+``BSpline`` as a table of clamped B-splines and their slopes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["cumulative_trapezoid", "MonotoneCubic", "bspline_table"]
+__all__ = ["cumulative_trapezoid", "gauss_cells", "cell_integrals", "MonotoneCubic",
+           "bspline_table"]
 
 
 def cumulative_trapezoid(y, x) -> np.ndarray:
@@ -19,6 +20,23 @@ def cumulative_trapezoid(y, x) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     steps = np.cumsum(np.diff(x) * (y[..., 1:] + y[..., :-1]) / 2.0, axis=-1)
     return np.concatenate((np.zeros(y.shape[:-1] + (1,)), steps), axis=-1)
+
+
+def gauss_cells(edges, order: int):
+    """The ``order``-node Gauss-Legendre rule on each cell [edges[i],
+    edges[i + 1]]: the nodes (one row per cell), the half-widths and the
+    weights on [-1, 1].  Exact for polynomials of degree < 2 order."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+    return mid[:, None] + half[:, None] * x, half, w
+
+
+def cell_integrals(f, edges, order: int) -> np.ndarray:
+    """Integral of f over each cell by ``gauss_cells``; f maps the node array.
+    Each cell's sum is one 1-D ``np.dot`` scaled by its half-width after it:
+    a matrix-vector product, or prescaled weights, move the last bits."""
+    nodes, half, w = gauss_cells(edges, order)
+    return half * np.array([np.dot(w, row) for row in f(nodes)])
 
 
 class MonotoneCubic:

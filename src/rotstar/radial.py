@@ -27,6 +27,8 @@ every profile is sampled on ``N_PROFILE`` radii.
 
 Both family scans bracket extrema with ``sign_changes``, and
 ``family_scan_radial`` root-finds the Richardson derivative in each bracket.
+The oracle form reads its radial cubic B-splines from ``bspline_table`` at
+the ``gauss_cells`` nodes of each knot span (``rotstar.numerics``).
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from scipy.linalg import block_diag
 from rotstar.eos import EquationOfState
 from rotstar.errors import ConfigError, SolverError
 from rotstar.forms import QuadraticForm
-from rotstar.numerics import MonotoneCubic, cumulative_trapezoid
+from rotstar.numerics import MonotoneCubic, bspline_table, cumulative_trapezoid, gauss_cells
 
 __all__ = [
     "RadialStar",
@@ -211,13 +213,16 @@ def solve_radial(eos: EquationOfState, mu: float) -> RadialStar:
 
     Raises SolverError when no surface is found within
     MAX_RADIUS_FACTOR times the central length scale sqrt(h(mu)/(4 pi mu)),
-    or when the profile's slopes leave float range, as they do from center
-    densities of about 1e150 up.
+    when that scale is 0 because 4 pi mu overflows (mu of about 1.43e307
+    up), or when the profile's slopes leave float range, as they do from
+    center densities of about 1e150 up.
     """
     if mu <= 0:
         raise ValueError("center density must be positive")
     y0 = eos.enthalpy(mu)
     r_scale = math.sqrt(y0 / (4.0 * math.pi * mu))
+    if r_scale == 0.0:
+        raise SolverError(f"central length scale is 0: 4 pi mu overflows (mu={mu:g})")
     sol = _scaled_solution(eos, mu)
     if sol is None:
         raise SolverError(
@@ -376,12 +381,13 @@ class OracleForm:
     """Assembled oracle form with enough structure to evaluate eigenvectors."""
 
     form: QuadraticForm
-    spline: Callable  # every radial BSpline, identity coefficients
+    knots: np.ndarray  # clamped knots of the radial cubic B-splines
     ells: np.ndarray  # harmonic degree per basis column
 
     def radial_component(self, coeffs: np.ndarray, ell: int, s: np.ndarray) -> np.ndarray:
         """Radial profile of the degree-ell part of a coefficient vector."""
-        return self.spline(np.asarray(s, dtype=float)) @ np.asarray(coeffs)[self.ells == ell]
+        values, _ = bspline_table(self.knots, 3, np.asarray(s, dtype=float))
+        return values.T @ np.asarray(coeffs)[self.ells == ell]
 
 
 def assemble_oracle_form(star: RadialStar, parity: str = "even") -> OracleForm:
@@ -405,37 +411,23 @@ def assemble_oracle_form(star: RadialStar, parity: str = "even") -> OracleForm:
         [np.linspace(0.0, R, n_in, endpoint=False),
          np.linspace(R, R_out, n_out + 1)]
     )
-    from scipy.interpolate import BSpline  # only this oracle needs it
-
     k = 3
     t = np.concatenate([[interior[0]] * k, interior, [interior[-1]] * k])
     n_basis = len(t) - k - 1
-    spline = BSpline(t, np.eye(n_basis), k, extrapolate=False)
 
-    # Gauss nodes per knot span
-    gx, gw = np.polynomial.legendre.leggauss(ORACLE_QUAD_POINTS)
-    spans = np.unique(interior)
-    nodes, weights = [], []
-    for a, b in zip(spans[:-1], spans[1:]):
-        nodes.append(0.5 * (a + b) + 0.5 * (b - a) * gx)
-        weights.append(0.5 * (b - a) * gw)
-    s = np.concatenate(nodes)
-    w = np.concatenate(weights)
-    fvals = np.nan_to_num(spline(s)).T
-    fders = np.nan_to_num(spline.derivative()(s)).T
+    nodes, half, gw = gauss_cells(np.unique(interior), ORACLE_QUAD_POINTS)
+    s, w = nodes.ravel(), (half[:, None] * gw).ravel()
+    fvals, fders = bspline_table(t, k, s)
 
-    inside = s < R
+    rho = star.rho_of(s)  # 0 outside the support
+    pos = rho > 0
     pot_weight = np.zeros_like(s)
-    rho_in = star.rho_of(s[inside])
-    pos = rho_in > 0
-    pw = np.zeros_like(rho_in)
-    pw[pos] = 4.0 * math.pi / star.eos.enthalpy_second(rho_in[pos])
-    pot_weight[inside] = pw
+    pot_weight[pos] = 4.0 * math.pi / star.eos.enthalpy_second(rho[pos])
 
     A_dd = (fders * (w * s**2)) @ fders.T          # int f' g' s^2 ds
     A_00 = (fvals * w) @ fvals.T                   # int f g ds
     A_pp = (fvals * (w * s**2 * pot_weight)) @ fvals.T  # potential term
-    f_end = np.nan_to_num(spline(R_out))
+    f_end = bspline_table(t, k, np.array([R_out]))[0][:, 0]
 
     ells = range(0 if parity == "even" else 1, ORACLE_LMAX + 1, 2)
     blocks_q, blocks_g, ell_tags = [], [], []
@@ -448,8 +440,4 @@ def assemble_oracle_form(star: RadialStar, parity: str = "even") -> OracleForm:
         ell_tags.extend([ell] * n_basis)
 
     form = QuadraticForm(block_diag(*blocks_q), block_diag(*blocks_g))
-    return OracleForm(
-        form=form,
-        spline=spline,
-        ells=np.array(ell_tags),
-    )
+    return OracleForm(form=form, knots=t, ells=np.array(ell_tags))

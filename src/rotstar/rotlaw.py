@@ -41,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 from rotstar.errors import ConfigError
-from rotstar.numerics import cumulative_trapezoid
+from rotstar.numerics import cell_integrals, cumulative_trapezoid
 
 __all__ = [
     "AngularVelocityLaw",
@@ -60,7 +60,6 @@ __all__ = [
     "RotationSpec",
 ]
 
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(6)
 #: p / q at which ``validate_origin`` probes j and dj/dp near the axis
 ORIGIN_SCALE = 1e-6
 
@@ -87,9 +86,10 @@ class AngularVelocityLaw:
         return self.omega_slope(r) * r**2 + 2.0 * self.omega(r) * r
 
     def centrifugal_integral(self, r):
-        """int_0^r omega(s)^2 s ds, per-interval Gauss quadrature, vectorized."""
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        return _cumulative_gauss(lambda s: self.omega(s) ** 2 * s, r)
+        """int_0^r omega(s)^2 s ds at the radii r: six Gauss nodes on each
+        cell between 0 and the successive radii, summed cell by cell."""
+        edges = np.concatenate(([0.0], np.atleast_1d(np.asarray(r, dtype=float))))
+        return np.cumsum(cell_integrals(lambda s: self.omega(s) ** 2 * s, edges, 6))
 
     def grid_profiles(self, amp, rs, m, h1):
         """(omega, d(omega r^2)/dr, Upsilon) at amplitude ``amp`` on the
@@ -207,21 +207,6 @@ def discriminant(law: AngularVelocityLaw, r):
     rs = np.atleast_1d(np.asarray(r, dtype=float))
     ups = upsilon(np.asarray(law.omega(rs)), law.d_omega_r2(rs), rs)
     return float(ups[0]) if np.ndim(r) == 0 else ups
-
-
-def _cumulative_gauss(f, r):
-    """Cumulative integral of f from 0 along increasing nodes r (Gauss per cell)."""
-    out = np.zeros_like(r)
-    prev = 0.0
-    acc = 0.0
-    for i, cur in enumerate(r):
-        if cur > prev:
-            mid, half = 0.5 * (prev + cur), 0.5 * (cur - prev)
-            nodes = mid + half * _GAUSS_NODES
-            acc += half * float(np.dot(_GAUSS_WEIGHTS, f(nodes)))
-        out[i] = acc
-        prev = cur
-    return out
 
 
 # -- momentum distributions --------------------------------------------------

@@ -63,9 +63,12 @@ def test_unknown_key_rejected_before_compute(tmp_path):
         ({**RADIAL_CFG, "mu_grid": {**RADIAL_CFG["mu_grid"], "spacing": "odd"}},
          "mu_grid.spacing"),
         ({**RADIAL_CFG, "mu_grid": [0.5, 2.0]}, "mu_grid must be an object"),
+        ({**RADIAL_CFG, "eos": {"kind": "asymptotically-polytropic", "c_minus": 1.0,
+                                "gamma0": 1.6666666666666667, "gamma_inf": 1.25, "blend": [1.0, 3.0],
+                                "c_plus": 0.43442143223718444}}, "not monotone"),
     ],
     ids=["unknown_key", "eos_kind", "eos_gamma0_string", "mu_grid_num", "mu_grid_without_num",
-         "mu_grid_spacing", "mu_grid_list"],
+         "mu_grid_spacing", "mu_grid_list", "eos_blend_not_monotone"],
 )
 def test_invalid_config_names_the_key(tmp_path, monkeypatch, payload, needle):
     monkeypatch.setattr(cli, "family_scan_radial", lambda *a, **kw: pytest.fail("compute ran"))
@@ -102,13 +105,15 @@ def test_nonpositive_c_plus_names_the_key(tmp_path, c_plus):
 
 
 def test_solver_failure_exit_code(tmp_path):
-    """A star with no surface and a center density whose profile overflows
-    float range are solver failures."""
+    """A star with no surface, a center density whose profile overflows
+    float range and one whose central length scale is 0 (4 pi mu
+    overflows) are solver failures."""
     no_surface = {
         "eos": {"kind": "polytropic", "c_minus": 1.0, "gamma0": 1.2000001},
         "mu_grid": {"start": 0.5, "stop": 2.0, "num": 5},
     }
-    for command, payload in [("radial-scan", no_surface), ("equilibrium", {**EQ_CFG, "mu": 1e300})]:
+    for command, payload in [("radial-scan", no_surface), ("equilibrium", {**EQ_CFG, "mu": 1e300}),
+                             ("equilibrium", {**EQ_CFG, "mu": 1e308})]:
         cfg = write(tmp_path, "cfg.json", payload)
         out = tmp_path / command
         assert main([command, cfg, "--out-dir", str(out)]) == EXIT_SOLVER

@@ -122,6 +122,31 @@ def test_blend_c1_continuity_and_positivity():
     assert np.all(b.pressure_derivative(rho) > 0)
 
 
+def test_blend_monotonicity_checked_exactly():
+    """P' of this blend dips to -1.05e-8 near rho = 1.802, yet 257 samples
+    of d log P / d log rho evenly spaced in log rho all read positive (the
+    least +3.2e-6)."""
+    with pytest.raises(ValueError, match="not monotone"):
+        asymptotic_polytrope(1.0, 5.0 / 3.0, 1.25, (1.0, 3.0), c_plus=0.43442143223718444)
+
+
+def test_blend_inverse_reads_only_the_blend(monkeypatch):
+    """The blend's inverse never asks the whole law for its slope, not even
+    through a method the law handed it when it was made."""
+
+    def refuse(self, rho):
+        raise AssertionError("the law's pressure_derivative was called")
+
+    monkeypatch.setattr(EquationOfState, "pressure_derivative", refuse)
+    b = asymptotic_polytrope(1.0, 5.0 / 3.0, 1.25, (1.0, 3.0))
+    h = np.linspace(b.enthalpy(1.0), b.enthalpy(3.0), 203)[1:-1]
+    assert np.max(np.abs(b.enthalpy(b.enthalpy_inverse(h)) / h - 1.0)) <= 1e-15
+    for v in h[::20]:
+        rho = b.enthalpy_inverse(float(v))
+        assert isinstance(rho, float)
+        assert abs(b.enthalpy(rho) / v - 1.0) <= 1e-15
+
+
 def test_monotonicity_sampled():
     for eos in (polytrope(1.0, 1.3), asymptotic_polytrope(1.0, 1.6, 1.28, (1.0, 2.5))):
         rho = np.logspace(-8, 4, 300)

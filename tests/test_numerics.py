@@ -1,12 +1,13 @@
 """The numpy trapezoid, monotone cubic and B-spline table against the scipy
-routines they stand in for."""
+routines they stand in for, and the Gauss cell rule against exact integrals."""
 
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid as scipy_trapezoid
 from scipy.interpolate import BSpline, PchipInterpolator
 
-from rotstar.numerics import MonotoneCubic, bspline_table, cumulative_trapezoid
+from rotstar.numerics import (MonotoneCubic, bspline_table, cell_integrals, cumulative_trapezoid,
+                              gauss_cells)
 
 
 def test_cumulative_trapezoid_is_scipys():
@@ -15,6 +16,23 @@ def test_cumulative_trapezoid_is_scipys():
     y = rng.normal(size=(5, 97))
     assert np.array_equal(cumulative_trapezoid(y[0], x), scipy_trapezoid(y[0], x, initial=0))
     assert np.array_equal(cumulative_trapezoid(y, x), scipy_trapezoid(y, x, initial=0))
+
+
+@pytest.mark.parametrize("order", [6, 8, 10])
+def test_gauss_cells_exact_to_degree_2_order_minus_1(order):
+    """On uneven cells the rule integrates every monomial of degree below
+    2 order exactly, and gauss_cells' nodes and weights agree with
+    cell_integrals."""
+    edges = np.array([-0.7, -0.2, 0.05, 0.9, 1.0, 2.3])
+    nodes, half, w = gauss_cells(edges, order)
+    assert nodes.shape == (edges.size - 1, order)
+    assert np.all((nodes > edges[:-1, None]) & (nodes < edges[1:, None]))
+    for deg in range(2 * order):
+        exact = (edges[1:] ** (deg + 1) - edges[:-1] ** (deg + 1)) / (deg + 1)
+        got = cell_integrals(lambda x: x**deg, edges, order)
+        np.testing.assert_allclose(got, exact, rtol=1e-13, atol=1e-14)
+        np.testing.assert_allclose((half[:, None] * w * nodes**deg).sum(axis=1), exact,
+                                   rtol=1e-13, atol=1e-14)
 
 
 def _data(kind, rng):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rotstar.equilibria import make_grid
 from rotstar.rotlaw import (
     FixedTotalMomentum,
     PowerLawMomentum,
@@ -96,6 +97,28 @@ def test_power_tail_centrifugal_integral_closed_form():
     u = (r / r_c) ** 2
     exact = omega_c**2 * r_c**2 * (1.0 - (1.0 + u) ** (1.0 - 2.0 * p)) / (2.0 * (2.0 * p - 1.0))
     assert np.max(np.abs(law.centrifugal_integral(r) - exact)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "law",
+    [PowerTailLaw(1.0, 0.4, 2.0), TabulatedLaw(_TABLE_R, 1.0 / (1.0 + _TABLE_R**2))],
+    ids=["power_tail", "table"],
+)
+@pytest.mark.parametrize("n", [32, 256])
+def test_centrifugal_integral_is_the_cell_loop(law, n):
+    """The vectorized centrifugal integral equals, bit for bit, a loop that
+    sums six Gauss nodes per cell from 0 and accumulates cell by cell."""
+    nodes, weights = np.polynomial.legendre.leggauss(6)
+    for grid in (make_grid(1.3, 1.3, n, n), make_grid(2.0, 2.0, n, n, refine_at=1.1)):
+        expected, acc, prev = [], 0.0, 0.0
+        for cur in grid.rs:
+            mid, half = 0.5 * (prev + cur), 0.5 * (cur - prev)
+            if half > 0:
+                acc += half * float(np.dot(weights, law.omega(mid + half * nodes) ** 2
+                                           * (mid + half * nodes)))
+            expected.append(acc)
+            prev = cur
+        assert np.array_equal(law.centrifugal_integral(grid.rs), expected)
 
 
 def test_table_law_is_clamped_past_its_last_sample():
