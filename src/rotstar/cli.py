@@ -2,7 +2,9 @@
 
 Subcommands read one JSON config file, check it, run the requested
 experiment, and write CSV/JSON artifacts plus a manifest into the output
-directory.  Identical configs and seeds produce byte-identical data
+directory; a command handler only writes, and ``main`` returns the exit
+code.  Every CSV goes through ``_write_csv``, and a star's JSON record is
+its ``summary()``.  Identical configs and seeds produce byte-identical data
 artifacts; the manifest additionally records wall-clock runtimes, which
 depend on the host, and therefore is not byte-reproducible; it also records
 the bytes the star's Poisson kernel table holds (null for the scans).
@@ -269,6 +271,15 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
+def _write_csv(path: str, header: str, rows) -> None:
+    """The one CSV format: the header line, then one line per row, a float
+    written as %.11e and any other value with str."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(f"{v:.11e}" if isinstance(v, float) else str(v) for v in row) + "\n")
+
+
 class _Runner:
     def __init__(self, given: dict, out_dir: str, seed: int, jobs: int):
         self.cfg = _with_defaults(given)
@@ -307,10 +318,11 @@ class _Runner:
         )
 
 
-def cmd_radial_scan(run: _Runner) -> int:
+def cmd_radial_scan(run: _Runner) -> None:
     eos = build_eos(run.cfg)
     curves = family_scan_radial(eos, build_mu_grid(run.cfg))
-    curves.to_csv(run.path("radial_scan.csv"))
+    _write_csv(run.path("radial_scan.csv"), "mu,R,M,dMdmu,MoverR",
+               zip(curves.mu, curves.radius, curves.mass, curves.dM_dmu, curves.mass_over_radius))
     _write_json(
         run.path("radial_scan_summary.json"),
         {
@@ -318,37 +330,23 @@ def cmd_radial_scan(run: _Runner) -> int:
             "mu_tilde": curves.mu_tilde if math.isfinite(curves.mu_tilde) else "inf",
         },
     )
-    return EXIT_OK
 
 
-def cmd_equilibrium(run: _Runner) -> int:
+def cmd_equilibrium(run: _Runner) -> None:
     star = run.solve_star()
     save_axistar(star, run.path("star"))
-    _write_json(
-        run.path("equilibrium.json"),
-        {
-            "mu": star.mu,
-            "mass": star.mass,
-            "support_radius": star.support_radius,
-            "support_height": star.support_height,
-            "c_const": star.c_const,
-            "residual": star.residual,
-            "sweeps": star.sweeps,
-        },
-    )
-    return EXIT_OK
+    _write_json(run.path("equilibrium.json"), {**star.summary(), "sweeps": star.sweeps})
 
 
-def cmd_stability(run: _Runner) -> int:
+def cmd_stability(run: _Runner) -> None:
     star = run.solve_star()
     b = run.cfg["basis"]
     basis = perturbation_basis(star, deg_r=b["deg_r"], deg_z=b["deg_z"])
     report = stability_report(basis, with_generator=run.cfg.get("with_generator", False))
     _write_json(run.path("stability.json"), report)
-    return EXIT_OK
 
 
-def cmd_spectrum(run: _Runner) -> int:
+def cmd_spectrum(run: _Runner) -> None:
     star = run.solve_star()
     sp = run.cfg["spectrum"]
     report = spectrum_report(
@@ -357,11 +355,10 @@ def cmd_spectrum(run: _Runner) -> int:
         ring_knots0=sp["ring_knots"],
         strict=sp["strict"],
     )
-    _write_json(run.path("spectrum.json"), report.as_dict())
-    return EXIT_OK
+    _write_json(run.path("spectrum.json"), report.summary())
 
 
-def cmd_evolve(run: _Runner) -> int:
+def cmd_evolve(run: _Runner) -> None:
     star = run.solve_star()
     vb = velocity_basis(star, ring_knots=run.cfg["spectrum"]["ring_knots"] * 2)
     form = assemble_meridional_form(vb)
@@ -380,10 +377,8 @@ def cmd_evolve(run: _Runner) -> int:
         u0 /= np.linalg.norm(u0)
         v0 = np.zeros(n)
     traj = evolve_second_order(form, u0, v0, T=ev["T"], dt_factor=ev["dt_factor"])
-    with open(run.path("trajectory.csv"), "w") as fh:
-        fh.write("t,Y_norm,E\n")
-        for t, nn, e in zip(traj.times, traj.norms, traj.energies):
-            fh.write(f"{t:.11e},{nn:.11e},{e:.11e}\n")
+    _write_csv(run.path("trajectory.csv"), "t,Y_norm,E",
+               zip(traj.times, traj.norms, traj.energies))
     _write_json(
         run.path("evolve.json"),
         {
@@ -392,10 +387,9 @@ def cmd_evolve(run: _Runner) -> int:
             "eta0": float(form.eigenvalues[0]),
         },
     )
-    return EXIT_OK
 
 
-def cmd_tpp_scan(run: _Runner) -> int:
+def cmd_tpp_scan(run: _Runner) -> None:
     spec = _rotation(run.cfg)
     eos = build_eos(run.cfg)
     mu_grid = build_mu_grid(run.cfg)
@@ -409,20 +403,16 @@ def cmd_tpp_scan(run: _Runner) -> int:
     if all(p.failed for p in scan.points):
         # the artifacts stay, but a scan with no converged point is a failure
         raise SolverError(f"no scan point converged (first cause: {scan.points[0].error})")
-    return EXIT_OK
 
 
-def cmd_bb1974(run: _Runner) -> int:
+def cmd_bb1974(run: _Runner) -> None:
     _finish_scan(run, bb1974_example(jobs=run.jobs))
-    return EXIT_OK
 
 
 def _finish_scan(run: _Runner, scan) -> None:
-    scan.to_csv(run.path("scan.csv"))
-    with open(run.path("plot_data.csv"), "w") as fh:
-        fh.write("mu,M\n")
-        for mu, M, _, _, _ in scan.table():
-            fh.write(f"{mu:.11e},{M:.11e}\n")
+    rows = scan.table()
+    _write_csv(run.path("scan.csv"), "mu,M,dMdmu,n_u,verdict", rows)
+    _write_csv(run.path("plot_data.csv"), "mu,M", (row[:2] for row in rows))
     _write_json(run.path("summary.json"), scan.summary())
 
 
@@ -502,7 +492,7 @@ def main(argv=None) -> int:
         return fail(EXIT_CONFIG, "config", f"cannot create --out-dir {args.out_dir}: {exc.strerror}")
     run = _Runner(cfg, args.out_dir, args.seed, args.jobs)
     try:
-        code = command(run)
+        command(run)
     except ConfigError as exc:
         return fail(EXIT_CONFIG, "config", str(exc))
     except SolverError as exc:
@@ -510,7 +500,7 @@ def main(argv=None) -> int:
     except AmbiguousClassificationError as exc:
         return fail(EXIT_AMBIGUOUS, "classification", str(exc))
     run.manifest()
-    return code
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -25,8 +25,9 @@ support.  A defect that turns non-finite or exceeds the first sweep's by
 ``DIVERGENCE_FACTOR`` stops the iteration as diverged; the star records its
 sweep count.
 
-A star stores only what defines it: its mass, cylinder mass and density
-floor are properties of its grid, density and center density.  Its density
+A star stores only what defines it: its mass, cylinder mass, density
+floor and SCF constant c = -V(0, 0) - h(mu) are properties of its grid,
+density, potential and center density.  Its density
 is rho0, zero at and below the floor by construction (solved, sampled,
 loaded or replaced), so its mass and every analysis read the support alone.
 Its ring kernel (``AxiStar.kernel``) solves the potentials of any field
@@ -118,15 +119,15 @@ class StarContext:
 @dataclass
 class AxiStar:
     """Axisymmetric equilibrium on a half-plane grid (even in z); a copy
-    with another density (``dataclasses.replace``) derives its own mass.
-    ``rho`` is rho0: any density it is given is cut to 0 at the floor."""
+    with another density or potential (``dataclasses.replace``) derives its
+    own mass and c.  ``rho`` is rho0: any density it is given is cut to 0
+    at the floor."""
 
     eos: EquationOfState
     grid: Grid
     rho: np.ndarray
     potential: np.ndarray
     mu: float
-    c_const: float
     residual: float
     support_radius: float  # R0
     support_height: float  # Z0
@@ -150,6 +151,16 @@ class AxiStar:
     def floor(self) -> float:
         """Density below which a node is outside the support."""
         return DENSITY_FLOOR_REL * self.mu
+
+    @property
+    def c_const(self) -> float:
+        """c of h = rot - V - c, pinning h(0, 0) to h(mu) as the SCF does."""
+        return float(-self.potential[0, 0] - self.eos.enthalpy(self.mu))
+
+    def summary(self) -> dict:
+        """The star's record, which ``equilibrium.json`` and ``meta.json`` share."""
+        keys = ("mu", "mass", "support_radius", "support_height", "c_const", "residual")
+        return {key: getattr(self, key) for key in keys}
 
     @cached_property
     def context(self) -> StarContext:
@@ -236,16 +247,15 @@ def _scf_iterate(
     floor = DENSITY_FLOOR_REL * mu
 
     def fields(rho):
-        """Potential, constant c and effective enthalpy h = rot - V - c."""
+        """Potential and effective enthalpy h = rot - V - c."""
         V = kernel.potential(rho)
-        rot = rot_potential(rho)
         c = -V[0, 0] - h_center
-        return V, c, rot[:, None] - V - c
+        return V, rot_potential(rho)[:, None] - V - c
 
     def project(rho):
         """G(rho): the density the enthalpy of rho's fields maps back to; the
         inverse maps h = 0 to 0, so only the support needs it."""
-        h = fields(rho)[2]
+        h = fields(rho)[1]
         pos = h > 0
         g = np.zeros_like(h)
         g[pos] = eos.enthalpy_inverse(h[pos])
@@ -315,14 +325,14 @@ def _scf_iterate(
         raise SolverError("density support touches the grid boundary")
 
     # final consistent fields and residual
-    V, c, h = fields(rho)
+    V, h = fields(rho)
     mask = rho > floor
     residual = math.nan  # an empty support or a non-finite h has none
     if mask.any() and np.all(np.isfinite(h)):
         residual = float(np.max(np.abs(eos.enthalpy(rho[mask]) - h[mask])))
     if not math.isfinite(residual):
         raise SolverError(f"converged to a non-finite residual at mu={mu:g}")
-    return rho, V, float(c), h, residual, sweep
+    return rho, V, h, residual, sweep
 
 
 def _support_extent(grid: Grid, h_equator: np.ndarray, h_axis: np.ndarray):
@@ -364,7 +374,7 @@ def _solve(
     kernel = RingKernel(grid)
     rho0 = seed.rho_of(np.sqrt(sum(m**2 for m in grid.meshes())))
     rot_potential = rotation.profile.rotational_potential(rotation.amplitude, grid)
-    rho, V, c, h, residual, sweeps = _scf_iterate(
+    rho, V, h, residual, sweeps = _scf_iterate(
         eos, kernel, mu, rho0, rot_potential, tol, max_iter
     )
     R0, Z0 = _support_extent(grid, h[:, 0], h[0, :])
@@ -374,7 +384,6 @@ def _solve(
         rho=rho,
         potential=V,
         mu=mu,
-        c_const=c,
         residual=residual,
         support_radius=R0,
         support_height=Z0,
@@ -451,7 +460,6 @@ def axistar_from_radial(
         rho=rho,
         potential=V,
         mu=star.mu,
-        c_const=star.mass / star.radius,
         residual=0.0,
         support_radius=star.radius,
         support_height=star.radius,
@@ -494,12 +502,7 @@ def save_axistar(star: AxiStar, path: str) -> None:
     """Write a self-describing bundle: metadata JSON + row-major density CSV."""
     os.makedirs(path, exist_ok=True)
     meta = {
-        "mu": star.mu,
-        "mass": star.mass,
-        "support_radius": star.support_radius,
-        "support_height": star.support_height,
-        "c_const": star.c_const,
-        "residual": star.residual,
+        **star.summary(),
         "floor": star.floor,
         "rotation": star.rotation.config(),
         "eos": star.eos.config(),
@@ -525,7 +528,6 @@ def load_axistar(path: str) -> AxiStar:
         rho=rho,
         potential=V,
         mu=meta["mu"],
-        c_const=meta["c_const"],
         residual=meta["residual"],
         support_radius=meta["support_radius"],
         support_height=meta["support_height"],

@@ -20,6 +20,9 @@ solves one extra point at the located mu_star, whose smallest constrained
 eigenvalue is ``margin_at_mu_star``.  A point failed exactly when it
 records an error.
 
+``jobs`` > 1 solves the points in a process pool of at most one worker
+per point.  The CLI writes a result's ``table()`` and ``summary()``.
+
 Counts are taken in the even-vertical-parity sector: the odd sector carries
 only the neutral vertical-shift mode and no negative directions, which the
 stability tests verify separately.
@@ -169,19 +172,8 @@ class FamilyScanResult:
     def table(self):
         """Rows (mu, M, dMdmu, n_u, verdict) over the converged points."""
         ok = [p for p in self.points if not p.failed]
-        rows = []
-        for i, p in enumerate(ok):
-            rows.append(
-                (p.mu, p.mass, float(self.dM_dmu[i]), p.n_u,
-                 "stable" if p.n_u == 0 else "unstable")
-            )
-        return rows
-
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("mu,M,dMdmu,n_u,verdict\n")
-            for mu, M, dM, n_u, verdict in self.table():
-                fh.write(f"{mu:.11e},{M:.11e},{dM:.11e},{n_u},{verdict}\n")
+        return [(p.mu, p.mass, float(dM), p.n_u, "stable" if p.n_u == 0 else "unstable")
+                for p, dM in zip(ok, self.dM_dmu)]
 
     def summary(self) -> dict:
         return {
@@ -246,8 +238,10 @@ def _run_scan(job: _ScanJob, mu_grid, jobs: int) -> FamilyScanResult:
     # the verdict reads slopes and grid steps in scan order
     if np.any(np.diff(mus) <= 0):
         raise ValueError("mu_grid must increase strictly")
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # a fork pool starts every worker it is given at the first submit
+    workers = min(jobs, len(mus))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             points = list(pool.map(job.run, mus))
     else:
         points = [job.run(m) for m in mus]

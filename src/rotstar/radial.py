@@ -300,13 +300,6 @@ class RadialFamilyCurves:
     mass_extrema: list  # (mu_value, "max"|"min")
     mu_tilde: float  # first critical point of M/R, +inf when absent
 
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("mu,R,M,dMdmu,MoverR\n")
-            for row in zip(self.mu, self.radius, self.mass, self.dM_dmu,
-                           self.mass_over_radius):
-                fh.write(",".join(f"{v:.11e}" for v in row) + "\n")
-
 
 def family_scan_radial(eos: EquationOfState, mu_grid) -> RadialFamilyCurves:
     """Solve along mu_grid and locate mass extrema and the first M/R critical point."""

@@ -252,7 +252,7 @@ class SpectrumReport:
     def eta0(self) -> float:
         return float(self.eigenvalues[0])
 
-    def as_dict(self) -> dict:
+    def summary(self) -> dict:
         return {
             "a": -self.essential_lo,
             "b": self.essential_hi,

@@ -351,6 +351,13 @@ def test_boundary_asymptotics_needs_rows(rot53):
         boundary_asymptotics_check(rot53, 1.0, band=(0.0004, 0.0005))
 
 
+def test_replaced_potential_carries_its_own_c(rot53):
+    """c = -V(0, 0) - h(mu) follows a potential swapped in by
+    ``dataclasses.replace``; no stale c rides along."""
+    moved = dataclasses.replace(rot53, potential=rot53.potential - 1.0)
+    assert moved.c_const == pytest.approx(rot53.c_const + 1.0, rel=1e-15, abs=0)
+
+
 def test_save_load_roundtrip(tmp_path, rot53):
     path = tmp_path / "bundle"
     save_axistar(rot53, str(path))
@@ -360,6 +367,7 @@ def test_save_load_roundtrip(tmp_path, rot53):
     assert loaded.rotation.kind == "fixed_omega"
     assert loaded.rotation.amplitude == rot53.rotation.amplitude
     assert loaded.eos.gamma0 == rot53.eos.gamma0
+    assert loaded.summary() == rot53.summary()  # c_const too, bit for bit
 
 
 def test_save_load_fixed_j_bundle(tmp_path, eos53):

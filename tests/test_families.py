@@ -1,11 +1,17 @@
+import json
+
 import numpy as np
 import pytest
 
+from rotstar import families
+from rotstar.cli import EXIT_OK, main
 from rotstar.equilibria import RotationSpec
+from rotstar.errors import SolverError
 from rotstar.families import (
     FamilyPoint,
     FamilyScanResult,
     _run_scan,
+    bb1974_example,
     scan_fixed_j,
     scan_fixed_omega,
 )
@@ -53,6 +59,27 @@ def test_fixed_j_verdict_fails_on_misaligned_transition():
     assert res.tpp_verdict == "TPP-fails"
 
 
+def test_fixed_j_verdict_fails_on_a_count_off_the_slope_rule():
+    mus = np.linspace(1.0, 9.0, 9)
+    masses = -((mus - 5.0) ** 2)
+    # the one transition sits at the max, but the counts have the wrong
+    # sign of the slope on both sides of it
+    counts = [1, 1, 1, 1, 1, 0, 0, 0, 0]
+    res = _result("fixed_j", mus, masses, counts)
+    assert res.transitions == [(5.0, 6.0, 1, 0)]
+    assert res.tpp_verdict == "TPP-fails"
+
+
+def test_extremum_fit_outside_its_bracket_falls_back_to_the_midpoint():
+    mus = np.arange(1.0, 8.0)
+    masses = np.array([0.126, -0.006, 0.634, 0.739, 0.203, 0.565, 1.869])
+    # the quadratic through mu 1..4 has its vertex below mu 1
+    co = np.polyfit(mus[:4], masses[:4], 2)
+    assert -co[1] / (2 * co[0]) < mus[0]
+    res = _result("fixed_j", mus, masses, [0] * 7)
+    assert res.mass_extrema[0] == (2.0, "min")
+
+
 def test_fixed_omega_verdict_reports_gap():
     mus = np.linspace(1.0, 9.0, 9)
     masses = -((mus - 4.0) ** 2)
@@ -96,16 +123,50 @@ def test_unstable_eos_stays_unstable_rotating(eos13):
     assert all(p.n_u >= 1 for p in scan.points)
 
 
-def test_scan_csv(tmp_path, eos53):
-    scan = scan_fixed_omega(
-        eos53, RigidLaw(1.0), 0.02, np.linspace(0.9, 1.1, 5), nr=56, nz=56,
-    )
-    path = tmp_path / "scan.csv"
-    scan.to_csv(path)
-    lines = path.read_text().strip().splitlines()
+def test_scan_csv(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "eos": {"kind": "polytropic", "c_minus": 1.0, "gamma0": 5.0 / 3.0},
+        "rotation": {"form": "rigid", "omega_c": 1.0, "kappa": 0.02},
+        "mu_grid": {"start": 0.9, "stop": 1.1, "num": 5, "spacing": "linear"},
+        "grid": {"nr": 56, "nz": 56},
+        "basis": {"deg_r": 8, "deg_z": 4},
+    }))
+    out = tmp_path / "out"
+    assert main(["tpp-scan", str(cfg), "--out-dir", str(out)]) == EXIT_OK
+    lines = (out / "scan.csv").read_text().strip().splitlines()
     assert lines[0] == "mu,M,dMdmu,n_u,verdict"
     assert len(lines) == 6
     assert lines[1].endswith("stable")
+    assert lines[1].split(",")[3] == "0"  # a count prints as an integer
+    assert all(len(line.split(",")) == 5 for line in lines)
+
+
+def test_jobs_start_at_most_one_worker_per_point(eos53, monkeypatch):
+    seen = []
+
+    class InlinePool:
+        """Stands in for ProcessPoolExecutor: records its worker count and
+        maps in this process, so no worker starts."""
+
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(families, "ProcessPoolExecutor", InlinePool)
+    scan = scan_fixed_omega(
+        eos53, RigidLaw(1.0), 0.02, np.linspace(0.9, 1.1, 3), nr=24, nz=24, jobs=10_000,
+    )
+    assert seen == [3]
+    assert not scan.partial
 
 
 def test_parallel_scan_matches_serial(eos53):
@@ -201,6 +262,14 @@ class _TurningJob:
     def run(self, mu):
         self.calls.append(mu)
         return FamilyPoint(mu=mu, mass=1.0 - (mu - 2.0) ** 2, n_u=int(mu >= 2.25))
+
+
+def test_bb1974_without_a_mass_minimum_is_a_solver_error(monkeypatch):
+    mus = np.linspace(1.0, 9.0, 9)
+    only_max = _result("fixed_j", mus, -((mus - 5.0) ** 2), [0] * 9)
+    monkeypatch.setattr(families, "scan_fixed_j", lambda *args, **kwargs: only_max)
+    with pytest.raises(SolverError, match="no mass minimum bracketed"):
+        bb1974_example()
 
 
 def test_scan_rejects_unsorted_mu_grid_before_any_solve():

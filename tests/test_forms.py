@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rotstar import forms, stability
+from rotstar.errors import SolverError
 from rotstar.forms import Inertia, QuadraticForm, restrict_to_complement
 
 
@@ -22,6 +23,11 @@ def test_asymmetric_matrix_rejected():
     q = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError):
         QuadraticForm(q, np.eye(2))
+
+
+def test_zero_gram_is_a_solver_error():
+    with pytest.raises(SolverError, match="gram matrix is numerically zero"):
+        QuadraticForm(np.zeros((2, 2)), np.zeros((2, 2)))
 
 
 def test_gram_cutoff_drops_null_directions():

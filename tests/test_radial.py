@@ -1,11 +1,14 @@
+import json
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.integrate import simpson, solve_ivp
 
 from rotstar import radial
+from rotstar.cli import EXIT_OK, main
 from rotstar.eos import asymptotic_polytrope, polytrope
 from rotstar.errors import SolverError
 from rotstar.radial import (
@@ -149,11 +152,44 @@ def test_family_scan_validates_grid(eos53):
         family_scan_radial(eos53, [1.0, 2.0])
 
 
-def test_scan_csv_format(tmp_path, eos53):
-    curves = family_scan_radial(eos53, np.linspace(0.8, 1.2, 5))
-    path = tmp_path / "scan.csv"
-    curves.to_csv(path)
-    lines = path.read_text().strip().splitlines()
+def test_family_scan_locates_an_interior_mass_over_radius_maximum(monkeypatch):
+    # M = mu and M/R = 2 - (mu - 3.3)^2 / 10: a rising mass and one M/R
+    # maximum, at mu 3.3, which central differences of a quadratic place exactly
+    def synthetic(eos, mu):
+        return SimpleNamespace(mass=mu, radius=mu / (2.0 - (mu - 3.3) ** 2 / 10.0))
+
+    monkeypatch.setattr(radial, "solve_radial", synthetic)
+    mus = np.linspace(1.0, 5.0, 5)
+    curves = family_scan_radial(None, mus)
+    assert curves.mass_extrema == []
+    assert abs(curves.mu_tilde - 3.3) <= 1e-4 * mus[3]  # brentq's xtol on (2, 4)
+
+
+def test_radial_step_underflow_is_a_solver_error():
+    class NaNInverse:
+        """A pressure law whose enthalpy inverse is NaN everywhere."""
+
+        kind = "stub"
+
+        def enthalpy(self, rho):
+            return rho
+
+        def enthalpy_inverse(self, h):
+            return math.nan
+
+    with pytest.raises(SolverError, match="radial step size underflow"):
+        solve_radial(NaNInverse(), 1.0)
+
+
+def test_scan_csv_format(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "eos": {"kind": "polytropic", "c_minus": 1.0, "gamma0": 5.0 / 3.0},
+        "mu_grid": {"start": 0.8, "stop": 1.2, "num": 5, "spacing": "linear"},
+    }))
+    out = tmp_path / "out"
+    assert main(["radial-scan", str(cfg), "--out-dir", str(out)]) == EXIT_OK
+    lines = (out / "radial_scan.csv").read_text().strip().splitlines()
     assert lines[0] == "mu,R,M,dMdmu,MoverR"
     assert len(lines) == 6
     assert len(lines[1].split(",")) == 5
