@@ -226,8 +226,7 @@ def perturbation_basis(
             h = 1e-3 * star.mu
             sp = solve_radial(star.eos, star.mu + h)
             sm = solve_radial(star.eos, star.mu - h)
-            RG, ZG = grid.meshes()
-            S = np.sqrt(RG**2 + ZG**2)
+            S = grid.spherical_radius()
             fields[stop] = (sp.rho_of(S) - sm.rho_of(S)) / (2.0 * h)
             fields[stop, ~ctx.mask] = 0.0  # a non-rotating profile's support
         else:

@@ -242,12 +242,9 @@ def solve_configured_star(cfg: dict):
 
 
 def _solve_kwargs(cfg: dict) -> dict:
-    """The grid and solver keys of a defaulted config, as solve keywords."""
-    g, s = cfg["grid"], cfg["solver"]
-    return dict(
-        nr=g["nr"], nz=g["nz"], pad=g["pad"],
-        tol=s["tol"], max_iter=s["max_iter"],
-    )
+    """The grid and solver keys of a defaulted config, which are the solve
+    keywords of the same names."""
+    return {**cfg["grid"], **cfg["solver"]}
 
 
 def _rotation(cfg: dict) -> RotationSpec:
@@ -393,12 +390,9 @@ def cmd_tpp_scan(run: _Runner) -> None:
     spec = _rotation(run.cfg)
     eos = build_eos(run.cfg)
     mu_grid = build_mu_grid(run.cfg)
-    b = run.cfg["basis"]
     scan_family = scan_fixed_omega if spec.kind == "fixed_omega" else scan_fixed_j
-    scan = scan_family(
-        eos, spec.profile, spec.amplitude, mu_grid, **_solve_kwargs(run.cfg),
-        deg_r=b["deg_r"], deg_z=b["deg_z"], jobs=run.jobs,
-    )
+    scan = scan_family(eos, spec.profile, spec.amplitude, mu_grid, **_solve_kwargs(run.cfg),
+                       **run.cfg["basis"], jobs=run.jobs)
     _finish_scan(run, scan)
     if all(p.failed for p in scan.points):
         # the artifacts stay, but a scan with no converged point is a failure

@@ -41,6 +41,10 @@ The profiles (omega, d(omega r^2)/dr, Upsilon) come from the profile class
 (``grid_profiles``) and are the only way the rotation reaches those
 analyses; this module reads the family only for the fixed-j origin check.
 
+Each option of a solve is declared once: the grid's (``grid``, ``nr``,
+``nz``, ``pad``) on ``_star_grid``, which the SCF and the sampled star
+share, and the SCF's (``tol``, ``max_iter``) on ``_solve``.
+
 A saved bundle's ``meta.json`` describes the star's physics in the config's
 own format: its ``eos`` and ``rotation`` entries are the sections
 ``EquationOfState.from_config`` and ``RotationSpec.from_config`` read (a
@@ -351,28 +355,27 @@ def _support_extent(grid: Grid, h_equator: np.ndarray, h_axis: np.ndarray):
     return crossing(grid.rs, h_equator), crossing(grid.zs, h_axis)
 
 
-def _solve(
-    eos: EquationOfState,
-    rotation: RotationSpec,
-    mu: float,
-    grid: Grid | None,
-    tol: float,
-    max_iter: int,
-    nr: int,
-    nz: int,
-    pad: float,
-) -> AxiStar:
+def _star_grid(radius: float, grid: Grid | None = None, nr: int = 96, nz: int = 96,
+               pad: float = 1.35) -> Grid:
+    """``grid``, or the square pad * radius grid of nr x nz nodes; either
+    must reach past the non-rotating radius."""
+    if grid is None:
+        grid = make_grid(pad * radius, pad * radius, nr, nz)
+    if grid.rs[-1] <= radius:
+        raise SolverError("grid does not contain the non-rotating support")
+    return grid
+
+
+def _solve(eos: EquationOfState, rotation: RotationSpec, mu: float, tol: float = 1e-10,
+           max_iter: int = 400, **grid_options) -> AxiStar:
     """SCF equilibrium of either rotation family, seeded by the non-rotating
     profile with the same center density."""
     seed = solve_radial(eos, mu)
     if rotation.kind == "fixed_j":
         rotation.profile.validate_origin(seed.mass)
-    if grid is None:
-        grid = make_grid(pad * seed.radius, pad * seed.radius, nr, nz)
-    if grid.rs[-1] <= seed.radius:
-        raise SolverError("grid does not contain the non-rotating support")
+    grid = _star_grid(seed.radius, **grid_options)
     kernel = RingKernel(grid)
-    rho0 = seed.rho_of(np.sqrt(sum(m**2 for m in grid.meshes())))
+    rho0 = seed.rho_of(grid.spherical_radius())
     rot_potential = rotation.profile.rotational_potential(rotation.amplitude, grid)
     rho, V, h, residual, sweeps = _scf_iterate(
         eos, kernel, mu, rho0, rot_potential, tol, max_iter
@@ -393,72 +396,44 @@ def _solve(
     )
 
 
-def solve_fixed_omega(
-    eos: EquationOfState,
-    law: AngularVelocityLaw,
-    kappa: float,
-    mu: float,
-    grid: Grid | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 400,
-    nr: int = 96,
-    nz: int = 96,
-    pad: float = 1.35,
-) -> AxiStar:
+def solve_fixed_omega(eos: EquationOfState, law: AngularVelocityLaw, kappa: float, mu: float,
+                      **options) -> AxiStar:
     """Equilibrium with azimuthal velocity kappa * law.omega(r) * r; the
     kappa = 0 limit reproduces the non-rotating profile up to grid
-    interpolation."""
-    return _solve(
-        eos, RotationSpec(law, kappa), mu, grid, tol, max_iter, nr, nz, pad
-    )
+    interpolation.
+
+    Keyword options: ``grid``, or the square pad * R grid of nr x nz nodes
+    (R the non-rotating radius; ``nr``, ``nz`` 96, ``pad`` 1.35), which
+    must reach past R (SolverError); ``tol`` (1e-10) and ``max_iter`` (400)
+    end the SCF.  An unknown option is a TypeError.
+    """
+    return _solve(eos, RotationSpec(law, kappa), mu, **options)
 
 
-def solve_fixed_j(
-    eos: EquationOfState,
-    momentum: MomentumDistribution,
-    eps: float,
-    mu: float,
-    grid: Grid | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 400,
-    nr: int = 96,
-    nz: int = 96,
-    pad: float = 1.35,
-) -> AxiStar:
+def solve_fixed_j(eos: EquationOfState, momentum: MomentumDistribution, eps: float, mu: float,
+                  **options) -> AxiStar:
     """Equilibrium whose specific angular momentum follows a fixed
     distribution over cylinder mass; the rotational potential is rebuilt
-    from the current iterate each sweep."""
-    return _solve(
-        eos, RotationSpec(momentum, eps), mu, grid, tol, max_iter, nr, nz, pad
-    )
+    from the current iterate each sweep.  Options as ``solve_fixed_omega``."""
+    return _solve(eos, RotationSpec(momentum, eps), mu, **options)
 
 
-def axistar_from_radial(
-    star: RadialStar,
-    grid: Grid | None = None,
-    nr: int = 96,
-    nz: int = 96,
-    pad: float = 1.35,
-) -> AxiStar:
+def axistar_from_radial(star: RadialStar, **grid_options) -> AxiStar:
     """Sample a non-rotating profile onto a half-plane grid.
 
     The potential comes from the radial profile (exterior monopole included),
     so no field solve is needed; useful as the exact kappa = 0 reference and
-    as the substrate for stability assemblies on non-rotating stars.
+    as the substrate for stability assemblies on non-rotating stars.  The
+    grid options are ``grid``, ``nr``, ``nz`` and ``pad`` of
+    ``solve_fixed_omega``.
     """
-    if grid is None:
-        grid = make_grid(pad * star.radius, pad * star.radius, nr, nz)
-    if grid.rs[-1] <= star.radius:
-        raise SolverError("grid does not contain the support")
-    RG, ZG = grid.meshes()
-    S = np.sqrt(RG**2 + ZG**2)
-    rho = star.rho_of(S)
-    V = star.potential_of(S)
+    grid = _star_grid(star.radius, **grid_options)
+    S = grid.spherical_radius()
     return AxiStar(
         eos=star.eos,
         grid=grid,
-        rho=rho,
-        potential=V,
+        rho=star.rho_of(S),
+        potential=star.potential_of(S),
         mu=star.mu,
         residual=0.0,
         support_radius=star.radius,

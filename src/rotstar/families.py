@@ -20,8 +20,11 @@ solves one extra point at the located mu_star, whose smallest constrained
 eigenvalue is ``margin_at_mu_star``.  A point failed exactly when it
 records an error.
 
-``jobs`` > 1 solves the points in a process pool of at most one worker
-per point.  The CLI writes a result's ``table()`` and ``summary()``.
+A scan's options are the fields of ``_ScanJob``, declared there once with
+their defaults; ``scan_fixed_omega`` and ``scan_fixed_j`` only name the
+family.  ``jobs`` (keyword-only) > 1 solves the points in a process pool of
+at most one worker per point.  The CLI writes a result's ``table()`` and
+``summary()``.
 
 Counts are taken in the even-vertical-parity sector: the odd sector carries
 only the neutral vertical-shift mode and no negative directions, which the
@@ -197,13 +200,13 @@ class FamilyScanResult:
 class _ScanJob:
     eos: EquationOfState
     rotation: RotationSpec
-    nr: int
-    nz: int
-    pad: float
-    tol: float
-    max_iter: int
-    deg_r: int
-    deg_z: int
+    nr: int = 72
+    nz: int = 72
+    pad: float = 1.35
+    tol: float = 1e-10
+    max_iter: int = 400
+    deg_r: int = 8
+    deg_z: int = 4
 
     def run(self, mu: float) -> FamilyPoint:
         # the family's solve is looked up as a module global when called, so
@@ -255,50 +258,24 @@ def _run_scan(job: _ScanJob, mu_grid, jobs: int) -> FamilyScanResult:
     return result
 
 
-def scan_fixed_omega(
-    eos: EquationOfState,
-    law: AngularVelocityLaw,
-    kappa: float,
-    mu_grid,
-    nr: int = 72,
-    nz: int = 72,
-    tol: float = 1e-10,
-    deg_r: int = 8,
-    deg_z: int = 4,
-    jobs: int = 1,
-    pad: float = 1.35,
-    max_iter: int = 400,
-) -> FamilyScanResult:
+def scan_fixed_omega(eos: EquationOfState, law: AngularVelocityLaw, kappa: float, mu_grid, *,
+                     jobs: int = 1, **options) -> FamilyScanResult:
     """Scan the fixed-angular-velocity family over mu_grid, which must
-    increase strictly (ValueError before any solve otherwise); ``pad``,
-    ``tol`` and ``max_iter`` go to every point's solve."""
-    job = _ScanJob(
-        eos, RotationSpec(law, kappa), nr, nz, pad, tol, max_iter, deg_r, deg_z
-    )
-    return _run_scan(job, mu_grid, jobs)
+    increase strictly (ValueError before any solve otherwise).
+
+    Options, all keywords: ``nr`` and ``nz`` (72), ``pad`` (1.35), ``tol``
+    (1e-10) and ``max_iter`` (400) go to every point's solve, ``deg_r`` and
+    ``deg_z`` (8 and 4) set its even basis, and ``jobs`` (1) its process
+    pool.  An unknown option is a TypeError before any solve.
+    """
+    return _run_scan(_ScanJob(eos, RotationSpec(law, kappa), **options), mu_grid, jobs)
 
 
-def scan_fixed_j(
-    eos: EquationOfState,
-    momentum: MomentumDistribution,
-    eps: float,
-    mu_grid,
-    nr: int = 72,
-    nz: int = 72,
-    tol: float = 1e-10,
-    deg_r: int = 8,
-    deg_z: int = 4,
-    jobs: int = 1,
-    pad: float = 1.35,
-    max_iter: int = 400,
-) -> FamilyScanResult:
-    """Scan the fixed-momentum-distribution family over mu_grid, which must
-    increase strictly (ValueError before any solve otherwise); ``pad``,
-    ``tol`` and ``max_iter`` go to every point's solve."""
-    job = _ScanJob(
-        eos, RotationSpec(momentum, eps), nr, nz, pad, tol, max_iter, deg_r, deg_z
-    )
-    return _run_scan(job, mu_grid, jobs)
+def scan_fixed_j(eos: EquationOfState, momentum: MomentumDistribution, eps: float, mu_grid, *,
+                 jobs: int = 1, **options) -> FamilyScanResult:
+    """Scan the fixed-momentum-distribution family over mu_grid; options
+    as ``scan_fixed_omega``."""
+    return _run_scan(_ScanJob(eos, RotationSpec(momentum, eps), **options), mu_grid, jobs)
 
 
 #: calibrated defaults of the soft-polytrope momentum-distribution family

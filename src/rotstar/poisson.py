@@ -237,6 +237,11 @@ class Grid:
     def meshes(self):
         return np.meshgrid(self.rs, self.zs, indexing="ij")
 
+    def spherical_radius(self) -> np.ndarray:
+        """sqrt(r^2 + z^2) on the nodes, made anew on each call."""
+        RG, ZG = self.meshes()
+        return np.sqrt(RG**2 + ZG**2)
+
     def wz_line(self) -> np.ndarray:
         """Vertical weights of the full-line trapezoid rule for reflected fields."""
         w = np.full(self.zs.size, 2.0 * self.hz)

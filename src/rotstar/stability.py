@@ -398,9 +398,10 @@ class LinearTrajectory:
         return float(np.max(np.abs(self.energies - self.energies[0]))) / scale
 
     def growth_rate(self) -> float:
-        """Log-slope of the state norm over the trailing half of the run."""
+        """Log-slope of the state norm over the trailing half of the run,
+        and over no fewer than its last two samples."""
         n = self.times.size
-        i0 = int(0.5 * n)
+        i0 = min(n // 2, n - 2)
         y = np.log(self.norms[i0:])
         return float(np.polyfit(self.times[i0:], y, 1)[0])
 

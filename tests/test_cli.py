@@ -119,6 +119,9 @@ def test_solver_failure_exit_code(tmp_path):
         assert main([command, cfg, "--out-dir", str(out)]) == EXIT_SOLVER
         err = json.loads((out / "error.json").read_text())
         assert err["error"] == "solver"
+        if command == "radial-scan":
+            # the failing center density and its cause
+            assert err["message"].startswith("scan failed at mu=0.5: no surface within ")
 
 
 def test_support_reaching_the_grid_edge_is_a_solver_failure(tmp_path):

@@ -138,8 +138,26 @@ def test_unit_pad_grid_does_not_contain_the_support(eos53):
     neither the SCF nor the sampled star has room for the surface."""
     with pytest.raises(SolverError, match="grid does not contain the non-rotating support"):
         solve_fixed_omega(eos53, RigidLaw(1.0), 0.05, 1.0, nr=24, nz=24, pad=1.0)
-    with pytest.raises(SolverError, match="grid does not contain the support"):
+    with pytest.raises(SolverError, match="grid does not contain the non-rotating support"):
         axistar_from_radial(solve_radial(eos53, 1.0), pad=1.0, nr=24, nz=24)
+
+
+def test_unknown_option_is_a_type_error_naming_it(eos53, star53):
+    for call in (
+        lambda: solve_fixed_omega(eos53, RigidLaw(1.0), 0.05, 1.0, nrr=24),
+        lambda: solve_fixed_j(eos53, FixedTotalMomentum(), 0.1, 1.0, nrr=24),
+        lambda: axistar_from_radial(star53, nrr=24),
+    ):
+        with pytest.raises(TypeError, match="nrr"):
+            call()
+
+
+def test_grid_option_reaches_the_scf_and_the_sampled_star(eos53, star53):
+    g = make_grid(1.4 * star53.radius, 1.4 * star53.radius, 24, 20)
+    assert solve_fixed_omega(eos53, RigidLaw(1.0), 0.05, 1.0, grid=g).grid is g
+    sampled = axistar_from_radial(star53, grid=g)
+    assert sampled.grid is g
+    assert sampled.rho.shape == (24, 20)
 
 
 def test_mixed_star_mass_matches_damped_iteration(eos53):

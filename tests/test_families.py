@@ -282,3 +282,20 @@ def test_scan_rejects_unsorted_mu_grid_before_any_solve():
         with pytest.raises(ValueError, match="mu_grid must increase strictly"):
             _run_scan(job, grid, jobs=1)
         assert job.calls == []
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("a point was solved")
+
+
+def test_unknown_scan_option_is_a_type_error_before_any_solve(eos53, monkeypatch):
+    monkeypatch.setattr(families, "solve_fixed_omega", _no_solve)
+    with pytest.raises(TypeError, match="nrr"):
+        scan_fixed_omega(eos53, RigidLaw(1.0), 0.05, [0.9, 1.0], nrr=24)
+
+
+def test_scan_jobs_is_keyword_only(eos53, monkeypatch):
+    """A grid size passed as the fifth positional argument cannot set jobs."""
+    monkeypatch.setattr(families, "solve_fixed_j", _no_solve)
+    with pytest.raises(TypeError, match="positional"):
+        scan_fixed_j(eos53, PowerLawMomentum(1.0, 2.0), 0.2, [0.9, 1.0], 24)

@@ -291,3 +291,14 @@ def test_blend_star_ignores_polytrope_cache(eos_blend, mu):
     radius, mass = _unscaled_surface(eos_blend, mu)
     assert after.radius == pytest.approx(radius, rel=1e-8)
     assert after.mass == pytest.approx(mass, rel=1e-8)
+
+
+@pytest.mark.parametrize("mu", [3.0, 10.0])
+def test_blend_star_radius_and_mass_against_an_integration_in_r(eos_blend, mu):
+    """The blend star's R and M against DOP853 in r at 1e-13: 6.4e-10 and
+    9e-11 apart at mu 3, 1.3e-10 and 7.9e-10 at mu 10, far coarser than
+    the 1e-11 tolerance the scaled balance is integrated at."""
+    star = solve_radial(eos_blend, mu)
+    radius, mass = _unscaled_surface(eos_blend, mu, tol=1e-13)
+    assert star.radius == pytest.approx(radius, rel=2.5e-9)
+    assert star.mass == pytest.approx(mass, rel=2.5e-9)

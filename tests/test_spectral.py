@@ -241,6 +241,13 @@ def test_step_size_guard(form):
         evolve_second_order(form, np.zeros(n), np.zeros(n), T=1.0, dt_factor=2.0)
 
 
+def test_evolution_rejects_a_state_off_the_eigen_coordinates(form):
+    n = form.eigenvalues.size
+    for u0, v0 in ((np.zeros(n + 1), np.zeros(n)), (np.zeros(n), np.zeros((n, 1)))):
+        with pytest.raises(ValueError, match="pencil eigen-coordinates"):
+            evolve_second_order(form, u0, v0, T=1.0)
+
+
 def test_nonfinite_divergence_rejected(rayleigh_unstable_star):
     star = rayleigh_unstable_star
     zero = _factored(np.zeros((1,) + star.rho.shape))

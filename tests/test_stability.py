@@ -1,5 +1,6 @@
 import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from rotstar.radial import solve_radial
 from rotstar.rotlaw import RigidLaw
 from rotstar.stability import (
     Generator,
+    LinearTrajectory,
     assemble_generator,
     assemble_perturbation_energy,
     assemble_reduced_energy,
@@ -340,6 +342,20 @@ def test_stable_evolution_bounded_and_conservative(rot53, generator_of):
     traj = evolve_linearized(gen, z0, T=40.0, dt=0.1 / lam_max)
     assert np.max(traj.norms) < 10.0 * traj.norms[0]
     assert traj.energy_drift < 1e-6
+
+
+def test_evolution_rejects_a_state_of_the_wrong_dimension(rot53, generator_of):
+    gen = generator_of(rot53, "even")
+    with pytest.raises(ValueError, match="state dimension should be"):
+        evolve_linearized(gen, np.zeros(gen.matrix.shape[0] + 1), T=1.0, dt=0.1)
+
+
+def test_growth_rate_of_a_one_step_run():
+    """Two samples, the norm growing by e^0.3 over 0.5: the fit reads both."""
+    traj = LinearTrajectory(np.array([0.0, 0.5]), np.zeros(2), np.exp([0.0, 0.3]), np.ones(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert traj.growth_rate() == pytest.approx(0.6, abs=1e-12)
 
 
 def test_unstable_growth_rate_matches_eigenvalue(rot13, generator_of):
