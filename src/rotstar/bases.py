@@ -76,8 +76,11 @@ class Term:
 
     @cached_property
     def groups(self) -> list:
-        """(vertical row, term rows that read it) for every row in use."""
-        return [(v, np.flatnonzero(self.index == v)) for v in np.unique(self.index)]
+        """(vertical row, term rows that read it) for every row in use, in
+        row order (the rows in use by bincount: np.unique would load
+        numpy.ma, 10 ms of a cold command)."""
+        rows = np.flatnonzero(np.bincount(self.index))
+        return [(v, np.flatnonzero(self.index == v)) for v in rows]
 
     def dense(self) -> np.ndarray:
         """The term's (m, nr, nz) share of its members."""

@@ -7,7 +7,9 @@ code.  Every CSV goes through ``_write_csv``, and a star's JSON record is
 its ``summary()``.  Identical configs and seeds produce byte-identical data
 artifacts; the manifest additionally records wall-clock runtimes, which
 depend on the host, and therefore is not byte-reproducible; it also records
-the bytes the star's Poisson kernel table holds (null for the scans).
+the bytes the star's Poisson kernel table holds (null for the scans), and
+the package versions the run used: scipy's only when the run loaded scipy
+(``radial-scan`` and the ``table`` rotation form do), null otherwise.
 
 Every scalar knob's type, range and default are one entry of ``KNOBS``;
 a key it does not list, a wrong type (an integer knob takes a JSON
@@ -57,7 +59,6 @@ import sys
 import time
 
 import numpy as np
-import scipy
 
 import rotstar
 from rotstar.eos import EquationOfState
@@ -306,7 +307,8 @@ class _Runner:
                 "versions": {
                     "rotstar": rotstar.__version__,
                     "numpy": np.__version__,
-                    "scipy": scipy.__version__,
+                    # only radial-scan and the table rotation form load scipy
+                    "scipy": getattr(sys.modules.get("scipy"), "__version__", None),
                 },
                 "artifacts": sorted(self.artifacts),
                 "poisson_table_bytes": self.poisson_table_bytes,

@@ -34,7 +34,6 @@ stability tests verify separately.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -244,6 +243,9 @@ def _run_scan(job: _ScanJob, mu_grid, jobs: int) -> FamilyScanResult:
     # a fork pool starts every worker it is given at the first submit
     workers = min(jobs, len(mus))
     if workers > 1:
+        # the pool's modules (multiprocessing, socket) load only for a pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             points = list(pool.map(job.run, mus))
     else:

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh
 
 from rotstar.errors import SolverError
 
@@ -108,7 +107,7 @@ def whiten(g: np.ndarray) -> np.ndarray:
 def _pencil_eig(q: np.ndarray, g: np.ndarray):
     """Eigenpairs of Q v = lambda G v on the numerically resolved span of G."""
     basis = whiten(g)
-    lam, vec = eigh(basis.T @ q @ basis)
+    lam, vec = np.linalg.eigh(basis.T @ q @ basis)
     return lam, basis @ vec
 
 

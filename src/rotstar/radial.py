@@ -40,12 +40,13 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from rotstar.eos import EquationOfState
 from rotstar.errors import ConfigError, SolverError
 from rotstar.forms import QuadraticForm
-from rotstar.numerics import MonotoneCubic, bspline_table, cumulative_trapezoid, gauss_cells
+from rotstar.numerics import (
+    MonotoneCubic, block_diag, bspline_table, cumulative_trapezoid, gauss_cells,
+)
 
 __all__ = [
     "RadialStar",

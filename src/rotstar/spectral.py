@@ -41,7 +41,9 @@ from rotstar.equilibria import AxiStar
 from rotstar.errors import AmbiguousClassificationError, ConfigError, SolverError
 from rotstar.forms import QuadraticForm
 from rotstar.numerics import bspline_table
-from rotstar.stability import LinearTrajectory, energy_blocks, factored_pair_integrals
+from rotstar.stability import (
+    LinearTrajectory, energy_blocks, factored_pair_integrals, time_steps,
+)
 
 __all__ = [
     "VelocityBasis",
@@ -360,26 +362,25 @@ def evolve_second_order(
     ``u0``/``v0`` are coordinates in the pencil eigenbasis, whose columns
     ``form.vectors`` are Gram-orthonormal: a field with basis coefficients x
     has coordinates ``form.vectors.T @ form.gram @ x``, and a unit vector
-    starts a pure eigenmode.  The step is dt_factor / sqrt(max |eigenvalue|);
-    a factor of 2 or more exceeds the leapfrog stability bound.
+    starts a pure eigenmode.  The run takes ``time_steps(T, dt)`` equal
+    steps, the largest dt = dt_factor / sqrt(max |eigenvalue|), and ends at
+    T; a factor of 2 or more exceeds the leapfrog stability bound.
     """
     if dt_factor >= 2.0:
         raise ValueError("time step exceeds the leapfrog stability bound")
     lam = form.eigenvalues
-    dt = dt_factor / math.sqrt(float(np.max(np.abs(lam))))
-    n_steps = max(int(round(T / dt)), 1)
+    n_steps, times = time_steps(T, dt_factor / math.sqrt(float(np.max(np.abs(lam)))))
+    dt = T / n_steps
     # whitened coordinates diagonalize the pencil: u'' = -diag(lam) u
     c = np.asarray(u0, dtype=float).copy()
     v = np.asarray(v0, dtype=float).copy()
     if c.shape != lam.shape or v.shape != lam.shape:
         raise ValueError("state must be given in pencil eigen-coordinates")
-    times = np.empty(n_steps + 1)
     norms = np.empty(n_steps + 1)
     energies = np.empty(n_steps + 1)
     scales = np.empty(n_steps + 1)
     a = -lam * c
     for i in range(n_steps + 1):
-        times[i] = i * dt
         norms[i] = float(np.linalg.norm(c))
         energies[i] = float(v @ v + lam @ (c * c))
         scales[i] = float(v @ v + np.abs(lam) @ (c * c))

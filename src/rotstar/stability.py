@@ -48,13 +48,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg import eig, eigh
 
 from rotstar.bases import FactoredStack, PerturbationBasis
 from rotstar.equilibria import AxiStar
 from rotstar.errors import ConfigError
 from rotstar.forms import VERDICT_ZERO_TOL, QuadraticForm, restrict_to_complement, whiten
+from rotstar.numerics import block_diag
 from rotstar.rotlaw import d_omega_r2_over_r
 
 __all__ = [
@@ -73,6 +72,7 @@ __all__ = [
     "assemble_generator",
     "generator_unstable_count",
     "LinearTrajectory",
+    "time_steps",
     "evolve_linearized",
     "stability_report",
 ]
@@ -150,8 +150,8 @@ def assemble_perturbation_energy(basis: PerturbationBasis) -> QuadraticForm:
     blocks are exact zeros and never quadratured."""
     pressure, grav = zip(*(energy_blocks(basis.star, basis.fields[s.rows], parity)
                            for parity, s in basis.sectors.items()))
-    gram = sla.block_diag(*pressure)
-    return QuadraticForm(gram + sla.block_diag(*grav), gram)
+    gram = block_diag(*pressure)
+    return QuadraticForm(gram + block_diag(*grav), gram)
 
 
 def cumulative_cylinder_integrals(basis: PerturbationBasis) -> np.ndarray:
@@ -281,7 +281,7 @@ class Generator:
         self._lh_norm = float(np.linalg.norm(self.Lh, 2))
 
     def eigenvalues(self) -> np.ndarray:
-        return eig(self.matrix, right=False)
+        return np.linalg.eigvals(self.matrix)
 
     def quadruple_defect(self) -> float:
         """Worst distance of -lambda from the spectrum over its eigenvalues,
@@ -357,7 +357,7 @@ def assemble_generator(basis: PerturbationBasis, energy: QuadraticForm,
     # v_r(a) dx
     Lt, At = B1.T @ Lq @ B1, B2.T @ Aq @ B2
     P = np.vstack([B1.T @ grads[:, keep] @ BY, B2.T @ coupling[:, keep] @ BY])
-    Lh = sla.block_diag(0.5 * (Lt + Lt.T), 0.5 * (At + At.T))
+    Lh = block_diag(0.5 * (Lt + Lt.T), 0.5 * (At + At.T))
     return Generator(P, Lh)
 
 
@@ -367,7 +367,7 @@ def generator_unstable_count(gen: Generator):
     S = P^T Lh P (d^2p/dt^2 = -S p), those above -1e-12 max|mu| being
     round-off.  A pair counts when its mode's energy quotient
     q.Lh.q / q.q / ||Lh|| with q = P p is below -VERDICT_ZERO_TOL."""
-    mu, p = eigh(gen.P.T @ gen.Lh @ gen.P)
+    mu, p = np.linalg.eigh(gen.P.T @ gen.Lh @ gen.P)
     grows = mu < -1e-12 * np.max(np.abs(mu))
     mu = mu[grows]
     quotient = mu / np.sum((gen.P @ p[:, grows]) ** 2, axis=0) / gen._lh_norm
@@ -406,29 +406,38 @@ class LinearTrajectory:
         return float(np.polyfit(self.times[i0:], y, 1)[0])
 
 
+def time_steps(T: float, dt: float):
+    """(n, times) of a run over [0, T] in n = ceil(T / dt) equal steps of
+    at most dt: the n + 1 sample times, the last exactly T."""
+    if not T > 0:
+        raise ValueError("the run time T must be positive")
+    n_steps = max(math.ceil(T / dt), 1)
+    return n_steps, np.linspace(0.0, T, n_steps + 1)
+
+
 def evolve_linearized(gen: Generator, z0: np.ndarray, T: float, dt: float) -> LinearTrajectory:
-    """Implicit-midpoint evolution of the generator; conserves the discrete
-    energy (the Casimir second variation in whitened coordinates) exactly up
-    to linear-solver round-off."""
-    n_steps = max(int(round(T / dt)), 1)
+    """Implicit-midpoint evolution of the generator over [0, T] in
+    ceil(T / dt) equal steps of at most dt; conserves the discrete energy
+    (the Casimir second variation in whitened coordinates) exactly up to
+    the round-off of its step matrix (I - dt G / 2)^-1 (I + dt G / 2),
+    formed once."""
+    n_steps, times = time_steps(T, dt)
+    dt = T / n_steps
     dim = gen.matrix.shape[0]
     z = np.asarray(z0, dtype=float).copy()
     if z.shape != (dim,):
         raise ValueError(f"state dimension should be {dim}")
-    A = np.eye(dim) - 0.5 * dt * gen.matrix
-    B = np.eye(dim) + 0.5 * dt * gen.matrix
-    lu, piv = sla.lu_factor(A)
-    times = np.empty(n_steps + 1)
+    eye = np.eye(dim)
+    step = np.linalg.solve(eye - 0.5 * dt * gen.matrix, eye + 0.5 * dt * gen.matrix)
     energies = np.empty(n_steps + 1)
     norms = np.empty(n_steps + 1)
     scales = np.empty(n_steps + 1)
     for i in range(n_steps + 1):
-        times[i] = i * dt
         energies[i] = gen.energy(z)
         scales[i] = gen.energy_scale(z)
         norms[i] = math.sqrt(float(z @ z))
         if i < n_steps:
-            z = sla.lu_solve((lu, piv), B @ z)
+            z = step @ z
     return LinearTrajectory(times, energies, norms, scales)
 
 

@@ -6,11 +6,11 @@ import sys
 
 import numpy as np
 import pytest
-from scipy.fft import next_fast_len
 
 from rotstar import cli, poisson, radial, spectral
 from rotstar.cli import EXIT_AMBIGUOUS, EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, ConfigError, main
 from rotstar.families import FamilyPoint, FamilyScanResult
+from rotstar.numerics import next_fast_len
 from rotstar.rotlaw import FixedTotalMomentum, RotationSpec
 
 
@@ -590,6 +590,17 @@ def test_evolve_random_start_follows_its_seed(tmp_path):
     assert trajectories[0] != trajectories[2]
 
 
+def test_evolve_ends_at_T(tmp_path):
+    """A run shorter than one step of dt takes one step of T: the last time
+    of trajectory.csv is evolve.T (a whole step would end at 0.0062)."""
+    star = {**POWER_TAIL_CFG, "mu": 1.0, "grid": {"nr": 16, "nz": 16}}
+    cfg = write(tmp_path, "cfg.json", {**star, "evolve": {"T": 0.001}})
+    out = tmp_path / "out"
+    assert main(["evolve", cfg, "--out-dir", str(out)]) == EXIT_OK
+    rows = (out / "trajectory.csv").read_text().strip().splitlines()[1:]
+    assert [float(row.split(",")[0]) for row in rows] == [0.0, 0.001]
+
+
 def _table_csv(tmp_path, rows):
     path = tmp_path / "law.csv"
     np.savetxt(path, np.column_stack([np.linspace(0.0, 3.0, rows), np.ones(rows)]), delimiter=",")
@@ -899,28 +910,36 @@ def test_out_dir_that_cannot_be_created_is_config_error(tmp_path, monkeypatch, c
     assert f"cannot create --out-dir {out}" in capsys.readouterr().err
 
 
-#: subpackages of scipy that no command but radial-scan may load
-LAZY_SCIPY = ("scipy.integrate", "scipy.interpolate", "scipy.optimize", "scipy.sparse",
-              "scipy.spatial")
-
-#: runs main on argv[2:], then fails if a module named in argv[1] (comma
-#: separated) or below one is loaded
+#: runs its imports, then main on argv[1:] if there are any, and prints the
+#: exit code and the scipy modules loaded, as JSON
 _IMPORT_GUARD = """
-import sys
-from rotstar.cli import main
-code = main(sys.argv[2:])
-lazy = sys.argv[1].split(",")
-loaded = sorted(m for m in sys.modules if any(m == p or m.startswith(p + ".") for p in lazy))
-print(code, loaded)
-sys.exit(code or bool(loaded))
+import json, sys
+{imports}
+code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
 """
+
+
+def _scipy_modules(*argv, imports="from rotstar.cli import main"):
+    """[exit code, scipy modules loaded] of a fresh process that runs
+    ``imports`` and the command line ``argv`` on the package in this tree."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    guard = _IMPORT_GUARD.format(imports=imports)
+    proc = subprocess.run([sys.executable, "-c", guard, *argv], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_import_loads_no_scipy():
+    assert _scipy_modules() == [0, []]
 
 
 @pytest.mark.parametrize(
     "command, payload",
     [
         ("stability", {**STABILITY_CFG, "grid": {"nr": 32, "nz": 32},
-                       "basis": {"deg_r": 4, "deg_z": 2}}),
+                       "basis": {"deg_r": 4, "deg_z": 2}, "with_generator": True}),
         ("spectrum", {**SPECTRUM_32_CFG, "spectrum": {"levels": 2, "ring_knots": 10}}),
         ("evolve", SPECTRUM_32_CFG),
         ("equilibrium", EQ_CFG),
@@ -935,12 +954,26 @@ sys.exit(code or bool(loaded))
          "bb1974"],
 )
 def test_commands_do_not_import_lazy_scipy(tmp_path, command, payload):
-    """Every command but radial-scan runs on numpy, scipy.fft, scipy.special
-    and scipy.linalg alone: the subpackages that interpolate, integrate and
-    optimize (and sparse and spatial, which they pull in) stay unloaded."""
+    """All of scipy is lazy: every command but radial-scan runs on numpy
+    alone, no scipy module loads, not even the top-level package, and the
+    manifest records no scipy version."""
     cfg = write(tmp_path, "cfg.json", payload)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
-    args = [",".join(LAZY_SCIPY), command, cfg, "--out-dir", str(tmp_path / "out")]
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD, *args], env=env,
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert _scipy_modules(command, cfg, "--out-dir", str(tmp_path / "out")) == [0, []]
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["versions"]["scipy"] is None
+
+
+def test_table_rotation_form_loads_only_scipy_interpolate(tmp_path):
+    """The table form's spline is the one scipy use outside radial-scan: a
+    star with it loads scipy.interpolate and nothing that importing
+    scipy.interpolate alone does not load, and records scipy's version."""
+    import scipy
+
+    rotation = {"form": "table", "path": _table_csv(tmp_path, 40), "kappa": 0.05}
+    cfg = write(tmp_path, "cfg.json", {**EQ_CFG, "rotation": rotation})
+    code, loaded = _scipy_modules("equilibrium", cfg, "--out-dir", str(tmp_path / "out"))
+    assert code == 0 and "scipy.interpolate" in loaded
+    _, allowed = _scipy_modules(imports="import scipy.interpolate")
+    assert set(loaded) <= set(allowed)
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["versions"]["scipy"] == scipy.__version__

@@ -161,7 +161,10 @@ def test_jobs_start_at_most_one_worker_per_point(eos53, monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(families, "ProcessPoolExecutor", InlinePool)
+    # the scan imports the pool from concurrent.futures when it uses one
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     scan = scan_fixed_omega(
         eos53, RigidLaw(1.0), 0.02, np.linspace(0.9, 1.1, 3), nr=24, nz=24, jobs=10_000,
     )

@@ -1,13 +1,19 @@
-"""The numpy trapezoid, monotone cubic and B-spline table against the scipy
-routines they stand in for, and the Gauss cell rule against exact integrals."""
+"""The numpy trapezoid, monotone cubic, B-spline table, K(m), fast lengths
+and block-diagonal matrix against the scipy routines they stand in for, and
+the Gauss cell rule against exact integrals."""
+
+import math
 
 import numpy as np
 import pytest
+import scipy.fft
+import scipy.linalg
+import scipy.special
 from scipy.integrate import cumulative_trapezoid as scipy_trapezoid
 from scipy.interpolate import BSpline, PchipInterpolator
 
-from rotstar.numerics import (MonotoneCubic, bspline_table, cell_integrals, cumulative_trapezoid,
-                              gauss_cells)
+from rotstar.numerics import (MonotoneCubic, block_diag, bspline_table, cell_integrals,
+                              cumulative_trapezoid, ellipkm1, gauss_cells, next_fast_len)
 
 
 def test_cumulative_trapezoid_is_scipys():
@@ -78,3 +84,42 @@ def test_bspline_table_is_bsplines(k, knots):
     dref = np.nan_to_num(spl.derivative()(x)).T
     assert np.max(np.abs(values - ref)) <= 1e-14
     assert np.max(np.abs(slopes - dref)) <= 1e-12 * np.max(np.abs(dref))
+
+
+def test_ellipkm1_is_cephes_ellpk():
+    """On log-spaced m1 in [1e-15, 1] the port is within 2 ulp of scipy's
+    (15 of 400,000 samples differ, none by more), and bit for bit scipy's
+    wherever np.log agrees with libm's log, which scipy's routine calls."""
+    m1 = np.geomspace(1e-15, 1.0, 400_000)
+    want = scipy.special.ellipkm1(m1)
+    got = ellipkm1(m1)
+    assert np.all(np.abs(got - want) <= 2 * np.spacing(want))
+    same_log = np.log(m1) == np.array([math.log(v) for v in m1])
+    assert np.array_equal(got[same_log], want[same_log])
+    assert np.mean(same_log) > 0.99
+
+
+def test_ellipkm1_writes_in_place_across_chunks():
+    """A block longer than a chunk, written over its input, is the value of
+    a fresh evaluation; a non-contiguous out is refused."""
+    m1 = np.random.default_rng(3).uniform(1e-15, 1.0, (3, 150, 257))
+    want = ellipkm1(m1)
+    assert m1.size > 2**15
+    assert ellipkm1(m1, out=m1) is m1
+    assert np.array_equal(m1, want)
+    with pytest.raises(ValueError):
+        ellipkm1(m1, out=np.empty((257, 150, 3)).T)
+
+
+def test_next_fast_len_is_scipys():
+    assert [next_fast_len(n) for n in range(1, 5001)] == [
+        scipy.fft.next_fast_len(n) for n in range(1, 5001)]
+
+
+def test_block_diag_is_scipys():
+    rng = np.random.default_rng(4)
+    blocks = [rng.normal(size=shape) for shape in [(3, 3), (1, 4), (2, 1), (5, 5)]]
+    got = block_diag(*blocks)
+    want = scipy.linalg.block_diag(*blocks)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(block_diag(blocks[0]), blocks[0])

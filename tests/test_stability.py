@@ -27,6 +27,7 @@ from rotstar.stability import (
     mass_constraint,
     restrict_mass_zero,
     stability_report,
+    time_steps,
 )
 
 
@@ -348,6 +349,28 @@ def test_evolution_rejects_a_state_of_the_wrong_dimension(rot53, generator_of):
     gen = generator_of(rot53, "even")
     with pytest.raises(ValueError, match="state dimension should be"):
         evolve_linearized(gen, np.zeros(gen.matrix.shape[0] + 1), T=1.0, dt=0.1)
+
+
+@pytest.mark.parametrize("T, dt, n", [(1.0, 0.3, 4), (0.5, 0.3, 2), (0.001, 0.3, 1)])
+def test_time_steps_end_at_T(T, dt, n):
+    """ceil(T / dt) equal steps, none longer than dt, the last time T."""
+    n_steps, times = time_steps(T, dt)
+    assert n_steps == n and times.size == n + 1
+    assert times[0] == 0.0 and times[-1] == T
+    assert np.max(np.diff(times)) <= dt
+
+
+@pytest.mark.parametrize("T", [0.0, -1.0, math.nan])
+def test_time_steps_need_a_positive_T(T):
+    with pytest.raises(ValueError, match="T must be positive"):
+        time_steps(T, 0.1)
+
+
+def test_linearized_evolution_ends_at_T(rot53, generator_of):
+    gen = generator_of(rot53, "even")
+    z0 = np.ones(gen.matrix.shape[0])
+    traj = evolve_linearized(gen, z0, T=0.25, dt=0.1)
+    assert np.array_equal(traj.times, np.linspace(0.0, 0.25, 4))
 
 
 def test_growth_rate_of_a_one_step_run():
