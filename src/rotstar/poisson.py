@@ -46,62 +46,79 @@ vectorises across lines: at 96^2 each of an 8-field block's four
 transforms took 1.05 to 1.2 times scipy's time (1.0 to 2.3 ms, medians
 of 300 interleaved calls, Intel Xeon vCPU); at 256^2 a lone field's took
 1.05 to 1.15 times.  By
-the r <-> r' symmetry the product is row @ ghat[f, :J, :], which reads the
-table once per solve.  An odd source must vanish on z = 0, the symmetry
+the r <-> r' symmetry the product is ghat[f, :, :J] @ rows, which reads
+the table once per solve.  An odd source must vanish on z = 0, the symmetry
 point of its DST-I (every odd field the package solves is exactly zero
 there); one that does not is rejected.
 
 The table is a symmetric hierarchical matrix (Hackbusch 1999, Computing
-62:89).  A table whose dense size, (M + 1) nr^2 doubles, is at most
-_DENSE_BYTES (64 MiB) is one dense leaf: every table up to 160^2.  A larger
-one bisects the radii recursively down to leaves of at most _LEAF (32)
-radii.  Each diagonal leaf is a dense (M + 1, n, n) block; each pair of
-sibling ranges [lo, mid), [mid, hi) stores its upper block once, as
-per-frequency factors u (M + 1, mid - lo, k) and v (M + 1, k, hi - mid),
-and its lower block is the transpose.  Off the diagonal the kernel
-separates: in the continuum the vertical transform of the m = 0 ring
-kernel is I0(k r<) K0(k r>), rank one per frequency, and the wrapped,
-discrete blocks keep ranks 5 to 9.  Dense sizes and split sizes:
+62:89), whatever its size: the radii bisect recursively down to leaves of
+at most _LEAF (32) radii, so a grid of at most 32 radii is one leaf.  Each
+diagonal leaf is a dense (M + 1, n, n) block; each pair of sibling ranges
+[lo, mid), [mid, hi) stores its upper block once, as per-frequency factors
+u (M + 1, mid - lo, k) and v (M + 1, k, hi - mid), and its lower block is
+the transpose.  Off the diagonal the kernel separates: in the continuum
+the vertical transform of the m = 0 ring kernel is I0(k r<) K0(k r>), rank
+one per frequency, and the wrapped, discrete blocks keep ranks 5 to 9.
+Each factor is cut into the slices on each leaf's radii, and a leaf stores
+its block stacked over the slices that reach it (``_Leaf``), so every
+factor is still stored once.  Dense sizes and table sizes:
 
     grid     dense       table
-    96^2      13.6 MiB    13.6 MiB (one leaf)
-    160^2     62.7 MiB    62.7 MiB (one leaf)
+    64^2       4.0 MiB     2.4 MiB
+    96^2      13.6 MiB     5.3 MiB
+    120^2     26.5 MiB     9.6 MiB
+    160^2     62.7 MiB    15.8 MiB
     192^2    108.3 MiB    25.0 MiB
     256^2    256.5 MiB    52.4 MiB
 
-Kernel rows are read one way (``_kernel_spectra``).  A dense block takes
-them _R_BLOCK target radii at a time, each over its columns j >= i, and
-mirrors its strict lower triangle from the upper one frequency at a time,
-so it peaks a few MiB above the block it returns.  A pair is filled by
-adaptive cross approximation (Bebendorf 2000, Numer. Math. 86:565) from
-kernel rows and columns, never from its dense block, and recompressed to
-its rank at _CROSS_TOL of each frequency's largest diagonal-leaf entry
-(``_cross_pair``).  At 256^2 the split build evaluates 13,248 kernel
-rows (of M + 1 entries) against the dense build's 33,024, took 0.36 s
-against 0.60 s and peaked 9 MiB above its table, and a lone field's
-product took 6.0 ms against 15.6 ms (Intel Xeon vCPU, one BLAS thread);
-its potentials agree with the dense table's to 3e-15 of the largest for
-a star density and to 5e-13 for white noise.  At 96^2 a split table
-builds in 0.050 s against 0.035 s and an 8-field product takes 1.9 ms
-against 0.9 ms, which is why small tables stay one leaf.
+A product (``_Table.multiply``) is one forward product per leaf, of its
+factor slices with its source rows, whose sums over each pair's half are
+the other half's pair coefficients, and one product per output leaf, of
+its stack with its source rows and those coefficients: no output leaf is
+written twice.  The product runs radius major, on a buffer that gives
+each leaf its source rows and then its coefficient slots, so both
+products read contiguous rows.
+
+A diagonal block evaluates the kernel lines of its upper triangle, a leaf
+in one evaluation, and writes each line to (i, j) and (j, i).  A pair is
+filled by adaptive cross approximation (Bebendorf 2000, Numer. Math.
+86:565) from kernel rows and columns (``_kernel_row``), never from its
+dense block, and recompressed to its rank at _CROSS_TOL of each
+frequency's largest diagonal-leaf entry (``_cross_pair``).  The build
+stacks a leaf as soon as the last pair that reaches it is built, which
+frees its block and slices; it peaks a few MiB above the table.  Against
+a one-leaf table of the same grid (one dense block over all radii),
+fresh-process builds took 19 ms against 15 ms at 64^2, 51 against 46 at
+96^2 (four 24-radius leaves and three pairs: the pairs' cross steps and
+recompression cost more than the smaller leaves save), 80 against 85 at
+120^2 and 182 against 181 at 160^2, and 0.49 s at 256^2 (Intel Xeon
+vCPU, one BLAS thread, medians of 5).  At 256^2 potentials agree with a
+one-leaf table's to 3e-15 of the largest for a star density and to 5e-13
+for white noise.  An
+8-field even solve took 4.7 ms against the one-leaf table's 4.5 ms at
+96^2 and 7.6 against 7.5 at 120^2, and 41 ms against 46 ms at 256^2,
+where a lone field's took 10.0 ms both ways (interleaved in one process).
 
 A solve trims the source at its support: radii past the last one with a
 nonzero value only multiply zeros, so the transform and the table product
-see the first J radii only (J = last nonzero radius + 1), and a leaf or
-half of a pair whose source radii start at or past J is skipped.
-Star densities and Galerkin fields vanish outside the star (J = 197 of 256
-radii for a 256^2 star grid at the default padding); the potential is the
-same as with all radii, and an all-zero source gives exactly 0.
+see the first J radii only (J = last nonzero radius + 1), and a leaf whose
+radii start at or past J takes no forward product.  Star densities and
+Galerkin fields vanish outside the star (J = 197 of 256 radii for a 256^2
+star grid at the default padding); the potential is the same as with all
+radii, and an all-zero source gives exactly 0.  A caller that reads the
+potential on its first radii only asks for those: output leaves past them
+take no product and their inverse transforms are skipped, and the radii
+returned are those of the full solve bit for bit.
 
 A solve takes one field (nr, nz) or a stack (n, nr, nz) of fields of one
 parity, such as a stability form's Galerkin fields; a lone field is a stack
 of one.  The stack shares one support J, that of its widest field, and is
 solved in blocks of _STACK_BLOCK (8) fields.  A block is one forward
-transform, one table product per frequency with its (rows, J) spectra that
-reads the table once for all its fields, and one inverse transform written
-straight into the stack's preallocated result.  Field by field, each solve
-streams the whole table for one row: at 120^2, 45 even fields took 85 ms
-one at a time and 49 ms stacked (Intel Xeon vCPU, one BLAS thread).  The block
+transform, one table product that reads the table once for all its
+fields, and one inverse transform.  Field by field, each solve
+streams the whole table for one row: at 120^2, 45 even fields took 91 ms
+one at a time and 52 ms stacked (Intel Xeon vCPU, one BLAS thread).  The block
 bounds the spectra in flight to 8 fields' worth however long the stack;
 solving a 45-field stack at once held about six times as much.  A lone
 field's rows and product are those of a field-by-field solve, so its
@@ -138,15 +155,13 @@ from rotstar.numerics import cumulative_trapezoid, ellipkm1, next_fast_len
 
 __all__ = ["Grid", "RingKernel", "rect_log_mean"]
 
-#: target radii per block of a dense leaf's fill; bounds its temporaries
-_R_BLOCK = 2
-
-#: a table whose dense size is at most this many bytes is one dense leaf;
-#: a larger one is split into leaves and low-rank off-diagonal pairs
-_DENSE_BYTES = 64 * 2**20
-
-#: most radii per leaf of a split table
+#: most radii per leaf of a table
 _LEAF = 32
+
+#: target radii per evaluation of a dense block's kernel lines: a leaf is
+#: one evaluation, and a wider block (a dense reference) is filled in row
+#: blocks that bound its temporaries
+_R_BLOCK = _LEAF
 
 #: cross approximation and recompression tolerance of the off-diagonal
 #: pairs, relative to each frequency's largest diagonal-leaf entry (at
@@ -289,62 +304,138 @@ class Grid:
 
 
 class _Leaf(NamedTuple):
-    """Dense diagonal block ghat[:, lo:hi, lo:hi]."""
+    """Diagonal block ghat[:, lo:hi, lo:hi] stacked over the slices, on the
+    radii lo..hi-1, of the factors of every pair that reaches them: stack
+    rows n + off .. n + off + rank - 1 (n = hi - lo) hold pair p's u[:, lo:hi].T
+    when the leaf is in its lower half, or its v[:, :, lo:hi] when in its
+    upper half, for each (p, off) in ``slots`` (outermost pair first)."""
 
     lo: int
     hi: int
-    block: np.ndarray
+    stack: np.ndarray  # (M + 1, n + sum of the ranks, n)
+    slots: tuple
+
+    @property
+    def block(self) -> np.ndarray:
+        return self.stack[:, : self.hi - self.lo]
 
 
 class _Pair(NamedTuple):
     """Off-diagonal blocks ghat[f, lo:mid, mid:hi] = u[f] @ v[f] and, by the
-    symmetry, ghat[f, mid:hi, lo:mid] = v[f].T @ u[f].T."""
+    symmetry, ghat[f, mid:hi, lo:mid] = v[f].T @ u[f].T, with u (M + 1,
+    mid - lo, rank) and v (M + 1, rank, hi - mid) held in the leaves' stacks."""
 
     lo: int
     mid: int
     hi: int
-    u: np.ndarray  # (M + 1, mid - lo, k)
-    v: np.ndarray  # (M + 1, k, hi - mid)
+    rank: int
 
 
-class _Table(NamedTuple):
+class _Table:
     """Real kernel spectrum ghat[f, i, j] of a unit grid, as a symmetric
-    hierarchical matrix: dense diagonal leaves and low-rank pairs."""
+    hierarchical matrix: dense diagonal leaves and low-rank pairs, whose
+    factors are stored once, in the stacks of the leaves they reach.
 
-    leaves: tuple
-    pairs: tuple
+    A product works on a buffer x (M + 1, width, b) of b fields, radius
+    major, that gives each leaf its rows: its source rows, then one slot of
+    rank rows per pair that reaches it.  The forward product of a leaf's
+    factor slices with its source rows gives its share of each pair's
+    coefficients (u.T @ rows[lo:mid] and v @ rows[mid:hi]); the shares of
+    one half, summed, fill the slots of the other half's leaves; and each
+    output leaf is written by one product of its stack's transpose with its
+    rows, ghat[f, lo:hi, lo:hi] @ rows + (its slices).T @ slots.
+    """
+
+    def __init__(self, leaves: tuple, pairs: tuple):
+        self.leaves = leaves
+        self.pairs = pairs
+        widths = [leaf.stack.shape[1] for leaf in leaves]
+        ranks = [w - (leaf.hi - leaf.lo) for w, leaf in zip(widths, leaves)]
+        self._x0 = np.cumsum([0] + widths[:-1]).tolist()  # a leaf's rows of x
+        self._w0 = np.cumsum([0] + ranks[:-1]).tolist()  # its forward products
+        self._width, self._ranks = sum(widths), sum(ranks)
+        # per pair and half: the forward rows (leaf lo, row) that sum to its
+        # coefficients, and the x slots (leaf lo, row) they fill
+        halves = [([], []) for _ in pairs]
+        for leaf, x0, w0 in zip(leaves, self._x0, self._w0):
+            n = leaf.hi - leaf.lo
+            for p, off in leaf.slots:
+                side = int(leaf.lo >= pairs[p].mid)
+                halves[p][side].append((leaf.lo, w0 + off, x0 + n + off))
+        self._routes = [
+            (pair.rank, [([(lo, w) for lo, w, _ in src], [(lo, c) for lo, _, c in dst])
+                         for src, dst in (halves[p], halves[p][::-1])])
+            for p, pair in enumerate(pairs)
+        ]
 
     @property
     def freqs(self) -> int:
-        return self.leaves[0].block.shape[0]
+        return self.leaves[0].stack.shape[0]
 
     @property
     def nbytes(self) -> int:
-        return sum(leaf.block.nbytes for leaf in self.leaves) + sum(
-            pair.u.nbytes + pair.v.nbytes for pair in self.pairs
-        )
+        return sum(leaf.stack.nbytes for leaf in self.leaves)
 
-    def multiply(self, rows: np.ndarray, out: np.ndarray) -> None:
-        """out[f] = rows[f] @ ghat[f, :J, :] for (M + 1, b, J) rows.
+    def gather(self, rows: np.ndarray, b: int) -> np.ndarray:
+        """The product buffer x (M + 1, width, b) of the spectrum rows
+        (J b, M + 1) of b fields, radius major (row j b + i is field i's
+        at radius j): each leaf's source rows, zero past J (a leaf that
+        starts at or past J has none).  Its pair slots are filled by
+        ``multiply``."""
+        F, J = self.freqs, rows.shape[0] // b
+        x = np.empty((F, self._width, b))
+        flat = x.reshape(F, self._width * b)
+        for leaf, x0 in zip(self.leaves, self._x0):
+            if leaf.lo < J:
+                top = min(leaf.hi, J)
+                flat[:, x0 * b : (x0 + top - leaf.lo) * b] = rows[leaf.lo * b : top * b].T
+                x[:, x0 + top - leaf.lo : x0 + leaf.hi - leaf.lo] = 0.0
+        return x
 
-        A leaf or half of a pair whose source radii start at or past J
-        only multiplies zeros and is skipped.
+    def multiply(self, x: np.ndarray, J: int, radii: int) -> np.ndarray:
+        """vhat (M + 1, radii, b) with vhat[f] = ghat[f, :radii, :J] @ rows[f]
+        for the (M + 1, J, b) rows ``gather`` put in x; x's pair slots are
+        overwritten.
+
+        A leaf that starts at or past J has zero rows: it takes no forward
+        product, and its output product reads its slots only.  A leaf that
+        starts at or past ``radii`` takes no output product, and the one
+        that ``radii`` cuts is written in full to a buffer first, so the
+        radii kept equal those of a full product bit for bit.
         """
-        J = rows.shape[2]
-        for lo, hi, block in self.leaves:
-            if lo < J:
-                top = min(hi, J)
-                np.matmul(rows[:, :, lo:top], block[:, : top - lo], out=out[:, :, lo:hi])
+        F, _, b = x.shape
+        w = np.empty((F, self._ranks, b))
+        for leaf, x0, w0 in zip(self.leaves, self._x0, self._w0):
+            n, k = leaf.hi - leaf.lo, leaf.stack.shape[1]
+            if leaf.lo < J and k > n:
+                np.matmul(leaf.stack[:, n:], x[:, x0 : x0 + n], out=w[:, w0 : w0 + k - n])
+        for rank, halves in self._routes:
+            for src, dst in halves:
+                dst = [x[:, c : c + rank] for lo, c in dst if lo < radii]
+                if not dst:
+                    continue
+                terms = [w[:, c : c + rank] for lo, c in src if lo < J]
+                if terms:
+                    np.copyto(dst[0], terms[0])
+                    for term in terms[1:]:
+                        dst[0] += term
+                else:
+                    dst[0][...] = 0.0
+                for slot in dst[1:]:
+                    slot[...] = dst[0]
+        del w
+        out = np.empty((F, radii, b))
+        for leaf, x0 in zip(self.leaves, self._x0):
+            if leaf.lo >= radii:
+                break
+            n, k = leaf.hi - leaf.lo, leaf.stack.shape[1]
+            k0 = 0 if leaf.lo < J else n
+            stack, rows = leaf.stack[:, k0:].transpose(0, 2, 1), x[:, x0 + k0 : x0 + k]
+            if leaf.hi <= radii:
+                np.matmul(stack, rows, out=out[:, leaf.lo : leaf.hi])
             else:
-                out[:, :, lo:hi] = 0.0
-        for lo, mid, hi, u, v in self.pairs:
-            if lo < J:
-                top = min(mid, J)
-                out[:, :, mid:hi] += (rows[:, :, lo:top] @ u[:, : top - lo]) @ v
-            if mid < J:
-                top = min(hi, J)
-                vt = v[:, :, : top - mid].transpose(0, 2, 1)
-                out[:, :, lo:mid] += (rows[:, :, mid:top] @ vt) @ u.transpose(0, 2, 1)
+                out[:, leaf.lo :] = (stack @ rows)[:, : radii - leaf.lo]
+        return out
 
 
 class _UnitTable(NamedTuple):
@@ -360,7 +451,8 @@ _unit_table: _UnitTable | None = None
 
 def _bisect(lo: int, hi: int):
     """Leaf spans (lo, hi) and pair spans (lo, mid, hi) of the radii
-    [lo, hi) bisected down to leaves of at most _LEAF radii."""
+    [lo, hi) bisected down to leaves of at most _LEAF radii; the pairs in
+    pre-order (a pair before the pairs inside it)."""
     if hi - lo <= _LEAF:
         return [(lo, hi)], []
     mid = (lo + hi) // 2
@@ -369,44 +461,49 @@ def _bisect(lo: int, hi: int):
     return leaves_lo + leaves_hi, [(lo, mid, hi)] + pairs_lo + pairs_hi
 
 
-def _kernel_spectra(rs: np.ndarray, dz: np.ndarray, i0: int, i1: int, a: int, b: int) -> np.ndarray:
-    """ghat[:, i0:i1, a:b], and by the symmetry ghat[:, a:b, i0:i1]: the
-    DCT-I over the lags dz = hz (0, 1, ..., M) of the kernel rows of targets
-    i0..i1-1 and sources a..b-1.  A target meeting its own radius off the
-    axis takes the analytic log average over its self cell at lag 0 (the
-    axis entry carries zero quadrature weight and is left as is)."""
-    g = _ring_green(rs[i0:i1, None, None], rs[None, a:b, None], dz)
-    for i in range(max(i0, a, 1), min(i1, b)):
-        cell = np.gradient(rs[i - 1 : i + 2])[1]  # centred, one step at the last radius
-        mean_ln = rect_log_mean(0.5 * cell, 0.5 * dz[1])
-        g[i - i0, i - a, 0] = (2.0 / rs[i]) * (math.log(8.0 * rs[i]) - mean_ln)
-    lines = g.reshape(-1, dz.size)
-    _dct1(lines, dz.size, lines)
-    return g.transpose(2, 0, 1)
+def _kernel_row(rs: np.ndarray, dz: np.ndarray, i: int, a: int, b: int) -> np.ndarray:
+    """ghat[:, i, a:b], and by the symmetry ghat[:, a:b, i], for a target
+    radius i outside [a, b): the DCT-I over the lags dz = hz (0, 1, ..., M)
+    of the kernel between target i and sources a..b-1, as (M + 1, b - a)."""
+    g = _ring_green(rs[i], rs[a:b, None], dz)
+    _dct1(g, dz.size, g)
+    return g.T
 
 
 def _dense_block(rs: np.ndarray, dz: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Diagonal block ghat[:, lo:hi, lo:hi] of the grid with lags dz."""
+    """Diagonal block ghat[:, lo:hi, lo:hi] of the grid with lags dz, as a
+    view of its kernel lines (hi - lo, hi - lo, M + 1).
+
+    The kernel lines of the upper triangle (j >= i) are evaluated _R_BLOCK
+    target radii at a time and each is written to (i, j) and (j, i): a
+    leaf is one evaluation, and the block is exactly symmetric.  A target
+    meeting its own radius off the axis takes the analytic log average over
+    its self cell at lag 0 (the axis entry carries zero quadrature weight
+    and is left as is).
+    """
     n = hi - lo
-    ghat = np.empty((dz.size, n, n))
-    # each block of rows fills its columns j >= i0
-    for i0 in range(lo, hi, _R_BLOCK):
-        i1 = min(i0 + _R_BLOCK, hi)
-        ghat[:, i0 - lo : i1 - lo, i0 - lo :] = _kernel_spectra(rs, dz, i0, i1, i0, hi)
-    # the strict lower triangle is mirrored from the upper by the r <-> r'
-    # symmetry, one frequency at a time, through one buffer (a copy from the
-    # overlapping view gf.T would allocate one per frequency)
-    lower = np.tri(n, k=-1, dtype=bool)
-    buf = np.empty((n, n))
-    for gf in ghat:
-        np.copyto(buf, gf.T)
-        np.copyto(gf, buf, where=lower)
-    return ghat
+    lines = np.empty((n * n, dz.size))  # line i n + j is ghat[:, i, j]
+    cells = np.gradient(rs)  # centred, one step at the last radius
+    rows, cols = np.triu_indices(n)
+    for i0 in range(0, n, _R_BLOCK):
+        p0, p1 = np.searchsorted(rows, [i0, i0 + _R_BLOCK])
+        i, j = rows[p0:p1], cols[p0:p1]
+        g = _ring_green(rs[lo + i, None], rs[lo + j, None], dz)
+        for p in np.flatnonzero(i == j):
+            r = lo + i[p]
+            if r > 0:
+                mean_ln = rect_log_mean(0.5 * cells[r], 0.5 * dz[1])
+                g[p, 0] = (2.0 / rs[r]) * (math.log(8.0 * rs[r]) - mean_ln)
+        _dct1(g, dz.size, g)
+        lines[i * n + j] = g
+        lines[j * n + i] = g
+    return lines.reshape(n, n, dz.size).transpose(2, 0, 1)
 
 
 def _cross_pair(rs: np.ndarray, dz: np.ndarray, lo: int, mid: int, hi: int,
-                scale: np.ndarray) -> _Pair:
-    """Pair of ghat[:, lo:mid, mid:hi] by adaptive cross approximation.
+                scale: np.ndarray) -> tuple:
+    """Factors (u, v) of ghat[:, lo:mid, mid:hi] = u @ v by adaptive cross
+    approximation.
 
     Rows and columns of the block are kernel spectra, evaluated once and
     shared by all frequencies; each frequency f keeps its own cross terms
@@ -440,7 +537,7 @@ def _cross_pair(rs: np.ndarray, dz: np.ndarray, lo: int, mid: int, hi: int,
     while True:
         free[i - lo] = False
         k = terms.max()
-        row = _kernel_spectra(rs, dz, i, i + 1, mid, hi)[:, 0] * inv_tol
+        row = _kernel_row(rs, dz, i, mid, hi) * inv_tol
         row -= (u[:, i - lo, None, :k] @ v[:, :k])[:, 0]
         score = None  # largest residual column entries met in this row
         for _ in range(n2):
@@ -449,7 +546,7 @@ def _cross_pair(rs: np.ndarray, dz: np.ndarray, lo: int, mid: int, hi: int,
                 break
             j = int(np.argmax(above))
             k = terms.max()
-            col = _kernel_spectra(rs, dz, mid + j, mid + j + 1, lo, mid)[:, 0] * inv_tol
+            col = _kernel_row(rs, dz, mid + j, lo, mid) * inv_tol
             col -= (u[:, :, :k] @ v[:, :k, j, None])[:, :, 0]
             col_above = _largest(col, axis=0)
             score = col_above if score is None else np.maximum(score, col_above)
@@ -480,8 +577,7 @@ def _cross_pair(rs: np.ndarray, dz: np.ndarray, lo: int, mid: int, hi: int,
     s[s <= 1.0] = 0.0
     rank = int(np.max(np.count_nonzero(s, axis=1)))
     s /= inv_tol  # back from tolerance units
-    return _Pair(lo, mid, hi, qu @ (w[:, :, :rank] * s[:, None, :rank]),
-                 zt[:, :rank] @ qv.transpose(0, 2, 1))
+    return qu @ (w[:, :, :rank] * s[:, None, :rank]), zt[:, :rank] @ qv.transpose(0, 2, 1)
 
 
 def _largest(a: np.ndarray, axis: int) -> np.ndarray:
@@ -490,27 +586,59 @@ def _largest(a: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _build_unit_table(rs: np.ndarray, hz: float, nz: int) -> _Table:
-    """Kernel spectrum of the grid (rs, hz, nz): one dense leaf when its
-    dense size is at most _DENSE_BYTES, else leaves and pairs."""
-    nr = rs.size
+    """Kernel spectrum of the grid (rs, hz, nz) as leaves and pairs.
+
+    The diagonal blocks come first, since they set the pairs' tolerances.
+    The pairs follow outermost first, and a leaf is stacked (``_leaf``) as
+    soon as the last pair that reaches it is built, which frees its block
+    and its slices of the pairs' factors: the build holds the stacks made,
+    the blocks and slices of the leaves not yet stacked, and one pair's
+    cross approximation.
+    """
     half = next_fast_len(2 * nz - 2)  # N / 2
     dz = hz * np.arange(half + 1)
-    if (half + 1) * nr * nr * 8 <= _DENSE_BYTES:
-        spans, pair_spans = [(0, nr)], []
-    else:
-        spans, pair_spans = _bisect(0, nr)
-    leaves = tuple(_Leaf(lo, hi, _dense_block(rs, dz, lo, hi)) for lo, hi in spans)
-    pairs = ()
-    if pair_spans:
-        scale = np.max([_largest(leaf.block, axis=(1, 2)) for leaf in leaves], axis=0)
-        pairs = tuple(_cross_pair(rs, dz, lo, mid, hi, scale) for lo, mid, hi in pair_spans)
-    table = _Table(leaves, pairs)
-    for leaf in leaves:
-        leaf.block.flags.writeable = False
-    for pair in pairs:
-        pair.u.flags.writeable = False
-        pair.v.flags.writeable = False
-    return table
+    spans, pair_spans = _bisect(0, rs.size)
+    blocks = [_dense_block(rs, dz, lo, hi) for lo, hi in spans]
+    scale = np.max([_largest(block, axis=(1, 2)) for block in blocks], axis=0)
+    slices = [[] for _ in spans]  # per leaf: (pair, its slice of the pair's factor)
+    todo = [sum(lo <= a < hi for lo, _, hi in pair_spans) for a, _ in spans]
+    leaves, pairs = [None] * len(spans), []
+
+    def stack(i):
+        leaves[i] = _leaf(*spans[i], blocks[i], slices[i])
+        blocks[i] = slices[i] = None
+
+    for i in range(len(spans)):
+        if not todo[i]:  # a table of one leaf
+            stack(i)
+    for p, (lo, mid, hi) in enumerate(pair_spans):
+        u, v = _cross_pair(rs, dz, lo, mid, hi, scale)
+        pairs.append(_Pair(lo, mid, hi, u.shape[2]))
+        for i, (a, b) in enumerate(spans):
+            if lo <= a < hi:
+                slices[i].append((p, v[:, :, a - mid : b - mid] if a >= mid
+                                  else u[:, a - lo : b - lo].transpose(0, 2, 1)))
+                todo[i] -= 1
+                if not todo[i]:
+                    stack(i)
+        del u, v
+    return _Table(tuple(leaves), tuple(pairs))
+
+
+def _leaf(lo: int, hi: int, block: np.ndarray, slices: list) -> _Leaf:
+    """The leaf of radii lo..hi-1: its (M + 1, n, n) block stacked over the
+    (pair, (M + 1, rank, n) slice) factor slices of the pairs that reach it,
+    in their order, as one read-only array."""
+    n = hi - lo
+    stack = np.empty((block.shape[0], n + sum(part.shape[1] for _, part in slices), n))
+    stack[:, :n] = block
+    slots, off = [], 0
+    for p, part in slices:
+        stack[:, n + off : n + off + part.shape[1]] = part
+        slots.append((p, off))
+        off += part.shape[1]
+    stack.flags.writeable = False
+    return _Leaf(lo, hi, stack, tuple(slots))
 
 
 def _shared_unit_table(rs: np.ndarray, hz: float, nz: int) -> _Table:
@@ -591,31 +719,15 @@ def _dst1(x: np.ndarray, n: int, out: np.ndarray, inverse: bool = False) -> None
         np.negative(s.imag[:, 1 : p + 1].T, out=out[c0:c1].T)
 
 
-def _spectrum_rows(w: np.ndarray, even: bool, M: int) -> np.ndarray:
-    """Spectrum rows (M + 1, b, J) of a weighted (b, J, nz) source block:
-    the DCT-I of even planes, or the DST-I of odd planes 1..nz-1 with zero
-    rows at f = 0 and M (an odd source vanishes on z = 0).
-
-    Even rows, and the odd rows of one field, are a view of a (b, J, M + 1)
-    array (frequency fastest); other odd rows are contiguous per frequency.
-    The table product's BLAS path, and so its last bits, follow the layout:
-    a lone odd field's rows laid out per frequency move its potential by
-    round-off (3e-16 of the largest at 21 x 19)."""
-    b, J, nz = w.shape
-    lines = w.reshape(b * J, nz)
-    if even or b == 1:
-        rows = np.empty((b, J, M + 1))
-        flat = rows.reshape(b * J, M + 1)
-        if even:
-            _dct1(lines, M + 1, flat)
-        else:
-            flat[:, 0] = flat[:, M] = 0.0
-            _dst1(lines[:, 1:], M - 1, flat[:, 1:M])
-        return rows.transpose(2, 0, 1)
-    rows = np.empty((M + 1, b, J))
-    rows[0] = rows[M] = 0.0
-    _dst1(lines[:, 1:], M - 1, rows[1:M].reshape(M - 1, b * J).T)
-    return rows
+def _spectrum_rows(lines: np.ndarray, even: bool, M: int, out: np.ndarray) -> None:
+    """out (L, M + 1) = the spectrum rows of L weighted source lines (L, nz):
+    the DCT-I of even lines, or the DST-I of odd lines' planes 1..nz-1 with
+    zeros at f = 0 and M (an odd source vanishes on z = 0)."""
+    if even:
+        _dct1(lines, M + 1, out)
+    else:
+        out[:, 0] = out[:, M] = 0.0
+        _dst1(lines[:, 1:], M - 1, out[:, 1:M])
 
 
 class RingKernel:
@@ -634,51 +746,70 @@ class RingKernel:
         """Bytes the (shared) unit table holds."""
         return self._table.nbytes
 
-    def potential(self, source: np.ndarray, parity: str = "even") -> np.ndarray:
+    def potential(self, source: np.ndarray, parity: str = "even", radii: int | None = None) -> np.ndarray:
         """Potential of `source` on the grid nodes (attractive: negative).
 
         ``source`` is one field (nr, nz) or a stack (n, nr, nz) of fields
         that share ``parity``, which states how the half-plane fields
         continue to z < 0; an odd one that is nonzero on z = 0 raises
-        ValueError.  The result is a new array of the shape of ``source``.
+        ValueError.  The result is a new array of the shape of ``source``,
+        or, given ``radii`` (0 <= radii <= nr), of its first ``radii``
+        radii: the potential on those radii, bit for bit, with the table
+        products and inverse transforms of the radii past them skipped.
         """
         grid = self.grid
         if source.ndim not in (2, 3) or source.shape[-2:] != grid.shape:
             raise ValueError("source shape does not match the grid")
+        radii = grid.nr if radii is None else int(radii)
+        if not 0 <= radii <= grid.nr:
+            raise ValueError("radii must be in [0, nr]")
         even = _parity_sign(parity) > 0
         stack = source.reshape((-1,) + grid.shape)
         if not even and np.any(stack[:, :, 0]):
             raise ValueError("an odd source must vanish on z = 0")
-        out = np.zeros(stack.shape)
+        out = np.zeros((stack.shape[0], radii, grid.nz))
         # source radii past the last nonzero one of the stack only multiply zeros
         support = np.flatnonzero(np.any(stack, axis=(0, 2)))
-        if support.size:
+        if support.size and radii:
             J = support[-1] + 1
             for b0 in range(0, stack.shape[0], _STACK_BLOCK):
                 b1 = b0 + _STACK_BLOCK
                 self._solve_block(stack[b0:b1, :J], even, out[b0:b1])
-        return out.reshape(source.shape)
+        return out.reshape(source.shape[:-2] + out.shape[1:])
 
     def _solve_block(self, source: np.ndarray, even: bool, out: np.ndarray) -> None:
         """Potentials of a (b, J, nz) block of sources trimmed to their
-        shared support, written into the zeroed (b, nr, nz) ``out``."""
-        nz = self.grid.nz
-        b, J = source.shape[:2]
-        M = self._table.freqs - 1
-        # the weighted block lives only as long as its transform
-        rows = _spectrum_rows(source * self._src_weight[:J, None], even, M)
-        # rows @ ghat[f, :J, :] equals ghat[f, :, :J] @ rows.T by the symmetry
-        vhat = np.empty((M + 1, b, self.grid.nr))
-        self._table.multiply(rows, vhat)
+        shared support, written into the zeroed (b, radii, nz) ``out``."""
+        table = self._table
+        b, J, nz = source.shape
+        radii = out.shape[1]
+        M = table.freqs - 1
+        # the table product runs radius major (row j b + i is field i at
+        # radius j), and so does the weighted block, which lives only as
+        # long as its transform, and its spectrum rows, held until the
+        # product buffer has them
+        lines = np.empty((J, b, nz))
+        np.multiply(source.transpose(1, 0, 2), self._src_weight[:J, None, None], out=lines)
+        rows = np.empty((J * b, M + 1))
+        _spectrum_rows(lines.reshape(J * b, nz), even, M, rows)
+        del lines
+        x = table.gather(rows, b)
         del rows
-        # the inverse transforms read vhat's columns chunk by chunk and write
-        # the first nz planes of each potential straight into out
-        columns = vhat.reshape(M + 1, b * self.grid.nr).T
-        potentials = out.reshape(b * self.grid.nr, nz)
+        # ghat[f, :, :J] @ rows, by the symmetry also rows.T @ ghat[f, :J, :]
+        vhat = table.multiply(x, J, radii)
+        del x
+        # the inverse transforms read vhat's columns chunk by chunk and
+        # write the first nz planes of each potential, a lone field's
+        # straight into out, a block's radius major into a buffer first
+        columns = vhat.reshape(M + 1, radii * b).T
+        potentials = out[0] if b == 1 else np.empty((radii * b, nz))
         if even:
             _dct1(columns, M + 1, potentials, inverse=True)
         else:
+            potentials[:, 0] = 0.0
             _dst1(columns[:, 1:M], M - 1, potentials[:, 1:], inverse=True)
+        if b > 1:
+            out[...] = potentials.reshape(radii, b, nz).transpose(1, 0, 2)
 
     def potential_at(self, source: np.ndarray, r_pts, z_pts, parity: str = "even") -> np.ndarray:
         """Potential of `source` at arbitrary probe points (direct summation)."""

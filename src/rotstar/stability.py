@@ -77,6 +77,10 @@ __all__ = [
     "stability_report",
 ]
 
+#: relative distance from a whole number within which T / dt counts as
+#: that number of steps in ``time_steps``
+_STEP_ROUNDOFF = 1e-12
+
 
 def _weighted_radii(weight: np.ndarray) -> int:
     """Radii a weighted product sums: up to the last with a nonzero weight."""
@@ -136,10 +140,13 @@ def energy_blocks(star: AxiStar, fields: np.ndarray, parity: str) -> tuple:
     ("even" / "odd"): the pressure Gram int h''(rho0) f_i f_j dx and the
     symmetrized gravity block -int int f_i(x) f_j(y) / |x - y| dx dy, the
     potentials solved in one stacked solve.  The fields vanish off the
-    star's support, so both products are weighted on the support only."""
+    star's support, so both products are weighted on the support only, and
+    the potentials are solved on the radii the gravity product sums."""
     ctx = star.context
     pressure = pair_integrals(fields, fields, ctx.weights * ctx.phi2)
-    grav = pair_integrals(fields, star.kernel.potential(fields, parity), ctx.weights * ctx.mask)
+    weight = ctx.weights * ctx.mask
+    potentials = star.kernel.potential(fields, parity, radii=_weighted_radii(weight))
+    grav = pair_integrals(fields, potentials, weight)
     return pressure, 0.5 * (grav + grav.T)
 
 
@@ -408,16 +415,21 @@ class LinearTrajectory:
 
 def time_steps(T: float, dt: float):
     """(n, times) of a run over [0, T] in n = ceil(T / dt) equal steps of
-    at most dt: the n + 1 sample times, the last exactly T."""
+    at most dt: the n + 1 sample times, the last exactly T.  A T / dt within
+    round-off (_STEP_ROUNDOFF relative) of a whole number takes that number
+    of steps: 2.1 / 0.7 reads 3.0000000000000004 and takes 3."""
     if not T > 0:
         raise ValueError("the run time T must be positive")
-    n_steps = max(math.ceil(T / dt), 1)
+    ratio = T / dt
+    whole = round(ratio)
+    n_steps = whole if abs(ratio - whole) <= _STEP_ROUNDOFF * ratio else math.ceil(ratio)
+    n_steps = max(n_steps, 1)
     return n_steps, np.linspace(0.0, T, n_steps + 1)
 
 
 def evolve_linearized(gen: Generator, z0: np.ndarray, T: float, dt: float) -> LinearTrajectory:
-    """Implicit-midpoint evolution of the generator over [0, T] in
-    ceil(T / dt) equal steps of at most dt; conserves the discrete energy
+    """Implicit-midpoint evolution of the generator over [0, T] in the
+    ``time_steps(T, dt)`` equal steps of at most dt; conserves the discrete energy
     (the Casimir second variation in whitened coordinates) exactly up to
     the round-off of its step matrix (I - dt G / 2)^-1 (I + dt G / 2),
     formed once."""

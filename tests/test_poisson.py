@@ -200,11 +200,16 @@ def test_package_odd_stacks_vanish_on_the_midplane(eos53):
 
 @pytest.mark.parametrize("shape, refine_at", [((21, 19), 0.8), ((40, 36), None), ((33, 27), 0.5)])
 def test_built_table_is_exactly_symmetric(shape, refine_at):
+    """Every diagonal leaf is exactly symmetric, and the leaves tile the
+    radii: one leaf of at most _LEAF radii, more leaves and pairs past it."""
     table = _fresh_kernel(make_grid(1.3, 1.1, *shape, refine_at=refine_at))._table
-    assert len(table.leaves) == 1 and not table.pairs
-    ghat = table.leaves[0].block
-    assert ghat.shape == (ghat.shape[0], shape[0], shape[0])
-    assert np.array_equal(ghat, ghat.transpose(0, 2, 1))
+    assert table.leaves[0].lo == 0 and table.leaves[-1].hi == shape[0]
+    assert (len(table.leaves) == 1) == (shape[0] <= poisson._LEAF)
+    assert len(table.pairs) == len(table.leaves) - 1
+    for leaf in table.leaves:
+        n = leaf.hi - leaf.lo
+        assert leaf.block.shape == (table.freqs, n, n)
+        assert np.array_equal(leaf.block, leaf.block.transpose(0, 2, 1))
 
 
 @pytest.mark.parametrize("parity", ["even", "odd"])
@@ -388,48 +393,159 @@ def test_cache_miss_releases_old_table_first():
 
 
 
+def _unit_lags(grid):
+    """Unit radii and vertical lags hz (0, 1, ..., M) of a grid's table."""
+    s = grid.rs[-1]
+    M = poisson.next_fast_len(2 * grid.nz - 2)
+    return grid.rs / s, grid.hz / s * np.arange(M + 1)
+
+
+def _dense_reference(grid):
+    """ghat[f, i, j] over all radii, from one dense block."""
+    return poisson._dense_block(*_unit_lags(grid), 0, grid.nr)
+
+
+def _pair_factors(table, p):
+    """Pair p's factors (u, v), read back from the leaves' stacks."""
+    pair = table.pairs[p]
+    us, vs = [], []
+    for leaf in table.leaves:
+        n = leaf.hi - leaf.lo
+        for q, off in leaf.slots:
+            if q == p:
+                piece = leaf.stack[:, n + off : n + off + pair.rank]
+                if leaf.lo < pair.mid:
+                    us.append(piece.transpose(0, 2, 1))
+                else:
+                    vs.append(piece)
+    return np.concatenate(us, axis=1), np.concatenate(vs, axis=2)
+
+
 def _dense_of(table):
     """The dense ghat[f, i, j] a table stands for."""
     nr = table.leaves[-1].hi
     ghat = np.empty((table.freqs, nr, nr))
-    for lo, hi, block in table.leaves:
-        ghat[:, lo:hi, lo:hi] = block
-    for lo, mid, hi, u, v in table.pairs:
+    for leaf in table.leaves:
+        ghat[:, leaf.lo : leaf.hi, leaf.lo : leaf.hi] = leaf.block
+    for p, (lo, mid, hi, rank) in enumerate(table.pairs):
+        u, v = _pair_factors(table, p)
+        assert u.shape == (table.freqs, mid - lo, rank) and v.shape == (table.freqs, rank, hi - mid)
         ghat[:, lo:mid, mid:hi] = u @ v
         ghat[:, mid:hi, lo:mid] = (u @ v).transpose(0, 2, 1)
     return ghat
 
 
+def _table_product(table, rows, radii):
+    """The table's product with (M + 1, J, b) spectrum rows, gathered
+    radius major as a solve gathers them."""
+    F, J, b = rows.shape
+    return table.multiply(table.gather(rows.reshape(F, J * b).T, b), J, radii)
+
+
 def _force_split(monkeypatch, leaf):
     """Split every table, however small, down to leaves of ``leaf`` radii."""
-    monkeypatch.setattr(poisson, "_DENSE_BYTES", 1)
     monkeypatch.setattr(poisson, "_LEAF", leaf)
+
+
+def _one_leaf(monkeypatch, grid):
+    """A table of one dense leaf over all of the grid's radii."""
+    with monkeypatch.context() as patch:
+        patch.setattr(poisson, "_LEAF", grid.nr)
+        return _fresh_kernel(grid)
 
 
 @pytest.mark.parametrize("leaf, r_block", [(2, 2), (3, 2), (2, 5), (6, 2)])
 @pytest.mark.parametrize("shape, refine_at", [((21, 19), 0.8), ((40, 36), None)])
 def test_split_table_equals_one_part_table(monkeypatch, leaf, r_block, shape, refine_at):
-    """A split table's leaves are the one-leaf table's diagonal blocks bit
-    for bit, and its pairs stand for the off-diagonal blocks to within the
-    cross tolerance of each frequency's largest entry (1.2e-13 measured)."""
+    """A split table's leaves are the diagonal blocks of the dense
+    reference bit for bit, whatever the row blocks of the reference's fill
+    (here r_block target radii), and its pairs stand for the off-diagonal
+    blocks to within the cross tolerance of each frequency's largest entry
+    (1.2e-13 measured)."""
     grid = make_grid(1.3, 1.1, *shape, refine_at=refine_at)
-    monkeypatch.setattr(poisson, "_R_BLOCK", r_block)
-    one = _fresh_kernel(grid)._table
-    assert len(one.leaves) == 1 and not one.pairs
+    with monkeypatch.context() as patch:
+        patch.setattr(poisson, "_R_BLOCK", r_block)
+        ghat = _dense_reference(grid)
+    assert np.array_equal(ghat, ghat.transpose(0, 2, 1))
     _force_split(monkeypatch, leaf)
     split = _fresh_kernel(grid)._table
-    spans = [(lo, hi) for lo, hi, _ in split.leaves]
+    spans = [(leaf.lo, leaf.hi) for leaf in split.leaves]
     assert [lo for lo, _ in spans] == [0] + [hi for _, hi in spans[:-1]]
     assert spans[-1][1] == grid.nr and all(hi - lo <= leaf for lo, hi in spans)
     assert len(split.pairs) == len(spans) - 1
-    ghat = one.leaves[0].block
-    for lo, hi, block in split.leaves:
-        assert np.array_equal(block, ghat[:, lo:hi, lo:hi])
+    for part in split.leaves:
+        assert np.array_equal(part.block, ghat[:, part.lo : part.hi, part.lo : part.hi])
     scale = np.max(np.abs(ghat), axis=(1, 2))
     err = np.max(np.abs(_dense_of(split) - ghat), axis=(1, 2))
     assert np.all(err <= 1e-12 * scale)
-    for pair in split.pairs:
-        assert not pair.u.flags.writeable and not pair.v.flags.writeable
+    assert all(not leaf.stack.flags.writeable for leaf in split.leaves)
+
+
+@pytest.mark.parametrize("shape, refine_at", [((64, 64), None), ((96, 96), None), ((120, 120), None),
+                                              ((40, 36), 0.8), ((33, 27), 0.5)])
+def test_table_equals_dense_reference(shape, refine_at):
+    """The table the solver builds stands for the dense reference over all
+    radii to 1e-12 of each frequency's largest entry, on the uniform grids
+    up to 120^2 and on graded grids, in less of its bytes: 62% at 64^2, 40%
+    at 96^2, 37% at 120^2."""
+    grid = make_grid(1.3, 1.1, *shape, refine_at=refine_at)
+    table = _fresh_kernel(grid)._table
+    assert len(table.leaves) > 1
+    ghat = _dense_reference(grid)
+    scale = np.max(np.abs(ghat), axis=(1, 2))
+    err = np.max(np.abs(_dense_of(table) - ghat), axis=(1, 2))
+    assert np.all(err <= 1e-12 * scale)
+    if grid.nr >= 64:
+        assert table.nbytes <= 0.7 * ghat.nbytes
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+@pytest.mark.parametrize("fields", [1, 8, 9])
+@pytest.mark.parametrize("J", [48, 60, 96])  # a leaf edge, inside a leaf, all radii
+def test_leaf_product_equals_dense_product(parity, fields, J):
+    """One product per output leaf equals ghat[f, :, :J] @ rows through
+    the dense reference to 1e-12 of the largest entry (3e-14 measured), for
+    spectrum rows of either parity, with the trimmed source ending at a
+    leaf edge (24-radius leaves at 96^2) or inside a leaf."""
+    grid = make_grid(1.3, 1.3, 96, 96)
+    table = _fresh_kernel(grid)._table
+    assert [leaf.hi - leaf.lo for leaf in table.leaves] == [24] * 4
+    ghat = _dense_reference(grid)
+    src = _with_parity(np.random.default_rng(J + fields).standard_normal((fields, J, grid.nz)), parity)
+    lines = np.empty((J * fields, table.freqs))
+    poisson._spectrum_rows(src.transpose(1, 0, 2).reshape(J * fields, grid.nz), parity == "even",
+                           table.freqs - 1, lines)
+    rows = lines.reshape(J, fields, table.freqs).transpose(2, 0, 1)
+    want = np.einsum("fij,fjb->fib", ghat[:, :, :J], rows)
+    got = _table_product(table, rows, grid.nr)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+@pytest.mark.parametrize("fields", [None, 1, 9])
+@pytest.mark.parametrize("radii", [0, 1, 48, 60, 95, 96])
+def test_potential_on_the_first_radii_is_the_full_potential(parity, fields, radii):
+    """A solve asked for the first ``radii`` radii returns the full solve's
+    potential on them bit for bit, for a lone field and stacks, with the
+    cut at a leaf edge (48) or inside a leaf; the source's support (72
+    radii) ends before some cuts and after others."""
+    grid = make_grid(1.3, 1.3, 96, 96)
+    kernel = RingKernel(grid)
+    shape = grid.shape if fields is None else (fields,) + grid.shape
+    src = _with_parity(np.random.default_rng(radii).standard_normal(shape), parity)
+    src[..., 72:, :] = 0.0
+    full = kernel.potential(src, parity)
+    cut = kernel.potential(src, parity, radii=radii)
+    assert cut.shape == shape[:-2] + (radii, grid.nz)
+    assert np.array_equal(cut, full[..., :radii, :])
+
+
+@pytest.mark.parametrize("radii", [-1, 97, 1000])
+def test_potential_rejects_radii_off_the_grid(radii):
+    kernel = RingKernel(make_grid(1.3, 1.3, 96, 96))
+    with pytest.raises(ValueError, match="radii"):
+        kernel.potential(np.ones(kernel.grid.shape), radii=radii)
 
 
 def _split_cases(grid, rng):
@@ -453,11 +569,12 @@ def _split_cases(grid, rng):
 
 @pytest.mark.parametrize("leaf", [2, 3, 6])
 def test_split_potential_equals_one_part_potential(monkeypatch, leaf):
-    """Potentials through a split table agree with the one-leaf table's to
+    """Potentials through a split table agree with a one-leaf table's to
     1e-12 of the largest, on a graded and a uniform grid (1.4e-13 measured)."""
     for grid in (make_grid(1.3, 1.1, 21, 19, refine_at=0.8), make_grid(1.3, 1.1, 40, 36)):
         cases = _split_cases(grid, np.random.default_rng(13))
-        kernel = _fresh_kernel(grid)
+        kernel = _one_leaf(monkeypatch, grid)
+        assert not kernel._table.pairs
         ref = [kernel.potential(src, parity) for src, parity in cases]
         with monkeypatch.context() as patch:
             _force_split(patch, leaf)
@@ -469,16 +586,15 @@ def test_split_potential_equals_one_part_potential(monkeypatch, leaf):
 
 
 def test_split_table_at_192(monkeypatch):
-    """A 192^2 table splits under the real byte constant, holds at most a
-    third of its dense bytes (23% measured), and its potentials agree with
-    the dense table's to 1e-12 of the largest: a star density, its odd
-    moment, a 9-field stack of density-weighted fields and white noise of
-    both parities (2.8e-13 measured)."""
+    """A 192^2 table holds at most a third of its dense bytes (23%
+    measured), and its potentials agree with a one-leaf table's to 1e-12
+    of the largest: a star density, its odd moment, a 9-field stack of
+    density-weighted fields and white noise of both parities (2.8e-13
+    measured)."""
     grid = make_grid(1.3, 1.3, 192, 192)
     split = _fresh_kernel(grid)
     table = split._table
     dense_bytes = table.freqs * grid.nr**2 * 8
-    assert dense_bytes > poisson._DENSE_BYTES
     assert len(table.leaves) == 8 and len(table.pairs) == 7
     assert split.table_bytes == table.nbytes <= dense_bytes / 3
     rng = np.random.default_rng(23)
@@ -490,8 +606,8 @@ def test_split_table_at_192(monkeypatch):
              (_with_parity(rng.standard_normal(grid.shape), "odd"), "odd")]
     got = [split.potential(src, parity) for src, parity in cases]
     del split, table
-    monkeypatch.setattr(poisson, "_DENSE_BYTES", dense_bytes)
-    dense = _fresh_kernel(grid)
+    monkeypatch.setattr(poisson, "_R_BLOCK", 8)  # bounds the dense fill's temporaries
+    dense = _one_leaf(monkeypatch, grid)
     for (src, parity), mine in zip(cases, got):
         want = dense.potential(src, parity)
         assert np.max(np.abs(mine - want)) <= 1e-12 * np.max(np.abs(want))
@@ -521,24 +637,23 @@ def test_vertical_transforms_are_scipys(n):
 
 
 def _scipy_potential(kernel, source, parity):
-    """A lone field's potential solved through scipy.fft's transforms on the
-    kernel's own table, the spectra laid out as numpy arrays them."""
+    """A lone field's potential solved through scipy.fft's transforms and
+    the kernel's own table product."""
     grid, table = kernel.grid, kernel._table
     M, nz = table.freqs - 1, grid.nz
     J = np.flatnonzero(np.any(source, axis=1))[-1] + 1
     w = source[None, :J] * kernel._src_weight[:J, None]
     if parity == "even":
-        rows = dct(w, type=1, n=M + 1, axis=2).transpose(2, 0, 1)
+        rows = dct(w, type=1, n=M + 1, axis=2).transpose(2, 1, 0)
     else:
-        rows = dst(w[:, :, 1:], type=1, n=M - 1, axis=2).transpose(2, 0, 1)
+        rows = dst(w[:, :, 1:], type=1, n=M - 1, axis=2).transpose(2, 1, 0)
         rows = np.pad(rows, ((1, 1), (0, 0), (0, 0)))
-    vhat = np.empty((M + 1, 1, grid.nr))
-    table.multiply(rows, vhat)
+    vhat = _table_product(table, rows, grid.nr)[:, :, 0]
     out = np.zeros(grid.shape)
     if parity == "even":
-        out[:] = idct(vhat[:, 0], type=1, axis=0)[:nz].T
+        out[:] = idct(vhat, type=1, axis=0)[:nz].T
     else:
-        out[:, 1:] = idst(vhat[1:M, 0], type=1, axis=0)[: nz - 1].T
+        out[:, 1:] = idst(vhat[1:M], type=1, axis=0)[: nz - 1].T
     return out
 
 
@@ -546,10 +661,9 @@ def _scipy_potential(kernel, source, parity):
 @pytest.mark.parametrize("parity", ["even", "odd"])
 def test_potential_is_the_scipy_transforms_potential(n, parity):
     """A lone field's potential is the one solved through scipy.fft's
-    transforms bit for bit, on a one-leaf table and on a split one (192^2)."""
+    transforms bit for bit, on the split tables of every grid."""
     grid = make_grid(1.3, 1.3, n, n)
     kernel = RingKernel(grid)
-    assert bool(kernel._table.pairs) == (n == 192)
     RG, ZG = grid.meshes()
     rho = np.maximum(1.0 - RG**2 - ZG**2, 0.0) ** 1.5
     noise = _with_parity(np.random.default_rng(n).standard_normal(grid.shape) * rho, parity)
@@ -572,4 +686,24 @@ def test_split_build_memory_is_bounded():
     table = poisson._unit_table.table
     assert table.pairs
     assert peak <= table.nbytes + 8 * 2**20
+    poisson._unit_table = None
+
+
+@pytest.mark.parametrize("n", [96, 120])
+def test_small_table_build_memory_is_bounded(n):
+    """A 96^2 or 120^2 build holds its leaves and pairs and little more: it
+    peaked 3.0 and 3.7 MiB above its 5.3 and 9.6 MiB tables, bound 5 MiB,
+    and at 0.61 and 0.50 of the 13.6 and 26.5 MiB a dense table holds,
+    bound 0.75."""
+    grid = make_grid(1.3, 1.3, n, n)
+    poisson._unit_table = None
+    tracemalloc.start()
+    try:
+        RingKernel(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table = poisson._unit_table.table
+    assert peak <= table.nbytes + 5 * 2**20
+    assert peak <= 0.75 * table.freqs * n * n * 8
     poisson._unit_table = None

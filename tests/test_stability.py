@@ -351,13 +351,18 @@ def test_evolution_rejects_a_state_of_the_wrong_dimension(rot53, generator_of):
         evolve_linearized(gen, np.zeros(gen.matrix.shape[0] + 1), T=1.0, dt=0.1)
 
 
-@pytest.mark.parametrize("T, dt, n", [(1.0, 0.3, 4), (0.5, 0.3, 2), (0.001, 0.3, 1)])
+@pytest.mark.parametrize("T, dt, n", [(1.0, 0.3, 4), (0.5, 0.3, 2), (0.001, 0.3, 1), (0.9, 0.3, 3),
+                                      (2.1, 0.7, 3), (0.07, 0.01, 7), (2.7, 0.3, 9)])
 def test_time_steps_end_at_T(T, dt, n):
-    """ceil(T / dt) equal steps, none longer than dt, the last time T."""
+    """ceil(T / dt) equal steps, none longer than dt, the last time T; a T
+    within round-off of a whole number of dt takes that number (2.1 / 0.7
+    reads 3.0000000000000004, 2.7 / 0.3 two ulp above 9)."""
     n_steps, times = time_steps(T, dt)
     assert n_steps == n and times.size == n + 1
     assert times[0] == 0.0 and times[-1] == T
-    assert np.max(np.diff(times)) <= dt
+    # the step T / n is at most dt, or dt to round-off for a whole number
+    assert T / n <= dt * (1.0 + 1e-12)
+    assert np.allclose(np.diff(times), T / n, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("T", [0.0, -1.0, math.nan])
