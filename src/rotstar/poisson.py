@@ -59,18 +59,18 @@ diagonal leaf is a dense (M + 1, n, n) block; each pair of sibling ranges
 u (M + 1, mid - lo, k) and v (M + 1, k, hi - mid), and its lower block is
 the transpose.  Off the diagonal the kernel separates: in the continuum
 the vertical transform of the m = 0 ring kernel is I0(k r<) K0(k r>), rank
-one per frequency, and the wrapped, discrete blocks keep ranks 5 to 9.
+one per frequency, and the wrapped, discrete blocks keep ranks 6 to 11.
 Each factor is cut into the slices on each leaf's radii, and a leaf stores
 its block stacked over the slices that reach it (``_Leaf``), so every
 factor is still stored once.  Dense sizes and table sizes:
 
     grid     dense       table
     64^2       4.0 MiB     2.4 MiB
-    96^2      13.6 MiB     5.3 MiB
-    120^2     26.5 MiB     9.6 MiB
-    160^2     62.7 MiB    15.8 MiB
-    192^2    108.3 MiB    25.0 MiB
-    256^2    256.5 MiB    52.4 MiB
+    96^2      13.6 MiB     5.4 MiB
+    120^2     26.5 MiB     9.7 MiB
+    160^2     62.7 MiB    16.1 MiB
+    192^2    108.3 MiB    25.1 MiB
+    256^2    256.5 MiB    52.9 MiB
 
 A product (``_Table.multiply``) is one forward product per leaf, of its
 factor slices with its source rows, whose sums over each pair's half are
@@ -80,24 +80,31 @@ written twice.  The product runs radius major, on a buffer that gives
 each leaf its source rows and then its coefficient slots, so both
 products read contiguous rows.
 
-A diagonal block evaluates the kernel lines of its upper triangle, a leaf
-in one evaluation, and writes each line to (i, j) and (j, i).  A pair is
-filled by adaptive cross approximation (Bebendorf 2000, Numer. Math.
-86:565) from kernel rows and columns (``_kernel_row``), never from its
-dense block, and recompressed to its rank at _CROSS_TOL of each
-frequency's largest diagonal-leaf entry (``_cross_pair``).  The build
-stacks a leaf as soon as the last pair that reaches it is built, which
-frees its block and slices; it peaks a few MiB above the table.  Against
-a one-leaf table of the same grid (one dense block over all radii),
-fresh-process builds took 19 ms against 15 ms at 64^2, 51 against 46 at
-96^2 (four 24-radius leaves and three pairs: the pairs' cross steps and
-recompression cost more than the smaller leaves save), 80 against 85 at
-120^2 and 182 against 181 at 160^2, and 0.49 s at 256^2 (Intel Xeon
-vCPU, one BLAS thread, medians of 5).  At 256^2 potentials agree with a
-one-leaf table's to 3e-15 of the largest for a star density and to 5e-13
-for white noise.  An
-8-field even solve took 4.7 ms against the one-leaf table's 4.5 ms at
-96^2 and 7.6 against 7.5 at 120^2, and 41 ms against 46 ms at 256^2,
+The build (``_build_unit_table``) costs little more than its kernel
+lines, 3,408 at 96^2 and 13,248 at 256^2, each a ``_ring_green``
+evaluation over the M + 1 lags and a DCT-I.  The leaves' diagonal bands
+(|i - j| <= 1) come first, in one evaluation: they hold each frequency's
+largest leaf entry, which sets the pairs' tolerances.  The pairs follow,
+one adaptive cross approximation (Bebendorf 2000, Numer. Math. 86:565)
+per tree level (``_cross_level``): the pairs of a level step in lockstep,
+each step one kernel evaluation and one DCT-I for a row or a column of
+every pair.  A pair's factors are its cross terms, as wide as the most
+terms one frequency took; a QR/SVD recompression of them lowered no
+pair's rank by more than one and cost 0.08 s at 256^2.  Last, each leaf
+evaluates its lines straight into its stack beside its factor slices
+(``_leaf``), and the factors no later leaf reads are dropped: no leaf
+block waits in memory while the pairs are approximated, and the build
+peaks a few MiB above its table.  Fresh-process builds took 16 ms at
+64^2, 41 ms at 96^2, 65 ms at 120^2, 0.32 s at 256^2, 1.35 s at 384^2
+and 2.07 s at 512^2, against 17, 49 and 73 ms and 0.38, 1.43 and 2.14 s
+for a build that made every leaf block first and recompressed its pairs
+one at a time (Intel Xeon vCPU, one BLAS thread, medians of 5); both
+evaluate the same lines, and their tables stand for the dense reference
+equally closely (5e-14 of each frequency's largest entry at 96^2 and
+120^2).  At 256^2 potentials agree with ``potential_at``'s direct sums on
+sampled nodes to 2e-13 of the largest.  An 8-field even solve took 4.7 ms
+against 4.5 ms through a one-leaf table (one dense block over all radii)
+at 96^2 and 7.6 against 7.5 at 120^2, and 41 ms against 46 ms at 256^2,
 where a lone field's took 10.0 ms both ways (interleaved in one process).
 
 A solve trims the source at its support: radii past the last one with a
@@ -158,16 +165,20 @@ __all__ = ["Grid", "RingKernel", "rect_log_mean"]
 #: most radii per leaf of a table
 _LEAF = 32
 
-#: target radii per evaluation of a dense block's kernel lines: a leaf is
-#: one evaluation, and a wider block (a dense reference) is filled in row
-#: blocks that bound its temporaries
-_R_BLOCK = _LEAF
+#: target radii per evaluation of a diagonal block's kernel lines: the row
+#: blocks bound the temporaries of a fill, which sit beside the stacks at
+#: the build's peak
+_R_BLOCK = 8
 
-#: cross approximation and recompression tolerance of the off-diagonal
-#: pairs, relative to each frequency's largest diagonal-leaf entry (at
-#: 1e-13, white-noise odd sources at 192^2 and 256^2 read up to 1.5e-12
-#: from the dense potential; at this value 5e-13, for 2% more table)
+#: cross approximation tolerance of the off-diagonal pairs, relative to
+#: each frequency's largest diagonal-leaf entry (at 1e-13, white-noise odd
+#: sources at 192^2 and 256^2 read up to 1.5e-12 from the dense potential;
+#: at this value 5e-13, for 2% more table)
 _CROSS_TOL = 5e-14
+
+#: cross terms each frequency of a pair's factors holds before they are
+#: widened by as many again
+_SLOTS = 8
 
 #: smallest pivot, relative to its frequency's residual row and column,
 #: that a cross step takes: a smaller one inflates the factors, and with
@@ -201,22 +212,24 @@ def _ring_green(r, rp, dz):
 
     K is taken from m1 = 1 - m formed directly (module docstring).  The
     coincident axis point r = r' = dz = 0 gets the finite value 2 pi; it
-    carries zero quadrature weight.  The two full-size arrays are reused in
-    place: the result is written over m1.
+    carries zero quadrature weight.  The squares are taken over 16, which
+    leaves m1 as it is and folds the factor 4 into the square root, exactly;
+    m1 is floored only where r and r' coincide.  The two full-size arrays
+    are reused in place: the result is written over m1.
     """
-    sum_sq = np.square(np.add(r, rp))
-    dz_sq = np.square(dz)
+    sum_sq = np.square(np.add(r, rp)) * 0.0625
+    diff_sq = np.square(np.subtract(r, rp)) * 0.0625
+    dz_sq = np.square(dz) * 0.0625
     far_sq = sum_sq + dz_sq
-    m1 = np.square(np.subtract(r, rp)) + dz_sq
+    m1 = diff_sq + dz_sq
     if np.any(sum_sq == 0) and np.any(dz_sq == 0):
         on_axis = far_sq == 0  # implies m1 == 0 too
-        far_sq[on_axis] = 1.0
-        m1[on_axis] = 1.0
+        far_sq[on_axis] = m1[on_axis] = 0.0625
     m1 /= far_sq
-    np.maximum(m1, _M1_FLOOR, out=m1)
+    if not np.all(diff_sq >= _M1_FLOOR * sum_sq):  # else m1 >= _M1_FLOOR everywhere
+        np.maximum(m1, _M1_FLOOR, out=m1)
     g = ellipkm1(m1, out=m1)
     g /= np.sqrt(far_sq, out=far_sq)
-    g *= 4.0
     return g
 
 
@@ -461,182 +474,321 @@ def _bisect(lo: int, hi: int):
     return leaves_lo + leaves_hi, [(lo, mid, hi)] + pairs_lo + pairs_hi
 
 
-def _kernel_row(rs: np.ndarray, dz: np.ndarray, i: int, a: int, b: int) -> np.ndarray:
-    """ghat[:, i, a:b], and by the symmetry ghat[:, a:b, i], for a target
-    radius i outside [a, b): the DCT-I over the lags dz = hz (0, 1, ..., M)
-    of the kernel between target i and sources a..b-1, as (M + 1, b - a)."""
-    g = _ring_green(rs[i], rs[a:b, None], dz)
+def _kernel_lines(rs: np.ndarray, dz: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """ghat[:, i, j] for radius indices i, j (L,), as (L, M + 1) rows: the
+    DCT-I over the lags dz = hz (0, 1, ..., M) of the kernel between radii
+    i and j.  A radius meeting itself off the axis takes the analytic log
+    average over its self cell at lag 0 (the axis entry carries zero
+    quadrature weight and is left as is)."""
+    g = _ring_green(rs[i, None], rs[j, None], dz)
+    selves = np.flatnonzero((i == j) & (i > 0))
+    if selves.size:
+        cells = np.gradient(rs)  # centred, one step at the last radius
+        for p in selves:
+            r = i[p]
+            mean_ln = rect_log_mean(0.5 * cells[r], 0.5 * dz[1])
+            g[p, 0] = (2.0 / rs[r]) * (math.log(8.0 * rs[r]) - mean_ln)
     _dct1(g, dz.size, g)
-    return g.T
+    return g
 
 
 def _dense_block(rs: np.ndarray, dz: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """Diagonal block ghat[:, lo:hi, lo:hi] of the grid with lags dz, as a
-    view of its kernel lines (hi - lo, hi - lo, M + 1).
-
-    The kernel lines of the upper triangle (j >= i) are evaluated _R_BLOCK
-    target radii at a time and each is written to (i, j) and (j, i): a
-    leaf is one evaluation, and the block is exactly symmetric.  A target
-    meeting its own radius off the axis takes the analytic log average over
-    its self cell at lag 0 (the axis entry carries zero quadrature weight
-    and is left as is).
-    """
-    n = hi - lo
-    lines = np.empty((n * n, dz.size))  # line i n + j is ghat[:, i, j]
-    cells = np.gradient(rs)  # centred, one step at the last radius
-    rows, cols = np.triu_indices(n)
-    for i0 in range(0, n, _R_BLOCK):
-        p0, p1 = np.searchsorted(rows, [i0, i0 + _R_BLOCK])
-        i, j = rows[p0:p1], cols[p0:p1]
-        g = _ring_green(rs[lo + i, None], rs[lo + j, None], dz)
-        for p in np.flatnonzero(i == j):
-            r = lo + i[p]
-            if r > 0:
-                mean_ln = rect_log_mean(0.5 * cells[r], 0.5 * dz[1])
-                g[p, 0] = (2.0 / rs[r]) * (math.log(8.0 * rs[r]) - mean_ln)
-        _dct1(g, dz.size, g)
-        lines[i * n + j] = g
-        lines[j * n + i] = g
-    return lines.reshape(n, n, dz.size).transpose(2, 0, 1)
+    new (M + 1, hi - lo, hi - lo) array (``_fill_block``)."""
+    block = np.empty((dz.size, hi - lo, hi - lo))
+    _fill_block(block, rs, dz, lo)
+    return block
 
 
-def _cross_pair(rs: np.ndarray, dz: np.ndarray, lo: int, mid: int, hi: int,
-                scale: np.ndarray) -> tuple:
-    """Factors (u, v) of ghat[:, lo:mid, mid:hi] = u @ v by adaptive cross
-    approximation.
+def _band(n: int) -> tuple:
+    """Indices (i, j) of the band j - i <= 1 of the upper triangle of an
+    n-radius block."""
+    return np.r_[0:n, 0 : n - 1], np.r_[0:n, 1:n]
 
-    Rows and columns of the block are kernel spectra, evaluated once and
-    shared by all frequencies; each frequency f keeps its own cross terms
-    and its tolerance _CROSS_TOL * scale[f].  The first row is the one
-    beside the diagonal, which holds the largest entries.  In a row, the
-    column is taken where the residual row is largest against the
-    tolerances; a frequency whose pivot there is inside its tolerance takes
-    no update (its pivot is round-off), nor does one whose pivot is below
-    _PIVOT_RATIO of its residual row's and column's largest entries.  The
-    others take the cross term, which clears their residual row, and
+
+def _fill_block(block: np.ndarray, rs: np.ndarray, dz: np.ndarray, lo: int, band: tuple | None = None) -> None:
+    """Write the diagonal block ghat[:, lo:lo + n, lo:lo + n] into ``block``
+    (M + 1, n, n): each kernel line of its upper triangle goes to (i, j) and
+    (j, i), so the block is exactly symmetric.  The lines (i, j, lines) of
+    its band (``_band``) may be given.  The lines past the band are
+    evaluated _R_BLOCK target radii i at a time: a row block's lines are a
+    triangle beside the diagonal, written entry by entry, and a rectangle
+    of the columns past the block, written by two transposing copies (at
+    256^2 a leaf's copies took 0.8 ms against 2.2 ms entry by entry)."""
+    F, n = dz.size, block.shape[1]
+
+    def put(i, j, lines):
+        block[:, i, j] = lines.T
+        block[:, j, i] = lines.T
+
+    if band is None:
+        band = (*_band(n), _kernel_lines(rs, dz, *(lo + b for b in _band(n))))
+    put(*band)
+    for i0 in range(0, n - 2, _R_BLOCK):
+        i1 = min(i0 + _R_BLOCK, n)
+        a, c = np.triu_indices(i1 - i0 + 1, 2)  # j - i >= 2 inside the block
+        a, c = i0 + a[i0 + c < n], i0 + c[i0 + c < n]
+        rect = np.arange(i1 + 1, n)
+        lines = _kernel_lines(rs, dz, lo + np.r_[a, np.repeat(np.arange(i0, i1), rect.size)],
+                              lo + np.r_[c, np.tile(rect, i1 - i0)])
+        put(a, c, lines[: a.size])
+        if rect.size:
+            square = lines[a.size :].reshape(i1 - i0, rect.size, F)
+            block[:, i0:i1, i1 + 1 :] = square.transpose(2, 0, 1)
+            block[:, i1 + 1 :, i0:i1] = square.transpose(2, 1, 0)
+
+
+def _probe_rows(n1: int) -> list:
+    """A pair's probe rows, local to its lower half of n1 radii: distances
+    1, 2, 4, ... below the diagonal row n1 - 1, then the far edge 0."""
+    return list(dict.fromkeys([n1 - 1 - d for d in 2 ** np.arange(int(math.log2(n1)) + 1) if d < n1] + [0]))
+
+
+def _cross_levels(rs: np.ndarray, dz: np.ndarray, pair_spans: list, inv_tol: np.ndarray, sides: list) -> None:
+    """Fill the factors [ut, v] of every pair (lo, mid, hi), zeroed arrays
+    in ``sides``, by ``_cross_level``, one tree level at a time, outermost
+    first; each pair's entry becomes views of its first rank slots.  One
+    buffer holds every level's probe rows."""
+    if not pair_spans:  # a table of one leaf
+        return
+    depth = [sum(a <= lo and hi <= b for a, _, b in pair_spans) for lo, _, hi in pair_spans]
+    levels = [[p for p, d in enumerate(depth) if d == level] for level in sorted(set(depth))]
+    store = np.empty(max(sum(len(_probe_rows(pair_spans[p][1] - pair_spans[p][0])) for p in ps)
+                         * dz.size * max(pair_spans[p][2] - pair_spans[p][1] for p in ps) for ps in levels))
+    for ps in levels:
+        level = _cross_level(rs, dz, [pair_spans[p] for p in ps], inv_tol, [sides[p] for p in ps], store)
+        for p, factors in zip(ps, level):
+            sides[p] = factors
+
+
+def _cross_level(rs: np.ndarray, dz: np.ndarray, spans: list, inv_tol: np.ndarray,
+                 sides: list, store: np.ndarray) -> list:
+    """Factors (ut, v) of the pairs ``spans`` (lo, mid, hi) of one tree
+    level, ghat[f, lo + i, mid + j] = sum over t of ut[f, t, i] v[f, t, j],
+    by adaptive cross approximation of all the pairs in lockstep.  They are
+    written into each pair's zeroed [ut, v] in ``sides``, (M + 1, slots,
+    mid - lo) and (M + 1, slots, hi - mid), which are replaced by wider ones
+    if a frequency takes more terms than they hold, and returned as views
+    of their first rank slots; ``store`` is a buffer for the probe rows.
+
+    A step takes one kernel line per pair still working, a row i (target
+    lo + i, sources mid..hi-1) or a column j (target mid + j, sources
+    lo..mid-1), all in one ``_ring_green`` call and one DCT-I; lines are
+    padded to the level's widest half with zeros.  Each line is shared by
+    all frequencies, and each frequency f keeps its own cross terms and its
+    tolerance 1 / inv_tol[f]: residuals are kept in units of it.  The first
+    row is the one beside the diagonal, which holds the largest entries.
+    In a row, the column is taken where the residual row is largest against
+    the tolerances; a frequency whose pivot there is inside its tolerance
+    takes no update (its pivot is round-off), nor does one whose pivot is
+    below _PIVOT_RATIO of its residual row's and column's largest entries.
+    The others take the cross term, which clears their residual row, and
     further columns of the same row are taken while the row is outside a
     tolerance and some frequency takes an update.  The next row is the
     unused one where the residual columns were largest.  A fresh row inside
-    every tolerance hands over to the next unused probe row (distances
-    1, 2, 4, ... from the diagonal, where the high frequencies live, then
-    the far edge), and the steps stop when the probes are used up.  A
-    frequency's terms fill its own slots, so the factors are as wide as the
-    most terms one frequency took; they are then recompressed frequency by
-    frequency (QR of both, SVD of the small core), kept above the tolerance
-    and padded with zeros to the largest kept rank.
+    every tolerance hands over to the probe rows (``_probe_rows``, where
+    the high frequencies live): every probe row is evaluated once, in one
+    batch before the first step, and the unused ones are checked in order;
+    the first outside a tolerance takes columns, the ones before it are
+    used up, and the approximation ends when every probe is.  A
+    frequency's terms fill its own slots, so a pair's factors are as wide
+    as the most terms one of its frequencies took (its rank), and are zero
+    past a frequency's terms.
     """
-    # residuals are kept in units of each frequency's tolerance
-    inv_tol = 1.0 / (_CROSS_TOL * scale)[:, None]
-    n1, n2 = mid - lo, hi - mid
-    u = np.zeros((dz.size, n1, 8))  # residual columns over their pivots
-    v = np.zeros((dz.size, 8, n2))  # residual rows
-    terms = np.zeros(dz.size, dtype=int)
-    free = np.ones(n1, dtype=bool)
-    probes = [mid - 1 - d for d in 2 ** np.arange(int(math.log2(n1)) + 1) if d < n1] + [lo]
-    i = mid - 1
-    while True:
-        free[i - lo] = False
-        k = terms.max()
-        row = _kernel_row(rs, dz, i, mid, hi) * inv_tol
-        row -= (u[:, i - lo, None, :k] @ v[:, :k])[:, 0]
-        score = None  # largest residual column entries met in this row
-        for _ in range(n2):
-            above = _largest(row, axis=0)
-            if np.max(above) <= 1.0:
-                break
-            j = int(np.argmax(above))
-            k = terms.max()
-            col = _kernel_row(rs, dz, mid + j, lo, mid) * inv_tol
-            col -= (u[:, :, :k] @ v[:, :k, j, None])[:, :, 0]
-            col_above = _largest(col, axis=0)
-            score = col_above if score is None else np.maximum(score, col_above)
-            largest = np.maximum(_largest(row, axis=1), _largest(col, axis=1))
-            pivot = np.abs(row[:, j])
-            live = np.flatnonzero((pivot > 1.0) & (pivot >= _PIVOT_RATIO * largest))
-            if not live.size:
-                break
-            if k == u.shape[2]:
-                u = np.concatenate([u, np.zeros_like(u)], axis=2)
-                v = np.concatenate([v, np.zeros_like(v)], axis=1)
-            slot = terms[live]
-            u[live, :, slot] = col[live] / row[live, j, None]
-            v[live, slot, :] = row[live]
-            terms[live] += 1
-            row[live] -= u[live, i - lo, slot, None] * v[live, slot, :]
-        if score is not None and free.any():
-            i = lo + int(np.argmax(np.where(free, score, -1.0)))
-            continue
-        i = next((p for p in probes if free[p - lo]), None)
-        if i is None:
-            break
-    k = terms.max()
-    qu, ru = np.linalg.qr(u[:, :, :k])
-    qv, rv = np.linalg.qr(v[:, :k].transpose(0, 2, 1))
-    del u, v
-    w, s, zt = np.linalg.svd(ru @ rv.transpose(0, 2, 1))
-    s[s <= 1.0] = 0.0
-    rank = int(np.max(np.count_nonzero(s, axis=1)))
-    s /= inv_tol  # back from tolerance units
-    return qu @ (w[:, :, :rank] * s[:, None, :rank]), zt[:, :rank] @ qv.transpose(0, 2, 1)
+    P, F = len(spans), dz.size
+    halves = np.array([[mid - lo, hi - mid] for lo, mid, hi in spans])  # rows, columns
+    n = int(halves.max())
+    # line (p, side, t) has target radius first[p, side] + t and the sources
+    # of the other half, padded with its last radius and zeroed after
+    first = np.array([[lo, mid] for lo, mid, _ in spans])
+    width = halves[:, ::-1]
+    valid = np.arange(n) < width[..., None]
+    sources = first[:, ::-1, None] + np.minimum(np.arange(n), width[..., None] - 1)
+
+    def lines(p, side, t, out=None):
+        """(L, n, F) kernel lines of (pair, side, index) arrays, in units of
+        the tolerances."""
+        g = _kernel_lines(rs, dz, np.repeat(first[p, side] + t, n), sources[p, side].ravel())
+        out = np.multiply(g.reshape(-1, n, F), inv_tol, out=out)
+        if not valid.all():
+            out *= valid[p, side][:, :, None]
+        return out
+
+    probes = [_probe_rows(n1) for n1 in halves[:, 0]]
+    probe_p = np.repeat(np.arange(P), [len(q) for q in probes])
+    probe_i = np.concatenate(probes)
+    stored = np.full((P, n), -1)  # a row's line in ``store``
+    stored[probe_p, probe_i] = np.arange(probe_i.size)
+    store = lines(probe_p, np.zeros_like(probe_p), probe_i, store[: probe_i.size * n * F].reshape(-1, n, F))
+
+    terms = np.zeros((P, F), dtype=int)
+    row = np.empty((P, n, F))  # each pair's residual row
+    big = np.empty((P, F))  # and its largest entry per frequency
+    free = valid[:, 1].copy()  # rows not yet taken
+    current = [0] * P
+    score = [None] * P  # largest residual column entries met in the row
+    taken = [0] * P  # columns taken in the row
+    want = [(0, n1 - 1) for n1 in halves[:, 0]]  # each pair's next line, None when done
+
+    def correct(p, side, t, residual):
+        """Subtract pair p's cross terms from its residual line (side, t)."""
+        k = terms[p].max()
+        if k:
+            basis = sides[p][1 - side][:, :k]
+            coef = np.ascontiguousarray(sides[p][side][:, :k, t])  # a strided one defeats BLAS
+            residual[: basis.shape[2]] -= (coef[:, None, :] @ basis)[:, 0].T
+
+    def begin_row(p, i, residual, above, largest):
+        """Row i of pair p begins with its residual, whose largest entries
+        are ``above`` per column and ``largest`` per frequency: its first
+        column, or None if the row is inside every tolerance."""
+        free[p, i] = False
+        current[p], score[p], taken[p] = i, None, 0
+        row[p], big[p] = residual, largest
+        return (1, int(np.argmax(above))) if above.max() > 1.0 else None
+
+    def next_row(p):
+        if score[p] is not None and free[p].any():
+            return (0, int(np.argmax(np.where(free[p], score[p], -1.0))))
+        for i in probes[p]:
+            if free[p, i]:
+                residual = store[stored[p, i]].copy()
+                correct(p, 0, i, residual)
+                mag = np.abs(residual)
+                above = mag.max(axis=1)
+                if above.max() > 1.0:
+                    return begin_row(p, i, residual, above, mag.max(axis=0))
+                free[p, i] = False
+        return None
+
+    while any(want):
+        # the pairs taking a column first, then those taking a row
+        act = np.array(sorted((p for p in range(P) if want[p]), key=lambda p: -want[p][0]))
+        side, idx = np.array([want[p] for p in act]).T
+        C = int(np.count_nonzero(side))
+        at = np.where(side == 0, stored[act, idx], -1)
+        fresh = at < 0
+        if fresh.all():
+            res = lines(act, side, idx)
+        else:
+            res = np.empty((act.size, n, F))
+            res[fresh] = lines(act[fresh], side[fresh], idx[fresh])
+            res[~fresh] = store[at[~fresh]]
+        for a, p in enumerate(act):
+            correct(p, side[a], idx[a], res[a])
+        mag = np.abs(res)
+        above, largest = mag.max(axis=2), mag.max(axis=1)  # each line's largest entries
+        del mag
+        if C:
+            # the columns' cross steps, vectorised over (pair, frequency)
+            pc, j, col = act[:C], idx[:C], res[:C]
+            rows = row if C == P else row[pc]
+            pivot = rows[np.arange(C), j]
+            live = (np.abs(pivot) > 1.0) & (np.abs(pivot) >= _PIVOT_RATIO * np.maximum(big[pc], largest[:C]))
+            clear = np.where(live, col[np.arange(C), [current[p] for p in pc]], 0.0)
+            clear /= np.where(live, pivot, 1.0)  # u[f, i] of each live frequency's new term
+            for c, p in enumerate(pc):
+                # a frequency that takes no term writes to the last slot, a bin
+                slots = sides[p][0].shape[1]
+                if (terms[p][live[c]] == slots - 1).any():
+                    sides[p] = [_widen(f) for f in sides[p]]
+                    slots += _SLOTS
+                at = np.arange(F) * slots + np.where(live[c], terms[p], slots - 1)
+                for f, new in zip(sides[p], (col[c].T / np.where(live[c], pivot[c], 1.0)[:, None], rows[c].T)):
+                    f.reshape(F * slots, -1)[at] = new[:, : f.shape[2]]
+                terms[p] += live[c]
+            # each live frequency's new term clears its residual row
+            rows *= 1.0 - clear[:, None, :]
+            mag = np.abs(rows)
+            row_above, big[pc] = mag.max(axis=2), mag.max(axis=1)
+            del mag
+            if C < P:
+                row[pc] = rows
+        for a, p in enumerate(act):
+            if a >= C:
+                want[p] = begin_row(p, idx[a], res[a], above[a], largest[a]) or next_row(p)
+                continue
+            taken[p] += 1
+            score[p] = above[a] if score[p] is None else np.maximum(score[p], above[a])
+            if live[a].any() and row_above[a].max() > 1.0 and taken[p] < halves[p, 1]:
+                want[p] = (1, int(np.argmax(row_above[a])))
+            else:
+                want[p] = next_row(p)
+    for (ut, v), k in zip(sides, terms.max(axis=1)):
+        v[:, :k] /= inv_tol[:, None, None]  # back from tolerance units
+    return [[ut[:, :k], v[:, :k]] for (ut, v), k in zip(sides, terms.max(axis=1))]
 
 
-def _largest(a: np.ndarray, axis: int) -> np.ndarray:
-    """max |a| along ``axis``, without an |a| temporary."""
-    return np.maximum(a.max(axis=axis), -a.min(axis=axis))
+def _widen(factor: np.ndarray) -> np.ndarray:
+    """A factor (M + 1, slots, n) with _SLOTS more slots: its terms kept,
+    its last slot (a bin for the writes of the frequencies that take no
+    term) and the new ones zero."""
+    wider = np.zeros((factor.shape[0], factor.shape[1] + _SLOTS, factor.shape[2]))
+    wider[:, : factor.shape[1] - 1] = factor[:, :-1]
+    return wider
 
 
 def _build_unit_table(rs: np.ndarray, hz: float, nz: int) -> _Table:
     """Kernel spectrum of the grid (rs, hz, nz) as leaves and pairs.
 
-    The diagonal blocks come first, since they set the pairs' tolerances.
-    The pairs follow outermost first, and a leaf is stacked (``_leaf``) as
-    soon as the last pair that reaches it is built, which frees its block
-    and its slices of the pairs' factors: the build holds the stacks made,
-    the blocks and slices of the leaves not yet stacked, and one pair's
-    cross approximation.
+    The diagonal bands (|i - j| <= 1) of the leaves come first: they hold
+    each frequency's largest leaf entry, which sets the pairs' tolerances.
+    The pairs follow, one cross approximation per tree level, outermost
+    first.  Then each leaf is stacked (``_leaf``), and every factor no
+    later leaf reads is dropped: beside the stacks made, the build holds
+    the bands, the factors still to be stacked and one row block of a
+    leaf's lines.
+
+    The order of allocation keeps the build's resident memory near its
+    live bytes and its page faults few under glibc's malloc, whose mmap
+    threshold rises to the largest mapped block freed.  The factor arrays
+    come first, while the threshold is low, so each is mapped apart from
+    the heap and returns its memory once the leaves have copied it.  The
+    bands follow in one evaluation, whose freed temporaries lift the
+    threshold above a cross approximation step's arrays: those the heap
+    recycles, where arrays at the threshold would be mapped, and faulted
+    in, afresh at every step.
     """
     half = next_fast_len(2 * nz - 2)  # N / 2
     dz = hz * np.arange(half + 1)
     spans, pair_spans = _bisect(0, rs.size)
-    blocks = [_dense_block(rs, dz, lo, hi) for lo, hi in spans]
-    scale = np.max([_largest(block, axis=(1, 2)) for block in blocks], axis=0)
-    slices = [[] for _ in spans]  # per leaf: (pair, its slice of the pair's factor)
-    todo = [sum(lo <= a < hi for lo, _, hi in pair_spans) for a, _ in spans]
-    leaves, pairs = [None] * len(spans), []
-
-    def stack(i):
-        leaves[i] = _leaf(*spans[i], blocks[i], slices[i])
-        blocks[i] = slices[i] = None
-
-    for i in range(len(spans)):
-        if not todo[i]:  # a table of one leaf
-            stack(i)
-    for p, (lo, mid, hi) in enumerate(pair_spans):
-        u, v = _cross_pair(rs, dz, lo, mid, hi, scale)
-        pairs.append(_Pair(lo, mid, hi, u.shape[2]))
-        for i, (a, b) in enumerate(spans):
-            if lo <= a < hi:
-                slices[i].append((p, v[:, :, a - mid : b - mid] if a >= mid
-                                  else u[:, a - lo : b - lo].transpose(0, 2, 1)))
-                todo[i] -= 1
-                if not todo[i]:
-                    stack(i)
-        del u, v
-    return _Table(tuple(leaves), tuple(pairs))
+    factors = [[np.zeros((dz.size, _SLOTS + 1, mid - lo)), np.zeros((dz.size, _SLOTS + 1, hi - mid))]
+               for lo, mid, hi in pair_spans]
+    i, j = np.concatenate([lo + np.array(_band(hi - lo)) for lo, hi in spans], axis=1)
+    lines = _kernel_lines(rs, dz, i, j)
+    inv_tol = 1.0 / (_CROSS_TOL * np.abs(lines).max(axis=0))
+    ends = np.cumsum([0] + [2 * (hi - lo) - 1 for lo, hi in spans])
+    bands = [(i[a:b] - lo, j[a:b] - lo, lines[a:b].copy()) for (lo, _), a, b in zip(spans, ends[:-1], ends[1:])]
+    del lines  # each leaf's band is dropped once it is stacked
+    _cross_levels(rs, dz, pair_spans, inv_tol, factors)
+    pairs = tuple(_Pair(*span, ut.shape[1]) for span, (ut, _) in zip(pair_spans, factors))
+    leaves = []
+    for leaf, (lo, hi) in enumerate(spans):
+        slices = []
+        for p, (a, mid, b) in enumerate(pair_spans):
+            if a <= lo < b:
+                side, base = int(lo >= mid), (a, mid)[lo >= mid]
+                slices.append((p, factors[p][side][:, :, lo - base : hi - base]))
+                if hi == (mid, b)[side]:  # the last leaf this factor reaches
+                    factors[p][side] = None
+        leaves.append(_leaf(rs, dz, lo, hi, bands[leaf], slices))
+        bands[leaf] = None
+    return _Table(tuple(leaves), pairs)
 
 
-def _leaf(lo: int, hi: int, block: np.ndarray, slices: list) -> _Leaf:
-    """The leaf of radii lo..hi-1: its (M + 1, n, n) block stacked over the
-    (pair, (M + 1, rank, n) slice) factor slices of the pairs that reach it,
-    in their order, as one read-only array."""
+def _leaf(rs: np.ndarray, dz: np.ndarray, lo: int, hi: int, band: tuple, slices: list) -> _Leaf:
+    """The leaf of radii lo..hi-1 as one read-only stack: its (M + 1, n, n)
+    block, evaluated straight into the stack (``_fill_block``, its band
+    lines given), over the (pair, (M + 1, rank, n) slice) factor slices of
+    the pairs that reach it, in their order."""
     n = hi - lo
-    stack = np.empty((block.shape[0], n + sum(part.shape[1] for _, part in slices), n))
-    stack[:, :n] = block
+    stack = np.empty((dz.size, n + sum(part.shape[1] for _, part in slices), n))
     slots, off = [], 0
     for p, part in slices:
         stack[:, n + off : n + off + part.shape[1]] = part
         slots.append((p, off))
         off += part.shape[1]
+    _fill_block(stack[:, :n], rs, dz, lo, band)
     stack.flags.writeable = False
     return _Leaf(lo, hi, stack, tuple(slots))
 

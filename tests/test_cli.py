@@ -939,6 +939,21 @@ def test_import_loads_no_scipy():
     assert _scipy_modules() == [0, []]
 
 
+def test_import_loads_no_hashlib():
+    """Importing the CLI loads neither hashlib nor its OpenSSL backend
+    (3.7 MB of resident memory); the manifest's config hash imports it and
+    is still the sha256 of the config's sorted JSON."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    guard = "import json, sys, rotstar.cli; print(json.dumps(sorted({'hashlib', '_hashlib'} & set(sys.modules))))"
+    proc = subprocess.run([sys.executable, "-c", guard], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == []
+    import hashlib
+
+    cfg = {"mu": 1.5, "grid": {"nz": 32, "nr": 32}, "eos": {"kind": "polytropic", "gamma0": 1.3}}
+    assert cli._config_hash(cfg) == hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()
+
+
 @pytest.mark.parametrize(
     "command, payload",
     [

@@ -707,3 +707,67 @@ def test_small_table_build_memory_is_bounded(n):
     assert peak <= table.nbytes + 5 * 2**20
     assert peak <= 0.75 * table.freqs * n * n * 8
     poisson._unit_table = None
+
+
+#: kernel values (lines times M + 1 lags) a fresh build evaluates: 3,408
+#: lines of 193 lags at 96^2 and 13,248 lines of 513 lags at 256^2, the
+#: leaves' upper triangles and the pairs' cross rows and columns
+_BUILD_VALUES = {96: 657_744, 256: 6_796_224}
+
+
+@pytest.mark.parametrize("n", sorted(_BUILD_VALUES))
+def test_build_evaluates_no_more_kernel_values(monkeypatch, n):
+    """A build costs little more than its kernel evaluations: the values
+    ``_ring_green`` evaluates in a fresh build are pinned as upper bounds."""
+    seen = []
+    ring_green = poisson._ring_green
+
+    def counted(*args):
+        g = ring_green(*args)
+        seen.append(g.size)
+        return g
+
+    monkeypatch.setattr(poisson, "_ring_green", counted)
+    _fresh_kernel(make_grid(1.3, 1.3, n, n))
+    assert sum(seen) <= _BUILD_VALUES[n]
+    poisson._unit_table = None
+
+
+@pytest.mark.parametrize("shape, refine_at", [((64, 64), None), ((96, 96), None), ((120, 120), None),
+                                              ((97, 90), 0.5)])
+def test_leaf_bands_hold_the_largest_leaf_entries(shape, refine_at):
+    """The pairs' tolerances scale with each frequency's largest entry on
+    the leaves' diagonal bands (|i - j| <= 1): no leaf entry exceeds it."""
+    table = _fresh_kernel(make_grid(1.3, 1.1, *shape, refine_at=refine_at))._table
+    band = np.max([np.abs(np.concatenate([np.diagonal(leaf.block, 0, 1, 2), np.diagonal(leaf.block, 1, 1, 2)],
+                                         axis=1)).max(axis=1) for leaf in table.leaves], axis=0)
+    for leaf in table.leaves:
+        assert np.all(np.abs(leaf.block).max(axis=(1, 2)) <= band)
+
+
+def test_potential_at_256_matches_direct_sums():
+    """At the largest benchmark grid, where no dense reference fits, table
+    potentials agree with ``potential_at``'s direct sums to 1e-12 of the
+    largest on 16 sampled nodes: a star density, its odd moment, a 9-field
+    stack of density-weighted fields and white noise of both parities.
+    The sources vanish at the sampled nodes, whose self cells the direct
+    sums do not average."""
+    grid = make_grid(1.3, 1.3, 256, 256)
+    kernel = _fresh_kernel(grid)
+    rng = np.random.default_rng(29)
+    i, k = rng.integers(0, 256, 16), rng.integers(0, 256, 16)
+    i[:2], k[2:4] = 0, 0  # nodes on the axis and on the midplane
+    RG, ZG = grid.meshes()
+    rho = np.maximum(1.0 - RG**2 - ZG**2, 0.0) ** 1.5
+    stack = rng.standard_normal((9,) + grid.shape) * rho
+    cases = [(rho, "even"), (rho * ZG, "odd"), (stack, "even"), (_with_parity(stack, "odd"), "odd"),
+             (rng.standard_normal(grid.shape), "even"),
+             (_with_parity(rng.standard_normal(grid.shape), "odd"), "odd")]
+    for src, parity in cases:
+        src = src.copy()
+        src[..., i, k] = 0.0
+        got = kernel.potential(src, parity)[..., i, k]
+        for mine, field in zip(got.reshape(-1, i.size), src.reshape((-1,) + grid.shape)):
+            want = kernel.potential_at(field, grid.rs[i], grid.zs[k], parity)
+            assert np.max(np.abs(mine - want)) <= 1e-12 * np.max(np.abs(want))
+    poisson._unit_table = None
