@@ -43,7 +43,6 @@ from rotstar.stability import (
     assemble_generator,
     assemble_perturbation_energy,
     assemble_reduced_energy,
-    evolve_linearized,
     generator_unstable_count,
     lift_azimuthal_velocity,
     restrict_mass_zero,

@@ -40,7 +40,8 @@ a machine-readable error.json:
   or Rayleigh-stable one, a momentum distribution not vanishing at the
   axis, a descending, flat or too short ``mu_grid``);
 * 3 ``SolverError``: no SCF convergence or divergence, a grid too small
-  for the star, a star with no surface, no converged scan point;
+  for the star, a star with no surface, an evolve run past float range,
+  no converged scan point;
 * 4 ``AmbiguousClassificationError``: a strict spectrum that cannot
   classify an eigenvalue.
 
@@ -371,9 +372,7 @@ def cmd_evolve(run: _Runner) -> None:
         u0 = np.zeros(n)
         u0[0] = 1.0
         v0 = np.zeros(n)
-        lam0 = form.eigenvalues[0]
-        if lam0 < 0:
-            v0[0] = math.sqrt(-lam0)
+        v0[0] = math.sqrt(max(-form.eigenvalues[0], 0.0))
     else:
         rng = np.random.default_rng(run.seed)
         u0 = rng.standard_normal(n)

@@ -41,9 +41,7 @@ from rotstar.equilibria import AxiStar
 from rotstar.errors import AmbiguousClassificationError, ConfigError, SolverError
 from rotstar.forms import QuadraticForm
 from rotstar.numerics import bspline_table
-from rotstar.stability import (
-    LinearTrajectory, energy_blocks, factored_pair_integrals, time_steps,
-)
+from rotstar.stability import energy_blocks, factored_pair_integrals
 
 __all__ = [
     "VelocityBasis",
@@ -51,6 +49,8 @@ __all__ = [
     "assemble_meridional_form",
     "SpectrumReport",
     "spectrum_report",
+    "LinearTrajectory",
+    "time_steps",
     "evolve_second_order",
     "upsilon_range",
 ]
@@ -60,6 +60,9 @@ RING_DEG_Z = 3
 #: relative drift between the two finest levels below which an eigenvalue
 #: under the interval is discrete
 DISCRETE_DRIFT_TOL = 1e-3
+#: relative distance from a whole number within which T / dt counts as
+#: that number of steps in ``time_steps``
+_STEP_ROUNDOFF = 1e-12
 
 
 @dataclass
@@ -350,6 +353,49 @@ def spectrum_report(
     )
 
 
+@dataclass
+class LinearTrajectory:
+    """Time series of the meridional second-order wave equation."""
+
+    times: np.ndarray
+    energies: np.ndarray  # conserved quadratic per sample
+    norms: np.ndarray  # state norm per sample
+    energy_scales: np.ndarray  # magnitude of the energy terms per sample
+
+    @property
+    def energy_drift(self) -> float:
+        """Conservation defect relative to the size of the energy terms.
+
+        On growing trajectories the conserved quadratic is an O(eps)
+        cancellation of huge terms, so the defect is normalized by the term
+        magnitude rather than by the (possibly tiny) conserved value.
+        """
+        scale = np.max(self.energy_scales) + 1e-300
+        return float(np.max(np.abs(self.energies - self.energies[0]))) / scale
+
+    def growth_rate(self) -> float:
+        """Log-slope of the state norm over the trailing half of the run,
+        and over no fewer than its last two samples."""
+        n = self.times.size
+        i0 = min(n // 2, n - 2)
+        y = np.log(self.norms[i0:])
+        return float(np.polyfit(self.times[i0:], y, 1)[0])
+
+
+def time_steps(T: float, dt: float):
+    """(n, times) of a run over [0, T] in n = ceil(T / dt) equal steps of
+    at most dt: the n + 1 sample times, the last exactly T.  A T / dt within
+    round-off (_STEP_ROUNDOFF relative) of a whole number takes that number
+    of steps: 2.1 / 0.7 reads 3.0000000000000004 and takes 3."""
+    if not T > 0:
+        raise ValueError("the run time T must be positive")
+    ratio = T / dt
+    whole = round(ratio)
+    n_steps = whole if abs(ratio - whole) <= _STEP_ROUNDOFF * ratio else math.ceil(ratio)
+    n_steps = max(n_steps, 1)
+    return n_steps, np.linspace(0.0, T, n_steps + 1)
+
+
 def evolve_second_order(
     form: QuadraticForm,
     u0: np.ndarray,
@@ -357,36 +403,44 @@ def evolve_second_order(
     T: float,
     dt_factor: float = 0.1,
 ) -> LinearTrajectory:
-    """Leapfrog integration of  u_tt = -(form) u  in whitened coordinates.
+    """Exact flow of  u_tt = -(form) u  in whitened coordinates.
 
     ``u0``/``v0`` are coordinates in the pencil eigenbasis, whose columns
     ``form.vectors`` are Gram-orthonormal: a field with basis coefficients x
     has coordinates ``form.vectors.T @ form.gram @ x``, and a unit vector
-    starts a pure eigenmode.  The run takes ``time_steps(T, dt)`` equal
-    steps, the largest dt = dt_factor / sqrt(max |eigenvalue|), and ends at
-    T; a factor of 2 or more exceeds the leapfrog stability bound.
+    starts a pure eigenmode.  There u'' = -diag(lam) u, so each coordinate
+    is u0 C + v0 S with, for w = sqrt|lam|, C = cosh(w t) and S = sinh(w t)
+    / w where lam < 0, cos and sin where lam > 0, and the line C = 1, S = t
+    where lam = 0.  The flow is sampled at the ``time_steps(T, dt)`` times,
+    dt = dt_factor / sqrt(max |eigenvalue|), the last T.  A run whose
+    growing modes leave the float range by T is a ``SolverError``.
     """
-    if dt_factor >= 2.0:
-        raise ValueError("time step exceeds the leapfrog stability bound")
     lam = form.eigenvalues
-    n_steps, times = time_steps(T, dt_factor / math.sqrt(float(np.max(np.abs(lam)))))
-    dt = T / n_steps
-    # whitened coordinates diagonalize the pencil: u'' = -diag(lam) u
-    c = np.asarray(u0, dtype=float).copy()
-    v = np.asarray(v0, dtype=float).copy()
-    if c.shape != lam.shape or v.shape != lam.shape:
+    u0, v0 = (np.asarray(x, dtype=float) for x in (u0, v0))
+    if u0.shape != lam.shape or v0.shape != lam.shape:
         raise ValueError("state must be given in pencil eigen-coordinates")
-    norms = np.empty(n_steps + 1)
-    energies = np.empty(n_steps + 1)
-    scales = np.empty(n_steps + 1)
-    a = -lam * c
-    for i in range(n_steps + 1):
-        norms[i] = float(np.linalg.norm(c))
-        energies[i] = float(v @ v + lam @ (c * c))
-        scales[i] = float(v @ v + np.abs(lam) @ (c * c))
-        if i < n_steps:
-            c = c + dt * v + 0.5 * dt * dt * a
-            a_new = -lam * c
-            v = v + 0.5 * dt * (a + a_new)
-            a = a_new
-    return LinearTrajectory(times, energies, norms, scales)
+    _, times = time_steps(T, dt_factor / math.sqrt(float(np.max(np.abs(lam)))))
+    g, s = np.flatnonzero(lam < 0), np.flatnonzero(lam > 0)
+    wg, ws = np.sqrt(-lam[g]), np.sqrt(lam[s])
+    # a growing mode's |u|, |v| and w |u| stay below 2 size exp(rate t), and
+    # the energy terms and the squared norm sum squares of them
+    rate = float(np.max(wg, initial=0.0))
+    size = max(1.0, rate) * np.max(np.maximum(np.abs(u0[g]), np.abs(v0[g]) / wg), initial=1.0)
+    if rate * T + math.log(size) > 0.5 * math.log(np.finfo(float).max / (16 * lam.size)):
+        raise SolverError(
+            f"evolve.T = {T:g} overflows the float range: the largest growth rate "
+            f"{rate:.6g} grows the state by exp({rate * T:.6g})"
+        )
+    # one sample time at a time, so memory does not grow with the samples;
+    # the rows are energies, norms and energy scales
+    lam_u0, abs_lam = lam * u0, np.abs(lam)
+    out = np.empty((3, times.size))
+    for i, t in enumerate(times):
+        C, S = np.ones(lam.size), np.full(lam.size, t)
+        C[g], S[g] = np.cosh(wg * t), np.sinh(wg * t) / wg
+        C[s], S[s] = np.cos(ws * t), np.sin(ws * t) / ws
+        u = C * u0 + S * v0
+        v = C * v0 - S * lam_u0
+        uu, vv = u * u, v @ v
+        out[:, i] = vv + lam @ uu, math.sqrt(np.sum(uu)), vv + abs_lam @ uu
+    return LinearTrajectory(times, *out)

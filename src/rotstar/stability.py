@@ -33,13 +33,9 @@ basis's sectors, placed on its diagonal, and a generator reads one sector.
 
 A matched discretization of the full linearized generator on the basis's
 shapes is a cross-check: exactly Hamiltonian at the matrix level, its
-eigenvalues come in {l, -l, conj l, -conj l} quadruples and the implicit
-midpoint evolution conserves the discrete energy to round-off.  Its growing
+eigenvalues come in {l, -l, conj l, -conj l} quadruples.  Its growing
 pairs, the negative directions of one symmetric matrix, are counted inside
-the verdict band like every form's.  That energy,
-``Generator.energy`` in the generator's whitened coordinates, is the one
-conserved quadratic (the Casimir second variation) of the package; states
-live only in those coordinates.
+the verdict band like every form's.
 """
 
 from __future__ import annotations
@@ -71,16 +67,8 @@ __all__ = [
     "Generator",
     "assemble_generator",
     "generator_unstable_count",
-    "LinearTrajectory",
-    "time_steps",
-    "evolve_linearized",
     "stability_report",
 ]
-
-#: relative distance from a whole number within which T / dt counts as
-#: that number of steps in ``time_steps``
-_STEP_ROUNDOFF = 1e-12
-
 
 def _weighted_radii(weight: np.ndarray) -> int:
     """Radii a weighted product sums: up to the last with a nonzero weight."""
@@ -298,16 +286,6 @@ class Generator:
         scale = np.max(np.abs(lam)) + 1e-300
         return float(np.abs(lam[:, None] + lam[None, :]).min(axis=1).max()) / scale
 
-    def energy(self, z: np.ndarray) -> float:
-        nq = self.P.shape[0]
-        q, p = z[:nq], z[nq:]
-        return float(q @ self.Lh @ q + p @ p)
-
-    def energy_scale(self, z: np.ndarray) -> float:
-        nq = self.P.shape[0]
-        q, p = z[:nq], z[nq:]
-        return float(np.abs(q @ self.Lh @ q) + q @ q * self._lh_norm + p @ p)
-
 
 def _sector_products(star: AxiStar, dens) -> tuple:
     """The generator's Galerkin products on one sector's tensor shapes
@@ -381,76 +359,6 @@ def generator_unstable_count(gen: Generator):
     counted = quotient < -VERDICT_ZERO_TOL
     growth = math.sqrt(-mu[counted].min()) if counted.any() else 0.0
     return int(counted.sum()), growth, int(mu.size - counted.sum())
-
-
-@dataclass
-class LinearTrajectory:
-    """Time series of a linear evolution: the generator's first-order flow
-    or the meridional second-order wave equation."""
-
-    times: np.ndarray
-    energies: np.ndarray  # conserved quadratic per step
-    norms: np.ndarray  # state norm per step
-    energy_scales: np.ndarray  # magnitude of the energy terms per step
-
-    @property
-    def energy_drift(self) -> float:
-        """Conservation defect relative to the size of the energy terms.
-
-        On growing trajectories the conserved quadratic is an O(eps)
-        cancellation of huge terms, so the defect is normalized by the term
-        magnitude rather than by the (possibly tiny) conserved value.
-        """
-        scale = np.max(self.energy_scales) + 1e-300
-        return float(np.max(np.abs(self.energies - self.energies[0]))) / scale
-
-    def growth_rate(self) -> float:
-        """Log-slope of the state norm over the trailing half of the run,
-        and over no fewer than its last two samples."""
-        n = self.times.size
-        i0 = min(n // 2, n - 2)
-        y = np.log(self.norms[i0:])
-        return float(np.polyfit(self.times[i0:], y, 1)[0])
-
-
-def time_steps(T: float, dt: float):
-    """(n, times) of a run over [0, T] in n = ceil(T / dt) equal steps of
-    at most dt: the n + 1 sample times, the last exactly T.  A T / dt within
-    round-off (_STEP_ROUNDOFF relative) of a whole number takes that number
-    of steps: 2.1 / 0.7 reads 3.0000000000000004 and takes 3."""
-    if not T > 0:
-        raise ValueError("the run time T must be positive")
-    ratio = T / dt
-    whole = round(ratio)
-    n_steps = whole if abs(ratio - whole) <= _STEP_ROUNDOFF * ratio else math.ceil(ratio)
-    n_steps = max(n_steps, 1)
-    return n_steps, np.linspace(0.0, T, n_steps + 1)
-
-
-def evolve_linearized(gen: Generator, z0: np.ndarray, T: float, dt: float) -> LinearTrajectory:
-    """Implicit-midpoint evolution of the generator over [0, T] in the
-    ``time_steps(T, dt)`` equal steps of at most dt; conserves the discrete energy
-    (the Casimir second variation in whitened coordinates) exactly up to
-    the round-off of its step matrix (I - dt G / 2)^-1 (I + dt G / 2),
-    formed once."""
-    n_steps, times = time_steps(T, dt)
-    dt = T / n_steps
-    dim = gen.matrix.shape[0]
-    z = np.asarray(z0, dtype=float).copy()
-    if z.shape != (dim,):
-        raise ValueError(f"state dimension should be {dim}")
-    eye = np.eye(dim)
-    step = np.linalg.solve(eye - 0.5 * dt * gen.matrix, eye + 0.5 * dt * gen.matrix)
-    energies = np.empty(n_steps + 1)
-    norms = np.empty(n_steps + 1)
-    scales = np.empty(n_steps + 1)
-    for i in range(n_steps + 1):
-        energies[i] = gen.energy(z)
-        scales[i] = gen.energy_scale(z)
-        norms[i] = math.sqrt(float(z @ z))
-        if i < n_steps:
-            z = step @ z
-    return LinearTrajectory(times, energies, norms, scales)
 
 
 def stability_report(basis: PerturbationBasis, with_generator: bool = False) -> dict:

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -603,6 +604,21 @@ def test_evolve_ends_at_T(tmp_path):
     assert main(["evolve", cfg, "--out-dir", str(out)]) == EXIT_OK
     rows = (out / "trajectory.csv").read_text().strip().splitlines()[1:]
     assert [float(row.split(",")[0]) for row in rows] == [0.0, 0.001]
+
+
+def test_evolve_past_the_float_range_is_a_solver_failure(tmp_path):
+    """The unstable star over T = 3000 (growth rate 0.2985) would overflow
+    its trajectory: refused before any sample, exit 3, with no evolve.json
+    and no numpy warning."""
+    cfg = write(tmp_path, "cfg.json", {**SPECTRUM_32_CFG, "evolve": {"T": 3000, "dt_factor": 0.5}})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["evolve", cfg, "--out-dir", str(out), "--seed", "1"]) == EXIT_SOLVER
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "solver" and err["message"].startswith("evolve.T = 3000 ")
+    assert "growth rate 0.298494" in err["message"]
+    assert not (out / "evolve.json").exists() and not (out / "trajectory.csv").exists()
 
 
 def _table_csv(tmp_path, rows):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -209,18 +210,24 @@ def test_eigenmode_growth(form):
     assert traj.energy_drift < 1e-6
 
 
-def test_energy_drift_quarters_when_step_halves(form):
+def test_energy_drift_stays_at_round_off(form):
+    """The flow is exact: at either sample spacing the energy drift is
+    round-off, and the two runs agree at their shared sample times."""
     lam0 = form.eigenvalues[0]
     n = form.eigenvalues.size
     rng = np.random.default_rng(5)
     u0 = rng.standard_normal(n)
     u0 /= np.linalg.norm(u0)
     v0 = np.zeros(n)
-    d = []
-    for f in (0.08, 0.04):
-        traj = evolve_second_order(form, u0, v0, T=4.0 / math.sqrt(-lam0), dt_factor=f)
-        d.append(traj.energy_drift)
-    assert d[1] < 0.5 * d[0]
+    coarse, fine = (
+        evolve_second_order(form, u0, v0, T=4.0 / math.sqrt(-lam0), dt_factor=f)
+        for f in (0.08, 0.04)
+    )
+    assert coarse.energy_drift <= 1e-12 and fine.energy_drift <= 1e-12
+    # the shared times include both ends
+    i, j = np.nonzero(np.isclose(coarse.times[:, None], fine.times, rtol=1e-14, atol=0.0))
+    assert coarse.times[i[-1]] == fine.times[j[-1]] == fine.times[-1] and i[0] == j[0] == 0
+    assert np.allclose(coarse.norms[i], fine.norms[j], rtol=1e-12, atol=0.0)
 
 
 def test_generic_growth_bounded(form):
@@ -235,17 +242,42 @@ def test_generic_growth_bounded(form):
     assert traj.growth_rate() <= math.sqrt(-lam0) * 1.05
 
 
-def test_step_size_guard(form):
-    n = form.eigenvalues.size
-    with pytest.raises(ValueError):
-        evolve_second_order(form, np.zeros(n), np.zeros(n), T=1.0, dt_factor=2.0)
-
-
 def test_evolution_rejects_a_state_off_the_eigen_coordinates(form):
     n = form.eigenvalues.size
     for u0, v0 in ((np.zeros(n + 1), np.zeros(n)), (np.zeros(n), np.zeros((n, 1)))):
         with pytest.raises(ValueError, match="pencil eigen-coordinates"):
             evolve_second_order(form, u0, v0, T=1.0)
+
+
+def test_modal_flow_is_the_closed_form():
+    """On eigenvalues exactly -4, 0 and 9 each coordinate follows its
+    closed form: u0 cosh 2t + v0 sinh(2t) / 2, the line u0 + v0 t, and
+    u0 cos 3t + v0 sin(3t) / 3; the zero mode divides by nothing."""
+    form = QuadraticForm(np.diag([-4.0, 0.0, 9.0]), np.eye(3))
+    assert np.array_equal(form.eigenvalues, [-4.0, 0.0, 9.0])
+    for k, closed in enumerate((
+        lambda t: 0.5 * np.cosh(2.0 * t) + 1.5 * np.sinh(2.0 * t) / 2.0,
+        lambda t: 0.5 + 1.5 * t,
+        lambda t: 0.5 * np.cos(3.0 * t) + 1.5 * np.sin(3.0 * t) / 3.0,
+    )):
+        u0, v0 = np.zeros(3), np.zeros(3)
+        u0[k], v0[k] = 0.5, 1.5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = evolve_second_order(form, u0, v0, T=2.0, dt_factor=0.05)
+        assert np.allclose(traj.norms, np.abs(closed(traj.times)), rtol=1e-14, atol=0.0)
+        assert traj.energy_drift <= 1e-15
+
+
+def test_stiff_stable_mode_does_not_overflow():
+    """A stiff stable mode (w = 1e4 over T = 1) beside a growing one takes
+    cos and sin, never cosh: no warning, and the energy stays at round-off."""
+    form = QuadraticForm(np.diag([-1.0, 1e8]), np.eye(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = evolve_second_order(form, np.ones(2), np.ones(2), T=1.0)
+    assert traj.times[-1] == 1.0
+    assert traj.energy_drift <= 1e-14
 
 
 def test_nonfinite_divergence_rejected(rayleigh_unstable_star):
