@@ -290,8 +290,9 @@ class _Runner:
         self.seed = seed
         self.jobs = jobs
         self.artifacts = []
-        #: bytes of the run's Poisson kernel table (None: no single star)
-        self.poisson_table_bytes = None
+        #: bytes of the run's Poisson kernel table and whether it was
+        #: "built" or "stored" (None: no single star)
+        self.poisson_table_bytes = self.poisson_table_source = None
         self.t0 = time.time()
 
     def path(self, name: str) -> str:
@@ -301,6 +302,7 @@ class _Runner:
     def solve_star(self):
         star = solve_configured_star(self.cfg)
         self.poisson_table_bytes = star.kernel.table_bytes
+        self.poisson_table_source = star.kernel.table_source
         return star
 
     def manifest(self) -> None:
@@ -317,6 +319,7 @@ class _Runner:
                 },
                 "artifacts": sorted(self.artifacts),
                 "poisson_table_bytes": self.poisson_table_bytes,
+                "poisson_table_source": self.poisson_table_source,
                 "runtime_seconds": time.time() - self.t0,
             },
         )

@@ -143,21 +143,45 @@ degree -1, so a grid scaled by s sees the table of the unit grid (rs/s, hz/s)
 divided by s, and the potential of a fixed density scales as s^2.  The table
 is therefore built in unit coordinates and the factor 1/s goes into the
 source weights.  One table is kept per process (a one-entry cache): every
-grid with the same nr, nz and normalised coordinates reuses it, which is what
-a family scan's pad * R grids do.  A grid that misses drops the old table
-before the new one is built, so a process holds at most one table beyond
-those its live kernels still use.  Each ``--jobs`` worker builds its own.
+grid with the same nr, nz and normalised coordinates, to _MATCH_TOL, reuses
+it, which is what a family scan's pad * R grids do.  A grid that misses
+drops the old table before the next is taken, so a process holds at most
+one table beyond those its live kernels still use.
+
+The next is taken from the store (``_stored_table``), one directory per
+table under $XDG_CACHE_HOME/rotstar (else ~/.cache/rotstar): the leaf
+stacks as one .npy, mapped read-only on load, and an index of their layout.
+It is keyed by the build's exact inputs (unit radii, hz, nz, the build
+constants, the source of this module and of ``rotstar.numerics``, numpy's
+version, the byte order), which the index repeats for a bit-for-bit
+comparison, and each load evaluates the last leaf's band lines and compares
+them bit for bit.  Unit radii of pad * R grids move by ulps with R, so a
+tolerant key would make results depend on which run filled the store: a run
+with the same EOS, mu and grid options maps the table (0.3 s saved at
+256^2), a new mu builds.  Any doubt (other inputs, a short file, a failed
+spot check, a store that cannot be created or written) means a build, the
+stored table bit for bit; a build is written leaf by leaf to a directory
+that ``os.replace`` renames into place, so concurrent writers leave one
+whole entry.  Past _STORE_CAP bytes the least recently used entries go.
 """
 
 from __future__ import annotations
 
+import contextlib
+import json
 import math
+import os
+import shutil
+import sys
+import zlib
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 from numpy.fft import rfft
 
+from rotstar import numerics
 from rotstar.numerics import cumulative_trapezoid, ellipkm1, next_fast_len
 
 __all__ = ["Grid", "RingKernel", "rect_log_mean"]
@@ -196,6 +220,10 @@ _MATCH_TOL = 1e-13
 #: smallest complementary parameter passed to K (only the overwritten
 #: self-cell entries reach it)
 _M1_FLOOR = 1e-15
+
+#: bytes the table store may hold: past them the entries least recently
+#: used are removed, and a larger table is not stored
+_STORE_CAP = 2**30
 
 #: bytes of the extended lines a vertical transform takes per chunk; its
 #: two buffers (extensions and spectra) are about twice this
@@ -357,11 +385,13 @@ class _Table:
     one half, summed, fill the slots of the other half's leaves; and each
     output leaf is written by one product of its stack's transpose with its
     rows, ghat[f, lo:hi, lo:hi] @ rows + (its slices).T @ slots.
+    ``source`` says whether it was built or mapped from the store.
     """
 
-    def __init__(self, leaves: tuple, pairs: tuple):
+    def __init__(self, leaves: tuple, pairs: tuple, source: str = "built"):
         self.leaves = leaves
         self.pairs = pairs
+        self.source = source
         widths = [leaf.stack.shape[1] for leaf in leaves]
         ranks = [w - (leaf.hi - leaf.lo) for w, leaf in zip(widths, leaves)]
         self._x0 = np.cumsum([0] + widths[:-1]).tolist()  # a leaf's rows of x
@@ -794,7 +824,8 @@ def _leaf(rs: np.ndarray, dz: np.ndarray, lo: int, hi: int, band: tuple, slices:
 
 
 def _shared_unit_table(rs: np.ndarray, hz: float, nz: int) -> _Table:
-    """Table of the unit grid (rs, hz, nz), taken from the one-entry cache."""
+    """Table of the unit grid (rs, hz, nz), taken from the one-entry cache,
+    else from the store (``_stored_table``)."""
     global _unit_table
     t = _unit_table
     if (
@@ -805,10 +836,90 @@ def _shared_unit_table(rs: np.ndarray, hz: float, nz: int) -> _Table:
         and np.max(np.abs(t.rs - rs)) <= _MATCH_TOL
     ):
         return t.table
-    t = _unit_table = None  # release the old table before the new one is built
-    table = _build_unit_table(rs, hz, nz)
+    t = _unit_table = None  # release the old table before the new one is taken
+    table = _stored_table(rs, hz, nz)
     _unit_table = _UnitTable(rs, hz, nz, table)
     return table
+
+
+def _stored_table(rs: np.ndarray, hz: float, nz: int) -> _Table:
+    """Table of the unit grid (rs, hz, nz) mapped from the store, or else
+    built and, where the store takes it, written there (module docstring)."""
+    try:
+        sources = [Path(path).read_bytes() for path in (__file__, numerics.__file__)]
+    except OSError:  # no source to key on
+        return _build_unit_table(rs, hz, nz)
+    head = f"{rs.size} {nz} {_LEAF} {_SLOTS} {len(sources[0])} {np.__version__} {sys.byteorder}\n"
+    consts = np.array([hz, _CROSS_TOL, _PIVOT_RATIO, _M1_FLOOR])
+    inputs = b"".join([head.encode(), consts.tobytes(), rs.tobytes(), *sources])
+    store = Path(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"), "rotstar")
+    entry = store / f"{zlib.crc32(inputs):08x}"
+    try:
+        return _load_table(entry, inputs, rs, hz * np.arange(next_fast_len(2 * nz - 2) + 1))
+    except (OSError, ValueError, LookupError, TypeError):  # any doubt: a build
+        pass
+    table = _build_unit_table(rs, hz, nz)
+    try:
+        if table.nbytes <= _STORE_CAP:
+            _write_table(store, entry, inputs, table)
+    except OSError:  # the table serves this process unstored
+        pass
+    return table
+
+
+def _load_table(entry: Path, inputs: bytes, rs: np.ndarray, dz: np.ndarray) -> _Table:
+    """The table stored in ``entry``, its stacks read-only views of the
+    mapped file: OSError or ValueError unless the index holds ``inputs``
+    exactly, the file every stack, and the last leaf's band lines evaluate
+    to the stored ones bit for bit."""
+    layout, _, stored = (entry / "index").read_bytes().partition(b"\n")
+    if stored != inputs:
+        raise ValueError("the stored table was built from other inputs")
+    layout = json.loads(layout)
+    data = np.load(entry / "table.npy", mmap_mode="r", allow_pickle=False)
+    shapes = [(dz.size, k, hi - lo) for lo, hi, k, _ in layout["leaves"]]
+    ends = np.cumsum([0] + [math.prod(shape) for shape in shapes]).tolist()
+    if data.dtype != float or data.shape != (ends[-1],):
+        raise ValueError("the stored table is short")
+    data = data.view(np.ndarray)
+    leaves = tuple(_Leaf(lo, hi, data[a:b].reshape(shape), tuple(map(tuple, slots)))
+                   for (lo, hi, _, slots), shape, a, b in zip(layout["leaves"], shapes, ends, ends[1:]))
+    lo, hi = leaves[-1].lo, leaves[-1].hi
+    i, j = _band(hi - lo)
+    if not np.array_equal(_kernel_lines(rs, dz, lo + i, lo + j), leaves[-1].stack[:, i, j].T):
+        raise ValueError("the stored table fails its spot check")
+    with contextlib.suppress(OSError):  # a read-only store keeps its times
+        os.utime(entry)  # the time of last use, which eviction reads
+    return _Table(leaves, tuple(_Pair(*pair) for pair in layout["pairs"]), "stored")
+
+
+def _write_table(store: Path, entry: Path, inputs: bytes, table: _Table) -> None:
+    """Write a built table's stacks, leaf by leaf, as one .npy and its index
+    to a new directory renamed to ``entry`` (in place of one that failed to
+    load).  Then, while the store holds more than _STORE_CAP bytes, remove
+    the entries least recently used (by mtime), never this one."""
+    store.mkdir(parents=True, exist_ok=True)
+    tmp = Path(f"{entry}.{os.getpid()}.{os.urandom(4).hex()}")
+    tmp.mkdir()
+    try:
+        with open(tmp / "table.npy", "wb") as fh:
+            header = {"descr": np.dtype(float).str, "fortran_order": False, "shape": (table.nbytes // 8,)}
+            np.lib.format.write_array_header_1_0(fh, header)
+            for leaf in table.leaves:
+                fh.write(leaf.stack.data)
+        layout = {"leaves": [[leaf.lo, leaf.hi, leaf.stack.shape[1], leaf.slots] for leaf in table.leaves],
+                  "pairs": table.pairs}
+        (tmp / "index").write_bytes(json.dumps(layout).encode() + b"\n" + inputs)
+        shutil.rmtree(entry, ignore_errors=True)
+        tmp.replace(entry)  # fails if a concurrent writer's entry came first
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    sizes = {path: sum(f.stat().st_size for f in path.iterdir()) for path in store.iterdir() if path.is_dir()}
+    total = sum(sizes.values())
+    for path in sorted(sizes, key=lambda path: path.stat().st_mtime):
+        if total > _STORE_CAP and path != entry:
+            shutil.rmtree(path, ignore_errors=True)
+            total -= sizes[path]
 
 
 def _symmetric_rfft(x: np.ndarray, even: bool, N: int, inverse: bool):
@@ -897,6 +1008,11 @@ class RingKernel:
     def table_bytes(self) -> int:
         """Bytes the (shared) unit table holds."""
         return self._table.nbytes
+
+    @property
+    def table_source(self) -> str:
+        """"built" or "stored": where the (shared) unit table came from."""
+        return self._table.source
 
     def potential(self, source: np.ndarray, parity: str = "even", radii: int | None = None) -> np.ndarray:
         """Potential of `source` on the grid nodes (attractive: negative).

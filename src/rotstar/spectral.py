@@ -412,14 +412,18 @@ def evolve_second_order(
     is u0 C + v0 S with, for w = sqrt|lam|, C = cosh(w t) and S = sinh(w t)
     / w where lam < 0, cos and sin where lam > 0, and the line C = 1, S = t
     where lam = 0.  The flow is sampled at the ``time_steps(T, dt)`` times,
-    dt = dt_factor / sqrt(max |eigenvalue|), the last T.  A run whose
-    growing modes leave the float range by T is a ``SolverError``.
+    dt = dt_factor / sqrt(max |eigenvalue|), the last T.  A form with no
+    nonzero eigenvalue (no time scale), and a run whose growing modes leave
+    the float range by T, are a ``SolverError``.
     """
     lam = form.eigenvalues
     u0, v0 = (np.asarray(x, dtype=float) for x in (u0, v0))
     if u0.shape != lam.shape or v0.shape != lam.shape:
         raise ValueError("state must be given in pencil eigen-coordinates")
-    _, times = time_steps(T, dt_factor / math.sqrt(float(np.max(np.abs(lam)))))
+    scale = float(np.max(np.abs(lam), initial=0.0))
+    if scale == 0.0:
+        raise SolverError("the form has no time scale: it has no nonzero eigenvalue")
+    _, times = time_steps(T, dt_factor / math.sqrt(scale))
     g, s = np.flatnonzero(lam < 0), np.flatnonzero(lam > 0)
     wg, ws = np.sqrt(-lam[g]), np.sqrt(lam[s])
     # a growing mode's |u|, |v| and w |u| stay below 2 size exp(rate t), and

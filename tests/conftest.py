@@ -7,6 +7,15 @@ from rotstar.rotlaw import RigidLaw, PowerTailLaw
 from rotstar.equilibria import axistar_from_radial, solve_fixed_omega
 
 
+@pytest.fixture(scope="session", autouse=True)
+def table_store(tmp_path_factory):
+    """The kernel-table store of this session (``rotstar.poisson``), so the
+    suite never writes to the user's cache."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
+        yield
+
+
 @pytest.fixture(scope="session")
 def eos53():
     return polytrope(1.0, 5.0 / 3.0)

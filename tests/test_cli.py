@@ -42,6 +42,7 @@ def test_radial_scan_monotone_mass(tmp_path):
     assert "config_hash" in manifest and "versions" in manifest
     assert "radial_scan.csv" in manifest["artifacts"]
     assert manifest["poisson_table_bytes"] is None  # no Poisson solve
+    assert manifest["poisson_table_source"] is None
 
 
 def test_unknown_key_rejected_before_compute(tmp_path):
@@ -173,7 +174,9 @@ def test_equilibrium_and_stability_commands(tmp_path):
     assert (out1 / "star" / "density.csv").exists()
     # the manifest records the 56^2 kernel's table, two leaves and a pair,
     # below its dense size of (M + 1, 56, 56) doubles, M = next_fast_len(110)
-    table_bytes = json.loads((out1 / "manifest.json").read_text())["poisson_table_bytes"]
+    manifest = json.loads((out1 / "manifest.json").read_text())
+    table_bytes = manifest["poisson_table_bytes"]
+    assert manifest["poisson_table_source"] in ("built", "stored")
     # a square grid's unit table does not depend on its size
     assert table_bytes == poisson.RingKernel(make_grid(1.0, 1.0, 56, 56)).table_bytes
     assert table_bytes < (next_fast_len(110) + 1) * 56 * 56 * 8
@@ -184,6 +187,29 @@ def test_equilibrium_and_stability_commands(tmp_path):
     rep = json.loads((out2 / "stability.json").read_text())
     assert rep["verdict"] == "stable"
     assert rep["n_minus_L"] == 1
+
+
+def test_repeat_run_maps_the_stored_table(tmp_path, monkeypatch):
+    """A second run on the same star takes its kernel table from the store
+    and writes the same artifacts byte for byte; only the manifest says
+    where the table came from."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    star = {
+        "eos": {"kind": "polytropic", "c_minus": 1.0, "gamma0": 1.6666666666666667},
+        "rotation": {"form": "rigid", "omega_c": 1.0, "kappa": 0.05},
+        "mu": 1.0,
+        "grid": {"nr": 24, "nz": 24},
+    }
+    cfg = write(tmp_path, "eq.json", star)
+    runs = []
+    for name in ("cold", "warm"):
+        monkeypatch.setattr(poisson, "_unit_table", None)
+        out = tmp_path / name
+        assert main(["equilibrium", cfg, "--out-dir", str(out)]) == EXIT_OK
+        runs.append({str(f.relative_to(out)): f.read_bytes() for f in sorted(out.rglob("*")) if f.is_file()})
+    sources = [json.loads(run.pop("manifest.json"))["poisson_table_source"] for run in runs]
+    assert sources == ["built", "stored"]
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize(
@@ -407,6 +433,7 @@ def test_tpp_scan_jobs_do_not_change_scan_csv(tmp_path, monkeypatch):
     for jobs in ("1", "2"):
         # start cold, so every worker builds the kernel table of its own first point
         monkeypatch.setattr(poisson, "_unit_table", None)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / f"cache{jobs}"))
         monkeypatch.setattr(radial, "_lane_emden", None)
         out = tmp_path / f"jobs{jobs}"
         assert main(["tpp-scan", cfg, "--out-dir", str(out), "--jobs", jobs]) == EXIT_OK

@@ -1,5 +1,9 @@
+import contextlib
 import math
+import os
+import tempfile
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -303,10 +307,19 @@ def test_potential_rejects_unknown_parity(axi53):
         axi53.kernel.potential(axi53.rho, parity="none")
 
 
-def _fresh_kernel(grid):
-    """Kernel built from scratch, bypassing the one-entry unit-table cache."""
+@contextlib.contextmanager
+def _real_build():
+    """Tables taken inside are built: the one-entry unit-table cache is
+    dropped and the table store is a new, empty directory."""
     poisson._unit_table = None
-    return RingKernel(grid)
+    with tempfile.TemporaryDirectory() as store, mock.patch.dict(os.environ, {"XDG_CACHE_HOME": store}):
+        yield
+
+
+def _fresh_kernel(grid):
+    """Kernel built from scratch, bypassing the one-entry cache and the store."""
+    with _real_build():
+        return RingKernel(grid)
 
 
 def _scaled_grid(lam, graded, nr=40, nz=36):
@@ -361,10 +374,10 @@ def test_potential_at_rejects_unknown_parity(axi53):
 
 def test_kernel_build_memory_is_bounded():
     grid = make_grid(1.0, 1.0, 128, 128)
-    poisson._unit_table = None  # measure a real build, not a cache hit
     tracemalloc.start()
     try:
-        RingKernel(grid)
+        with _real_build():  # measure a real build, not a cache or store hit
+            RingKernel(grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -375,14 +388,14 @@ def test_kernel_build_memory_is_bounded():
 
 
 def test_cache_miss_releases_old_table_first():
-    poisson._unit_table = None
     tracemalloc.start()
     try:
-        RingKernel(make_grid(1.0, 1.0, 128, 128))  # cached, no kernel keeps it
-        one_build = tracemalloc.get_traced_memory()[1]
-        table_bytes = poisson._unit_table.table.nbytes
-        RingKernel(make_grid(1.0, 1.0, 128, 127))  # miss
-        peak = tracemalloc.get_traced_memory()[1]
+        with _real_build():
+            RingKernel(make_grid(1.0, 1.0, 128, 128))  # cached, no kernel keeps it
+            one_build = tracemalloc.get_traced_memory()[1]
+            table_bytes = poisson._unit_table.table.nbytes
+            RingKernel(make_grid(1.0, 1.0, 128, 127))  # miss, built
+            peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert poisson._unit_table.nz == 127
@@ -676,10 +689,10 @@ def test_split_build_memory_is_bounded():
     it peaked 5.4 MiB above its 25 MiB table, bound 8 MiB; the dense build
     of the same grid returns 108 MiB."""
     grid = make_grid(1.3, 1.3, 192, 192)
-    poisson._unit_table = None
     tracemalloc.start()
     try:
-        RingKernel(grid)
+        with _real_build():
+            RingKernel(grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -696,10 +709,10 @@ def test_small_table_build_memory_is_bounded(n):
     and at 0.61 and 0.50 of the 13.6 and 26.5 MiB a dense table holds,
     bound 0.75."""
     grid = make_grid(1.3, 1.3, n, n)
-    poisson._unit_table = None
     tracemalloc.start()
     try:
-        RingKernel(grid)
+        with _real_build():
+            RingKernel(grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -280,6 +280,18 @@ def test_stiff_stable_mode_does_not_overflow():
     assert traj.energy_drift <= 1e-14
 
 
+def test_form_without_a_time_scale_is_a_solver_failure():
+    """Every eigenvalue zero, or none retained: no sample spacing
+    dt_factor / sqrt(max |eigenvalue|) exists, a named SolverError."""
+    flat = QuadraticForm(np.zeros((2, 2)), np.eye(2))
+    with pytest.raises(SolverError, match="no time scale"):
+        evolve_second_order(flat, np.ones(2), np.ones(2), T=1.0)
+    empty = QuadraticForm(np.zeros((2, 2)), np.eye(2))
+    empty.eigenvalues = np.empty(0)  # a form that retains no direction
+    with pytest.raises(SolverError, match="no time scale"):
+        evolve_second_order(empty, np.empty(0), np.empty(0), T=1.0)
+
+
 def test_nonfinite_divergence_rejected(rayleigh_unstable_star):
     star = rayleigh_unstable_star
     zero = _factored(np.zeros((1,) + star.rho.shape))
