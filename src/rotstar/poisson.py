@@ -148,21 +148,17 @@ it, which is what a family scan's pad * R grids do.  A grid that misses
 drops the old table before the next is taken, so a process holds at most
 one table beyond those its live kernels still use.
 
-The next is taken from the store (``_stored_table``), one directory per
-table under $XDG_CACHE_HOME/rotstar (else ~/.cache/rotstar): the leaf
-stacks as one .npy, mapped read-only on load, and an index of their layout.
-It is keyed by the build's exact inputs (unit radii, hz, nz, the build
-constants, the source of this module and of ``rotstar.numerics``, numpy's
-version, the byte order), which the index repeats for a bit-for-bit
-comparison, and each load evaluates the last leaf's band lines and compares
-them bit for bit.  Unit radii of pad * R grids move by ulps with R, so a
-tolerant key would make results depend on which run filled the store: a run
-with the same EOS, mu and grid options maps the table (0.3 s saved at
-256^2), a new mu builds.  Any doubt (other inputs, a short file, a failed
-spot check, a store that cannot be created or written) means a build, the
-stored table bit for bit; a build is written leaf by leaf to a directory
-that ``os.replace`` renames into place, so concurrent writers leave one
-whole entry.  Past _STORE_CAP bytes the least recently used entries go.
+The next is mapped read-only from the store (``_stored_table``) under
+$XDG_CACHE_HOME/rotstar (else ~/.cache/rotstar), keyed by the build's exact
+inputs: unit radii, hz, nz, the build constants, the source of this module
+and ``rotstar.numerics``, numpy's version, build configuration and CPU
+features, the machine, the byte order and ``_blas_probe``.  A load checks a
+CRC-32 and re-evaluates one leaf's band lines bit for bit; any doubt means
+a build, written to a directory renamed into place, and past _STORE_CAP
+bytes the least recently used entries go.  So the same EOS, mu and grid
+options map the table in any command, a new mu moves the radii by ulps and
+builds, and on one host results do not depend on which run filled the
+store.  The key cannot see all of a machine, so hosts do not share a store.
 """
 
 from __future__ import annotations
@@ -171,6 +167,7 @@ import contextlib
 import json
 import math
 import os
+import platform
 import shutil
 import sys
 import zlib
@@ -845,43 +842,56 @@ def _shared_unit_table(rs: np.ndarray, hz: float, nz: int) -> _Table:
 def _stored_table(rs: np.ndarray, hz: float, nz: int) -> _Table:
     """Table of the unit grid (rs, hz, nz) mapped from the store, or else
     built and, where the store takes it, written there (module docstring)."""
-    try:
-        sources = [Path(path).read_bytes() for path in (__file__, numerics.__file__)]
-    except OSError:  # no source to key on
-        return _build_unit_table(rs, hz, nz)
-    head = f"{rs.size} {nz} {_LEAF} {_SLOTS} {len(sources[0])} {np.__version__} {sys.byteorder}\n"
-    consts = np.array([hz, _CROSS_TOL, _PIVOT_RATIO, _M1_FLOOR])
-    inputs = b"".join([head.encode(), consts.tobytes(), rs.tobytes(), *sources])
     store = Path(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"), "rotstar")
-    entry = store / f"{zlib.crc32(inputs):08x}"
     try:
-        return _load_table(entry, inputs, rs, hz * np.arange(next_fast_len(2 * nz - 2) + 1))
+        inputs, dz = _table_inputs(rs, hz, nz), hz * np.arange(next_fast_len(2 * nz - 2) + 1)
+        return _load_table(store / f"{zlib.crc32(inputs):08x}", inputs, rs, dz)
     except (OSError, ValueError, LookupError, TypeError):  # any doubt: a build
-        pass
+        inputs = None  # the key's bytes are not held through the build
     table = _build_unit_table(rs, hz, nz)
-    try:
+    with contextlib.suppress(OSError):  # the table serves this process unstored
         if table.nbytes <= _STORE_CAP:
-            _write_table(store, entry, inputs, table)
-    except OSError:  # the table serves this process unstored
-        pass
+            inputs = _table_inputs(rs, hz, nz)
+            _write_table(store, store / f"{zlib.crc32(inputs):08x}", inputs, table)
     return table
+
+
+def _table_inputs(rs: np.ndarray, hz: float, nz: int) -> bytes:
+    """Every input of a build of the unit grid (rs, hz, nz), as bytes: the
+    store's key.  OSError where this module's source cannot be read."""
+    sources = [Path(path).read_bytes() for path in (__file__, numerics.__file__)]
+    head = repr((rs.size, nz, _LEAF, _SLOTS, [len(s) for s in sources], np.__version__, sys.byteorder,
+                 platform.machine(), getattr(np.__config__, "CONFIG", None)))
+    consts = np.array([hz, _CROSS_TOL, _PIVOT_RATIO, _M1_FLOOR])
+    return b"".join([head.encode(), consts.tobytes(), _blas_probe(), rs.tobytes(), *sources])
+
+
+def _blas_probe() -> bytes:
+    """Products shaped like the build's, (F, 1, k) @ (F, k, n), of fixed
+    data: a BLAS that sums in another order gives other bytes."""
+    x = (np.arange(8 * 24 * 33) * 7919 % 1009 - 504) / 997.0
+    products = (x[: 8 * k].reshape(8, 1, k) @ x[: 8 * k * 33].reshape(8, k, 33) for k in (3, 8, 24))
+    return b"".join(p.tobytes() for p in products)
 
 
 def _load_table(entry: Path, inputs: bytes, rs: np.ndarray, dz: np.ndarray) -> _Table:
     """The table stored in ``entry``, its stacks read-only views of the
-    mapped file: OSError or ValueError unless the index holds ``inputs``
-    exactly, the file every stack, and the last leaf's band lines evaluate
-    to the stored ones bit for bit."""
-    layout, _, stored = (entry / "index").read_bytes().partition(b"\n")
+    mapped file: ValueError unless the index holds ``inputs`` exactly, the
+    file every stack, the CRC-32 matches, and the last leaf's band lines
+    evaluate to the stored ones bit for bit."""
+    line, _, stored = (entry / "index").read_bytes().partition(b"\n")
     if stored != inputs:
         raise ValueError("the stored table was built from other inputs")
-    layout = json.loads(layout)
+    crc, _, raw = line.partition(b" ")
+    layout = json.loads(raw)
     data = np.load(entry / "table.npy", mmap_mode="r", allow_pickle=False)
     shapes = [(dz.size, k, hi - lo) for lo, hi, k, _ in layout["leaves"]]
     ends = np.cumsum([0] + [math.prod(shape) for shape in shapes]).tolist()
     if data.dtype != float or data.shape != (ends[-1],):
         raise ValueError("the stored table is short")
     data = data.view(np.ndarray)
+    if zlib.crc32(data, zlib.crc32(raw)) != int(crc, 16):
+        raise ValueError("the stored table is damaged")
     leaves = tuple(_Leaf(lo, hi, data[a:b].reshape(shape), tuple(map(tuple, slots)))
                    for (lo, hi, _, slots), shape, a, b in zip(layout["leaves"], shapes, ends, ends[1:]))
     lo, hi = leaves[-1].lo, leaves[-1].hi
@@ -895,21 +905,24 @@ def _load_table(entry: Path, inputs: bytes, rs: np.ndarray, dz: np.ndarray) -> _
 
 def _write_table(store: Path, entry: Path, inputs: bytes, table: _Table) -> None:
     """Write a built table's stacks, leaf by leaf, as one .npy and its index
-    to a new directory renamed to ``entry`` (in place of one that failed to
-    load).  Then, while the store holds more than _STORE_CAP bytes, remove
-    the entries least recently used (by mtime), never this one."""
+    (a CRC-32 of the layout and the stacks, the layout, ``inputs``) to a new
+    directory renamed to ``entry``.  Then, while the store holds more than
+    _STORE_CAP bytes, remove the entries least recently used (by mtime),
+    never this one."""
     store.mkdir(parents=True, exist_ok=True)
     tmp = Path(f"{entry}.{os.getpid()}.{os.urandom(4).hex()}")
     tmp.mkdir()
     try:
+        leaves = [[leaf.lo, leaf.hi, leaf.stack.shape[1], leaf.slots] for leaf in table.leaves]
+        layout = json.dumps({"leaves": leaves, "pairs": table.pairs}).encode()
+        crc = zlib.crc32(layout)
         with open(tmp / "table.npy", "wb") as fh:
             header = {"descr": np.dtype(float).str, "fortran_order": False, "shape": (table.nbytes // 8,)}
             np.lib.format.write_array_header_1_0(fh, header)
             for leaf in table.leaves:
                 fh.write(leaf.stack.data)
-        layout = {"leaves": [[leaf.lo, leaf.hi, leaf.stack.shape[1], leaf.slots] for leaf in table.leaves],
-                  "pairs": table.pairs}
-        (tmp / "index").write_bytes(json.dumps(layout).encode() + b"\n" + inputs)
+                crc = zlib.crc32(leaf.stack.data, crc)
+        (tmp / "index").write_bytes(b"%08x %s\n%s" % (crc, layout, inputs))
         shutil.rmtree(entry, ignore_errors=True)
         tmp.replace(entry)  # fails if a concurrent writer's entry came first
     finally:

@@ -1,11 +1,11 @@
 """The kernel-table store: a table taken from it is the built table bit for
 bit, and any doubt about an entry means a build."""
 
-import json
 import os
 import subprocess
 import sys
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -100,22 +100,57 @@ def test_index_of_another_numpy_means_a_build(store):
     built = _take(grid)
     index = _entry(store) / "index"
     raw = index.read_bytes()
-    mine = f" {np.__version__} ".encode()
+    mine = repr(np.__version__).encode()
     assert raw.count(mine) == 1
-    index.write_bytes(raw.replace(mine, b" 1.26.4 "))
+    index.write_bytes(raw.replace(mine, b"'1.26.4'"))
+    _rebuilt(store, grid, built)
+
+
+def test_table_of_another_blas_is_not_taken(store, monkeypatch):
+    """A BLAS that rounds the cross approximation's products otherwise
+    builds another table: its probe's bytes key another entry."""
+    grid = make_grid(1.3, 1.1, 64, 64)
+    assert _take(grid).table_source == "built"
+    probe = poisson._blas_probe()
+    monkeypatch.setattr(poisson, "_blas_probe", lambda: probe[:-1] + bytes([probe[-1] ^ 1]))
+    assert _take(grid).table_source == "built"
+    assert _take(grid).table_source == "stored"
+    assert len(_entries(store)) == 2
+
+
+def _move(store, built, leaf, at):
+    """Entry ``at`` (f, row, column) of a leaf's stack, moved by an ulp in
+    the stored file."""
+    stack = built._table.leaves[leaf].stack
+    data = np.load(_entry(store) / "table.npy", mmap_mode="r+")
+    k = sum(x.stack.size for x in built._table.leaves[:leaf]) + np.ravel_multi_index(at, stack.shape)
+    data[k] = np.nextafter(stack[at], np.inf)
+    data.flush()
+
+
+def test_damaged_entry_in_a_middle_leaf_means_a_build(store):
+    """An entry the spot check never reads, in the first pair factor row of
+    the second of four leaves, fails the checksum."""
+    grid = make_grid(1.3, 1.1, 96, 96)
+    built = _take(grid)
+    leaf = built._table.leaves[1]
+    n = leaf.hi - leaf.lo
+    assert len(built._table.leaves) == 4 and leaf.stack.shape[1] > n
+    _move(store, built, 1, (0, n, 0))
     _rebuilt(store, grid, built)
 
 
 def test_spot_check_mismatch_means_a_build(store):
-    """One entry of the last leaf's band moved by an ulp fails the spot
-    check."""
+    """One entry of the last leaf's band moved by an ulp, with the checksum
+    written again to match, fails the spot check."""
     grid = make_grid(1.3, 1.1, 96, 96)
     built = _take(grid)
-    data = np.load(_entry(store) / "table.npy", mmap_mode="r+")
-    last = built._table.leaves[-1].stack
-    data[data.size - last.size] = np.nextafter(last[0, 0, 0], np.inf)  # its (f, i, j) = (0, 0, 0)
-    data.flush()
-    del data
+    _move(store, built, len(built._table.leaves) - 1, (0, 0, 0))  # a band entry, i = j = 0
+    index = _entry(store) / "index"
+    line, _, inputs = index.read_bytes().partition(b"\n")
+    layout = line.partition(b" ")[2]
+    data = np.load(_entry(store) / "table.npy", allow_pickle=False)
+    index.write_bytes(b"%08x %s\n%s" % (zlib.crc32(data, zlib.crc32(layout)), layout, inputs))
     _rebuilt(store, grid, built)
 
 
@@ -129,6 +164,15 @@ def test_unwritable_store_means_an_unstored_build(tmp_path, monkeypatch):
     second = _take(grid)
     assert (first.table_source, second.table_source) == ("built", "built")
     assert _same(first._table, second._table)
+
+
+def test_unreadable_source_means_an_unstored_build(store, monkeypatch):
+    """A module whose source cannot be read gives no key: every take is a
+    build, and nothing is stored."""
+    monkeypatch.setattr(poisson, "__file__", str(store.parent / "missing.py"))
+    grid = make_grid(1.3, 1.1, 40, 40)
+    assert (_take(grid).table_source, _take(grid).table_source) == ("built", "built")
+    assert not store.exists()
 
 
 def test_concurrent_writers_leave_one_whole_entry(store):
@@ -161,8 +205,8 @@ def test_store_evicts_the_least_recently_used_past_its_cap(store, monkeypatch):
     _take(grids[0])
     _take(grids[1])
     first, second = (store / name for name in _entries(store))
-    if json.loads((first / "index").read_bytes().partition(b"\n")[0])["leaves"][-1][1] != 40:
-        first, second = second, first
+    if (first / "table.npy").stat().st_size > (second / "table.npy").stat().st_size:
+        first, second = second, first  # the 40^2 entry first
     os.utime(first, (1e9, 1e9))
     os.utime(second, (1.1e9, 1.1e9))
     assert _take(grids[0]).table_source == "stored"  # a hit makes the 40^2 entry the newer
